@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ._numutil import NumericalError
 from .determinant import scalar_closed_form_value
@@ -280,31 +280,3 @@ def component_report(cone: ConeSpec, k: int) -> list[ComponentFactor]:
     for nu, mult in contrib.b_set:
         out.append(ComponentFactor("paired", nu, mult, _paired_factor(nu, k, m)))
     return out
-
-
-@dataclass(frozen=True)
-class RelativeBoundaryData:
-    """Conditions induced at x = R on the separated radial parts in degree k.
-
-    The tangential degree-k part is always Dirichlet; the degree-(k-1)
-    part is Robin with alpha = -(k-1-n/2)/R.  On the one-eigenvalue
-    subcomplex the lower operator gets Dirichlet and the upper one the
-    Robin condition f'(R) - ((k+1-n/2)/R) f(R) = 0.
-    """
-
-    degree_k: Dirichlet = field(default_factory=Dirichlet)
-    degree_km1_alpha: float = 0.0
-    subcomplex_lower: Dirichlet = field(default_factory=Dirichlet)
-    subcomplex_upper_alpha: float = 0.0
-
-
-def relative_bc_at_r(k: int, m: int, r: float) -> RelativeBoundaryData:
-    if not (0 <= k <= m):
-        raise ConeSpecError(f"degree {k} outside 0..{m}")
-    if r <= 0.0:
-        raise ConeSpecError("need R > 0")
-    n = m - 1
-    return RelativeBoundaryData(
-        degree_km1_alpha=-(k - 1.0 - n / 2.0) / r,
-        subcomplex_upper_alpha=-(k + 1.0 - n / 2.0) / r,
-    )

@@ -284,7 +284,8 @@ def det_zeta_auto(
     """Closed form when the kernel is trivial, regularized otherwise.
 
     Cheap cross-checks (finite-t value, scalar Wronskian oracle) are
-    attached to the diagnostics when available.  ``kernel_tol`` is the
+    attached to the diagnostics when available; the Wronskian oracle is
+    normalized for R = 1 and attached only there.  ``kernel_tol`` is the
     relative F(0) threshold of the kernel detector.
     """
     k0 = kernel_order(spec, tol=kernel_tol)
@@ -295,7 +296,12 @@ def det_zeta_auto(
             diag["finite_t_value"] = det_zeta_finite_t(spec, t_abs).value
         except NumericalError as exc:
             diag["finite_t_value"] = f"unavailable: {exc}"
-        if spec.q == 1 and spec.boundary.b_mat[0, 0] != 0 and spec.boundary.a_mat[0, 0] == 0:
+        if (
+            spec.q == 1
+            and spec.r == 1.0
+            and spec.boundary.b_mat[0, 0] != 0
+            and spec.boundary.a_mat[0, 0] == 0
+        ):
             diag["wronskian_value"] = det_wronskian_scalar(spec.nus[0], spec.regular_bc)
         return DeterminantReport(
             value=report.value,

@@ -19,9 +19,11 @@ in mu^2 (the log mu pieces of the companion solution cancel identically).
 
 Robin rows evaluate kappa * T(R) + sqrt(R) * dT/dx(R) with
 kappa = 1/(2 sqrt(R)) + alpha sqrt(R); Dirichlet rows evaluate the
-solution trace sqrt(R) * T(R).  Row scaling keeps determinants finite
-on contours where entries grow like exp(q |Im mu| R); `scaled` returns
-a mantissa and a real log-scale with F = mantissa * exp(log_scale).
+solution trace sqrt(R) * T(R).  The lower rows carry the factor
+exp(-|Im mu R|) of the exponentially scaled Bessel kernel, so entries
+stay finite on contours where F grows like exp(q |Im mu| R); `scaled`
+returns a mantissa and a real log-scale with F = mantissa *
+exp(log_scale), the log-scale adding q |Im mu R| back.
 """
 
 from __future__ import annotations
@@ -144,6 +146,7 @@ class SecularEvaluator:
         return jp, jm
 
     def matrix(self, mu: complex) -> np.ndarray:
+        """The 2q x 2q matrix, lower rows times exp(-|Im mu R|) (exact for real mu)."""
         mu = complex(mu)
         if mu.real < 0.0:
             mu = -mu  # F is even; keep arguments in the right half-plane
@@ -162,8 +165,9 @@ class SecularEvaluator:
 
     def scaled(self, mu: complex) -> tuple[complex, float]:
         """F(mu) = mantissa * exp(log_scale), log_scale real."""
+        mu = complex(mu)
+        growth = self.q * abs(mu.imag) * self.r  # each lower row carries exp(-|Im mu R|)
         if self.q == 1:
-            mu = complex(mu)
             if mu.real < 0.0:
                 mu = -mu
             jp, jm = self._traces(mu)
@@ -174,13 +178,13 @@ class SecularEvaluator:
             if s_top == 0.0 or s_bot == 0.0:
                 return 0.0 + 0j, 0.0
             mant = (a / s_top) * (jm[0] / s_bot) - (b / s_top) * (jp[0] / s_bot)
-            return mant, math.log(s_top) + math.log(s_bot)
+            return mant, math.log(s_top) + math.log(s_bot) + growth
         m = self.matrix(mu)
         scales = np.max(np.abs(m), axis=1)
         if np.any(scales == 0.0):
             return 0.0 + 0j, 0.0
         mant = complex(np.linalg.det(m / scales[:, None]))
-        return mant, float(np.sum(np.log(scales)))
+        return mant, float(np.sum(np.log(scales))) + growth
 
     def value_at_zero(self) -> complex:
         return self.value(0.0)
@@ -213,10 +217,6 @@ class SecularEvaluator:
 def eval_F(spec: OperatorSpec, mu: complex) -> complex:
     """Secular determinant at mu (entire and even in mu; F(0) is the limit)."""
     return SecularEvaluator(spec).value(mu)
-
-
-def eval_F_scaled(spec: OperatorSpec, mu: complex) -> tuple[complex, float]:
-    return SecularEvaluator(spec).scaled(mu)
 
 
 def eval_F_at_zero(spec: OperatorSpec) -> float | complex:
@@ -343,22 +343,25 @@ def log_F_imag(spec: OperatorSpec, x: float) -> complex:
 # Spectrum search
 # ---------------------------------------------------------------------------
 
-def _real_samples(ev: SecularEvaluator, points: np.ndarray, axis: str) -> np.ndarray:
-    vals = np.empty(len(points))
+def _real_samples(
+    ev: SecularEvaluator, points: np.ndarray, axis: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Real parts of the mantissas of F at the points, and their log-scales."""
+    mants = np.empty(len(points))
+    logs = np.empty(len(points))
     worst = 0.0
     for i, p in enumerate(points):
-        mu = 1j * p if axis == "imag" else p
-        v = ev.value(mu)
-        mag = abs(v)
+        mant, logs[i] = ev.scaled(1j * p if axis == "imag" else p)
+        mag = abs(mant)
         if mag > 0.0:
-            worst = max(worst, abs(v.imag) / mag)
-        vals[i] = v.real
+            worst = max(worst, abs(mant.imag) / mag)
+        mants[i] = mant.real
     if worst > _REAL_RESIDUE_TOL:
         raise NumericalError(
             f"secular values on the {axis} axis are not real "
             f"(residue {worst:.2e}); complex tip matrices are not supported here"
         )
-    return vals
+    return mants, logs
 
 
 def _bracket_roots(
@@ -366,16 +369,20 @@ def _bracket_roots(
 ) -> list[float]:
     n = max(2, int(math.ceil((hi - lo) / res)) + 1)
     grid = np.linspace(lo, hi, n)
-    vals = _real_samples(ev, grid, axis)
-
-    def f(t: float) -> float:
-        mu = 1j * t if axis == "imag" else t
-        return ev.value(mu).real
+    mants, logs = _real_samples(ev, grid, axis)
 
     roots: list[float] = []
     for i in range(n - 1):
         a, b = grid[i], grid[i + 1]
-        fa, fb = vals[i], vals[i + 1]
+        log_a = logs[i]
+
+        def f(t: float) -> float:
+            # F(t) exp(-log_scale(a)): a positive multiple of F, finite on [a, b]
+            mant, log_scale = ev.scaled(1j * t if axis == "imag" else t)
+            return mant.real * math.exp(log_scale - log_a)
+
+        fa = mants[i]
+        fb = mants[i + 1] * math.exp(logs[i + 1] - log_a)
         if fa == 0.0:
             fa = f(a + 1e-12 * max(1.0, a))
         if fa * fb < 0.0:

@@ -201,44 +201,6 @@ def classify_scalar(lam: float) -> ScalarClassification:
 
 
 @dataclass(frozen=True)
-class ScalarExtensionKind:
-    """A scalar D- or N-extension with its first-order parameter p.
-
-    D keeps the decaying/regular branch (c2 = 0) and is Dirichlet at R;
-    N is built from the maximal first-order factor and carries the Robin
-    coefficient alpha = p/R.
-    """
-
-    kind: str  # "D" or "N"
-    p: float
-
-
-def extension_rows(
-    kind: ScalarExtensionKind, r: float = 1.0
-) -> tuple[np.ndarray, np.ndarray, RegularBC]:
-    """Scalar (a, b) rows and the regular-end condition for a D/N extension.
-
-    The tip condition c2(f) = 0 maps to rows (0, 1), c1(f) = 0 to (1, 0).
-    For N-extensions the condition d_p f(R) = f'(R) + (p/R) f(R) = 0 is a
-    Robin condition with alpha = p/R.  The c1-row applies only in the
-    window p in (-1/2, 1/2); for p in (-3/2, -1/2] the N-extension also
-    pins c2.
-    """
-    p = float(kind.p)
-    if not (-1.5 < p < 0.5):
-        raise OperatorSpecError(f"extension parameter p={p} outside (-3/2, 1/2)")
-    if kind.kind == "D":
-        return np.array([[0.0 + 0j]]), np.array([[1.0 + 0j]]), Dirichlet()
-    if kind.kind != "N":
-        raise OperatorSpecError(f"unknown extension kind {kind.kind!r}")
-    if -0.5 < p < 0.5:
-        a_row, b_row = np.array([[1.0 + 0j]]), np.array([[0.0 + 0j]])
-    else:
-        a_row, b_row = np.array([[0.0 + 0j]]), np.array([[1.0 + 0j]])
-    return a_row, b_row, Robin(alpha=p / float(r))
-
-
-@dataclass(frozen=True)
 class CharacteristicValues:
     """Nonzero monomials of p(x, y) and the extremal triple.
 

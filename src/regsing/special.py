@@ -1,219 +1,67 @@
-"""Special-function kernel: Bessel functions, Gamma, harmonic numbers.
+"""Special-function kernel: Bessel functions and Gamma.
 
 Everything here is scalar, pure and reentrant.  The engine needs
 
 * ``J_nu(z)`` for real order ``nu`` and complex argument ``z`` (secular
   determinants are evaluated on contours in the right half-plane and on
   the imaginary axis),
-* ``Y_nu``, ``I_nu``, ``K_nu`` for real positive argument,
+* ``Y_nu`` for real positive argument,
 * the logarithmic companion of ``J_0`` (``bessel_jm0``) whose
   ``log(mu)`` part is split off so that boundary rows stay entire in
   ``mu**2``,
-* ``Gamma`` and harmonic numbers for the normalization constants.
+* ``Gamma`` for the normalization constants.
 
-Accuracy strategy (argument ``w``):
+Evaluation strategy (argument ``w``):
 
-* ``|w| <= 18``: ascending power series (A&S 9.1.10), summed with
-  Neumaier compensation in 80-bit extended precision.  The alternating
-  series loses roughly ``|w|/ln 10`` digits to cancellation; the
-  extended accumulator keeps the error below ~7e-13 of the envelope
-  ``sqrt(2/(pi |w|))`` over the whole disk.  (At radius 20 the floor
-  is ~4e-12, which is why the switchover sits at 18.)
-* ``18 < |w| <= 500``: Hankel's large-argument expansion (A&S 9.2.5),
-  valid for ``|arg w| < pi``, truncated at the first non-decreasing
-  term.  Relative error is at worst ~1e-14 at ``|w| = 18`` and improves
-  rapidly.
-* ``|w| > 500``: same expansion, but an :class:`AccuracyLossWarning` is
-  emitted.
+* ``|w| > 1``: ``scipy.special``, which wraps Amos's complex Bessel
+  routines (D. E. Amos, ACM TOMS 12, 1986, Algorithm 644).
+* ``|w| <= 1``: a short float64 power series for the entire forms
+  ``(w/2)^(-nu) J_nu(w)`` and the log-free part of the companion.  There
+  the prefactor meets ``0 * inf`` at ``w = 0`` and the ``log`` terms of
+  the companion cancel; the terms fall fast enough that the series is
+  accurate to a few units in the last place.
 
-All complex powers and logarithms below use the principal branch; the
-series forms are entire, so any internally consistent branch yields the
-same matrix entries downstream.
+The row building blocks (:class:`NormalizedBessel`,
+:func:`bessel_jm0_series`, :func:`bessel_jm0_series_dx`) are
+exponentially scaled: they return their value times ``exp(-|Im w|)``
+(``jve``/``yve`` outside the disk), so the ``exp(|Im w|)`` growth on the
+imaginary axis never overflows.  For real arguments the factor is 1.
+``bessel_j``, ``bessel_y`` and their derivatives are unscaled.
+
+All complex powers and logarithms use the principal branch; callers keep
+``Re w >= 0``, where the branch cuts of ``(w/2)^(-nu)`` and ``J_nu``
+cancel.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
-from functools import lru_cache
 
-import numpy as np
-from scipy.integrate import quad
+from scipy import special as sc
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
-_SERIES_RADIUS = 18.0
-_WARN_RADIUS = 500.0
+_SERIES_RADIUS = 1.0
 
-# Number of terms of the ascending series kept inside the series disk.
-# The largest term there is ~e^18/(18*pi); terms fall below 1e-21 of the
-# sum near k = 46.
-_SERIES_TERMS = 56
+# Terms of the power series kept inside the unit disk, where u = (w/2)^2
+# has |u| <= 1/4 and the k-th term is of order 4^-k / (k!)^2 (below
+# 1e-18 from k = 10 on).
+_SERIES_TERMS = 14
 
 
 class SpecialFunctionDomainError(ValueError):
     """Argument outside the supported domain (cut, pole, sign)."""
 
 
-class AccuracyLossWarning(UserWarning):
-    """Result is returned but carries degraded accuracy."""
-
-
-# ---------------------------------------------------------------------------
-# Gamma function and harmonic numbers
-# ---------------------------------------------------------------------------
-
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-
 def gamma_fn(x: float) -> float:
-    """Gamma(x) for real x, poles at non-positive integers.
-
-    Lanczos approximation (g=7, 9 terms), reflected for x < 0.5.
-    Relative accuracy ~1e-14 on [0.5, 10].
-    """
+    """Gamma(x) for real x, poles at non-positive integers."""
     x = float(x)
     if not math.isfinite(x):
         raise SpecialFunctionDomainError(f"gamma_fn: non-finite argument {x!r}")
     if x <= 0.0 and x == math.floor(x):
         raise SpecialFunctionDomainError(f"gamma_fn: pole at non-positive integer {x}")
-    if x < 0.5:
-        # Reflection formula keeps the rational part on its sweet spot.
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * acc
-
-
-@lru_cache(maxsize=None)
-def harmonic_number(k: int) -> float:
-    """H_k = 1 + 1/2 + ... + 1/k, exactly rounded via fsum."""
-    if k < 1 or k != int(k):
-        raise SpecialFunctionDomainError(f"harmonic_number: need integer k >= 1, got {k!r}")
-    return math.fsum(1.0 / i for i in range(1, int(k) + 1))
-
-
-@lru_cache(maxsize=None)
-def _harmonic_ld(k: int) -> np.longdouble:
-    # extended-precision H_k for series coefficients (k = 0 allowed)
-    if k == 0:
-        return np.longdouble(0.0)
-    return _harmonic_ld(k - 1) + np.longdouble(1.0) / np.longdouble(k)
-
-
-# ---------------------------------------------------------------------------
-# Ascending series (extended precision, compensated)
-# ---------------------------------------------------------------------------
-
-def _series_j(order: float, z: complex) -> complex:
-    """Ascending series for J_order(z), any real non-integer-pole order.
-
-    Terms are generated by the ratio recurrence t_{k+1} = -t_k (z/2)^2 /
-    ((k+1)(order+k+1)) so only the prefactor touches Gamma.  Accumulation
-    is Neumaier-compensated in clongdouble.
-    """
-    zl = np.clongdouble(z)
-    half = zl / np.clongdouble(2.0)
-    u = half * half
-    if z == 0:
-        if order == 0:
-            return 1.0 + 0.0j
-        return 0.0 + 0.0j
-    # prefactor (z/2)^order / Gamma(order+1)
-    pref = np.clongdouble(cmath.exp(order * cmath.log(complex(half)))) / np.clongdouble(
-        gamma_fn(order + 1.0)
-    )
-    orderl = np.longdouble(order)
-    term = np.clongdouble(1.0)
-    total = np.clongdouble(1.0)
-    comp = np.clongdouble(0.0)
-    for k in range(1, _SERIES_TERMS):
-        term = -term * u / (np.longdouble(k) * (orderl + np.longdouble(k)))
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-    return complex(pref * (total + comp))
-
-
-def _bessel_j_any_order(order: float, z: complex) -> complex:
-    """J_order(z) for any real order (used internally for derivatives)."""
-    n = round(order)
-    if order == n and n < 0:
-        val = _bessel_j_any_order(-order, z)
-        return -val if (-n) % 2 else val
-    az = abs(z)
-    if az <= _SERIES_RADIUS:
-        return _series_j(order, z)
-    if az > _WARN_RADIUS:
-        warnings.warn(
-            f"bessel series/asymptotics beyond |z|={_WARN_RADIUS:g}; accuracy degrades",
-            AccuracyLossWarning,
-            stacklevel=3,
-        )
-    return _asymptotic_j(order, z)
-
-
-# ---------------------------------------------------------------------------
-# Hankel large-argument expansion
-# ---------------------------------------------------------------------------
-
-def _hankel_pq(order: float, z: complex) -> tuple[complex, complex]:
-    """P and Q of the cosine form of the expansion, A&S 9.2.9/9.2.10."""
-    mu = 4.0 * order * order
-    p = 1.0 + 0.0j
-    q = 0.0 + 0.0j
-    # a_k recurrence: a_0 = 1, a_k = a_{k-1} (mu - (2k-1)^2) / (8k)
-    a = 1.0
-    zk = 1.0 + 0.0j
-    prev = abs(a)
-    for k in range(1, 33):
-        a *= (mu - (2 * k - 1) ** 2) / (8.0 * k)
-        zk /= z
-        term = a * zk
-        if abs(term) > prev:
-            break
-        prev = abs(term)
-        if k % 2 == 1:
-            q += term * (-1.0) ** ((k - 1) // 2)
-        else:
-            p += term * (-1.0) ** (k // 2)
-        if abs(term) < 1e-19:
-            break
-    return p, q
-
-
-def _asymptotic_j(order: float, z: complex) -> complex:
-    p, q = _hankel_pq(order, z)
-    omega = z - (0.5 * order + 0.25) * math.pi
-    amp = cmath.sqrt(2.0 / (math.pi * z))
-    return amp * (cmath.cos(omega) * p - cmath.sin(omega) * q)
-
-
-def _asymptotic_y(order: float, z: complex) -> complex:
-    p, q = _hankel_pq(order, z)
-    omega = z - (0.5 * order + 0.25) * math.pi
-    amp = cmath.sqrt(2.0 / (math.pi * z))
-    return amp * (cmath.sin(omega) * p + cmath.cos(omega) * q)
+    return math.gamma(x)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +75,13 @@ def _check_order(nu: float) -> float:
     return nu
 
 
+def _check_off_cut(z: complex | float, name: str) -> complex:
+    zc = complex(z)
+    if zc.imag == 0.0 and zc.real < 0.0:
+        raise SpecialFunctionDomainError(f"{name}: negative real argument is on the cut")
+    return zc
+
+
 def bessel_j(nu: float, z: complex | float) -> complex | float:
     """Bessel function of the first kind, real order nu >= 0, complex z.
 
@@ -234,276 +89,116 @@ def bessel_j(nu: float, z: complex | float) -> complex | float:
     and is rejected.
     """
     nu = _check_order(nu)
-    zc = complex(z)
-    if zc.imag == 0.0 and zc.real < 0.0:
-        raise SpecialFunctionDomainError("bessel_j: negative real argument is on the cut")
-    val = _bessel_j_any_order(nu, zc)
-    if isinstance(z, (int, float)) or (zc.imag == 0.0 and not isinstance(z, complex)):
-        return val.real
-    return val
+    zc = _check_off_cut(z, "bessel_j")
+    if isinstance(z, complex):
+        return complex(sc.jv(nu, zc))
+    return float(sc.jv(nu, zc.real))
 
 
 def bessel_j_deriv(nu: float, z: complex | float) -> complex | float:
-    """d/dz J_nu(z) via (J_{nu-1} - J_{nu+1})/2."""
+    """d/dz J_nu(z); real input returns a float."""
     nu = _check_order(nu)
-    zc = complex(z)
-    if zc.imag == 0.0 and zc.real < 0.0:
-        raise SpecialFunctionDomainError("bessel_j_deriv: negative real argument is on the cut")
+    zc = _check_off_cut(z, "bessel_j_deriv")
     if zc == 0 and nu < 1.0 and nu != 0.0:
         raise SpecialFunctionDomainError("bessel_j_deriv: singular at z=0 for 0 < nu < 1")
-    val = 0.5 * (_bessel_j_any_order(nu - 1.0, zc) - _bessel_j_any_order(nu + 1.0, zc))
-    if isinstance(z, (int, float)):
-        return val.real
-    return val
+    if isinstance(z, complex):
+        return complex(sc.jvp(nu, zc))
+    return float(sc.jvp(nu, zc.real))
 
 
-def _y_integer_small(n: int, x: float) -> float:
-    # Ascending series for Y_0, Y_1 (A&S 9.1.13, 9.1.11), upward recurrence above.
-    if n == 0:
-        j0 = _series_j(0.0, x).real
-        return (2.0 / math.pi) * (
-            (math.log(x / 2.0) + EULER_GAMMA) * j0 - _PSI.eval_real(x)
-        )
-    w = np.longdouble(x)
-    u = (w / 2.0) ** 2
-    j1 = _series_j(1.0, x).real
-    acc = np.longdouble(0.0)
-    term = np.longdouble(1.0)  # (-u)^k / (k! (k+1)!)
-    for k in range(0, _SERIES_TERMS):
-        if k > 0:
-            term = -term * u / np.longdouble(k * (k + 1))
-        acc += (_harmonic_ld(k) + _harmonic_ld(k + 1)) * term
-    y1 = (
-        (2.0 / math.pi) * (math.log(x / 2.0) + EULER_GAMMA) * j1
-        - 2.0 / (math.pi * x)
-        - (x / (2.0 * math.pi)) * float(acc)
-    )
-    if n == 1:
-        return y1
-    y0 = _y_integer_small(0, x)
-    ym, y = y0, y1
-    for m in range(1, n):
-        ym, y = y, (2.0 * m / x) * y - ym
-    return y
+def _check_positive(x: float, name: str) -> float:
+    x = float(x)
+    if not (x > 0.0) or not math.isfinite(x):
+        raise SpecialFunctionDomainError(f"{name}: need real x > 0")
+    return x
 
 
 def bessel_y(nu: float, x: float) -> float:
-    """Bessel function of the second kind, real order nu >= 0, real x > 0.
-
-    Non-integer orders go through the J_{+-nu} connection formula, which
-    loses accuracy within ~1e-6 of an integer order.
-    """
+    """Bessel function of the second kind, real order nu >= 0, real x > 0."""
     nu = _check_order(nu)
-    x = float(x)
-    if not (x > 0.0) or not math.isfinite(x):
-        raise SpecialFunctionDomainError("bessel_y: need real x > 0")
-    if x > _SERIES_RADIUS:
-        if x > _WARN_RADIUS:
-            warnings.warn(
-                "bessel_y beyond |z|=500; accuracy degrades", AccuracyLossWarning, stacklevel=2
-            )
-        return _asymptotic_y(nu, complex(x)).real
-    n = round(nu)
-    if nu == n:
-        return _y_integer_small(int(n), x)
-    s, c = math.sin(math.pi * nu), math.cos(math.pi * nu)
-    jp = _series_j(nu, x).real
-    jm = _series_j(-nu, x).real
-    return (jp * c - jm) / s
+    return float(sc.yv(nu, _check_positive(x, "bessel_y")))
 
 
 def bessel_y_deriv(nu: float, x: float) -> float:
     """d/dx Y_nu(x) for real x > 0."""
     nu = _check_order(nu)
-    x = float(x)
-    if not (x > 0.0):
-        raise SpecialFunctionDomainError("bessel_y_deriv: need real x > 0")
-    if nu == 0.0:
-        return -bessel_y(1.0, x)
-    n = round(nu)
-    if nu == n:
-        return bessel_y(nu - 1.0, x) - (nu / x) * bessel_y(nu, x)
-    # connection formula, differentiated
-    s, c = math.sin(math.pi * nu), math.cos(math.pi * nu)
-    zc = complex(x)
-    jpd = 0.5 * (_bessel_j_any_order(nu - 1.0, zc) - _bessel_j_any_order(nu + 1.0, zc)).real
-    jmd = 0.5 * (_bessel_j_any_order(-nu - 1.0, zc) - _bessel_j_any_order(-nu + 1.0, zc)).real
-    return (jpd * c - jmd) / s
-
-
-def bessel_i(nu: float, x: float) -> float:
-    """Modified Bessel function of the first kind, real x > 0."""
-    nu = _check_order(nu)
-    x = float(x)
-    if not (x > 0.0) or not math.isfinite(x):
-        raise SpecialFunctionDomainError("bessel_i: need real x > 0")
-    if x <= _SERIES_RADIUS:
-        # all-positive series, no cancellation
-        half = np.longdouble(x) / 2.0
-        u = half * half
-        nul = np.longdouble(nu)
-        term = np.longdouble(1.0)
-        total = np.longdouble(1.0)
-        for k in range(1, _SERIES_TERMS):
-            term = term * u / (np.longdouble(k) * (nul + np.longdouble(k)))
-            total += term
-        pref = np.longdouble(x / 2.0) ** np.longdouble(nu) / np.longdouble(gamma_fn(nu + 1.0))
-        return float(pref * total)
-    if x > _WARN_RADIUS:
-        warnings.warn("bessel_i beyond |z|=500; accuracy degrades", AccuracyLossWarning, stacklevel=2)
-    mu4 = 4.0 * nu * nu
-    a = 1.0
-    acc = 1.0
-    prev = 1.0
-    xk = 1.0
-    for k in range(1, 26):
-        a *= (mu4 - (2 * k - 1) ** 2) / (8.0 * k)
-        xk /= x
-        term = a * xk * (-1.0) ** k
-        if abs(term) > prev:
-            break
-        prev = abs(term)
-        acc += term
-        if abs(term) < 1e-19 * abs(acc):
-            break
-    return math.exp(x) / math.sqrt(2.0 * math.pi * x) * acc
-
-
-def bessel_k(nu: float, x: float) -> float:
-    """Modified Bessel function of the second kind via the cosh integral.
-
-    K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt, evaluated with
-    adaptive quadrature on a truncated interval.  Uniformly ~1e-12
-    accurate, at quadrature cost; the engine itself never calls it in
-    hot paths.
-    """
-    nu = _check_order(nu)
-    x = float(x)
-    if not (x > 0.0) or not math.isfinite(x):
-        raise SpecialFunctionDomainError("bessel_k: need real x > 0")
-    if x > 700.0:
-        return 0.0
-    # exp(-x cosh T) below 1e-320 at the cutoff
-    target = 745.0 + nu * 5.0
-    tmax = math.acosh(max(target / x, 1.0 + 1e-12))
-
-    def integrand(t: float) -> float:
-        e = -x * math.cosh(t)
-        if e < -745.0:
-            return 0.0
-        return math.exp(e) * math.cosh(nu * t)
-
-    val, _ = quad(integrand, 0.0, tmax, epsabs=1e-300, epsrel=1e-13, limit=200)
-    return val
+    return float(sc.yvp(nu, _check_positive(x, "bessel_y_deriv")))
 
 
 # ---------------------------------------------------------------------------
-# Entire even-series building blocks
+# Scaled row building blocks
 #
-# phi_nu(w)  := (w/2)^(-nu) J_nu(w)            (entire, even)
+# phi_nu(w)  := (w/2)^(-nu) J_nu(w)               (entire, even)
 # psi(w)     := sum_{k>=1} H_k (-w^2/4)^k/(k!)^2  (entire, even)
 #
-# These power series in u = (w/2)^2 are what the secular-determinant rows
-# are built from; precomputing Horner tables per order makes repeated
-# evaluation cheap.
+# Inside the unit disk both are summed as polynomials in u = (w/2)^2.
 # ---------------------------------------------------------------------------
 
-class _HornerTable:
-    """Polynomial in u = (w/2)^2, evaluated in extended precision.
-
-    Power accumulation and the coefficient products run as vectorized
-    clongdouble array operations (Python-level Horner on numpy scalars
-    is ~20x slower and this sits on the hot path of every secular
-    evaluation).
-    """
-
-    __slots__ = ("coeffs", "_n")
-
-    def __init__(self, coeffs: np.ndarray):
-        self.coeffs = np.asarray(coeffs, dtype=np.longdouble)
-        self._n = len(self.coeffs)
-
-    def eval(self, u: complex) -> complex:
-        powers = np.cumprod(np.full(self._n - 1, np.clongdouble(u)))
-        return complex(self.coeffs[0] + np.sum(self.coeffs[1:] * powers))
-
-    def eval_real(self, w: float) -> float:
-        u = np.longdouble(w) / 2.0
-        u = u * u
-        powers = np.cumprod(np.full(self._n - 1, u))
-        return float(self.coeffs[0] + np.sum(self.coeffs[1:] * powers))
+def _scaled_series(coeffs: tuple[float, ...], w: complex) -> complex:
+    """exp(-|Im w|) * sum_k coeffs[k] u^k with u = (w/2)^2 (Horner)."""
+    u = (0.5 * w) ** 2
+    acc = 0.0j
+    for c in reversed(coeffs):
+        acc = acc * u + c
+    return acc * math.exp(-abs(w.imag))
 
 
-def _phi_coeffs(order: float) -> np.ndarray:
-    ks = np.arange(1, _SERIES_TERMS, dtype=np.longdouble)
-    ratios = np.longdouble(-1.0) / (ks * (np.longdouble(order) + ks))
-    c = np.empty(_SERIES_TERMS, dtype=np.longdouble)
-    c[0] = np.longdouble(1.0) / np.longdouble(gamma_fn(order + 1.0))
-    c[1:] = c[0] * np.cumprod(ratios)
-    return c
+def _phi_coeffs(order: float) -> tuple[float, ...]:
+    # c_k = (-1)^k / (k! Gamma(order + k + 1)), by the ratio recurrence
+    c = [1.0 / gamma_fn(order + 1.0)]
+    for k in range(1, _SERIES_TERMS):
+        c.append(-c[-1] / (k * (order + k)))
+    return tuple(c)
 
 
-def _deriv_coeffs(c: np.ndarray) -> np.ndarray:
+def _deriv_coeffs(c: tuple[float, ...]) -> tuple[float, ...]:
     # d/dw sum c_k (w/2)^{2k} = (w/2) * sum_{k>=1} k c_k u^{k-1}
-    d = np.zeros(_SERIES_TERMS, dtype=np.longdouble)
-    d[:-1] = c[1:] * np.arange(1, _SERIES_TERMS, dtype=np.longdouble)
-    return d
+    return tuple(k * ck for k, ck in enumerate(c))[1:]
 
 
 class NormalizedBessel:
-    """phi_nu(w) = (w/2)^(-nu) J_nu(w) and its w-derivative.
+    """exp(-|Im w|) phi_nu(w), phi_nu(w) = (w/2)^(-nu) J_nu(w), and its w-derivative.
 
-    Entire in w, even, real coefficients.  Series inside the series
-    disk, principal-branch (w/2)^(-nu) * Hankel expansion outside
-    (callers keep Re w >= 0, where the two branch cuts cancel).
+    phi_nu is entire in w, even, with real coefficients.  Power series
+    inside the unit disk, ``jve`` outside (callers keep Re w >= 0).
+    The derivative uses phi_nu'(w) = -(w/2)^(-nu) J_{nu+1}(w).
     """
 
     __slots__ = ("order", "_val", "_der")
 
     def __init__(self, order: float):
         self.order = float(order)
-        c = _phi_coeffs(self.order)
-        self._val = _HornerTable(c)
-        self._der = _HornerTable(_deriv_coeffs(c))
+        self._val = _phi_coeffs(self.order)
+        self._der = _deriv_coeffs(self._val)
 
     def value(self, w: complex) -> complex:
+        w = complex(w)
         if abs(w) <= _SERIES_RADIUS:
-            return self._val.eval((w / 2.0) ** 2)
-        pref = cmath.exp(-self.order * cmath.log(w / 2.0))
-        return pref * _bessel_j_any_order(self.order, w)
+            return _scaled_series(self._val, w)
+        return (0.5 * w) ** (-self.order) * complex(sc.jve(self.order, w))
 
     def deriv(self, w: complex) -> complex:
+        w = complex(w)
         if abs(w) <= _SERIES_RADIUS:
-            return (w / 2.0) * self._der.eval((w / 2.0) ** 2)
-        nu = self.order
-        pref = cmath.exp(-nu * cmath.log(w / 2.0))
-        jm1 = _bessel_j_any_order(nu - 1.0, w)
-        j = _bessel_j_any_order(nu, w)
-        return pref * (jm1 - (2.0 * nu / w) * j)
+            return 0.5 * w * _scaled_series(self._der, w)
+        return -((0.5 * w) ** (-self.order)) * complex(sc.jve(self.order + 1.0, w))
 
 
-def _psi_coeffs() -> np.ndarray:
-    c = np.zeros(_SERIES_TERMS, dtype=np.longdouble)
-    fact = np.longdouble(1.0)
+def _psi_coeffs() -> tuple[float, ...]:
+    c = [0.0]
+    harmonic = 0.0
+    fact = 1.0
     for k in range(1, _SERIES_TERMS):
-        fact *= np.longdouble(k)
-        c[k] = _harmonic_ld(k) * np.longdouble(-1.0) ** k / (fact * fact)
-    return c
+        harmonic += 1.0 / k
+        fact *= k
+        c.append((-1.0) ** k * harmonic / (fact * fact))
+    return tuple(c)
 
 
-_PSI_C = _psi_coeffs()
-_PSI = _HornerTable(_PSI_C)
-_PSI_D = _HornerTable(_deriv_coeffs(_PSI_C))
-_PHI0 = NormalizedBessel(0.0)
-_PHI1 = NormalizedBessel(1.0)
-
-
-def _j0_entire(w: complex) -> complex:
-    return _PHI0.value(w)
-
-
-def _j1_entire(w: complex) -> complex:
-    return (w / 2.0) * _PHI1.value(w)
+_PSI = _psi_coeffs()
+_PSI_D = _deriv_coeffs(_PSI)
+_PHI0 = _phi_coeffs(0.0)
+_PHI1 = _phi_coeffs(1.0)
 
 
 def bessel_jm0(mu: float, x: float) -> float:
@@ -523,45 +218,41 @@ def bessel_jm0(mu: float, x: float) -> float:
     )
 
 
-def bessel_jm0_series(mu: complex, x: float) -> complex:
-    """Entire form log(x) J0(mu x) - sum_{k>=1} H_k (-(mu x)^2/4)^k / (k!)^2.
-
-    Agrees with :func:`bessel_jm0` for real mu > 0 and extends to complex
-    mu as an even entire function of mu (the log mu dependence cancels
-    identically).
-    """
+def _companion_args(mu: complex, x: float, name: str) -> tuple[complex, float]:
     x = float(x)
     if not (x > 0.0):
-        raise SpecialFunctionDomainError("bessel_jm0_series: need x > 0")
+        raise SpecialFunctionDomainError(f"{name}: need x > 0")
     mu = complex(mu)
     if mu.real < 0.0:
-        mu = -mu  # even in mu; keep the asymptotic branch off arg w = pi
+        mu = -mu  # even in mu; keep Amos's branch cut off arg w = pi
+    return mu, x
+
+
+def bessel_jm0_series(mu: complex, x: float) -> complex:
+    """exp(-|Im mu x|) times the entire form log(x) J0(mu x) - psi(mu x).
+
+    Agrees with :func:`bessel_jm0` for real mu > 0 (where the scale
+    factor is 1) and extends to complex mu as an even function of mu
+    (the log mu dependence of the unscaled form cancels identically).
+    """
+    mu, x = _companion_args(mu, x, "bessel_jm0_series")
     w = mu * x
     if abs(w) <= _SERIES_RADIUS:
-        return math.log(x) * _j0_entire(w) - _PSI.eval((w / 2.0) ** 2)
-    logmu = cmath.log(mu)
-    return 0.5 * math.pi * _asymptotic_y(0.0, w) - (
-        logmu - math.log(2.0) + EULER_GAMMA
-    ) * _asymptotic_j(0.0, w)
+        return math.log(x) * _scaled_series(_PHI0, w) - _scaled_series(_PSI, w)
+    c = cmath.log(mu) - math.log(2.0) + EULER_GAMMA
+    return 0.5 * math.pi * complex(sc.yve(0.0, w)) - c * complex(sc.jve(0.0, w))
 
 
 def bessel_jm0_series_dx(mu: complex, x: float) -> complex:
-    """d/dx of :func:`bessel_jm0_series` at fixed mu."""
-    x = float(x)
-    if not (x > 0.0):
-        raise SpecialFunctionDomainError("bessel_jm0_series_dx: need x > 0")
-    mu = complex(mu)
-    if mu.real < 0.0:
-        mu = -mu
+    """d/dx of the entire form of :func:`bessel_jm0_series`, scaled by exp(-|Im mu x|)."""
+    mu, x = _companion_args(mu, x, "bessel_jm0_series_dx")
     w = mu * x
     if abs(w) <= _SERIES_RADIUS:
-        u = (w / 2.0) ** 2
+        half = 0.5 * w
         return (
-            _j0_entire(w) / x
-            - math.log(x) * mu * _j1_entire(w)
-            - mu * (w / 2.0) * _PSI_D.eval(u)
+            _scaled_series(_PHI0, w) / x
+            - math.log(x) * mu * half * _scaled_series(_PHI1, w)
+            - mu * half * _scaled_series(_PSI_D, w)
         )
-    logmu = cmath.log(mu)
-    y1 = _asymptotic_y(1.0, w)
-    j1 = _asymptotic_j(1.0, w)
-    return mu * (-0.5 * math.pi * y1 + (logmu - math.log(2.0) + EULER_GAMMA) * j1)
+    c = cmath.log(mu) - math.log(2.0) + EULER_GAMMA
+    return mu * (-0.5 * math.pi * complex(sc.yve(1.0, w)) + c * complex(sc.jve(1.0, w)))

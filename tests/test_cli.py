@@ -36,6 +36,18 @@ def bessel_doc():
     }
 
 
+def large_r_doc():
+    # nu = 0.3 regular-branch rows on (0, 200]: rows grow like exp(200 |Im mu|)
+    return {
+        "R": 200.0,
+        "lambdas": [-0.16],
+        "q0": 0,
+        "A": [[_entry(0.0)]],
+        "B": [[_entry(1.0)]],
+        "regular_bc": {"type": "robin", "alpha": 0.5},
+    }
+
+
 def circle_doc():
     return {
         "m": 2,
@@ -103,6 +115,12 @@ class TestSpectrum:
         rep = json.loads(out)["report"]
         assert rep["certified"] is True
         assert abs(rep["positive"][0] - 4.4934094579) < 1e-6
+
+    def test_large_interval(self, write_doc, capsys):
+        code, out, _ = run_cli(capsys, "spectrum", write_doc(large_r_doc()), "--mu-max", "1")
+        assert code == EXIT_OK
+        rep = json.loads(out)["report"]
+        assert rep["certified"] is True and len(rep["positive"]) == 64
 
 
 class TestValidateAndSchema:

@@ -13,7 +13,6 @@ from regsing.cone import (
     component_report,
     cone_determinant,
     contribution_sets,
-    relative_bc_at_r,
 )
 from regsing.determinant import det_wronskian_scalar
 from regsing.operators import Dirichlet, Robin
@@ -167,26 +166,3 @@ class TestWindows:
                 ccl_spectra={0: ((0.0, 2), (4.5, 1))},
                 harmonic_dims={0: 1},
             )
-
-
-class TestRelativeBC:
-    def test_disk_paired_condition(self):
-        # m=2: the degree-1 (k-1 = 0) data in degree 2 carries f'(1) - f(1)/2 = 0
-        rb = relative_bc_at_r(2, 2, 1.0)
-        assert rb.degree_km1_alpha == pytest.approx(-0.5)
-        # the same condition through the subcomplex route, base degree 0
-        rb0 = relative_bc_at_r(0, 2, 1.0)
-        assert rb0.subcomplex_upper_alpha == pytest.approx(-0.5)
-
-    def test_odd_dimension_neumann_case(self):
-        rb = relative_bc_at_r(2, 3, 1.0)
-        assert rb.degree_km1_alpha == pytest.approx(0.0)
-
-    def test_degree_k_part_always_dirichlet(self):
-        for k in range(4):
-            rb = relative_bc_at_r(k, 3, 1.0)
-            assert isinstance(rb.degree_k, Dirichlet)
-
-    def test_r_scaling(self):
-        rb = relative_bc_at_r(2, 2, 2.0)
-        assert rb.degree_km1_alpha == pytest.approx(-0.25)

@@ -188,6 +188,12 @@ class TestAuto:
         assert got.diagnostics["finite_t_value"] == pytest.approx(got.value, rel=1e-6)
         assert got.diagnostics["wronskian_value"] == pytest.approx(got.value, rel=1e-10)
 
+    def test_wronskian_oracle_only_at_unit_length(self):
+        # the oracle is normalized on (0, 1]; at R = 2 it would quote another operator
+        got = det_zeta_auto(scalar_spec(0.3, Robin(0.5), r=2.0))
+        assert "wronskian_value" not in got.diagnostics
+        assert got.diagnostics["finite_t_value"] == pytest.approx(got.value, rel=1e-6)
+
 
 class TestZeta:
     def test_dirichlet_half_zeta2_series_oracle(self, dirichlet_half):

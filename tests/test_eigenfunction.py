@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import jv, jvp
 
 from regsing.eigenfunction import (
+    AsymptoticModel,
     SecularEvaluator,
     asymptotic_log_F_imag,
     eval_F,
@@ -132,6 +134,19 @@ class TestRealityAndFactorization:
         assert math.isfinite(logs) and logs > 200.0
         assert 1e-8 < abs(mant) < 1e4
 
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_scaled_finite_beyond_float_range(self, q):
+        # x R up to 10^4, far past exp overflow at 710; the log-scale tracks the model
+        parts = [scalar_spec(0.3, Robin(0.5), r=200.0), scalar_spec(0.6, Robin(0.5), r=200.0)]
+        spec = parts[0] if q == 1 else diagonal_spec(parts)
+        ev = SecularEvaluator(spec)
+        model = AsymptoticModel.from_spec(spec)
+        for x in [4.0, 12.0, 50.0]:
+            mant, logs = ev.scaled(1j * x)
+            assert math.isfinite(logs) and 0.0 < abs(mant) < 1e4
+            gap = ev.log_value(1j * x).real - model.log_value(x).real
+            assert abs(gap) < math.log(2.0)
+
 
 class TestSpectrum:
     def test_dirichlet_roots_are_multiples_of_pi(self, dirichlet_half):
@@ -166,6 +181,26 @@ class TestSpectrum:
         sp = find_spectrum(spec, 7.0)
         for k, root in enumerate(sp.positive, start=1):
             assert abs(root - k * math.pi / 2.0) < 1e-10
+
+    def test_large_interval_matches_scipy_oracle(self):
+        # R = 200: rows grow like exp(|Im mu| R) on the imaginary scan
+        nu, alpha, r = 0.3, 0.5, 200.0
+        sp = find_spectrum(scalar_spec(nu, Robin(alpha), r=r), 1.0)
+
+        def oracle(mu):
+            # Robin condition on sqrt(x) J_nu(mu x), divided by sqrt(R)
+            return (0.5 / r + alpha) * jv(nu, mu * r) + mu * jvp(nu, mu * r)
+
+        grid = np.linspace(1e-4, 1.0, 20001)
+        vals = oracle(grid)
+        want = [
+            bisect_root(oracle, grid[i], grid[i + 1])
+            for i in range(len(grid) - 1)
+            if vals[i] * vals[i + 1] < 0.0
+        ]
+        assert len(sp.positive) == len(want) == 64
+        assert max(abs(a - b) for a, b in zip(sp.positive, want)) < 1e-8
+        assert sp.negative == ()
 
     def test_roots_annihilate_boundary_system(self, diagonal_pair):
         ev = SecularEvaluator(diagonal_pair)

@@ -11,11 +11,9 @@ from regsing.operators import (
     OperatorSpec,
     OperatorSpecError,
     Robin,
-    ScalarExtensionKind,
     characteristic_values,
     classify_scalar,
     diagonal_spec,
-    extension_rows,
     scalar_spec,
     tau_factor,
     validate,
@@ -74,26 +72,6 @@ class TestClassifyScalar:
     def test_nu_roundtrip(self, lam):
         c = classify_scalar(lam)
         assert abs(c.nu * c.nu - 0.25 - lam) <= 1e-14 * max(1.0, abs(lam))
-
-
-class TestExtensionRows:
-    def test_d_rows(self):
-        a, b, bc = extension_rows(ScalarExtensionKind("D", 0.0), r=1.0)
-        assert a[0, 0] == 0 and b[0, 0] == 1 and isinstance(bc, Dirichlet)
-
-    def test_n_rows_mid_window(self):
-        a, b, bc = extension_rows(ScalarExtensionKind("N", 0.0), r=1.0)
-        assert a[0, 0] == 1 and b[0, 0] == 0
-        assert isinstance(bc, Robin) and bc.alpha == 0.0
-
-    def test_n_rows_low_window(self):
-        a, b, bc = extension_rows(ScalarExtensionKind("N", -1.0), r=1.0)
-        assert a[0, 0] == 0 and b[0, 0] == 1
-        assert isinstance(bc, Robin) and bc.alpha == -1.0
-
-    def test_out_of_range(self):
-        with pytest.raises(OperatorSpecError):
-            extension_rows(ScalarExtensionKind("N", 0.7))
 
 
 class TestCharacteristicValues:
