@@ -23,19 +23,22 @@ solution trace sqrt(R) * T(R).  The lower rows carry the factor
 exp(-|Im mu R|) of the exponentially scaled Bessel kernel, so entries
 stay finite on contours where F grows like exp(q |Im mu| R); `scaled`
 returns a mantissa and a real log-scale with F = mantissa *
-exp(log_scale), the log-scale adding q |Im mu R| back.
+exp(log_scale), the log-scale adding q |Im mu R| back.  `scaled` takes
+a scalar or an ndarray of mu; `dlog` evaluates F'/F over arrays by
+Jacobi's formula from the analytic mu-derivatives of the rows.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
-from ._numutil import NumericalError, quad_complex
+from ._numutil import NumericalError, gauss_legendre
 from .operators import (
     CharacteristicValues,
     Dirichlet,
@@ -46,6 +49,7 @@ from .operators import (
 from .special import (
     EULER_GAMMA,
     NormalizedBessel,
+    bessel_jm0_rows,
     bessel_jm0_series,
     bessel_jm0_series_dx,
     gamma_fn,
@@ -54,6 +58,7 @@ from .special import (
 GAMMA_TILDE = math.log(2.0) - EULER_GAMMA
 
 _REAL_RESIDUE_TOL = 1e-8
+_LOG_MAX = math.log(sys.float_info.max)
 _ROOT_RESIDUAL_TOL = 1e-10
 
 
@@ -80,10 +85,38 @@ class Spectrum:
     certified: bool
 
 
+def _kernel(nb: NormalizedBessel, w):
+    """Scaled phi and phi' of one branch at w, a scalar or an ndarray."""
+    if isinstance(w, np.ndarray):
+        return nb.on_array(w)
+    return nb.value(w), nb.deriv(w)
+
+
+def _companion(mu, r: float):
+    """Scaled companion C, C_x and (ndarray mu only) C_mu at x = r."""
+    if isinstance(mu, np.ndarray):
+        return bessel_jm0_rows(mu, r)
+    return bessel_jm0_series(mu, r), bessel_jm0_series_dx(mu, r), None
+
+
+def _right_half(mu):
+    """mu as complex (scalar or ndarray) reflected into Re mu >= 0, and the reflection mask."""
+    if isinstance(mu, np.ndarray):
+        mu = mu.astype(complex)
+        flip = mu.real < 0.0
+        return np.where(flip, -mu, mu), flip
+    mu = complex(mu)
+    flip = mu.real < 0.0
+    return (-mu if flip else mu), flip
+
+
 class SecularEvaluator:
-    """Precomputes the per-operator tables and evaluates F.
+    """Precomputes the per-operator tables and evaluates F and dlog F.
 
     Construction validates the tip condition.  All methods are pure.
+    :meth:`scaled` and :meth:`value` take a scalar mu (and return Python
+    scalars) or an ndarray (and keep its shape); :meth:`dlog` is
+    computed over arrays.
     """
 
     def __init__(self, spec: OperatorSpec):
@@ -99,108 +132,154 @@ class SecularEvaluator:
         self.q0 = spec.q0
         self.dirichlet = isinstance(spec.regular_bc, Dirichlet)
         self.kappa = None if self.dirichlet else spec.kappa
-        self._nus = spec.nus[spec.q0 :]
-        self._phi_plus = [NormalizedBessel(nu) for nu in self._nus]
-        self._phi_minus = [NormalizedBessel(-nu) for nu in self._nus]
-        self._gamma_plus = [gamma_fn(1.0 + nu) for nu in self._nus]
-        self._gamma_minus = [gamma_fn(1.0 - nu) for nu in self._nus]
+        # per nu > 0 channel, its two branches (s, Gamma(1 + s) R^s, phi_s), s = +nu, -nu
+        self._branches = [
+            tuple(
+                (s, gamma_fn(1.0 + s) * spec.r**s, NormalizedBessel(s)) for s in (nu, -nu)
+            )
+            for nu in spec.nus[spec.q0 :]
+        ]
         self._phi0 = NormalizedBessel(0.0)
-        self._phi1 = NormalizedBessel(1.0)
         self._top = np.hstack([spec.boundary.a_mat, spec.boundary.b_mat])
+        if self.q == 1:  # the top row, normalized (validation makes it nonzero)
+            a, b = complex(self._top[0, 0]), complex(self._top[0, 1])
+            s_top = max(abs(a), abs(b))
+            self._ab = (a / s_top, b / s_top)
+            self._log_top = math.log(s_top)
 
     # -- row entries --------------------------------------------------------
 
-    def _traces(self, mu: complex) -> tuple[list[complex], list[complex]]:
-        """Diagonal entries (jp, jm) of the lower blocks at argument mu."""
-        r, sr = self.r, self.sqrt_r
+    def _row(self, t, t_x):
+        """Boundary row at x = R from a solution trace t and its x-derivative t_x."""
+        if self.dirichlet:
+            return self.sqrt_r * t
+        return self.kappa * t + self.sqrt_r * t_x
+
+    def _traces(self, mu, deriv: bool = False) -> tuple[list, ...]:
+        """Diagonal entries (jp, jm) of the lower blocks, Re mu >= 0.
+
+        mu is a scalar or an ndarray.  With ``deriv`` (ndarray mu only)
+        their mu-derivatives (djp, djm) follow.  Each branch carries its
+        trace T, T_x and the mu-derivatives T_mu, T_xmu; for
+        phi_s(w) = (w/2)^(-s) J_s(w) with w phi'' + (2s + 1) phi' + w phi = 0,
+        T = g R^s phi_s(w) gives T_mu = g R^(s+1) phi_s'(w) and
+        T_xmu = -g R^s (s phi_s'(w) + w phi_s(w)).  The companion C has
+        C_xmu = -mu R C + J_1(w), and J_1(w) = -phi_0'(w).
+        """
+        r = self.r
         w = mu * r
-        jp: list[complex] = []
-        jm: list[complex] = []
+        pairs = []
         if self.q0:
-            t_plus = self._phi0.value(w)
-            dt_plus = -mu * (w / 2.0) * self._phi1.value(w)
-            t_minus = bessel_jm0_series(mu, r)
-            dt_minus = bessel_jm0_series_dx(mu, r)
-            if self.dirichlet:
-                ep, em = sr * t_plus, sr * t_minus
-            else:
-                ep = self.kappa * t_plus + sr * dt_plus
-                em = self.kappa * t_minus + sr * dt_minus
-            jp.extend([ep] * self.q0)
-            jm.extend([em] * self.q0)
-        for nu, php, phm, gp, gm in zip(
-            self._nus, self._phi_plus, self._phi_minus, self._gamma_plus, self._gamma_minus
-        ):
-            vp = php.value(w)
-            vm = phm.value(w)
-            t_plus = r**nu * gp * vp
-            t_minus = r ** (-nu) * gm * vm
-            dt_plus = gp * (nu * r ** (nu - 1.0) * vp + r**nu * mu * php.deriv(w))
-            dt_minus = gm * (-nu * r ** (-nu - 1.0) * vm + r ** (-nu) * mu * phm.deriv(w))
-            if self.dirichlet:
-                jp.append(sr * t_plus)
-                jm.append(sr * t_minus)
-            else:
-                jp.append(self.kappa * t_plus + sr * dt_plus)
-                jm.append(self.kappa * t_minus + sr * dt_minus)
-        return jp, jm
+            phi, dphi = _kernel(self._phi0, w)
+            c, c_x, c_mu = _companion(mu, r)
+            plus = (phi, mu * dphi, r * dphi, -w * phi)
+            minus = (c, c_x, c_mu, -mu * r * c - dphi)
+            pairs.extend([(plus, minus)] * self.q0)
+        for branches in self._branches:
+            pair = []
+            for s, g_rs, nb in branches:
+                phi, dphi = _kernel(nb, w)
+                pair.append(
+                    (g_rs * phi, g_rs * (s / r * phi + mu * dphi), g_rs * r * dphi,
+                     -g_rs * (s * dphi + w * phi))
+                )
+            pairs.append(tuple(pair))
+        jp = [self._row(p[0], p[1]) for p, _ in pairs]
+        jm = [self._row(m[0], m[1]) for _, m in pairs]
+        if not deriv:
+            return jp, jm
+        djp = [self._row(p[2], p[3]) for p, _ in pairs]
+        djm = [self._row(m[2], m[3]) for _, m in pairs]
+        return jp, jm, djp, djm
+
+    def _stack(self, jp: list, jm: list, top) -> np.ndarray:
+        """The 2q x 2q matrices (stacked over the shape of mu) with the given top rows."""
+        q = self.q
+        shape = np.shape(jp[0])
+        m = np.zeros(shape + (2 * q, 2 * q), dtype=complex)
+        m[..., :q, :] = top
+        for l in range(q):
+            m[..., q + l, l] = jp[l]
+            m[..., q + l, q + l] = jm[l]
+        return m
 
     def matrix(self, mu: complex) -> np.ndarray:
         """The 2q x 2q matrix, lower rows times exp(-|Im mu R|) (exact for real mu)."""
-        mu = complex(mu)
-        if mu.real < 0.0:
-            mu = -mu  # F is even; keep arguments in the right half-plane
+        mu, _ = _right_half(mu)  # F is even; keep arguments in the right half-plane
         jp, jm = self._traces(mu)
-        q = self.q
-        m = np.zeros((2 * q, 2 * q), dtype=complex)
-        m[:q, :] = self._top
-        for l in range(q):
-            m[q + l, l] = jp[l]
-            m[q + l, q + l] = jm[l]
-        return m
+        return self._stack(jp, jm, self._top)
 
-    def value(self, mu: complex) -> complex:
+    def value(self, mu):
+        """F(mu); raises NumericalError where |F| leaves the float range."""
         mant, logs = self.scaled(mu)
-        return mant * cmath.exp(logs)
+        if np.max(logs) > _LOG_MAX:
+            raise NumericalError(
+                f"|F(mu)| exceeds the float range (log-scale {np.max(logs):.1f}); "
+                "use the scaled form"
+            )
+        if isinstance(mant, np.ndarray):
+            return mant * np.exp(logs)
+        return mant * math.exp(logs)
 
-    def scaled(self, mu: complex) -> tuple[complex, float]:
-        """F(mu) = mantissa * exp(log_scale), log_scale real."""
-        mu = complex(mu)
-        growth = self.q * abs(mu.imag) * self.r  # each lower row carries exp(-|Im mu R|)
+    def scaled(self, mu):
+        """F(mu) = mantissa * exp(log_scale), log_scale real.
+
+        mu is a scalar (Python scalars come back) or an ndarray (arrays
+        of its shape come back).
+        """
+        mu, _ = _right_half(mu)
+        growth = self.q * self.r * abs(mu.imag)  # each lower row carries exp(-|Im mu R|)
+        jp, jm = self._traces(mu)
         if self.q == 1:
-            if mu.real < 0.0:
-                mu = -mu
-            jp, jm = self._traces(mu)
-            a = complex(self._top[0, 0])
-            b = complex(self._top[0, 1])
-            s_top = max(abs(a), abs(b))
-            s_bot = max(abs(jp[0]), abs(jm[0]))
-            if s_top == 0.0 or s_bot == 0.0:
-                return 0.0 + 0j, 0.0
-            mant = (a / s_top) * (jm[0] / s_bot) - (b / s_top) * (jp[0] / s_bot)
-            return mant, math.log(s_top) + math.log(s_bot) + growth
-        m = self.matrix(mu)
-        scales = np.max(np.abs(m), axis=1)
-        if np.any(scales == 0.0):
-            return 0.0 + 0j, 0.0
-        mant = complex(np.linalg.det(m / scales[:, None]))
-        return mant, float(np.sum(np.log(scales))) + growth
+            a, b = self._ab
+            num = a * jm[0] - b * jp[0]
+            if not isinstance(mu, np.ndarray):  # Python arithmetic: the root-refinement path
+                scale = max(abs(jp[0]), abs(jm[0])) or 1.0
+                return num / scale, math.log(scale) + self._log_top + growth
+            scale = np.maximum(abs(jp[0]), abs(jm[0]))
+            scale[scale == 0.0] = 1.0  # a vanishing row: the mantissa is exactly 0
+            return num / scale, np.log(scale) + self._log_top + growth
+        m = self._stack(jp, jm, self._top)
+        scales = np.max(np.abs(m), axis=-1)
+        scales[scales == 0.0] = 1.0  # a vanishing row: the determinant is exactly 0
+        mant = np.linalg.det(m / scales[..., None])
+        logs = np.sum(np.log(scales), axis=-1) + growth
+        if isinstance(mu, np.ndarray):
+            return mant, logs
+        return complex(mant), float(logs)
 
     def value_at_zero(self) -> complex:
         return self.value(0.0)
 
     # -- log-derivative -----------------------------------------------------
 
-    def dlog(self, z: complex, h_scale: float = 1e-4) -> complex:
-        """(d/dz) log F by centered differences on the scaled form."""
-        h = h_scale * max(1.0, abs(z))
-        mp, lp = self.scaled(z + h)
-        mm, lm = self.scaled(z - h)
-        m0, l0 = self.scaled(z)
-        if m0 == 0:
-            raise ContourError(f"log-derivative requested at a zero of F (mu={z})")
-        num = mp * cmath.exp(lp - l0) - mm * cmath.exp(lm - l0)
-        return num / (2.0 * h * m0)
+    def dlog(self, mu):
+        """(d/dmu) log F by Jacobi's formula dlog F = tr(M^-1 M').
+
+        The derivative rows carry the same exp(-|Im mu R|) factor as the
+        value rows, so it cancels.  q = 1 is the closed 2 x 2 quotient.
+        A scalar mu is evaluated as a one-element array.
+        """
+        if not isinstance(mu, np.ndarray):
+            return complex(self.dlog(np.array([mu], dtype=complex))[0])
+        mu, flip = _right_half(mu)
+        jp, jm, djp, djm = self._traces(mu, deriv=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if self.q == 1:
+                a, b = self._ab
+                out = (a * djm[0] - b * djp[0]) / (a * jm[0] - b * jp[0])
+            else:
+                m = self._stack(jp, jm, self._top)
+                dm = self._stack(djp, djm, 0.0)
+                scales = np.max(np.abs(m), axis=-1, keepdims=True)
+                try:
+                    sol = np.linalg.solve(m / scales, dm / scales)
+                except np.linalg.LinAlgError:
+                    sol = np.full(m.shape, np.nan, dtype=complex)
+                out = np.trace(sol, axis1=-2, axis2=-1)
+        if not np.all(np.isfinite(out)):
+            raise ContourError("log-derivative requested at a zero of F")
+        return np.where(flip, -out, out)  # F is even, dlog F odd
 
     def log_value(self, mu: complex) -> complex:
         mant, logs = self.scaled(mu)
@@ -347,21 +426,16 @@ def _real_samples(
     ev: SecularEvaluator, points: np.ndarray, axis: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Real parts of the mantissas of F at the points, and their log-scales."""
-    mants = np.empty(len(points))
-    logs = np.empty(len(points))
-    worst = 0.0
-    for i, p in enumerate(points):
-        mant, logs[i] = ev.scaled(1j * p if axis == "imag" else p)
-        mag = abs(mant)
-        if mag > 0.0:
-            worst = max(worst, abs(mant.imag) / mag)
-        mants[i] = mant.real
+    mants, logs = ev.scaled(1j * points if axis == "imag" else points.astype(complex))
+    mags = np.abs(mants)
+    live = mags > 0.0
+    worst = float(np.max(np.abs(mants.imag[live]) / mags[live], initial=0.0))
     if worst > _REAL_RESIDUE_TOL:
         raise NumericalError(
             f"secular values on the {axis} axis are not real "
             f"(residue {worst:.2e}); complex tip matrices are not supported here"
         )
-    return mants, logs
+    return mants.real, logs
 
 
 def _bracket_roots(
@@ -514,11 +588,8 @@ def verify_contour_decay(
 
 def _f_nonzero_on_segment(ev: SecularEvaluator, a: float, theta: float) -> bool:
     tan_t = math.tan(theta)
-    for t in np.linspace(-a * tan_t, a * tan_t, 17):
-        mant, _ = ev.scaled(a + 1j * t)
-        if abs(mant) < 1e-8:
-            return False
-    return True
+    mants, _ = ev.scaled(a + 1j * np.linspace(-a * tan_t, a * tan_t, 17))
+    return bool(np.all(np.abs(mants) >= 1e-8))
 
 
 def _contour_integral(ev: SecularEvaluator, s: float, a: float, theta: float) -> float:
@@ -533,19 +604,19 @@ def _contour_integral(ev: SecularEvaluator, s: float, a: float, theta: float) ->
     radius = a / math.cos(theta)
     tan_t = math.tan(theta)
 
-    def power(z: complex) -> complex:
-        return cmath.exp(-2.0 * s * cmath.log(z))
+    def power(z: np.ndarray) -> np.ndarray:
+        return np.exp(-2.0 * s * np.log(z))
 
-    def seg(t: float) -> complex:
+    def seg(t: np.ndarray) -> np.ndarray:
         z = a + 1j * t
         return power(z) * ev.dlog(z) * 1j
 
-    def arc(phi: float) -> complex:
-        z = radius * cmath.exp(1j * phi)
+    def arc(phi: np.ndarray) -> np.ndarray:
+        z = radius * np.exp(1j * phi)
         return power(z) * ev.dlog(z) * 1j * z
 
-    lower, _ = quad_complex(arc, -0.5 * math.pi, -theta, epsabs=1e-11, epsrel=1e-8)
-    middle, _ = quad_complex(seg, -a * tan_t, a * tan_t, epsabs=1e-11, epsrel=1e-8)
-    upper, _ = quad_complex(arc, theta, 0.5 * math.pi, epsabs=1e-11, epsrel=1e-8)
+    lower, _ = gauss_legendre(arc, (-0.5 * math.pi, -theta))
+    middle, _ = gauss_legendre(seg, (-a * tan_t, a * tan_t))
+    upper, _ = gauss_legendre(arc, (theta, 0.5 * math.pi))
     total = lower + middle + upper
     return abs(total), abs(lower + upper), abs(middle)

@@ -1,6 +1,10 @@
 """Special-function kernel: Bessel functions and Gamma.
 
-Everything here is scalar, pure and reentrant.  The engine needs
+Everything here is pure and reentrant.  The public functions are
+scalar; the row building blocks also have an ndarray entry point
+(:meth:`NormalizedBessel.on_array`, :func:`bessel_jm0_rows`) that makes
+one scipy call per order for a whole array of arguments.  The engine
+needs
 
 * ``J_nu(z)`` for real order ``nu`` and complex argument ``z`` (secular
   determinants are evaluated on contours in the right half-plane and on
@@ -38,6 +42,7 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
 from scipy import special as sc
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
@@ -134,13 +139,23 @@ def bessel_y_deriv(nu: float, x: float) -> float:
 # Inside the unit disk both are summed as polynomials in u = (w/2)^2.
 # ---------------------------------------------------------------------------
 
-def _scaled_series(coeffs: tuple[float, ...], w: complex) -> complex:
-    """exp(-|Im w|) * sum_k coeffs[k] u^k with u = (w/2)^2 (Horner)."""
-    u = (0.5 * w) ** 2
+def _horner(coeffs: tuple[float, ...], u):
+    """sum_k coeffs[k] u^k for a scalar or ndarray u."""
     acc = 0.0j
     for c in reversed(coeffs):
         acc = acc * u + c
-    return acc * math.exp(-abs(w.imag))
+    return acc
+
+
+def _scaled_series(coeffs: tuple[float, ...], w: complex) -> complex:
+    """exp(-|Im w|) * sum_k coeffs[k] u^k with u = (w/2)^2 (Horner)."""
+    return _horner(coeffs, (0.5 * w) ** 2) * math.exp(-abs(w.imag))
+
+
+def _disk(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the entries of w inside and outside the series disk."""
+    inside = np.abs(w) <= _SERIES_RADIUS
+    return inside, ~inside
 
 
 def _phi_coeffs(order: float) -> tuple[float, ...]:
@@ -183,6 +198,22 @@ class NormalizedBessel:
             return 0.5 * w * _scaled_series(self._der, w)
         return -((0.5 * w) ** (-self.order)) * complex(sc.jve(self.order + 1.0, w))
 
+    def on_array(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`value` and :meth:`deriv` at every entry of an ndarray w."""
+        val = np.empty(w.shape, dtype=complex)
+        der = np.empty(w.shape, dtype=complex)
+        inside, outside = _disk(w)
+        wi = w[inside]
+        u = (0.5 * wi) ** 2
+        scale = np.exp(-np.abs(wi.imag))
+        val[inside] = _horner(self._val, u) * scale
+        der[inside] = 0.5 * wi * _horner(self._der, u) * scale
+        wo = w[outside]
+        power = (0.5 * wo) ** (-self.order)
+        val[outside] = power * sc.jve(self.order, wo)
+        der[outside] = -power * sc.jve(self.order + 1.0, wo)
+        return val, der
+
 
 def _psi_coeffs() -> tuple[float, ...]:
     c = [0.0]
@@ -196,7 +227,7 @@ def _psi_coeffs() -> tuple[float, ...]:
 
 
 _PSI = _psi_coeffs()
-_PSI_D = _deriv_coeffs(_PSI)
+_PSI_D = _deriv_coeffs(_PSI)  # psi'(w) = (w/2) sum_k _PSI_D[k] u^k
 _PHI0 = _phi_coeffs(0.0)
 _PHI1 = _phi_coeffs(1.0)
 
@@ -256,3 +287,42 @@ def bessel_jm0_series_dx(mu: complex, x: float) -> complex:
         )
     c = cmath.log(mu) - math.log(2.0) + EULER_GAMMA
     return mu * (-0.5 * math.pi * complex(sc.yve(1.0, w)) + c * complex(sc.jve(1.0, w)))
+
+
+def bessel_jm0_rows(mu: np.ndarray, x: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`bessel_jm0_series`, :func:`bessel_jm0_series_dx` and the
+    mu-derivative of the former, at every entry of an ndarray mu.
+
+    All three carry the factor exp(-|Im mu x|).  Outside the series disk
+    the mu-derivative is (x C_x - J0(mu x)) / mu; inside, where that
+    difference cancels to O((mu x)^2), it is x (log(x) phi_0'(w) - psi'(w)).
+    """
+    x = float(x)
+    if not (x > 0.0):
+        raise SpecialFunctionDomainError("bessel_jm0_rows: need x > 0")
+    mu = np.asarray(mu, dtype=complex)
+    odd = np.where(mu.real < 0.0, -1.0, 1.0)  # C is even in mu, its mu-derivative odd
+    mu = odd * mu
+    w = mu * x
+    c = np.empty(w.shape, dtype=complex)
+    c_x = np.empty(w.shape, dtype=complex)
+    c_mu = np.empty(w.shape, dtype=complex)
+    inside, outside = _disk(w)
+    mi, wi = mu[inside], w[inside]
+    u = (0.5 * wi) ** 2
+    scale = np.exp(-np.abs(wi.imag))
+    log_x = math.log(x)
+    j0 = _horner(_PHI0, u) * scale
+    # e: the w-derivative of log(x) phi_0(w) - psi(w), with phi_0' = -(w/2) phi_1;
+    # then C_x = phi_0 / x + mu e and C_mu = x e
+    e = -0.5 * wi * (log_x * _horner(_PHI1, u) + _horner(_PSI_D, u)) * scale
+    c[inside] = log_x * j0 - _horner(_PSI, u) * scale
+    c_x[inside] = j0 / x + mi * e
+    c_mu[inside] = x * e
+    mo, wo = mu[outside], w[outside]
+    shift = np.log(mo) - math.log(2.0) + EULER_GAMMA
+    j0 = sc.jve(0.0, wo)
+    c[outside] = 0.5 * math.pi * sc.yve(0.0, wo) - shift * j0
+    c_x[outside] = mo * (-0.5 * math.pi * sc.yve(1.0, wo) + shift * sc.jve(1.0, wo))
+    c_mu[outside] = (x * c_x[outside] - j0) / mo
+    return c, c_x, odd * c_mu

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import regsing
 from regsing.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA, main
 
 
@@ -249,3 +254,13 @@ class TestOtherCommands:
         # value 0 for this fixture; check a float field from det instead
         _, out, _ = run_cli(capsys, "det", write_doc(kernel_doc()))
         assert "0.66666666666" in out
+
+
+def test_cli_import_does_not_load_scipy_integrate():
+    # quadrature is Gauss-Legendre on scipy.special nodes; scipy.integrate costs ~0.5 s of import
+    code = "import sys, regsing.cli; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(regsing.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

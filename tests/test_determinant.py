@@ -110,6 +110,29 @@ class TestFiniteT:
         far = abs(det_zeta_finite_t(spec, 0.4).value - closed)
         assert near < far + 1e-8
 
+    def test_matches_closed_form_at_r_10(self):
+        spec = scalar_spec(0.3, Robin(0.5), r=10.0)
+        closed = det_zeta_closed_form(spec).value
+        assert abs(det_zeta_finite_t(spec, 0.1).value - closed) <= 1e-12 * closed
+
+    @pytest.mark.parametrize(
+        "r, beta, channels",
+        [
+            (
+                8.3405,
+                11.0 / 6.0,
+                [(11 / 24, "regular"), (19 / 72, "singular"), (5 / 72, "regular"), (7 / 8, "regular")],
+            ),
+            (math.sqrt(250.0), 1.25, [(17 / 24, "regular"), (5 / 8, "regular")]),
+        ],
+    )
+    def test_matches_closed_form_on_multichannel_operators(self, r, beta, channels):
+        spec = diagonal_spec(
+            [scalar_spec(nu, Robin(beta / r), tip=tip, r=r) for nu, tip in channels]
+        )
+        closed = det_zeta_closed_form(spec).value
+        assert abs(det_zeta_finite_t(spec, 0.1).value - closed) <= 1e-10 * closed
+
     def test_root_inside_contour_detected(self):
         # first eigenvalue of the Dirichlet fixture sits at pi
         spec = scalar_spec(0.5, Dirichlet(), tip="regular")
@@ -214,6 +237,20 @@ class TestZeta:
         sp = find_spectrum(kernel_fixture_third, 400.0)
         rep = zeta_eval(kernel_fixture_third, 1.0, spectrum=sp)
         assert abs(rep.direct - rep.contour) <= 1e-3 * abs(rep.contour)
+
+    @pytest.mark.parametrize(
+        "fixture, s, want, rtol",
+        [
+            # sum over k of (k pi)^-4
+            ("dirichlet_half", 2.0, 1.0 / 90.0, 1e-10),
+            # Rayleigh sums over the zeros j of J_{3/2}: sum j^-2 = 1/10, sum j^-4 = 1/350
+            ("kernel_fixture_third", 1.0, 1.0 / 10.0, 1e-10),
+            ("kernel_fixture_third", 2.0, 1.0 / 350.0, 1e-7),
+        ],
+    )
+    def test_contour_matches_closed_sums(self, request, fixture, s, want, rtol):
+        rep = zeta_eval(request.getfixturevalue(fixture), s)
+        assert abs(rep.contour - want) <= rtol * want
 
     def test_direct_requires_enough_roots(self, dirichlet_half):
         sp = find_spectrum(dirichlet_half, 40.0)

@@ -1,13 +1,16 @@
 """Secular determinant: closed forms, zeros, kernel order, asymptotics."""
 
+import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv, jvp
 
+from regsing._numutil import NumericalError
 from regsing.eigenfunction import (
     AsymptoticModel,
     SecularEvaluator,
@@ -146,6 +149,101 @@ class TestRealityAndFactorization:
             assert math.isfinite(logs) and 0.0 < abs(mant) < 1e4
             gap = ev.log_value(1j * x).real - model.log_value(x).real
             assert abs(gap) < math.log(2.0)
+
+
+def test_value_beyond_float_range_is_typed():
+    # |F(5i)| ~ exp(1000) at R = 200: the scaled form is finite, the value is not
+    spec = scalar_spec(0.3, Robin(0.5), r=200.0)
+    with pytest.raises(NumericalError):
+        eval_F(spec, 5j)
+    mant, logs = SecularEvaluator(spec).scaled(5j)
+    assert math.isfinite(logs) and 0.0 < abs(mant) < 10.0
+
+
+ARRAY_SPECS = {
+    "q1 regular": scalar_spec(0.3, Robin(0.5), tip="regular"),
+    "q1 singular": scalar_spec(0.3, Robin(0.5), tip="singular"),
+    "q1 dirichlet": scalar_spec(0.7, Dirichlet(), tip="singular", r=2.0),
+    "nu0 singular": scalar_spec(0.0, Robin(0.2), tip="singular", r=1.7),
+    "q2": diagonal_spec(
+        [scalar_spec(0.0, Robin(0.5)), scalar_spec(0.6, Robin(0.5), tip="singular")]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_SPECS))
+def test_scaled_array_matches_scalar_calls(name):
+    # real and imaginary axes, a vertical segment and a small arc, inside and outside |w| = 1
+    ev = SecularEvaluator(ARRAY_SPECS[name])
+    mu = np.concatenate([
+        np.linspace(0.01, 15.0, 120),
+        1j * np.linspace(0.01, 40.0, 60),
+        3.0 + 1j * np.linspace(-3.0, 3.0, 20),
+        0.5 * np.exp(1j * np.linspace(-1.5, 1.5, 20)),
+    ])
+    mants, logs = ev.scaled(mu.reshape(11, 20))
+    assert mants.shape == logs.shape == (11, 20)
+    for m, l, z in zip(mants.ravel(), logs.ravel(), mu):
+        m1, l1 = ev.scaled(complex(z))
+        assert type(m1) is complex and type(l1) is float
+        # mantissas are normalized to unit row scale, so compare them absolutely
+        assert abs(l - l1) <= 1e-15 * max(1.0, abs(l1))
+        assert abs(m - m1) <= 1e-15
+
+
+def _mp_secular(spec, mu):
+    """F(mu) in mpmath from the Bessel rows (d/dx + alpha)(sqrt(x) T(x)) at x = R."""
+    r = mp.mpf(spec.r)
+    w = mu * r
+
+    def row(t, t_x):
+        if isinstance(spec.regular_bc, Dirichlet):
+            return mp.sqrt(r) * t
+        kappa = 1 / (2 * mp.sqrt(r)) + spec.regular_bc.alpha * mp.sqrt(r)
+        return kappa * t + mp.sqrt(r) * t_x
+
+    def branch(s):
+        # Gamma(1 + s) x^s (mu x / 2)^(-s) J_s(mu x)
+        g = mp.gamma(1 + s) * (mu / 2) ** (-s)
+        return row(g * mp.besselj(s, w), g * mu * mp.besselj(s, w, derivative=1))
+
+    def companion():
+        # (pi/2) Y_0(mu x) - (log mu - log 2 + gamma) J_0(mu x)
+        c = mp.log(mu) - mp.log(2) + mp.euler
+        y, j = mp.bessely(0, w), mp.besselj(0, w)
+        y_d, j_d = mp.bessely(0, w, derivative=1), mp.besselj(0, w, derivative=1)
+        return row(mp.pi / 2 * y - c * j, mu * (mp.pi / 2 * y_d - c * j_d))
+
+    q = spec.q
+    m = mp.zeros(2 * q, 2 * q)
+    for i in range(q):
+        for j in range(q):
+            m[i, j] = complex(spec.boundary.a_mat[i, j])
+            m[i, q + j] = complex(spec.boundary.b_mat[i, j])
+    for l, nu in enumerate(spec.nus):
+        m[q + l, l] = branch(mp.mpf(nu))
+        m[q + l, q + l] = companion() if l < spec.q0 else branch(-mp.mpf(nu))
+    return mp.det(m)
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_SPECS))
+def test_dlog_matches_mpmath(name):
+    spec = ARRAY_SPECS[name]
+    # |w| < 1, the imaginary axis below and above |w| = 1, |w| > 1, and two arcs
+    mus = [0.3 + 0.2j, 0.05j, 3.0j, 5.0 + 2.0j, 0.1 * cmath.exp(-1.2j), 12.0 * cmath.exp(0.9j)]
+    got = SecularEvaluator(spec).dlog(np.array(mus))
+    with mp.workdps(40):
+        for g, mu in zip(got, mus):
+            z = mp.mpc(mu)
+            want = complex(mp.diff(lambda x: _mp_secular(spec, x), z) / _mp_secular(spec, z))
+            assert abs(g - want) <= 1e-12 * abs(want)
+
+
+def test_dlog_is_odd_and_takes_scalars(diagonal_pair):
+    ev = SecularEvaluator(diagonal_pair)
+    mu = np.array([2.0 + 1.0j, 0.4j])
+    assert np.array_equal(ev.dlog(-mu), -ev.dlog(mu))
+    assert ev.dlog(complex(mu[0])) == ev.dlog(mu)[0]
 
 
 class TestSpectrum:
