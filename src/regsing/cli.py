@@ -29,7 +29,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,20 +81,16 @@ COMMANDS = (
 class RunConfig:
     command: str
     input_path: str
-    tol: float = 1e-8
     mu_max: float = 100.0
-    t_abs: float = 0.1
+    t_abs: float | None = None
     fmt: str = "json"
     theta: float = math.pi / 4.0
     a_list: tuple[float, ...] = ()
     mu: complex | None = None
     s: float = 1.0
     degree: int | None = None
-    deterministic: bool = field(default=True, init=False)
 
     def __post_init__(self):
-        if not (0.0 < self.tol <= 1e-2):
-            raise SchemaError(f"tol must lie in (0, 1e-2], got {self.tol}")
         if not (self.mu_max > 0.0):
             raise SchemaError(f"mu-max must be positive, got {self.mu_max}")
         if self.fmt not in ("json", "csv"):
@@ -312,7 +308,7 @@ def _cmd_eval_f(cfg: RunConfig, doc: dict):
 def _cmd_f_at_zero(cfg: RunConfig, doc: dict):
     spec = parse_operator_document(doc)
     _require_valid(spec)
-    val = SecularEvaluator(spec).value_at_zero()
+    val = SecularEvaluator(spec).value(0.0)
     payload = {"f_zero": val.real if abs(val.imag) < 1e-10 * (1 + abs(val)) else val}
     rows = [["field", "value"], ["f_zero", _fmt_float(val.real)]]
     return payload, rows, EXIT_OK
@@ -340,7 +336,7 @@ def _cmd_spectrum(cfg: RunConfig, doc: dict):
 def _cmd_det(cfg: RunConfig, doc: dict):
     spec = parse_operator_document(doc)
     _require_valid(spec)
-    report = det_zeta_auto(spec, t_abs=cfg.t_abs, kernel_tol=cfg.tol)
+    report = det_zeta_auto(spec, t_abs=cfg.t_abs)
     payload = {
         "value": report.value,
         "method": report.method,
@@ -486,9 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("input", help="path to the JSON description")
-    parser.add_argument("--tol", type=float, default=1e-8)
     parser.add_argument("--mu-max", type=float, default=100.0, dest="mu_max")
-    parser.add_argument("--t", type=float, default=0.1, dest="t_abs")
+    parser.add_argument("--t", type=float, default=None, dest="t_abs")
     parser.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
     parser.add_argument("--theta", type=float, default=math.pi / 4.0)
     parser.add_argument("--a-list", type=str, default="", dest="a_list")
@@ -525,7 +520,6 @@ def main(argv: list[str] | None = None) -> int:
         cfg = RunConfig(
             command=args.command,
             input_path=args.input,
-            tol=args.tol,
             mu_max=args.mu_max,
             t_abs=args.t_abs,
             fmt=args.fmt,

@@ -35,18 +35,8 @@ from scipy.special import exp1
 from scipy.special import zeta as hurwitz_zeta
 
 from ._numutil import NumericalError, gauss_legendre, neville_at_zero
-from .eigenfunction import (
-    AsymptoticModel,
-    SecularEvaluator,
-    Spectrum,
-    kernel_order,
-)
-from .operators import (
-    Dirichlet,
-    OperatorSpec,
-    RegularBC,
-    characteristic_values,
-)
+from .eigenfunction import SecularEvaluator, Spectrum
+from .operators import Dirichlet, OperatorSpec, RegularBC
 from .special import EULER_GAMMA, gamma_fn
 
 _REAL_TOL = 1e-8
@@ -113,14 +103,16 @@ def det_wronskian_scalar(
 
 def det_zeta_closed_form(spec: OperatorSpec) -> DeterminantReport:
     """det_zeta from F(0) and the boundary-polynomial data (kernel-free)."""
-    ev = SecularEvaluator(spec)
-    k0 = kernel_order(spec, evaluator=ev)
-    if k0 != 0:
+    return _closed_form(SecularEvaluator(spec))
+
+
+def _closed_form(ev: SecularEvaluator) -> DeterminantReport:
+    spec, cv = ev.spec, ev.cv
+    if ev.k0 != 0:
         raise KernelPresentError(
-            f"kernel order {k0} > 0; use det_zeta_regularized for this operator"
+            f"kernel order {ev.k0} > 0; use det_zeta_regularized for this operator"
         )
-    cv = characteristic_values(spec)
-    f0 = complex(ev.value_at_zero())
+    f0 = complex(ev.value(0.0))
     pref = (2.0 * math.pi) ** (spec.q / 2.0) / cv.a0
     pref *= (-2.0 * math.exp(EULER_GAMMA)) ** (spec.q0 - cv.j0)
     for nu in spec.nus[spec.q0 :]:
@@ -180,19 +172,20 @@ def det_zeta_finite_t(spec: OperatorSpec, t_abs: float) -> DeterminantReport:
     Gauss-Legendre panels the value matches the closed form to about
     1e-13 relative.
     """
+    return _finite_t(SecularEvaluator(spec), t_abs)
+
+
+def _finite_t(ev: SecularEvaluator, t_abs: float) -> DeterminantReport:
     if t_abs <= 0.0:
         raise ValueError("t_abs must be positive")
-    ev = SecularEvaluator(spec)
-    k0 = kernel_order(spec, evaluator=ev)
-    if k0 != 0:
+    if ev.k0 != 0:
         raise KernelPresentError("finite-t route needs a trivial kernel")
     _assert_no_root_below(ev, t_abs)
-    cv = characteristic_values(spec)
-    model = AsymptoticModel.from_spec(spec, cv)
+    spec, cv = ev.spec, ev.cv
     sgn = (-1.0) ** (spec.q0 - cv.j0)
     # F(it) / (C sgn) = ratio * exp(log_scale), kept apart so that large t R cannot overflow
     mant, log_scale = ev.scaled(1j * t_abs)
-    ratio = mant / (model.c * sgn)
+    ratio = mant / (ev.model.c * sgn)
     if cv.j0 != spec.q0:
         # log-singular case: track the modulus, as in the closed form
         if abs(ratio.imag) > _REAL_TOL * (1.0 + abs(ratio)):
@@ -237,12 +230,14 @@ def det_zeta_regularized(spec: OperatorSpec) -> DeterminantReport:
     mu^2); with C~ = (-1)^k0 C, det = F~(0)/C~.  Only the j0 = q0 case is
     supported (no s log s defect interacting with the kernel).
     """
-    ev = SecularEvaluator(spec)
-    k0 = kernel_order(spec, evaluator=ev)
+    return _regularized(SecularEvaluator(spec))
+
+
+def _regularized(ev: SecularEvaluator) -> DeterminantReport:
+    k0 = ev.k0
     if k0 == 0:
         raise NumericalError("kernel is trivial; use det_zeta_closed_form")
-    cv = characteristic_values(spec)
-    if cv.j0 != spec.q0:
+    if ev.cv.j0 != ev.spec.q0:
         raise NumericalError(
             "nonzero kernel with j0 != q0 is outside the supported regime"
         )
@@ -258,8 +253,7 @@ def det_zeta_regularized(spec: OperatorSpec) -> DeterminantReport:
         raise NumericalError(
             f"Richardson extrapolation unstable: {f_tilde_0!r} vs {prev!r}"
         )
-    model = AsymptoticModel.from_spec(spec, cv)
-    c_tilde = (-1.0) ** k0 * model.c
+    c_tilde = (-1.0) ** k0 * ev.model.c
     value = _as_positive_real(f_tilde_0 / c_tilde, "F~(0)/C~")
     return DeterminantReport(
         value=value,
@@ -274,39 +268,36 @@ def det_zeta_regularized(spec: OperatorSpec) -> DeterminantReport:
     )
 
 
-def det_zeta_auto(
-    spec: OperatorSpec, t_abs: float = 0.1, kernel_tol: float = 1e-8
-) -> DeterminantReport:
+def _default_t(spec: OperatorSpec, t_abs: float | None) -> float:
+    """The contour radius: t_abs if given, else 0.1 / max(1, R)."""
+    return 0.1 / max(1.0, spec.r) if t_abs is None else t_abs
+
+
+def det_zeta_auto(spec: OperatorSpec, t_abs: float | None = None) -> DeterminantReport:
     """Closed form when the kernel is trivial, regularized otherwise.
 
-    Cheap cross-checks (finite-t value, scalar Wronskian oracle) are
-    attached to the diagnostics when available; the Wronskian oracle is
-    normalized for R = 1 and attached only there.  ``kernel_tol`` is the
-    relative F(0) threshold of the kernel detector.
+    Cheap cross-checks (finite-t value at radius ``t_abs``, by default
+    0.1 / max(1, R), and the scalar Wronskian oracle) are attached to
+    the diagnostics when available; the Wronskian oracle is normalized
+    for R = 1 and attached only there.
     """
-    k0 = kernel_order(spec, tol=kernel_tol)
-    if k0 == 0:
-        report = det_zeta_closed_form(spec)
-        diag = dict(report.diagnostics)
-        try:
-            diag["finite_t_value"] = det_zeta_finite_t(spec, t_abs).value
-        except NumericalError as exc:
-            diag["finite_t_value"] = f"unavailable: {exc}"
-        if (
-            spec.q == 1
-            and spec.r == 1.0
-            and spec.boundary.b_mat[0, 0] != 0
-            and spec.boundary.a_mat[0, 0] == 0
-        ):
-            diag["wronskian_value"] = det_wronskian_scalar(spec.nus[0], spec.regular_bc)
-        return DeterminantReport(
-            value=report.value,
-            method=report.method,
-            kernel_dim_proxy=report.kernel_dim_proxy,
-            log_singular=report.log_singular,
-            diagnostics=diag,
-        )
-    return det_zeta_regularized(spec)
+    ev = SecularEvaluator(spec)
+    if ev.k0:
+        return _regularized(ev)
+    report = _closed_form(ev)
+    diag = report.diagnostics  # a fresh dict, owned by this report
+    try:
+        diag["finite_t_value"] = _finite_t(ev, _default_t(spec, t_abs)).value
+    except NumericalError as exc:
+        diag["finite_t_value"] = f"unavailable: {exc}"
+    if (
+        spec.q == 1
+        and spec.r == 1.0
+        and spec.boundary.b_mat[0, 0] != 0
+        and spec.boundary.a_mat[0, 0] == 0
+    ):
+        diag["wronskian_value"] = det_wronskian_scalar(spec.nus[0], spec.regular_bc)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +313,7 @@ class ZetaReport:
     contour_error: float
 
 
-def _zeta_direct(spec: OperatorSpec, s: float, spectrum: Spectrum) -> tuple[float, float]:
+def _zeta_direct(s: float, spectrum: Spectrum) -> tuple[float, float]:
     roots = np.asarray(spectrum.positive)
     n = len(roots)
     if n < 10:
@@ -355,14 +346,9 @@ def _zeta_direct(spec: OperatorSpec, s: float, spectrum: Spectrum) -> tuple[floa
 
 
 def _zeta_contour(
-    spec: OperatorSpec, s: float, t_abs: float, x_cut: float = 40.0
+    ev: SecularEvaluator, s: float, t_abs: float, x_cut: float
 ) -> tuple[float, float]:
-    if s <= 0.5:
-        raise ValueError("contour estimator valid for s > 1/2")
-    ev = SecularEvaluator(spec)
-    k0 = kernel_order(spec, evaluator=ev)
-    cv = characteristic_values(spec)
-    model = AsymptoticModel.from_spec(spec, cv)
+    k0, cv, model = ev.k0, ev.cv, ev.model
     _assert_no_root_below(ev, t_abs)
 
     def ray_integrand(x: np.ndarray) -> np.ndarray:
@@ -373,7 +359,7 @@ def _zeta_contour(
         return x ** (-2.0 * s) * g
 
     sin_fac = math.sin(math.pi * s) / math.pi
-    log_pow = cv.j0 - spec.q0
+    log_pow = cv.j0 - ev.spec.q0
     ray = ray_err = 0.0
     tail = 0.0
     if abs(sin_fac) > 1e-15:
@@ -407,22 +393,25 @@ def zeta_eval(
     spec: OperatorSpec,
     s: float,
     spectrum: Spectrum | None = None,
-    t_abs: float = 0.1,
+    t_abs: float | None = None,
     x_cut: float = 40.0,
 ) -> ZetaReport:
     """Spectral zeta function at s > 1/2 by two estimators.
 
-    The contour estimator is always computed; the direct estimator
+    The contour estimator is always computed, on an arc of radius
+    ``t_abs`` (by default 0.1 / max(1, R)); the direct estimator
     (eigenvalue sum plus a fitted Hurwitz tail) requires a Spectrum.
     Operators with nonzero kernel are handled through F/mu^(2 k0), i.e.
     the zeta function of the nonzero spectrum.
     """
     if s <= 0.5:
         raise ValueError("zeta_eval needs s > 1/2")
-    contour, contour_err = _zeta_contour(spec, s, t_abs, x_cut)
+    contour, contour_err = _zeta_contour(
+        SecularEvaluator(spec), s, _default_t(spec, t_abs), x_cut
+    )
     direct = direct_err = None
     if spectrum is not None:
-        direct, direct_err = _zeta_direct(spec, s, spectrum)
+        direct, direct_err = _zeta_direct(s, spectrum)
     return ZetaReport(
         s=float(s),
         direct=direct,

@@ -34,6 +34,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -58,6 +59,8 @@ from .special import (
 GAMMA_TILDE = math.log(2.0) - EULER_GAMMA
 
 _REAL_RESIDUE_TOL = 1e-8
+_KERNEL_TOL = 1e-8  # |F(0)| below this share of max |F| at mu = 0.3, 0.7, 1.1 is a kernel
+_KERNEL_PROBES = (1e-1, 10.0**-1.5, 1e-2)
 _LOG_MAX = math.log(sys.float_info.max)
 _ROOT_RESIDUAL_TOL = 1e-10
 
@@ -111,12 +114,14 @@ def _right_half(mu):
 
 
 class SecularEvaluator:
-    """Precomputes the per-operator tables and evaluates F and dlog F.
+    """The prepared operator: per-operator tables, F and dlog F.
 
-    Construction validates the tip condition.  All methods are pure.
-    :meth:`scaled` and :meth:`value` take a scalar mu (and return Python
-    scalars) or an ndarray (and keep its shape); :meth:`dlog` is
-    computed over arrays.
+    Construction validates the tip condition.  The characteristic
+    values `cv`, the asymptotic model `model` and the kernel order `k0`
+    are worked out on first use and kept, so every route of one request
+    reads the same decision.  :meth:`scaled` and :meth:`value` take a
+    scalar mu (and return Python scalars) or an ndarray (and keep its
+    shape); :meth:`dlog` is computed over arrays.
     """
 
     def __init__(self, spec: OperatorSpec):
@@ -146,6 +151,43 @@ class SecularEvaluator:
             s_top = max(abs(a), abs(b))
             self._ab = (a / s_top, b / s_top)
             self._log_top = math.log(s_top)
+
+    @cached_property
+    def cv(self) -> CharacteristicValues:
+        return characteristic_values(self.spec)
+
+    @cached_property
+    def model(self) -> AsymptoticModel:
+        return AsymptoticModel.from_spec(self.spec, self.cv)
+
+    @cached_property
+    def k0(self) -> int:
+        """Order of the zero of F at mu=0 in the variable mu^2.
+
+        F is analytic in mu^2, so |F| ~ c mu^(2 k0); k0 is read off a
+        log-log fit through the probe points and cross-checked on both
+        probe pairs.
+        """
+        f0 = abs(self.value(0.0))
+        scale = max(abs(self.value(m)) for m in (0.3, 0.7, 1.1))
+        scale = max(scale, f0)
+        if scale == 0.0:
+            raise KernelOrderError("secular determinant vanishes at all probe points")
+        if f0 > _KERNEL_TOL * scale:
+            return 0
+        mags = [abs(self.value(m)) for m in _KERNEL_PROBES]
+        if min(mags) == 0.0:
+            raise KernelOrderError("probe point landed on a zero of F")
+        logs = [math.log(m) for m in mags]
+        lmu = [math.log(m) for m in _KERNEL_PROBES]
+        s12 = (logs[0] - logs[1]) / (lmu[0] - lmu[1])
+        s23 = (logs[1] - logs[2]) / (lmu[1] - lmu[2])
+        k = round(s23 / 2.0)
+        if k < 1 or k > self.q or abs(s23 - 2.0 * k) > 0.1 or abs(s12 - 2.0 * k) > 0.5:
+            raise KernelOrderError(
+                f"order fit ambiguous: slopes {s12:.3f}, {s23:.3f} fit no k <= q={self.q}"
+            )
+        return int(k)
 
     # -- row entries --------------------------------------------------------
 
@@ -248,9 +290,6 @@ class SecularEvaluator:
             return mant, logs
         return complex(mant), float(logs)
 
-    def value_at_zero(self) -> complex:
-        return self.value(0.0)
-
     # -- log-derivative -----------------------------------------------------
 
     def dlog(self, mu):
@@ -300,7 +339,7 @@ def eval_F(spec: OperatorSpec, mu: complex) -> complex:
 
 def eval_F_at_zero(spec: OperatorSpec) -> float | complex:
     """F(0); for real tip matrices this is real and matches the closed matrix limit."""
-    val = SecularEvaluator(spec).value_at_zero()
+    val = SecularEvaluator(spec).value(0.0)
     if abs(val.imag) > _REAL_RESIDUE_TOL * (1.0 + abs(val)):
         return val  # complex tip matrices: hand back the full value
     return val.real
@@ -310,39 +349,9 @@ def eval_F_at_zero(spec: OperatorSpec) -> float | complex:
 # Kernel order at mu = 0
 # ---------------------------------------------------------------------------
 
-_KERNEL_PROBES = (1e-1, 10.0**-1.5, 1e-2)
-
-
-def kernel_order(
-    spec: OperatorSpec, tol: float = 1e-8, evaluator: SecularEvaluator | None = None
-) -> int:
-    """Order k0 of the zero of F at mu=0 in the variable mu^2.
-
-    F is analytic in mu^2, so |F| ~ c mu^(2 k0); k0 is read off a
-    log-log fit through the probe points and cross-checked on both
-    probe pairs.
-    """
-    ev = evaluator if evaluator is not None else SecularEvaluator(spec)
-    f0 = abs(ev.value(0.0))
-    scale = max(abs(ev.value(m)) for m in (0.3, 0.7, 1.1))
-    scale = max(scale, f0)
-    if scale == 0.0:
-        raise KernelOrderError("secular determinant vanishes at all probe points")
-    if f0 > tol * scale:
-        return 0
-    mags = [abs(ev.value(m)) for m in _KERNEL_PROBES]
-    if min(mags) == 0.0:
-        raise KernelOrderError("probe point landed on a zero of F")
-    logs = [math.log(m) for m in mags]
-    lmu = [math.log(m) for m in _KERNEL_PROBES]
-    s12 = (logs[0] - logs[1]) / (lmu[0] - lmu[1])
-    s23 = (logs[1] - logs[2]) / (lmu[1] - lmu[2])
-    k = round(s23 / 2.0)
-    if k < 1 or k > spec.q or abs(s23 - 2.0 * k) > 0.1 or abs(s12 - 2.0 * k) > 0.5:
-        raise KernelOrderError(
-            f"order fit ambiguous: slopes {s12:.3f}, {s23:.3f} fit no k <= q={spec.q}"
-        )
-    return int(k)
+def kernel_order(spec: OperatorSpec) -> int:
+    """Order k0 of the zero of F at mu=0 in the variable mu^2 (see SecularEvaluator.k0)."""
+    return SecularEvaluator(spec).k0
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +367,7 @@ class AsymptoticModel:
     of x each against the Robin derivative term).
     """
 
-    rho: float
     gamma_tilde: float
-    abs_nu: float
     c: complex
     exponent: float
     log_power: int
@@ -384,9 +391,7 @@ class AsymptoticModel:
         else:
             exponent = abs_nu + half_q - 2.0 * cv.alpha0
         return cls(
-            rho=rho,
             gamma_tilde=GAMMA_TILDE,
-            abs_nu=abs_nu,
             c=complex(c),
             exponent=float(exponent),
             log_power=spec.q0 - cv.j0,
@@ -397,12 +402,6 @@ class AsymptoticModel:
         out = cmath.log(self.c) + self.exponent * math.log(x) + self.growth_rate * x
         if self.log_power:
             out += self.log_power * cmath.log(complex(self.gamma_tilde - math.log(x)))
-        return out
-
-    def dlog_value(self, x: float) -> float:
-        out = self.growth_rate + self.exponent / x
-        if self.log_power:
-            out += self.log_power * (-1.0 / (x * (self.gamma_tilde - math.log(x))))
         return out
 
 
@@ -438,45 +437,59 @@ def _real_samples(
     return mants.real, logs
 
 
-def _bracket_roots(
+def _objective(ev: SecularEvaluator, axis: str, log_a: float):
+    """t -> F(t) exp(-log_a) on the axis: a positive multiple of F, finite near the scale log_a."""
+
+    def f(t: float) -> float:
+        mant, log_scale = ev.scaled(1j * t if axis == "imag" else t)
+        return mant.real * math.exp(log_scale - log_a)
+
+    return f
+
+
+def _brackets(
     ev: SecularEvaluator, lo: float, hi: float, res: float, axis: str
-) -> list[float]:
+) -> list[tuple[float, float, float, float]]:
+    """Sign changes of F on a grid of spacing <= res over [lo, hi], from one batched scan.
+
+    Each bracket is (a, b, log_a, local): the :func:`_objective` scaled
+    at a changes sign on [a, b], and local is the larger of its end values.
+    """
     n = max(2, int(math.ceil((hi - lo) / res)) + 1)
     grid = np.linspace(lo, hi, n)
     mants, logs = _real_samples(ev, grid, axis)
-
-    roots: list[float] = []
-    for i in range(n - 1):
-        a, b = grid[i], grid[i + 1]
-        log_a = logs[i]
-
-        def f(t: float) -> float:
-            # F(t) exp(-log_scale(a)): a positive multiple of F, finite on [a, b]
-            mant, log_scale = ev.scaled(1j * t if axis == "imag" else t)
-            return mant.real * math.exp(log_scale - log_a)
-
-        fa = mants[i]
+    out = []
+    for i in np.flatnonzero(mants[:-1] * mants[1:] <= 0.0):
+        a, log_a = grid[i], logs[i]
+        fa = mants[i] or _objective(ev, axis, log_a)(a + 1e-12 * max(1.0, a))
         fb = mants[i + 1] * math.exp(logs[i + 1] - log_a)
-        if fa == 0.0:
-            fa = f(a + 1e-12 * max(1.0, a))
         if fa * fb < 0.0:
-            root = brentq(f, a, b, xtol=1e-13, rtol=4.0 * np.finfo(float).eps, maxiter=200)
-            local = max(abs(fa), abs(fb))
-            if abs(f(root)) > _ROOT_RESIDUAL_TOL * local:
-                raise SpectrumCertificationError(
-                    f"refined root at {root} has residual above tolerance"
-                )
-            roots.append(float(root))
+            out.append((a, grid[i + 1], log_a, max(abs(fa), abs(fb))))
+    return out
+
+
+def _same_brackets(coarse: list[tuple], fine: list[tuple]) -> bool:
+    """Equal counts, and each fine bracket overlaps its coarse partner."""
+    return len(coarse) == len(fine) and all(
+        f[0] <= c[1] and c[0] <= f[1] for c, f in zip(coarse, fine)
+    )
+
+
+def _refine(ev: SecularEvaluator, brackets: list[tuple], axis: str) -> list[float]:
+    """One brentq root per bracket, with a residual check."""
+    roots = []
+    for a, b, log_a, local in brackets:
+        f = _objective(ev, axis, log_a)
+        root = brentq(f, a, b, xtol=1e-13, rtol=4.0 * np.finfo(float).eps, maxiter=200)
+        if abs(f(root)) > _ROOT_RESIDUAL_TOL * local:
+            raise SpectrumCertificationError(
+                f"refined root at {root} has residual above tolerance"
+            )
+        roots.append(float(root))
     return roots
 
 
-def _roots_match(a: list[float], b: list[float], tol: float) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(abs(x - y) <= tol for x, y in zip(a, b))
-
-
-def _imag_scan_bound(ev: SecularEvaluator, model: AsymptoticModel) -> float:
+def _imag_scan_bound(ev: SecularEvaluator) -> float:
     """Height beyond which the model provably dominates and F(ix) has no zeros.
 
     The remainder of the model decays like 1/log x, far too slowly for a
@@ -489,7 +502,7 @@ def _imag_scan_bound(ev: SecularEvaluator, model: AsymptoticModel) -> float:
     while x_hi <= 220.0:
         checks = [0.8 * x_hi, 0.9 * x_hi, x_hi]
         logs = [ev.log_value(1j * x).real for x in checks]
-        models = [model.log_value(x).real for x in checks]
+        models = [ev.model.log_value(x).real for x in checks]
         close = all(abs(lv - mv) < math.log(2.0) for lv, mv in zip(logs, models))
         growing = logs[0] < logs[1] < logs[2]
         if close and growing:
@@ -507,9 +520,12 @@ def find_spectrum(
 ) -> Spectrum:
     """All zeros of F on (0, mu_max] and on the positive imaginary axis.
 
-    Real-axis brackets are certified by rescanning at half resolution
-    (with up to three halvings); simple zeros are assumed, a persistent
-    mismatch raises :class:`SpectrumCertificationError`.
+    The sign changes of a grid scan are certified when a rescan at half
+    the spacing finds as many, each overlapping its partner (up to three
+    halvings on the real axis, one on the imaginary axis); the brackets
+    of the coarser grid of that pair are then refined once each.  Simple
+    zeros are assumed; a persistent mismatch raises
+    :class:`SpectrumCertificationError`.
     """
     if mu_max <= 0.0:
         raise ValueError("mu_max must be positive")
@@ -518,32 +534,31 @@ def find_spectrum(
     res = min(resolution, base_res) if resolution else 0.5 * base_res
 
     lo = min(res, 0.05) * 0.5
-    roots = _bracket_roots(ev, lo, mu_max, res, "real")
-    certified = False
+    real = _brackets(ev, lo, mu_max, res, "real")
     attempt = res
     for _ in range(3):
         attempt *= 0.5
-        again = _bracket_roots(ev, lo, mu_max, attempt, "real")
-        if _roots_match(roots, again, 1e-9 * max(1.0, mu_max)):
-            certified = True
+        again = _brackets(ev, lo, mu_max, attempt, "real")
+        if _same_brackets(real, again):
             break
-        roots = again
-    if not certified:
+        real = again
+    else:
         raise SpectrumCertificationError(
-            "real-axis root set kept changing under bracket halving; "
+            "real-axis sign changes kept changing under bracket halving; "
             "a double root or missed bracket is likely"
         )
 
-    model = AsymptoticModel.from_spec(spec)
-    x_hi = _imag_scan_bound(ev, model)
+    x_hi = _imag_scan_bound(ev)
     imag_res = min(res, 0.1)
-    neg = _bracket_roots(ev, imag_res * 0.5, x_hi, imag_res, "imag")
-    neg_again = _bracket_roots(ev, imag_res * 0.5, x_hi, imag_res * 0.5, "imag")
-    if not _roots_match(neg, neg_again, 1e-9 * max(1.0, x_hi)):
-        raise SpectrumCertificationError("imaginary-axis root set unstable under halving")
+    imag = _brackets(ev, imag_res * 0.5, x_hi, imag_res, "imag")
+    if not _same_brackets(imag, _brackets(ev, imag_res * 0.5, x_hi, imag_res * 0.5, "imag")):
+        raise SpectrumCertificationError("imaginary-axis sign changes unstable under halving")
 
     return Spectrum(
-        positive=tuple(roots), negative=tuple(neg), mu_max=float(mu_max), certified=True
+        positive=tuple(_refine(ev, real, "real")),
+        negative=tuple(_refine(ev, imag, "imag")),
+        mu_max=float(mu_max),
+        certified=True,
     )
 
 

@@ -95,6 +95,18 @@ class TestDet:
         assert payload["deterministic"] is True
         assert payload["version"]
 
+    def test_default_contour_radius_scales_with_length(self, write_doc, capsys):
+        # R = 200: the first root sits near 0.01, inside a fixed radius 0.1
+        code, out, _ = run_cli(capsys, "det", write_doc(large_r_doc()))
+        assert code == EXIT_OK
+        report = json.loads(out)["report"]
+        assert report["diagnostics"]["finite_t_value"] == pytest.approx(report["value"], rel=1e-12)
+
+    def test_kernel_tolerance_flag_is_gone(self, write_doc):
+        with pytest.raises(SystemExit) as exc:
+            main(["det", write_doc(kernel_doc()), "--tol", "1e-3"])
+        assert exc.value.code == EXIT_SCHEMA
+
     def test_byte_identical_reruns(self, write_doc, capsys):
         path = write_doc(bessel_doc())
         _, out1, _ = run_cli(capsys, "det", path)

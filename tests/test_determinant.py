@@ -1,12 +1,15 @@
 """Determinant routes: closed form, finite-t, regularized, Wronskian, zeta."""
 
+import functools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regsing import eigenfunction
 from regsing._numutil import NumericalError
 from regsing.determinant import (
     DeterminantReport,
@@ -217,6 +220,54 @@ class TestAuto:
         assert "wronskian_value" not in got.diagnostics
         assert got.diagnostics["finite_t_value"] == pytest.approx(got.value, rel=1e-6)
 
+    def test_finite_t_radius_scales_with_length(self):
+        # the first root (about 0.05) lies inside a fixed radius 0.1 at R = 50
+        spec = scalar_spec(0.3, Robin(0.5), r=50.0)
+        with pytest.raises(RootInsideContourError):
+            det_zeta_finite_t(spec, 0.1)
+        got = det_zeta_auto(spec)
+        assert got.diagnostics["finite_t_value"] == pytest.approx(got.value, rel=1e-12)
+
+    def test_near_kernel_decided_once(self):
+        # F(0) is 1e-6 of its scale: kernel-free, one decision for every route
+        spec = scalar_spec(0.3, Robin(-0.8 + 1e-6))
+        got = det_zeta_auto(spec)
+        assert got.method == "closed_form"
+        assert got.value == pytest.approx(cor_robin_formula(0.3, -0.8 + 1e-6), rel=1e-9)
+
+
+class TestPreparedOperator:
+    @pytest.mark.parametrize("kernel", [False, True])
+    def test_one_build_per_request(self, monkeypatch, kernel, kernel_fixture_third):
+        # one evaluator, one characteristic_values call, one kernel-order fit
+        calls = Counter()
+        cls = eigenfunction.SecularEvaluator
+        init, fit = cls.__init__, cls.__dict__["k0"].func
+        charvals = eigenfunction.characteristic_values
+
+        def counted_init(self, spec):
+            calls["builds"] += 1
+            init(self, spec)
+
+        def counted_fit(self):
+            calls["fits"] += 1
+            return fit(self)
+
+        def counted_charvals(spec):
+            calls["charvals"] += 1
+            return charvals(spec)
+
+        k0 = functools.cached_property(counted_fit)
+        k0.__set_name__(cls, "k0")
+        monkeypatch.setattr(cls, "__init__", counted_init)
+        monkeypatch.setattr(cls, "k0", k0)
+        monkeypatch.setattr(eigenfunction, "characteristic_values", counted_charvals)
+        spec = kernel_fixture_third if kernel else robin_regular(0.3, 0.0)
+        got = det_zeta_auto(spec)
+        assert got.method == ("regularized" if kernel else "closed_form")
+        assert kernel or isinstance(got.diagnostics["finite_t_value"], float)
+        assert calls == {"builds": 1, "charvals": 1, "fits": 1}
+
 
 class TestZeta:
     def test_dirichlet_half_zeta2_series_oracle(self, dirichlet_half):
@@ -251,6 +302,15 @@ class TestZeta:
     def test_contour_matches_closed_sums(self, request, fixture, s, want, rtol):
         rep = zeta_eval(request.getfixturevalue(fixture), s)
         assert abs(rep.contour - want) <= rtol * want
+
+    def test_contour_radius_scales_with_length(self):
+        # at R = 40 the first root (about 0.02) lies inside a fixed radius 0.1
+        spec = scalar_spec(0.25, Robin(0.25 / 40.0), tip="singular", r=40.0)
+        with pytest.raises(RootInsideContourError):
+            zeta_eval(spec, 2.0, t_abs=0.1)
+        sp = find_spectrum(spec, 30.0 * math.pi / 40.0)
+        rep = zeta_eval(spec, 2.0, spectrum=sp)
+        assert abs(rep.contour - rep.direct) <= 1e-10 * rep.direct
 
     def test_direct_requires_enough_roots(self, dirichlet_half):
         sp = find_spectrum(dirichlet_half, 40.0)

@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv, jvp
 
+from regsing import eigenfunction
 from regsing._numutil import NumericalError
 from regsing.eigenfunction import (
     AsymptoticModel,
     SecularEvaluator,
+    _same_brackets,
     asymptotic_log_F_imag,
     eval_F,
     eval_F_at_zero,
@@ -299,6 +301,26 @@ class TestSpectrum:
         assert len(sp.positive) == len(want) == 64
         assert max(abs(a - b) for a, b in zip(sp.positive, want)) < 1e-8
         assert sp.negative == ()
+
+    def test_each_root_refined_once(self, monkeypatch, diagonal_pair):
+        # rescans only compare brackets; brentq runs once per returned root
+        calls = []
+        brentq = eigenfunction.brentq
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return brentq(*args, **kwargs)
+
+        monkeypatch.setattr(eigenfunction, "brentq", counted)
+        sp = find_spectrum(diagonal_pair, 20.0)
+        assert len(sp.positive) > 5
+        assert len(calls) == len(sp.positive) + len(sp.negative)
+
+    def test_bracket_certificate(self):
+        coarse = [(1.0, 1.4, 0.0, 1.0), (3.0, 3.4, 0.0, 1.0)]
+        assert _same_brackets(coarse, [(1.2, 1.4, 0.0, 1.0), (3.0, 3.2, 0.0, 1.0)])
+        assert not _same_brackets(coarse, coarse[:1])  # a sign change lost
+        assert not _same_brackets(coarse, [(1.2, 1.4, 0.0, 1.0), (3.5, 3.7, 0.0, 1.0)])
 
     def test_roots_annihilate_boundary_system(self, diagonal_pair):
         ev = SecularEvaluator(diagonal_pair)
