@@ -143,6 +143,8 @@ def _closed_form(ev: SecularEvaluator) -> DeterminantReport:
 
 def _assert_no_root_below(ev: SecularEvaluator, t: float) -> None:
     x = np.linspace(t / 24.0, t, 24)
+    if ev.k0 == 0:  # F(0) != 0 is a sign sample; with a kernel F(0) = 0 and its sign is noise
+        x = np.concatenate(([0.0], x))
     mants, _ = ev.scaled(np.stack([x, 1j * x]))  # sign of F = sign of the mantissa
     for axis, signs in zip(("real", "imag"), mants.real):
         if np.any(signs[:-1] * signs[1:] < 0.0):

@@ -54,6 +54,8 @@ from .special import (
     bessel_jm0_series,
     bessel_jm0_series_dx,
     gamma_fn,
+    phi_rows,
+    series_table,
 )
 
 GAMMA_TILDE = math.log(2.0) - EULER_GAMMA
@@ -88,18 +90,10 @@ class Spectrum:
     certified: bool
 
 
-def _kernel(nb: NormalizedBessel, w):
-    """Scaled phi and phi' of one branch at w, a scalar or an ndarray."""
-    if isinstance(w, np.ndarray):
-        return nb.on_array(w)
-    return nb.value(w), nb.deriv(w)
-
-
-def _companion(mu, r: float):
-    """Scaled companion C, C_x and (ndarray mu only) C_mu at x = r."""
-    if isinstance(mu, np.ndarray):
-        return bessel_jm0_rows(mu, r)
-    return bessel_jm0_series(mu, r), bessel_jm0_series_dx(mu, r), None
+def _trace(s, g, phi, dphi, mu, r: float):
+    """T and T_x at x = r of the branch T = g x^s phi_s(mu x), g = Gamma(1 + s) R^s,
+    from the scaled phi_s(w) and phi_s'(w); scalars or broadcasting arrays."""
+    return g * phi, g * (s / r * phi + mu * dphi)
 
 
 def _right_half(mu):
@@ -137,14 +131,21 @@ class SecularEvaluator:
         self.q0 = spec.q0
         self.dirichlet = isinstance(spec.regular_bc, Dirichlet)
         self.kappa = None if self.dirichlet else spec.kappa
-        # per nu > 0 channel, its two branches (s, Gamma(1 + s) R^s, phi_s), s = +nu, -nu
+        # every branch but the companions: the +nu branch of each channel
+        # (s = 0 on the nu = 0 channels), then the -nu branch of each other
+        # channel; each distinct order has one kernel, 0 first when q0 > 0
+        branch_s = list(spec.nus) + [-nu for nu in spec.nus[spec.q0 :]]
+        orders = list(dict.fromkeys(branch_s))
+        self._kernels = [NormalizedBessel(s) for s in orders]
+        self._orders = np.array(orders)
+        self._table = series_table(self._kernels)
+        # per branch: its kernel row, s and Gamma(1 + s) R^s (Python floats for the scalar path)
         self._branches = [
-            tuple(
-                (s, gamma_fn(1.0 + s) * spec.r**s, NormalizedBessel(s)) for s in (nu, -nu)
-            )
-            for nu in spec.nus[spec.q0 :]
+            (orders.index(s), s, gamma_fn(1.0 + s) * spec.r**s) for s in branch_s
         ]
-        self._phi0 = NormalizedBessel(0.0)
+        self._branch_rows = np.array([b[0] for b in self._branches], dtype=int)
+        self._branch_s = np.array([b[1] for b in self._branches])
+        self._branch_g = np.array([b[2] for b in self._branches])
         self._top = np.hstack([spec.boundary.a_mat, spec.boundary.b_mat])
         if self.q == 1:  # the top row, normalized (validation makes it nonzero)
             a, b = complex(self._top[0, 0]), complex(self._top[0, 1])
@@ -168,14 +169,14 @@ class SecularEvaluator:
         log-log fit through the probe points and cross-checked on both
         probe pairs.
         """
-        f0 = abs(self.value(0.0))
-        scale = max(abs(self.value(m)) for m in (0.3, 0.7, 1.1))
-        scale = max(scale, f0)
+        probes = np.array((0.0, 0.3, 0.7, 1.1) + _KERNEL_PROBES)
+        f0, *mags = np.abs(self.value(probes)).tolist()
+        scale = max(mags[:3] + [f0])
         if scale == 0.0:
             raise KernelOrderError("secular determinant vanishes at all probe points")
         if f0 > _KERNEL_TOL * scale:
             return 0
-        mags = [abs(self.value(m)) for m in _KERNEL_PROBES]
+        mags = mags[3:]
         if min(mags) == 0.0:
             raise KernelOrderError("probe point landed on a zero of F")
         logs = [math.log(m) for m in mags]
@@ -197,44 +198,52 @@ class SecularEvaluator:
             return self.sqrt_r * t
         return self.kappa * t + self.sqrt_r * t_x
 
-    def _traces(self, mu, deriv: bool = False) -> tuple[list, ...]:
+    def _traces(self, mu, deriv: bool = False) -> tuple:
         """Diagonal entries (jp, jm) of the lower blocks, Re mu >= 0.
 
-        mu is a scalar or an ndarray.  With ``deriv`` (ndarray mu only)
-        their mu-derivatives (djp, djm) follow.  Each branch carries its
-        trace T, T_x and the mu-derivatives T_mu, T_xmu; for
+        mu is a scalar (lists of q entries come back) or an ndarray
+        (arrays of shape (q,) + mu.shape).  With ``deriv`` (ndarray mu
+        only) their mu-derivatives (djp, djm) follow.  Each branch
+        carries its trace T, T_x and the mu-derivatives T_mu, T_xmu; for
         phi_s(w) = (w/2)^(-s) J_s(w) with w phi'' + (2s + 1) phi' + w phi = 0,
         T = g R^s phi_s(w) gives T_mu = g R^(s+1) phi_s'(w) and
         T_xmu = -g R^s (s phi_s'(w) + w phi_s(w)).  The companion C has
         C_xmu = -mu R C + J_1(w), and J_1(w) = -phi_0'(w).
         """
-        r = self.r
+        if isinstance(mu, np.ndarray):
+            return self._stacked_traces(mu, deriv)
+        r, q = self.r, self.q
         w = mu * r
-        pairs = []
-        if self.q0:
-            phi, dphi = _kernel(self._phi0, w)
-            c, c_x, c_mu = _companion(mu, r)
-            plus = (phi, mu * dphi, r * dphi, -w * phi)
-            minus = (c, c_x, c_mu, -mu * r * c - dphi)
-            pairs.extend([(plus, minus)] * self.q0)
-        for branches in self._branches:
-            pair = []
-            for s, g_rs, nb in branches:
-                phi, dphi = _kernel(nb, w)
-                pair.append(
-                    (g_rs * phi, g_rs * (s / r * phi + mu * dphi), g_rs * r * dphi,
-                     -g_rs * (s * dphi + w * phi))
-                )
-            pairs.append(tuple(pair))
-        jp = [self._row(p[0], p[1]) for p, _ in pairs]
-        jm = [self._row(m[0], m[1]) for _, m in pairs]
-        if not deriv:
-            return jp, jm
-        djp = [self._row(p[2], p[3]) for p, _ in pairs]
-        djm = [self._row(m[2], m[3]) for _, m in pairs]
-        return jp, jm, djp, djm
+        kernels = [(nb.value(w), nb.deriv(w)) for nb in self._kernels]
+        rows = [self._row(*_trace(s, g, *kernels[k], mu, r)) for k, s, g in self._branches]
+        jm = rows[q:]
+        if self.q0:  # the companion rows come first in jm
+            jm = [self._row(bessel_jm0_series(mu, r), bessel_jm0_series_dx(mu, r))] * self.q0 + jm
+        return rows[:q], jm
 
-    def _stack(self, jp: list, jm: list, top) -> np.ndarray:
+    def _stacked_traces(self, mu: np.ndarray, deriv: bool) -> tuple[np.ndarray, ...]:
+        """:meth:`_traces` over an ndarray mu: every branch from one :func:`phi_rows` pass."""
+        r, q = self.r, self.q
+        w = mu * r
+        val, der = phi_rows(self._orders, self._table, w)
+        phi, dphi = val[self._branch_rows], der[self._branch_rows]
+        lift = (slice(None),) + (None,) * mu.ndim  # branch constants broadcast over mu
+        s, g = self._branch_s[lift], self._branch_g[lift]
+        rows = self._row(*_trace(s, g, phi, dphi, mu, r))
+        jp, jm = rows[:q], rows[q:]
+        if deriv:
+            drows = self._row(g * r * dphi, -g * (s * dphi + w * phi))
+            djp, djm = drows[:q], drows[q:]
+        if self.q0:  # the companion rows come first in jm (and djm)
+            c, c_x, c_mu = bessel_jm0_rows(mu, r, val[0], der[0])
+            n = (self.q0,) + mu.shape
+            jm = np.concatenate([np.broadcast_to(self._row(c, c_x), n), jm])
+            if deriv:
+                lead = self._row(c_mu, -mu * r * c - der[0])
+                djm = np.concatenate([np.broadcast_to(lead, n), djm])
+        return (jp, jm, djp, djm) if deriv else (jp, jm)
+
+    def _stack(self, jp, jm, top) -> np.ndarray:
         """The 2q x 2q matrices (stacked over the shape of mu) with the given top rows."""
         q = self.q
         shape = np.shape(jp[0])
@@ -448,15 +457,18 @@ def _objective(ev: SecularEvaluator, axis: str, log_a: float):
 
 
 def _brackets(
-    ev: SecularEvaluator, lo: float, hi: float, res: float, axis: str
+    ev: SecularEvaluator, lo: float, hi: float, res: float, axis: str, origin: bool
 ) -> list[tuple[float, float, float, float]]:
     """Sign changes of F on a grid of spacing <= res over [lo, hi], from one batched scan.
 
-    Each bracket is (a, b, log_a, local): the :func:`_objective` scaled
-    at a changes sign on [a, b], and local is the larger of its end values.
+    With ``origin`` the grid starts at mu = 0 before lo.  Each bracket
+    is (a, b, log_a, local): the :func:`_objective` scaled at a changes
+    sign on [a, b], and local is the larger of its end values.
     """
     n = max(2, int(math.ceil((hi - lo) / res)) + 1)
     grid = np.linspace(lo, hi, n)
+    if origin:
+        grid = np.concatenate(([0.0], grid))
     mants, logs = _real_samples(ev, grid, axis)
     out = []
     for i in np.flatnonzero(mants[:-1] * mants[1:] <= 0.0):
@@ -520,7 +532,8 @@ def find_spectrum(
 ) -> Spectrum:
     """All zeros of F on (0, mu_max] and on the positive imaginary axis.
 
-    The sign changes of a grid scan are certified when a rescan at half
+    The scans start at mu = 0 when F(0) != 0 (no kernel).  The sign
+    changes of a grid scan are certified when a rescan at half
     the spacing finds as many, each overlapping its partner (up to three
     halvings on the real axis, one on the imaginary axis); the brackets
     of the coarser grid of that pair are then refined once each.  Simple
@@ -533,12 +546,18 @@ def find_spectrum(
     base_res = math.pi / (2.0 * spec.q * spec.r)
     res = min(resolution, base_res) if resolution else 0.5 * base_res
 
+    try:
+        # F(0) != 0 is a sign sample on both axes, so a root below the first
+        # grid point shows; with a kernel F(0) = 0 and its computed sign is noise
+        origin = ev.k0 == 0
+    except KernelOrderError:  # raised only where F(0) is below the kernel threshold
+        origin = False
     lo = min(res, 0.05) * 0.5
-    real = _brackets(ev, lo, mu_max, res, "real")
+    real = _brackets(ev, lo, mu_max, res, "real", origin)
     attempt = res
     for _ in range(3):
         attempt *= 0.5
-        again = _brackets(ev, lo, mu_max, attempt, "real")
+        again = _brackets(ev, lo, mu_max, attempt, "real", origin)
         if _same_brackets(real, again):
             break
         real = again
@@ -550,8 +569,9 @@ def find_spectrum(
 
     x_hi = _imag_scan_bound(ev)
     imag_res = min(res, 0.1)
-    imag = _brackets(ev, imag_res * 0.5, x_hi, imag_res, "imag")
-    if not _same_brackets(imag, _brackets(ev, imag_res * 0.5, x_hi, imag_res * 0.5, "imag")):
+    imag = _brackets(ev, imag_res * 0.5, x_hi, imag_res, "imag", origin)
+    rescan = _brackets(ev, imag_res * 0.5, x_hi, imag_res * 0.5, "imag", origin)
+    if not _same_brackets(imag, rescan):
         raise SpectrumCertificationError("imaginary-axis sign changes unstable under halving")
 
     return Spectrum(

@@ -1,9 +1,10 @@
 """Special-function kernel: Bessel functions and Gamma.
 
 Everything here is pure and reentrant.  The public functions are
-scalar; the row building blocks also have an ndarray entry point
-(:meth:`NormalizedBessel.on_array`, :func:`bessel_jm0_rows`) that makes
-one scipy call per order for a whole array of arguments.  The engine
+scalar; the row building blocks also have a stacked ndarray entry point
+(:func:`phi_rows`, :func:`bessel_jm0_rows`) that evaluates every order
+of an operator over a whole array of arguments in one pass: one matrix
+product for all the series and one ``jve`` call per order shift.  The engine
 needs
 
 * ``J_nu(z)`` for real order ``nu`` and complex argument ``z`` (secular
@@ -140,7 +141,7 @@ def bessel_y_deriv(nu: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _horner(coeffs: tuple[float, ...], u):
-    """sum_k coeffs[k] u^k for a scalar or ndarray u."""
+    """sum_k coeffs[k] u^k for a scalar u."""
     acc = 0.0j
     for c in reversed(coeffs):
         acc = acc * u + c
@@ -150,12 +151,6 @@ def _horner(coeffs: tuple[float, ...], u):
 def _scaled_series(coeffs: tuple[float, ...], w: complex) -> complex:
     """exp(-|Im w|) * sum_k coeffs[k] u^k with u = (w/2)^2 (Horner)."""
     return _horner(coeffs, (0.5 * w) ** 2) * math.exp(-abs(w.imag))
-
-
-def _disk(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of the entries of w inside and outside the series disk."""
-    inside = np.abs(w) <= _SERIES_RADIUS
-    return inside, ~inside
 
 
 def _phi_coeffs(order: float) -> tuple[float, ...]:
@@ -198,21 +193,52 @@ class NormalizedBessel:
             return 0.5 * w * _scaled_series(self._der, w)
         return -((0.5 * w) ** (-self.order)) * complex(sc.jve(self.order + 1.0, w))
 
-    def on_array(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`value` and :meth:`deriv` at every entry of an ndarray w."""
-        val = np.empty(w.shape, dtype=complex)
-        der = np.empty(w.shape, dtype=complex)
-        inside, outside = _disk(w)
+
+def _power_table(rows: list[tuple[float, ...]]) -> np.ndarray:
+    """Series coefficients as table rows, highest power first (the column
+    order of ``np.vander``), zero-padded to _SERIES_TERMS."""
+    return np.array([(0.0,) * (_SERIES_TERMS - len(c)) + c[::-1] for c in rows])
+
+
+def series_table(kernels: list[NormalizedBessel]) -> np.ndarray:
+    """The (2m, 14) series table of m kernels for :func:`phi_rows`: their
+    value rows, then their derivative rows."""
+    return _power_table([nb._val for nb in kernels] + [nb._der for nb in kernels])
+
+
+def _series(table: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """exp(-|Im w|) times every series of the table at u = (w/2)^2, for
+    every entry of a 1-d w: one ``np.vander`` and one matrix product.
+    The smallest terms are summed first, as in Horner's scheme."""
+    powers = np.vander((0.5 * w) ** 2, _SERIES_TERMS)
+    return (table @ powers.T) * np.exp(-np.abs(w.imag))
+
+
+def phi_rows(s: np.ndarray, table: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`NormalizedBessel.value` and :meth:`~NormalizedBessel.deriv`
+    of every order s[i] at every entry of an ndarray w, shaped (m,) + w.shape.
+
+    ``table`` is :func:`series_table` of the kernels of the orders s.
+    Inside the unit disk one matrix product sums every series; outside,
+    one ``jve`` call per order shift takes all orders at once.
+    """
+    m = len(s)
+    val = np.empty((m,) + w.shape, dtype=complex)
+    der = np.empty((m,) + w.shape, dtype=complex)
+    inside = np.abs(w) <= _SERIES_RADIUS
+    if inside.any():
         wi = w[inside]
-        u = (0.5 * wi) ** 2
-        scale = np.exp(-np.abs(wi.imag))
-        val[inside] = _horner(self._val, u) * scale
-        der[inside] = 0.5 * wi * _horner(self._der, u) * scale
+        sums = _series(table, wi)
+        val[:, inside] = sums[:m]
+        der[:, inside] = 0.5 * wi * sums[m:]
+    if not inside.all():
+        outside = ~inside
         wo = w[outside]
-        power = (0.5 * wo) ** (-self.order)
-        val[outside] = power * sc.jve(self.order, wo)
-        der[outside] = -power * sc.jve(self.order + 1.0, wo)
-        return val, der
+        orders = s[:, None]
+        power = (0.5 * wo) ** (-orders)
+        val[:, outside] = power * sc.jve(orders, wo)
+        der[:, outside] = -power * sc.jve(orders + 1.0, wo)
+    return val, der
 
 
 def _psi_coeffs() -> tuple[float, ...]:
@@ -230,6 +256,7 @@ _PSI = _psi_coeffs()
 _PSI_D = _deriv_coeffs(_PSI)  # psi'(w) = (w/2) sum_k _PSI_D[k] u^k
 _PHI0 = _phi_coeffs(0.0)
 _PHI1 = _phi_coeffs(1.0)
+_PSI_TABLE = _power_table([_PSI, _PSI_D])  # psi and psi'/(w/2) for _series
 
 
 def bessel_jm0(mu: float, x: float) -> float:
@@ -289,40 +316,41 @@ def bessel_jm0_series_dx(mu: complex, x: float) -> complex:
     return mu * (-0.5 * math.pi * complex(sc.yve(1.0, w)) + c * complex(sc.jve(1.0, w)))
 
 
-def bessel_jm0_rows(mu: np.ndarray, x: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def bessel_jm0_rows(
+    mu: np.ndarray, x: float, phi0: np.ndarray, dphi0: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`bessel_jm0_series`, :func:`bessel_jm0_series_dx` and the
-    mu-derivative of the former, at every entry of an ndarray mu.
+    mu-derivative of the former, at every entry of an ndarray mu with
+    Re mu >= 0.
 
-    All three carry the factor exp(-|Im mu x|).  Outside the series disk
-    the mu-derivative is (x C_x - J0(mu x)) / mu; inside, where that
-    difference cancels to O((mu x)^2), it is x (log(x) phi_0'(w) - psi'(w)).
+    phi0 and dphi0 are the order-0 rows of :func:`phi_rows` at w = mu x:
+    the scaled J_0(w) and -J_1(w).  All three results carry the factor
+    exp(-|Im mu x|).  Outside the series disk the mu-derivative is
+    (x C_x - J0(mu x)) / mu; inside, where that difference cancels to
+    O((mu x)^2), it is x (log(x) phi_0'(w) - psi'(w)).
     """
     x = float(x)
     if not (x > 0.0):
         raise SpecialFunctionDomainError("bessel_jm0_rows: need x > 0")
-    mu = np.asarray(mu, dtype=complex)
-    odd = np.where(mu.real < 0.0, -1.0, 1.0)  # C is even in mu, its mu-derivative odd
-    mu = odd * mu
     w = mu * x
     c = np.empty(w.shape, dtype=complex)
     c_x = np.empty(w.shape, dtype=complex)
     c_mu = np.empty(w.shape, dtype=complex)
-    inside, outside = _disk(w)
-    mi, wi = mu[inside], w[inside]
-    u = (0.5 * wi) ** 2
-    scale = np.exp(-np.abs(wi.imag))
-    log_x = math.log(x)
-    j0 = _horner(_PHI0, u) * scale
-    # e: the w-derivative of log(x) phi_0(w) - psi(w), with phi_0' = -(w/2) phi_1;
-    # then C_x = phi_0 / x + mu e and C_mu = x e
-    e = -0.5 * wi * (log_x * _horner(_PHI1, u) + _horner(_PSI_D, u)) * scale
-    c[inside] = log_x * j0 - _horner(_PSI, u) * scale
-    c_x[inside] = j0 / x + mi * e
-    c_mu[inside] = x * e
-    mo, wo = mu[outside], w[outside]
-    shift = np.log(mo) - math.log(2.0) + EULER_GAMMA
-    j0 = sc.jve(0.0, wo)
-    c[outside] = 0.5 * math.pi * sc.yve(0.0, wo) - shift * j0
-    c_x[outside] = mo * (-0.5 * math.pi * sc.yve(1.0, wo) + shift * sc.jve(1.0, wo))
-    c_mu[outside] = (x * c_x[outside] - j0) / mo
-    return c, c_x, odd * c_mu
+    inside = np.abs(w) <= _SERIES_RADIUS
+    if inside.any():
+        mi, wi, j0 = mu[inside], w[inside], phi0[inside]
+        psi, psi_d = _series(_PSI_TABLE, wi)
+        log_x = math.log(x)
+        # e: the w-derivative of log(x) phi_0(w) - psi(w); then C_x = phi_0 / x + mu e and C_mu = x e
+        e = log_x * dphi0[inside] - 0.5 * wi * psi_d
+        c[inside] = log_x * j0 - psi
+        c_x[inside] = j0 / x + mi * e
+        c_mu[inside] = x * e
+    if not inside.all():
+        outside = ~inside
+        mo, wo, j0 = mu[outside], w[outside], phi0[outside]
+        shift = np.log(mo) - math.log(2.0) + EULER_GAMMA
+        c[outside] = 0.5 * math.pi * sc.yve(0.0, wo) - shift * j0
+        c_x[outside] = -mo * (0.5 * math.pi * sc.yve(1.0, wo) + shift * dphi0[outside])
+        c_mu[outside] = (x * c_x[outside] - j0) / mo
+    return c, c_x, c_mu

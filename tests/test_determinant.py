@@ -142,6 +142,15 @@ class TestFiniteT:
         with pytest.raises(RootInsideContourError):
             det_zeta_finite_t(spec, 4.0)
 
+    def test_root_below_the_first_sample_detected(self):
+        # F(0) = -1e-6 and F changes sign near mu = 1.6e-3, below t / 24
+        spec = scalar_spec(0.3, Robin(-0.8 + 1e-6))
+        with pytest.raises(RootInsideContourError):
+            det_zeta_finite_t(spec, 0.1)
+        got = det_zeta_auto(spec)
+        assert got.diagnostics["finite_t_value"].startswith("unavailable: F has a zero below")
+        assert got.value == pytest.approx(got.diagnostics["wronskian_value"], rel=1e-9)
+
 
 class TestWronskian:
     def test_examples(self):
@@ -267,6 +276,23 @@ class TestPreparedOperator:
         assert got.method == ("regularized" if kernel else "closed_form")
         assert kernel or isinstance(got.diagnostics["finite_t_value"], float)
         assert calls == {"builds": 1, "charvals": 1, "fits": 1}
+
+    @pytest.mark.parametrize("kernel", [False, True])
+    def test_kernel_order_fit_is_one_call(self, monkeypatch, kernel, kernel_fixture_third):
+        # the seven probe points of the fit go through one batched scaled call
+        calls = Counter()
+        cls = eigenfunction.SecularEvaluator
+        scaled = cls.scaled
+
+        def counted_scaled(self, mu):
+            calls["scaled"] += 1
+            return scaled(self, mu)
+
+        monkeypatch.setattr(cls, "scaled", counted_scaled)
+        spec = kernel_fixture_third if kernel else robin_regular(0.3, 0.0)
+        ev = cls(spec)
+        assert ev.k0 == (1 if kernel else 0)
+        assert calls == {"scaled": 1}
 
 
 class TestZeta:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import jv, jvp
+from scipy.special import iv, ivp, jv, jvp
 
 from regsing import eigenfunction
 from regsing._numutil import NumericalError
@@ -170,6 +170,15 @@ ARRAY_SPECS = {
     "q2": diagonal_spec(
         [scalar_spec(0.0, Robin(0.5)), scalar_spec(0.6, Robin(0.5), tip="singular")]
     ),
+    # a nu = 0 channel, a repeated nu (one shared kernel order) and a singular tip
+    "q4": diagonal_spec(
+        [
+            scalar_spec(0.0, Robin(0.3), r=1.3),
+            scalar_spec(0.4, Robin(0.3), r=1.3),
+            scalar_spec(0.4, Robin(0.3), tip="singular", r=1.3),
+            scalar_spec(0.7, Robin(0.3), r=1.3),
+        ]
+    ),
 }
 
 
@@ -301,6 +310,21 @@ class TestSpectrum:
         assert len(sp.positive) == len(want) == 64
         assert max(abs(a - b) for a, b in zip(sp.positive, want)) < 1e-8
         assert sp.negative == ()
+
+    @pytest.mark.parametrize("shift, axis", [(1e-6, "positive"), (-1e-6, "negative")])
+    def test_root_below_the_first_grid_point(self, shift, axis):
+        # Robin(-0.8 +- 1e-6) puts F(0) = -+1e-6 and a root near 1.6e-3, below
+        # the first grid point; F(0) != 0 is the sample that shows it
+        nu, alpha = 0.3, -0.8 + shift
+        sp = find_spectrum(scalar_spec(nu, Robin(alpha)), 2.0)
+        if axis == "positive":  # Robin condition on sqrt(x) J_nu(mu x)
+            oracle = bisect_root(lambda m: (0.5 + alpha) * jv(nu, m) + m * jvp(nu, m), 1e-4, 1e-2)
+        else:  # and on sqrt(x) I_nu(t x), the solution at mu = i t
+            oracle = bisect_root(lambda t: (0.5 + alpha) * iv(nu, t) + t * ivp(nu, t), 1e-4, 1e-2)
+        assert sp.certified
+        got, other = (sp.positive, sp.negative) if axis == "positive" else (sp.negative, sp.positive)
+        assert len(got) == 1 and other == ()
+        assert abs(got[0] - oracle) < 1e-9 * oracle
 
     def test_each_root_refined_once(self, monkeypatch, diagonal_pair):
         # rescans only compare brackets; brentq runs once per returned root

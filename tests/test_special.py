@@ -9,6 +9,7 @@ import math
 import warnings
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,11 +21,14 @@ from regsing.special import (
     bessel_j,
     bessel_j_deriv,
     bessel_jm0,
+    bessel_jm0_rows,
     bessel_jm0_series,
     bessel_jm0_series_dx,
     bessel_y,
     bessel_y_deriv,
     gamma_fn,
+    phi_rows,
+    series_table,
 )
 
 ENVELOPE = lambda x: math.sqrt(2.0 / (math.pi * x))  # noqa: E731
@@ -249,3 +253,27 @@ def test_normalized_bessel_at_zero(order):
     phi = NormalizedBessel(order)
     assert phi.value(0.0) == 1.0 / gamma_fn(1.0 + order)
     assert phi.deriv(0.0) == 0.0
+
+
+@pytest.mark.parametrize("where", ["inside", "outside", "both"])
+def test_stacked_rows_match_scalar_kernels(where):
+    # every order of phi_rows, and the companion rows built on its order-0
+    # row, against the scalar kernels; one side of the seam may be empty
+    radius = {"inside": [0.2, 0.9], "outside": [1.5, 30.0], "both": [0.6, 4.0]}[where]
+    w = np.array([r * np.exp(1j * a) for r in radius for a in (-1.4, -0.3, 0.0, 0.8)])
+    w = w.reshape(2, 4)
+    orders = (0.0, 0.3, -0.3, 0.9, -0.9)
+    kernels = [NormalizedBessel(s) for s in orders]
+    val, der = phi_rows(np.array(orders), series_table(kernels), w)
+    assert val.shape == der.shape == (5, 2, 4)
+    for k, nb in enumerate(kernels):
+        for i in np.ndindex(w.shape):
+            z = complex(w[i])
+            assert abs(val[k][i] - nb.value(z)) <= 1e-15 * max(1.0, abs(nb.value(z)))
+            assert abs(der[k][i] - nb.deriv(z)) <= 1e-15 * max(1.0, abs(nb.deriv(z)))
+    x = 1.7
+    c, c_x, _ = bessel_jm0_rows(w / x, x, val[0], der[0])
+    for i in np.ndindex(w.shape):
+        mu = complex(w[i]) / x
+        for got, want in ((c[i], bessel_jm0_series(mu, x)), (c_x[i], bessel_jm0_series_dx(mu, x))):
+            assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
