@@ -308,7 +308,7 @@ def _cmd_eval_f(cfg: RunConfig, doc: dict):
 def _cmd_f_at_zero(cfg: RunConfig, doc: dict):
     spec = parse_operator_document(doc)
     _require_valid(spec)
-    val = SecularEvaluator(spec).value(0.0)
+    val = SecularEvaluator(spec).f0
     payload = {"f_zero": val.real if abs(val.imag) < 1e-10 * (1 + abs(val)) else val}
     rows = [["field", "value"], ["f_zero", _fmt_float(val.real)]]
     return payload, rows, EXIT_OK

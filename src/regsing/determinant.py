@@ -112,7 +112,7 @@ def _closed_form(ev: SecularEvaluator) -> DeterminantReport:
         raise KernelPresentError(
             f"kernel order {ev.k0} > 0; use det_zeta_regularized for this operator"
         )
-    f0 = complex(ev.value(0.0))
+    f0 = ev.f0
     pref = (2.0 * math.pi) ** (spec.q / 2.0) / cv.a0
     pref *= (-2.0 * math.exp(EULER_GAMMA)) ** (spec.q0 - cv.j0)
     for nu in spec.nus[spec.q0 :]:
@@ -141,14 +141,17 @@ def _closed_form(ev: SecularEvaluator) -> DeterminantReport:
     )
 
 
-def _assert_no_root_below(ev: SecularEvaluator, t: float) -> None:
+def _scan_below(ev: SecularEvaluator, t: float) -> tuple[complex, float]:
+    """Raise RootInsideContourError where F changes sign below |mu| = t on
+    either axis; return the scaled F(it), the last sample of the same call."""
     x = np.linspace(t / 24.0, t, 24)
     if ev.k0 == 0:  # F(0) != 0 is a sign sample; with a kernel F(0) = 0 and its sign is noise
         x = np.concatenate(([0.0], x))
-    mants, _ = ev.scaled(np.stack([x, 1j * x]))  # sign of F = sign of the mantissa
+    mants, logs = ev.scaled(np.stack([x, 1j * x]))  # sign of F = sign of the mantissa
     for axis, signs in zip(("real", "imag"), mants.real):
         if np.any(signs[:-1] * signs[1:] < 0.0):
             raise RootInsideContourError(f"F has a zero below |mu| = {t} on the {axis} axis")
+    return complex(mants[1, -1]), float(logs[1, -1])
 
 
 def _gamma_t_integral(ev: SecularEvaluator, t: float, weight, k0: int = 0) -> complex:
@@ -182,11 +185,10 @@ def _finite_t(ev: SecularEvaluator, t_abs: float) -> DeterminantReport:
         raise ValueError("t_abs must be positive")
     if ev.k0 != 0:
         raise KernelPresentError("finite-t route needs a trivial kernel")
-    _assert_no_root_below(ev, t_abs)
+    # F(it) / (C sgn) = ratio * exp(log_scale), kept apart so that large t R cannot overflow
+    mant, log_scale = _scan_below(ev, t_abs)
     spec, cv = ev.spec, ev.cv
     sgn = (-1.0) ** (spec.q0 - cv.j0)
-    # F(it) / (C sgn) = ratio * exp(log_scale), kept apart so that large t R cannot overflow
-    mant, log_scale = ev.scaled(1j * t_abs)
     ratio = mant / (ev.model.c * sgn)
     if cv.j0 != spec.q0:
         # log-singular case: track the modulus, as in the closed form
@@ -243,14 +245,12 @@ def _regularized(ev: SecularEvaluator) -> DeterminantReport:
         raise NumericalError(
             "nonzero kernel with j0 != q0 is outside the supported regime"
         )
-    hs, vs = [], []
-    for mu in _RICHARDSON_PROBES:
-        v = ev.value(mu) / mu ** (2 * k0)
+    mus = np.array(_RICHARDSON_PROBES)
+    vs = ev.value(mus) / mus ** (2 * k0)
+    for mu, v in zip(_RICHARDSON_PROBES, vs.tolist()):
         if abs(v.imag) > _REAL_TOL * (1.0 + abs(v)):
             raise NumericalError(f"F~({mu}) is not real: {v!r}")
-        hs.append(mu * mu)
-        vs.append(v.real)
-    f_tilde_0, prev = neville_at_zero(hs, vs)
+    f_tilde_0, prev = neville_at_zero((mus * mus).tolist(), vs.real.tolist())
     if abs(f_tilde_0 - prev) > _RICHARDSON_RTOL * max(abs(f_tilde_0), 1e-300):
         raise NumericalError(
             f"Richardson extrapolation unstable: {f_tilde_0!r} vs {prev!r}"
@@ -351,7 +351,7 @@ def _zeta_contour(
     ev: SecularEvaluator, s: float, t_abs: float, x_cut: float
 ) -> tuple[float, float]:
     k0, cv, model = ev.k0, ev.cv, ev.model
-    _assert_no_root_below(ev, t_abs)
+    _scan_below(ev, t_abs)
 
     def ray_integrand(x: np.ndarray) -> np.ndarray:
         # x^(-2s) d/dx log F~(ix), with d/dx log F(ix) = Re(i dlog F(ix))

@@ -23,9 +23,10 @@ solution trace sqrt(R) * T(R).  The lower rows carry the factor
 exp(-|Im mu R|) of the exponentially scaled Bessel kernel, so entries
 stay finite on contours where F grows like exp(q |Im mu| R); `scaled`
 returns a mantissa and a real log-scale with F = mantissa *
-exp(log_scale), the log-scale adding q |Im mu R| back.  `scaled` takes
-a scalar or an ndarray of mu; `dlog` evaluates F'/F over arrays by
-Jacobi's formula from the analytic mu-derivatives of the rows.
+exp(log_scale), the log-scale adding q |Im mu R| back.  `scaled` and
+`dlog` are evaluated over ndarrays of mu (a scalar mu is a one-element
+array); `dlog` gives F'/F by Jacobi's formula from the analytic
+mu-derivatives of the rows.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ._numutil import NumericalError, gauss_legendre
 from .operators import (
@@ -49,10 +49,7 @@ from .operators import (
 )
 from .special import (
     EULER_GAMMA,
-    NormalizedBessel,
     bessel_jm0_rows,
-    bessel_jm0_series,
-    bessel_jm0_series_dx,
     gamma_fn,
     phi_rows,
     series_table,
@@ -65,6 +62,8 @@ _KERNEL_TOL = 1e-8  # |F(0)| below this share of max |F| at mu = 0.3, 0.7, 1.1 i
 _KERNEL_PROBES = (1e-1, 10.0**-1.5, 1e-2)
 _LOG_MAX = math.log(sys.float_info.max)
 _ROOT_RESIDUAL_TOL = 1e-10
+_ROOT_XTOL, _ROOT_RTOL = 1e-13, 4.0 * sys.float_info.epsilon
+_MAX_ROUNDS = 100  # accepted Newton steps halve every two rounds: about 80 suffice
 
 
 class SpectrumCertificationError(NumericalError):
@@ -92,19 +91,15 @@ class Spectrum:
 
 def _trace(s, g, phi, dphi, mu, r: float):
     """T and T_x at x = r of the branch T = g x^s phi_s(mu x), g = Gamma(1 + s) R^s,
-    from the scaled phi_s(w) and phi_s'(w); scalars or broadcasting arrays."""
+    from the scaled phi_s(w) and phi_s'(w) (broadcasting arrays)."""
     return g * phi, g * (s / r * phi + mu * dphi)
 
 
-def _right_half(mu):
-    """mu as complex (scalar or ndarray) reflected into Re mu >= 0, and the reflection mask."""
-    if isinstance(mu, np.ndarray):
-        mu = mu.astype(complex)
-        flip = mu.real < 0.0
-        return np.where(flip, -mu, mu), flip
-    mu = complex(mu)
+def _right_half(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """mu as complex, reflected into Re mu >= 0, and the reflection mask."""
+    mu = mu.astype(complex)
     flip = mu.real < 0.0
-    return (-mu if flip else mu), flip
+    return np.where(flip, -mu, mu), flip
 
 
 class SecularEvaluator:
@@ -113,9 +108,10 @@ class SecularEvaluator:
     Construction validates the tip condition.  The characteristic
     values `cv`, the asymptotic model `model` and the kernel order `k0`
     are worked out on first use and kept, so every route of one request
-    reads the same decision.  :meth:`scaled` and :meth:`value` take a
-    scalar mu (and return Python scalars) or an ndarray (and keep its
-    shape); :meth:`dlog` is computed over arrays.
+    reads the same decision; F(0), the first probe of `k0`, is kept as
+    `f0`.  :meth:`scaled`, :meth:`value` and :meth:`dlog` are computed
+    over an ndarray mu and keep its shape; a scalar mu is evaluated as a
+    one-element array and comes back as Python scalars.
     """
 
     def __init__(self, spec: OperatorSpec):
@@ -136,16 +132,12 @@ class SecularEvaluator:
         # channel; each distinct order has one kernel, 0 first when q0 > 0
         branch_s = list(spec.nus) + [-nu for nu in spec.nus[spec.q0 :]]
         orders = list(dict.fromkeys(branch_s))
-        self._kernels = [NormalizedBessel(s) for s in orders]
         self._orders = np.array(orders)
-        self._table = series_table(self._kernels)
-        # per branch: its kernel row, s and Gamma(1 + s) R^s (Python floats for the scalar path)
-        self._branches = [
-            (orders.index(s), s, gamma_fn(1.0 + s) * spec.r**s) for s in branch_s
-        ]
-        self._branch_rows = np.array([b[0] for b in self._branches], dtype=int)
-        self._branch_s = np.array([b[1] for b in self._branches])
-        self._branch_g = np.array([b[2] for b in self._branches])
+        self._table = series_table(orders)
+        # per branch: its kernel row, s and Gamma(1 + s) R^s
+        self._branch_rows = np.array([orders.index(s) for s in branch_s], dtype=int)
+        self._branch_s = np.array(branch_s)
+        self._branch_g = np.array([gamma_fn(1.0 + s) * spec.r**s for s in branch_s])
         self._top = np.hstack([spec.boundary.a_mat, spec.boundary.b_mat])
         if self.q == 1:  # the top row, normalized (validation makes it nonzero)
             a, b = complex(self._top[0, 0]), complex(self._top[0, 1])
@@ -162,6 +154,16 @@ class SecularEvaluator:
         return AsymptoticModel.from_spec(self.spec, self.cv)
 
     @cached_property
+    def _probes(self) -> np.ndarray:
+        """F at 0, at the scale points 0.3, 0.7, 1.1 and at the kernel probes: one array call."""
+        return self.value(np.array((0.0, 0.3, 0.7, 1.1) + _KERNEL_PROBES))
+
+    @cached_property
+    def f0(self) -> complex:
+        """F(0), the first probe of :attr:`k0`."""
+        return complex(self._probes[0])
+
+    @cached_property
     def k0(self) -> int:
         """Order of the zero of F at mu=0 in the variable mu^2.
 
@@ -169,8 +171,7 @@ class SecularEvaluator:
         log-log fit through the probe points and cross-checked on both
         probe pairs.
         """
-        probes = np.array((0.0, 0.3, 0.7, 1.1) + _KERNEL_PROBES)
-        f0, *mags = np.abs(self.value(probes)).tolist()
+        f0, *mags = np.abs(self._probes).tolist()
         scale = max(mags[:3] + [f0])
         if scale == 0.0:
             raise KernelOrderError("secular determinant vanishes at all probe points")
@@ -198,31 +199,17 @@ class SecularEvaluator:
             return self.sqrt_r * t
         return self.kappa * t + self.sqrt_r * t_x
 
-    def _traces(self, mu, deriv: bool = False) -> tuple:
-        """Diagonal entries (jp, jm) of the lower blocks, Re mu >= 0.
+    def _traces(self, mu: np.ndarray, deriv: bool = False) -> tuple[np.ndarray, ...]:
+        """Diagonal entries (jp, jm) of the lower blocks, Re mu >= 0, shaped (q,) + mu.shape.
 
-        mu is a scalar (lists of q entries come back) or an ndarray
-        (arrays of shape (q,) + mu.shape).  With ``deriv`` (ndarray mu
-        only) their mu-derivatives (djp, djm) follow.  Each branch
-        carries its trace T, T_x and the mu-derivatives T_mu, T_xmu; for
+        Every branch comes from one :func:`phi_rows` pass.  With ``deriv``
+        their mu-derivatives (djp, djm) follow.  Each branch carries its
+        trace T, T_x and the mu-derivatives T_mu, T_xmu; for
         phi_s(w) = (w/2)^(-s) J_s(w) with w phi'' + (2s + 1) phi' + w phi = 0,
         T = g R^s phi_s(w) gives T_mu = g R^(s+1) phi_s'(w) and
         T_xmu = -g R^s (s phi_s'(w) + w phi_s(w)).  The companion C has
         C_xmu = -mu R C + J_1(w), and J_1(w) = -phi_0'(w).
         """
-        if isinstance(mu, np.ndarray):
-            return self._stacked_traces(mu, deriv)
-        r, q = self.r, self.q
-        w = mu * r
-        kernels = [(nb.value(w), nb.deriv(w)) for nb in self._kernels]
-        rows = [self._row(*_trace(s, g, *kernels[k], mu, r)) for k, s, g in self._branches]
-        jm = rows[q:]
-        if self.q0:  # the companion rows come first in jm
-            jm = [self._row(bessel_jm0_series(mu, r), bessel_jm0_series_dx(mu, r))] * self.q0 + jm
-        return rows[:q], jm
-
-    def _stacked_traces(self, mu: np.ndarray, deriv: bool) -> tuple[np.ndarray, ...]:
-        """:meth:`_traces` over an ndarray mu: every branch from one :func:`phi_rows` pass."""
         r, q = self.r, self.q
         w = mu * r
         val, der = phi_rows(self._orders, self._table, w)
@@ -256,48 +243,43 @@ class SecularEvaluator:
 
     def matrix(self, mu: complex) -> np.ndarray:
         """The 2q x 2q matrix, lower rows times exp(-|Im mu R|) (exact for real mu)."""
-        mu, _ = _right_half(mu)  # F is even; keep arguments in the right half-plane
+        mu, _ = _right_half(np.array([mu]))  # F is even; keep arguments in the right half-plane
         jp, jm = self._traces(mu)
-        return self._stack(jp, jm, self._top)
+        return self._stack(jp, jm, self._top)[0]
 
     def value(self, mu):
         """F(mu); raises NumericalError where |F| leaves the float range."""
+        if not isinstance(mu, np.ndarray):
+            return complex(self.value(np.array([mu]))[0])
         mant, logs = self.scaled(mu)
         if np.max(logs) > _LOG_MAX:
             raise NumericalError(
                 f"|F(mu)| exceeds the float range (log-scale {np.max(logs):.1f}); "
                 "use the scaled form"
             )
-        if isinstance(mant, np.ndarray):
-            return mant * np.exp(logs)
-        return mant * math.exp(logs)
+        return mant * np.exp(logs)
 
     def scaled(self, mu):
-        """F(mu) = mantissa * exp(log_scale), log_scale real.
+        """F(mu) = mantissa * exp(log_scale), log_scale real, over an ndarray mu.
 
-        mu is a scalar (Python scalars come back) or an ndarray (arrays
-        of its shape come back).
+        A scalar mu comes back as a Python complex and float.
         """
+        if not isinstance(mu, np.ndarray):
+            mant, logs = self.scaled(np.array([mu]))
+            return complex(mant[0]), float(logs[0])
         mu, _ = _right_half(mu)
         growth = self.q * self.r * abs(mu.imag)  # each lower row carries exp(-|Im mu R|)
         jp, jm = self._traces(mu)
         if self.q == 1:
             a, b = self._ab
-            num = a * jm[0] - b * jp[0]
-            if not isinstance(mu, np.ndarray):  # Python arithmetic: the root-refinement path
-                scale = max(abs(jp[0]), abs(jm[0])) or 1.0
-                return num / scale, math.log(scale) + self._log_top + growth
             scale = np.maximum(abs(jp[0]), abs(jm[0]))
             scale[scale == 0.0] = 1.0  # a vanishing row: the mantissa is exactly 0
-            return num / scale, np.log(scale) + self._log_top + growth
+            return (a * jm[0] - b * jp[0]) / scale, np.log(scale) + self._log_top + growth
         m = self._stack(jp, jm, self._top)
         scales = np.max(np.abs(m), axis=-1)
         scales[scales == 0.0] = 1.0  # a vanishing row: the determinant is exactly 0
         mant = np.linalg.det(m / scales[..., None])
-        logs = np.sum(np.log(scales), axis=-1) + growth
-        if isinstance(mu, np.ndarray):
-            return mant, logs
-        return complex(mant), float(logs)
+        return mant, np.sum(np.log(scales), axis=-1) + growth
 
     # -- log-derivative -----------------------------------------------------
 
@@ -306,10 +288,18 @@ class SecularEvaluator:
 
         The derivative rows carry the same exp(-|Im mu R|) factor as the
         value rows, so it cancels.  q = 1 is the closed 2 x 2 quotient.
-        A scalar mu is evaluated as a one-element array.
+        A scalar mu is evaluated as a one-element array; mu at a zero of
+        F raises ContourError.
         """
         if not isinstance(mu, np.ndarray):
-            return complex(self.dlog(np.array([mu], dtype=complex))[0])
+            return complex(self.dlog(np.array([mu]))[0])
+        out = self._dlog(mu)
+        if not np.all(np.isfinite(out)):
+            raise ContourError("log-derivative requested at a zero of F")
+        return out
+
+    def _dlog(self, mu: np.ndarray) -> np.ndarray:
+        """:meth:`dlog` over an ndarray mu, left non-finite at the zeros of F."""
         mu, flip = _right_half(mu)
         jp, jm, djp, djm = self._traces(mu, deriv=True)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -325,8 +315,6 @@ class SecularEvaluator:
                 except np.linalg.LinAlgError:
                     sol = np.full(m.shape, np.nan, dtype=complex)
                 out = np.trace(sol, axis1=-2, axis2=-1)
-        if not np.all(np.isfinite(out)):
-            raise ContourError("log-derivative requested at a zero of F")
         return np.where(flip, -out, out)  # F is even, dlog F odd
 
     def log_value(self, mu: complex) -> complex:
@@ -348,7 +336,7 @@ def eval_F(spec: OperatorSpec, mu: complex) -> complex:
 
 def eval_F_at_zero(spec: OperatorSpec) -> float | complex:
     """F(0); for real tip matrices this is real and matches the closed matrix limit."""
-    val = SecularEvaluator(spec).value(0.0)
+    val = SecularEvaluator(spec).f0
     if abs(val.imag) > _REAL_RESIDUE_TOL * (1.0 + abs(val)):
         return val  # complex tip matrices: hand back the full value
     return val.real
@@ -446,38 +434,32 @@ def _real_samples(
     return mants.real, logs
 
 
-def _objective(ev: SecularEvaluator, axis: str, log_a: float):
-    """t -> F(t) exp(-log_a) on the axis: a positive multiple of F, finite near the scale log_a."""
-
-    def f(t: float) -> float:
-        mant, log_scale = ev.scaled(1j * t if axis == "imag" else t)
-        return mant.real * math.exp(log_scale - log_a)
-
-    return f
-
-
 def _brackets(
     ev: SecularEvaluator, lo: float, hi: float, res: float, axis: str, origin: bool
-) -> list[tuple[float, float, float, float]]:
+) -> list[tuple[float, float, float, float, float]]:
     """Sign changes of F on a grid of spacing <= res over [lo, hi], from one batched scan.
 
     With ``origin`` the grid starts at mu = 0 before lo.  Each bracket
-    is (a, b, log_a, local): the :func:`_objective` scaled at a changes
-    sign on [a, b], and local is the larger of its end values.
+    is (a, b, log_a, fa, fb): F exp(-log_a) on the axis, a positive
+    multiple of F that is finite near the scale log_a, takes the values
+    fa and fb of opposite signs at a and b.  A sample that is exactly 0
+    is replaced by one just above it; those samples are one more call.
     """
     n = max(2, int(math.ceil((hi - lo) / res)) + 1)
     grid = np.linspace(lo, hi, n)
     if origin:
         grid = np.concatenate(([0.0], grid))
     mants, logs = _real_samples(ev, grid, axis)
-    out = []
-    for i in np.flatnonzero(mants[:-1] * mants[1:] <= 0.0):
-        a, log_a = grid[i], logs[i]
-        fa = mants[i] or _objective(ev, axis, log_a)(a + 1e-12 * max(1.0, a))
-        fb = mants[i + 1] * math.exp(logs[i + 1] - log_a)
-        if fa * fb < 0.0:
-            out.append((a, grid[i + 1], log_a, max(abs(fa), abs(fb))))
-    return out
+    idx = np.flatnonzero(mants[:-1] * mants[1:] <= 0.0)
+    fa, log_a = mants[idx], logs[idx]
+    zero = fa == 0.0
+    if zero.any():
+        a = grid[idx[zero]]
+        m, l = _real_samples(ev, a + 1e-12 * np.maximum(1.0, a), axis)
+        fa[zero] = m * np.exp(l - log_a[zero])
+    fb = mants[idx + 1] * np.exp(logs[idx + 1] - log_a)
+    keep = fa * fb < 0.0
+    return list(zip(*(v[keep].tolist() for v in (grid[idx], grid[idx + 1], log_a, fa, fb))))
 
 
 def _same_brackets(coarse: list[tuple], fine: list[tuple]) -> bool:
@@ -488,17 +470,70 @@ def _same_brackets(coarse: list[tuple], fine: list[tuple]) -> bool:
 
 
 def _refine(ev: SecularEvaluator, brackets: list[tuple], axis: str) -> list[float]:
-    """One brentq root per bracket, with a residual check."""
-    roots = []
-    for a, b, log_a, local in brackets:
-        f = _objective(ev, axis, log_a)
-        root = brentq(f, a, b, xtol=1e-13, rtol=4.0 * np.finfo(float).eps, maxiter=200)
-        if abs(f(root)) > _ROOT_RESIDUAL_TOL * local:
-            raise SpectrumCertificationError(
-                f"refined root at {root} has residual above tolerance"
-            )
-        roots.append(float(root))
-    return roots
+    """The root in each bracket of :func:`_brackets`, all refined together.
+
+    Safeguarded Newton (``rtsafe``) over the array of roots still
+    active: each round is one :meth:`~SecularEvaluator.scaled` call,
+    whose mantissa signs shrink every bracket, and one dlog F call
+    (:meth:`~SecularEvaluator._dlog`) for the Newton steps of the real
+    function Re F(unit x), unit = 1 on the real axis and i on the
+    imaginary one.  With m the mantissa, the step is
+    Re m / Re(unit m dlog F).  That is 1/Re(unit dlog F) where F is
+    real, and it stays accurate next to a root, where the rounding
+    residue Im m outweighs Re m and dlog F is mostly imaginary.  A step
+    that leaves its bracket, that is not at most half the step two
+    rounds before, or that is not finite becomes a bisection.  A root
+    stops when its step or its bracket width is at most
+    1e-13 + 4 eps |x|, or when F is exactly 0 there.  Each root must
+    then leave a residual |F exp(-log_a)| of at most
+    ``_ROOT_RESIDUAL_TOL`` times the larger end value of its bracket.
+    """
+    if not brackets:
+        return []
+    unit = 1j if axis == "imag" else 1.0
+    lo, hi, log_a, fa, fb = (np.array(v) for v in zip(*brackets))
+    sign_lo = np.sign(fa)
+    x = lo - fa * (hi - lo) / (fb - fa)  # false position: inside the bracket
+    step = hi - lo  # |step| of the last round and of the round before
+    before = step.copy()
+    active = np.ones(len(x), dtype=bool)
+    for _ in range(_MAX_ROUNDS):
+        act = np.flatnonzero(active)
+        if act.size == 0:
+            break
+        xa = x[act]
+        mant = ev.scaled(unit * xa)[0]
+        f = mant.real
+        above = f * sign_lo[act] > 0.0  # the sign of the lower end: the root lies above
+        lo[act[above]] = xa[above]
+        hi[act[~above]] = xa[~above]
+        newton = np.full(act.size, np.nan)
+        live = f != 0.0
+        if live.any():
+            slope = (unit * mant[live] * ev._dlog(unit * xa[live])).real
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton[live] = np.where(np.isfinite(slope), f[live] / slope, np.nan)
+        lo_a, hi_a = lo[act], hi[act]
+        x_new = xa - newton
+        ok = (lo_a <= x_new) & (x_new <= hi_a) & (2.0 * np.abs(newton) <= before[act])
+        x_next = np.where(ok, x_new, 0.5 * (lo_a + hi_a))
+        dx = np.where(ok, np.abs(newton), 0.5 * (hi_a - lo_a))
+        before[act], step[act] = step[act], dx
+        tol = _ROOT_XTOL + _ROOT_RTOL * np.abs(x_next)
+        x[act] = np.where(live, x_next, xa)
+        active[act] = live & (dx > tol) & (hi_a - lo_a > tol)
+    if active.any():
+        raise SpectrumCertificationError(
+            f"root refinement did not converge in {_MAX_ROUNDS} rounds"
+        )
+    mants, logs = ev.scaled(unit * x)
+    residual = np.abs(mants.real * np.exp(logs - log_a))
+    bad = residual > _ROOT_RESIDUAL_TOL * np.maximum(np.abs(fa), np.abs(fb))
+    if bad.any():
+        raise SpectrumCertificationError(
+            f"refined root at {x[bad][0]} has residual above tolerance"
+        )
+    return x.tolist()
 
 
 def _imag_scan_bound(ev: SecularEvaluator) -> float:
@@ -508,15 +543,17 @@ def _imag_scan_bound(ev: SecularEvaluator) -> float:
     literal fixed-ratio criterion, so the certificate is model dominance:
     at three increasing heights the measured log F(ix) stays within log 2
     of the model and |F| grows.  Finitely many imaginary zeros exist, so
-    the doubling search terminates.
+    the doubling search terminates.  Each step is one array call.
     """
     x_hi = 12.0
     while x_hi <= 220.0:
-        checks = [0.8 * x_hi, 0.9 * x_hi, x_hi]
-        logs = [ev.log_value(1j * x).real for x in checks]
-        models = [ev.model.log_value(x).real for x in checks]
-        close = all(abs(lv - mv) < math.log(2.0) for lv, mv in zip(logs, models))
-        growing = logs[0] < logs[1] < logs[2]
+        checks = np.array([0.8, 0.9, 1.0]) * x_hi
+        mants, logs = ev.scaled(1j * checks)
+        with np.errstate(divide="ignore"):  # a zero of F reads -inf and fails the test
+            measured = np.log(np.abs(mants)) + logs
+        models = [ev.model.log_value(x).real for x in checks.tolist()]
+        close = all(abs(lv - mv) < math.log(2.0) for lv, mv in zip(measured, models))
+        growing = measured[0] < measured[1] < measured[2]
         if close and growing:
             return x_hi
         x_hi *= 1.6
@@ -535,10 +572,14 @@ def find_spectrum(
     The scans start at mu = 0 when F(0) != 0 (no kernel).  The sign
     changes of a grid scan are certified when a rescan at half
     the spacing finds as many, each overlapping its partner (up to three
-    halvings on the real axis, one on the imaginary axis); the brackets
-    of the coarser grid of that pair are then refined once each.  Simple
-    zeros are assumed; a persistent mismatch raises
-    :class:`SpectrumCertificationError`.
+    halvings on the real axis, one on the imaginary axis).  The brackets
+    of the coarser grid of that pair are then refined together, one axis
+    at a time, by the batched safeguarded Newton iteration of
+    :func:`_refine`: each round is one array evaluation of F and one of
+    dlog F over the roots still active, a root stops when its step or
+    bracket is below 1e-13 + 4 eps |x|, and every root must pass a
+    residual check.  Simple zeros are assumed; a persistent mismatch
+    raises :class:`SpectrumCertificationError`.
     """
     if mu_max <= 0.0:
         raise ValueError("mu_max must be positive")

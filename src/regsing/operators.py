@@ -241,23 +241,23 @@ def characteristic_values(spec: OperatorSpec) -> CharacteristicValues:
     nus = spec.nus
     taus = [tau_factor(nus[l]) if l >= q0 else None for l in range(q)]
 
+    subsets = [sub for size in range(q + 1) for sub in combinations(range(q), size)]
+    # one stacked determinant over the 2^q column choices: column l from b when l is in S
+    picks = np.array([[l in sub for l in range(q)] for sub in subsets], dtype=bool)
+    dets = np.linalg.det(np.where(picks.reshape(len(subsets), 1, q), b, a)).tolist()
+
     monomials: list[tuple[int, float, complex]] = []
-    for size in range(q + 1):
-        for subset in combinations(range(q), size):
-            cols = []
-            for l in range(q):
-                cols.append(b[:, l] if l in subset else a[:, l])
-            det = complex(np.linalg.det(np.column_stack(cols))) if q else 1.0 + 0j
-            coeff = det * (-1.0) ** size
-            j = 0
-            alpha = 0.0
-            for l in subset:
-                if l < q0:
-                    j += 1
-                else:
-                    alpha += nus[l]
-                    coeff *= taus[l]
-            monomials.append((j, alpha, coeff))
+    for subset, det in zip(subsets, dets):
+        coeff = complex(det) * (-1.0) ** len(subset)
+        j = 0
+        alpha = 0.0
+        for l in subset:
+            if l < q0:
+                j += 1
+            else:
+                alpha += nus[l]
+                coeff *= taus[l]
+        monomials.append((j, alpha, coeff))
 
     # merge equal (j, alpha) cells
     merged: list[tuple[int, float, complex]] = []

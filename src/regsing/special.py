@@ -1,11 +1,11 @@
 """Special-function kernel: Bessel functions and Gamma.
 
-Everything here is pure and reentrant.  The public functions are
-scalar; the row building blocks also have a stacked ndarray entry point
-(:func:`phi_rows`, :func:`bessel_jm0_rows`) that evaluates every order
-of an operator over a whole array of arguments in one pass: one matrix
-product for all the series and one ``jve`` call per order shift.  The engine
-needs
+Everything here is pure and reentrant.  The row building blocks are
+stacked ndarray entry points (:func:`phi_rows`, :func:`bessel_jm0_rows`)
+that evaluate every order of an operator over a whole array of
+arguments in one pass: one matrix product for all the series and one
+``jve`` call per order shift.  The other public functions are scalar.
+The engine needs
 
 * ``J_nu(z)`` for real order ``nu`` and complex argument ``z`` (secular
   determinants are evaluated on contours in the right half-plane and on
@@ -26,9 +26,9 @@ Evaluation strategy (argument ``w``):
   the companion cancel; the terms fall fast enough that the series is
   accurate to a few units in the last place.
 
-The row building blocks (:class:`NormalizedBessel`,
-:func:`bessel_jm0_series`, :func:`bessel_jm0_series_dx`) are
-exponentially scaled: they return their value times ``exp(-|Im w|)``
+The row building blocks (:func:`phi_rows`, :func:`bessel_jm0_rows` and
+their scalar forms :func:`bessel_jm0_series`, :func:`bessel_jm0_series_dx`)
+are exponentially scaled: they return their value times ``exp(-|Im w|)``
 (``jve``/``yve`` outside the disk), so the ``exp(|Im w|)`` growth on the
 imaginary axis never overflows.  For real arguments the factor is 1.
 ``bessel_j``, ``bessel_y`` and their derivatives are unscaled.
@@ -40,7 +40,6 @@ cancel.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -140,19 +139,6 @@ def bessel_y_deriv(nu: float, x: float) -> float:
 # Inside the unit disk both are summed as polynomials in u = (w/2)^2.
 # ---------------------------------------------------------------------------
 
-def _horner(coeffs: tuple[float, ...], u):
-    """sum_k coeffs[k] u^k for a scalar u."""
-    acc = 0.0j
-    for c in reversed(coeffs):
-        acc = acc * u + c
-    return acc
-
-
-def _scaled_series(coeffs: tuple[float, ...], w: complex) -> complex:
-    """exp(-|Im w|) * sum_k coeffs[k] u^k with u = (w/2)^2 (Horner)."""
-    return _horner(coeffs, (0.5 * w) ** 2) * math.exp(-abs(w.imag))
-
-
 def _phi_coeffs(order: float) -> tuple[float, ...]:
     # c_k = (-1)^k / (k! Gamma(order + k + 1)), by the ratio recurrence
     c = [1.0 / gamma_fn(order + 1.0)]
@@ -166,44 +152,17 @@ def _deriv_coeffs(c: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(k * ck for k, ck in enumerate(c))[1:]
 
 
-class NormalizedBessel:
-    """exp(-|Im w|) phi_nu(w), phi_nu(w) = (w/2)^(-nu) J_nu(w), and its w-derivative.
-
-    phi_nu is entire in w, even, with real coefficients.  Power series
-    inside the unit disk, ``jve`` outside (callers keep Re w >= 0).
-    The derivative uses phi_nu'(w) = -(w/2)^(-nu) J_{nu+1}(w).
-    """
-
-    __slots__ = ("order", "_val", "_der")
-
-    def __init__(self, order: float):
-        self.order = float(order)
-        self._val = _phi_coeffs(self.order)
-        self._der = _deriv_coeffs(self._val)
-
-    def value(self, w: complex) -> complex:
-        w = complex(w)
-        if abs(w) <= _SERIES_RADIUS:
-            return _scaled_series(self._val, w)
-        return (0.5 * w) ** (-self.order) * complex(sc.jve(self.order, w))
-
-    def deriv(self, w: complex) -> complex:
-        w = complex(w)
-        if abs(w) <= _SERIES_RADIUS:
-            return 0.5 * w * _scaled_series(self._der, w)
-        return -((0.5 * w) ** (-self.order)) * complex(sc.jve(self.order + 1.0, w))
-
-
 def _power_table(rows: list[tuple[float, ...]]) -> np.ndarray:
     """Series coefficients as table rows, highest power first (the column
     order of ``np.vander``), zero-padded to _SERIES_TERMS."""
     return np.array([(0.0,) * (_SERIES_TERMS - len(c)) + c[::-1] for c in rows])
 
 
-def series_table(kernels: list[NormalizedBessel]) -> np.ndarray:
-    """The (2m, 14) series table of m kernels for :func:`phi_rows`: their
-    value rows, then their derivative rows."""
-    return _power_table([nb._val for nb in kernels] + [nb._der for nb in kernels])
+def series_table(orders) -> np.ndarray:
+    """The (2m, 14) series table of m orders for :func:`phi_rows`: the
+    series of each phi_s, then those of each phi_s'(w) / (w/2)."""
+    vals = [_phi_coeffs(float(s)) for s in orders]
+    return _power_table(vals + [_deriv_coeffs(c) for c in vals])
 
 
 def _series(table: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -215,12 +174,15 @@ def _series(table: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def phi_rows(s: np.ndarray, table: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:meth:`NormalizedBessel.value` and :meth:`~NormalizedBessel.deriv`
-    of every order s[i] at every entry of an ndarray w, shaped (m,) + w.shape.
+    """exp(-|Im w|) phi_s(w), phi_s(w) = (w/2)^(-s) J_s(w), and its
+    w-derivative, for every order s[i] at every entry of an ndarray w,
+    shaped (m,) + w.shape.
 
-    ``table`` is :func:`series_table` of the kernels of the orders s.
-    Inside the unit disk one matrix product sums every series; outside,
-    one ``jve`` call per order shift takes all orders at once.
+    phi_s is entire in w, even, with real coefficients, and
+    phi_s'(w) = -(w/2)^(-s) J_{s+1}(w).  ``table`` is :func:`series_table`
+    of the orders s.  Inside the unit disk one matrix product sums every
+    series; outside, one ``jve`` call per order shift takes all orders
+    at once (callers keep Re w >= 0).
     """
     m = len(s)
     val = np.empty((m,) + w.shape, dtype=complex)
@@ -253,10 +215,9 @@ def _psi_coeffs() -> tuple[float, ...]:
 
 
 _PSI = _psi_coeffs()
-_PSI_D = _deriv_coeffs(_PSI)  # psi'(w) = (w/2) sum_k _PSI_D[k] u^k
-_PHI0 = _phi_coeffs(0.0)
-_PHI1 = _phi_coeffs(1.0)
-_PSI_TABLE = _power_table([_PSI, _PSI_D])  # psi and psi'/(w/2) for _series
+_PSI_TABLE = _power_table([_PSI, _deriv_coeffs(_PSI)])  # psi and psi'/(w/2) for _series
+_ORDER0 = np.zeros(1)
+_PHI0_TABLE = series_table(_ORDER0)
 
 
 def bessel_jm0(mu: float, x: float) -> float:
@@ -276,14 +237,12 @@ def bessel_jm0(mu: float, x: float) -> float:
     )
 
 
-def _companion_args(mu: complex, x: float, name: str) -> tuple[complex, float]:
-    x = float(x)
-    if not (x > 0.0):
-        raise SpecialFunctionDomainError(f"{name}: need x > 0")
+def _companion(mu: complex, x: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`bessel_jm0_rows` at one mu, as one-element arrays."""
     mu = complex(mu)
-    if mu.real < 0.0:
-        mu = -mu  # even in mu; keep Amos's branch cut off arg w = pi
-    return mu, x
+    mu = np.array([-mu if mu.real < 0.0 else mu])  # even in mu; keep Amos's cut off arg w = pi
+    val, der = phi_rows(_ORDER0, _PHI0_TABLE, mu * x)
+    return bessel_jm0_rows(mu, x, val[0], der[0])
 
 
 def bessel_jm0_series(mu: complex, x: float) -> complex:
@@ -293,27 +252,12 @@ def bessel_jm0_series(mu: complex, x: float) -> complex:
     factor is 1) and extends to complex mu as an even function of mu
     (the log mu dependence of the unscaled form cancels identically).
     """
-    mu, x = _companion_args(mu, x, "bessel_jm0_series")
-    w = mu * x
-    if abs(w) <= _SERIES_RADIUS:
-        return math.log(x) * _scaled_series(_PHI0, w) - _scaled_series(_PSI, w)
-    c = cmath.log(mu) - math.log(2.0) + EULER_GAMMA
-    return 0.5 * math.pi * complex(sc.yve(0.0, w)) - c * complex(sc.jve(0.0, w))
+    return complex(_companion(mu, x)[0][0])
 
 
 def bessel_jm0_series_dx(mu: complex, x: float) -> complex:
     """d/dx of the entire form of :func:`bessel_jm0_series`, scaled by exp(-|Im mu x|)."""
-    mu, x = _companion_args(mu, x, "bessel_jm0_series_dx")
-    w = mu * x
-    if abs(w) <= _SERIES_RADIUS:
-        half = 0.5 * w
-        return (
-            _scaled_series(_PHI0, w) / x
-            - math.log(x) * mu * half * _scaled_series(_PHI1, w)
-            - mu * half * _scaled_series(_PSI_D, w)
-        )
-    c = cmath.log(mu) - math.log(2.0) + EULER_GAMMA
-    return mu * (-0.5 * math.pi * complex(sc.yve(1.0, w)) + c * complex(sc.jve(1.0, w)))
+    return complex(_companion(mu, x)[1][0])
 
 
 def bessel_jm0_rows(

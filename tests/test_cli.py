@@ -268,11 +268,21 @@ class TestOtherCommands:
         assert "0.66666666666" in out
 
 
-def test_cli_import_does_not_load_scipy_integrate():
-    # quadrature is Gauss-Legendre on scipy.special nodes; scipy.integrate costs ~0.5 s of import
-    code = "import sys, regsing.cli; print('scipy.integrate' in sys.modules)"
+def _loaded_by_cli_import(module: str) -> bool:
+    """Whether a fresh ``import regsing.cli`` puts the module in sys.modules."""
+    code = f"import regsing.cli, sys; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(regsing.__file__).resolve().parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_does_not_load_scipy_integrate():
+    # quadrature is Gauss-Legendre on scipy.special nodes; scipy.integrate costs ~0.5 s of import
+    assert not _loaded_by_cli_import("scipy.integrate")
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    # roots are refined by the batched Newton iteration; scipy.optimize costs ~0.15 s of import
+    assert not _loaded_by_cli_import("scipy.optimize")

@@ -2,12 +2,14 @@
 
 import cmath
 import math
+from collections import Counter
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.special import iv, ivp, jv, jvp
 
 from regsing import eigenfunction
@@ -257,6 +259,142 @@ def test_dlog_is_odd_and_takes_scalars(diagonal_pair):
     assert ev.dlog(complex(mu[0])) == ev.dlog(mu)[0]
 
 
+def _count_calls(monkeypatch) -> Counter:
+    """Count SecularEvaluator.scaled and ._dlog (every dlog F) calls from now on."""
+    calls = Counter()
+    for name in ("scaled", "_dlog"):
+        method = getattr(SecularEvaluator, name)
+
+        def counted(self, *args, _method=method, _name=name, **kwargs):
+            calls[_name] += 1
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(SecularEvaluator, name, counted)
+    return calls
+
+
+def _channel_roots(nu: float, bc, tip: str, r: float, mu_max: float, axis: str) -> list[float]:
+    """Zeros of one channel's boundary condition at x = r on sqrt(x) J_{+-nu}(mu x)
+    (or I_{+-nu}(t x) on the imaginary axis), from scipy and brentq."""
+    s = nu if tip == "regular" else -nu
+    bessel, deriv = (jv, jvp) if axis == "real" else (iv, ivp)
+
+    def cond(m):
+        if isinstance(bc, Dirichlet):
+            return bessel(s, m * r)
+        return (0.5 / r + bc.alpha) * bessel(s, m * r) + m * deriv(s, m * r)
+
+    grid = np.linspace(1e-3, mu_max, 40001)
+    vals = cond(grid)
+    return [
+        brentq(cond, grid[i], grid[i + 1], xtol=1e-15, rtol=4 * np.finfo(float).eps)
+        for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    ]
+
+
+ORACLE_CHANNELS = {  # channels (nu, tip), end condition, R, mu_max
+    "q1": ([(0.3, "regular")], Robin(0.5), 1.0, 40.0),
+    "q2 negative": ([(0.5, "regular"), (0.2, "singular")], Robin(-2.0), 1.0, 30.0),
+    "q4 dirichlet": (
+        [(0.0, "regular"), (0.4, "regular"), (0.4, "singular"), (0.7, "regular")],
+        Dirichlet(),
+        1.0,
+        100.0,
+    ),
+    # an iterate lands within rounding of the root at 3.3421, where the
+    # mantissa's imaginary residue outweighs its real part
+    "q4 robin": (
+        [(0.875, "singular"), (0.6964285714285714, "regular"),
+         (0.5178571428571429, "regular"), (0.3392857142857143, "singular")],
+        Robin(1.5892857142857144 / 1.7696126940446328),
+        1.7696126940446328,
+        13.31474676985402,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CHANNELS))
+def test_spectrum_matches_per_channel_oracle(name, monkeypatch):
+    channels, bc, r, mu_max = ORACLE_CHANNELS[name]
+    spec = diagonal_spec([scalar_spec(nu, bc, tip=tip, r=r) for nu, tip in channels])
+    calls = _count_calls(monkeypatch)
+    sp = find_spectrum(spec, mu_max)
+    assert calls["_dlog"] <= 12  # refinement rounds, both axes together
+    for got, axis, top in ((sp.positive, "real", mu_max), (sp.negative, "imag", 30.0)):
+        want = sorted(x for nu, tip in channels for x in _channel_roots(nu, bc, tip, r, top, axis))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * w
+    if name == "q2 negative":
+        assert len(sp.negative) == 2
+
+
+class _Stub:
+    """Stand-in evaluator for a real function f on the real axis; records each dlog F call."""
+
+    def __init__(self, f, df, bad_dlog_at=None):
+        self.f, self.df, self.bad_dlog_at = f, df, bad_dlog_at
+        self.rounds = []  # the points of each dlog F call
+
+    def scaled(self, mu):
+        return self.f(mu.real).astype(complex), np.zeros(mu.shape)
+
+    def _dlog(self, mu):
+        x = mu.real
+        self.rounds.append(x.tolist())
+        out = self.df(x) / self.f(x)
+        return np.where(x == self.bad_dlog_at, np.nan, out).astype(complex)
+
+
+def _cubic(x):
+    return (x - 1.5) * (x - 4.0) * (x + 0.7)
+
+
+def _cubic_d(x):
+    return (x - 4.0) * (x + 0.7) + (x - 1.5) * (x + 0.7) + (x - 1.5) * (x - 4.0)
+
+
+def _bracket(f, a, b):
+    return (a, b, 0.0, float(f(a)), float(f(b)))
+
+
+def test_refine_iterate_exactly_on_a_zero():
+    # false position puts the first iterate of [1, 2] exactly on 1.5, where F = 0;
+    # that root stops there and never reaches dlog F, the other one goes on
+    ev = _Stub(_cubic, _cubic_d)
+    roots = eigenfunction._refine(ev, [(1.0, 2.0, 0.0, -1.0, 1.0), _bracket(_cubic, 3.0, 5.0)], "real")
+    assert roots[0] == 1.5
+    assert abs(roots[1] - 4.0) <= 1e-13
+    assert len(ev.rounds) > 1 and all(1.5 not in xs for xs in ev.rounds)
+
+
+def test_refine_bisects_where_dlog_is_not_finite():
+    first = 3.0 - _cubic(3.0) * 2.0 / (_cubic(5.0) - _cubic(3.0))  # the false-position start
+    ev = _Stub(_cubic, _cubic_d, bad_dlog_at=first)
+    (root,) = eigenfunction._refine(ev, [_bracket(_cubic, 3.0, 5.0)], "real")
+    assert abs(root - 4.0) <= 1e-13
+    assert ev.rounds[0] == [first] and ev.rounds[1][0] in (0.5 * (3.0 + first), 0.5 * (first + 5.0))
+
+
+def test_refine_bisects_steps_that_leave_the_bracket():
+    # a dlog F of the wrong sign sends every step away from the root and out of
+    # the bracket: the refinement is plain bisection and still converges
+    ev = _Stub(_cubic, lambda x: -_cubic_d(x))
+    (root,) = eigenfunction._refine(ev, [_bracket(_cubic, 3.0, 5.0)], "real")
+    assert abs(root - 4.0) <= 1e-13
+    assert 40 <= len(ev.rounds) <= 50
+
+
+def test_refine_bisects_steps_that_do_not_halve():
+    # near a flat root plain Newton shrinks the step by only 4/5 a round
+    # (13 rounds here); bisecting a step that does not halve in two takes 7
+    f = lambda x: (x - 4.0) ** 5 + 1e-4 * (x - 4.0)  # noqa: E731
+    ev = _Stub(f, lambda x: 5.0 * (x - 4.0) ** 4 + 1e-4)
+    (root,) = eigenfunction._refine(ev, [_bracket(f, 3.0, 5.5)], "real")
+    assert abs(root - 4.0) <= 1e-13
+    assert len(ev.rounds) <= 8
+
+
 class TestSpectrum:
     def test_dirichlet_roots_are_multiples_of_pi(self, dirichlet_half):
         sp = find_spectrum(dirichlet_half, 10.5 * math.pi)
@@ -326,19 +464,17 @@ class TestSpectrum:
         assert len(got) == 1 and other == ()
         assert abs(got[0] - oracle) < 1e-9 * oracle
 
-    def test_each_root_refined_once(self, monkeypatch, diagonal_pair):
-        # rescans only compare brackets; brentq runs once per returned root
-        calls = []
-        brentq = eigenfunction.brentq
-
-        def counted(*args, **kwargs):
-            calls.append(args[1:3])
-            return brentq(*args, **kwargs)
-
-        monkeypatch.setattr(eigenfunction, "brentq", counted)
-        sp = find_spectrum(diagonal_pair, 20.0)
-        assert len(sp.positive) > 5
-        assert len(calls) == len(sp.positive) + len(sp.negative)
+    def test_refinement_rounds_do_not_grow_with_the_roots(self, monkeypatch, diagonal_pair):
+        # every root of an axis is refined in the same array rounds, so about
+        # four times as many roots (13, then 51) take no more F and dlog F calls
+        calls = _count_calls(monkeypatch)
+        found = []
+        for mu_max in (20.0, 80.0):
+            calls.clear()
+            sp = find_spectrum(diagonal_pair, mu_max)
+            found.append(len(sp.positive) + len(sp.negative))
+            assert calls["_dlog"] <= 12 and calls["scaled"] <= 40, dict(calls)
+        assert found[1] >= 3 * found[0] > 10
 
     def test_bracket_certificate(self):
         coarse = [(1.0, 1.4, 0.0, 1.0), (3.0, 3.4, 0.0, 1.0)]

@@ -125,6 +125,22 @@ class TestCharacteristicValues:
         assert joint.j0 == c1.j0 + c2.j0
         assert joint.a0 == pytest.approx(c1.a0 * c2.a0, rel=1e-10)
 
+    def test_expansion_matches_the_polynomial_on_coupled_rows(self):
+        # full (non-diagonal) tip matrices: the monomials must sum to
+        # p(x, y) = det(a - b D), D = diag(x, tau_1 y^(2 nu_1), tau_2 y^(2 nu_2))
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        nus = (0.0, 0.3, 0.7)
+        spec = _spec(a, b, [nu * nu - 0.25 for nu in nus], q0=1)
+        cv = characteristic_values(spec)
+        assert len(cv.coefficients) == 8
+        for x, y in ((0.7, 1.3), (-1.1, 0.4), (2.0, 2.5)):
+            d = np.diag([x] + [tau_factor(nu) * y ** (2.0 * nu) for nu in nus[1:]])
+            want = np.linalg.det(a - b @ d)
+            got = sum(c * x**j * y ** (2.0 * alpha) for j, alpha, c in cv.coefficients)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
     def test_mixed_q0_block(self):
         spec = diagonal_spec(
             [

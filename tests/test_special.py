@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from regsing.special import (
     EULER_GAMMA,
-    NormalizedBessel,
     SpecialFunctionDomainError,
     bessel_j,
     bessel_j_deriv,
@@ -239,38 +238,49 @@ def test_large_arguments_match_mpmath(radius, imag):
 
 @pytest.mark.parametrize("order", [0.3, -0.3, 0.9, -0.9])
 def test_normalized_bessel_continuous_across_series_seam(order):
-    phi = NormalizedBessel(order)
+    s = np.array([order])
     for angle in (0.0, 0.4, 1.1, 0.5 * math.pi):
         unit = complex(math.cos(angle), math.sin(angle))
         inside, outside = (1.0 - 1e-15) * unit, (1.0 + 1e-15) * unit
         assert abs(inside) <= 1.0 < abs(outside)
-        assert abs(phi.value(inside) - phi.value(outside)) <= 1e-14
-        assert abs(phi.deriv(inside) - phi.deriv(outside)) <= 1e-14
+        val, der = phi_rows(s, series_table(s), np.array([inside, outside]))
+        assert abs(val[0, 0] - val[0, 1]) <= 1e-14
+        assert abs(der[0, 0] - der[0, 1]) <= 1e-14
 
 
 @pytest.mark.parametrize("order", [0.3, -0.3, 0.9, -0.9])
 def test_normalized_bessel_at_zero(order):
-    phi = NormalizedBessel(order)
-    assert phi.value(0.0) == 1.0 / gamma_fn(1.0 + order)
-    assert phi.deriv(0.0) == 0.0
+    s = np.array([order])
+    val, der = phi_rows(s, series_table(s), np.zeros(1))
+    assert val[0, 0] == 1.0 / gamma_fn(1.0 + order)
+    assert der[0, 0] == 0.0
 
 
 @pytest.mark.parametrize("where", ["inside", "outside", "both"])
 def test_stacked_rows_match_scalar_kernels(where):
-    # every order of phi_rows, and the companion rows built on its order-0
-    # row, against the scalar kernels; one side of the seam may be empty
+    # every order of phi_rows over a 2 x 4 array, and the companion rows built
+    # on its order-0 row, against one-point calls and against mpmath; one side
+    # of the seam may be empty
     radius = {"inside": [0.2, 0.9], "outside": [1.5, 30.0], "both": [0.6, 4.0]}[where]
     w = np.array([r * np.exp(1j * a) for r in radius for a in (-1.4, -0.3, 0.0, 0.8)])
     w = w.reshape(2, 4)
-    orders = (0.0, 0.3, -0.3, 0.9, -0.9)
-    kernels = [NormalizedBessel(s) for s in orders]
-    val, der = phi_rows(np.array(orders), series_table(kernels), w)
+    orders = np.array((0.0, 0.3, -0.3, 0.9, -0.9))
+    table = series_table(orders)
+    val, der = phi_rows(orders, table, w)
     assert val.shape == der.shape == (5, 2, 4)
-    for k, nb in enumerate(kernels):
-        for i in np.ndindex(w.shape):
-            z = complex(w[i])
-            assert abs(val[k][i] - nb.value(z)) <= 1e-15 * max(1.0, abs(nb.value(z)))
-            assert abs(der[k][i] - nb.deriv(z)) <= 1e-15 * max(1.0, abs(nb.deriv(z)))
+    for i in np.ndindex(w.shape):
+        z = complex(w[i])
+        one_val, one_der = phi_rows(orders, table, np.array([z]))
+        for k, s in enumerate(orders.tolist()):
+            assert abs(val[k][i] - one_val[k, 0]) <= 1e-15 * max(1.0, abs(one_val[k, 0]))
+            assert abs(der[k][i] - one_der[k, 0]) <= 1e-15 * max(1.0, abs(one_der[k, 0]))
+            with mpmath.workdps(30):
+                zm = mpmath.mpc(z)
+                scale = mpmath.exp(-abs(zm.imag)) * (zm / 2) ** (-s)
+                want_val = complex(scale * mpmath.besselj(s, zm))
+                want_der = complex(-scale * mpmath.besselj(s + 1, zm))
+            assert abs(val[k][i] - want_val) <= 1e-14 * max(1.0, abs(want_val))
+            assert abs(der[k][i] - want_der) <= 1e-14 * max(1.0, abs(want_der))
     x = 1.7
     c, c_x, _ = bessel_jm0_rows(w / x, x, val[0], der[0])
     for i in np.ndindex(w.shape):
