@@ -50,6 +50,10 @@ class RootInsideContourError(NumericalError):
     pass
 
 
+class NegativeSpectrumError(NumericalError):
+    """The operator has negative eigenvalues, which the route cannot take."""
+
+
 @dataclass(frozen=True)
 class DeterminantReport:
     value: float
@@ -131,6 +135,11 @@ def _closed_form(ev: SecularEvaluator) -> DeterminantReport:
         if not (value > 0.0 and math.isfinite(value)):
             raise NumericalError(f"closed-form determinant is degenerate: {raw!r}")
     else:
+        if abs(raw.imag) <= _REAL_TOL * (1.0 + abs(raw)) and raw.real < 0.0:
+            raise NegativeSpectrumError(
+                f"closed-form determinant F(0)/C = {raw.real!r} is negative: "
+                "the operator has an odd number of negative eigenvalues"
+            )
         value = _as_positive_real(raw, "closed-form determinant")
     return DeterminantReport(
         value=value,
@@ -323,8 +332,9 @@ def _zeta_direct(s: float, spectrum: Spectrum) -> tuple[float, float]:
     if s <= 1.0 and n < 100:
         raise NumericalError("direct zeta estimator needs >= 100 roots for s <= 1")
     if spectrum.negative:
-        raise NumericalError(
-            "direct zeta estimator restricted to purely positive spectra"
+        raise NegativeSpectrumError(
+            f"the spectrum has negative eigenvalues ({len(spectrum.negative)} found); "
+            "the direct zeta estimator takes purely positive spectra"
         )
     head = float(np.sum(roots ** (-2.0 * s)))
     # asymptotically the counting function is linear in mu; fit the last 20%
@@ -404,13 +414,15 @@ def zeta_eval(
     ``t_abs`` (by default 0.1 / max(1, R)); the direct estimator
     (eigenvalue sum plus a fitted Hurwitz tail) requires a Spectrum.
     Operators with nonzero kernel are handled through F/mu^(2 k0), i.e.
-    the zeta function of the nonzero spectrum.
+    the zeta function of the nonzero spectrum.  A spectrum found for
+    this same ``spec`` object lends its prepared operator.
     """
     if s <= 0.5:
         raise ValueError("zeta_eval needs s > 1/2")
-    contour, contour_err = _zeta_contour(
-        SecularEvaluator(spec), s, _default_t(spec, t_abs), x_cut
-    )
+    ev = spectrum.evaluator if spectrum is not None else None
+    if ev is None or ev.spec is not spec:
+        ev = SecularEvaluator(spec)
+    contour, contour_err = _zeta_contour(ev, s, _default_t(spec, t_abs), x_cut)
     direct = direct_err = None
     if spectrum is not None:
         direct, direct_err = _zeta_direct(s, spectrum)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -81,12 +81,17 @@ class ContourError(NumericalError):
 @dataclass(frozen=True)
 class Spectrum:
     """Zeros of F: `positive` on the real axis (eigenvalues mu^2),
-    `negative` on the imaginary axis as x with F(ix)=0 (eigenvalues -x^2)."""
+    `negative` on the imaginary axis as x with F(ix)=0 (eigenvalues -x^2).
+
+    `evaluator` is the prepared operator that found them, kept so that a
+    zeta request on the same spec does not prepare it again.
+    """
 
     positive: tuple[float, ...]
     negative: tuple[float, ...]
     mu_max: float
     certified: bool
+    evaluator: SecularEvaluator | None = field(default=None, compare=False, repr=False)
 
 
 def _trace(s, g, phi, dphi, mu, r: float):
@@ -268,8 +273,11 @@ class SecularEvaluator:
             mant, logs = self.scaled(np.array([mu]))
             return complex(mant[0]), float(logs[0])
         mu, _ = _right_half(mu)
+        return self._mantissa(mu, *self._traces(mu))
+
+    def _mantissa(self, mu: np.ndarray, jp, jm) -> tuple[np.ndarray, np.ndarray]:
+        """The mantissa and log-scale of F at mu (Re mu >= 0) from the traces there."""
         growth = self.q * self.r * abs(mu.imag)  # each lower row carries exp(-|Im mu R|)
-        jp, jm = self._traces(mu)
         if self.q == 1:
             a, b = self._ab
             scale = np.maximum(abs(jp[0]), abs(jm[0]))
@@ -301,7 +309,16 @@ class SecularEvaluator:
     def _dlog(self, mu: np.ndarray) -> np.ndarray:
         """:meth:`dlog` over an ndarray mu, left non-finite at the zeros of F."""
         mu, flip = _right_half(mu)
+        return self._jacobi(flip, *self._traces(mu, deriv=True))
+
+    def _scaled_dlog(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`scaled` and :meth:`_dlog` over an ndarray mu from one kernel pass."""
+        mu, flip = _right_half(mu)
         jp, jm, djp, djm = self._traces(mu, deriv=True)
+        return (*self._mantissa(mu, jp, jm), self._jacobi(flip, jp, jm, djp, djm))
+
+    def _jacobi(self, flip, jp, jm, djp, djm) -> np.ndarray:
+        """dlog F from the traces and their mu-derivatives, negated where mu was reflected."""
         with np.errstate(divide="ignore", invalid="ignore"):
             if self.q == 1:
                 a, b = self._ab
@@ -310,10 +327,14 @@ class SecularEvaluator:
                 m = self._stack(jp, jm, self._top)
                 dm = self._stack(djp, djm, 0.0)
                 scales = np.max(np.abs(m), axis=-1, keepdims=True)
+                m, dm = m / scales, dm / scales
                 try:
-                    sol = np.linalg.solve(m / scales, dm / scales)
-                except np.linalg.LinAlgError:
-                    sol = np.full(m.shape, np.nan, dtype=complex)
+                    sol = np.linalg.solve(m, dm)
+                except np.linalg.LinAlgError:  # mu on a zero of F: only that matrix is singular
+                    singular = np.linalg.det(m) == 0.0
+                    m[singular] = np.eye(2 * self.q)
+                    sol = np.linalg.solve(m, dm)
+                    sol[singular] = np.nan
                 out = np.trace(sol, axis1=-2, axis2=-1)
         return np.where(flip, -out, out)  # F is even, dlog F odd
 
@@ -434,22 +455,50 @@ def _real_samples(
     return mants.real, logs
 
 
-def _brackets(
+def _scan(
     ev: SecularEvaluator, lo: float, hi: float, res: float, axis: str, origin: bool
-) -> list[tuple[float, float, float, float, float]]:
-    """Sign changes of F on a grid of spacing <= res over [lo, hi], from one batched scan.
-
-    With ``origin`` the grid starts at mu = 0 before lo.  Each bracket
-    is (a, b, log_a, fa, fb): F exp(-log_a) on the axis, a positive
-    multiple of F that is finite near the scale log_a, takes the values
-    fa and fb of opposite signs at a and b.  A sample that is exactly 0
-    is replaced by one just above it; those samples are one more call.
-    """
-    n = max(2, int(math.ceil((hi - lo) / res)) + 1)
-    grid = np.linspace(lo, hi, n)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A grid of spacing <= res over [lo, hi], with mu = 0 in front when
+    ``origin``, and the samples (mantissa real parts, log-scales) of F on it."""
+    grid = np.linspace(lo, hi, max(2, int(math.ceil((hi - lo) / res)) + 1))
     if origin:
         grid = np.concatenate(([0.0], grid))
-    mants, logs = _real_samples(ev, grid, axis)
+    return (grid, *_real_samples(ev, grid, axis))
+
+
+def _halve(
+    ev: SecularEvaluator, scan: tuple[np.ndarray, ...], axis: str, origin: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The :func:`_scan` at half the spacing, sampling only the new midpoints.
+
+    Over [lo, hi] the n points become the 2n - 1 of
+    ``np.linspace(lo, hi, 2n - 1)``, whose even points are bit-identical
+    to the old ones (the step is halved exactly), so the old samples are
+    kept and interleaved with those of the n - 1 midpoints.  The origin
+    sample stays in front.
+    """
+    k = int(origin)
+    grid = scan[0]
+    mid = np.linspace(grid[k], grid[-1], 2 * (grid.size - k) - 1)[1::2]
+    out = []
+    for old, new in zip(scan, (mid, *_real_samples(ev, mid, axis))):
+        both = np.empty(2 * old.size - k - 1)
+        both[:k], both[k::2], both[k + 1 :: 2] = old[:k], old[k:], new
+        out.append(both)
+    return tuple(out)
+
+
+def _brackets(
+    ev: SecularEvaluator, grid: np.ndarray, mants: np.ndarray, logs: np.ndarray, axis: str
+) -> list[tuple[float, float, float, float, float]]:
+    """Sign changes of F between neighbouring samples of a :func:`_scan`.
+
+    Each bracket is (a, b, log_a, fa, fb): F exp(-log_a) on the axis, a
+    positive multiple of F that is finite near the scale log_a, takes
+    the values fa and fb of opposite signs at a and b.  A sample that is
+    exactly 0 is replaced by one just above it; those samples are one
+    more call.
+    """
     idx = np.flatnonzero(mants[:-1] * mants[1:] <= 0.0)
     fa, log_a = mants[idx], logs[idx]
     zero = fa == 0.0
@@ -473,10 +522,10 @@ def _refine(ev: SecularEvaluator, brackets: list[tuple], axis: str) -> list[floa
     """The root in each bracket of :func:`_brackets`, all refined together.
 
     Safeguarded Newton (``rtsafe``) over the array of roots still
-    active: each round is one :meth:`~SecularEvaluator.scaled` call,
-    whose mantissa signs shrink every bracket, and one dlog F call
-    (:meth:`~SecularEvaluator._dlog`) for the Newton steps of the real
-    function Re F(unit x), unit = 1 on the real axis and i on the
+    active: each round is one kernel pass
+    (:meth:`~SecularEvaluator._scaled_dlog`) giving F, whose mantissa
+    signs shrink every bracket, and dlog F, for the Newton steps of the
+    real function Re F(unit x), unit = 1 on the real axis and i on the
     imaginary one.  With m the mantissa, the step is
     Re m / Re(unit m dlog F).  That is 1/Re(unit dlog F) where F is
     real, and it stays accurate next to a root, where the rounding
@@ -486,7 +535,8 @@ def _refine(ev: SecularEvaluator, brackets: list[tuple], axis: str) -> list[floa
     stops when its step or its bracket width is at most
     1e-13 + 4 eps |x|, or when F is exactly 0 there.  Each root must
     then leave a residual |F exp(-log_a)| of at most
-    ``_ROOT_RESIDUAL_TOL`` times the larger end value of its bracket.
+    ``_ROOT_RESIDUAL_TOL`` times the larger end value of its bracket,
+    checked by one more F call.
     """
     if not brackets:
         return []
@@ -502,17 +552,15 @@ def _refine(ev: SecularEvaluator, brackets: list[tuple], axis: str) -> list[floa
         if act.size == 0:
             break
         xa = x[act]
-        mant = ev.scaled(unit * xa)[0]
+        mant, _, dlog = ev._scaled_dlog(unit * xa)
         f = mant.real
         above = f * sign_lo[act] > 0.0  # the sign of the lower end: the root lies above
         lo[act[above]] = xa[above]
         hi[act[~above]] = xa[~above]
-        newton = np.full(act.size, np.nan)
         live = f != 0.0
-        if live.any():
-            slope = (unit * mant[live] * ev._dlog(unit * xa[live])).real
-            with np.errstate(divide="ignore", invalid="ignore"):
-                newton[live] = np.where(np.isfinite(slope), f[live] / slope, np.nan)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = (unit * mant * dlog).real
+            newton = np.where(live & np.isfinite(slope), f / slope, np.nan)
         lo_a, hi_a = lo[act], hi[act]
         x_new = xa - newton
         ok = (lo_a <= x_new) & (x_new <= hi_a) & (2.0 * np.abs(newton) <= before[act])
@@ -570,16 +618,20 @@ def find_spectrum(
     """All zeros of F on (0, mu_max] and on the positive imaginary axis.
 
     The scans start at mu = 0 when F(0) != 0 (no kernel).  The sign
-    changes of a grid scan are certified when a rescan at half
-    the spacing finds as many, each overlapping its partner (up to three
-    halvings on the real axis, one on the imaginary axis).  The brackets
-    of the coarser grid of that pair are then refined together, one axis
-    at a time, by the batched safeguarded Newton iteration of
-    :func:`_refine`: each round is one array evaluation of F and one of
-    dlog F over the roots still active, a root stops when its step or
-    bracket is below 1e-13 + 4 eps |x|, and every root must pass a
-    residual check.  Simple zeros are assumed; a persistent mismatch
-    raises :class:`SpectrumCertificationError`.
+    changes of a grid scan are certified when a rescan at half the
+    spacing finds as many, each overlapping its partner (up to three
+    halvings on the real axis, one on the imaginary axis).  Each rescan
+    keeps the samples it already has and evaluates F only at the new
+    midpoints (:func:`_halve`).  The brackets of the coarser grid of
+    the certifying pair are then refined together, one axis at a time,
+    by the batched safeguarded Newton iteration of :func:`_refine`: each
+    round is one kernel pass giving F and dlog F over the roots still
+    active, a root stops when its step or bracket is below
+    1e-13 + 4 eps |x|, and every root must pass a residual check.
+    Simple zeros are assumed; a persistent mismatch raises
+    :class:`SpectrumCertificationError`.  The returned
+    :class:`Spectrum` carries the evaluator, which
+    :func:`~regsing.determinant.zeta_eval` reuses for the same spec.
     """
     if mu_max <= 0.0:
         raise ValueError("mu_max must be positive")
@@ -593,12 +645,11 @@ def find_spectrum(
         origin = ev.k0 == 0
     except KernelOrderError:  # raised only where F(0) is below the kernel threshold
         origin = False
-    lo = min(res, 0.05) * 0.5
-    real = _brackets(ev, lo, mu_max, res, "real", origin)
-    attempt = res
+    scan = _scan(ev, min(res, 0.05) * 0.5, mu_max, res, "real", origin)
+    real = _brackets(ev, *scan, "real")
     for _ in range(3):
-        attempt *= 0.5
-        again = _brackets(ev, lo, mu_max, attempt, "real", origin)
+        scan = _halve(ev, scan, "real", origin)
+        again = _brackets(ev, *scan, "real")
         if _same_brackets(real, again):
             break
         real = again
@@ -610,8 +661,9 @@ def find_spectrum(
 
     x_hi = _imag_scan_bound(ev)
     imag_res = min(res, 0.1)
-    imag = _brackets(ev, imag_res * 0.5, x_hi, imag_res, "imag", origin)
-    rescan = _brackets(ev, imag_res * 0.5, x_hi, imag_res * 0.5, "imag", origin)
+    scan = _scan(ev, imag_res * 0.5, x_hi, imag_res, "imag", origin)
+    imag = _brackets(ev, *scan, "imag")
+    rescan = _brackets(ev, *_halve(ev, scan, "imag", origin), "imag")
     if not _same_brackets(imag, rescan):
         raise SpectrumCertificationError("imaginary-axis sign changes unstable under halving")
 
@@ -620,6 +672,7 @@ def find_spectrum(
         negative=tuple(_refine(ev, imag, "imag")),
         mu_max=float(mu_max),
         certified=True,
+        evaluator=ev,
     )
 
 

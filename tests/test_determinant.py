@@ -1,8 +1,10 @@
 """Determinant routes: closed form, finite-t, regularized, Wronskian, zeta."""
 
 import functools
+import json
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +13,13 @@ from hypothesis import strategies as st
 
 from regsing import eigenfunction
 from regsing._numutil import NumericalError
+from regsing.cli import EXIT_NUMERICAL, EXIT_OK, main
 from regsing.determinant import (
     DeterminantReport,
     KernelPresentError,
+    NegativeSpectrumError,
     RootInsideContourError,
+    _zeta_direct,
     det_wronskian_scalar,
     det_zeta_auto,
     det_zeta_closed_form,
@@ -245,37 +250,111 @@ class TestAuto:
         assert got.value == pytest.approx(cor_robin_formula(0.3, -0.8 + 1e-6), rel=1e-9)
 
 
+def _count_preparation(monkeypatch) -> Counter:
+    """Count evaluator builds, characteristic_values calls and kernel-order fits from now on."""
+    calls = Counter()
+    cls = eigenfunction.SecularEvaluator
+    init, fit = cls.__init__, cls.__dict__["k0"].func
+    charvals = eigenfunction.characteristic_values
+
+    def counted_init(self, spec):
+        calls["builds"] += 1
+        init(self, spec)
+
+    def counted_fit(self):
+        calls["fits"] += 1
+        return fit(self)
+
+    def counted_charvals(spec):
+        calls["charvals"] += 1
+        return charvals(spec)
+
+    k0 = functools.cached_property(counted_fit)
+    k0.__set_name__(cls, "k0")
+    monkeypatch.setattr(cls, "__init__", counted_init)
+    monkeypatch.setattr(cls, "k0", k0)
+    monkeypatch.setattr(eigenfunction, "characteristic_values", counted_charvals)
+    return calls
+
+
+def _write_scalar_doc(tmp_path, nu: float, alpha: float) -> Path:
+    """CLI document of scalar_spec(nu, Robin(alpha)) (regular-branch rows, R = 1)."""
+    doc = {
+        "R": 1.0,
+        "lambdas": [nu * nu - 0.25],
+        "q0": 0,
+        "A": [[{"re": 0.0, "im": 0.0}]],
+        "B": [[{"re": 1.0, "im": 0.0}]],
+        "regular_bc": {"type": "robin", "alpha": alpha},
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+NEGATIVE_SPECS = {  # one negative eigenvalue each: F(0)/C < 0
+    "near kernel": scalar_spec(0.3, Robin(-0.8 - 1e-6)),
+    "nu 0.367": scalar_spec(0.367, Robin(-0.9)),
+}
+
+
+class TestNegativeSpectrum:
+    @pytest.mark.parametrize("name", sorted(NEGATIVE_SPECS))
+    def test_closed_form_names_the_negative_spectrum(self, name):
+        for route in (det_zeta_auto, det_zeta_closed_form):
+            with pytest.raises(NegativeSpectrumError, match="odd number of negative eigenvalues"):
+                route(NEGATIVE_SPECS[name])
+
+    @pytest.mark.parametrize("name", sorted(NEGATIVE_SPECS))
+    def test_direct_zeta_names_the_negative_spectrum(self, name):
+        sp = find_spectrum(NEGATIVE_SPECS[name], 40.0)
+        assert len(sp.negative) == 1 and len(sp.positive) >= 10
+        with pytest.raises(NegativeSpectrumError, match="negative eigenvalues"):
+            _zeta_direct(2.0, sp)
+
+    def test_zeta_eval_raises_it(self):
+        # the near-kernel operator's negative root (x = 0.0016) lies inside the
+        # contour, which raises first
+        spec = NEGATIVE_SPECS["nu 0.367"]
+        with pytest.raises(NegativeSpectrumError):
+            zeta_eval(spec, 2.0, spectrum=find_spectrum(spec, 40.0))
+
+    def test_cli_exit_code(self, tmp_path, capsys):
+        path = _write_scalar_doc(tmp_path, 0.367, -0.9)  # NEGATIVE_SPECS["nu 0.367"]
+        assert main(["det", str(path)]) == EXIT_NUMERICAL
+        assert "odd number of negative eigenvalues" in capsys.readouterr().err
+
+
 class TestPreparedOperator:
     @pytest.mark.parametrize("kernel", [False, True])
     def test_one_build_per_request(self, monkeypatch, kernel, kernel_fixture_third):
         # one evaluator, one characteristic_values call, one kernel-order fit
-        calls = Counter()
-        cls = eigenfunction.SecularEvaluator
-        init, fit = cls.__init__, cls.__dict__["k0"].func
-        charvals = eigenfunction.characteristic_values
-
-        def counted_init(self, spec):
-            calls["builds"] += 1
-            init(self, spec)
-
-        def counted_fit(self):
-            calls["fits"] += 1
-            return fit(self)
-
-        def counted_charvals(spec):
-            calls["charvals"] += 1
-            return charvals(spec)
-
-        k0 = functools.cached_property(counted_fit)
-        k0.__set_name__(cls, "k0")
-        monkeypatch.setattr(cls, "__init__", counted_init)
-        monkeypatch.setattr(cls, "k0", k0)
-        monkeypatch.setattr(eigenfunction, "characteristic_values", counted_charvals)
+        calls = _count_preparation(monkeypatch)
         spec = kernel_fixture_third if kernel else robin_regular(0.3, 0.0)
         got = det_zeta_auto(spec)
         assert got.method == ("regularized" if kernel else "closed_form")
         assert kernel or isinstance(got.diagnostics["finite_t_value"], float)
         assert calls == {"builds": 1, "charvals": 1, "fits": 1}
+
+    @pytest.mark.parametrize("kernel", [False, True])
+    def test_one_build_per_spectrum_and_zeta(self, monkeypatch, kernel, kernel_fixture_third):
+        # zeta_eval reuses the evaluator that found the spectrum of the same spec
+        calls = _count_preparation(monkeypatch)
+        spec = kernel_fixture_third if kernel else robin_regular(0.3, 0.0)
+        sp = find_spectrum(spec, 40.0)
+        rep = zeta_eval(spec, 2.0, spectrum=sp)
+        assert abs(rep.direct - rep.contour) <= 1e-4 * abs(rep.contour)
+        assert calls == {"builds": 1, "charvals": 1, "fits": 1}
+        # a spectrum of another spec object lends nothing
+        zeta_eval(robin_regular(0.3, 0.0), 2.0, spectrum=sp)
+        assert calls["builds"] == 2
+
+    def test_cli_zeta_builds_once(self, monkeypatch, tmp_path, capsys):
+        path = _write_scalar_doc(tmp_path, 0.3, 0.0)
+        calls = _count_preparation(monkeypatch)
+        assert main(["zeta", str(path), "--s", "2", "--mu-max", "40"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["report"]["direct"] > 0.0
+        assert calls["builds"] == 1
 
     @pytest.mark.parametrize("kernel", [False, True])
     def test_kernel_order_fit_is_one_call(self, monkeypatch, kernel, kernel_fixture_third):

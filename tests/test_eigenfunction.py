@@ -260,13 +260,15 @@ def test_dlog_is_odd_and_takes_scalars(diagonal_pair):
 
 
 def _count_calls(monkeypatch) -> Counter:
-    """Count SecularEvaluator.scaled and ._dlog (every dlog F) calls from now on."""
+    """Count F calls (key "scaled") and dlog F calls (key "_dlog") of
+    SecularEvaluator from now on; one fused _scaled_dlog call is one of each."""
     calls = Counter()
-    for name in ("scaled", "_dlog"):
+    counts = {"scaled": ("scaled",), "_dlog": ("_dlog",), "_scaled_dlog": ("scaled", "_dlog")}
+    for name, keys in counts.items():
         method = getattr(SecularEvaluator, name)
 
-        def counted(self, *args, _method=method, _name=name, **kwargs):
-            calls[_name] += 1
+        def counted(self, *args, _method=method, _keys=keys, **kwargs):
+            calls.update(_keys)
             return _method(self, *args, **kwargs)
 
         monkeypatch.setattr(SecularEvaluator, name, counted)
@@ -330,20 +332,23 @@ def test_spectrum_matches_per_channel_oracle(name, monkeypatch):
 
 
 class _Stub:
-    """Stand-in evaluator for a real function f on the real axis; records each dlog F call."""
+    """Stand-in evaluator for a real function f on the real axis; records each
+    refinement round (each F and dlog F call)."""
 
     def __init__(self, f, df, bad_dlog_at=None):
         self.f, self.df, self.bad_dlog_at = f, df, bad_dlog_at
-        self.rounds = []  # the points of each dlog F call
+        self.rounds = []  # the points of each round
 
     def scaled(self, mu):
         return self.f(mu.real).astype(complex), np.zeros(mu.shape)
 
-    def _dlog(self, mu):
+    def _scaled_dlog(self, mu):
         x = mu.real
         self.rounds.append(x.tolist())
-        out = self.df(x) / self.f(x)
-        return np.where(x == self.bad_dlog_at, np.nan, out).astype(complex)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = self.df(x) / self.f(x)
+        dlog = np.where(x == self.bad_dlog_at, np.nan, out).astype(complex)
+        return (*self.scaled(mu), dlog)
 
 
 def _cubic(x):
@@ -359,13 +364,15 @@ def _bracket(f, a, b):
 
 
 def test_refine_iterate_exactly_on_a_zero():
-    # false position puts the first iterate of [1, 2] exactly on 1.5, where F = 0;
-    # that root stops there and never reaches dlog F, the other one goes on
+    # false position puts the first iterate of [1, 2] exactly on 1.5, where F = 0
+    # (and dlog F is not finite); that root stops after its first round, the
+    # other one goes on
     ev = _Stub(_cubic, _cubic_d)
     roots = eigenfunction._refine(ev, [(1.0, 2.0, 0.0, -1.0, 1.0), _bracket(_cubic, 3.0, 5.0)], "real")
     assert roots[0] == 1.5
     assert abs(roots[1] - 4.0) <= 1e-13
-    assert len(ev.rounds) > 1 and all(1.5 not in xs for xs in ev.rounds)
+    assert 1.5 in ev.rounds[0]
+    assert len(ev.rounds) > 1 and all(1.5 not in xs for xs in ev.rounds[1:])
 
 
 def test_refine_bisects_where_dlog_is_not_finite():
@@ -475,6 +482,60 @@ class TestSpectrum:
             found.append(len(sp.positive) + len(sp.negative))
             assert calls["_dlog"] <= 12 and calls["scaled"] <= 40, dict(calls)
         assert found[1] >= 3 * found[0] > 10
+
+    def test_rescans_sample_only_new_points(self, monkeypatch, diagonal_pair, kernel_fixture_third):
+        # each halving rescan keeps the samples it has and evaluates only the
+        # midpoints, so the samples of an axis are each taken once and together
+        # form one grid (after mu = 0 when F(0) != 0)
+        sampled = {"real": [], "imag": []}
+        samples = eigenfunction._real_samples
+
+        def recorded(ev, points, axis):
+            sampled[axis].append(points)
+            return samples(ev, points, axis)
+
+        monkeypatch.setattr(eigenfunction, "_real_samples", recorded)
+        negative = scalar_spec(0.5, Robin(-3.0))
+        for spec, origin in ((diagonal_pair, 1), (negative, 1), (kernel_fixture_third, 0)):
+            for points in sampled.values():
+                points.clear()
+            find_spectrum(spec, 20.0)
+            for axis, points in sampled.items():
+                assert len(points) >= 2  # the scan and at least one rescan
+                pts = np.sort(np.concatenate(points))
+                assert np.unique(pts).size == pts.size, axis
+                assert (pts[0] == 0.0) == origin
+                grid = pts[origin:]
+                assert np.array_equal(grid, np.linspace(grid[0], grid[-1], grid.size)), axis
+
+    def test_one_kernel_pass_per_refinement_round(self, monkeypatch):
+        # every Newton round takes F and dlog F from one phi_rows pass; the
+        # residual check is one more
+        calls, seen = Counter(), []
+        phi_rows, traces, refine = eigenfunction.phi_rows, SecularEvaluator._traces, eigenfunction._refine
+
+        def counted_phi_rows(*args):
+            calls["phi_rows"] += 1
+            return phi_rows(*args)
+
+        def counted_traces(self, mu, deriv=False):
+            calls["rounds"] += deriv  # one derivative pass per round
+            return traces(self, mu, deriv=deriv)
+
+        def counted_refine(ev, brackets, axis):
+            calls.clear()
+            roots = refine(ev, brackets, axis)
+            seen.append((len(roots), calls["rounds"], calls["phi_rows"]))
+            return roots
+
+        monkeypatch.setattr(eigenfunction, "phi_rows", counted_phi_rows)
+        monkeypatch.setattr(SecularEvaluator, "_traces", counted_traces)
+        monkeypatch.setattr(eigenfunction, "_refine", counted_refine)
+        channels, bc, r, mu_max = ORACLE_CHANNELS["q2 negative"]
+        find_spectrum(diagonal_spec([scalar_spec(nu, bc, tip=t, r=r) for nu, t in channels]), mu_max)
+        assert len(seen) == 2 and min(n for n, _, _ in seen) > 0  # roots on both axes
+        for _, rounds, passes in seen:
+            assert 1 <= rounds and passes <= rounds + 1
 
     def test_bracket_certificate(self):
         coarse = [(1.0, 1.4, 0.0, 1.0), (3.0, 3.4, 0.0, 1.0)]
