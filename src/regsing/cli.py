@@ -17,8 +17,8 @@ Cone document:
     {"m": 2, "ccl_spectra": {"0": [[0.0, 1], [1.0, 2], [4.0, 2]], ...},
      "harmonic_dims": {"0": 1, "1": 1}}
 
-Exit codes: 0 success, 2 malformed input or failed validation,
-3 numerical failure.
+Exit codes: 0 success, 2 malformed input, a bad flag or failed
+validation, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,10 +43,10 @@ from .cone import (
 )
 from .determinant import det_zeta_auto, zeta_eval
 from .eigenfunction import (
+    InvalidOperatorError,
     SecularEvaluator,
-    asymptotic_log_F_imag,
+    eval_F_at_zero,
     find_spectrum,
-    log_F_imag,
     verify_contour_decay,
 )
 from .operators import (
@@ -63,39 +62,6 @@ from .special import SpecialFunctionDomainError
 EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_NUMERICAL = 3
-
-COMMANDS = (
-    "validate",
-    "eval-f",
-    "f-at-zero",
-    "spectrum",
-    "det",
-    "zeta",
-    "cone",
-    "verify-asymptotics",
-    "verify-contour",
-)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input_path: str
-    mu_max: float = 100.0
-    t_abs: float | None = None
-    fmt: str = "json"
-    theta: float = math.pi / 4.0
-    a_list: tuple[float, ...] = ()
-    mu: complex | None = None
-    s: float = 1.0
-    degree: int | None = None
-
-    def __post_init__(self):
-        if not (self.mu_max > 0.0):
-            raise SchemaError(f"mu-max must be positive, got {self.mu_max}")
-        if self.fmt not in ("json", "csv"):
-            raise SchemaError(f"format must be json or csv, got {self.fmt!r}")
-
 
 class SchemaError(ValueError):
     pass
@@ -261,7 +227,9 @@ def parse_cone_document(doc: dict) -> ConeSpec:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations (each returns report dict + csv rows)
+# Command implementations: each takes the parsed arguments and the input
+# document and returns the report dict, the csv rows and the exit code.
+# The operator commands leave validation to the evaluator they build.
 # ---------------------------------------------------------------------------
 
 def _violations_payload(spec: OperatorSpec):
@@ -272,31 +240,22 @@ def _violations_payload(spec: OperatorSpec):
     }
 
 
-def _cmd_validate(cfg: RunConfig, doc: dict):
+def _cmd_validate(args: argparse.Namespace, doc: dict):
     spec = parse_operator_document(doc)
     issues, payload = _violations_payload(spec)
     rows = [["ok", str(not issues).lower()]] + [["violation", v.name] for v in issues]
     return payload, [["field", "value"]] + rows, EXIT_SCHEMA if issues else EXIT_OK
 
 
-def _require_valid(spec: OperatorSpec) -> None:
-    issues = validate(spec)
-    if issues:
-        raise SchemaError(
-            "operator failed validation: " + "; ".join(v.name for v in issues)
-        )
-
-
-def _cmd_eval_f(cfg: RunConfig, doc: dict):
-    if cfg.mu is None:
+def _cmd_eval_f(args: argparse.Namespace, doc: dict):
+    if args.mu is None:
         raise SchemaError("eval-f needs --mu")
     spec = parse_operator_document(doc)
-    _require_valid(spec)
     ev = SecularEvaluator(spec)
-    mant, logs = ev.scaled(cfg.mu)
-    value = mant * np.exp(logs) if logs < 700 else complex(float("inf"), 0)
+    value = ev.value(args.mu)
+    mant, logs = ev.scaled(args.mu)
     payload = {
-        "mu": {"re": cfg.mu.real, "im": cfg.mu.imag},
+        "mu": {"re": args.mu.real, "im": args.mu.imag},
         "value": {"re": value.real, "im": value.imag},
         "mantissa": {"re": mant.real, "im": mant.imag},
         "log_scale": logs,
@@ -305,19 +264,14 @@ def _cmd_eval_f(cfg: RunConfig, doc: dict):
     return payload, rows, EXIT_OK
 
 
-def _cmd_f_at_zero(cfg: RunConfig, doc: dict):
-    spec = parse_operator_document(doc)
-    _require_valid(spec)
-    val = SecularEvaluator(spec).f0
-    payload = {"f_zero": val.real if abs(val.imag) < 1e-10 * (1 + abs(val)) else val}
+def _cmd_f_at_zero(args: argparse.Namespace, doc: dict):
+    val = eval_F_at_zero(parse_operator_document(doc))
     rows = [["field", "value"], ["f_zero", _fmt_float(val.real)]]
-    return payload, rows, EXIT_OK
+    return {"f_zero": val}, rows, EXIT_OK
 
 
-def _cmd_spectrum(cfg: RunConfig, doc: dict):
-    spec = parse_operator_document(doc)
-    _require_valid(spec)
-    sp = find_spectrum(spec, cfg.mu_max)
+def _cmd_spectrum(args: argparse.Namespace, doc: dict):
+    sp = find_spectrum(parse_operator_document(doc), args.mu_max)
     payload = {
         "mu_max": sp.mu_max,
         "certified": sp.certified,
@@ -333,10 +287,8 @@ def _cmd_spectrum(cfg: RunConfig, doc: dict):
     return payload, rows, EXIT_OK
 
 
-def _cmd_det(cfg: RunConfig, doc: dict):
-    spec = parse_operator_document(doc)
-    _require_valid(spec)
-    report = det_zeta_auto(spec, t_abs=cfg.t_abs)
+def _cmd_det(args: argparse.Namespace, doc: dict):
+    report = det_zeta_auto(parse_operator_document(doc), t_abs=args.t_abs)
     payload = {
         "value": report.value,
         "method": report.method,
@@ -353,11 +305,10 @@ def _cmd_det(cfg: RunConfig, doc: dict):
     return payload, rows, EXIT_OK
 
 
-def _cmd_zeta(cfg: RunConfig, doc: dict):
+def _cmd_zeta(args: argparse.Namespace, doc: dict):
     spec = parse_operator_document(doc)
-    _require_valid(spec)
-    sp = find_spectrum(spec, cfg.mu_max)
-    rep = zeta_eval(spec, cfg.s, spectrum=sp, t_abs=cfg.t_abs)
+    sp = find_spectrum(spec, args.mu_max)
+    rep = zeta_eval(spec, args.s, spectrum=sp, t_abs=args.t_abs)
     payload = {
         "s": rep.s,
         "direct": rep.direct,
@@ -371,9 +322,9 @@ def _cmd_zeta(cfg: RunConfig, doc: dict):
     return payload, rows, EXIT_OK
 
 
-def _cmd_cone(cfg: RunConfig, doc: dict):
+def _cmd_cone(args: argparse.Namespace, doc: dict):
     cone = parse_cone_document(doc)
-    degrees = [cfg.degree] if cfg.degree is not None else list(range(cone.m + 1))
+    degrees = [args.degree] if args.degree is not None else list(range(cone.m + 1))
     out = {}
     rows = [["degree", "value", "window_active"]]
     for k in degrees:
@@ -402,15 +353,13 @@ def _cmd_cone(cfg: RunConfig, doc: dict):
     return {"degrees": out}, rows, EXIT_OK
 
 
-def _cmd_verify_asymptotics(cfg: RunConfig, doc: dict):
-    spec = parse_operator_document(doc)
-    _require_valid(spec)
-    xs = list(cfg.a_list) if cfg.a_list else [20.0, 40.0, 80.0]
+def _cmd_verify_asymptotics(args: argparse.Namespace, doc: dict):
+    ev = SecularEvaluator(parse_operator_document(doc))
     entries = []
     errs = []
-    for x in xs:
-        actual = log_F_imag(spec, x)
-        model = asymptotic_log_F_imag(spec, x)
+    for x in args.a_list or (20.0, 40.0, 80.0):
+        actual = ev.log_value(1j * x)
+        model = ev.model.quoted_log_value(x)
         rel = abs(model - actual) / abs(actual)
         errs.append(rel)
         entries.append(
@@ -427,23 +376,22 @@ def _cmd_verify_asymptotics(cfg: RunConfig, doc: dict):
     return payload, rows, EXIT_OK
 
 
-def _cmd_verify_contour(cfg: RunConfig, doc: dict):
+def _cmd_verify_contour(args: argparse.Namespace, doc: dict):
     spec = parse_operator_document(doc)
-    _require_valid(spec)
-    if not cfg.a_list:
+    if not args.a_list:
         raise SchemaError("verify-contour needs --a-list")
-    mags = verify_contour_decay(spec, cfg.s, list(cfg.a_list), theta=cfg.theta)
+    mags = verify_contour_decay(spec, args.s, list(args.a_list), theta=args.theta)
     decreasing = all(a > b for a, b in zip(mags, mags[1:]))
     payload = {
-        "s": cfg.s,
-        "theta": cfg.theta,
-        "a_list": list(cfg.a_list),
+        "s": args.s,
+        "theta": args.theta,
+        "a_list": list(args.a_list),
         "magnitudes": mags,
         "strictly_decreasing": decreasing,
         "last_below_half_first": bool(mags[-1] < 0.5 * mags[0]) if len(mags) > 1 else True,
     }
     rows = [["a", "magnitude"]] + [
-        [_fmt_float(a), _fmt_float(m)] for a, m in zip(cfg.a_list, mags)
+        [_fmt_float(a), _fmt_float(m)] for a, m in zip(args.a_list, mags)
     ]
     return payload, rows, EXIT_OK
 
@@ -461,18 +409,28 @@ _HANDLERS = {
 }
 
 
+# argparse types: a value they refuse exits 2 with a usage message
+
+
 def _parse_mu(text: str) -> complex:
     try:
         return complex(text.replace(" ", ""))
     except ValueError:
-        raise SchemaError(f"cannot parse --mu value {text!r}") from None
+        raise argparse.ArgumentTypeError(f"cannot parse --mu value {text!r}") from None
 
 
 def _parse_a_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError:
-        raise SchemaError(f"cannot parse --a-list value {text!r}") from None
+        raise argparse.ArgumentTypeError(f"cannot parse --a-list value {text!r}") from None
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not (value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -480,28 +438,27 @@ def build_parser() -> argparse.ArgumentParser:
         prog="regsing",
         description="Spectra and zeta determinants of regular-singular operators",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_HANDLERS)
     parser.add_argument("input", help="path to the JSON description")
-    parser.add_argument("--mu-max", type=float, default=100.0, dest="mu_max")
+    parser.add_argument("--mu-max", type=_positive, default=100.0, dest="mu_max")
     parser.add_argument("--t", type=float, default=None, dest="t_abs")
     parser.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
     parser.add_argument("--theta", type=float, default=math.pi / 4.0)
-    parser.add_argument("--a-list", type=str, default="", dest="a_list")
-    parser.add_argument("--mu", type=str, default=None)
+    parser.add_argument("--a-list", type=_parse_a_list, default=(), dest="a_list")
+    parser.add_argument("--mu", type=_parse_mu, default=None)
     parser.add_argument("--s", type=float, default=1.0)
     parser.add_argument("--degree", type=int, default=None)
     return parser
 
 
-def run(cfg: RunConfig) -> int:
-    doc, digest = _load_json(cfg.input_path)
-    handler = _HANDLERS[cfg.command]
-    payload, rows, code = handler(cfg, doc)
-    if cfg.fmt == "json":
+def run(args: argparse.Namespace) -> int:
+    doc, digest = _load_json(args.input)
+    payload, rows, code = _HANDLERS[args.command](args, doc)
+    if args.fmt == "json":
         envelope = {
             "tool": "regsing",
             "version": __version__,
-            "command": cfg.command,
+            "command": args.command,
             "input_sha256": digest,
             "deterministic": True,
             "report": payload,
@@ -509,7 +466,7 @@ def run(cfg: RunConfig) -> int:
         sys.stdout.write(serialize(envelope) + "\n")
     else:
         lines = [",".join(cell for cell in row) for row in rows]
-        header = f"# regsing {__version__} {cfg.command} sha256:{digest}"
+        header = f"# regsing {__version__} {args.command} sha256:{digest}"
         sys.stdout.write(header + "\n" + "\n".join(lines) + "\n")
     return code
 
@@ -517,20 +474,8 @@ def run(cfg: RunConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(
-            command=args.command,
-            input_path=args.input,
-            mu_max=args.mu_max,
-            t_abs=args.t_abs,
-            fmt=args.fmt,
-            theta=args.theta,
-            a_list=_parse_a_list(args.a_list),
-            mu=_parse_mu(args.mu) if args.mu is not None else None,
-            s=args.s,
-            degree=args.degree,
-        )
-        return run(cfg)
-    except (SchemaError, OperatorSpecError, ConeSpecError) as exc:
+        return run(args)
+    except (SchemaError, OperatorSpecError, ConeSpecError, InvalidOperatorError) as exc:
         sys.stderr.write(f"regsing: input error: {exc}\n")
         return EXIT_SCHEMA
     except (NumericalError, SpecialFunctionDomainError, ValueError) as exc:

@@ -220,23 +220,11 @@ def _paired_factor(nu: float, k: int, m: int) -> float:
 
 
 def cone_determinant(cone: ConeSpec, k: int) -> float:
-    """det_zeta of the regular-singular block in degree k (1 when absent)."""
-    contrib = contribution_sets(cone, k)
-    if not contrib.window_active:
-        return 1.0
-    m = cone.m
-    half = m / 2.0
+    """det_zeta of the regular-singular block in degree k (1 when absent):
+    the product of the factors of :func:`component_report`."""
     value = 1.0
-    if half - 2.0 < k < half:
-        for nu, mult in contrib.a_set:
-            value *= scalar_closed_form_value(nu, Dirichlet()) ** mult
-    elif half < k < half + 2.0:
-        for nu, mult in contrib.a_tilde_km2:
-            value *= scalar_closed_form_value(nu, Robin(half + 1.0 - k)) ** mult
-        value *= contrib.p_factor
-    # k == half (m even) contributes through B_k only
-    for nu, mult in contrib.b_set:
-        value *= _paired_factor(nu, k, m) ** mult
+    for f in component_report(cone, k):
+        value *= f.value**f.multiplicity
     return value
 
 
@@ -251,7 +239,12 @@ class ComponentFactor:
 
 
 def component_report(cone: ConeSpec, k: int) -> list[ComponentFactor]:
-    """Per-component factors; their product equals cone_determinant(k)."""
+    """The factors of the degree-k determinant, each to the power of its multiplicity.
+
+    A_k gives Dirichlet factors S(nu), A~_{k-2} Robin factors
+    S(nu) (nu + m/2 + 1 - k) after the harmonic factor P_k, and B_k the
+    paired factors P5(nu, k); k = m/2 (m even) has B_k only.
+    """
     contrib = contribution_sets(cone, k)
     if not contrib.window_active:
         return []

@@ -35,11 +35,9 @@ from scipy.special import exp1
 from scipy.special import zeta as hurwitz_zeta
 
 from ._numutil import NumericalError, gauss_legendre, neville_at_zero
-from .eigenfunction import SecularEvaluator, Spectrum
+from .eigenfunction import _KERNEL_PROBES, _REAL_RESIDUE_TOL, SecularEvaluator, Spectrum
 from .operators import Dirichlet, OperatorSpec, RegularBC
 from .special import EULER_GAMMA, gamma_fn
-
-_REAL_TOL = 1e-8
 
 
 class KernelPresentError(NumericalError):
@@ -63,10 +61,15 @@ class DeterminantReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _as_positive_real(value: complex, what: str) -> float:
-    if abs(value.imag) > _REAL_TOL * (1.0 + abs(value)):
+def _real(value: complex, what: str) -> float:
+    """The real part of value, which must be real up to rounding."""
+    if abs(value.imag) > _REAL_RESIDUE_TOL * (1.0 + abs(value)):
         raise NumericalError(f"{what} has a non-real residue: {value!r}")
-    v = value.real
+    return value.real
+
+
+def _as_positive_real(value: complex, what: str) -> float:
+    v = _real(value, what)
     if not (v > 0.0) or not math.isfinite(v):
         raise NumericalError(f"{what} is not a positive real number: {v!r}")
     return v
@@ -122,22 +125,21 @@ def _closed_form(ev: SecularEvaluator) -> DeterminantReport:
     for nu in spec.nus[spec.q0 :]:
         pref *= 2.0**nu / gamma_fn(1.0 - nu)
     raw = pref * f0
+    signed = _real(raw, "closed-form determinant")
     log_singular = cv.j0 != spec.q0
     diagnostics = {"f_zero": f0.real, "alpha0": cv.alpha0, "j0": cv.j0}
     if log_singular:
         # the defect-subtracted object carries the sign (-2 e^gamma)^(q0-j0);
         # the reported value is its modulus, the signed number goes to the
         # diagnostics
-        if abs(raw.imag) > _REAL_TOL * (1.0 + abs(raw)):
-            raise NumericalError(f"closed-form determinant has a non-real residue: {raw!r}")
-        diagnostics["defect_subtracted_signed"] = raw.real
-        value = abs(raw.real)
+        diagnostics["defect_subtracted_signed"] = signed
+        value = abs(signed)
         if not (value > 0.0 and math.isfinite(value)):
             raise NumericalError(f"closed-form determinant is degenerate: {raw!r}")
     else:
-        if abs(raw.imag) <= _REAL_TOL * (1.0 + abs(raw)) and raw.real < 0.0:
+        if signed < 0.0:
             raise NegativeSpectrumError(
-                f"closed-form determinant F(0)/C = {raw.real!r} is negative: "
+                f"closed-form determinant F(0)/C = {signed!r} is negative: "
                 "the operator has an odd number of negative eigenvalues"
             )
         value = _as_positive_real(raw, "closed-form determinant")
@@ -154,7 +156,7 @@ def _scan_below(ev: SecularEvaluator, t: float) -> tuple[complex, float]:
     """Raise RootInsideContourError where F changes sign below |mu| = t on
     either axis; return the scaled F(it), the last sample of the same call."""
     x = np.linspace(t / 24.0, t, 24)
-    if ev.k0 == 0:  # F(0) != 0 is a sign sample; with a kernel F(0) = 0 and its sign is noise
+    if ev.f0_is_sample:
         x = np.concatenate(([0.0], x))
     mants, logs = ev.scaled(np.stack([x, 1j * x]))  # sign of F = sign of the mantissa
     for axis, signs in zip(("real", "imag"), mants.real):
@@ -201,19 +203,14 @@ def _finite_t(ev: SecularEvaluator, t_abs: float) -> DeterminantReport:
     ratio = mant / (ev.model.c * sgn)
     if cv.j0 != spec.q0:
         # log-singular case: track the modulus, as in the closed form
-        if abs(ratio.imag) > _REAL_TOL * (1.0 + abs(ratio)):
-            raise NumericalError(f"F(it)/C ratio has a non-real residue: {ratio!r}")
-        ratio = abs(ratio.real)
+        ratio = abs(_real(ratio, "F(it)/C ratio"))
         if ratio == 0.0:
             raise RootInsideContourError("F(it) vanished on the contour")
     else:
         ratio = _as_positive_real(ratio, "F(it) / (C (-1)^(q0-j0))")
-    arc = _gamma_t_integral(ev, t_abs, np.log)
-    arc_term = arc / (1j * math.pi)
-    if abs(arc_term.imag) > _REAL_TOL * (1.0 + abs(arc_term)):
-        raise NumericalError(f"gamma_t integral is not real: {arc_term!r}")
+    arc_term = _real(_gamma_t_integral(ev, t_abs, np.log) / (1j * math.pi), "gamma_t integral")
     log_ratio = math.log(ratio) + log_scale
-    q_val = -log_ratio + (cv.j0 - spec.q0) * (EULER_GAMMA + math.log(2.0)) - arc_term.real
+    q_val = -log_ratio + (cv.j0 - spec.q0) * (EULER_GAMMA + math.log(2.0)) - arc_term
     value = math.exp(-q_val)
     try:
         f_it = mant.real * math.exp(log_scale)
@@ -224,11 +221,10 @@ def _finite_t(ev: SecularEvaluator, t_abs: float) -> DeterminantReport:
         method="finite_t",
         kernel_dim_proxy=0,
         log_singular=(cv.j0 != spec.q0),
-        diagnostics={"t_abs": t_abs, "arc_term": arc_term.real, "f_it": f_it},
+        diagnostics={"t_abs": t_abs, "arc_term": arc_term, "f_it": f_it},
     )
 
 
-_RICHARDSON_PROBES = (1e-1, 10.0**-1.5, 1e-2)
 # The gap between the last two extrapolation levels is a second-order
 # quantity ~ (c2/c0) h1 h2 ~ 1e-8 for generic series, so the gate below
 # is an instability guard, not the accuracy of the final value (which is
@@ -240,8 +236,9 @@ def det_zeta_regularized(spec: OperatorSpec) -> DeterminantReport:
     """det_zeta over the nonzero spectrum when ker L has order k0 >= 1.
 
     F~(mu) = F(mu)/mu^(2 k0) is extrapolated to 0 (order-2 Richardson in
-    mu^2); with C~ = (-1)^k0 C, det = F~(0)/C~.  Only the j0 = q0 case is
-    supported (no s log s defect interacting with the kernel).
+    mu^2) from F at the last three probes of the kernel-order fit; with
+    C~ = (-1)^k0 C, det = F~(0)/C~.  Only the j0 = q0 case is supported
+    (no s log s defect interacting with the kernel).
     """
     return _regularized(SecularEvaluator(spec))
 
@@ -254,12 +251,10 @@ def _regularized(ev: SecularEvaluator) -> DeterminantReport:
         raise NumericalError(
             "nonzero kernel with j0 != q0 is outside the supported regime"
         )
-    mus = np.array(_RICHARDSON_PROBES)
-    vs = ev.value(mus) / mus ** (2 * k0)
-    for mu, v in zip(_RICHARDSON_PROBES, vs.tolist()):
-        if abs(v.imag) > _REAL_TOL * (1.0 + abs(v)):
-            raise NumericalError(f"F~({mu}) is not real: {v!r}")
-    f_tilde_0, prev = neville_at_zero((mus * mus).tolist(), vs.real.tolist())
+    mus = np.array(_KERNEL_PROBES)
+    vs = ev._probes[-3:] / mus ** (2 * k0)
+    f_tilde = [_real(v, f"F~({mu})") for mu, v in zip(_KERNEL_PROBES, vs.tolist())]
+    f_tilde_0, prev = neville_at_zero((mus * mus).tolist(), f_tilde)
     if abs(f_tilde_0 - prev) > _RICHARDSON_RTOL * max(abs(f_tilde_0), 1e-300):
         raise NumericalError(
             f"Richardson extrapolation unstable: {f_tilde_0!r} vs {prev!r}"
@@ -357,10 +352,9 @@ def _zeta_direct(s: float, spectrum: Spectrum) -> tuple[float, float]:
     return head + tail, err
 
 
-def _zeta_contour(
-    ev: SecularEvaluator, s: float, t_abs: float, x_cut: float
-) -> tuple[float, float]:
+def _zeta_contour(ev: SecularEvaluator, s: float, t_abs: float) -> tuple[float, float]:
     k0, cv, model = ev.k0, ev.cv, ev.model
+    x_cut = 40.0  # the ray is integrated up to here, the model beyond
     _scan_below(ev, t_abs)
 
     def ray_integrand(x: np.ndarray) -> np.ndarray:
@@ -391,10 +385,7 @@ def _zeta_contour(
     arc = _gamma_t_integral(
         ev, t_abs, lambda mu: np.exp(-2.0 * s * np.log(mu)), k0=k0
     ) / (2.0j * math.pi)
-    if abs(arc.imag) > _REAL_TOL * (1.0 + abs(arc)):
-        raise NumericalError(f"arc term of the zeta contour is not real: {arc!r}")
-
-    value = sin_fac * (ray + tail) + arc.real
+    value = sin_fac * (ray + tail) + _real(arc, "arc term of the zeta contour")
     # the model remainder decays like 1/x (1/log x when q0 != j0)
     rem_scale = 1.0 / x_cut if log_pow == 0 else 1.0 / math.log(x_cut)
     err = abs(sin_fac) * (ray_err + abs(tail) * rem_scale) + 1e-12 * (1.0 + abs(value))
@@ -406,26 +397,28 @@ def zeta_eval(
     s: float,
     spectrum: Spectrum | None = None,
     t_abs: float | None = None,
-    x_cut: float = 40.0,
 ) -> ZetaReport:
     """Spectral zeta function at s > 1/2 by two estimators.
 
-    The contour estimator is always computed, on an arc of radius
-    ``t_abs`` (by default 0.1 / max(1, R)); the direct estimator
-    (eigenvalue sum plus a fitted Hurwitz tail) requires a Spectrum.
-    Operators with nonzero kernel are handled through F/mu^(2 k0), i.e.
-    the zeta function of the nonzero spectrum.  A spectrum found for
-    this same ``spec`` object lends its prepared operator.
+    The direct estimator (eigenvalue sum plus a fitted Hurwitz tail)
+    runs first and only on a given Spectrum, so a spectrum with negative
+    eigenvalues raises :class:`NegativeSpectrumError` before the contour
+    sees them.  The contour estimator is always computed: the arc of
+    radius ``t_abs`` (by default 0.1 / max(1, R)), the imaginary ray up
+    to x = 40 and the asymptotic model beyond.  Operators with nonzero
+    kernel are handled through F/mu^(2 k0), i.e. the zeta function of
+    the nonzero spectrum.  A spectrum found for this same ``spec``
+    object lends its prepared operator.
     """
     if s <= 0.5:
         raise ValueError("zeta_eval needs s > 1/2")
-    ev = spectrum.evaluator if spectrum is not None else None
-    if ev is None or ev.spec is not spec:
-        ev = SecularEvaluator(spec)
-    contour, contour_err = _zeta_contour(ev, s, _default_t(spec, t_abs), x_cut)
     direct = direct_err = None
     if spectrum is not None:
         direct, direct_err = _zeta_direct(s, spectrum)
+    ev = spectrum.evaluator if spectrum is not None else None
+    if ev is None or ev.spec is not spec:
+        ev = SecularEvaluator(spec)
+    contour, contour_err = _zeta_contour(ev, s, _default_t(spec, t_abs))
     return ZetaReport(
         s=float(s),
         direct=direct,

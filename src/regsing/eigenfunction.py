@@ -57,13 +57,18 @@ from .special import (
 
 GAMMA_TILDE = math.log(2.0) - EULER_GAMMA
 
-_REAL_RESIDUE_TOL = 1e-8
+_REAL_RESIDUE_TOL = 1e-8  # |Im z| above this share of |z| (or of 1 + |z|) is not rounding
 _KERNEL_TOL = 1e-8  # |F(0)| below this share of max |F| at mu = 0.3, 0.7, 1.1 is a kernel
+# near-zero probes: the kernel-order fit and the Richardson extrapolation of F/mu^(2 k0)
 _KERNEL_PROBES = (1e-1, 10.0**-1.5, 1e-2)
 _LOG_MAX = math.log(sys.float_info.max)
 _ROOT_RESIDUAL_TOL = 1e-10
 _ROOT_XTOL, _ROOT_RTOL = 1e-13, 4.0 * sys.float_info.epsilon
 _MAX_ROUNDS = 100  # accepted Newton steps halve every two rounds: about 80 suffice
+
+
+class InvalidOperatorError(NumericalError):
+    """The tip condition fails :func:`~regsing.operators.validate`."""
 
 
 class SpectrumCertificationError(NumericalError):
@@ -110,7 +115,8 @@ def _right_half(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class SecularEvaluator:
     """The prepared operator: per-operator tables, F and dlog F.
 
-    Construction validates the tip condition.  The characteristic
+    Construction validates the tip condition and raises
+    :class:`InvalidOperatorError` where it fails.  The characteristic
     values `cv`, the asymptotic model `model` and the kernel order `k0`
     are worked out on first use and kept, so every route of one request
     reads the same decision; F(0), the first probe of `k0`, is kept as
@@ -122,7 +128,7 @@ class SecularEvaluator:
     def __init__(self, spec: OperatorSpec):
         bad = validate(spec)
         if bad:
-            raise NumericalError(
+            raise InvalidOperatorError(
                 "operator failed validation: " + "; ".join(v.name for v in bad)
             )
         self.spec = spec
@@ -160,13 +166,30 @@ class SecularEvaluator:
 
     @cached_property
     def _probes(self) -> np.ndarray:
-        """F at 0, at the scale points 0.3, 0.7, 1.1 and at the kernel probes: one array call."""
+        """F at 0, at the scale points 0.3, 0.7, 1.1 and at the kernel probes: one array call.
+
+        The last three entries, F at ``_KERNEL_PROBES``, are also the
+        samples of the regularized determinant.
+        """
         return self.value(np.array((0.0, 0.3, 0.7, 1.1) + _KERNEL_PROBES))
 
     @cached_property
     def f0(self) -> complex:
         """F(0), the first probe of :attr:`k0`."""
         return complex(self._probes[0])
+
+    @property
+    def f0_is_sample(self) -> bool:
+        """Whether F(0) is a sign sample for the root scans.
+
+        F(0) != 0 (no kernel) is one on both axes, so a root below the
+        first grid point shows; with a kernel F(0) = 0 and its computed
+        sign is noise.
+        """
+        try:
+            return self.k0 == 0
+        except KernelOrderError:  # raised only where F(0) is below the kernel threshold
+            return False
 
     @cached_property
     def k0(self) -> int:
@@ -422,12 +445,16 @@ class AsymptoticModel:
             out += self.log_power * cmath.log(complex(self.gamma_tilde - math.log(x)))
         return out
 
+    def quoted_log_value(self, x: float) -> complex:
+        """:meth:`log_value` where the model is quoted as a diagnostic, x >= 10."""
+        if x < 10.0:
+            raise ValueError("asymptotic model is quoted for x >= 10")
+        return self.log_value(float(x))
+
 
 def asymptotic_log_F_imag(spec: OperatorSpec, x: float) -> complex:
     """Model value of log F(ix); diagnostics only, never inside determinants."""
-    if x < 10.0:
-        raise ValueError("asymptotic model is quoted for x >= 10")
-    return AsymptoticModel.from_spec(spec).log_value(float(x))
+    return AsymptoticModel.from_spec(spec).quoted_log_value(x)
 
 
 def log_F_imag(spec: OperatorSpec, x: float) -> complex:
@@ -610,14 +637,12 @@ def _imag_scan_bound(ev: SecularEvaluator) -> float:
     )
 
 
-def find_spectrum(
-    spec: OperatorSpec,
-    mu_max: float,
-    resolution: float | None = None,
-) -> Spectrum:
+def find_spectrum(spec: OperatorSpec, mu_max: float) -> Spectrum:
     """All zeros of F on (0, mu_max] and on the positive imaginary axis.
 
-    The scans start at mu = 0 when F(0) != 0 (no kernel).  The sign
+    The real-axis grid has the spacing pi / (4 q R), the imaginary-axis
+    grid the smaller of that and 0.1; both start at mu = 0 when F(0) is
+    a sign sample (:attr:`SecularEvaluator.f0_is_sample`).  The sign
     changes of a grid scan are certified when a rescan at half the
     spacing finds as many, each overlapping its partner (up to three
     halvings on the real axis, one on the imaginary axis).  Each rescan
@@ -636,15 +661,8 @@ def find_spectrum(
     if mu_max <= 0.0:
         raise ValueError("mu_max must be positive")
     ev = SecularEvaluator(spec)
-    base_res = math.pi / (2.0 * spec.q * spec.r)
-    res = min(resolution, base_res) if resolution else 0.5 * base_res
-
-    try:
-        # F(0) != 0 is a sign sample on both axes, so a root below the first
-        # grid point shows; with a kernel F(0) = 0 and its computed sign is noise
-        origin = ev.k0 == 0
-    except KernelOrderError:  # raised only where F(0) is below the kernel threshold
-        origin = False
+    res = math.pi / (4.0 * spec.q * spec.r)
+    origin = ev.f0_is_sample
     scan = _scan(ev, min(res, 0.05) * 0.5, mu_max, res, "real", origin)
     real = _brackets(ev, *scan, "real")
     for _ in range(3):

@@ -214,12 +214,6 @@ class CharacteristicValues:
     j0: int
     a0: complex
 
-    def coefficient(self, j: int, alpha: float, tol: float = _EXPONENT_MERGE_TOL) -> complex:
-        for jj, aa, cc in self.coefficients:
-            if jj == j and abs(aa - alpha) <= tol:
-                return cc
-        return 0.0 + 0j
-
 
 def tau_factor(nu: float) -> float:
     """tau = Gamma(1+nu)/Gamma(1-nu) * 2^(2 nu), the branch-ratio constant."""

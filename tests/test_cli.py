@@ -1,16 +1,23 @@
 """CLI: schemas, exit codes, determinism, formats."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import regsing
 from regsing.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA, main
+
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
 
 def _entry(re, im=0.0):
@@ -75,6 +82,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# every command that takes an operator document, with the flags it needs
+OPERATOR_COMMANDS = [
+    ["eval-f", "--mu", "1.5+0.5j"],
+    ["f-at-zero"],
+    ["spectrum", "--mu-max", "12"],
+    ["det"],
+    ["zeta", "--s", "2", "--mu-max", "40"],
+    ["verify-asymptotics"],
+    ["verify-contour", "--s", "2", "--a-list", "8.2"],
+]
 
 
 class TestDet:
@@ -179,6 +198,83 @@ class TestValidateAndSchema:
         code, _, err = run_cli(capsys, "zeta", write_doc(bessel_doc()), "--s", "0.4")
         assert code == EXIT_NUMERICAL
 
+    @pytest.mark.parametrize("argv", OPERATOR_COMMANDS, ids=lambda argv: argv[0])
+    def test_rank_deficient_operator_exits_2(self, write_doc, capsys, argv):
+        # the evaluator's validation is the only one, and it is an input error
+        doc = bessel_doc()
+        doc["B"] = [[_entry(0.0)]]
+        code, out, err = run_cli(capsys, argv[0], write_doc(doc), *argv[1:])
+        assert code == EXIT_SCHEMA
+        assert out == ""
+        assert err == "regsing: input error: operator failed validation: rank\n"
+
+    @pytest.mark.parametrize("flags", [("--mu-max", "0"), ("--mu-max", "nan"), ("--mu", "1+")])
+    def test_bad_flag_value_exits_2(self, write_doc, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval-f", write_doc(bessel_doc()), "--mu", "1"] + list(flags))
+        assert exc.value.code == EXIT_SCHEMA
+
+
+_TIP_ENTRY = st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0])
+
+
+@st.composite
+def operator_documents(draw):
+    """Operator documents with q <= 2, valid or not in every field the CLI reads."""
+    q = draw(st.integers(1, 2))
+    lambdas = sorted(
+        draw(
+            st.lists(
+                st.one_of(st.sampled_from([-0.25, -0.16, 0.0, 0.11]), st.floats(-0.25, 0.7)),
+                min_size=q,
+                max_size=q,
+            )
+        )
+    )
+    if draw(st.booleans()):  # diagonal tip rows: self-adjoint, rank-deficient where a row is 0
+        a = [[draw(_TIP_ENTRY) if i == j else 0.0 for j in range(q)] for i in range(q)]
+        b = [[draw(_TIP_ENTRY) if i == j else 0.0 for j in range(q)] for i in range(q)]
+    else:
+        a = [[draw(_TIP_ENTRY) for _ in range(q)] for _ in range(q)]
+        b = [[draw(_TIP_ENTRY) for _ in range(q)] for _ in range(q)]
+    kind = draw(st.sampled_from(["robin", "robin", "dirichlet", "bad"]))
+    if kind == "robin":
+        regular_bc = {"type": "robin", "alpha": draw(st.floats(-3.0, 3.0))}
+    elif kind == "dirichlet":
+        regular_bc = {"type": "dirichlet"}
+    else:
+        regular_bc = draw(
+            st.sampled_from(
+                [{"type": "neumann"}, {"type": "robin"}, {"type": "robin", "alpha": "x"}, {}, "robin"]
+            )
+        )
+    return {
+        "R": draw(st.floats(-1.0, 3.0)),
+        "lambdas": lambdas,
+        "q0": lambdas.count(-0.25),
+        "A": [[_entry(v) for v in row] for row in a],
+        "B": [[_entry(v) for v in row] for row in b],
+        "regular_bc": regular_bc,
+    }
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(doc=operator_documents())
+def test_exit_code_contract(doc):
+    # every operator command: exit 0, 2 or 3, at most one line on stderr,
+    # and no exception out of main
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for argv in OPERATOR_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([argv[0], path] + argv[1:])
+            assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_NUMERICAL), argv
+            assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
+            assert (code == EXIT_OK) == (err.getvalue() == ""), (argv, err.getvalue())
+
 
 class TestCone:
     def test_circle_degrees(self, write_doc, capsys):
@@ -216,6 +312,16 @@ class TestOtherCommands:
         code, out, _ = run_cli(capsys, "f-at-zero", write_doc(bessel_doc()))
         assert code == EXIT_OK
         assert abs(json.loads(out)["report"]["f_zero"]) < 1e-12
+
+    def test_eval_f_prints_every_finite_value(self, capsys):
+        # F(348i) is finite although its log-scale passes 700; F(352i) is not
+        path = str(FIXTURES / "readme_two_channel.json")
+        code, out, _ = run_cli(capsys, "eval-f", path, "--mu", "348j")
+        assert code == EXIT_OK
+        assert json.loads(out)["report"]["value"]["re"] == 4.173165018992681e302
+        code, out, err = run_cli(capsys, "eval-f", path, "--mu", "352j")
+        assert code == EXIT_NUMERICAL
+        assert out == "" and "exceeds the float range" in err
 
     def test_eval_f_complex_argument(self, write_doc, capsys):
         # F(ix) = x sinh(x) for the nu=1/2 singular-branch fixture

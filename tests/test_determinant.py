@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regsing import eigenfunction
+from regsing import cli, eigenfunction
 from regsing._numutil import NumericalError
 from regsing.cli import EXIT_NUMERICAL, EXIT_OK, main
 from regsing.determinant import (
@@ -251,11 +251,13 @@ class TestAuto:
 
 
 def _count_preparation(monkeypatch) -> Counter:
-    """Count evaluator builds, characteristic_values calls and kernel-order fits from now on."""
+    """Count evaluator builds, validate and characteristic_values calls and
+    kernel-order fits from now on."""
     calls = Counter()
     cls = eigenfunction.SecularEvaluator
     init, fit = cls.__init__, cls.__dict__["k0"].func
     charvals = eigenfunction.characteristic_values
+    validate = eigenfunction.validate
 
     def counted_init(self, spec):
         calls["builds"] += 1
@@ -269,11 +271,17 @@ def _count_preparation(monkeypatch) -> Counter:
         calls["charvals"] += 1
         return charvals(spec)
 
+    def counted_validate(spec):
+        calls["validate"] += 1
+        return validate(spec)
+
     k0 = functools.cached_property(counted_fit)
     k0.__set_name__(cls, "k0")
     monkeypatch.setattr(cls, "__init__", counted_init)
     monkeypatch.setattr(cls, "k0", k0)
     monkeypatch.setattr(eigenfunction, "characteristic_values", counted_charvals)
+    monkeypatch.setattr(eigenfunction, "validate", counted_validate)
+    monkeypatch.setattr(cli, "validate", counted_validate)
     return calls
 
 
@@ -313,11 +321,19 @@ class TestNegativeSpectrum:
             _zeta_direct(2.0, sp)
 
     def test_zeta_eval_raises_it(self):
-        # the near-kernel operator's negative root (x = 0.0016) lies inside the
-        # contour, which raises first
         spec = NEGATIVE_SPECS["nu 0.367"]
         with pytest.raises(NegativeSpectrumError):
             zeta_eval(spec, 2.0, spectrum=find_spectrum(spec, 40.0))
+
+    def test_zeta_eval_reads_the_spectrum_before_the_contour(self):
+        # the near-kernel operator's negative root (x = 0.0016) lies inside the
+        # contour radius 0.1; the spectrum given already names it
+        spec = NEGATIVE_SPECS["near kernel"]
+        sp = find_spectrum(spec, 40.0)
+        with pytest.raises(NegativeSpectrumError):
+            zeta_eval(spec, 2.0, spectrum=sp)
+        with pytest.raises(RootInsideContourError):
+            zeta_eval(spec, 2.0)
 
     def test_cli_exit_code(self, tmp_path, capsys):
         path = _write_scalar_doc(tmp_path, 0.367, -0.9)  # NEGATIVE_SPECS["nu 0.367"]
@@ -334,7 +350,7 @@ class TestPreparedOperator:
         got = det_zeta_auto(spec)
         assert got.method == ("regularized" if kernel else "closed_form")
         assert kernel or isinstance(got.diagnostics["finite_t_value"], float)
-        assert calls == {"builds": 1, "charvals": 1, "fits": 1}
+        assert calls == {"builds": 1, "validate": 1, "charvals": 1, "fits": 1}
 
     @pytest.mark.parametrize("kernel", [False, True])
     def test_one_build_per_spectrum_and_zeta(self, monkeypatch, kernel, kernel_fixture_third):
@@ -344,7 +360,7 @@ class TestPreparedOperator:
         sp = find_spectrum(spec, 40.0)
         rep = zeta_eval(spec, 2.0, spectrum=sp)
         assert abs(rep.direct - rep.contour) <= 1e-4 * abs(rep.contour)
-        assert calls == {"builds": 1, "charvals": 1, "fits": 1}
+        assert calls == {"builds": 1, "validate": 1, "charvals": 1, "fits": 1}
         # a spectrum of another spec object lends nothing
         zeta_eval(robin_regular(0.3, 0.0), 2.0, spectrum=sp)
         assert calls["builds"] == 2
@@ -355,6 +371,28 @@ class TestPreparedOperator:
         assert main(["zeta", str(path), "--s", "2", "--mu-max", "40"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["report"]["direct"] > 0.0
         assert calls["builds"] == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval-f", "--mu", "2.5"],
+            ["f-at-zero"],
+            ["spectrum", "--mu-max", "20"],
+            ["det"],
+            ["zeta", "--s", "2", "--mu-max", "40"],
+            ["verify-asymptotics"],
+            ["verify-contour", "--s", "2", "--a-list", "8.2,14.4832"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_cli_validates_once(self, monkeypatch, tmp_path, capsys, argv):
+        # the evaluator validates the operator; the CLI does not check it again
+        path = _write_scalar_doc(tmp_path, 0.3, 0.0)
+        calls = _count_preparation(monkeypatch)
+        assert main([argv[0], str(path)] + argv[1:]) == EXIT_OK
+        assert (calls["validate"], calls["builds"]) == (1, 1)
+        # verify-asymptotics reads every model value from the one evaluator
+        assert calls["charvals"] <= 1
 
     @pytest.mark.parametrize("kernel", [False, True])
     def test_kernel_order_fit_is_one_call(self, monkeypatch, kernel, kernel_fixture_third):
@@ -372,6 +410,40 @@ class TestPreparedOperator:
         ev = cls(spec)
         assert ev.k0 == (1 if kernel else 0)
         assert calls == {"scaled": 1}
+
+    def test_regularized_reads_the_kernel_probes(self, monkeypatch):
+        # one scaled call over 7 points: the Richardson samples are the
+        # last three probes of the kernel-order fit
+        points = []
+        cls = eigenfunction.SecularEvaluator
+        scaled = cls.scaled
+
+        def counted_scaled(self, mu):
+            points.append(np.size(mu))
+            return scaled(self, mu)
+
+        monkeypatch.setattr(cls, "scaled", counted_scaled)
+        got = det_zeta_auto(scalar_spec(0.3, Robin(-0.8)))
+        assert got.method == "regularized"
+        assert points == [7]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            scalar_spec(0.3, Robin(-0.8)),
+            scalar_spec(0.5, Robin(-1.0)),
+            scalar_spec(0.0, Robin(-0.5)),
+            diagonal_spec([scalar_spec(0.5, Robin(-1.0)), scalar_spec(0.3, Robin(-1.0))]),
+        ],
+        ids=["nu 0.3", "nu 0.5", "nu 0", "q 2"],
+    )
+    def test_kernel_probes_match_a_separate_call(self, spec):
+        # F at the three probes is the same to the bit in the 7-point call
+        # as in a call of its own
+        ev = eigenfunction.SecularEvaluator(spec)
+        assert ev.k0 >= 1
+        alone = ev.value(np.array(eigenfunction._KERNEL_PROBES))
+        assert ev._probes[-3:].tolist() == alone.tolist()
 
 
 class TestZeta:
