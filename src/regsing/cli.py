@@ -41,7 +41,7 @@ from .cone import (
     cone_determinant,
     contribution_sets,
 )
-from .determinant import det_zeta_auto, zeta_eval
+from .determinant import check_zeta_s, det_zeta_auto, zeta_eval
 from .eigenfunction import (
     InvalidOperatorError,
     SecularEvaluator,
@@ -117,7 +117,8 @@ def serialize(obj, indent: int = 0) -> str:
 
 def _load_json(path: str) -> tuple[dict, str]:
     try:
-        raw = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise SchemaError(f"cannot read input file: {exc}") from exc
     digest = hashlib.sha256(raw).hexdigest()
@@ -307,6 +308,7 @@ def _cmd_det(args: argparse.Namespace, doc: dict):
 
 def _cmd_zeta(args: argparse.Namespace, doc: dict):
     spec = parse_operator_document(doc)
+    check_zeta_s(args.s)  # before the spectrum scan, which the refusal would waste
     sp = find_spectrum(spec, args.mu_max)
     rep = zeta_eval(spec, args.s, spectrum=sp, t_abs=args.t_abs)
     payload = {
@@ -328,10 +330,10 @@ def _cmd_cone(args: argparse.Namespace, doc: dict):
     out = {}
     rows = [["degree", "value", "window_active"]]
     for k in degrees:
-        contrib = contribution_sets(cone, k)
         with warnings.catch_warnings():
             # window notes are already part of the report payload
             warnings.simplefilter("ignore")
+            contrib = contribution_sets(cone, k)
             value = cone_determinant(cone, k)
             factors = component_report(cone, k)
         out[str(k)] = {

@@ -392,6 +392,12 @@ def _zeta_contour(ev: SecularEvaluator, s: float, t_abs: float) -> tuple[float, 
     return value, err
 
 
+def check_zeta_s(s: float) -> None:
+    """Raise ValueError unless s > 1/2, where the zeta sum and its contour converge."""
+    if s <= 0.5:
+        raise ValueError("zeta_eval needs s > 1/2")
+
+
 def zeta_eval(
     spec: OperatorSpec,
     s: float,
@@ -410,8 +416,7 @@ def zeta_eval(
     the nonzero spectrum.  A spectrum found for this same ``spec``
     object lends its prepared operator.
     """
-    if s <= 0.5:
-        raise ValueError("zeta_eval needs s > 1/2")
+    check_zeta_s(s)
     direct = direct_err = None
     if spectrum is not None:
         direct, direct_err = _zeta_direct(s, spectrum)

@@ -49,10 +49,10 @@ from .operators import (
 )
 from .special import (
     EULER_GAMMA,
+    KernelTable,
     bessel_jm0_rows,
     gamma_fn,
     phi_rows,
-    series_table,
 )
 
 GAMMA_TILDE = math.log(2.0) - EULER_GAMMA
@@ -143,12 +143,22 @@ class SecularEvaluator:
         # channel; each distinct order has one kernel, 0 first when q0 > 0
         branch_s = list(spec.nus) + [-nu for nu in spec.nus[spec.q0 :]]
         orders = list(dict.fromkeys(branch_s))
-        self._orders = np.array(orders)
-        self._table = series_table(orders)
+        self._kernel = KernelTable(orders)
         # per branch: its kernel row, s and Gamma(1 + s) R^s
         self._branch_rows = np.array([orders.index(s) for s in branch_s], dtype=int)
         self._branch_s = np.array(branch_s)
-        self._branch_g = np.array([gamma_fn(1.0 + s) * spec.r**s for s in branch_s])
+        # at an R so small or large that R^s, the trace, its x-derivative or
+        # the row of a unit kernel value (phi = phi' = mu = 1), or the 1/R of
+        # the companion rows, overflow, F overflows at every mu
+        try:
+            g = [gamma_fn(1.0 + s) * spec.r**s for s in branch_s]
+        except OverflowError:
+            g = [math.inf]
+        traces = [_trace(s, gs, 1.0, 1.0, 1.0, spec.r) for s, gs in zip(branch_s, g)]
+        unit = [1.0 / spec.r] + [v for t in traces for v in (*t, self._row(*t))]
+        if not all(map(math.isfinite, unit)):
+            raise NumericalError(f"the boundary rows leave the float range at R = {spec.r:.6g}")
+        self._branch_g = np.array(g)
         self._top = np.hstack([spec.boundary.a_mat, spec.boundary.b_mat])
         if self.q == 1:  # the top row, normalized (validation makes it nonzero)
             a, b = complex(self._top[0, 0]), complex(self._top[0, 1])
@@ -240,7 +250,7 @@ class SecularEvaluator:
         """
         r, q = self.r, self.q
         w = mu * r
-        val, der = phi_rows(self._orders, self._table, w)
+        val, der, y = phi_rows(self._kernel, w)
         phi, dphi = val[self._branch_rows], der[self._branch_rows]
         lift = (slice(None),) + (None,) * mu.ndim  # branch constants broadcast over mu
         s, g = self._branch_s[lift], self._branch_g[lift]
@@ -250,7 +260,7 @@ class SecularEvaluator:
             drows = self._row(g * r * dphi, -g * (s * dphi + w * phi))
             djp, djm = drows[:q], drows[q:]
         if self.q0:  # the companion rows come first in jm (and djm)
-            c, c_x, c_mu = bessel_jm0_rows(mu, r, val[0], der[0])
+            c, c_x, c_mu = bessel_jm0_rows(mu, r, val[0], der[0], y)
             n = (self.q0,) + mu.shape
             jm = np.concatenate([np.broadcast_to(self._row(c, c_x), n), jm])
             if deriv:

@@ -3,9 +3,9 @@
 Everything here is pure and reentrant.  The row building blocks are
 stacked ndarray entry points (:func:`phi_rows`, :func:`bessel_jm0_rows`)
 that evaluate every order of an operator over a whole array of
-arguments in one pass: one matrix product for all the series and one
-``jve`` call per order shift.  The other public functions are scalar.
-The engine needs
+arguments in one pass; the per-order constants they need are worked out
+once per operator in a :class:`KernelTable`.  The other public
+functions are scalar.  The engine needs
 
 * ``J_nu(z)`` for real order ``nu`` and complex argument ``z`` (secular
   determinants are evaluated on contours in the right half-plane and on
@@ -16,22 +16,40 @@ The engine needs
   ``mu**2``,
 * ``Gamma`` for the normalization constants.
 
-Evaluation strategy (argument ``w``):
+Evaluation strategy (argument ``w``; the orders of a row are ``s`` and
+``s + 1`` with ``s = 0``, ``nu`` or ``-nu``, ``0 < nu < 1``):
 
-* ``|w| > 1``: ``scipy.special``, which wraps Amos's complex Bessel
-  routines (D. E. Amos, ACM TOMS 12, 1986, Algorithm 644).
 * ``|w| <= 1``: a short float64 power series for the entire forms
   ``(w/2)^(-nu) J_nu(w)`` and the log-free part of the companion.  There
   the prefactor meets ``0 * inf`` at ``w = 0`` and the ``log`` terms of
   the companion cancel; the terms fall fast enough that the series is
   accurate to a few units in the last place.
+* The real axis ``w = x > 1``, where the spectrum scans and root
+  refinement sample: one ``hankel1e`` call at the base orders ``nu`` and
+  ``nu + 1`` (Amos's routines, D. E. Amos, ACM TOMS 12, 1986, Algorithm
+  644).  ``J`` and ``Y`` are the real and imaginary parts of ``H1``, and
+  the negative orders follow from ``H1_{-nu} = e^(i nu pi) H1_nu`` and
+  the recurrence, so no ``J_{-nu}`` is evaluated by reflection.
+* The imaginary axis ``w = +-ix, x > 1``, where the negative-eigenvalue
+  scans and the zeta ray sample: real-argument ``iv`` and ``kve`` at the
+  same base orders, through the connection formulas of DLMF 10.27
+  (``I_{-nu} = I_nu + (2/pi) sin(nu pi) K_nu``).  ``iv`` (Temme's
+  method) is used rather than ``ive``, whose Miller recurrence is good
+  to only 7e-14 below ``x = 22``; ``ive`` takes over where ``e^(-x)``
+  leaves the normal floats.
+* Every other ``w``: ``jve`` at every order and order plus one, and
+  ``yve`` for the companion.
+
+Both axis zones agree with mpmath to about 2e-15 relative for
+``|w| <= 1000``; the ``jve`` zone is accurate to about 7e-14 for the
+negative orders (scipy reflects through ``J_nu`` and ``Y_nu``).
 
 The row building blocks (:func:`phi_rows`, :func:`bessel_jm0_rows` and
 their scalar forms :func:`bessel_jm0_series`, :func:`bessel_jm0_series_dx`)
-are exponentially scaled: they return their value times ``exp(-|Im w|)``
-(``jve``/``yve`` outside the disk), so the ``exp(|Im w|)`` growth on the
-imaginary axis never overflows.  For real arguments the factor is 1.
-``bessel_j``, ``bessel_y`` and their derivatives are unscaled.
+are exponentially scaled: they return their value times ``exp(-|Im w|)``,
+so the ``exp(|Im w|)`` growth on the imaginary axis never overflows.
+For real arguments the factor is 1.  ``bessel_j``, ``bessel_y`` and
+their derivatives are unscaled.
 
 All complex powers and logarithms use the principal branch; callers keep
 ``Re w >= 0``, where the branch cuts of ``(w/2)^(-nu)`` and ``J_nu``
@@ -40,7 +58,9 @@ cancel.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 
 import numpy as np
 from scipy import special as sc
@@ -158,11 +178,44 @@ def _power_table(rows: list[tuple[float, ...]]) -> np.ndarray:
     return np.array([(0.0,) * (_SERIES_TERMS - len(c)) + c[::-1] for c in rows])
 
 
-def series_table(orders) -> np.ndarray:
-    """The (2m, 14) series table of m orders for :func:`phi_rows`: the
-    series of each phi_s, then those of each phi_s'(w) / (w/2)."""
-    vals = [_phi_coeffs(float(s)) for s in orders]
-    return _power_table(vals + [_deriv_coeffs(c) for c in vals])
+class KernelTable:
+    """The per-order constants of :func:`phi_rows` for the m orders s,
+    worked out once per operator.
+
+    ``series`` is the (2m, 14) series table: the series of each phi_s,
+    then those of each phi_s'(w) / (w/2).  Off the series disk every row
+    is reached from its base order nu = |s| and from nu + 1: ``pair``
+    lists each base order once and then each base order plus one, and
+    ``rows`` picks from it the nu entry of every row, then the nu + 1
+    entry of every row.  A row s = -nu < 0 takes ``rotation``
+    e^(i nu pi), ``sine`` (2/pi) sin(nu pi) and ``shift`` -2 nu; a row
+    s >= 0 takes 1, 0 and 0.  ``rotation`` and ``sine`` are negated on
+    the nu + 1 half, where the zones form -H1_{s+1} and I_{s+1}.
+    ``companion`` says whether 0 is one of the orders, which asks for the
+    Y_0, Y_1 rows of the nu = 0 companion (``y_rows`` picks them from
+    ``pair``).
+    """
+
+    def __init__(self, orders):
+        s = [float(v) for v in orders]
+        vals = [_phi_coeffs(v) for v in s]
+        self.orders = np.array(s)
+        self.series = _power_table(vals + [_deriv_coeffs(c) for c in vals])
+        base = list(dict.fromkeys(abs(v) for v in s))
+        n = len(base)
+        self.pair = np.array(base + [nu + 1.0 for nu in base])[:, None]
+        value_rows = [base.index(abs(v)) for v in s]
+        self.rows = np.array(value_rows + [b + n for b in value_rows])
+        self.companion = 0.0 in base
+        self.y_rows = np.array([base.index(0.0), base.index(0.0) + n]) if self.companion else None
+        self.column = self.orders[:, None]
+        self.exponent = -self.column
+        reflected = [max(-v, 0.0) for v in s]  # nu on the rows s = -nu, else 0
+        rotation = [cmath.exp(1j * math.pi * nu) for nu in reflected]
+        sine = [2.0 / math.pi * math.sin(math.pi * nu) for nu in reflected]
+        self.rotation = np.array(rotation + [-v for v in rotation])[:, None]
+        self.sine = np.array(sine + [-v for v in sine])[:, None]
+        self.shift = np.array([-2.0 * nu for nu in reflected])[:, None]
 
 
 def _series(table: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -173,34 +226,114 @@ def _series(table: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (table @ powers.T) * np.exp(-np.abs(w.imag))
 
 
-def phi_rows(s: np.ndarray, table: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+# The zones of phi_rows.  Each takes the KernelTable and a 1-d w, and
+# returns the scaled phi_s(w) and phi_s'(w) rows, shaped (m, n), and the
+# scaled Y_0(w), Y_1(w) rows, shaped (2, n), where 0 is one of the orders
+# (else None).
+
+def _series_zone(k: KernelTable, w: np.ndarray):
+    sums = _series(k.series, w)
+    m = len(k.orders)
+    y = np.full((2, w.size), np.nan) if k.companion else None  # the companion sums its own series
+    return sums[:m], 0.5 * w * sums[m:], y
+
+
+def _real_zone(k: KernelTable, w: np.ndarray):
+    # J = Re H1 and Y = Im H1, with H1_{-nu} = e^(i nu pi) H1_nu and
+    # H1_{1-nu} = e^(i nu pi) H1_{nu+1} - (2 nu / x) H1_{-nu}
+    m = len(k.orders)
+    x = w.real
+    h = sc.hankel1e(k.pair, x) * np.exp(1j * x)
+    hr = k.rotation * h[k.rows]  # H1_s, then -H1_{s+1} before the shift term
+    hr[m:] -= k.shift / x * hr[:m]
+    rows = (0.5 * x) ** k.exponent * hr.real.reshape(2, m, -1)
+    return rows[0], rows[1], h[k.y_rows].imag if k.companion else None
+
+
+def _imag_zone(k: KernelTable, w: np.ndarray):
+    # phi_s(+-ix) = (x/2)^(-s) I_s(x), phi_s'(+-ix) = -+i (x/2)^(-s) I_{s+1}(x),
+    # with I_{-nu} = I_nu + (2/pi) sin(nu pi) K_nu and
+    # I_{1-nu} = I_{nu+1} - (2/pi) sin(nu pi) K_{nu+1} + (2 nu / x) I_{-nu},
+    # all scaled by e^(-x).  I comes from the real-argument iv (Temme's
+    # method, about 2e-15 relative), not from ive, whose Miller recurrence
+    # loses up to 7e-14 below x = 22; ive serves only past x = 708, where
+    # e^(-x) leaves the normal floats and iv soon overflows.
+    m = len(k.orders)
+    sign = np.sign(w.imag)
+    x = sign * w.imag
+    scale = np.exp(-x)
+    far = scale < sys.float_info.min
+    if np.count_nonzero(far):
+        i = np.empty((len(k.pair), x.size))
+        i[:, ~far] = sc.iv(k.pair, x[~far]) * scale[~far]
+        i[:, far] = sc.ive(k.pair, x[far])
+    else:
+        i = sc.iv(k.pair, x) * scale
+    kx = sc.kve(k.pair, x) * scale**2
+    ir = i[k.rows] + k.sine * kx[k.rows]  # I_s, then I_{s+1} before the shift term
+    ir[m:] -= k.shift / x * ir[:m]
+    rows = (0.5 * x) ** k.exponent * ir.reshape(2, m, -1)
+    y = None
+    if k.companion:  # Y_0(+-ix) = +-i I_0 - (2/pi) K_0, Y_1(+-ix) = -I_1 +- (2i/pi) K_1
+        (i0, i1), (k0, k1) = i[k.y_rows], kx[k.y_rows]
+        y = np.array([1j * sign * i0 - (2.0 / math.pi) * k0, (2j / math.pi) * sign * k1 - i1])
+    return rows[0], (-1j * sign) * rows[1], y
+
+
+def _general_zone(k: KernelTable, w: np.ndarray):
+    power = (0.5 * w) ** k.exponent
+    val = power * sc.jve(k.column, w)
+    der = -power * sc.jve(k.column + 1.0, w)
+    return val, der, sc.yve(_Y_ORDERS, w) if k.companion else None
+
+
+_Y_ORDERS = np.array([[0.0], [1.0]])
+
+
+def phi_rows(k: KernelTable, w: np.ndarray):
     """exp(-|Im w|) phi_s(w), phi_s(w) = (w/2)^(-s) J_s(w), and its
-    w-derivative, for every order s[i] at every entry of an ndarray w,
-    shaped (m,) + w.shape.
+    w-derivative, for every order s of ``k`` at every entry of an
+    ndarray w, shaped (m,) + w.shape; and, where 0 is one of the orders,
+    exp(-|Im w|) Y_0(w) and Y_1(w), shaped (2,) + w.shape and NaN inside
+    the series disk, for :func:`bessel_jm0_rows` (else None).
 
     phi_s is entire in w, even, with real coefficients, and
-    phi_s'(w) = -(w/2)^(-s) J_{s+1}(w).  ``table`` is :func:`series_table`
-    of the orders s.  Inside the unit disk one matrix product sums every
-    series; outside, one ``jve`` call per order shift takes all orders
-    at once (callers keep Re w >= 0).
+    phi_s'(w) = -(w/2)^(-s) J_{s+1}(w).  Each entry is evaluated by its
+    zone (callers keep Re w >= 0), so its value does not depend on the
+    other entries:
+
+    * |w| <= 1: one matrix product sums every series;
+    * the real axis: one ``hankel1e`` call over the base orders nu = |s|
+      and nu + 1 gives J and Y as the real and imaginary parts of H1;
+    * the imaginary axis: one ``iv`` and one ``kve`` call over the same
+      base orders, through the connection formulas (DLMF 10.27);
+    * elsewhere: one ``jve`` call per order shift, and one ``yve`` call.
     """
-    m = len(s)
-    val = np.empty((m,) + w.shape, dtype=complex)
-    der = np.empty((m,) + w.shape, dtype=complex)
-    inside = np.abs(w) <= _SERIES_RADIUS
-    if inside.any():
-        wi = w[inside]
-        sums = _series(table, wi)
-        val[:, inside] = sums[:m]
-        der[:, inside] = 0.5 * wi * sums[m:]
-    if not inside.all():
-        outside = ~inside
-        wo = w[outside]
-        orders = s[:, None]
-        power = (0.5 * wo) ** (-orders)
-        val[:, outside] = power * sc.jve(orders, wo)
-        der[:, outside] = -power * sc.jve(orders + 1.0, wo)
-    return val, der
+    flat = w.ravel()
+    m, n = len(k.orders), flat.size
+    outside = np.abs(flat) > _SERIES_RADIUS
+    zones = [(~outside, _series_zone)]
+    if np.count_nonzero(outside):
+        re, im = flat.real, flat.imag
+        real = outside & (im == 0.0) & (re > 0.0)
+        imag = outside & (re == 0.0)
+        zones += [(real, _real_zone), (imag, _imag_zone), (outside & ~(real | imag), _general_zone)]
+        zones = [(mask, zone) for mask, zone in zones if np.count_nonzero(mask)]
+    if len(zones) == 1:  # every entry in one zone: no gather or scatter
+        val, der, y = zones[0][1](k, flat)
+    else:
+        val = np.empty((m, n), dtype=complex)
+        der = np.empty((m, n), dtype=complex)
+        y = np.empty((2, n), dtype=complex) if k.companion else None
+        for mask, zone in zones:
+            val[:, mask], der[:, mask], y_zone = zone(k, flat[mask])
+            if k.companion:
+                y[:, mask] = y_zone
+    if k.companion:
+        y = y.astype(complex, copy=False).reshape((2,) + w.shape)
+    val = val.astype(complex, copy=False).reshape((m,) + w.shape)
+    der = der.astype(complex, copy=False).reshape((m,) + w.shape)
+    return val, der, y
 
 
 def _psi_coeffs() -> tuple[float, ...]:
@@ -216,8 +349,7 @@ def _psi_coeffs() -> tuple[float, ...]:
 
 _PSI = _psi_coeffs()
 _PSI_TABLE = _power_table([_PSI, _deriv_coeffs(_PSI)])  # psi and psi'/(w/2) for _series
-_ORDER0 = np.zeros(1)
-_PHI0_TABLE = series_table(_ORDER0)
+_PHI0_TABLE = KernelTable([0.0])
 
 
 def bessel_jm0(mu: float, x: float) -> float:
@@ -241,8 +373,8 @@ def _companion(mu: complex, x: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """:func:`bessel_jm0_rows` at one mu, as one-element arrays."""
     mu = complex(mu)
     mu = np.array([-mu if mu.real < 0.0 else mu])  # even in mu; keep Amos's cut off arg w = pi
-    val, der = phi_rows(_ORDER0, _PHI0_TABLE, mu * x)
-    return bessel_jm0_rows(mu, x, val[0], der[0])
+    val, der, y = phi_rows(_PHI0_TABLE, mu * x)
+    return bessel_jm0_rows(mu, x, val[0], der[0], y)
 
 
 def bessel_jm0_series(mu: complex, x: float) -> complex:
@@ -261,14 +393,16 @@ def bessel_jm0_series_dx(mu: complex, x: float) -> complex:
 
 
 def bessel_jm0_rows(
-    mu: np.ndarray, x: float, phi0: np.ndarray, dphi0: np.ndarray
+    mu: np.ndarray, x: float, phi0: np.ndarray, dphi0: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`bessel_jm0_series`, :func:`bessel_jm0_series_dx` and the
     mu-derivative of the former, at every entry of an ndarray mu with
     Re mu >= 0.
 
-    phi0 and dphi0 are the order-0 rows of :func:`phi_rows` at w = mu x:
-    the scaled J_0(w) and -J_1(w).  All three results carry the factor
+    phi0, dphi0 and y are the order-0 rows of :func:`phi_rows` at
+    w = mu x: the scaled J_0(w) and -J_1(w), and the scaled Y_0(w),
+    Y_1(w), so no Bessel function is evaluated here.  All three results
+    carry the factor
     exp(-|Im mu x|).  Outside the series disk the mu-derivative is
     (x C_x - J0(mu x)) / mu; inside, where that difference cancels to
     O((mu x)^2), it is x (log(x) phi_0'(w) - psi'(w)).
@@ -292,9 +426,9 @@ def bessel_jm0_rows(
         c_mu[inside] = x * e
     if not inside.all():
         outside = ~inside
-        mo, wo, j0 = mu[outside], w[outside], phi0[outside]
+        mo, j0 = mu[outside], phi0[outside]
         shift = np.log(mo) - math.log(2.0) + EULER_GAMMA
-        c[outside] = 0.5 * math.pi * sc.yve(0.0, wo) - shift * j0
-        c_x[outside] = -mo * (0.5 * math.pi * sc.yve(1.0, wo) + shift * dphi0[outside])
+        c[outside] = 0.5 * math.pi * y[0][outside] - shift * j0
+        c_x[outside] = -mo * (0.5 * math.pi * y[1][outside] + shift * dphi0[outside])
         c_mu[outside] = (x * c_x[outside] - j0) / mo
     return c, c_x, c_mu

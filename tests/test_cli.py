@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import regsing
+from regsing import cli
 from regsing.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA, main
 
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
@@ -169,6 +171,14 @@ class TestValidateAndSchema:
         assert rep["ok"] is False
         assert rep["violations"][0]["name"] == "rank"
 
+    def test_document_read_closes_its_file(self, write_doc, capsys):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, "validate", write_doc(bessel_doc()))
+        assert code == EXIT_OK
+        assert err == ""
+        assert [w for w in seen if issubclass(w.category, ResourceWarning)] == []
+
     def test_valid_document_exits_0(self, write_doc, capsys):
         code, out, _ = run_cli(capsys, "validate", write_doc(bessel_doc()))
         assert code == EXIT_OK
@@ -197,6 +207,16 @@ class TestValidateAndSchema:
         # finite-t style pre-check failure: zeta at s <= 1/2
         code, _, err = run_cli(capsys, "zeta", write_doc(bessel_doc()), "--s", "0.4")
         assert code == EXIT_NUMERICAL
+
+    def test_small_s_is_refused_before_the_spectrum_scan(self, write_doc, capsys, monkeypatch):
+        # the s > 1/2 rule of zeta_eval is checked before find_spectrum runs
+        scans = []
+        monkeypatch.setattr(cli, "find_spectrum", lambda *args: scans.append(args))
+        code, out, err = run_cli(capsys, "zeta", write_doc(bessel_doc()), "--s", "0.4")
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert err == "regsing: numerical failure: zeta_eval needs s > 1/2\n"
+        assert scans == []
 
     @pytest.mark.parametrize("argv", OPERATOR_COMMANDS, ids=lambda argv: argv[0])
     def test_rank_deficient_operator_exits_2(self, write_doc, capsys, argv):
@@ -292,6 +312,18 @@ class TestCone:
         assert code == EXIT_OK
         degrees = json.loads(out)["report"]["degrees"]
         assert list(degrees) == ["1"]
+
+    @pytest.mark.parametrize("fixture", ["circle_cone.json", "sphere_cone.json"])
+    def test_no_warning_escapes(self, capsys, fixture):
+        # the window notes are part of the payload, and the document is closed
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "cone", str(FIXTURES / fixture))
+        assert code == EXIT_OK
+        assert err == ""
+        assert [str(w.message) for w in seen] == []
+        notes = [n for d in json.loads(out)["report"]["degrees"].values() for n in d["warnings"]]
+        assert len(notes) == (3 if fixture == "circle_cone.json" else 0)
 
     def test_incomplete_spectrum_is_numerical(self, write_doc, capsys):
         doc = circle_doc()

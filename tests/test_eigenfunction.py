@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 from collections import Counter
 
 import mpmath as mp
@@ -162,6 +163,23 @@ def test_value_beyond_float_range_is_typed():
         eval_F(spec, 5j)
     mant, logs = SecularEvaluator(spec).scaled(5j)
     assert math.isfinite(logs) and 0.0 < abs(mant) < 10.0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        scalar_spec(0.3, Robin(0.0), tip="singular", r=5.3e-280),
+        scalar_spec(0.0, Dirichlet(), r=5e-324),
+        scalar_spec(0.975, Robin(0.0), tip="singular", r=5e-324),
+    ],
+    ids=["R^-nu / R", "1 / R", "R^-nu"],
+)
+def test_rows_beyond_float_range_are_refused_on_construction(spec):
+    # at such R every row overflows whatever mu is: a typed error, no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="float range"):
+            SecularEvaluator(spec)
 
 
 ARRAY_SPECS = {

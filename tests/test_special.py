@@ -1,21 +1,27 @@
 """Special-function kernel: frozen references, identities, domains.
 
 Reference values were computed with mpmath at 30 significant digits and
-frozen here; the other oracles call mpmath directly, and the scaled row
-kernel is checked across its series seam at |w| = 1.
+frozen here; the other oracles call mpmath directly.  The scaled row
+kernel is checked across its series seam at |w| = 1, on both axes
+against mpmath, across each axis against its jve zone, and for the
+scipy routines each zone calls.
 """
 
+import collections
 import math
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regsing import special
 from regsing.special import (
     EULER_GAMMA,
+    KernelTable,
     SpecialFunctionDomainError,
     bessel_j,
     bessel_j_deriv,
@@ -27,7 +33,6 @@ from regsing.special import (
     bessel_y_deriv,
     gamma_fn,
     phi_rows,
-    series_table,
 )
 
 ENVELOPE = lambda x: math.sqrt(2.0 / (math.pi * x))  # noqa: E731
@@ -243,7 +248,7 @@ def test_normalized_bessel_continuous_across_series_seam(order):
         unit = complex(math.cos(angle), math.sin(angle))
         inside, outside = (1.0 - 1e-15) * unit, (1.0 + 1e-15) * unit
         assert abs(inside) <= 1.0 < abs(outside)
-        val, der = phi_rows(s, series_table(s), np.array([inside, outside]))
+        val, der, _ = phi_rows(KernelTable(s), np.array([inside, outside]))
         assert abs(val[0, 0] - val[0, 1]) <= 1e-14
         assert abs(der[0, 0] - der[0, 1]) <= 1e-14
 
@@ -251,7 +256,7 @@ def test_normalized_bessel_continuous_across_series_seam(order):
 @pytest.mark.parametrize("order", [0.3, -0.3, 0.9, -0.9])
 def test_normalized_bessel_at_zero(order):
     s = np.array([order])
-    val, der = phi_rows(s, series_table(s), np.zeros(1))
+    val, der, _ = phi_rows(KernelTable(s), np.zeros(1))
     assert val[0, 0] == 1.0 / gamma_fn(1.0 + order)
     assert der[0, 0] == 0.0
 
@@ -265,12 +270,12 @@ def test_stacked_rows_match_scalar_kernels(where):
     w = np.array([r * np.exp(1j * a) for r in radius for a in (-1.4, -0.3, 0.0, 0.8)])
     w = w.reshape(2, 4)
     orders = np.array((0.0, 0.3, -0.3, 0.9, -0.9))
-    table = series_table(orders)
-    val, der = phi_rows(orders, table, w)
+    table = KernelTable(orders)
+    val, der, y = phi_rows(table, w)
     assert val.shape == der.shape == (5, 2, 4)
     for i in np.ndindex(w.shape):
         z = complex(w[i])
-        one_val, one_der = phi_rows(orders, table, np.array([z]))
+        one_val, one_der, _ = phi_rows(table, np.array([z]))
         for k, s in enumerate(orders.tolist()):
             assert abs(val[k][i] - one_val[k, 0]) <= 1e-15 * max(1.0, abs(one_val[k, 0]))
             assert abs(der[k][i] - one_der[k, 0]) <= 1e-15 * max(1.0, abs(one_der[k, 0]))
@@ -282,8 +287,99 @@ def test_stacked_rows_match_scalar_kernels(where):
             assert abs(val[k][i] - want_val) <= 1e-14 * max(1.0, abs(want_val))
             assert abs(der[k][i] - want_der) <= 1e-14 * max(1.0, abs(want_der))
     x = 1.7
-    c, c_x, _ = bessel_jm0_rows(w / x, x, val[0], der[0])
+    c, c_x, _ = bessel_jm0_rows(w / x, x, val[0], der[0], y)
     for i in np.ndindex(w.shape):
         mu = complex(w[i]) / x
         for got, want in ((c[i], bessel_jm0_series(mu, x)), (c_x[i], bessel_jm0_series_dx(mu, x))):
             assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+
+# the axis zones of phi_rows: orders of every row kind (0, +-nu with nu near
+# 0, 1/2 and 1) and radii from just outside the series disk to |w| = 1000
+AXIS_ORDERS = (0.0, 0.05, -0.05, 0.5, -0.5, 0.9, -0.9, 0.999, -0.999)
+AXIS_RADII = (1.0 + 1e-15, 1.01, 1.7, 3.0, 9.9, 20.0, 40.0, 123.4, 500.0, 1e3)
+AXES = {"real": 1.0 + 0.0j, "+imag": 1.0j, "-imag": -1.0j}
+
+
+@pytest.mark.parametrize("axis", AXES)
+def test_axis_rows_match_mpmath(axis):
+    # values, derivatives and the companion's Y_0, Y_1 rows from the
+    # hankel1e (real axis) and iv/kve (imaginary axis) zones
+    w = AXES[axis] * np.array(AXIS_RADII)
+    val, der, y = phi_rows(KernelTable(AXIS_ORDERS), w)
+    for j, z in enumerate(w.tolist()):
+        with mpmath.workdps(30):
+            zm = mpmath.mpc(z)
+            scale = mpmath.exp(-abs(zm.imag))
+            pairs = [(y[n, j], scale * mpmath.bessely(n, zm)) for n in (0, 1)]
+            for k, s in enumerate(AXIS_ORDERS):
+                power = scale * (zm / 2) ** (-s)
+                pairs.append((val[k, j], power * mpmath.besselj(s, zm)))
+                pairs.append((der[k, j], -power * mpmath.besselj(s + 1, zm)))
+        for got, want in pairs:
+            want = complex(want)
+            assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (z, got, want)
+
+
+@pytest.mark.parametrize(
+    "axis,turn", [("real", 1e-12), ("real", -1e-12), ("+imag", -1e-12), ("-imag", 1e-12)]
+)
+def test_axis_rows_continuous_with_general_path(axis, turn):
+    # w0 on the axis, w1 = w0 e^(i turn) just off it in the right half-plane:
+    # the jve/yve rows at w1 against the axis rows at w0 carried to w1 to first
+    # order, with phi_s'' = -((2s + 1) phi_s' / w + phi_s), Y_0' = -Y_1 and
+    # Y_1' = Y_0 - Y_1 / w (the second-order term is below 1e-18 here).  The
+    # bound leaves room for the jve of negative order, which is accurate to
+    # about 7e-14 near |w| = 20 and 1000.
+    k = KernelTable(AXIS_ORDERS)
+    w0 = AXES[axis] * np.array(AXIS_RADII)
+    w1 = w0 * np.exp(1j * turn)
+    assert np.all(np.abs(w1) > 1.0) and np.all(w1.real > 0.0) and np.all(w1.imag != 0.0)
+    (v0, d0, y0), (v1, d1, y1) = phi_rows(k, w0), phi_rows(k, w1)
+    dw = w1 - w0
+    ratio = np.exp(np.abs(w0.imag) - np.abs(w1.imag))  # the change of exp(-|Im w|)
+    s = np.array(AXIS_ORDERS)[:, None]
+    want = [
+        (v1, ratio * (v0 + d0 * dw)),
+        (d1, ratio * (d0 - ((2.0 * s + 1.0) / w0 * d0 + v0) * dw)),
+        (y1[0], ratio * (y0[0] - y0[1] * dw)),
+        (y1[1], ratio * (y0[1] + (y0[0] - y0[1] / w0) * dw)),
+    ]
+    for got, near in want:
+        assert np.all(np.abs(got - near) <= 1e-13 * np.maximum(1.0, np.abs(near)))
+
+
+class _CountingScipy:
+    """``scipy.special`` with every call counted by routine name."""
+
+    def __init__(self, calls: collections.Counter):
+        self._calls = calls
+
+    def __getattr__(self, name):
+        routine = getattr(scipy.special, name)
+
+        def counted(*args):
+            self._calls[name] += 1
+            return routine(*args)
+
+        return counted
+
+
+@pytest.mark.parametrize("axis", ["real", "+imag", "-imag", "off"])
+def test_axis_rows_make_no_jve_call(monkeypatch, axis):
+    # an axis array, on both sides of the series seam, takes one call of each
+    # scipy routine its zone uses and none of jve or yve; the companion rows
+    # built on it take none at all.  An array off the axes takes the jve path.
+    calls = collections.Counter()
+    monkeypatch.setattr(special, "sc", _CountingScipy(calls))
+    unit = AXES.get(axis, np.exp(0.4j))
+    w = unit * np.linspace(0.5, 300.0, 64)
+    val, der, y = phi_rows(KernelTable((0.0, 0.3, -0.3, 0.7, -0.7)), w)
+    if axis == "off":
+        assert calls == {"jve": 2, "yve": 1}
+        return
+    assert calls["jve"] == calls["yve"] == 0
+    assert calls and max(calls.values()) == 1
+    calls.clear()
+    bessel_jm0_rows(w / 2.0, 2.0, val[0], der[0], y)
+    assert not calls
