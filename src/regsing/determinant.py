@@ -28,6 +28,7 @@ is valid for every nu >= 0, beyond the matrix core's nu < 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,11 +121,7 @@ def _closed_form(ev: SecularEvaluator) -> DeterminantReport:
             f"kernel order {ev.k0} > 0; use det_zeta_regularized for this operator"
         )
     f0 = ev.f0
-    pref = (2.0 * math.pi) ** (spec.q / 2.0) / cv.a0
-    pref *= (-2.0 * math.exp(EULER_GAMMA)) ** (spec.q0 - cv.j0)
-    for nu in spec.nus[spec.q0 :]:
-        pref *= 2.0**nu / gamma_fn(1.0 - nu)
-    raw = pref * f0
+    raw = f0 * (-2.0 * math.exp(EULER_GAMMA)) ** (spec.q0 - cv.j0) / ev.model.c
     signed = _real(raw, "closed-form determinant")
     log_singular = cv.j0 != spec.q0
     diagnostics = {"f_zero": f0.real, "alpha0": cv.alpha0, "j0": cv.j0}
@@ -389,6 +386,12 @@ def _zeta_contour(ev: SecularEvaluator, s: float, t_abs: float) -> tuple[float, 
     # the model remainder decays like 1/x (1/log x when q0 != j0)
     rem_scale = 1.0 / x_cut if log_pow == 0 else 1.0 / math.log(x_cut)
     err = abs(sin_fac) * (ray_err + abs(tail) * rem_scale) + 1e-12 * (1.0 + abs(value))
+    if k0:
+        # rounding: each kernel column of N cancels O(1) terms to O((mu R)^2), an error
+        # that dlog F ~ 2 k0 / mu keeps while dlog F~ drops to O(mu): k0 eps t^(-2s)
+        # (t R)^-2 over the arc, and at most as much again over the ray
+        cancel = max(1.0, (t_abs * ev.r) ** -2)
+        err += 2.0 * k0 * sys.float_info.epsilon * t_abs ** (-2.0 * s) * cancel
     return value, err
 
 

@@ -1,32 +1,33 @@
 """The secular determinant F(mu), its zeros, and its asymptotic model.
 
-``F(mu)`` is the determinant of the 2q x 2q block matrix
+mu^2 is an eigenvalue iff the boundary system [[a_mat, b_mat],
+[diag(jp(mu)), diag(jm(mu))]] is singular; its kernel vectors are the
+asymptotic coefficient vectors of eigenfunctions.  Its diagonal lower
+blocks commute, so its determinant is the q x q determinant
 
-    [ a_mat           b_mat        ]
-    [ diag(jp_l(mu))  diag(jm_l(mu)) ]
+    F(mu) = det N(mu),    N = a_mat diag(jm) - b_mat diag(jp),
 
-whose kernel vectors are the asymptotic coefficient vectors of actual
-eigenfunctions: mu^2 is an eigenvalue of the operator iff F(mu) = 0.
-The diagonal entries are boundary traces at x = R of the two normalized
-scalar solutions of -f'' + (lambda/x^2 - mu^2) f = 0:
+and a kernel vector c of N gives the coefficient vector (diag(jm) c,
+-diag(jp) c).  The traces jp_l, jm_l are boundary values at x = R of
+the two normalized scalar solutions of -f'' + (lambda/x^2 - mu^2) f = 0:
 
 * nu > 0 branch pair:  sqrt(x) * Gamma(1 +- nu) x^(+-nu) phi_{+-nu}(mu x)
 * nu = 0 pair:         sqrt(x) * J_0(mu x) and the logarithmic companion
 
 written through the entire even functions phi_nu(w) = (w/2)^(-nu) J_nu(w),
-so every matrix entry is an even entire function of mu and F is analytic
+so every trace is an even entire function of mu and F is analytic
 in mu^2 (the log mu pieces of the companion solution cancel identically).
 
 Robin rows evaluate kappa * T(R) + sqrt(R) * dT/dx(R) with
 kappa = 1/(2 sqrt(R)) + alpha sqrt(R); Dirichlet rows evaluate the
-solution trace sqrt(R) * T(R).  The lower rows carry the factor
+solution trace sqrt(R) * T(R).  The traces carry the factor
 exp(-|Im mu R|) of the exponentially scaled Bessel kernel, so entries
 stay finite on contours where F grows like exp(q |Im mu| R); `scaled`
 returns a mantissa and a real log-scale with F = mantissa *
 exp(log_scale), the log-scale adding q |Im mu R| back.  `scaled` and
 `dlog` are evaluated over ndarrays of mu (a scalar mu is a one-element
-array); `dlog` gives F'/F by Jacobi's formula from the analytic
-mu-derivatives of the rows.
+array); `dlog` gives F'/F by Jacobi's formula tr(N^-1 N') from the
+analytic mu-derivatives of the traces.
 """
 
 from __future__ import annotations
@@ -159,12 +160,12 @@ class SecularEvaluator:
         if not all(map(math.isfinite, unit)):
             raise NumericalError(f"the boundary rows leave the float range at R = {spec.r:.6g}")
         self._branch_g = np.array(g)
-        self._top = np.hstack([spec.boundary.a_mat, spec.boundary.b_mat])
-        if self.q == 1:  # the top row, normalized (validation makes it nonzero)
-            a, b = complex(self._top[0, 0]), complex(self._top[0, 1])
-            s_top = max(abs(a), abs(b))
-            self._ab = (a / s_top, b / s_top)
-            self._log_top = math.log(s_top)
+        # the tip rows [A | B], each over its largest entry (validation makes it nonzero)
+        top = np.hstack([spec.boundary.a_mat, spec.boundary.b_mat]).tolist()
+        tops = [max(map(abs, row)) for row in top]
+        top = np.array([[v / t for v in row] for row, t in zip(top, tops)])
+        self._at, self._bt = top[:, : self.q].T, top[:, self.q :].T
+        self._log_top = sum(map(math.log, tops))
 
     @cached_property
     def cv(self) -> CharacteristicValues:
@@ -268,22 +269,16 @@ class SecularEvaluator:
                 djm = np.concatenate([np.broadcast_to(lead, n), djm])
         return (jp, jm, djp, djm) if deriv else (jp, jm)
 
-    def _stack(self, jp, jm, top) -> np.ndarray:
-        """The 2q x 2q matrices (stacked over the shape of mu) with the given top rows."""
-        q = self.q
-        shape = np.shape(jp[0])
-        m = np.zeros(shape + (2 * q, 2 * q), dtype=complex)
-        m[..., :q, :] = top
-        for l in range(q):
-            m[..., q + l, l] = jp[l]
-            m[..., q + l, q + l] = jm[l]
-        return m
+    def _system(self, jp, jm) -> np.ndarray:
+        """N^T, N = A diag(jm) - B diag(jp) with the normalized tip rows A, B, from traces
+        shaped (q,) + mu.shape: a stack in np.linalg's layout over mu.shape reversed."""
+        return jm.T[..., None] * self._at - jp.T[..., None] * self._bt
 
     def matrix(self, mu: complex) -> np.ndarray:
-        """The 2q x 2q matrix, lower rows times exp(-|Im mu R|) (exact for real mu)."""
+        """The q x q system N at mu (normalized tip rows, traces times exp(-|Im mu R|)),
+        whose kernel vectors c give the coefficient vectors (diag(jm) c, -diag(jp) c)."""
         mu, _ = _right_half(np.array([mu]))  # F is even; keep arguments in the right half-plane
-        jp, jm = self._traces(mu)
-        return self._stack(jp, jm, self._top)[0]
+        return self._system(*self._traces(mu))[0].T
 
     def value(self, mu):
         """F(mu); raises NumericalError where |F| leaves the float range."""
@@ -306,31 +301,31 @@ class SecularEvaluator:
             mant, logs = self.scaled(np.array([mu]))
             return complex(mant[0]), float(logs[0])
         mu, _ = _right_half(mu)
-        return self._mantissa(mu, *self._traces(mu))
+        jp, jm = self._traces(mu)
+        return self._mantissa(mu, jp, jm, self._system(jp, jm))
 
-    def _mantissa(self, mu: np.ndarray, jp, jm) -> tuple[np.ndarray, np.ndarray]:
-        """The mantissa and log-scale of F at mu (Re mu >= 0) from the traces there."""
-        growth = self.q * self.r * abs(mu.imag)  # each lower row carries exp(-|Im mu R|)
+    def _mantissa(self, mu: np.ndarray, jp, jm, nt) -> tuple[np.ndarray, np.ndarray]:
+        """The mantissa det(N / column scales) and the log-scale of F at mu (Re mu >= 0)
+        from the traces and :meth:`_system` there; column l is scaled by max(|jp_l|, |jm_l|)."""
+        growth = self.q * self.r * abs(mu.imag)  # each column of N carries exp(-|Im mu R|)
+        scale = np.maximum(abs(jp.T), abs(jm.T))
+        scale[scale == 0.0] = 1.0  # a vanishing column: det N is exactly 0
+        nt = nt / scale[..., None]  # row l of N^T is column l of N
         if self.q == 1:
-            a, b = self._ab
-            scale = np.maximum(abs(jp[0]), abs(jm[0]))
-            scale[scale == 0.0] = 1.0  # a vanishing row: the mantissa is exactly 0
-            return (a * jm[0] - b * jp[0]) / scale, np.log(scale) + self._log_top + growth
-        m = self._stack(jp, jm, self._top)
-        scales = np.max(np.abs(m), axis=-1)
-        scales[scales == 0.0] = 1.0  # a vanishing row: the determinant is exactly 0
-        mant = np.linalg.det(m / scales[..., None])
-        return mant, np.sum(np.log(scales), axis=-1) + growth
+            mant, logs = nt[..., 0, 0], np.log(scale[..., 0])
+        else:
+            mant, logs = np.linalg.det(nt), np.log(scale).sum(axis=-1)
+        return mant.T, logs.T + self._log_top + growth
 
     # -- log-derivative -----------------------------------------------------
 
     def dlog(self, mu):
-        """(d/dmu) log F by Jacobi's formula dlog F = tr(M^-1 M').
+        """(d/dmu) log F by Jacobi's formula dlog F = tr(N^-1 N').
 
-        The derivative rows carry the same exp(-|Im mu R|) factor as the
-        value rows, so it cancels.  q = 1 is the closed 2 x 2 quotient.
-        A scalar mu is evaluated as a one-element array; mu at a zero of
-        F raises ContourError.
+        N' is N with the traces replaced by their mu-derivatives, which
+        carry the same exp(-|Im mu R|) factor, so it cancels.  A scalar
+        mu is evaluated as a one-element array; mu at a zero of F raises
+        ContourError.
         """
         if not isinstance(mu, np.ndarray):
             return complex(self.dlog(np.array([mu]))[0])
@@ -342,34 +337,34 @@ class SecularEvaluator:
     def _dlog(self, mu: np.ndarray) -> np.ndarray:
         """:meth:`dlog` over an ndarray mu, left non-finite at the zeros of F."""
         mu, flip = _right_half(mu)
-        return self._jacobi(flip, *self._traces(mu, deriv=True))
+        jp, jm, djp, djm = self._traces(mu, deriv=True)
+        return self._jacobi(flip, self._system(jp, jm), self._system(djp, djm))
 
     def _scaled_dlog(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`scaled` and :meth:`_dlog` over an ndarray mu from one kernel pass."""
         mu, flip = _right_half(mu)
         jp, jm, djp, djm = self._traces(mu, deriv=True)
-        return (*self._mantissa(mu, jp, jm), self._jacobi(flip, jp, jm, djp, djm))
+        nt = self._system(jp, jm)
+        return (*self._mantissa(mu, jp, jm, nt), self._jacobi(flip, nt, self._system(djp, djm)))
 
-    def _jacobi(self, flip, jp, jm, djp, djm) -> np.ndarray:
-        """dlog F from the traces and their mu-derivatives, negated where mu was reflected."""
+    def _jacobi(self, flip, nt, dnt) -> np.ndarray:
+        """dlog F = tr(N^-1 N') from :meth:`_system` of the traces and of their
+        mu-derivatives, negated where mu was reflected."""
         with np.errstate(divide="ignore", invalid="ignore"):
             if self.q == 1:
-                a, b = self._ab
-                out = (a * djm[0] - b * djp[0]) / (a * jm[0] - b * jp[0])
-            else:
-                m = self._stack(jp, jm, self._top)
-                dm = self._stack(djp, djm, 0.0)
-                scales = np.max(np.abs(m), axis=-1, keepdims=True)
-                m, dm = m / scales, dm / scales
+                out = dnt[..., 0, 0] / nt[..., 0, 0]
+            else:  # tr(N^-T N'^T) = tr(N^-1 N'), both over the column maxima of N
+                scale = np.max(abs(nt), axis=-1, keepdims=True)
+                nt, dnt = nt / scale, dnt / scale
                 try:
-                    sol = np.linalg.solve(m, dm)
+                    sol = np.linalg.solve(nt, dnt)
                 except np.linalg.LinAlgError:  # mu on a zero of F: only that matrix is singular
-                    singular = np.linalg.det(m) == 0.0
-                    m[singular] = np.eye(2 * self.q)
-                    sol = np.linalg.solve(m, dm)
+                    singular = np.linalg.det(nt) == 0.0
+                    nt[singular] = np.eye(self.q)
+                    sol = np.linalg.solve(nt, dnt)
                     sol[singular] = np.nan
                 out = np.trace(sol, axis1=-2, axis2=-1)
-        return np.where(flip, -out, out)  # F is even, dlog F odd
+        return np.where(flip, -out.T, out.T)  # F is even, dlog F odd
 
     def log_value(self, mu: complex) -> complex:
         mant, logs = self.scaled(mu)

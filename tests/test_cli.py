@@ -278,6 +278,8 @@ def operator_documents(draw):
     }
 
 
+# pytest captures numpy warnings before they reach the redirected stderr: make them fail
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(doc=operator_documents())
 def test_exit_code_contract(doc):

@@ -480,6 +480,19 @@ class TestZeta:
         rep = zeta_eval(request.getfixturevalue(fixture), s)
         assert abs(rep.contour - want) <= rtol * want
 
+    @pytest.mark.parametrize("s", [2.0, 3.0])
+    @pytest.mark.parametrize("nu", [0.0, 0.1, 0.25, 0.3088, 0.5, 0.75, 0.9])
+    def test_kernel_contour_error_covers_rayleigh_sums(self, nu, s):
+        # alpha R = -nu - 1/2: a kernel (k0 = 1), and the nonzero spectrum is
+        # j_{nu+1,k} / R, whose zeta at s = 2, 3 is a Rayleigh sum
+        for r in [0.5, 1.0, 1.5, 3.0, 6.0]:
+            rep = zeta_eval(scalar_spec(nu, Robin((-nu - 0.5) / r), r=r), s)
+            if s == 2.0:
+                want = r**4 / (16.0 * (nu + 2.0) ** 2 * (nu + 3.0))
+            else:
+                want = r**6 / (32.0 * (nu + 2.0) ** 3 * (nu + 3.0) * (nu + 4.0))
+            assert abs(rep.contour - want) <= rep.contour_error, r
+
     def test_contour_radius_scales_with_length(self):
         # at R = 40 the first root (about 0.02) lies inside a fixed radius 0.1
         spec = scalar_spec(0.25, Robin(0.25 / 40.0), tip="singular", r=40.0)

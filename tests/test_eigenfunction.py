@@ -27,7 +27,14 @@ from regsing.eigenfunction import (
     log_F_imag,
     verify_contour_decay,
 )
-from regsing.operators import Dirichlet, Robin, diagonal_spec, scalar_spec
+from regsing.operators import (
+    BoundaryMatrices,
+    Dirichlet,
+    OperatorSpec,
+    Robin,
+    diagonal_spec,
+    scalar_spec,
+)
 from tests.conftest import bisect_root, robin_regular
 
 
@@ -199,6 +206,21 @@ ARRAY_SPECS = {
             scalar_spec(0.7, Robin(0.3), r=1.3),
         ]
     ),
+    # self-adjoint tip conditions that couple the two channels
+    "q2 coupled": OperatorSpec(
+        r=1.2,
+        lambdas=(0.3**2 - 0.25, 0.6**2 - 0.25),
+        q0=0,
+        boundary=BoundaryMatrices(np.eye(2), [[1.0, 0.5], [0.5, 2.0]]),
+        regular_bc=Robin(0.4),
+    ),
+    "q2 coupled nu0 dirichlet": OperatorSpec(
+        r=0.8,
+        lambdas=(-0.25, 0.11),
+        q0=1,
+        boundary=BoundaryMatrices(np.diag([-1.0, 1.0]), [[1.0, 0.7], [0.7, -0.5]]),
+        regular_bc=Dirichlet(),
+    ),
 }
 
 
@@ -267,6 +289,19 @@ def test_dlog_matches_mpmath(name):
         for g, mu in zip(got, mus):
             z = mp.mpc(mu)
             want = complex(mp.diff(lambda x: _mp_secular(spec, x), z) / _mp_secular(spec, z))
+            assert abs(g - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_SPECS))
+def test_value_matches_mpmath(name):
+    spec = ARRAY_SPECS[name]
+    # the points of test_dlog_matches_mpmath and two on the real axis beyond |w| = 1
+    mus = [0.3 + 0.2j, 0.05j, 3.0j, 5.0 + 2.0j, 0.1 * cmath.exp(-1.2j), 12.0 * cmath.exp(0.9j)]
+    mus += [4.0, 17.0]
+    got = SecularEvaluator(spec).value(np.array(mus))
+    with mp.workdps(40):
+        for g, mu in zip(got, mus):
+            want = complex(_mp_secular(spec, mp.mpc(mu)))
             assert abs(g - want) <= 1e-12 * abs(want)
 
 
