@@ -26,36 +26,69 @@ _GL_NODES, _GL_WEIGHTS = roots_legendre(16)
 # hundred times the rounding floor of the summed magnitudes, so that
 # rounding alone never keeps a panel from converging.
 _GL_RTOL = 1e-13
-_GL_MAX_ROUNDS = 40
+# Nodes one integral may use.  A path whose panels keep halving (an
+# integrand that cancels below _GL_RTOL, as dlog F - 2 k0/mu does at
+# small R) doubles its nodes every round; the largest converging path
+# met so far takes about 1.2e5.
+_GL_MAX_NODES = 1 << 18
+
+
+def _round_nodes(lo: np.ndarray, hi: np.ndarray, first: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Half-widths (a column) and nodes (one row per sub-panel) of one round:
+    both halves of every panel and, in the first round, the panels themselves."""
+    mid = 0.5 * (lo + hi)
+    a = np.concatenate([lo, mid] + [lo] * first)
+    b = np.concatenate([mid, hi] + [hi] * first)
+    half = 0.5 * (b - a)[:, None]
+    return half, half * _GL_NODES + 0.5 * (a + b)[:, None]
+
+
+def first_nodes(edges) -> np.ndarray:
+    """The nodes of the first round of :func:`gauss_legendre` over ``edges``,
+    flat and in the order in which it takes their values."""
+    edges = np.asarray(edges, dtype=float)
+    return _round_nodes(edges[:-1], edges[1:], True)[1].ravel()
 
 
 def gauss_legendre(
-    f: Callable[[np.ndarray], np.ndarray], edges
+    f: Callable[[np.ndarray], np.ndarray], edges, first=None, counts=None
 ) -> tuple[complex | float, float]:
     """Integral of f over [edges[0], edges[-1]] by adaptive Gauss-Legendre panels.
 
     ``f`` maps a 1-d array of nodes to the real or complex integrand
     values there.  The panels start as the intervals between consecutive
-    ``edges``.  Each round calls ``f`` once, on the nodes of both halves
+    ``edges``.  Each round takes the values on the nodes of both halves
     of every unconverged panel (and, in the first round, of the panels
-    themselves); a panel whose estimate agrees with the sum of its
-    halves to ``_GL_RTOL`` times the integral of |f| is accepted with the
-    halves' sum, the others are replaced by their halves.  Returns the
-    integral and the summed |panel - halves| differences of the accepted
-    panels; raises :class:`QuadratureError` when the integrand is not
-    finite or the panels do not converge.
+    themselves) from one call of ``f``; a caller that has the first
+    round's values already, at :func:`first_nodes`, passes them as
+    ``first`` and ``f`` is called from the second round on.  A panel
+    whose estimate agrees with the sum of its halves to ``_GL_RTOL``
+    times the integral of |f| is accepted with the halves' sum, the
+    others are replaced by their halves.  Every round's nodes, the first
+    round's included, are added to ``counts["nodes"]`` when ``counts``
+    is given.  Returns the integral and the summed |panel - halves|
+    differences of the accepted panels; raises :class:`QuadratureError`
+    when the integrand is not finite or when converging would take more
+    than ``_GL_MAX_NODES`` nodes.
     """
     edges = np.asarray(edges, dtype=float)
     lo, hi = edges[:-1], edges[1:]
     whole = None
     total, error, abs_done = 0.0, 0.0, 0.0
-    for _ in range(_GL_MAX_ROUNDS):
-        mid = 0.5 * (lo + hi)
-        a = np.concatenate([lo, mid] if whole is not None else [lo, mid, lo])
-        b = np.concatenate([mid, hi] if whole is not None else [mid, hi, hi])
-        half = 0.5 * (b - a)[:, None]
-        nodes = half * _GL_NODES + 0.5 * (a + b)[:, None]
-        vals = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
+    used = 0
+    while True:
+        half, nodes = _round_nodes(lo, hi, whole is None)
+        used += nodes.size
+        if used > _GL_MAX_NODES:
+            raise QuadratureError(
+                f"Gauss-Legendre panels did not converge within {_GL_MAX_NODES} nodes"
+            )
+        if counts is not None:
+            counts["nodes"] += nodes.size
+        if whole is None and first is not None:
+            vals = np.asarray(first).reshape(nodes.shape)
+        else:
+            vals = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
         if not np.all(np.isfinite(vals)):
             raise QuadratureError("integrand is not finite on the integration path")
         est = (half * vals) @ _GL_WEIGHTS
@@ -73,11 +106,9 @@ def gauss_legendre(
         if ok.all():
             return total.item(), float(error)
         keep = ~ok
+        mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate([lo[keep], mid[keep]]), np.concatenate([mid[keep], hi[keep]])
         whole = np.concatenate([left[keep], right[keep]])
-    raise QuadratureError(
-        f"Gauss-Legendre panels did not converge in {_GL_MAX_ROUNDS} halvings"
-    )
 
 
 def neville_at_zero(hs: list[float], vs: list[float]) -> tuple[float, float]:

@@ -279,6 +279,7 @@ def _cmd_spectrum(args: argparse.Namespace, doc: dict):
         "positive": list(sp.positive),
         "negative": list(sp.negative),
         "eigenvalues": [m * m for m in sp.positive] + [-x * x for x in sp.negative],
+        "passes": sp.passes,
     }
     rows = [["index", "axis", "root", "eigenvalue"]]
     for i, m in enumerate(sp.positive, start=1):
@@ -318,6 +319,8 @@ def _cmd_zeta(args: argparse.Namespace, doc: dict):
         "contour": rep.contour,
         "contour_error": rep.contour_error,
         "n_roots": len(sp.positive),
+        "passes": sp.passes + rep.passes,  # the spectrum search and the contour
+        "nodes": rep.nodes,
     }
     rows = [["field", "value"]] + [[k, _fmt_float(v) if isinstance(v, float) else str(v)]
                                    for k, v in payload.items()]

@@ -29,14 +29,21 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import exp1
 from scipy.special import zeta as hurwitz_zeta
 
-from ._numutil import NumericalError, gauss_legendre, neville_at_zero
-from .eigenfunction import _KERNEL_PROBES, _REAL_RESIDUE_TOL, SecularEvaluator, Spectrum
+from ._numutil import NumericalError, first_nodes, gauss_legendre, neville_at_zero
+from .eigenfunction import (
+    _KERNEL_PROBES,
+    _REAL_RESIDUE_TOL,
+    SecularEvaluator,
+    Spectrum,
+    off_zeros,
+)
 from .operators import Dirichlet, OperatorSpec, RegularBC
 from .special import EULER_GAMMA, gamma_fn
 
@@ -111,7 +118,15 @@ def det_wronskian_scalar(
 
 def det_zeta_closed_form(spec: OperatorSpec) -> DeterminantReport:
     """det_zeta from F(0) and the boundary-polynomial data (kernel-free)."""
-    return _closed_form(SecularEvaluator(spec))
+    ev = SecularEvaluator(spec)
+    return _counted(ev, _closed_form(ev))
+
+
+def _counted(ev: SecularEvaluator, report: DeterminantReport) -> DeterminantReport:
+    """The report, its diagnostics given the kernel passes and quadrature nodes
+    spent on ``ev``."""
+    report.diagnostics.update(passes=ev.counts["passes"], nodes=ev.counts["nodes"])
+    return report
 
 
 def _closed_form(ev: SecularEvaluator) -> DeterminantReport:
@@ -149,31 +164,58 @@ def _closed_form(ev: SecularEvaluator) -> DeterminantReport:
     )
 
 
-def _scan_below(ev: SecularEvaluator, t: float) -> tuple[complex, float]:
+_ARC = (-0.5 * math.pi, 0.5 * math.pi)  # gamma_t by its angle phi, mu = t e^(i phi)
+_ARC_NODES = first_nodes(_ARC)
+_SCAN_POINTS = 24  # samples per axis below |mu| = t
+
+
+@dataclass(frozen=True)
+class _ContourPass:
+    """One kernel pass for a contour of radius t: F on both axes below t and
+    dlog F on the first Gauss-Legendre round of gamma_t (at _ARC_NODES)."""
+
+    t: float
+    mants: np.ndarray  # scaled F at x, then at i x, x = t/24 ... t
+    logs: np.ndarray
+    arc_dlog: np.ndarray  # dlog F at t e^(i phi), phi in _ARC_NODES
+
+    @classmethod
+    def take(cls, ev: SecularEvaluator, t: float) -> "_ContourPass":
+        x = np.linspace(t / _SCAN_POINTS, t, _SCAN_POINTS)
+        arc = t * np.exp(1j * _ARC_NODES)
+        mants, logs, dlog = ev.sample(np.concatenate((x, 1j * x, arc)), deriv=True)
+        n = 2 * _SCAN_POINTS
+        return cls(t, mants[:n], logs[:n], dlog[n:])
+
+
+def _scan_below(ev: SecularEvaluator, cp: _ContourPass) -> tuple[complex, float]:
     """Raise RootInsideContourError where F changes sign below |mu| = t on
-    either axis; return the scaled F(it), the last sample of the same call."""
-    x = np.linspace(t / 24.0, t, 24)
+    either axis (from F(0) on when it is a sign sample); return the scaled
+    F(it), the last sample."""
+    signs = cp.mants.real.reshape(2, _SCAN_POINTS)  # sign of F = sign of the mantissa
     if ev.f0_is_sample:
-        x = np.concatenate(([0.0], x))
-    mants, logs = ev.scaled(np.stack([x, 1j * x]))  # sign of F = sign of the mantissa
-    for axis, signs in zip(("real", "imag"), mants.real):
-        if np.any(signs[:-1] * signs[1:] < 0.0):
-            raise RootInsideContourError(f"F has a zero below |mu| = {t} on the {axis} axis")
-    return complex(mants[1, -1]), float(logs[1, -1])
+        signs = np.hstack((np.full((2, 1), ev._probe_scaled[0][0].real), signs))
+    for axis, row in zip(("real", "imag"), signs):
+        if np.any(row[:-1] * row[1:] < 0.0):
+            raise RootInsideContourError(f"F has a zero below |mu| = {cp.t} on the {axis} axis")
+    return complex(cp.mants[-1]), float(cp.logs[-1])
 
 
-def _gamma_t_integral(ev: SecularEvaluator, t: float, weight, k0: int = 0) -> complex:
-    """Integral over the semicircle from it to -it (through +t) of weight(mu) * dlog F~."""
+def _gamma_t_integral(ev: SecularEvaluator, cp: _ContourPass, weight, k0: int = 0) -> complex:
+    """Integral over the semicircle from it to -it (through +t) of weight(mu) * dlog F~,
+    its first round from the pass ``cp``."""
+    t = cp.t
 
-    def integrand(phi: np.ndarray) -> np.ndarray:
+    def integrand(phi: np.ndarray, dl=None) -> np.ndarray:
         mu = t * np.exp(1j * phi)
-        dl = ev.dlog(mu)
+        dl = ev.dlog(mu) if dl is None else off_zeros(dl)
         if k0:
             dl = dl - 2.0 * k0 / mu
         return weight(mu) * dl * 1j * mu
 
+    first = integrand(_ARC_NODES, cp.arc_dlog)
     # orientation: phi runs pi/2 -> -pi/2
-    val, _ = gauss_legendre(integrand, (-0.5 * math.pi, 0.5 * math.pi))
+    val, _ = gauss_legendre(integrand, _ARC, first=first, counts=ev.counts)
     return -val
 
 
@@ -185,16 +227,20 @@ def det_zeta_finite_t(spec: OperatorSpec, t_abs: float) -> DeterminantReport:
     Gauss-Legendre panels the value matches the closed form to about
     1e-13 relative.
     """
-    return _finite_t(SecularEvaluator(spec), t_abs)
+    ev = SecularEvaluator(spec)
+    return _counted(ev, _finite_t(ev, t_abs))
 
 
 def _finite_t(ev: SecularEvaluator, t_abs: float) -> DeterminantReport:
+    """The finite-t route at radius t_abs; its first pass takes the probes of k0
+    along when they are not yet known."""
     if t_abs <= 0.0:
         raise ValueError("t_abs must be positive")
+    cp = _ContourPass.take(ev, t_abs)
     if ev.k0 != 0:
         raise KernelPresentError("finite-t route needs a trivial kernel")
     # F(it) / (C sgn) = ratio * exp(log_scale), kept apart so that large t R cannot overflow
-    mant, log_scale = _scan_below(ev, t_abs)
+    mant, log_scale = _scan_below(ev, cp)
     spec, cv = ev.spec, ev.cv
     sgn = (-1.0) ** (spec.q0 - cv.j0)
     ratio = mant / (ev.model.c * sgn)
@@ -205,7 +251,7 @@ def _finite_t(ev: SecularEvaluator, t_abs: float) -> DeterminantReport:
             raise RootInsideContourError("F(it) vanished on the contour")
     else:
         ratio = _as_positive_real(ratio, "F(it) / (C (-1)^(q0-j0))")
-    arc_term = _real(_gamma_t_integral(ev, t_abs, np.log) / (1j * math.pi), "gamma_t integral")
+    arc_term = _real(_gamma_t_integral(ev, cp, np.log) / (1j * math.pi), "gamma_t integral")
     log_ratio = math.log(ratio) + log_scale
     q_val = -log_ratio + (cv.j0 - spec.q0) * (EULER_GAMMA + math.log(2.0)) - arc_term
     value = math.exp(-q_val)
@@ -237,7 +283,8 @@ def det_zeta_regularized(spec: OperatorSpec) -> DeterminantReport:
     C~ = (-1)^k0 C, det = F~(0)/C~.  Only the j0 = q0 case is supported
     (no s log s defect interacting with the kernel).
     """
-    return _regularized(SecularEvaluator(spec))
+    ev = SecularEvaluator(spec)
+    return _counted(ev, _regularized(ev))
 
 
 def _regularized(ev: SecularEvaluator) -> DeterminantReport:
@@ -282,17 +329,28 @@ def det_zeta_auto(spec: OperatorSpec, t_abs: float | None = None) -> Determinant
     Cheap cross-checks (finite-t value at radius ``t_abs``, by default
     0.1 / max(1, R), and the scalar Wronskian oracle) are attached to
     the diagnostics when available; the Wronskian oracle is normalized
-    for R = 1 and attached only there.
+    for R = 1 and attached only there.  The finite-t value goes to
+    ``finite_t_value`` with its relative gap to the closed form in
+    ``finite_t_gap``; where that route fails, the reason goes to
+    ``finite_t_error`` instead.  The probes of the kernel order are one
+    kernel pass, which is all a kernel request makes; F on both axes
+    below the radius and the first Gauss-Legendre round of the arc are
+    a second, so a kernel-free request whose arc converges in that round
+    makes two.  ``passes`` and ``nodes`` count the kernel passes and
+    quadrature nodes of the request.
     """
     ev = SecularEvaluator(spec)
     if ev.k0:
-        return _regularized(ev)
+        return _counted(ev, _regularized(ev))
     report = _closed_form(ev)
     diag = report.diagnostics  # a fresh dict, owned by this report
     try:
-        diag["finite_t_value"] = _finite_t(ev, _default_t(spec, t_abs)).value
+        finite_t = _finite_t(ev, _default_t(spec, t_abs)).value
     except NumericalError as exc:
-        diag["finite_t_value"] = f"unavailable: {exc}"
+        diag["finite_t_error"] = str(exc)
+    else:
+        diag["finite_t_value"] = finite_t
+        diag["finite_t_gap"] = abs(finite_t - report.value) / report.value
     if (
         spec.q == 1
         and spec.r == 1.0
@@ -300,7 +358,7 @@ def det_zeta_auto(spec: OperatorSpec, t_abs: float | None = None) -> Determinant
         and spec.boundary.a_mat[0, 0] == 0
     ):
         diag["wronskian_value"] = det_wronskian_scalar(spec.nus[0], spec.regular_bc)
-    return report
+    return _counted(ev, report)
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +367,16 @@ def det_zeta_auto(spec: OperatorSpec, t_abs: float | None = None) -> Determinant
 
 @dataclass(frozen=True)
 class ZetaReport:
+    """The two zeta estimates at s; `passes` and `nodes` count the kernel
+    passes and quadrature nodes of the contour estimate."""
+
     s: float
     direct: float | None
     direct_error: float | None
     contour: float
     contour_error: float
+    passes: int = 0
+    nodes: int = 0
 
 
 def _zeta_direct(s: float, spectrum: Spectrum) -> tuple[float, float]:
@@ -350,9 +413,10 @@ def _zeta_direct(s: float, spectrum: Spectrum) -> tuple[float, float]:
 
 
 def _zeta_contour(ev: SecularEvaluator, s: float, t_abs: float) -> tuple[float, float]:
+    cp = _ContourPass.take(ev, t_abs)
     k0, cv, model = ev.k0, ev.cv, ev.model
     x_cut = 40.0  # the ray is integrated up to here, the model beyond
-    _scan_below(ev, t_abs)
+    _scan_below(ev, cp)
 
     def ray_integrand(x: np.ndarray) -> np.ndarray:
         # x^(-2s) d/dx log F~(ix), with d/dx log F(ix) = Re(i dlog F(ix))
@@ -368,7 +432,8 @@ def _zeta_contour(ev: SecularEvaluator, s: float, t_abs: float) -> tuple[float, 
     if abs(sin_fac) > 1e-15:
         # the integrand varies on the scale x: geometric panels, about one per doubling
         panels = max(1, math.ceil(math.log2(x_cut / t_abs)))
-        ray, ray_err = gauss_legendre(ray_integrand, np.geomspace(t_abs, x_cut, panels + 1))
+        edges = np.geomspace(t_abs, x_cut, panels + 1)
+        ray, ray_err = gauss_legendre(ray_integrand, edges, counts=ev.counts)
 
         exponent = model.exponent - 2.0 * k0
         tail = model.growth_rate * x_cut ** (1.0 - 2.0 * s) / (2.0 * s - 1.0)
@@ -380,7 +445,7 @@ def _zeta_contour(ev: SecularEvaluator, s: float, t_abs: float) -> tuple[float, 
             )
 
     arc = _gamma_t_integral(
-        ev, t_abs, lambda mu: np.exp(-2.0 * s * np.log(mu)), k0=k0
+        ev, cp, lambda mu: np.exp(-2.0 * s * np.log(mu)), k0=k0
     ) / (2.0j * math.pi)
     value = sin_fac * (ray + tail) + _real(arc, "arc term of the zeta contour")
     # the model remainder decays like 1/x (1/log x when q0 != j0)
@@ -414,10 +479,15 @@ def zeta_eval(
     eigenvalues raises :class:`NegativeSpectrumError` before the contour
     sees them.  The contour estimator is always computed: the arc of
     radius ``t_abs`` (by default 0.1 / max(1, R)), the imaginary ray up
-    to x = 40 and the asymptotic model beyond.  Operators with nonzero
+    to x = 40 and the asymptotic model beyond.  Its first kernel pass
+    takes F on both axes below the radius (no zero may lie there), the
+    first Gauss-Legendre round of the arc and, on a fresh evaluator, the
+    probes of the kernel order; the ray (absent at integer s) and the
+    later arc rounds take one pass per round.  Operators with nonzero
     kernel are handled through F/mu^(2 k0), i.e. the zeta function of
     the nonzero spectrum.  A spectrum found for this same ``spec``
-    object lends its prepared operator.
+    object lends its prepared operator.  The report counts the kernel
+    passes and quadrature nodes the contour estimate spent.
     """
     check_zeta_s(s)
     direct = direct_err = None
@@ -426,11 +496,15 @@ def zeta_eval(
     ev = spectrum.evaluator if spectrum is not None else None
     if ev is None or ev.spec is not spec:
         ev = SecularEvaluator(spec)
+    before = Counter(ev.counts)
     contour, contour_err = _zeta_contour(ev, s, _default_t(spec, t_abs))
+    used = ev.counts - before
     return ZetaReport(
         s=float(s),
         direct=direct,
         direct_error=direct_err,
         contour=contour,
         contour_error=contour_err,
+        passes=used["passes"],
+        nodes=used["nodes"],
     )

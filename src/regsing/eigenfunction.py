@@ -35,6 +35,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -62,6 +63,7 @@ _REAL_RESIDUE_TOL = 1e-8  # |Im z| above this share of |z| (or of 1 + |z|) is no
 _KERNEL_TOL = 1e-8  # |F(0)| below this share of max |F| at mu = 0.3, 0.7, 1.1 is a kernel
 # near-zero probes: the kernel-order fit and the Richardson extrapolation of F/mu^(2 k0)
 _KERNEL_PROBES = (1e-1, 10.0**-1.5, 1e-2)
+_PROBES = np.array((0.0, 0.3, 0.7, 1.1) + _KERNEL_PROBES)  # F(0), the scale points, the kernel probes
 _LOG_MAX = math.log(sys.float_info.max)
 _ROOT_RESIDUAL_TOL = 1e-10
 _ROOT_XTOL, _ROOT_RTOL = 1e-13, 4.0 * sys.float_info.epsilon
@@ -90,7 +92,8 @@ class Spectrum:
     `negative` on the imaginary axis as x with F(ix)=0 (eigenvalues -x^2).
 
     `evaluator` is the prepared operator that found them, kept so that a
-    zeta request on the same spec does not prepare it again.
+    zeta request on the same spec does not prepare it again; `passes`
+    counts the kernel passes the search made.
     """
 
     positive: tuple[float, ...]
@@ -98,12 +101,30 @@ class Spectrum:
     mu_max: float
     certified: bool
     evaluator: SecularEvaluator | None = field(default=None, compare=False, repr=False)
+    passes: int = field(default=0, compare=False)
 
 
 def _trace(s, g, phi, dphi, mu, r: float):
     """T and T_x at x = r of the branch T = g x^s phi_s(mu x), g = Gamma(1 + s) R^s,
     from the scaled phi_s(w) and phi_s'(w) (broadcasting arrays)."""
     return g * phi, g * (s / r * phi + mu * dphi)
+
+
+def _unscaled(mant: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """F = mant * exp(logs); raises NumericalError where |F| leaves the float range."""
+    if np.max(logs) > _LOG_MAX:
+        raise NumericalError(
+            f"|F(mu)| exceeds the float range (log-scale {np.max(logs):.1f}); "
+            "use the scaled form"
+        )
+    return mant * np.exp(logs)
+
+
+def off_zeros(dlog: np.ndarray) -> np.ndarray:
+    """dlog F values, which must be finite: raises ContourError at a zero of F."""
+    if not np.all(np.isfinite(dlog)):
+        raise ContourError("log-derivative requested at a zero of F")
+    return dlog
 
 
 def _right_half(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -123,7 +144,11 @@ class SecularEvaluator:
     reads the same decision; F(0), the first probe of `k0`, is kept as
     `f0`.  :meth:`scaled`, :meth:`value` and :meth:`dlog` are computed
     over an ndarray mu and keep its shape; a scalar mu is evaluated as a
-    one-element array and comes back as Python scalars.
+    one-element array and comes back as Python scalars.  :meth:`sample`
+    is the pass of the routes, which takes the probes of `k0` along
+    while they are not yet known.  `counts` holds the kernel passes made
+    (``"passes"``) and the quadrature nodes spent (``"nodes"``) on this
+    operator.
     """
 
     def __init__(self, spec: OperatorSpec):
@@ -139,6 +164,7 @@ class SecularEvaluator:
         self.q0 = spec.q0
         self.dirichlet = isinstance(spec.regular_bc, Dirichlet)
         self.kappa = None if self.dirichlet else spec.kappa
+        self.counts = Counter()
         # every branch but the companions: the +nu branch of each channel
         # (s = 0 on the nu = 0 channels), then the -nu branch of each other
         # channel; each distinct order has one kernel, 0 first when q0 > 0
@@ -176,13 +202,32 @@ class SecularEvaluator:
         return AsymptoticModel.from_spec(self.spec, self.cv)
 
     @cached_property
+    def _probe_scaled(self) -> tuple[np.ndarray, np.ndarray]:
+        """The scaled F at ``_PROBES``: one array call, unless :meth:`sample` took them first."""
+        return self.scaled(_PROBES)
+
+    @cached_property
     def _probes(self) -> np.ndarray:
-        """F at 0, at the scale points 0.3, 0.7, 1.1 and at the kernel probes: one array call.
+        """F at 0, at the scale points 0.3, 0.7, 1.1 and at the kernel probes.
 
         The last three entries, F at ``_KERNEL_PROBES``, are also the
         samples of the regularized determinant.
         """
-        return self.value(np.array((0.0, 0.3, 0.7, 1.1) + _KERNEL_PROBES))
+        return _unscaled(*self._probe_scaled)
+
+    def sample(self, mu: np.ndarray, deriv: bool = False) -> tuple[np.ndarray, ...]:
+        """:meth:`scaled` (with ``deriv``, :meth:`_scaled_dlog`) over a 1-d mu in one
+        kernel pass, which also takes F at the probes of :attr:`k0` while they are
+        not yet known."""
+        probe = "_probe_scaled" not in self.__dict__
+        if probe:
+            mu = np.concatenate((_PROBES, mu))
+        out = self._scaled_dlog(mu) if deriv else self.scaled(mu)
+        if not probe:
+            return out
+        n = _PROBES.size
+        self._probe_scaled = tuple(v[:n] for v in out[:2])
+        return tuple(v[n:] for v in out)
 
     @cached_property
     def f0(self) -> complex:
@@ -249,6 +294,7 @@ class SecularEvaluator:
         T_xmu = -g R^s (s phi_s'(w) + w phi_s(w)).  The companion C has
         C_xmu = -mu R C + J_1(w), and J_1(w) = -phi_0'(w).
         """
+        self.counts["passes"] += 1
         r, q = self.r, self.q
         w = mu * r
         val, der, y = phi_rows(self._kernel, w)
@@ -284,13 +330,7 @@ class SecularEvaluator:
         """F(mu); raises NumericalError where |F| leaves the float range."""
         if not isinstance(mu, np.ndarray):
             return complex(self.value(np.array([mu]))[0])
-        mant, logs = self.scaled(mu)
-        if np.max(logs) > _LOG_MAX:
-            raise NumericalError(
-                f"|F(mu)| exceeds the float range (log-scale {np.max(logs):.1f}); "
-                "use the scaled form"
-            )
-        return mant * np.exp(logs)
+        return _unscaled(*self.scaled(mu))
 
     def scaled(self, mu):
         """F(mu) = mantissa * exp(log_scale), log_scale real, over an ndarray mu.
@@ -329,10 +369,7 @@ class SecularEvaluator:
         """
         if not isinstance(mu, np.ndarray):
             return complex(self.dlog(np.array([mu]))[0])
-        out = self._dlog(mu)
-        if not np.all(np.isfinite(out)):
-            raise ContourError("log-derivative requested at a zero of F")
-        return out
+        return off_zeros(self._dlog(mu))
 
     def _dlog(self, mu: np.ndarray) -> np.ndarray:
         """:meth:`dlog` over an ndarray mu, left non-finite at the zeros of F."""
@@ -471,11 +508,18 @@ def log_F_imag(spec: OperatorSpec, x: float) -> complex:
 # Spectrum search
 # ---------------------------------------------------------------------------
 
-def _real_samples(
-    ev: SecularEvaluator, points: np.ndarray, axis: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Real parts of the mantissas of F at the points, and their log-scales."""
-    mants, logs = ev.scaled(1j * points if axis == "imag" else points.astype(complex))
+def _grid(lo: float, hi: float, res: float) -> np.ndarray:
+    """Equally spaced points over [lo, hi], both ends included, spacing <= res."""
+    return np.linspace(lo, hi, max(2, int(math.ceil((hi - lo) / res)) + 1))
+
+
+def _on_axis(x: np.ndarray, axis: str) -> np.ndarray:
+    return 1j * x if axis == "imag" else x.astype(complex)
+
+
+def _axis_samples(mants: np.ndarray, logs: np.ndarray, axis: str) -> tuple[np.ndarray, np.ndarray]:
+    """Real parts of the mantissas of F on an axis, and their log-scales;
+    raises NumericalError where the mantissas are not real."""
     mags = np.abs(mants)
     live = mags > 0.0
     worst = float(np.max(np.abs(mants.imag[live]) / mags[live], initial=0.0))
@@ -487,21 +531,47 @@ def _real_samples(
     return mants.real, logs
 
 
+def _joint(ev: SecularEvaluator, *tasks) -> list:
+    """Run coroutines side by side, one kernel pass per step.
+
+    Each task yields the 1-d array of mu it needs next and is sent the
+    scaled F there, (mantissas, log-scales).  One :meth:`~SecularEvaluator.sample`
+    call per step serves every task still running, the probes of
+    :attr:`~SecularEvaluator.k0` riding along in the first.  Returns the
+    tasks' return values.
+    """
+    wants = [next(task) for task in tasks]
+    out = [None] * len(tasks)
+    live = list(range(len(tasks)))
+    while live:
+        mants, logs = ev.sample(np.concatenate([wants[i] for i in live]))
+        at = 0
+        for i in list(live):
+            n = wants[i].size
+            try:
+                wants[i] = tasks[i].send((mants[at : at + n], logs[at : at + n]))
+            except StopIteration as stop:
+                out[i] = stop.value
+                live.remove(i)
+            at += n
+    return out
+
+
 def _scan(
-    ev: SecularEvaluator, lo: float, hi: float, res: float, axis: str, origin: bool
+    ev: SecularEvaluator, grid: np.ndarray, mants: np.ndarray, logs: np.ndarray, axis: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A grid of spacing <= res over [lo, hi], with mu = 0 in front when
-    ``origin``, and the samples (mantissa real parts, log-scales) of F on it."""
-    grid = np.linspace(lo, hi, max(2, int(math.ceil((hi - lo) / res)) + 1))
-    if origin:
-        grid = np.concatenate(([0.0], grid))
-    return (grid, *_real_samples(ev, grid, axis))
+    """The scan of an axis from the scaled F on a grid: the grid, with mu = 0 in
+    front when F(0) is a sign sample (its sample is the probe's), and the
+    samples (mantissa real parts, log-scales) of F on it."""
+    if ev.f0_is_sample:
+        m0, l0 = (v[:1] for v in ev._probe_scaled)
+        grid, mants, logs = (np.concatenate(v) for v in (([0.0], grid), (m0, mants), (l0, logs)))
+    return (grid, *_axis_samples(mants, logs, axis))
 
 
-def _halve(
-    ev: SecularEvaluator, scan: tuple[np.ndarray, ...], axis: str, origin: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The :func:`_scan` at half the spacing, sampling only the new midpoints.
+def _halve(ev: SecularEvaluator, scan: tuple[np.ndarray, ...], axis: str):
+    """The :func:`_scan` at half the spacing, sampling only the new midpoints
+    (a coroutine of :func:`_joint`).
 
     Over [lo, hi] the n points become the 2n - 1 of
     ``np.linspace(lo, hi, 2n - 1)``, whose even points are bit-identical
@@ -509,13 +579,14 @@ def _halve(
     kept and interleaved with those of the n - 1 midpoints.  The origin
     sample stays in front.
     """
-    k = int(origin)
+    k = int(ev.f0_is_sample)
     grid = scan[0]
     mid = np.linspace(grid[k], grid[-1], 2 * (grid.size - k) - 1)[1::2]
+    new = (mid, *_axis_samples(*(yield _on_axis(mid, axis)), axis))
     out = []
-    for old, new in zip(scan, (mid, *_real_samples(ev, mid, axis))):
+    for old, add in zip(scan, new):
         both = np.empty(2 * old.size - k - 1)
-        both[:k], both[k::2], both[k + 1 :: 2] = old[:k], old[k:], new
+        both[:k], both[k::2], both[k + 1 :: 2] = old[:k], old[k:], add
         out.append(both)
     return tuple(out)
 
@@ -536,7 +607,7 @@ def _brackets(
     zero = fa == 0.0
     if zero.any():
         a = grid[idx[zero]]
-        m, l = _real_samples(ev, a + 1e-12 * np.maximum(1.0, a), axis)
+        m, l = _axis_samples(*ev.scaled(_on_axis(a + 1e-12 * np.maximum(1.0, a), axis)), axis)
         fa[zero] = m * np.exp(l - log_a[zero])
     fb = mants[idx + 1] * np.exp(logs[idx + 1] - log_a)
     keep = fa * fb < 0.0
@@ -550,11 +621,79 @@ def _same_brackets(coarse: list[tuple], fine: list[tuple]) -> bool:
     )
 
 
-def _refine(ev: SecularEvaluator, brackets: list[tuple], axis: str) -> list[float]:
-    """The root in each bracket of :func:`_brackets`, all refined together.
+def _real_axis(ev: SecularEvaluator, res: float, mu_max: float):
+    """The certified real-axis brackets below mu_max (a coroutine of :func:`_joint`).
+
+    The grid of spacing <= res is halved until its sign changes match
+    those of the grid before, at most three times.
+    """
+    grid = _grid(min(res, 0.05) * 0.5, mu_max, res)
+    scan = _scan(ev, grid, *(yield grid.astype(complex)), "real")
+    coarse = _brackets(ev, *scan, "real")
+    for _ in range(3):
+        scan = yield from _halve(ev, scan, "real")
+        fine = _brackets(ev, *scan, "real")
+        if _same_brackets(coarse, fine):
+            return fine
+        coarse = fine
+    raise SpectrumCertificationError(
+        "real-axis sign changes kept changing under bracket halving; "
+        "a double root or missed bracket is likely"
+    )
+
+
+def _imag_scan_bound(ev: SecularEvaluator, res: float):
+    """Height beyond which the model provably dominates and F(ix) has no zeros,
+    and the scaled F on the imaginary-axis grid up to it (a coroutine of :func:`_joint`).
+
+    The remainder of the model decays like 1/log x, far too slowly for a
+    literal fixed-ratio criterion, so the certificate is model dominance:
+    at three increasing heights 0.8, 0.9 and 1 times x_hi the measured
+    log F(ix) stays within log 2 of the model and |F| grows.  Finitely
+    many imaginary zeros exist, so the doubling search (x_hi = 12, then
+    times 1.6 while x_hi <= 220) terminates.  Each step is one pass,
+    which samples the grid of spacing <= res over [res/2, x_hi] (its
+    last point is the third height) beside the other two heights, so the
+    step that certifies x_hi returns the samples of its grid too.
+    """
+    x_hi = 12.0
+    while x_hi <= 220.0:
+        grid = _grid(0.5 * res, x_hi, res)  # its last point is x_hi, the third height
+        mants, logs = yield 1j * np.concatenate((np.array([0.8, 0.9]) * x_hi, grid))
+        with np.errstate(divide="ignore"):  # a zero of F reads -inf and fails the test
+            measured = np.log(np.abs(mants[[0, 1, -1]])) + logs[[0, 1, -1]]
+        models = [ev.model.log_value(x).real for x in (0.8 * x_hi, 0.9 * x_hi, x_hi)]
+        close = all(abs(lv - mv) < math.log(2.0) for lv, mv in zip(measured, models))
+        growing = measured[0] < measured[1] < measured[2]
+        if close and growing:
+            return grid, mants[2:], logs[2:]
+        x_hi *= 1.6
+    raise SpectrumCertificationError(
+        "could not certify an upper bound for imaginary-axis zeros below x=220"
+    )
+
+
+def _imag_axis(ev: SecularEvaluator, res: float):
+    """The certified imaginary-axis brackets (a coroutine of :func:`_joint`):
+    the grid of spacing <= min(res, 0.1) up to :func:`_imag_scan_bound`,
+    whose sign changes must survive one halving."""
+    scan = _scan(ev, *(yield from _imag_scan_bound(ev, min(res, 0.1))), "imag")
+    coarse = _brackets(ev, *scan, "imag")
+    scan = yield from _halve(ev, scan, "imag")
+    fine = _brackets(ev, *scan, "imag")
+    if not _same_brackets(coarse, fine):
+        raise SpectrumCertificationError("imaginary-axis sign changes unstable under halving")
+    return fine
+
+
+def _refine(
+    ev: SecularEvaluator, real: list[tuple], imag: list[tuple]
+) -> tuple[list[float], list[float]]:
+    """The roots in the real- and imaginary-axis brackets of :func:`_brackets`,
+    all refined together.
 
     Safeguarded Newton (``rtsafe``) over the array of roots still
-    active: each round is one kernel pass
+    active, on both axes at once: each round is one kernel pass
     (:meth:`~SecularEvaluator._scaled_dlog`) giving F, whose mantissa
     signs shrink every bracket, and dlog F, for the Newton steps of the
     real function Re F(unit x), unit = 1 on the real axis and i on the
@@ -565,33 +704,35 @@ def _refine(ev: SecularEvaluator, brackets: list[tuple], axis: str) -> list[floa
     that leaves its bracket, that is not at most half the step two
     rounds before, or that is not finite becomes a bisection.  A root
     stops when its step or its bracket width is at most
-    1e-13 + 4 eps |x|, or when F is exactly 0 there.  Each root must
-    then leave a residual |F exp(-log_a)| of at most
-    ``_ROOT_RESIDUAL_TOL`` times the larger end value of its bracket,
-    checked by one more F call.
+    1e-13 + 4 eps |x|, or when F is exactly 0 there.  Its residual
+    |F exp(-log_a)| at the point of the round in which it stops must be
+    at most ``_ROOT_RESIDUAL_TOL`` times the larger end value of its
+    bracket.
     """
+    brackets = real + imag
     if not brackets:
-        return []
-    unit = 1j if axis == "imag" else 1.0
+        return [], []
+    unit = np.array([1.0] * len(real) + [1j] * len(imag))
     lo, hi, log_a, fa, fb = (np.array(v) for v in zip(*brackets))
     sign_lo = np.sign(fa)
     x = lo - fa * (hi - lo) / (fb - fa)  # false position: inside the bracket
     step = hi - lo  # |step| of the last round and of the round before
     before = step.copy()
+    residual = np.zeros(len(x))
     active = np.ones(len(x), dtype=bool)
     for _ in range(_MAX_ROUNDS):
         act = np.flatnonzero(active)
         if act.size == 0:
             break
         xa = x[act]
-        mant, _, dlog = ev._scaled_dlog(unit * xa)
+        mant, logs, dlog = ev._scaled_dlog(unit[act] * xa)
         f = mant.real
         above = f * sign_lo[act] > 0.0  # the sign of the lower end: the root lies above
         lo[act[above]] = xa[above]
         hi[act[~above]] = xa[~above]
         live = f != 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            slope = (unit * mant * dlog).real
+            slope = (unit[act] * mant * dlog).real
             newton = np.where(live & np.isfinite(slope), f / slope, np.nan)
         lo_a, hi_a = lo[act], hi[act]
         x_new = xa - newton
@@ -602,100 +743,59 @@ def _refine(ev: SecularEvaluator, brackets: list[tuple], axis: str) -> list[floa
         tol = _ROOT_XTOL + _ROOT_RTOL * np.abs(x_next)
         x[act] = np.where(live, x_next, xa)
         active[act] = live & (dx > tol) & (hi_a - lo_a > tol)
+        residual[act] = np.abs(f * np.exp(logs - log_a[act]))
     if active.any():
         raise SpectrumCertificationError(
             f"root refinement did not converge in {_MAX_ROUNDS} rounds"
         )
-    mants, logs = ev.scaled(unit * x)
-    residual = np.abs(mants.real * np.exp(logs - log_a))
     bad = residual > _ROOT_RESIDUAL_TOL * np.maximum(np.abs(fa), np.abs(fb))
     if bad.any():
         raise SpectrumCertificationError(
             f"refined root at {x[bad][0]} has residual above tolerance"
         )
-    return x.tolist()
-
-
-def _imag_scan_bound(ev: SecularEvaluator) -> float:
-    """Height beyond which the model provably dominates and F(ix) has no zeros.
-
-    The remainder of the model decays like 1/log x, far too slowly for a
-    literal fixed-ratio criterion, so the certificate is model dominance:
-    at three increasing heights the measured log F(ix) stays within log 2
-    of the model and |F| grows.  Finitely many imaginary zeros exist, so
-    the doubling search terminates.  Each step is one array call.
-    """
-    x_hi = 12.0
-    while x_hi <= 220.0:
-        checks = np.array([0.8, 0.9, 1.0]) * x_hi
-        mants, logs = ev.scaled(1j * checks)
-        with np.errstate(divide="ignore"):  # a zero of F reads -inf and fails the test
-            measured = np.log(np.abs(mants)) + logs
-        models = [ev.model.log_value(x).real for x in checks.tolist()]
-        close = all(abs(lv - mv) < math.log(2.0) for lv, mv in zip(measured, models))
-        growing = measured[0] < measured[1] < measured[2]
-        if close and growing:
-            return x_hi
-        x_hi *= 1.6
-    raise SpectrumCertificationError(
-        "could not certify an upper bound for imaginary-axis zeros below x=220"
-    )
+    return x[: len(real)].tolist(), x[len(real) :].tolist()
 
 
 def find_spectrum(spec: OperatorSpec, mu_max: float) -> Spectrum:
     """All zeros of F on (0, mu_max] and on the positive imaginary axis.
 
     The real-axis grid has the spacing pi / (4 q R), the imaginary-axis
-    grid the smaller of that and 0.1; both start at mu = 0 when F(0) is
-    a sign sample (:attr:`SecularEvaluator.f0_is_sample`).  The sign
-    changes of a grid scan are certified when a rescan at half the
-    spacing finds as many, each overlapping its partner (up to three
-    halvings on the real axis, one on the imaginary axis).  Each rescan
-    keeps the samples it already has and evaluates F only at the new
-    midpoints (:func:`_halve`).  The brackets of the coarser grid of
-    the certifying pair are then refined together, one axis at a time,
-    by the batched safeguarded Newton iteration of :func:`_refine`: each
-    round is one kernel pass giving F and dlog F over the roots still
-    active, a root stops when its step or bracket is below
-    1e-13 + 4 eps |x|, and every root must pass a residual check.
-    Simple zeros are assumed; a persistent mismatch raises
-    :class:`SpectrumCertificationError`.  The returned
-    :class:`Spectrum` carries the evaluator, which
-    :func:`~regsing.determinant.zeta_eval` reuses for the same spec.
+    grid the smaller of that and 0.1, up to the height of
+    :func:`_imag_scan_bound`; both start at mu = 0 when F(0) is a sign
+    sample (:attr:`SecularEvaluator.f0_is_sample`).  The sign changes of
+    a grid scan are certified when a rescan at half the spacing finds as
+    many, each overlapping its partner (up to three halvings on the real
+    axis, one on the imaginary axis).  Each rescan keeps the samples it
+    already has and evaluates F only at the new midpoints
+    (:func:`_halve`).  The two axes are scanned side by side
+    (:func:`_joint`), each stage one kernel pass: the first samples the
+    probes of :attr:`SecularEvaluator.k0`, both coarse grids and the
+    first bound check, the second both axes' midpoints, and further
+    real halvings and bound doublings go on the same way.  The brackets
+    of the finer grid of each certifying pair are then refined together,
+    both axes at once, by the batched safeguarded Newton iteration of
+    :func:`_refine`: each round is one kernel pass giving F and dlog F
+    over the roots still active, a root stops when its step or bracket
+    is below 1e-13 + 4 eps |x|, and every root must pass a residual
+    check on the samples of its last round.  Simple zeros are assumed; a
+    persistent mismatch raises :class:`SpectrumCertificationError`.  The
+    returned :class:`Spectrum` carries the evaluator, which
+    :func:`~regsing.determinant.zeta_eval` reuses for the same spec, and
+    the number of kernel passes made.
     """
     if mu_max <= 0.0:
         raise ValueError("mu_max must be positive")
     ev = SecularEvaluator(spec)
     res = math.pi / (4.0 * spec.q * spec.r)
-    origin = ev.f0_is_sample
-    scan = _scan(ev, min(res, 0.05) * 0.5, mu_max, res, "real", origin)
-    real = _brackets(ev, *scan, "real")
-    for _ in range(3):
-        scan = _halve(ev, scan, "real", origin)
-        again = _brackets(ev, *scan, "real")
-        if _same_brackets(real, again):
-            break
-        real = again
-    else:
-        raise SpectrumCertificationError(
-            "real-axis sign changes kept changing under bracket halving; "
-            "a double root or missed bracket is likely"
-        )
-
-    x_hi = _imag_scan_bound(ev)
-    imag_res = min(res, 0.1)
-    scan = _scan(ev, imag_res * 0.5, x_hi, imag_res, "imag", origin)
-    imag = _brackets(ev, *scan, "imag")
-    rescan = _brackets(ev, *_halve(ev, scan, "imag", origin), "imag")
-    if not _same_brackets(imag, rescan):
-        raise SpectrumCertificationError("imaginary-axis sign changes unstable under halving")
-
+    real, imag = _joint(ev, _real_axis(ev, res, mu_max), _imag_axis(ev, res))
+    positive, negative = _refine(ev, real, imag)
     return Spectrum(
-        positive=tuple(_refine(ev, real, "real")),
-        negative=tuple(_refine(ev, imag, "imag")),
+        positive=tuple(positive),
+        negative=tuple(negative),
         mu_max=float(mu_max),
         certified=True,
         evaluator=ev,
+        passes=ev.counts["passes"],
     )
 
 

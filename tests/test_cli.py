@@ -122,6 +122,21 @@ class TestDet:
         assert code == EXIT_OK
         report = json.loads(out)["report"]
         assert report["diagnostics"]["finite_t_value"] == pytest.approx(report["value"], rel=1e-12)
+        assert report["diagnostics"]["finite_t_gap"] <= 1e-12
+
+    def test_payloads_count_passes_and_nodes(self, write_doc, capsys):
+        # det (kernel and kernel-free), spectrum and zeta report the kernel
+        # passes and quadrature nodes they spent
+        path = write_doc(large_r_doc())
+        for doc, want in ((kernel_doc(), (1, 0)), (large_r_doc(), (2, 48))):
+            _, out, _ = run_cli(capsys, "det", write_doc(doc))
+            diag = json.loads(out)["report"]["diagnostics"]
+            assert (diag["passes"], diag["nodes"]) == want
+        _, out, _ = run_cli(capsys, "spectrum", path, "--mu-max", "1")
+        spectrum = json.loads(out)["report"]["passes"]
+        _, out, _ = run_cli(capsys, "zeta", path, "--mu-max", "1", "--s", "2")
+        rep = json.loads(out)["report"]
+        assert 2 <= spectrum < rep["passes"] and rep["nodes"] >= 48
 
     def test_kernel_tolerance_flag_is_gone(self, write_doc):
         with pytest.raises(SystemExit) as exc:

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regsing import cli, eigenfunction
-from regsing._numutil import NumericalError
+from regsing import _numutil, cli, eigenfunction
+from regsing._numutil import NumericalError, QuadratureError, first_nodes, gauss_legendre
 from regsing.cli import EXIT_NUMERICAL, EXIT_OK, main
 from regsing.determinant import (
     DeterminantReport,
@@ -94,6 +94,13 @@ class TestRegularized:
 
 
 class TestFiniteT:
+    def test_cross_check_is_a_number_and_a_gap(self):
+        got = det_zeta_auto(robin_regular(0.3, 0.0))
+        diag = got.diagnostics
+        assert "finite_t_error" not in diag
+        assert isinstance(diag["finite_t_value"], float) and isinstance(diag["finite_t_gap"], float)
+        assert diag["finite_t_gap"] == abs(diag["finite_t_value"] - got.value) / got.value <= 1e-12
+
     def test_matches_closed_form_small_t(self):
         spec = robin_regular(0.0, 0.0)
         closed = det_zeta_closed_form(spec).value
@@ -153,7 +160,8 @@ class TestFiniteT:
         with pytest.raises(RootInsideContourError):
             det_zeta_finite_t(spec, 0.1)
         got = det_zeta_auto(spec)
-        assert got.diagnostics["finite_t_value"].startswith("unavailable: F has a zero below")
+        assert "finite_t_value" not in got.diagnostics
+        assert got.diagnostics["finite_t_error"].startswith("F has a zero below")
         assert got.value == pytest.approx(got.diagnostics["wronskian_value"], rel=1e-9)
 
 
@@ -412,20 +420,22 @@ class TestPreparedOperator:
         assert calls == {"scaled": 1}
 
     def test_regularized_reads_the_kernel_probes(self, monkeypatch):
-        # one scaled call over 7 points: the Richardson samples are the
-        # last three probes of the kernel-order fit
+        # a kernel request is one kernel pass, the 7 probes of the kernel-order
+        # fit: the Richardson samples are the last three of them, and no
+        # contour point is sampled for a cross-check the route does not make
         points = []
         cls = eigenfunction.SecularEvaluator
-        scaled = cls.scaled
+        traces = cls._traces
 
-        def counted_scaled(self, mu):
+        def counted_traces(self, mu, deriv=False):
             points.append(np.size(mu))
-            return scaled(self, mu)
+            return traces(self, mu, deriv)
 
-        monkeypatch.setattr(cls, "scaled", counted_scaled)
+        monkeypatch.setattr(cls, "_traces", counted_traces)
         got = det_zeta_auto(scalar_spec(0.3, Robin(-0.8)))
         assert got.method == "regularized"
-        assert points == [7]
+        assert points == [eigenfunction._PROBES.size] == [7]
+        assert (got.diagnostics["passes"], got.diagnostics["nodes"]) == (1, 0)
 
     @pytest.mark.parametrize(
         "spec",
@@ -518,6 +528,113 @@ class TestZeta:
         rep = zeta_eval(dirichlet_half, s, spectrum=sp)
         assert abs(rep.direct - oracle) <= 2e-6 * oracle
         assert abs(rep.contour - oracle) <= 1e-4 * oracle
+
+
+class TestQuadratureBudget:
+    def test_cancelling_kernel_arc_stops_at_the_node_budget(self):
+        # R = 0.1 kernel operator: dlog F - 2 k0/mu cancels below the panel
+        # tolerance, so every panel keeps halving; the node budget ends it
+        with pytest.raises(QuadratureError, match="did not converge within"):
+            zeta_eval(scalar_spec(0.5, Robin(-10.0), r=0.1), 2.0)
+
+    def test_budget_counts_every_round(self):
+        # an integrand that never converges: each round's nodes count, the first
+        # round's too when the caller passes its values
+        noise = np.random.default_rng(0)
+
+        def f(x):
+            return noise.standard_normal(x.size)
+
+        for first in (None, f(first_nodes((0.0, 1.0)))):
+            counts = Counter()
+            with pytest.raises(QuadratureError):
+                gauss_legendre(f, (0.0, 1.0), first=first, counts=counts)
+            assert counts["nodes"] <= _numutil._GL_MAX_NODES < 2 * counts["nodes"]
+
+    def test_first_round_from_the_caller(self):
+        # first-round values at first_nodes stand in for that round's call,
+        # bit for bit, and count as its nodes
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.exp(3.0 * x) / (0.01 + (x - 1.0) ** 2)
+
+        edges = (0.0, 0.5, 2.0)
+        alone = gauss_legendre(f, edges)
+        rounds = calls[:]
+        first = f(first_nodes(edges))
+        calls.clear()
+        counts = Counter()
+        assert gauss_legendre(f, edges, first=first, counts=counts) == alone
+        assert len(rounds) >= 2 and rounds[0] == first.size == 96
+        assert calls == rounds[1:] and counts["nodes"] == sum(rounds)
+
+
+def _diagonal(nus, bc, r=1.0):
+    return diagonal_spec([scalar_spec(nu, bc, r=r) for nu in nus])
+
+
+PASS_SPECS = {  # one spec per q, kernel-free and with a kernel (k0 = 1)
+    "q1": scalar_spec(0.3, Robin(0.5)),
+    "q1 kernel": scalar_spec(0.3, Robin(-0.8)),
+    "q2": _diagonal((0.3, 0.6), Robin(0.5)),
+    "q2 kernel": _diagonal((0.1, 0.9), Robin(-1.2), r=0.5),
+    "q4": _diagonal((0.1, 0.3, 0.5, 0.7), Dirichlet()),
+    "q4 kernel": _diagonal((0.1, 0.3, 0.5, 0.7), Robin(-2.4), r=0.25),
+}
+
+
+class TestPassBudgets:
+    """Kernel passes per stage, read from the evaluator's counter."""
+
+    @pytest.mark.parametrize("name", sorted(PASS_SPECS))
+    def test_spectrum_and_zeta(self, name, monkeypatch):
+        # the scans take two passes (probes, both coarse grids and the first
+        # bound check; both axes' midpoints) and a few more real halvings or
+        # Newton rounds; the zeta contour one pass per arc round, its first
+        # round sharing the pass of the root check below the radius
+        spec = PASS_SPECS[name]
+        sp = find_spectrum(spec, 30.0 * math.pi / (spec.q * spec.r))
+        assert len(sp.positive) >= 28 and sp.negative == ()
+        assert sp.passes <= 8
+        rounds = []
+        round_nodes = _numutil._round_nodes
+
+        def counted(*args):
+            rounds.append(1)
+            return round_nodes(*args)
+
+        monkeypatch.setattr(_numutil, "_round_nodes", counted)
+        rep = zeta_eval(spec, 2.0, spectrum=sp)
+        assert abs(rep.direct - rep.contour) <= 1e-4 * rep.contour
+        assert rep.passes == len(rounds) >= 1
+        if "kernel" not in name:  # the arc converges in its first round
+            assert (rep.passes, rep.nodes) == (1, 48)
+        if name == "q1":
+            assert sp.passes + rep.passes <= 8
+
+    @pytest.mark.parametrize("name", sorted(PASS_SPECS))
+    def test_det(self, name):
+        # a kernel request is the probe pass; a kernel-free one adds the pass of
+        # the finite-t cross-check, whose arc converges in its first round
+        got = det_zeta_auto(PASS_SPECS[name])
+        want = (1, 0) if "kernel" in name else (2, 48)
+        assert (got.diagnostics["passes"], got.diagnostics["nodes"]) == want
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            scalar_spec(0.5, Robin(-3.0)),
+            diagonal_spec([scalar_spec(0.5, Robin(-2.0)), scalar_spec(0.2, Robin(-2.0), tip="singular")]),
+        ],
+        ids=["q1", "q2"],
+    )
+    def test_negative_eigenvalues_refine_with_the_positive_ones(self, spec):
+        # the imaginary-axis roots join the real ones in the same Newton rounds
+        sp = find_spectrum(spec, 30.0)
+        assert sp.negative and sp.positive
+        assert sp.passes <= 7
 
 
 def test_report_is_frozen_dataclass():

@@ -421,7 +421,7 @@ def test_refine_iterate_exactly_on_a_zero():
     # (and dlog F is not finite); that root stops after its first round, the
     # other one goes on
     ev = _Stub(_cubic, _cubic_d)
-    roots = eigenfunction._refine(ev, [(1.0, 2.0, 0.0, -1.0, 1.0), _bracket(_cubic, 3.0, 5.0)], "real")
+    roots, _ = eigenfunction._refine(ev, [(1.0, 2.0, 0.0, -1.0, 1.0), _bracket(_cubic, 3.0, 5.0)], [])
     assert roots[0] == 1.5
     assert abs(roots[1] - 4.0) <= 1e-13
     assert 1.5 in ev.rounds[0]
@@ -431,7 +431,7 @@ def test_refine_iterate_exactly_on_a_zero():
 def test_refine_bisects_where_dlog_is_not_finite():
     first = 3.0 - _cubic(3.0) * 2.0 / (_cubic(5.0) - _cubic(3.0))  # the false-position start
     ev = _Stub(_cubic, _cubic_d, bad_dlog_at=first)
-    (root,) = eigenfunction._refine(ev, [_bracket(_cubic, 3.0, 5.0)], "real")
+    (root,), _ = eigenfunction._refine(ev, [_bracket(_cubic, 3.0, 5.0)], [])
     assert abs(root - 4.0) <= 1e-13
     assert ev.rounds[0] == [first] and ev.rounds[1][0] in (0.5 * (3.0 + first), 0.5 * (first + 5.0))
 
@@ -440,7 +440,7 @@ def test_refine_bisects_steps_that_leave_the_bracket():
     # a dlog F of the wrong sign sends every step away from the root and out of
     # the bracket: the refinement is plain bisection and still converges
     ev = _Stub(_cubic, lambda x: -_cubic_d(x))
-    (root,) = eigenfunction._refine(ev, [_bracket(_cubic, 3.0, 5.0)], "real")
+    (root,), _ = eigenfunction._refine(ev, [_bracket(_cubic, 3.0, 5.0)], [])
     assert abs(root - 4.0) <= 1e-13
     assert 40 <= len(ev.rounds) <= 50
 
@@ -450,7 +450,7 @@ def test_refine_bisects_steps_that_do_not_halve():
     # (13 rounds here); bisecting a step that does not halve in two takes 7
     f = lambda x: (x - 4.0) ** 5 + 1e-4 * (x - 4.0)  # noqa: E731
     ev = _Stub(f, lambda x: 5.0 * (x - 4.0) ** 4 + 1e-4)
-    (root,) = eigenfunction._refine(ev, [_bracket(f, 3.0, 5.5)], "real")
+    (root,), _ = eigenfunction._refine(ev, [_bracket(f, 3.0, 5.5)], [])
     assert abs(root - 4.0) <= 1e-13
     assert len(ev.rounds) <= 8
 
@@ -537,58 +537,63 @@ class TestSpectrum:
         assert found[1] >= 3 * found[0] > 10
 
     def test_rescans_sample_only_new_points(self, monkeypatch, diagonal_pair, kernel_fixture_third):
-        # each halving rescan keeps the samples it has and evaluates only the
-        # midpoints, so the samples of an axis are each taken once and together
-        # form one grid (after mu = 0 when F(0) != 0)
-        sampled = {"real": [], "imag": []}
-        samples = eigenfunction._real_samples
+        # the axes are scanned side by side: every pass samples both axes, each
+        # halving rescan only the midpoints; the samples of an axis are each
+        # taken once and together form one grid, beside the two lower bound
+        # checks on the imaginary axis.  mu = 0 is never sampled again: where
+        # F(0) is a sign sample it is the probe's
+        passes = []
+        sample = SecularEvaluator.sample
 
-        def recorded(ev, points, axis):
-            sampled[axis].append(points)
-            return samples(ev, points, axis)
+        def recorded(self, mu, deriv=False):
+            passes.append(mu)
+            return sample(self, mu, deriv)
 
-        monkeypatch.setattr(eigenfunction, "_real_samples", recorded)
+        monkeypatch.setattr(SecularEvaluator, "sample", recorded)
         negative = scalar_spec(0.5, Robin(-3.0))
-        for spec, origin in ((diagonal_pair, 1), (negative, 1), (kernel_fixture_third, 0)):
-            for points in sampled.values():
-                points.clear()
+        for spec in (diagonal_pair, negative, kernel_fixture_third):
+            passes.clear()
             find_spectrum(spec, 20.0)
-            for axis, points in sampled.items():
-                assert len(points) >= 2  # the scan and at least one rescan
-                pts = np.sort(np.concatenate(points))
+            assert len(passes) >= 2  # the scans and at least one rescan
+            for mu in passes[:2]:  # both axes in each
+                assert np.any(mu.imag == 0.0) and np.any(mu.real == 0.0)
+            mu = np.concatenate(passes)
+            x_hi, checks = 12.0, []
+            while x_hi <= 220.0:
+                checks += (np.array([0.8, 0.9]) * x_hi).tolist()
+                x_hi *= 1.6
+            for axis, pts in (("real", mu.real[mu.imag == 0.0]), ("imag", mu.imag[mu.real == 0.0])):
+                if axis == "imag":
+                    pts = pts[~np.isin(pts, checks)]
+                pts = np.sort(pts)
                 assert np.unique(pts).size == pts.size, axis
-                assert (pts[0] == 0.0) == origin
-                grid = pts[origin:]
-                assert np.array_equal(grid, np.linspace(grid[0], grid[-1], grid.size)), axis
+                assert pts[0] > 0.0
+                assert np.array_equal(pts, np.linspace(pts[0], pts[-1], pts.size)), axis
 
     def test_one_kernel_pass_per_refinement_round(self, monkeypatch):
-        # every Newton round takes F and dlog F from one phi_rows pass; the
-        # residual check is one more
-        calls, seen = Counter(), []
-        phi_rows, traces, refine = eigenfunction.phi_rows, SecularEvaluator._traces, eigenfunction._refine
+        # both axes are refined together; every Newton round takes F and dlog F
+        # from one pass, and the residuals are read from those rounds
+        seen = []
+        scaled_dlog, refine = SecularEvaluator._scaled_dlog, eigenfunction._refine
 
-        def counted_phi_rows(*args):
-            calls["phi_rows"] += 1
-            return phi_rows(*args)
+        def counted_scaled_dlog(self, mu):
+            seen[-1]["rounds"] += 1
+            return scaled_dlog(self, mu)
 
-        def counted_traces(self, mu, deriv=False):
-            calls["rounds"] += deriv  # one derivative pass per round
-            return traces(self, mu, deriv=deriv)
-
-        def counted_refine(ev, brackets, axis):
-            calls.clear()
-            roots = refine(ev, brackets, axis)
-            seen.append((len(roots), calls["rounds"], calls["phi_rows"]))
+        def counted_refine(ev, real, imag):
+            seen.append({"rounds": 0})
+            before = ev.counts["passes"]
+            roots = refine(ev, real, imag)
+            seen[-1].update(roots=roots, passes=ev.counts["passes"] - before)
             return roots
 
-        monkeypatch.setattr(eigenfunction, "phi_rows", counted_phi_rows)
-        monkeypatch.setattr(SecularEvaluator, "_traces", counted_traces)
+        monkeypatch.setattr(SecularEvaluator, "_scaled_dlog", counted_scaled_dlog)
         monkeypatch.setattr(eigenfunction, "_refine", counted_refine)
         channels, bc, r, mu_max = ORACLE_CHANNELS["q2 negative"]
         find_spectrum(diagonal_spec([scalar_spec(nu, bc, tip=t, r=r) for nu, t in channels]), mu_max)
-        assert len(seen) == 2 and min(n for n, _, _ in seen) > 0  # roots on both axes
-        for _, rounds, passes in seen:
-            assert 1 <= rounds and passes <= rounds + 1
+        (call,) = seen
+        assert all(call["roots"])  # roots on both axes
+        assert 1 <= call["rounds"] == call["passes"]
 
     def test_bracket_certificate(self):
         coarse = [(1.0, 1.4, 0.0, 1.0), (3.0, 3.4, 0.0, 1.0)]
