@@ -5,7 +5,6 @@ from __future__ import annotations
 from collections.abc import Callable
 
 import numpy as np
-from scipy.special import roots_legendre
 
 
 class NumericalError(RuntimeError):
@@ -20,7 +19,19 @@ class QuadratureError(NumericalError):
 # so an n-point panel converges like rho^(-2n) with rho set by the
 # distance to the nearest zero of F (Trefethen & Weideman, SIAM Rev. 56,
 # 2014); panels near such a zero are halved until they converge too.
-_GL_NODES, _GL_WEIGHTS = roots_legendre(16)
+# The rule is symmetric; its positive half is scipy's roots_legendre(16)
+# (scipy 1.17) to the last bit, written out so that importing regsing
+# loads no scipy module.
+_GL_HALF_NODES = np.array([
+    0.09501250983763745, 0.2816035507792589, 0.4580167776572274, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+])
+_GL_HALF_WEIGHTS = np.array([
+    0.1894506104550681, 0.18260341504492328, 0.16915651939500212, 0.14959598881657638,
+    0.12462897125553363, 0.09515851168249231, 0.06225352393864763, 0.027152459411756466,
+])
+_GL_NODES = np.concatenate([-_GL_HALF_NODES[::-1], _GL_HALF_NODES])
+_GL_WEIGHTS = np.concatenate([_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS])
 # A panel is accepted when it agrees with the sum of its two halves to
 # this fraction of the integral of |f| over the whole path: a few
 # hundred times the rounding floor of the summed magnitudes, so that

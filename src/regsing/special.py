@@ -54,6 +54,11 @@ their derivatives are unscaled.
 All complex powers and logarithms use the principal branch; callers keep
 ``Re w >= 0``, where the branch cuts of ``(w/2)^(-nu)`` and ``J_nu``
 cancel.
+
+The scipy routines are read through one lazy handle, ``sc``: importing
+this module loads numpy only, and ``scipy.special`` is imported the
+first time a zone off the series disk, a scalar Bessel function or
+(through ``determinant.py``) ``exp1`` or the Hurwitz zeta is evaluated.
 """
 
 from __future__ import annotations
@@ -63,7 +68,6 @@ import math
 import sys
 
 import numpy as np
-from scipy import special as sc
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -77,6 +81,26 @@ _SERIES_TERMS = 14
 
 class SpecialFunctionDomainError(ValueError):
     """Argument outside the supported domain (cut, pole, sign)."""
+
+
+class _ScipySpecial:
+    """``scipy.special``, imported on the first read of one of its names.
+
+    Each name read is then cached on the instance, so later reads are
+    plain attribute lookups.  A process that never evaluates a Bessel
+    function (validation, cone assembly) never imports scipy.
+    """
+
+    def __getattr__(self, name):
+        from scipy import special
+
+        value = getattr(special, name)
+        setattr(self, name, value)
+        return value
+
+
+# The one handle on scipy.special, for this module and determinant.py.
+sc = _ScipySpecial()
 
 
 def gamma_fn(x: float) -> float:

@@ -423,21 +423,48 @@ class TestOtherCommands:
         assert "0.66666666666" in out
 
 
-def _loaded_by_cli_import(module: str) -> bool:
-    """Whether a fresh ``import regsing.cli`` puts the module in sys.modules."""
-    code = f"import regsing.cli, sys; print({module!r} in sys.modules)"
+def _scipy_after(code: str) -> set[str]:
+    """The scipy modules in sys.modules after a fresh process runs ``code``."""
+    code += "\nimport sys; print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = dict(os.environ, PYTHONPATH=str(Path(regsing.__file__).resolve().parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    return out.stdout.strip() == "True"
+    return set(out.stdout.split())
 
 
-def test_cli_import_does_not_load_scipy_integrate():
-    # quadrature is Gauss-Legendre on scipy.special nodes; scipy.integrate costs ~0.5 s of import
-    assert not _loaded_by_cli_import("scipy.integrate")
+def _scipy_after_command(*argv: str) -> set[str]:
+    """The scipy modules a fresh ``regsing`` process leaves loaded after ``argv``."""
+    call = f"main({list(argv)!r})"
+    return _scipy_after(
+        "import contextlib, io\nfrom regsing.cli import main\n"
+        f"with contextlib.redirect_stdout(io.StringIO()): assert {call} == 0"
+    )
 
 
-def test_cli_import_does_not_load_scipy_optimize():
-    # roots are refined by the batched Newton iteration; scipy.optimize costs ~0.15 s of import
-    assert not _loaded_by_cli_import("scipy.optimize")
+def test_cli_import_loads_no_scipy():
+    # scipy.special (about 0.37 s of import) loads on the first Bessel or zeta
+    # evaluation, and the Gauss-Legendre table is written out, so scipy.linalg
+    # never loads; quadrature and root refinement need neither scipy.integrate
+    # (about 0.5 s) nor scipy.optimize (about 0.15 s)
+    assert _scipy_after("import regsing.cli") == set()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", str(FIXTURES / "readme_two_channel.json")),
+        ("cone", str(FIXTURES / "circle_cone.json")),
+        ("cone", str(FIXTURES / "sphere_cone.json")),
+    ],
+    ids=["validate", "cone circle", "cone sphere"],
+)
+def test_commands_without_bessel_functions_load_no_scipy(argv):
+    # validation and the closed-form cone factors need numpy only
+    assert _scipy_after_command(*argv) == set()
+
+
+def test_det_loads_scipy_special_but_not_linalg():
+    loaded = _scipy_after_command("det", str(FIXTURES / "readme_two_channel.json"))
+    assert "scipy.special" in loaded
+    assert "scipy.linalg" not in loaded

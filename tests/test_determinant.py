@@ -503,6 +503,28 @@ class TestZeta:
                 want = r**6 / (32.0 * (nu + 2.0) ** 3 * (nu + 3.0) * (nu + 4.0))
             assert abs(rep.contour - want) <= rep.contour_error, r
 
+    @pytest.mark.parametrize("n", [10, 30, 100])
+    @pytest.mark.parametrize("nu", [0.0, 0.3, 0.7])
+    def test_direct_error_covers_rayleigh_sums(self, nu, n):
+        # Dirichlet: the spectrum is j_{nu,k}, whose zeta at s = 2 is the
+        # Rayleigh sum 1/(16 (nu+1)^2 (nu+2)); mu_max falls between the n-th
+        # and the (n+1)-th zero.  The fit's bias from the O(1/mu) term of the
+        # roots dominates the error; the estimate must cover it, not by more
+        # than a small factor
+        spec = scalar_spec(nu, Dirichlet())
+        sp = find_spectrum(spec, (n + nu / 2.0 + 0.25) * math.pi)
+        assert len(sp.positive) == n
+        direct, direct_error = _zeta_direct(2.0, sp)
+        err = abs(direct - 1.0 / (16.0 * (nu + 1.0) ** 2 * (nu + 2.0)))
+        assert err <= direct_error <= 10.0 * err + 1e-15
+
+    def test_direct_error_covers_the_contour_gap(self):
+        # at 30 roots |direct - contour| is 8.1e-12, nearly all of it the direct
+        # fit's bias, which the scatter alone put at 3.7e-13
+        spec = scalar_spec(0.3, Robin(0.5))
+        rep = zeta_eval(spec, 2.0, spectrum=find_spectrum(spec, 30.0 * math.pi))
+        assert abs(rep.direct - rep.contour) <= rep.direct_error + rep.contour_error
+
     def test_contour_radius_scales_with_length(self):
         # at R = 40 the first root (about 0.02) lies inside a fixed radius 0.1
         spec = scalar_spec(0.25, Robin(0.25 / 40.0), tip="singular", r=40.0)
@@ -569,6 +591,19 @@ class TestQuadratureBudget:
         assert gauss_legendre(f, edges, first=first, counts=counts) == alone
         assert len(rounds) >= 2 and rounds[0] == first.size == 96
         assert calls == rounds[1:] and counts["nodes"] == sum(rounds)
+
+    def test_panel_rule_is_scipys_16_point_rule(self):
+        # the written-out table is roots_legendre(16) to 1 ulp, and it
+        # integrates x^k over [-1, 1] exactly up to k = 2 * 16 - 1, to the
+        # accuracy of scipy's weights (their moments are off by up to 3.75e-15)
+        from scipy.special import roots_legendre
+
+        nodes, weights = roots_legendre(16)
+        for got, want in [(_numutil._GL_NODES, nodes), (_numutil._GL_WEIGHTS, weights)]:
+            assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+        for k in range(32):
+            moment = _numutil._GL_WEIGHTS @ _numutil._GL_NODES**k
+            assert abs(moment - (2.0 / (k + 1) if k % 2 == 0 else 0.0)) <= 4e-15, k
 
 
 def _diagonal(nus, bc, r=1.0):
