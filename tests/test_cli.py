@@ -445,9 +445,18 @@ def _scipy_after_command(*argv: str) -> set[str]:
 def test_cli_import_loads_no_scipy():
     # scipy.special (about 0.37 s of import) loads on the first Bessel or zeta
     # evaluation, and the Gauss-Legendre table is written out, so scipy.linalg
-    # never loads; quadrature and root refinement need neither scipy.integrate
-    # (about 0.5 s) nor scipy.optimize (about 0.15 s)
+    # never loads
     assert _scipy_after("import regsing.cli") == set()
+
+
+def test_cli_import_does_not_load_scipy_integrate():
+    # quadrature is Gauss-Legendre on a written-out table; scipy.integrate costs ~0.5 s of import
+    assert "scipy.integrate" not in _scipy_after("import regsing.cli")
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    # roots are refined by the batched Newton iteration; scipy.optimize costs ~0.15 s of import
+    assert "scipy.optimize" not in _scipy_after("import regsing.cli")
 
 
 @pytest.mark.parametrize(
