@@ -1,4 +1,4 @@
-"""Shared numerics: Gauss-Legendre panel quadrature, extrapolation."""
+"""Shared numerics: Gauss-Legendre panel quadrature and the numerical error types."""
 
 from __future__ import annotations
 
@@ -121,19 +121,3 @@ def gauss_legendre(
         lo, hi = np.concatenate([lo[keep], mid[keep]]), np.concatenate([mid[keep], hi[keep]])
         whole = np.concatenate([left[keep], right[keep]])
 
-
-def neville_at_zero(hs: list[float], vs: list[float]) -> tuple[float, float]:
-    """Polynomial extrapolation of (h_i, v_i) to h = 0.
-
-    Returns the full-order value and the previous-order value so the
-    caller can check convergence between the last two levels.
-    """
-    n = len(hs)
-    tab = [list(vs)]
-    for j in range(1, n):
-        row = []
-        for i in range(n - j):
-            num = hs[i] * tab[j - 1][i + 1] - hs[i + j] * tab[j - 1][i]
-            row.append(num / (hs[i] - hs[i + j]))
-        tab.append(row)
-    return tab[-1][0], tab[-2][0]

@@ -12,7 +12,8 @@ Three independent routes to det_zeta:
   t from it to -it.  The value is t-independent for t below the first
   zero of F; used as a cross-check.
 * `det_zeta_regularized`: nonzero kernel of order k0, via
-  F~(mu) = F(mu)/mu^(2 k0), det = F~(0) / ((-1)^k0 C).
+  F~(mu) = F(mu)/mu^(2 k0), det = F~(0) / ((-1)^k0 C), F~(0) from the
+  Taylor circle of the kernel order.
 
 `log mu` and `mu^(-2s)` on gamma_t use the principal branch, which is
 continuous on the right-half-plane arc; that choice is forced by exact
@@ -34,9 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numutil import NumericalError, first_nodes, gauss_legendre, neville_at_zero
+from ._numutil import NumericalError, first_nodes, gauss_legendre
 from .eigenfunction import (
-    _KERNEL_PROBES,
     _REAL_RESIDUE_TOL,
     SecularEvaluator,
     Spectrum,
@@ -75,7 +75,13 @@ def _real(value: complex, what: str) -> float:
 
 
 def _as_positive_real(value: complex, what: str) -> float:
+    """The real value, which must be positive and finite; a negative one
+    means an odd number of negative eigenvalues."""
     v = _real(value, what)
+    if v < 0.0:
+        raise NegativeSpectrumError(
+            f"{what} = {v!r} is negative: the operator has an odd number of negative eigenvalues"
+        )
     if not (v > 0.0) or not math.isfinite(v):
         raise NumericalError(f"{what} is not a positive real number: {v!r}")
     return v
@@ -135,24 +141,20 @@ def _closed_form(ev: SecularEvaluator) -> DeterminantReport:
         )
     f0 = ev.f0
     raw = f0 * (-2.0 * math.exp(EULER_GAMMA)) ** (spec.q0 - cv.j0) / ev.model.c
-    signed = _real(raw, "closed-form determinant")
     log_singular = cv.j0 != spec.q0
     diagnostics = {"f_zero": f0.real, "alpha0": cv.alpha0, "j0": cv.j0}
+    diagnostics["floor_margin"] = ev.floor_margin
     if log_singular:
         # the defect-subtracted object carries the sign (-2 e^gamma)^(q0-j0);
         # the reported value is its modulus, the signed number goes to the
         # diagnostics
+        signed = _real(raw, "closed-form determinant")
         diagnostics["defect_subtracted_signed"] = signed
         value = abs(signed)
         if not (value > 0.0 and math.isfinite(value)):
             raise NumericalError(f"closed-form determinant is degenerate: {raw!r}")
     else:
-        if signed < 0.0:
-            raise NegativeSpectrumError(
-                f"closed-form determinant F(0)/C = {signed!r} is negative: "
-                "the operator has an odd number of negative eigenvalues"
-            )
-        value = _as_positive_real(raw, "closed-form determinant")
+        value = _as_positive_real(raw, "closed-form determinant F(0)/C")
     return DeterminantReport(
         value=value,
         method="closed_form",
@@ -266,20 +268,15 @@ def _finite_t(ev: SecularEvaluator, t_abs: float) -> DeterminantReport:
     )
 
 
-# The gap between the last two extrapolation levels is a second-order
-# quantity ~ (c2/c0) h1 h2 ~ 1e-8 for generic series, so the gate below
-# is an instability guard, not the accuracy of the final value (which is
-# third order, ~1e-12).
-_RICHARDSON_RTOL = 1e-6
-
-
 def det_zeta_regularized(spec: OperatorSpec) -> DeterminantReport:
     """det_zeta over the nonzero spectrum when ker L has order k0 >= 1.
 
-    F~(mu) = F(mu)/mu^(2 k0) is extrapolated to 0 (order-2 Richardson in
-    mu^2) from F at the last three probes of the kernel-order fit; with
-    C~ = (-1)^k0 C, det = F~(0)/C~.  Only the j0 = q0 case is supported
-    (no s log s defect interacting with the kernel).
+    F~(0) of F~(mu) = F(mu)/mu^(2 k0) is the Taylor coefficient of
+    (mu^2)^k0 on the circle of the kernel order (`SecularEvaluator.f_tilde0`);
+    with C~ = (-1)^k0 C, det = F~(0)/C~, and a negative one (an odd number
+    of negative eigenvalues) raises :class:`NegativeSpectrumError`.  Only
+    the j0 = q0 case is supported (no s log s defect interacting with the
+    kernel).  The report gives the circle's |mu| and floor margin.
     """
     ev = SecularEvaluator(spec)
     return _counted(ev, _regularized(ev))
@@ -293,16 +290,9 @@ def _regularized(ev: SecularEvaluator) -> DeterminantReport:
         raise NumericalError(
             "nonzero kernel with j0 != q0 is outside the supported regime"
         )
-    mus = np.array(_KERNEL_PROBES)
-    vs = ev._probes[-3:] / mus ** (2 * k0)
-    f_tilde = [_real(v, f"F~({mu})") for mu, v in zip(_KERNEL_PROBES, vs.tolist())]
-    f_tilde_0, prev = neville_at_zero((mus * mus).tolist(), f_tilde)
-    if abs(f_tilde_0 - prev) > _RICHARDSON_RTOL * max(abs(f_tilde_0), 1e-300):
-        raise NumericalError(
-            f"Richardson extrapolation unstable: {f_tilde_0!r} vs {prev!r}"
-        )
+    f_tilde_0 = _real(ev.f_tilde0, "F~(0)")
     c_tilde = (-1.0) ** k0 * ev.model.c
-    value = _as_positive_real(f_tilde_0 / c_tilde, "F~(0)/C~")
+    value = _as_positive_real(f_tilde_0 / c_tilde, "regularized determinant F~(0)/C~")
     return DeterminantReport(
         value=value,
         method="regularized",
@@ -311,7 +301,8 @@ def _regularized(ev: SecularEvaluator) -> DeterminantReport:
         diagnostics={
             "f_tilde_zero": f_tilde_0,
             "c_tilde": c_tilde.real,
-            "richardson_gap": abs(f_tilde_0 - prev),
+            "circle_radius": ev.circle_radius,
+            "floor_margin": ev.floor_margin,
         },
     )
 
@@ -330,11 +321,11 @@ def det_zeta_auto(spec: OperatorSpec, t_abs: float | None = None) -> Determinant
     for R = 1 and attached only there.  The finite-t value goes to
     ``finite_t_value`` with its relative gap to the closed form in
     ``finite_t_gap``; where that route fails, the reason goes to
-    ``finite_t_error`` instead.  The probes of the kernel order are one
-    kernel pass, which is all a kernel request makes; F on both axes
-    below the radius and the first Gauss-Legendre round of the arc are
-    a second, so a kernel-free request whose arc converges in that round
-    makes two.  ``passes`` and ``nodes`` count the kernel passes and
+    ``finite_t_error`` instead.  The probes of the kernel order (F(0),
+    its Taylor circle) are one kernel pass, all a kernel request makes;
+    F on both axes below the radius and the first Gauss-Legendre round
+    of the arc are a second, so a kernel-free request whose arc
+    converges in that round makes two.  ``passes`` and ``nodes`` count the kernel passes and
     quadrature nodes of the request.
     """
     ev = SecularEvaluator(spec)

@@ -60,10 +60,12 @@ from .special import (
 GAMMA_TILDE = math.log(2.0) - EULER_GAMMA
 
 _REAL_RESIDUE_TOL = 1e-8  # |Im z| above this share of |z| (or of 1 + |z|) is not rounding
-_KERNEL_TOL = 1e-8  # |F(0)| below this share of max |F| at mu = 0.3, 0.7, 1.1 is a kernel
-# near-zero probes: the kernel-order fit and the Richardson extrapolation of F/mu^(2 k0)
-_KERNEL_PROBES = (1e-1, 10.0**-1.5, 1e-2)
-_PROBES = np.array((0.0, 0.3, 0.7, 1.1) + _KERNEL_PROBES)  # F(0), the scale points, the kernel probes
+# The Taylor circle of F at mu = 0: the trapezoidal rule at lambda_j = rho e^(2 pi i j/m),
+# lambda = mu^2, gives the Taylor coefficients of F times rho^n (Trefethen & Weideman, 2014)
+_CIRCLE_POINTS = 16  # m
+_CIRCLE_RHO = 0.8  # rho R^2: every point lies inside the series disk |mu R| <= 1
+_CIRCLE_FLOOR = 64.0 * sys.float_info.epsilon  # c_n below this share of max |F_j| is rounding
+_CIRCLE = np.exp(1j * math.pi * np.arange(_CIRCLE_POINTS) / _CIRCLE_POINTS)  # mu_j over |mu_j|
 _LOG_MAX = math.log(sys.float_info.max)
 _ROOT_RESIDUAL_TOL = 1e-10
 _ROOT_XTOL, _ROOT_RTOL = 1e-13, 4.0 * sys.float_info.epsilon
@@ -141,8 +143,10 @@ class SecularEvaluator:
     :class:`InvalidOperatorError` where it fails.  The characteristic
     values `cv`, the asymptotic model `model` and the kernel order `k0`
     are worked out on first use and kept, so every route of one request
-    reads the same decision; F(0), the first probe of `k0`, is kept as
-    `f0`.  :meth:`scaled`, :meth:`value` and :meth:`dlog` are computed
+    reads the same decision.  The probes of `k0` are F(0), kept as `f0`,
+    and the circle mu_j = `circle_radius` e^(i pi j/16), whose FFT gives
+    `k0`, `f_tilde0` = F~(0) and the decision's `floor_margin`.
+    :meth:`scaled`, :meth:`value` and :meth:`dlog` are computed
     over an ndarray mu and keep its shape; a scalar mu is evaluated as a
     one-element array and comes back as Python scalars.  :meth:`sample`
     is the pass of the routes, which takes the probes of `k0` along
@@ -192,6 +196,9 @@ class SecularEvaluator:
         top = np.array([[v / t for v in row] for row, t in zip(top, tops)])
         self._at, self._bt = top[:, : self.q].T, top[:, self.q :].T
         self._log_top = sum(map(math.log, tops))
+        # the probes: F(0), then F on the Taylor circle
+        self.circle_radius = math.sqrt(_CIRCLE_RHO) / spec.r
+        self._probe_mu = np.concatenate(([0.0], self.circle_radius * _CIRCLE))
 
     @cached_property
     def cv(self) -> CharacteristicValues:
@@ -203,16 +210,12 @@ class SecularEvaluator:
 
     @cached_property
     def _probe_scaled(self) -> tuple[np.ndarray, np.ndarray]:
-        """The scaled F at ``_PROBES``: one array call, unless :meth:`sample` took them first."""
-        return self.scaled(_PROBES)
+        """The scaled F at ``_probe_mu``: one array call, unless :meth:`sample` took them first."""
+        return self.scaled(self._probe_mu)
 
     @cached_property
     def _probes(self) -> np.ndarray:
-        """F at 0, at the scale points 0.3, 0.7, 1.1 and at the kernel probes.
-
-        The last three entries, F at ``_KERNEL_PROBES``, are also the
-        samples of the regularized determinant.
-        """
+        """F at 0, then on the Taylor circle |mu| = :attr:`circle_radius`."""
         return _unscaled(*self._probe_scaled)
 
     def sample(self, mu: np.ndarray, deriv: bool = False) -> tuple[np.ndarray, ...]:
@@ -221,11 +224,11 @@ class SecularEvaluator:
         not yet known."""
         probe = "_probe_scaled" not in self.__dict__
         if probe:
-            mu = np.concatenate((_PROBES, mu))
+            mu = np.concatenate((self._probe_mu, mu))
         out = self._scaled_dlog(mu) if deriv else self.scaled(mu)
         if not probe:
             return out
-        n = _PROBES.size
+        n = self._probe_mu.size
         self._probe_scaled = tuple(v[:n] for v in out[:2])
         return tuple(v[n:] for v in out)
 
@@ -244,36 +247,45 @@ class SecularEvaluator:
         """
         try:
             return self.k0 == 0
-        except KernelOrderError:  # raised only where F(0) is below the kernel threshold
+        except KernelOrderError:  # raised only where F(0) is at its rounding floor
             return False
+
+    @cached_property
+    def _taylor(self) -> tuple[np.ndarray, float]:
+        """The Taylor coefficients c_n = a_n rho^n of F = sum a_n lambda^n from F_j
+        on the circle, and their rounding floor ``_CIRCLE_FLOOR`` max |F_j|."""
+        f = self._probes[1:]
+        return np.fft.fft(f) / f.size, _CIRCLE_FLOOR * float(np.max(np.abs(f)))
 
     @cached_property
     def k0(self) -> int:
         """Order of the zero of F at mu=0 in the variable mu^2.
 
-        F is analytic in mu^2, so |F| ~ c mu^(2 k0); k0 is read off a
-        log-log fit through the probe points and cross-checked on both
-        probe pairs.
+        The first Taylor coefficient of F in lambda = mu^2 above the
+        rounding floor of the circle; raises :class:`KernelOrderError`
+        where none is, or where the order exceeds q.
         """
-        f0, *mags = np.abs(self._probes).tolist()
-        scale = max(mags[:3] + [f0])
-        if scale == 0.0:
-            raise KernelOrderError("secular determinant vanishes at all probe points")
-        if f0 > _KERNEL_TOL * scale:
-            return 0
-        mags = mags[3:]
-        if min(mags) == 0.0:
-            raise KernelOrderError("probe point landed on a zero of F")
-        logs = [math.log(m) for m in mags]
-        lmu = [math.log(m) for m in _KERNEL_PROBES]
-        s12 = (logs[0] - logs[1]) / (lmu[0] - lmu[1])
-        s23 = (logs[1] - logs[2]) / (lmu[1] - lmu[2])
-        k = round(s23 / 2.0)
-        if k < 1 or k > self.q or abs(s23 - 2.0 * k) > 0.1 or abs(s12 - 2.0 * k) > 0.5:
-            raise KernelOrderError(
-                f"order fit ambiguous: slopes {s12:.3f}, {s23:.3f} fit no k <= q={self.q}"
-            )
-        return int(k)
+        c, floor = self._taylor
+        above = np.flatnonzero(np.abs(c) > floor)
+        if above.size == 0:
+            raise KernelOrderError("F is at its rounding floor on the whole Taylor circle")
+        if above[0] > self.q:
+            raise KernelOrderError(f"zero of order {above[0]} at mu = 0 exceeds q = {self.q}")
+        return int(above[0])
+
+    @property
+    def f_tilde0(self) -> complex:
+        """F~(0) of F~ = F / mu^(2 k0), the Taylor coefficient of lambda^k0."""
+        # c_k0 over rho^k0, one factor R / sqrt(rho R^2) at a time: R^2 alone
+        # leaves the float range at extreme R
+        scale = self.r / math.sqrt(_CIRCLE_RHO)
+        return complex(self._taylor[0][self.k0]) * math.prod([scale] * (2 * self.k0))
+
+    @property
+    def floor_margin(self) -> float:
+        """|c_k0| over the rounding floor: how far the kernel decision is from the floor."""
+        c, floor = self._taylor
+        return float(abs(c[self.k0]) / floor)
 
     # -- row entries --------------------------------------------------------
 

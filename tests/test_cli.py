@@ -108,6 +108,15 @@ class TestDet:
         assert payload["report"]["k0"] == 1
         assert abs(payload["report"]["value"] - 2.0 / 3.0) < 1e-9
 
+    def test_kernel_case_at_r_4(self, write_doc, capsys):
+        # the kernel-order circle scales with 1/R: det = 4^2 * 2/3 at R = 4
+        doc = dict(kernel_doc(), R=4.0, regular_bc={"type": "robin", "alpha": -0.25})
+        code, out, _ = run_cli(capsys, "det", write_doc(doc))
+        assert code == EXIT_OK
+        report = json.loads(out)["report"]
+        assert report["k0"] == 1
+        assert report["value"] == pytest.approx(16.0 * 2.0 / 3.0, rel=1e-14, abs=0.0)
+
     def test_envelope_fields(self, write_doc, capsys):
         code, out, _ = run_cli(capsys, "det", write_doc(kernel_doc()))
         payload = json.loads(out)
@@ -465,15 +474,18 @@ def test_cli_import_does_not_load_scipy_optimize():
         ("validate", str(FIXTURES / "readme_two_channel.json")),
         ("cone", str(FIXTURES / "circle_cone.json")),
         ("cone", str(FIXTURES / "sphere_cone.json")),
+        ("det", str(FIXTURES / "readme_two_channel.json")),
     ],
-    ids=["validate", "cone circle", "cone sphere"],
+    ids=["validate", "cone circle", "cone sphere", "det"],
 )
 def test_commands_without_bessel_functions_load_no_scipy(argv):
-    # validation and the closed-form cone factors need numpy only
+    # validation and the closed-form cone factors need numpy only; so does a
+    # det at R = 1, whose kernel-order circle and finite-t arc lie inside the
+    # series disk |mu R| <= 1
     assert _scipy_after_command(*argv) == set()
 
 
-def test_det_loads_scipy_special_but_not_linalg():
-    loaded = _scipy_after_command("det", str(FIXTURES / "readme_two_channel.json"))
+def test_spectrum_loads_scipy_special_but_not_linalg():
+    loaded = _scipy_after_command("spectrum", str(FIXTURES / "readme_two_channel.json"))
     assert "scipy.special" in loaded
     assert "scipy.linalg" not in loaded

@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.special import jv
 
 from regsing import _numutil, cli, eigenfunction
 from regsing._numutil import NumericalError, QuadratureError, first_nodes, gauss_legendre
@@ -27,11 +30,14 @@ from regsing.determinant import (
     det_zeta_regularized,
     zeta_eval,
 )
-from regsing.eigenfunction import find_spectrum
+from regsing.eigenfunction import KernelOrderError, find_spectrum
 from regsing.operators import Dirichlet, Robin, diagonal_spec, scalar_spec
 from tests.conftest import robin_regular
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+EPS = sys.float_info.epsilon
+# orders of the kernel grid: scalar_spec(nu, Robin(a), tip, r=R) with k0 = 1 at every R
+KERNEL_NUS = (0.0, 0.1, 0.25, 0.3088, 0.5, 0.75, 0.9)
 
 
 def cor_robin_formula(nu: float, alpha: float) -> float:
@@ -91,6 +97,102 @@ class TestRegularized:
     def test_trivial_kernel_redirects(self):
         with pytest.raises(NumericalError):
             det_zeta_regularized(robin_regular(0.3, 0.0))
+
+    @pytest.mark.parametrize(
+        "fixture, want",
+        [
+            ("kernel_fixture_third", 2.0 / 3.0),
+            ("kernel_fixture_two", 2.0),
+            ("kernel_fixture_bessel", math.sqrt(math.pi / 2.0)),
+        ],
+        ids=["two thirds", "two", "sqrt pi/2"],
+    )
+    def test_unit_length_fixtures_to_rounding(self, request, fixture, want):
+        got = det_zeta_regularized(request.getfixturevalue(fixture))
+        assert got.value == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "tip, nu",
+        [("regular", nu) for nu in KERNEL_NUS] + [("singular", nu) for nu in KERNEL_NUS[1:]],
+    )
+    def test_dilation_law(self, tip, nu):
+        # a = (-nu - 1/2)/R (regular tip) or (nu - 1/2)/R (singular tip) has
+        # k0 = 1 at every R, and det_R = R^(2 (k0 - zeta(0))) det_1 with
+        # 2 (k0 - zeta(0)) = 3/2 + nu or 3/2 - nu
+        def report(r):
+            a = ((-nu - 0.5) if tip == "regular" else (nu - 0.5)) / r
+            return det_zeta_auto(scalar_spec(nu, Robin(a), tip, r=r))
+
+        unit = report(1.0).value
+        power = 1.5 + nu if tip == "regular" else 1.5 - nu
+        for r in (0.05, 0.1, 0.5, 2.0, 2.5, 3.0, 4.0, 6.0, 10.0, 50.0):
+            got = report(r)
+            assert (got.method, got.kernel_dim_proxy) == ("regularized", 1)
+            assert got.value == pytest.approx(unit * r**power, rel=1e-12, abs=0.0)
+
+    def test_doubled_kernel(self):
+        # two equal kernel channels at R = 3: k0 = 2, and det is the square of
+        # the scalar one (6 = 3^2 * 2/3)
+        scalar = scalar_spec(0.5, Robin(-1.0 / 3.0), r=3.0)
+        got = det_zeta_auto(diagonal_spec([scalar, scalar]))
+        assert (got.method, got.kernel_dim_proxy) == ("regularized", 2)
+        one = det_zeta_auto(scalar).value
+        assert one == pytest.approx(6.0, rel=1e-14, abs=0.0)
+        assert got.value == pytest.approx(one**2, rel=1e-14, abs=0.0)
+
+    def test_health_numbers(self, kernel_fixture_third):
+        got = det_zeta_regularized(kernel_fixture_third)
+        assert got.diagnostics["circle_radius"] == math.sqrt(0.8)
+        assert got.diagnostics["floor_margin"] > 1e10
+        assert "richardson_gap" not in got.diagnostics
+        closed = det_zeta_closed_form(scalar_spec(0.3, Robin(-0.8 + 1e-9)))
+        assert 1.0 < closed.diagnostics["floor_margin"] < 1e7  # next to the kernel decision
+
+    def test_negative_eigenvalue_beside_a_kernel(self):
+        # the nu = 0.2 channel has one negative eigenvalue: F~(0)/C~ < 0
+        spec = diagonal_spec([scalar_spec(0.5, Robin(-1.0)), scalar_spec(0.2, Robin(-1.0))])
+        for route in (det_zeta_auto, det_zeta_regularized):
+            with pytest.raises(NegativeSpectrumError, match="odd number of negative eigenvalues"):
+                route(spec)
+
+
+class TestKernelDecision:
+    """k0 and F~(0) from the Taylor coefficients on one trapezoidal circle."""
+
+    def test_near_kernel_continuity(self):
+        # det(alpha) = mu_1(alpha)^2 times the determinant over the rest of the
+        # spectrum, which tends to the regularized value at alpha = -0.8; mu_1
+        # solves e J_nu(mu) = mu J_{nu+1}(mu), e = alpha + nu + 1/2
+        nu = 0.3
+        limit = det_zeta_auto(scalar_spec(nu, Robin(-0.8))).value
+        for e in (1e-3, 1e-5, 1e-7, 1e-9):
+            alpha = e - 0.8
+            e = alpha + 0.8  # exact: the e the operator sees
+
+            def g(mu):
+                return e * jv(nu, mu) - mu * jv(nu + 1.0, mu)
+
+            guess = math.sqrt(2.0 * (nu + 1.0) * e)
+            mu1 = brentq(g, 0.5 * guess, 2.0 * guess, xtol=1e-300, rtol=1e-15)
+            got = det_zeta_auto(scalar_spec(nu, Robin(alpha)))
+            assert got.method == "closed_form"
+            # first order in e, plus the rounding of F(0) ~ e
+            assert abs(got.value / mu1**2 / limit - 1.0) <= 0.25 * e + 4.0 * EPS / e
+
+    def test_no_coefficient_above_the_floor(self):
+        ev = eigenfunction.SecularEvaluator(robin_regular(0.3, 0.0))
+        ev._probes = np.zeros(1 + eigenfunction._CIRCLE_POINTS, dtype=complex)
+        with pytest.raises(KernelOrderError, match="rounding floor"):
+            ev.k0
+        assert not ev.f0_is_sample
+
+    def test_order_above_q(self):
+        # F = lambda^2 on the circle of a q = 1 operator
+        ev = eigenfunction.SecularEvaluator(robin_regular(0.3, 0.0))
+        lam = ev._probe_mu**2
+        ev._probes = lam**2
+        with pytest.raises(KernelOrderError, match="exceeds q = 1"):
+            ev.k0
 
 
 class TestFiniteT:
@@ -251,11 +353,12 @@ class TestAuto:
         assert got.diagnostics["finite_t_value"] == pytest.approx(got.value, rel=1e-12)
 
     def test_near_kernel_decided_once(self):
-        # F(0) is 1e-6 of its scale: kernel-free, one decision for every route
-        spec = scalar_spec(0.3, Robin(-0.8 + 1e-6))
-        got = det_zeta_auto(spec)
-        assert got.method == "closed_form"
-        assert got.value == pytest.approx(cor_robin_formula(0.3, -0.8 + 1e-6), rel=1e-9)
+        # F(0) is e = 1e-6 or 1e-9 of its scale, far above the rounding floor of
+        # the kernel-order circle: kernel-free, one decision for every route
+        for e in (1e-6, 1e-9):
+            got = det_zeta_auto(scalar_spec(0.3, Robin(-0.8 + e)))
+            assert got.method == "closed_form"
+            assert got.value == pytest.approx(cor_robin_formula(0.3, -0.8 + e), rel=1e-15 / e)
 
 
 def _count_preparation(monkeypatch) -> Counter:
@@ -420,9 +523,9 @@ class TestPreparedOperator:
         assert calls == {"scaled": 1}
 
     def test_regularized_reads_the_kernel_probes(self, monkeypatch):
-        # a kernel request is one kernel pass, the 7 probes of the kernel-order
-        # fit: the Richardson samples are the last three of them, and no
-        # contour point is sampled for a cross-check the route does not make
+        # a kernel request is one kernel pass, F(0) and the 16 points of the
+        # kernel-order circle, whose Taylor coefficient gives F~(0); no contour
+        # point is sampled for a cross-check the route does not make
         points = []
         cls = eigenfunction.SecularEvaluator
         traces = cls._traces
@@ -434,7 +537,7 @@ class TestPreparedOperator:
         monkeypatch.setattr(cls, "_traces", counted_traces)
         got = det_zeta_auto(scalar_spec(0.3, Robin(-0.8)))
         assert got.method == "regularized"
-        assert points == [eigenfunction._PROBES.size] == [7]
+        assert points == [1 + eigenfunction._CIRCLE_POINTS] == [17]
         assert (got.diagnostics["passes"], got.diagnostics["nodes"]) == (1, 0)
 
     @pytest.mark.parametrize(
@@ -448,12 +551,13 @@ class TestPreparedOperator:
         ids=["nu 0.3", "nu 0.5", "nu 0", "q 2"],
     )
     def test_kernel_probes_match_a_separate_call(self, spec):
-        # F at the three probes is the same to the bit in the 7-point call
-        # as in a call of its own
+        # F on the kernel-order circle is the same to the bit when the circle
+        # rides along in a pass with other points as in a call of its own
         ev = eigenfunction.SecularEvaluator(spec)
+        alone = ev.value(ev._probe_mu)
+        ev.sample(np.linspace(0.05, 3.0, 40))
         assert ev.k0 >= 1
-        alone = ev.value(np.array(eigenfunction._KERNEL_PROBES))
-        assert ev._probes[-3:].tolist() == alone.tolist()
+        assert ev._probes.tolist() == alone.tolist()
 
 
 class TestZeta:
