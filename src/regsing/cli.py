@@ -290,7 +290,7 @@ def _cmd_spectrum(args: argparse.Namespace, doc: dict):
 
 
 def _cmd_det(args: argparse.Namespace, doc: dict):
-    report = det_zeta_auto(parse_operator_document(doc), t_abs=args.t_abs)
+    report = det_zeta_auto(parse_operator_document(doc))
     payload = {
         "value": report.value,
         "method": report.method,
@@ -311,13 +311,14 @@ def _cmd_zeta(args: argparse.Namespace, doc: dict):
     spec = parse_operator_document(doc)
     check_zeta_s(args.s)  # before the spectrum scan, which the refusal would waste
     sp = find_spectrum(spec, args.mu_max)
-    rep = zeta_eval(spec, args.s, spectrum=sp, t_abs=args.t_abs)
+    rep = zeta_eval(spec, args.s, spectrum=sp)
     payload = {
         "s": rep.s,
         "direct": rep.direct,
         "direct_error": rep.direct_error,
         "contour": rep.contour,
         "contour_error": rep.contour_error,
+        "t": rep.t,
         "n_roots": len(sp.positive),
         "passes": sp.passes + rep.passes,  # the spectrum search and the contour
         "nodes": rep.nodes,
@@ -442,11 +443,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="regsing",
         description="Spectra and zeta determinants of regular-singular operators",
+        allow_abbrev=False,  # a prefix such as --t is refused, not read as --theta
     )
     parser.add_argument("command", choices=_HANDLERS)
     parser.add_argument("input", help="path to the JSON description")
     parser.add_argument("--mu-max", type=_positive, default=100.0, dest="mu_max")
-    parser.add_argument("--t", type=float, default=None, dest="t_abs")
     parser.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
     parser.add_argument("--theta", type=float, default=math.pi / 4.0)
     parser.add_argument("--a-list", type=_parse_a_list, default=(), dest="a_list")

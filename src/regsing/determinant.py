@@ -10,7 +10,8 @@ Three independent routes to det_zeta:
           - (1/ pi i) * int_{gamma_t} log(mu) F'/F dmu,
   det = exp(-Q), with gamma_t the right-half-plane semicircle of radius
   t from it to -it.  The value is t-independent for t below the first
-  zero of F; used as a cross-check.
+  zero of F, which the Taylor circle of the kernel order certifies
+  before the contour is sampled; used as a cross-check.
 * `det_zeta_regularized`: nonzero kernel of order k0, via
   F~(mu) = F(mu)/mu^(2 k0), det = F~(0) / ((-1)^k0 C), F~(0) from the
   Taylor circle of the kernel order.
@@ -166,45 +167,25 @@ def _closed_form(ev: SecularEvaluator) -> DeterminantReport:
 
 _ARC = (-0.5 * math.pi, 0.5 * math.pi)  # gamma_t by its angle phi, mu = t e^(i phi)
 _ARC_NODES = first_nodes(_ARC)
-_SCAN_POINTS = 24  # samples per axis below |mu| = t
+# t R of the default contours: fixed, so that neither the Taylor circle's
+# certificate nor the arc's cancellation depends on R
+_CONTOUR_TR = 0.1
 
 
-@dataclass(frozen=True)
-class _ContourPass:
-    """One kernel pass for a contour of radius t: F on both axes below t and
-    dlog F on the first Gauss-Legendre round of gamma_t (at _ARC_NODES)."""
-
-    t: float
-    mants: np.ndarray  # scaled F at x, then at i x, x = t/24 ... t
-    logs: np.ndarray
-    arc_dlog: np.ndarray  # dlog F at t e^(i phi), phi in _ARC_NODES
-
-    @classmethod
-    def take(cls, ev: SecularEvaluator, t: float) -> "_ContourPass":
-        x = np.linspace(t / _SCAN_POINTS, t, _SCAN_POINTS)
-        arc = t * np.exp(1j * _ARC_NODES)
-        mants, logs, dlog = ev.sample(np.concatenate((x, 1j * x, arc)), deriv=True)
-        n = 2 * _SCAN_POINTS
-        return cls(t, mants[:n], logs[:n], dlog[n:])
+def _certify(ev: SecularEvaluator, t: float) -> None:
+    """Raise RootInsideContourError unless the Taylor circle certifies F~ free of
+    zeros on |mu| < t (:meth:`SecularEvaluator.zero_free`)."""
+    if not ev.zero_free(t):
+        raise RootInsideContourError(
+            f"F may have a zero below |mu| = {t}: the Taylor circle certifies no such "
+            f"disk (margin {ev.zero_free_margin(t):.3g})"
+        )
 
 
-def _scan_below(ev: SecularEvaluator, cp: _ContourPass) -> tuple[complex, float]:
-    """Raise RootInsideContourError where F changes sign below |mu| = t on
-    either axis (from F(0) on when it is a sign sample); return the scaled
-    F(it), the last sample."""
-    signs = cp.mants.real.reshape(2, _SCAN_POINTS)  # sign of F = sign of the mantissa
-    if ev.f0_is_sample:
-        signs = np.hstack((np.full((2, 1), ev._probe_scaled[0][0].real), signs))
-    for axis, row in zip(("real", "imag"), signs):
-        if np.any(row[:-1] * row[1:] < 0.0):
-            raise RootInsideContourError(f"F has a zero below |mu| = {cp.t} on the {axis} axis")
-    return complex(cp.mants[-1]), float(cp.logs[-1])
-
-
-def _gamma_t_integral(ev: SecularEvaluator, cp: _ContourPass, weight, k0: int = 0) -> complex:
-    """Integral over the semicircle from it to -it (through +t) of weight(mu) * dlog F~,
-    its first round from the pass ``cp``."""
-    t = cp.t
+def _gamma_t_integral(ev: SecularEvaluator, t: float, weight, k0: int = 0, first=None):
+    """Integral over the semicircle from it to -it (through +t) of weight(mu) * dlog F~
+    and its error estimate; ``first`` is dlog F at t e^(i _ARC_NODES) when the caller
+    has it."""
 
     def integrand(phi: np.ndarray, dl=None) -> np.ndarray:
         mu = t * np.exp(1j * phi)
@@ -213,34 +194,39 @@ def _gamma_t_integral(ev: SecularEvaluator, cp: _ContourPass, weight, k0: int = 
             dl = dl - 2.0 * k0 / mu
         return weight(mu) * dl * 1j * mu
 
-    first = integrand(_ARC_NODES, cp.arc_dlog)
+    if first is not None:
+        first = integrand(_ARC_NODES, first)
     # orientation: phi runs pi/2 -> -pi/2
-    val, _ = gauss_legendre(integrand, _ARC, first=first, counts=ev.counts)
-    return -val
+    val, err = gauss_legendre(integrand, _ARC, first=first, counts=ev.counts)
+    return -val, err
 
 
 def det_zeta_finite_t(spec: OperatorSpec, t_abs: float) -> DeterminantReport:
     """Finite-t cross-check of the determinant (kernel-free operators).
 
     Exactly t-independent in exact arithmetic for any t below the first
-    zero of F on either axis; with the analytic log-derivative on
-    Gauss-Legendre panels the value matches the closed form to about
-    1e-13 relative.
+    zero of F; with the analytic log-derivative on Gauss-Legendre panels
+    the value matches the closed form to about 1e-13 relative.  Raises
+    :class:`RootInsideContourError` unless the Taylor circle certifies
+    the disk |mu| < t_abs free of zeros (:meth:`SecularEvaluator.zero_free`),
+    which it can only for t_abs below its radius sqrt(0.8) / R.
     """
     ev = SecularEvaluator(spec)
     return _counted(ev, _finite_t(ev, t_abs))
 
 
 def _finite_t(ev: SecularEvaluator, t_abs: float) -> DeterminantReport:
-    """The finite-t route at radius t_abs; its first pass takes the probes of k0
-    along when they are not yet known."""
+    """The finite-t route at radius t_abs: the certificate of the disk, then one
+    kernel pass for F(it) and the first Gauss-Legendre round of the arc."""
     if t_abs <= 0.0:
         raise ValueError("t_abs must be positive")
-    cp = _ContourPass.take(ev, t_abs)
     if ev.k0 != 0:
         raise KernelPresentError("finite-t route needs a trivial kernel")
+    _certify(ev, t_abs)
+    mu = np.concatenate(([1j * t_abs], t_abs * np.exp(1j * _ARC_NODES)))
+    mants, logs, dlog = ev._scaled_dlog(mu)
     # F(it) / (C sgn) = ratio * exp(log_scale), kept apart so that large t R cannot overflow
-    mant, log_scale = _scan_below(ev, cp)
+    mant, log_scale = complex(mants[0]), float(logs[0])
     spec, cv = ev.spec, ev.cv
     sgn = (-1.0) ** (spec.q0 - cv.j0)
     ratio = mant / (ev.model.c * sgn)
@@ -251,7 +237,8 @@ def _finite_t(ev: SecularEvaluator, t_abs: float) -> DeterminantReport:
             raise RootInsideContourError("F(it) vanished on the contour")
     else:
         ratio = _as_positive_real(ratio, "F(it) / (C (-1)^(q0-j0))")
-    arc_term = _real(_gamma_t_integral(ev, cp, np.log) / (1j * math.pi), "gamma_t integral")
+    arc, _ = _gamma_t_integral(ev, t_abs, np.log, first=dlog[1:])
+    arc_term = _real(arc / (1j * math.pi), "gamma_t integral")
     log_ratio = math.log(ratio) + log_scale
     q_val = -log_ratio + (cv.j0 - spec.q0) * (EULER_GAMMA + math.log(2.0)) - arc_term
     value = math.exp(-q_val)
@@ -307,25 +294,18 @@ def _regularized(ev: SecularEvaluator) -> DeterminantReport:
     )
 
 
-def _default_t(spec: OperatorSpec, t_abs: float | None) -> float:
-    """The contour radius: t_abs if given, else 0.1 / max(1, R)."""
-    return 0.1 / max(1.0, spec.r) if t_abs is None else t_abs
-
-
-def det_zeta_auto(spec: OperatorSpec, t_abs: float | None = None) -> DeterminantReport:
+def det_zeta_auto(spec: OperatorSpec) -> DeterminantReport:
     """Closed form when the kernel is trivial, regularized otherwise.
 
-    Cheap cross-checks (finite-t value at radius ``t_abs``, by default
-    0.1 / max(1, R), and the scalar Wronskian oracle) are attached to
-    the diagnostics when available; the Wronskian oracle is normalized
-    for R = 1 and attached only there.  The finite-t value goes to
-    ``finite_t_value`` with its relative gap to the closed form in
-    ``finite_t_gap``; where that route fails, the reason goes to
-    ``finite_t_error`` instead.  The probes of the kernel order (F(0),
-    its Taylor circle) are one kernel pass, all a kernel request makes;
-    F on both axes below the radius and the first Gauss-Legendre round
-    of the arc are a second, so a kernel-free request whose arc
-    converges in that round makes two.  ``passes`` and ``nodes`` count the kernel passes and
+    Cheap cross-checks (finite-t value at radius ``finite_t_radius`` =
+    0.1 / R, and the scalar Wronskian oracle, normalized for R = 1 and
+    attached only there) go to the diagnostics: ``finite_t_value`` with
+    its relative gap ``finite_t_gap`` to the closed form, or the reason
+    the route failed in ``finite_t_error``, and the certificate of the
+    disk below the radius, ``zero_free_margin`` (above 1 certifies).
+    The probes of the kernel order are one kernel pass, all a kernel
+    request makes; F(it) and the arc's first Gauss-Legendre round are a
+    second.  ``passes`` and ``nodes`` count the kernel passes and
     quadrature nodes of the request.
     """
     ev = SecularEvaluator(spec)
@@ -333,8 +313,11 @@ def det_zeta_auto(spec: OperatorSpec, t_abs: float | None = None) -> Determinant
         return _counted(ev, _regularized(ev))
     report = _closed_form(ev)
     diag = report.diagnostics  # a fresh dict, owned by this report
+    t = _CONTOUR_TR / ev.r
+    diag["finite_t_radius"] = t
+    diag["zero_free_margin"] = ev.zero_free_margin(t)
     try:
-        finite_t = _finite_t(ev, _default_t(spec, t_abs)).value
+        finite_t = _finite_t(ev, t).value
     except NumericalError as exc:
         diag["finite_t_error"] = str(exc)
     else:
@@ -356,14 +339,16 @@ def det_zeta_auto(spec: OperatorSpec, t_abs: float | None = None) -> Determinant
 
 @dataclass(frozen=True)
 class ZetaReport:
-    """The two zeta estimates at s; `passes` and `nodes` count the kernel
-    passes and quadrature nodes of the contour estimate."""
+    """The two zeta estimates at s; `t` is the radius of the contour's arc,
+    and `passes` and `nodes` count the kernel passes and quadrature nodes of
+    the contour estimate."""
 
     s: float
     direct: float | None
     direct_error: float | None
     contour: float
     contour_error: float
+    t: float
     passes: int = 0
     nodes: int = 0
 
@@ -416,11 +401,10 @@ def _zeta_direct(s: float, spectrum: Spectrum) -> tuple[float, float]:
     return head + tail, err
 
 
-def _zeta_contour(ev: SecularEvaluator, s: float, t_abs: float) -> tuple[float, float]:
-    cp = _ContourPass.take(ev, t_abs)
+def _zeta_contour(ev: SecularEvaluator, s: float, t: float) -> tuple[float, float]:
     k0, cv, model = ev.k0, ev.cv, ev.model
     x_cut = 40.0  # the ray is integrated up to here, the model beyond
-    _scan_below(ev, cp)
+    _certify(ev, t)
 
     def ray_integrand(x: np.ndarray) -> np.ndarray:
         # x^(-2s) d/dx log F~(ix), with d/dx log F(ix) = Re(i dlog F(ix))
@@ -431,12 +415,11 @@ def _zeta_contour(ev: SecularEvaluator, s: float, t_abs: float) -> tuple[float, 
 
     sin_fac = math.sin(math.pi * s) / math.pi
     log_pow = cv.j0 - ev.spec.q0
-    ray = ray_err = 0.0
-    tail = 0.0
+    ray = ray_err = tail = 0.0
     if abs(sin_fac) > 1e-15:
         # the integrand varies on the scale x: geometric panels, about one per doubling
-        panels = max(1, math.ceil(math.log2(x_cut / t_abs)))
-        edges = np.geomspace(t_abs, x_cut, panels + 1)
+        panels = max(1, math.ceil(math.log2(x_cut / t)))
+        edges = np.geomspace(t, x_cut, panels + 1)
         ray, ray_err = gauss_legendre(ray_integrand, edges, counts=ev.counts)
 
         exponent = model.exponent - 2.0 * k0
@@ -448,19 +431,17 @@ def _zeta_contour(ev: SecularEvaluator, s: float, t_abs: float) -> tuple[float, 
                 * float(sc.exp1(2.0 * s * (math.log(x_cut) - model.gamma_tilde)))
             )
 
-    arc = _gamma_t_integral(
-        ev, cp, lambda mu: np.exp(-2.0 * s * np.log(mu)), k0=k0
-    ) / (2.0j * math.pi)
-    value = sin_fac * (ray + tail) + _real(arc, "arc term of the zeta contour")
+    arc, arc_err = _gamma_t_integral(ev, t, lambda mu: np.exp(-2.0 * s * np.log(mu)), k0=k0)
+    value = sin_fac * (ray + tail) + _real(arc / (2.0j * math.pi), "arc term of the zeta contour")
     # the model remainder decays like 1/x (1/log x when q0 != j0)
     rem_scale = 1.0 / x_cut if log_pow == 0 else 1.0 / math.log(x_cut)
-    err = abs(sin_fac) * (ray_err + abs(tail) * rem_scale) + 1e-12 * (1.0 + abs(value))
+    err = abs(sin_fac) * (ray_err + abs(tail) * rem_scale) + arc_err / (2.0 * math.pi)
+    err += 1e-12 * (1.0 + abs(value))
     if k0:
         # rounding: each kernel column of N cancels O(1) terms to O((mu R)^2), an error
         # that dlog F ~ 2 k0 / mu keeps while dlog F~ drops to O(mu): k0 eps t^(-2s)
-        # (t R)^-2 over the arc, and at most as much again over the ray
-        cancel = max(1.0, (t_abs * ev.r) ** -2)
-        err += 2.0 * k0 * sys.float_info.epsilon * t_abs ** (-2.0 * s) * cancel
+        # (t R)^-2 = 100 k0 eps t^(-2s) over the arc, and at most as much again over the ray
+        err += 200.0 * k0 * sys.float_info.epsilon * t ** (-2.0 * s)
     return value, err
 
 
@@ -470,28 +451,23 @@ def check_zeta_s(s: float) -> None:
         raise ValueError("zeta_eval needs s > 1/2")
 
 
-def zeta_eval(
-    spec: OperatorSpec,
-    s: float,
-    spectrum: Spectrum | None = None,
-    t_abs: float | None = None,
-) -> ZetaReport:
+def zeta_eval(spec: OperatorSpec, s: float, spectrum: Spectrum | None = None) -> ZetaReport:
     """Spectral zeta function at s > 1/2 by two estimators.
 
     The direct estimator (eigenvalue sum plus a fitted Hurwitz tail)
     runs first and only on a given Spectrum, so a spectrum with negative
     eigenvalues raises :class:`NegativeSpectrumError` before the contour
     sees them.  The contour estimator is always computed: the arc of
-    radius ``t_abs`` (by default 0.1 / max(1, R)), the imaginary ray up
-    to x = 40 and the asymptotic model beyond.  Its first kernel pass
-    takes F on both axes below the radius (no zero may lie there), the
-    first Gauss-Legendre round of the arc and, on a fresh evaluator, the
-    probes of the kernel order; the ray (absent at integer s) and the
-    later arc rounds take one pass per round.  Operators with nonzero
-    kernel are handled through F/mu^(2 k0), i.e. the zeta function of
-    the nonzero spectrum.  A spectrum found for this same ``spec``
-    object lends its prepared operator.  The report counts the kernel
-    passes and quadrature nodes the contour estimate spent.
+    radius t = 0.1 / R (``ZetaReport.t``), the imaginary ray up to x = 40
+    and the asymptotic model beyond.  Unless the Taylor circle certifies
+    the disk below t free of zeros of F~ (:meth:`SecularEvaluator.zero_free`),
+    :class:`RootInsideContourError` is raised before the contour is
+    sampled.  The arc and the ray (absent at integer s) take one pass per
+    Gauss-Legendre round.  Operators with nonzero kernel are handled
+    through F/mu^(2 k0), i.e. the zeta function of the nonzero spectrum.
+    A spectrum found for this same ``spec`` object lends its prepared
+    operator.  The report counts the kernel passes and quadrature nodes
+    the contour estimate spent.
     """
     check_zeta_s(s)
     direct = direct_err = None
@@ -501,7 +477,8 @@ def zeta_eval(
     if ev is None or ev.spec is not spec:
         ev = SecularEvaluator(spec)
     before = Counter(ev.counts)
-    contour, contour_err = _zeta_contour(ev, s, _default_t(spec, t_abs))
+    t = _CONTOUR_TR / ev.r
+    contour, contour_err = _zeta_contour(ev, s, t)
     used = ev.counts - before
     return ZetaReport(
         s=float(s),
@@ -509,6 +486,7 @@ def zeta_eval(
         direct_error=direct_err,
         contour=contour,
         contour_error=contour_err,
+        t=t,
         passes=used["passes"],
         nodes=used["nodes"],
     )

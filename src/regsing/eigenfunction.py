@@ -68,6 +68,7 @@ _CIRCLE_FLOOR = 64.0 * sys.float_info.epsilon  # c_n below this share of max |F_
 _CIRCLE = np.exp(1j * math.pi * np.arange(_CIRCLE_POINTS) / _CIRCLE_POINTS)  # mu_j over |mu_j|
 _LOG_MAX = math.log(sys.float_info.max)
 _ROOT_RESIDUAL_TOL = 1e-10
+_ROOT_ROUNDING = 64.0 * sys.float_info.epsilon  # times 1 + |x| R: the mantissa's floor at x
 _ROOT_XTOL, _ROOT_RTOL = 1e-13, 4.0 * sys.float_info.epsilon
 _MAX_ROUNDS = 100  # accepted Newton steps halve every two rounds: about 80 suffice
 
@@ -145,12 +146,13 @@ class SecularEvaluator:
     are worked out on first use and kept, so every route of one request
     reads the same decision.  The probes of `k0` are F(0), kept as `f0`,
     and the circle mu_j = `circle_radius` e^(i pi j/16), whose FFT gives
-    `k0`, `f_tilde0` = F~(0) and the decision's `floor_margin`.
+    `k0`, `f_tilde0` = F~(0), the decision's `floor_margin` and the
+    certificate :meth:`zero_free` of the contour disks.
     :meth:`scaled`, :meth:`value` and :meth:`dlog` are computed
     over an ndarray mu and keep its shape; a scalar mu is evaluated as a
     one-element array and comes back as Python scalars.  :meth:`sample`
-    is the pass of the routes, which takes the probes of `k0` along
-    while they are not yet known.  `counts` holds the kernel passes made
+    is the pass of the spectrum scans, which takes the probes of `k0`
+    along while they are not yet known.  `counts` holds the kernel passes made
     (``"passes"``) and the quadrature nodes spent (``"nodes"``) on this
     operator.
     """
@@ -218,18 +220,14 @@ class SecularEvaluator:
         """F at 0, then on the Taylor circle |mu| = :attr:`circle_radius`."""
         return _unscaled(*self._probe_scaled)
 
-    def sample(self, mu: np.ndarray, deriv: bool = False) -> tuple[np.ndarray, ...]:
-        """:meth:`scaled` (with ``deriv``, :meth:`_scaled_dlog`) over a 1-d mu in one
-        kernel pass, which also takes F at the probes of :attr:`k0` while they are
-        not yet known."""
-        probe = "_probe_scaled" not in self.__dict__
-        if probe:
-            mu = np.concatenate((self._probe_mu, mu))
-        out = self._scaled_dlog(mu) if deriv else self.scaled(mu)
-        if not probe:
-            return out
+    def sample(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`scaled` over a 1-d mu in one kernel pass, which also takes F at
+        the probes of :attr:`k0` while they are not yet known."""
+        if "_probe_scaled" in self.__dict__:
+            return self.scaled(mu)
         n = self._probe_mu.size
-        self._probe_scaled = tuple(v[:n] for v in out[:2])
+        out = self.scaled(np.concatenate((self._probe_mu, mu)))
+        self._probe_scaled = tuple(v[:n] for v in out)
         return tuple(v[n:] for v in out)
 
     @cached_property
@@ -239,12 +237,8 @@ class SecularEvaluator:
 
     @property
     def f0_is_sample(self) -> bool:
-        """Whether F(0) is a sign sample for the root scans.
-
-        F(0) != 0 (no kernel) is one on both axes, so a root below the
-        first grid point shows; with a kernel F(0) = 0 and its computed
-        sign is noise.
-        """
+        """Whether F(0) is a sign sample for the spectrum scans: F(0) != 0 (no kernel)
+        is one on both axes; with a kernel F(0) = 0 and its computed sign is noise."""
         try:
             return self.k0 == 0
         except KernelOrderError:  # raised only where F(0) is at its rounding floor
@@ -286,6 +280,23 @@ class SecularEvaluator:
         """|c_k0| over the rounding floor: how far the kernel decision is from the floor."""
         c, floor = self._taylor
         return float(abs(c[self.k0]) / floor)
+
+    def zero_free_margin(self, t: float) -> float:
+        """Rouche's margin for F~ = F / mu^(2 k0) on |mu| < t: |c_k0| over the floor
+        plus sum_{n > k0} |c_n| z^(n - k0), z = (t / circle_radius)^2, or 0 where
+        z >= 1.  Above 1 the term of c_k0 outweighs all others together on
+        |mu| = t, so F has no zero inside but its k0 at the origin."""
+        z = (t / self.circle_radius) ** 2
+        if not z < 1.0:
+            return 0.0
+        c, floor = self._taylor
+        rest = np.abs(c[self.k0 + 1 :]) @ z ** np.arange(1, c.size - self.k0)
+        return float(abs(c[self.k0]) / (floor + rest))
+
+    def zero_free(self, t: float) -> bool:
+        """Whether the Taylor circle certifies F~ free of zeros on |mu| < t,
+        without a further sample of F (:meth:`zero_free_margin` above 1)."""
+        return self.zero_free_margin(t) > 1.0
 
     # -- row entries --------------------------------------------------------
 
@@ -719,7 +730,8 @@ def _refine(
     1e-13 + 4 eps |x|, or when F is exactly 0 there.  Its residual
     |F exp(-log_a)| at the point of the round in which it stops must be
     at most ``_ROOT_RESIDUAL_TOL`` times the larger end value of its
-    bracket.
+    bracket, or its mantissa at most ``_ROOT_ROUNDING`` (1 + |x| R), the
+    larger where |x| R is large and F spans orders of magnitude.
     """
     brackets = real + imag
     if not brackets:
@@ -730,7 +742,7 @@ def _refine(
     x = lo - fa * (hi - lo) / (fb - fa)  # false position: inside the bracket
     step = hi - lo  # |step| of the last round and of the round before
     before = step.copy()
-    residual = np.zeros(len(x))
+    mag, rel = np.zeros(len(x)), np.zeros(len(x))  # |mantissa|, exp(log-scale - log_a)
     active = np.ones(len(x), dtype=bool)
     for _ in range(_MAX_ROUNDS):
         act = np.flatnonzero(active)
@@ -755,12 +767,13 @@ def _refine(
         tol = _ROOT_XTOL + _ROOT_RTOL * np.abs(x_next)
         x[act] = np.where(live, x_next, xa)
         active[act] = live & (dx > tol) & (hi_a - lo_a > tol)
-        residual[act] = np.abs(f * np.exp(logs - log_a[act]))
+        mag[act], rel[act] = np.abs(f), np.exp(logs - log_a[act])
     if active.any():
         raise SpectrumCertificationError(
             f"root refinement did not converge in {_MAX_ROUNDS} rounds"
         )
-    bad = residual > _ROOT_RESIDUAL_TOL * np.maximum(np.abs(fa), np.abs(fb))
+    bad = mag * rel > _ROOT_RESIDUAL_TOL * np.maximum(np.abs(fa), np.abs(fb))
+    bad &= mag > _ROOT_ROUNDING * (1.0 + np.abs(x) * ev.r)
     if bad.any():
         raise SpectrumCertificationError(
             f"refined root at {x[bad][0]} has residual above tolerance"

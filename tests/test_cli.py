@@ -147,6 +147,22 @@ class TestDet:
         rep = json.loads(out)["report"]
         assert 2 <= spectrum < rep["passes"] and rep["nodes"] >= 48
 
+    def test_contour_radius_flag_is_gone(self, write_doc):
+        # the radius is 0.1 / R, certified by the Taylor circle; flags are
+        # matched whole, so --t is refused rather than read as --theta
+        for command in ("det", "zeta"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, write_doc(large_r_doc()), "--t", "0.05"])
+            assert exc.value.code == EXIT_SCHEMA
+
+    def test_reports_carry_the_contour_certificate(self, write_doc, capsys):
+        path = write_doc(large_r_doc())
+        _, out, _ = run_cli(capsys, "det", path)
+        diag = json.loads(out)["report"]["diagnostics"]
+        assert diag["finite_t_radius"] == 0.1 / 200.0 and diag["zero_free_margin"] > 1.0
+        _, out, _ = run_cli(capsys, "zeta", path, "--mu-max", "1", "--s", "2")
+        assert json.loads(out)["report"]["t"] == 0.1 / 200.0
+
     def test_kernel_tolerance_flag_is_gone(self, write_doc):
         with pytest.raises(SystemExit) as exc:
             main(["det", write_doc(kernel_doc()), "--tol", "1e-3"])

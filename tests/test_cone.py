@@ -95,11 +95,11 @@ class TestCircle:
 class TestSphere:
     def test_degree0_is_two(self, sphere_cone):
         # A_0 = {nu = 1/2 from the harmonic function}, Dirichlet factor = 2
-        assert cone_determinant(sphere_cone, 0) == pytest.approx(2.0, rel=1e-13)
+        assert cone_determinant(sphere_cone, 0) == pytest.approx(2.0, rel=1e-13, abs=0.0)
 
     def test_degree3_is_two_thirds(self, sphere_cone):
         # only P_3 = (2/3)^(dim H^2) survives
-        assert cone_determinant(sphere_cone, 3) == pytest.approx(2.0 / 3.0, rel=1e-13)
+        assert cone_determinant(sphere_cone, 3) == pytest.approx(2.0 / 3.0, rel=1e-13, abs=0.0)
 
     def test_component_identity(self, sphere_cone):
         for k in range(4):
@@ -110,7 +110,7 @@ class TestSphere:
         facs = component_report(sphere_cone, 1)
         want = 2.0 * math.pi * 2.0 / (8.0 * gamma_fn(2.5) ** 2)
         assert [f.source for f in facs] == ["paired"]
-        assert facs[0].value == pytest.approx(want, rel=1e-13)
+        assert facs[0].value == pytest.approx(want, rel=1e-13, abs=0.0)
         assert facs[0].multiplicity == 3
 
 

@@ -65,7 +65,7 @@ class TestClosedForm:
     def test_dirichlet_half_is_two(self):
         # the classical value for -d2/dx2 on (0,1) with Dirichlet ends
         spec = scalar_spec(0.5, Dirichlet(), tip="regular")
-        assert det_zeta_closed_form(spec).value == pytest.approx(2.0, rel=1e-13)
+        assert det_zeta_closed_form(spec).value == pytest.approx(2.0, rel=1e-13, abs=0.0)
 
     def test_kernel_redirects(self, kernel_fixture_third):
         with pytest.raises(KernelPresentError):
@@ -206,7 +206,7 @@ class TestFiniteT:
     def test_matches_closed_form_small_t(self):
         spec = robin_regular(0.0, 0.0)
         closed = det_zeta_closed_form(spec).value
-        assert closed == pytest.approx(SQRT_2PI / 2.0, rel=1e-13)
+        assert closed == pytest.approx(SQRT_2PI / 2.0, rel=1e-13, abs=0.0)
         for t in (0.1, 0.3):
             got = det_zeta_finite_t(spec, t).value
             assert abs(got - closed) <= 1e-6 * closed
@@ -228,9 +228,13 @@ class TestFiniteT:
         assert near < far + 1e-8
 
     def test_matches_closed_form_at_r_10(self):
+        # at the default radius 0.1 / R; t = 0.1 reaches past the Taylor
+        # circle |mu| = sqrt(0.8) / R, which then certifies nothing
         spec = scalar_spec(0.3, Robin(0.5), r=10.0)
         closed = det_zeta_closed_form(spec).value
-        assert abs(det_zeta_finite_t(spec, 0.1).value - closed) <= 1e-12 * closed
+        assert abs(det_zeta_finite_t(spec, 0.01).value - closed) <= 1e-12 * closed
+        with pytest.raises(RootInsideContourError, match="margin 0"):
+            det_zeta_finite_t(spec, 0.1)
 
     @pytest.mark.parametrize(
         "r, beta, channels",
@@ -248,7 +252,10 @@ class TestFiniteT:
             [scalar_spec(nu, Robin(beta / r), tip=tip, r=r) for nu, tip in channels]
         )
         closed = det_zeta_closed_form(spec).value
-        assert abs(det_zeta_finite_t(spec, 0.1).value - closed) <= 1e-10 * closed
+        assert abs(det_zeta_finite_t(spec, 0.1 / r).value - closed) <= 1e-10 * closed
+        # t = 0.1 at R >= 8.3 is beyond what the Taylor circle certifies
+        with pytest.raises(RootInsideContourError):
+            det_zeta_finite_t(spec, 0.1)
 
     def test_root_inside_contour_detected(self):
         # first eigenvalue of the Dirichlet fixture sits at pi
@@ -257,22 +264,50 @@ class TestFiniteT:
             det_zeta_finite_t(spec, 4.0)
 
     def test_root_below_the_first_sample_detected(self):
-        # F(0) = -1e-6 and F changes sign near mu = 1.6e-3, below t / 24
+        # F(0) = -1e-6 and F changes sign near mu = 1.6e-3, deep inside t = 0.1
         spec = scalar_spec(0.3, Robin(-0.8 + 1e-6))
         with pytest.raises(RootInsideContourError):
             det_zeta_finite_t(spec, 0.1)
         got = det_zeta_auto(spec)
         assert "finite_t_value" not in got.diagnostics
-        assert got.diagnostics["finite_t_error"].startswith("F has a zero below")
+        assert got.diagnostics["finite_t_error"].startswith("F may have a zero below")
+        assert got.diagnostics["zero_free_margin"] < 1.0
         assert got.value == pytest.approx(got.diagnostics["wronskian_value"], rel=1e-9)
+
+    @pytest.mark.parametrize("second", [0.3, 0.3000001], ids=["doubled", "near pair"])
+    def test_double_root_inside_contour_detected(self, second):
+        # two channels each with a root near mu = 1.6e-3: F keeps one sign on
+        # both axes, so no sign test sees them, and at the parent the finite-t
+        # route returned 0.76 against a determinant of 5e-12
+        spec = diagonal_spec(
+            [scalar_spec(0.3, Robin(-0.8 + 1e-6)), scalar_spec(second, Robin(-0.8 + 1e-6))]
+        )
+        for t in (0.05, 0.1):
+            with pytest.raises(RootInsideContourError, match="may have a zero below"):
+                det_zeta_finite_t(spec, t)
+        with pytest.raises(RootInsideContourError):
+            zeta_eval(spec, 2.0)
+        got = det_zeta_auto(spec)
+        assert got.method == "closed_form" and got.value < 1e-11
+        assert "finite_t_value" not in got.diagnostics
+        assert got.diagnostics["zero_free_margin"] < 1e-6
+
+    def test_certificate_in_the_report(self):
+        # the radius 0.1 / R and the Rouche margin of the disk below it
+        for r in (0.25, 1.0, 40.0):
+            got = det_zeta_auto(scalar_spec(0.3, Robin(0.5 / r), r=r))
+            diag = got.diagnostics
+            assert diag["finite_t_radius"] == 0.1 / r
+            assert diag["zero_free_margin"] > 1.0
+            assert diag["finite_t_gap"] <= 1e-12
 
 
 class TestWronskian:
     def test_examples(self):
-        assert det_wronskian_scalar(0.5, Robin(0.0)) == pytest.approx(2.0, rel=1e-14)
-        assert det_wronskian_scalar(0.0, Robin(0.0)) == pytest.approx(SQRT_2PI / 2.0, rel=1e-14)
+        assert det_wronskian_scalar(0.5, Robin(0.0)) == pytest.approx(2.0, rel=1e-14, abs=0.0)
+        assert det_wronskian_scalar(0.0, Robin(0.0)) == pytest.approx(SQRT_2PI / 2.0, rel=1e-14, abs=0.0)
         assert det_wronskian_scalar(2.0, Dirichlet()) == pytest.approx(
-            SQRT_2PI / (4.0 * math.gamma(3.0)), rel=1e-14
+            SQRT_2PI / (4.0 * math.gamma(3.0)), rel=1e-14, abs=0.0
         )
 
     def test_kernel_guard(self):
@@ -296,10 +331,10 @@ class TestWronskian:
     def test_extends_beyond_matrix_core(self, nu):
         # the formula stays valid where the 2q x 2q system does not apply
         assert det_wronskian_scalar(nu, Robin(0.3)) == pytest.approx(
-            cor_robin_formula(nu, 0.3), rel=1e-13
+            cor_robin_formula(nu, 0.3), rel=1e-13, abs=0.0
         )
         assert det_wronskian_scalar(nu, Dirichlet()) == pytest.approx(
-            cor_dirichlet_formula(nu), rel=1e-13
+            cor_dirichlet_formula(nu), rel=1e-13, abs=0.0
         )
 
 
@@ -598,14 +633,26 @@ class TestZeta:
     @pytest.mark.parametrize("nu", [0.0, 0.1, 0.25, 0.3088, 0.5, 0.75, 0.9])
     def test_kernel_contour_error_covers_rayleigh_sums(self, nu, s):
         # alpha R = -nu - 1/2: a kernel (k0 = 1), and the nonzero spectrum is
-        # j_{nu+1,k} / R, whose zeta at s = 2, 3 is a Rayleigh sum
-        for r in [0.5, 1.0, 1.5, 3.0, 6.0]:
+        # j_{nu+1,k} / R, whose zeta at s = 2, 3 is a Rayleigh sum.  At R = 0.1
+        # and 0.25 a fixed radius 0.1 left the arc cancelling below the panel
+        # tolerance (QuadratureError at the node budget)
+        for r in [0.1, 0.25, 0.5, 1.0, 1.5, 3.0, 6.0]:
             rep = zeta_eval(scalar_spec(nu, Robin((-nu - 0.5) / r), r=r), s)
             if s == 2.0:
                 want = r**4 / (16.0 * (nu + 2.0) ** 2 * (nu + 3.0))
             else:
                 want = r**6 / (32.0 * (nu + 2.0) ** 3 * (nu + 3.0) * (nu + 4.0))
             assert abs(rep.contour - want) <= rep.contour_error, r
+
+    @pytest.mark.parametrize("nu", [0.0, 0.3, 0.7])
+    def test_contour_error_covers_integer_s(self, nu):
+        # Dirichlet at s = 3: only the arc contributes, and its rounding (about
+        # 9 eps times the integral of its |integrand|) misses the Rayleigh sum
+        # 1/(32 (nu+1)^3 (nu+2) (nu+3)) by 3e-12 to 5e-12
+        rep = zeta_eval(scalar_spec(nu, Dirichlet()), 3.0)
+        want = 1.0 / (32.0 * (nu + 1.0) ** 3 * (nu + 2.0) * (nu + 3.0))
+        err = abs(rep.contour - want)
+        assert err <= rep.contour_error <= 10.0 * err
 
     @pytest.mark.parametrize("n", [10, 30, 100])
     @pytest.mark.parametrize("nu", [0.0, 0.3, 0.7])
@@ -632,10 +679,9 @@ class TestZeta:
     def test_contour_radius_scales_with_length(self):
         # at R = 40 the first root (about 0.02) lies inside a fixed radius 0.1
         spec = scalar_spec(0.25, Robin(0.25 / 40.0), tip="singular", r=40.0)
-        with pytest.raises(RootInsideContourError):
-            zeta_eval(spec, 2.0, t_abs=0.1)
         sp = find_spectrum(spec, 30.0 * math.pi / 40.0)
         rep = zeta_eval(spec, 2.0, spectrum=sp)
+        assert rep.t == 0.1 / 40.0
         assert abs(rep.contour - rep.direct) <= 1e-10 * rep.direct
 
     def test_direct_requires_enough_roots(self, dirichlet_half):
@@ -657,11 +703,13 @@ class TestZeta:
 
 
 class TestQuadratureBudget:
-    def test_cancelling_kernel_arc_stops_at_the_node_budget(self):
-        # R = 0.1 kernel operator: dlog F - 2 k0/mu cancels below the panel
-        # tolerance, so every panel keeps halving; the node budget ends it
-        with pytest.raises(QuadratureError, match="did not converge within"):
-            zeta_eval(scalar_spec(0.5, Robin(-10.0), r=0.1), 2.0)
+    def test_small_r_kernel_arc_converges(self):
+        # R = 0.1 kernel operator: at a fixed radius 0.1, dlog F - 2 k0/mu cancelled
+        # below the panel tolerance and the panels halved up to the node budget;
+        # at t = 0.1 / R the arc converges in a few rounds
+        rep = zeta_eval(scalar_spec(0.5, Robin(-10.0), r=0.1), 2.0)
+        assert abs(rep.contour - 0.1**4 / (16.0 * 2.5**2 * 3.5)) <= rep.contour_error <= 2e-12
+        assert rep.nodes < _numutil._GL_MAX_NODES // 32
 
     def test_budget_counts_every_round(self):
         # an integrand that never converges: each round's nodes count, the first

@@ -1,9 +1,12 @@
 """Secular determinant: closed forms, zeros, kernel order, asymptotics."""
 
 import cmath
+import json
 import math
+import sys
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -15,6 +18,7 @@ from scipy.special import iv, ivp, jv, jvp
 
 from regsing import eigenfunction
 from regsing._numutil import NumericalError
+from regsing.cli import parse_operator_document
 from regsing.eigenfunction import (
     AsymptoticModel,
     SecularEvaluator,
@@ -36,6 +40,9 @@ from regsing.operators import (
     scalar_spec,
 )
 from tests.conftest import bisect_root, robin_regular
+
+EPS = sys.float_info.epsilon
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
 
 class TestClosedForms:
@@ -80,12 +87,12 @@ class TestValueAtZero:
             want = -(kappa)  # det [[0,1],[kappa, kappa log R + 1/sqrt(R)]]
         else:
             want = -(kappa * r**nu + nu * r ** (nu - 0.5))
-        assert eval_F_at_zero(spec) == pytest.approx(want, rel=1e-13)
+        assert eval_F_at_zero(spec) == pytest.approx(want, rel=1e-13, abs=0.0)
         # and the logarithmic column itself, through singular-branch rows
         if nu == 0.0:
             spec2 = scalar_spec(nu, Robin(alpha), tip="singular", r=r)
             want2 = kappa * math.log(r) + 1.0 / math.sqrt(r)
-            assert eval_F_at_zero(spec2) == pytest.approx(want2, rel=1e-13)
+            assert eval_F_at_zero(spec2) == pytest.approx(want2, rel=1e-13, abs=0.0)
 
     def test_kernel_cases_vanish(self, kernel_fixture_two, kernel_fixture_bessel):
         assert abs(eval_F_at_zero(kernel_fixture_two)) < 1e-14
@@ -388,6 +395,8 @@ class _Stub:
     """Stand-in evaluator for a real function f on the real axis; records each
     refinement round (each F and dlog F call)."""
 
+    r = 1.0  # the length R, which scales the rounding floor of the residuals
+
     def __init__(self, f, df, bad_dlog_at=None):
         self.f, self.df, self.bad_dlog_at = f, df, bad_dlog_at
         self.rounds = []  # the points of each round
@@ -456,6 +465,25 @@ def test_refine_bisects_steps_that_do_not_halve():
 
 
 class TestSpectrum:
+    def test_large_r_fixture_matches_scipy(self):
+        # R = 200, nu = 0.3, Robin(0.5): at mu R ~ 2600 the refined residual is
+        # F's rounding floor, above 1e-10 of the end values of its bracket.  The
+        # roots are w / R for the zeros w of 100.5 J_nu(w) + w J_nu'(w)
+        doc = json.loads((FIXTURES / "large_r.json").read_text())
+        spec = parse_operator_document(doc)
+        sp = find_spectrum(spec, 100.0)
+        nu, r = math.sqrt(spec.lambdas[0] + 0.25), spec.r
+
+        def g(w):
+            return (0.5 + spec.regular_bc.alpha * r) * jv(nu, w) + w * jvp(nu, w)
+
+        w = np.linspace(1e-3, 100.0 * r, 200001)
+        v = g(w)
+        idx = np.flatnonzero(v[:-1] * v[1:] < 0.0)
+        want = [brentq(g, w[i], w[i + 1], xtol=1e-300, rtol=4.0 * EPS) / r for i in idx]
+        assert len(sp.positive) == len(want) == 6366 and sp.negative == ()
+        assert np.max(np.abs(np.array(sp.positive) / want - 1.0)) <= 8.0 * EPS
+
     def test_dirichlet_roots_are_multiples_of_pi(self, dirichlet_half):
         sp = find_spectrum(dirichlet_half, 10.5 * math.pi)
         assert sp.certified and len(sp.positive) == 10
@@ -545,9 +573,9 @@ class TestSpectrum:
         passes = []
         sample = SecularEvaluator.sample
 
-        def recorded(self, mu, deriv=False):
+        def recorded(self, mu):
             passes.append(mu)
-            return sample(self, mu, deriv)
+            return sample(self, mu)
 
         monkeypatch.setattr(SecularEvaluator, "sample", recorded)
         negative = scalar_spec(0.5, Robin(-3.0))

@@ -84,7 +84,7 @@ class TestCharacteristicValues:
     def test_scalar_regular_nu_positive(self, nu):
         cv = characteristic_values(scalar_spec(nu, Robin(0.0), tip="regular"))
         assert cv.alpha0 == pytest.approx(nu, abs=1e-12) and cv.j0 == 0
-        assert cv.a0 == pytest.approx(-tau_factor(nu), rel=1e-13)
+        assert cv.a0 == pytest.approx(-tau_factor(nu), rel=1e-13, abs=0.0)
 
     def test_scalar_singular_rows(self):
         cv = characteristic_values(scalar_spec(0.5, Robin(0.0), tip="singular"))
@@ -152,7 +152,7 @@ class TestCharacteristicValues:
         # p(x, y) = (-x)(-tau y^(2*0.4)) => alpha0 = 0.4 at j0 = 1
         assert cv.alpha0 == pytest.approx(0.4, abs=1e-12)
         assert cv.j0 == 1
-        assert cv.a0 == pytest.approx(tau_factor(0.4), rel=1e-13)
+        assert cv.a0 == pytest.approx(tau_factor(0.4), rel=1e-13, abs=0.0)
 
 
 class TestSpecInvariants:

@@ -181,7 +181,7 @@ def test_gamma_exact_points():
     assert abs(gamma_fn(1.0) - 1.0) < 1e-15
     assert abs(gamma_fn(0.5) - math.sqrt(math.pi)) < 1e-15
     assert abs(gamma_fn(1.5) - math.sqrt(math.pi) / 2.0) < 1e-15
-    assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-14)
+    assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("x,ref", GAMMA_REFS)
