@@ -170,6 +170,10 @@ _ARC_NODES = first_nodes(_ARC)
 # t R of the default contours: fixed, so that neither the Taylor circle's
 # certificate nor the arc's cancellation depends on R
 _CONTOUR_TR = 0.1
+# x R where the zeta ray ends and the asymptotic model of F(ix) takes over,
+# so that the model's remainder, O(1/(x R)), and the ray's panel count do
+# not depend on R
+_RAY_CUT_XR = 40.0
 
 
 def _certify(ev: SecularEvaluator, t: float) -> None:
@@ -403,7 +407,7 @@ def _zeta_direct(s: float, spectrum: Spectrum) -> tuple[float, float]:
 
 def _zeta_contour(ev: SecularEvaluator, s: float, t: float) -> tuple[float, float]:
     k0, cv, model = ev.k0, ev.cv, ev.model
-    x_cut = 40.0  # the ray is integrated up to here, the model beyond
+    x_cut = _RAY_CUT_XR / ev.r  # the ray is integrated up to here, the model beyond
     _certify(ev, t)
 
     def ray_integrand(x: np.ndarray) -> np.ndarray:
@@ -434,7 +438,7 @@ def _zeta_contour(ev: SecularEvaluator, s: float, t: float) -> tuple[float, floa
     arc, arc_err = _gamma_t_integral(ev, t, lambda mu: np.exp(-2.0 * s * np.log(mu)), k0=k0)
     value = sin_fac * (ray + tail) + _real(arc / (2.0j * math.pi), "arc term of the zeta contour")
     # the model remainder decays like 1/x (1/log x when q0 != j0)
-    rem_scale = 1.0 / x_cut if log_pow == 0 else 1.0 / math.log(x_cut)
+    rem_scale = 1.0 / _RAY_CUT_XR if log_pow == 0 else 1.0 / math.log(_RAY_CUT_XR)
     err = abs(sin_fac) * (ray_err + abs(tail) * rem_scale) + arc_err / (2.0 * math.pi)
     err += 1e-12 * (1.0 + abs(value))
     if k0:
@@ -458,7 +462,7 @@ def zeta_eval(spec: OperatorSpec, s: float, spectrum: Spectrum | None = None) ->
     runs first and only on a given Spectrum, so a spectrum with negative
     eigenvalues raises :class:`NegativeSpectrumError` before the contour
     sees them.  The contour estimator is always computed: the arc of
-    radius t = 0.1 / R (``ZetaReport.t``), the imaginary ray up to x = 40
+    radius t = 0.1 / R (``ZetaReport.t``), the imaginary ray up to x R = 40
     and the asymptotic model beyond.  Unless the Taylor circle certifies
     the disk below t free of zeros of F~ (:meth:`SecularEvaluator.zero_free`),
     :class:`RootInsideContourError` is raised before the contour is

@@ -30,19 +30,27 @@ Evaluation strategy (argument ``w``; the orders of a row are ``s`` and
   644).  ``J`` and ``Y`` are the real and imaginary parts of ``H1``, and
   the negative orders follow from ``H1_{-nu} = e^(i nu pi) H1_nu`` and
   the recurrence, so no ``J_{-nu}`` is evaluated by reflection.
-* The imaginary axis ``w = +-ix, x > 1``, where the negative-eigenvalue
-  scans and the zeta ray sample: real-argument ``iv`` and ``kve`` at the
-  same base orders, through the connection formulas of DLMF 10.27
-  (``I_{-nu} = I_nu + (2/pi) sin(nu pi) K_nu``).  ``iv`` (Temme's
-  method) is used rather than ``ive``, whose Miller recurrence is good
-  to only 7e-14 below ``x = 22``; ``ive`` takes over where ``e^(-x)``
-  leaves the normal floats.
+* The imaginary axis ``w = +-ix, 1 < x <= 20``, where the
+  negative-eigenvalue scans, the model-dominance bound and the zeta ray
+  sample: the same power series with 40 terms.  There every term
+  is of one sign (DLMF 10.25.2), so nothing cancels and one matrix
+  product gives every value and derivative row.  The companion's
+  ``Y_0``, ``Y_1`` rows come from the series of ``psi(ix)``, also of one
+  sign, through ``K_0`` and ``K_1`` (DLMF 10.31.2); no scipy routine is
+  called.
+* The imaginary axis ``w = +-ix, x > 20``: real-argument ``iv`` and
+  ``kve`` at the base orders, through the connection formulas of
+  DLMF 10.27 (``I_{-nu} = I_nu + (2/pi) sin(nu pi) K_nu``).  ``iv``
+  (Temme's method) is used rather than ``ive``, whose Miller recurrence
+  is good to only 7e-14 below ``x = 22``; ``ive`` takes over where
+  ``e^(-x)`` leaves the normal floats.
 * Every other ``w``: ``jve`` at every order and order plus one, and
   ``yve`` for the companion.
 
-Both axis zones agree with mpmath to about 2e-15 relative for
-``|w| <= 1000``; the ``jve`` zone is accurate to about 7e-14 for the
-negative orders (scipy reflects through ``J_nu`` and ``Y_nu``).
+The axis zones agree with mpmath to about 2e-15 relative for
+``|w| <= 1000``, the imaginary series segment to about 1.2e-15; the
+``jve`` zone is accurate to about 7e-14 for the negative orders (scipy
+reflects through ``J_nu`` and ``Y_nu``).
 
 The row building blocks (:func:`phi_rows`, :func:`bessel_jm0_rows` and
 their scalar forms :func:`bessel_jm0_series`, :func:`bessel_jm0_series_dx`)
@@ -57,8 +65,9 @@ cancel.
 
 The scipy routines are read through one lazy handle, ``sc``: importing
 this module loads numpy only, and ``scipy.special`` is imported the
-first time a zone off the series disk, a scalar Bessel function or
-(through ``determinant.py``) ``exp1`` or the Hurwitz zeta is evaluated.
+first time a zone off the series disk and the imaginary segment
+``|w| <= 20``, a scalar Bessel function or (through ``determinant.py``)
+``exp1`` or the Hurwitz zeta is evaluated.
 """
 
 from __future__ import annotations
@@ -66,6 +75,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +87,14 @@ _SERIES_RADIUS = 1.0
 # has |u| <= 1/4 and the k-th term is of order 4^-k / (k!)^2 (below
 # 1e-18 from k = 10 on).
 _SERIES_TERMS = 14
+
+# The imaginary-axis segment 1 < |w| <= 20 is summed by the same series
+# with more terms: there u = (w/2)^2 = -(x/2)^2 and every term of phi_s
+# and of psi is of one sign (DLMF 10.25.2), so nothing cancels.  At
+# |w| = 20 (u = -100) the first omitted term, k = 40, is below 1e-20 of
+# the sum for every order in (-1, 1), for the derivative rows too.
+_AXIS_SERIES_RADIUS = 20.0
+_AXIS_SERIES_TERMS = 40
 
 
 class SpecialFunctionDomainError(ValueError):
@@ -217,7 +235,8 @@ class KernelTable:
     the nu + 1 half, where the zones form -H1_{s+1} and I_{s+1}.
     ``companion`` says whether 0 is one of the orders, which asks for the
     Y_0, Y_1 rows of the nu = 0 companion (``y_rows`` picks them from
-    ``pair``).
+    ``pair``, ``zero`` is the row of order 0).  ``axis_series`` holds
+    the longer series of the imaginary segment, built on first use.
     """
 
     def __init__(self, orders):
@@ -232,6 +251,7 @@ class KernelTable:
         self.rows = np.array(value_rows + [b + n for b in value_rows])
         self.companion = 0.0 in base
         self.y_rows = np.array([base.index(0.0), base.index(0.0) + n]) if self.companion else None
+        self.zero = s.index(0.0) if self.companion else None
         self.column = self.orders[:, None]
         self.exponent = -self.column
         reflected = [max(-v, 0.0) for v in s]  # nu on the rows s = -nu, else 0
@@ -241,13 +261,37 @@ class KernelTable:
         self.sine = np.array(sine + [-v for v in sine])[:, None]
         self.shift = np.array([-2.0 * nu for nu in reflected])[:, None]
 
+    @cached_property
+    def axis_series(self) -> np.ndarray:
+        """The 40-term table of the imaginary segment, highest power first:
+        the series of each phi_s and, with the companion, of psi; then
+        those of their derivatives over w/2, in the same order."""
+        k = np.arange(1.0, _AXIS_SERIES_TERMS)
+        m = len(self.orders)
+        rows = m + self.companion
+        c = np.empty((2 * rows, _AXIS_SERIES_TERMS))  # lowest power first
+        c[:m, 0] = self.series[:m, -1]  # 1 / Gamma(s + 1)
+        c[:m, 1:] = -1.0 / (k * (self.column + k))  # c_k / c_{k-1}
+        np.cumprod(c[:m], axis=1, out=c[:m])
+        if self.companion:  # psi: (-1)^k H_k / (k!)^2
+            c[m, 0] = 0.0
+            c[m, 1:] = np.cumsum(1.0 / k) * np.cumprod(-1.0 / (k * k))
+        c[rows:, :-1] = k * c[:rows, 1:]  # d/dw sum c_k (w/2)^(2k) = (w/2) sum k c_k u^(k-1)
+        c[rows:, -1] = 0.0
+        return c[:, ::-1].copy()
+
+
+def _power_sums(table: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Every series of the table at every entry of a 1-d u: one
+    ``np.vander`` and one matrix product.  The smallest terms are summed
+    first, as in Horner's scheme."""
+    return table @ np.vander(u, table.shape[1]).T
+
 
 def _series(table: np.ndarray, w: np.ndarray) -> np.ndarray:
     """exp(-|Im w|) times every series of the table at u = (w/2)^2, for
-    every entry of a 1-d w: one ``np.vander`` and one matrix product.
-    The smallest terms are summed first, as in Horner's scheme."""
-    powers = np.vander((0.5 * w) ** 2, _SERIES_TERMS)
-    return (table @ powers.T) * np.exp(-np.abs(w.imag))
+    every entry of a 1-d w."""
+    return _power_sums(table, (0.5 * w) ** 2) * np.exp(-np.abs(w.imag))
 
 
 # The zones of phi_rows.  Each takes the KernelTable and a 1-d w, and
@@ -274,7 +318,30 @@ def _real_zone(k: KernelTable, w: np.ndarray):
     return rows[0], rows[1], h[k.y_rows].imag if k.companion else None
 
 
+def _imag_series_zone(k: KernelTable, w: np.ndarray):
+    # w = +-ix with 1 < x <= 20: the series of axis_series at u = -(x/2)^2,
+    # scaled by e^(-x); phi_s'(+-ix) = +-i (x/2) times the derivative row.
+    # The companion takes I_0 = phi_0(ix) and P = psi(ix), their x-derivatives
+    # I_1 and P' as -(x/2) times their derivative rows, and (DLMF 10.31.2)
+    # K_0 = P - (ln(x/2) + gamma) I_0, K_1 = I_0 / x + (ln(x/2) + gamma) I_1 - P'
+    m = len(k.orders)
+    sign = np.sign(w.imag)
+    x = sign * w.imag
+    half = 0.5 * x
+    value, deriv = (_power_sums(k.axis_series, -half * half) * np.exp(-x)).reshape(2, -1, x.size)
+    y = None
+    if k.companion:  # Y_0(+-ix) = +-i I_0 - (2/pi) K_0, Y_1(+-ix) = -I_1 +- (2i/pi) K_1
+        i0, i1 = value[k.zero], -half * deriv[k.zero]
+        p, dp = value[m], -half * deriv[m]
+        log_term = np.log(half) + EULER_GAMMA
+        k_0 = p - log_term * i0
+        k_1 = i0 / x + log_term * i1 - dp
+        y = np.array([1j * sign * i0 - (2.0 / math.pi) * k_0, (2j / math.pi) * sign * k_1 - i1])
+    return value[:m], (1j * sign * half) * deriv[:m], y
+
+
 def _imag_zone(k: KernelTable, w: np.ndarray):
+    # w = +-ix with x > 20:
     # phi_s(+-ix) = (x/2)^(-s) I_s(x), phi_s'(+-ix) = -+i (x/2)^(-s) I_{s+1}(x),
     # with I_{-nu} = I_nu + (2/pi) sin(nu pi) K_nu and
     # I_{1-nu} = I_{nu+1} - (2/pi) sin(nu pi) K_{nu+1} + (2 nu / x) I_{-nu},
@@ -319,7 +386,7 @@ def phi_rows(k: KernelTable, w: np.ndarray):
     w-derivative, for every order s of ``k`` at every entry of an
     ndarray w, shaped (m,) + w.shape; and, where 0 is one of the orders,
     exp(-|Im w|) Y_0(w) and Y_1(w), shaped (2,) + w.shape and NaN inside
-    the series disk, for :func:`bessel_jm0_rows` (else None).
+    the series disk |w| <= 1, for :func:`bessel_jm0_rows` (else None).
 
     phi_s is entire in w, even, with real coefficients, and
     phi_s'(w) = -(w/2)^(-s) J_{s+1}(w).  Each entry is evaluated by its
@@ -329,19 +396,29 @@ def phi_rows(k: KernelTable, w: np.ndarray):
     * |w| <= 1: one matrix product sums every series;
     * the real axis: one ``hankel1e`` call over the base orders nu = |s|
       and nu + 1 gives J and Y as the real and imaginary parts of H1;
-    * the imaginary axis: one ``iv`` and one ``kve`` call over the same
+    * the imaginary axis up to |w| = 20: one matrix product sums the
+      40-term series of ``KernelTable.axis_series``, whose terms are of
+      one sign there, and the Y rows follow from the psi series;
+    * the imaginary axis beyond: one ``iv`` and one ``kve`` call over the
       base orders, through the connection formulas (DLMF 10.27);
     * elsewhere: one ``jve`` call per order shift, and one ``yve`` call.
     """
     flat = w.ravel()
     m, n = len(k.orders), flat.size
-    outside = np.abs(flat) > _SERIES_RADIUS
+    radius = np.abs(flat)
+    outside = radius > _SERIES_RADIUS
     zones = [(~outside, _series_zone)]
     if np.count_nonzero(outside):
         re, im = flat.real, flat.imag
         real = outside & (im == 0.0) & (re > 0.0)
         imag = outside & (re == 0.0)
-        zones += [(real, _real_zone), (imag, _imag_zone), (outside & ~(real | imag), _general_zone)]
+        near = imag & (radius <= _AXIS_SERIES_RADIUS)
+        zones += [
+            (real, _real_zone),
+            (near, _imag_series_zone),
+            (imag & ~near, _imag_zone),
+            (outside & ~(real | imag), _general_zone),
+        ]
         zones = [(mask, zone) for mask, zone in zones if np.count_nonzero(mask)]
     if len(zones) == 1:  # every entry in one zone: no gather or scatter
         val, der, y = zones[0][1](k, flat)

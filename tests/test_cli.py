@@ -491,13 +491,15 @@ def test_cli_import_does_not_load_scipy_optimize():
         ("cone", str(FIXTURES / "circle_cone.json")),
         ("cone", str(FIXTURES / "sphere_cone.json")),
         ("det", str(FIXTURES / "readme_two_channel.json")),
+        ("eval-f", str(FIXTURES / "readme_two_channel.json"), "--mu", "15j"),
     ],
-    ids=["validate", "cone circle", "cone sphere", "det"],
+    ids=["validate", "cone circle", "cone sphere", "det", "eval-f imaginary"],
 )
 def test_commands_without_bessel_functions_load_no_scipy(argv):
     # validation and the closed-form cone factors need numpy only; so does a
     # det at R = 1, whose kernel-order circle and finite-t arc lie inside the
-    # series disk |mu R| <= 1
+    # series disk |mu R| <= 1, and F at mu = 15i, on the imaginary segment
+    # |mu R| <= 20 that the series also sums
     assert _scipy_after_command(*argv) == set()
 
 

@@ -684,6 +684,29 @@ class TestZeta:
         assert rep.t == 0.1 / 40.0
         assert abs(rep.contour - rep.direct) <= 1e-10 * rep.direct
 
+    @pytest.mark.parametrize("s", [1.7, 2.5])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda r: scalar_spec(0.3, Dirichlet(), r=r),
+            lambda r: scalar_spec(0.3, Robin(0.5 / r), r=r),
+            lambda r: scalar_spec(0.3, Robin(0.5 / r), tip="singular", r=r),
+        ],
+        ids=["dirichlet", "robin regular", "robin singular"],
+    )
+    def test_contour_dilation_law(self, make, s):
+        # the eigenvalues on (0, R] are those on (0, 1] over R^2, so
+        # zeta_R(s) = R^(2s) zeta_1(s).  A ray cut at a fixed x = 40 left the
+        # model where x R is small: at R = 0.01 the contour missed the law
+        # by a factor of 50 and turned negative
+        unit = zeta_eval(make(1.0), s)
+        for r in (0.01, 0.02, 0.1, 0.5, 2.0, 10.0):
+            got = zeta_eval(make(r), s)
+            scale = r ** (2.0 * s)
+            assert abs(got.contour - scale * unit.contour) <= (
+                got.contour_error + scale * unit.contour_error
+            ), r
+
     def test_direct_requires_enough_roots(self, dirichlet_half):
         sp = find_spectrum(dirichlet_half, 40.0)
         with pytest.raises(NumericalError):

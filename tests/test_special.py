@@ -3,8 +3,9 @@
 Reference values were computed with mpmath at 30 significant digits and
 frozen here; the other oracles call mpmath directly.  The scaled row
 kernel is checked across its series seam at |w| = 1, on both axes
-against mpmath, across each axis against its jve zone, and for the
-scipy routines each zone calls.
+against mpmath (densely on the imaginary series segment up to |w| = 20),
+across each axis against its jve zone, and for the scipy routines each
+zone calls.
 """
 
 import collections
@@ -295,30 +296,48 @@ def test_stacked_rows_match_scalar_kernels(where):
 
 
 # the axis zones of phi_rows: orders of every row kind (0, +-nu with nu near
-# 0, 1/2 and 1) and radii from just outside the series disk to |w| = 1000
+# 0, 1/2 and 1) and radii from just outside the series disk to |w| = 1000,
+# on both sides of the imaginary axis's seam at |w| = 20
 AXIS_ORDERS = (0.0, 0.05, -0.05, 0.5, -0.5, 0.9, -0.9, 0.999, -0.999)
-AXIS_RADII = (1.0 + 1e-15, 1.01, 1.7, 3.0, 9.9, 20.0, 40.0, 123.4, 500.0, 1e3)
+AXIS_RADII = (
+    1.0 + 1e-15, 1.01, 1.7, 3.0, 9.9, 20.0 * (1.0 - 1e-15), 20.0, 20.0 * (1.0 + 1e-15),
+    40.0, 123.4, 500.0, 1e3,
+)
 AXES = {"real": 1.0 + 0.0j, "+imag": 1.0j, "-imag": -1.0j}
 
 
-@pytest.mark.parametrize("axis", AXES)
-def test_axis_rows_match_mpmath(axis):
-    # values, derivatives and the companion's Y_0, Y_1 rows from the
-    # hankel1e (real axis) and iv/kve (imaginary axis) zones
-    w = AXES[axis] * np.array(AXIS_RADII)
+def _axis_rows_against_mpmath(w):
+    """(got, want) for every row of phi_rows over AXIS_ORDERS at every entry
+    of w: values, derivatives and the companion's Y_0, Y_1, at 30 digits."""
     val, der, y = phi_rows(KernelTable(AXIS_ORDERS), w)
+    pairs = []
     for j, z in enumerate(w.tolist()):
         with mpmath.workdps(30):
             zm = mpmath.mpc(z)
             scale = mpmath.exp(-abs(zm.imag))
-            pairs = [(y[n, j], scale * mpmath.bessely(n, zm)) for n in (0, 1)]
+            want = [(y[n, j], scale * mpmath.bessely(n, zm)) for n in (0, 1)]
             for k, s in enumerate(AXIS_ORDERS):
                 power = scale * (zm / 2) ** (-s)
-                pairs.append((val[k, j], power * mpmath.besselj(s, zm)))
-                pairs.append((der[k, j], -power * mpmath.besselj(s + 1, zm)))
-        for got, want in pairs:
-            want = complex(want)
-            assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (z, got, want)
+                want.append((val[k, j], power * mpmath.besselj(s, zm)))
+                want.append((der[k, j], -power * mpmath.besselj(s + 1, zm)))
+        pairs += [(got, complex(ref)) for got, ref in want]
+    return pairs
+
+
+@pytest.mark.parametrize("axis", AXES)
+def test_axis_rows_match_mpmath(axis):
+    # the hankel1e (real axis) and series and iv/kve (imaginary axis) zones
+    for got, want in _axis_rows_against_mpmath(AXES[axis] * np.array(AXIS_RADII)):
+        assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (got, want)
+
+
+@pytest.mark.parametrize("axis", ["+imag", "-imag"])
+def test_imaginary_series_segment_matches_mpmath(axis):
+    # the 40-term series on 1 < |w| <= 20, where its terms are of one sign,
+    # and the Y rows from the psi series: within 3e-15 relative on a dense
+    # grid (iv/kve reached 2.2e-15 there)
+    pairs = _axis_rows_against_mpmath(AXES[axis] * np.geomspace(1.0 + 1e-12, 20.0, 120))
+    assert max(abs(got - want) / abs(want) for got, want in pairs) <= 3e-15
 
 
 @pytest.mark.parametrize(
@@ -370,16 +389,25 @@ def test_axis_rows_make_no_jve_call(monkeypatch, axis):
     # an axis array, on both sides of the series seam, takes one call of each
     # scipy routine its zone uses and none of jve or yve; the companion rows
     # built on it take none at all.  An array off the axes takes the jve path.
+    # On the imaginary axis an array inside 1 < |w| <= 20 takes no call.
     calls = collections.Counter()
     monkeypatch.setattr(special, "sc", _CountingScipy(calls))
     unit = AXES.get(axis, np.exp(0.4j))
+    table = KernelTable((0.0, 0.3, -0.3, 0.7, -0.7))
+    if axis.endswith("imag"):
+        w = unit * np.linspace(1.0 + 1e-15, 20.0, 64)
+        val, der, y = phi_rows(table, w)
+        bessel_jm0_rows(w / 2.0, 2.0, val[0], der[0], y)
+        assert not calls
     w = unit * np.linspace(0.5, 300.0, 64)
-    val, der, y = phi_rows(KernelTable((0.0, 0.3, -0.3, 0.7, -0.7)), w)
+    val, der, y = phi_rows(table, w)
     if axis == "off":
         assert calls == {"jve": 2, "yve": 1}
         return
     assert calls["jve"] == calls["yve"] == 0
     assert calls and max(calls.values()) == 1
+    if axis.endswith("imag"):
+        assert calls == {"iv": 1, "kve": 1}
     calls.clear()
     bessel_jm0_rows(w / 2.0, 2.0, val[0], der[0], y)
     assert not calls
