@@ -363,9 +363,9 @@ def _cmd_verify_asymptotics(args: argparse.Namespace, doc: dict):
     ev = SecularEvaluator(parse_operator_document(doc))
     entries = []
     errs = []
-    for x in args.a_list or (20.0, 40.0, 80.0):
+    for x in args.a_list or (20.0 / ev.r, 40.0 / ev.r, 80.0 / ev.r):
         actual = ev.log_value(1j * x)
-        model = ev.model.quoted_log_value(x)
+        model = ev.quoted_model(x)
         rel = abs(model - actual) / abs(actual)
         errs.append(rel)
         entries.append(

@@ -410,9 +410,9 @@ def _zeta_contour(ev: SecularEvaluator, s: float, t: float) -> tuple[float, floa
     x_cut = _RAY_CUT_XR / ev.r  # the ray is integrated up to here, the model beyond
     _certify(ev, t)
 
-    def ray_integrand(x: np.ndarray) -> np.ndarray:
+    def ray_integrand(x: np.ndarray, dl=None) -> np.ndarray:
         # x^(-2s) d/dx log F~(ix), with d/dx log F(ix) = Re(i dlog F(ix))
-        g = (1j * ev.dlog(1j * x)).real
+        g = (1j * (ev.dlog(1j * x) if dl is None else off_zeros(dl))).real
         if k0:
             g = g - 2.0 * k0 / x
         return x ** (-2.0 * s) * g
@@ -421,10 +421,20 @@ def _zeta_contour(ev: SecularEvaluator, s: float, t: float) -> tuple[float, floa
     log_pow = cv.j0 - ev.spec.q0
     ray = ray_err = tail = 0.0
     if abs(sin_fac) > 1e-15:
+        if log_pow and math.log(x_cut) <= model.gamma_tilde:  # the tail's exp1 needs x > e^gamma~
+            raise RootInsideContourError(f"the model of F(ix) vanishes beyond the ray end {x_cut}")
         # the integrand varies on the scale x: geometric panels, about one per doubling
         panels = max(1, math.ceil(math.log2(x_cut / t)))
         edges = np.geomspace(t, x_cut, panels + 1)
-        ray, ray_err = gauss_legendre(ray_integrand, edges, counts=ev.counts)
+        # F(it) and the first round in one pass; a sign change of F(ix) is a negative eigenvalue
+        x = np.concatenate(([t], first_nodes(edges)))
+        mants, _, dlog = ev._scaled_dlog(1j * x)
+        order = np.argsort(x)
+        flips = np.flatnonzero(mants.real[order][:-1] * mants.real[order][1:] <= 0.0)
+        if flips.size:
+            raise RootInsideContourError(f"F(ix) changes sign below x = {x[order][flips[0] + 1]}")
+        first = ray_integrand(x[1:], dlog[1:])
+        ray, ray_err = gauss_legendre(ray_integrand, edges, first=first, counts=ev.counts)
 
         exponent = model.exponent - 2.0 * k0
         tail = model.growth_rate * x_cut ** (1.0 - 2.0 * s) / (2.0 * s - 1.0)
@@ -467,8 +477,12 @@ def zeta_eval(spec: OperatorSpec, s: float, spectrum: Spectrum | None = None) ->
     the disk below t free of zeros of F~ (:meth:`SecularEvaluator.zero_free`),
     :class:`RootInsideContourError` is raised before the contour is
     sampled.  The arc and the ray (absent at integer s) take one pass per
-    Gauss-Legendre round.  Operators with nonzero kernel are handled
-    through F/mu^(2 k0), i.e. the zeta function of the nonzero spectrum.
+    Gauss-Legendre round; F(it) rides along in the ray's first, and where
+    F(ix) changes sign between its neighbouring nodes (a negative
+    eigenvalue on the ray), or the ray ends where the model of a log
+    channel vanishes, :class:`RootInsideContourError` is raised too.
+    Operators with nonzero kernel are handled through F/mu^(2 k0), the
+    zeta function of the nonzero spectrum.
     A spectrum found for this same ``spec`` object lends its prepared
     operator.  The report counts the kernel passes and quadrature nodes
     the contour estimate spent.

@@ -426,6 +426,12 @@ class SecularEvaluator:
                 out = np.trace(sol, axis1=-2, axis2=-1)
         return np.where(flip, -out.T, out.T)  # F is even, dlog F odd
 
+    def quoted_model(self, x: float) -> complex:
+        """The model's log F(ix) (:attr:`model`), quoted where it is asymptotic: x R >= 10."""
+        if x * self.r < 10.0:
+            raise ValueError("asymptotic model is quoted for x R >= 10")
+        return self.model.log_value(float(x))
+
     def log_value(self, mu: complex) -> complex:
         mant, logs = self.scaled(mu)
         if mant == 0:
@@ -510,16 +516,10 @@ class AsymptoticModel:
             out += self.log_power * cmath.log(complex(self.gamma_tilde - math.log(x)))
         return out
 
-    def quoted_log_value(self, x: float) -> complex:
-        """:meth:`log_value` where the model is quoted as a diagnostic, x >= 10."""
-        if x < 10.0:
-            raise ValueError("asymptotic model is quoted for x >= 10")
-        return self.log_value(float(x))
-
 
 def asymptotic_log_F_imag(spec: OperatorSpec, x: float) -> complex:
     """Model value of log F(ix); diagnostics only, never inside determinants."""
-    return AsymptoticModel.from_spec(spec).quoted_log_value(x)
+    return SecularEvaluator(spec).quoted_model(x)
 
 
 def log_F_imag(spec: OperatorSpec, x: float) -> complex:
@@ -622,15 +622,15 @@ def _brackets(
     Each bracket is (a, b, log_a, fa, fb): F exp(-log_a) on the axis, a
     positive multiple of F that is finite near the scale log_a, takes
     the values fa and fb of opposite signs at a and b.  A sample that is
-    exactly 0 is replaced by one just above it; those samples are one
-    more call.
+    exactly 0 is replaced by one 1e-12 max(1/R, x) above it; those
+    samples are one more call.
     """
     idx = np.flatnonzero(mants[:-1] * mants[1:] <= 0.0)
     fa, log_a = mants[idx], logs[idx]
     zero = fa == 0.0
     if zero.any():
-        a = grid[idx[zero]]
-        m, l = _axis_samples(*ev.scaled(_on_axis(a + 1e-12 * np.maximum(1.0, a), axis)), axis)
+        a = grid[idx[zero]] + 1e-12 * np.maximum(1.0 / ev.r, grid[idx[zero]])
+        m, l = _axis_samples(*ev.scaled(_on_axis(a, axis)), axis)
         fa[zero] = m * np.exp(l - log_a[zero])
     fb = mants[idx + 1] * np.exp(logs[idx + 1] - log_a)
     keep = fa * fb < 0.0
@@ -644,25 +644,9 @@ def _same_brackets(coarse: list[tuple], fine: list[tuple]) -> bool:
     )
 
 
-def _real_axis(ev: SecularEvaluator, res: float, mu_max: float):
-    """The certified real-axis brackets below mu_max (a coroutine of :func:`_joint`).
-
-    The grid of spacing <= res is halved until its sign changes match
-    those of the grid before, at most three times.
-    """
-    grid = _grid(min(res, 0.05) * 0.5, mu_max, res)
-    scan = _scan(ev, grid, *(yield grid.astype(complex)), "real")
-    coarse = _brackets(ev, *scan, "real")
-    for _ in range(3):
-        scan = yield from _halve(ev, scan, "real")
-        fine = _brackets(ev, *scan, "real")
-        if _same_brackets(coarse, fine):
-            return fine
-        coarse = fine
-    raise SpectrumCertificationError(
-        "real-axis sign changes kept changing under bracket halving; "
-        "a double root or missed bracket is likely"
-    )
+def _sampled(grid: np.ndarray):
+    """A real-axis grid and the scaled F on it (a coroutine of :func:`_joint`)."""
+    return (grid, *(yield grid.astype(complex)))
 
 
 def _imag_scan_bound(ev: SecularEvaluator, res: float):
@@ -672,15 +656,16 @@ def _imag_scan_bound(ev: SecularEvaluator, res: float):
     The remainder of the model decays like 1/log x, far too slowly for a
     literal fixed-ratio criterion, so the certificate is model dominance:
     at three increasing heights 0.8, 0.9 and 1 times x_hi the measured
-    log F(ix) stays within log 2 of the model and |F| grows.  Finitely
-    many imaginary zeros exist, so the doubling search (x_hi = 12, then
-    times 1.6 while x_hi <= 220) terminates.  Each step is one pass,
-    which samples the grid of spacing <= res over [res/2, x_hi] (its
-    last point is the third height) beside the other two heights, so the
-    step that certifies x_hi returns the samples of its grid too.
+    log F(ix) stays within log 2 of the model and |F| grows.  x_hi R
+    starts at 12 and grows by 1.6 for at most seven steps; a log
+    channel's model vanishes at x = e^gamma~ whatever R is, so there x_hi
+    starts at 2 e^gamma~ or above.  Each step is one pass, which samples
+    the grid of spacing <= res over [res/2, x_hi] (its last point is the
+    third height) beside the other two, so the step that certifies x_hi
+    returns the samples of its grid too.
     """
-    x_hi = 12.0
-    while x_hi <= 220.0:
+    x_hi = max(12.0 / ev.r, 2.0 * math.exp(ev.model.gamma_tilde) if ev.model.log_power else 0.0)
+    for _ in range(7):
         grid = _grid(0.5 * res, x_hi, res)  # its last point is x_hi, the third height
         mants, logs = yield 1j * np.concatenate((np.array([0.8, 0.9]) * x_hi, grid))
         with np.errstate(divide="ignore"):  # a zero of F reads -inf and fails the test
@@ -692,21 +677,26 @@ def _imag_scan_bound(ev: SecularEvaluator, res: float):
             return grid, mants[2:], logs[2:]
         x_hi *= 1.6
     raise SpectrumCertificationError(
-        "could not certify an upper bound for imaginary-axis zeros below x=220"
+        f"could not certify an upper bound for imaginary-axis zeros below x = {x_hi / 1.6}"
     )
 
 
-def _imag_axis(ev: SecularEvaluator, res: float):
-    """The certified imaginary-axis brackets (a coroutine of :func:`_joint`):
-    the grid of spacing <= min(res, 0.1) up to :func:`_imag_scan_bound`,
-    whose sign changes must survive one halving."""
-    scan = _scan(ev, *(yield from _imag_scan_bound(ev, min(res, 0.1))), "imag")
-    coarse = _brackets(ev, *scan, "imag")
-    scan = yield from _halve(ev, scan, "imag")
-    fine = _brackets(ev, *scan, "imag")
-    if not _same_brackets(coarse, fine):
-        raise SpectrumCertificationError("imaginary-axis sign changes unstable under halving")
-    return fine
+def _axis(ev: SecularEvaluator, first, axis: str):
+    """The certified brackets of one axis (a coroutine of :func:`_joint`): the
+    grid that the coroutine ``first`` returns with its samples is halved until
+    two successive grids give the same brackets, at most three times."""
+    scan = _scan(ev, *(yield from first), axis)
+    coarse = _brackets(ev, *scan, axis)
+    for _ in range(3):
+        scan = yield from _halve(ev, scan, axis)
+        fine = _brackets(ev, *scan, axis)
+        if _same_brackets(coarse, fine):
+            return fine
+        coarse = fine
+    raise SpectrumCertificationError(
+        f"{axis}-axis sign changes kept changing under bracket halving; "
+        "a double root or missed bracket is likely"
+    )
 
 
 def _refine(
@@ -727,7 +717,7 @@ def _refine(
     that leaves its bracket, that is not at most half the step two
     rounds before, or that is not finite becomes a bisection.  A root
     stops when its step or its bracket width is at most
-    1e-13 + 4 eps |x|, or when F is exactly 0 there.  Its residual
+    1e-13 / R + 4 eps |x|, or when F is exactly 0 there.  Its residual
     |F exp(-log_a)| at the point of the round in which it stops must be
     at most ``_ROOT_RESIDUAL_TOL`` times the larger end value of its
     bracket, or its mantissa at most ``_ROOT_ROUNDING`` (1 + |x| R), the
@@ -764,7 +754,7 @@ def _refine(
         x_next = np.where(ok, x_new, 0.5 * (lo_a + hi_a))
         dx = np.where(ok, np.abs(newton), 0.5 * (hi_a - lo_a))
         before[act], step[act] = step[act], dx
-        tol = _ROOT_XTOL + _ROOT_RTOL * np.abs(x_next)
+        tol = _ROOT_XTOL / ev.r + _ROOT_RTOL * np.abs(x_next)
         x[act] = np.where(live, x_next, xa)
         active[act] = live & (dx > tol) & (hi_a - lo_a > tol)
         mag[act], rel[act] = np.abs(f), np.exp(logs - log_a[act])
@@ -784,27 +774,20 @@ def _refine(
 def find_spectrum(spec: OperatorSpec, mu_max: float) -> Spectrum:
     """All zeros of F on (0, mu_max] and on the positive imaginary axis.
 
-    The real-axis grid has the spacing pi / (4 q R), the imaginary-axis
-    grid the smaller of that and 0.1, up to the height of
-    :func:`_imag_scan_bound`; both start at mu = 0 when F(0) is a sign
-    sample (:attr:`SecularEvaluator.f0_is_sample`).  The sign changes of
-    a grid scan are certified when a rescan at half the spacing finds as
-    many, each overlapping its partner (up to three halvings on the real
-    axis, one on the imaginary axis).  Each rescan keeps the samples it
-    already has and evaluates F only at the new midpoints
-    (:func:`_halve`).  The two axes are scanned side by side
-    (:func:`_joint`), each stage one kernel pass: the first samples the
-    probes of :attr:`SecularEvaluator.k0`, both coarse grids and the
-    first bound check, the second both axes' midpoints, and further
-    real halvings and bound doublings go on the same way.  The brackets
-    of the finer grid of each certifying pair are then refined together,
-    both axes at once, by the batched safeguarded Newton iteration of
-    :func:`_refine`: each round is one kernel pass giving F and dlog F
-    over the roots still active, a root stops when its step or bracket
-    is below 1e-13 + 4 eps |x|, and every root must pass a residual
-    check on the samples of its last round.  Simple zeros are assumed; a
-    persistent mismatch raises :class:`SpectrumCertificationError`.  The
-    returned :class:`Spectrum` carries the evaluator, which
+    Every length of the search is a multiple of 1/R, so the zeros for
+    (0, R] are those for (0, 1] over R.  The real-axis grid has the
+    spacing pi / (4 q R) and starts at the smaller of half that and
+    0.025 / R; the imaginary-axis grid has the smaller of that spacing
+    and 0.1 / R, up to the height of :func:`_imag_scan_bound`.  Both
+    start at mu = 0 when F(0) is a sign sample
+    (:attr:`SecularEvaluator.f0_is_sample`).  :func:`_axis` certifies
+    each axis by halving its grid (:func:`_halve`, which samples only the
+    new midpoints).  The axes are scanned side by side (:func:`_joint`),
+    one kernel pass per stage, the first taking the probes of
+    :attr:`SecularEvaluator.k0` along.  The brackets of both axes are
+    then refined together by :func:`_refine`.  Simple zeros are assumed;
+    a persistent mismatch raises :class:`SpectrumCertificationError`.
+    The returned :class:`Spectrum` carries the evaluator, which
     :func:`~regsing.determinant.zeta_eval` reuses for the same spec, and
     the number of kernel passes made.
     """
@@ -812,7 +795,9 @@ def find_spectrum(spec: OperatorSpec, mu_max: float) -> Spectrum:
         raise ValueError("mu_max must be positive")
     ev = SecularEvaluator(spec)
     res = math.pi / (4.0 * spec.q * spec.r)
-    real, imag = _joint(ev, _real_axis(ev, res, mu_max), _imag_axis(ev, res))
+    real = _sampled(_grid(min(res, 0.05 / ev.r) * 0.5, mu_max, res))
+    imag = _imag_scan_bound(ev, min(res, 0.1 / ev.r))
+    real, imag = _joint(ev, _axis(ev, real, "real"), _axis(ev, imag, "imag"))
     positive, negative = _refine(ev, real, imag)
     return Spectrum(
         positive=tuple(positive),
@@ -841,7 +826,8 @@ def verify_contour_decay(
     joined to the two arcs |z| = a/cos(theta) reaching the imaginary
     axis, oriented counterclockwise.  z^(-2s) uses the principal branch,
     which is continuous on the whole contour.  Abscissae straddling a
-    zero of F are nudged by multiples of 0.1 before giving up.
+    zero of F are nudged by multiples of 0.1 / R before giving up.
+    The abscissae must have a R <= 200, the validated range.
 
     With ``parts=True`` each entry is (total, arc_magnitude,
     segment_magnitude); the arc piece alone must also decay for
@@ -853,8 +839,8 @@ def verify_contour_decay(
         raise ValueError("need s > 1/2 for the boundary integrals to converge")
     if any(a <= 0 for a in a_list):
         raise ValueError("abscissae must be positive")
-    if max(a_list) > 200.0:
-        raise ValueError("abscissae above 200 exceed the validated evaluation range")
+    if max(a_list) * spec.r > 200.0:
+        raise ValueError("abscissae above a R = 200 exceed the validated evaluation range")
     ev = SecularEvaluator(spec)
     out = []
     for a in a_list:
@@ -874,7 +860,7 @@ def _contour_integral(ev: SecularEvaluator, s: float, a: float, theta: float) ->
     for _ in range(8):
         if _f_nonzero_on_segment(ev, a + shift, theta):
             break
-        shift = -shift + 0.1 if shift <= 0 else -shift
+        shift = -shift + 0.1 / ev.r if shift <= 0 else -shift
     else:
         raise ContourError(f"could not shift a={a} off the zeros of F")
     a = a + shift

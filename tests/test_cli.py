@@ -200,6 +200,20 @@ class TestSpectrum:
         rep = json.loads(out)["report"]
         assert rep["certified"] is True and len(rep["positive"]) == 64
 
+    @pytest.mark.parametrize("r, alpha, mu_max", [(0.01, -200.0, "3000"), (1e4, 5e-5, "0.002")])
+    def test_extreme_lengths(self, write_doc, capsys, r, alpha, mu_max):
+        # alpha R = -2 has one negative eigenvalue, x R = 2.015359; alpha R = 0.5
+        # none.  The search scales with 1/R, so both give the R = 1 root counts
+        doc = dict(large_r_doc(), R=r, regular_bc={"type": "robin", "alpha": alpha})
+        code, out, _ = run_cli(capsys, "spectrum", write_doc(doc), "--mu-max", mu_max)
+        assert code == EXIT_OK
+        rep = json.loads(out)["report"]
+        assert len(rep["positive"]) == (9 if alpha < 0.0 else 6)
+        if alpha < 0.0:
+            assert rep["negative"] == [pytest.approx(201.5359, abs=1e-4)]
+        else:
+            assert rep["negative"] == []
+
 
 class TestValidateAndSchema:
     def test_rank_violation_exits_2(self, write_doc, capsys):
@@ -426,6 +440,14 @@ class TestOtherCommands:
         rep = json.loads(out)["report"]
         assert rep["strictly_decreasing"] is True
         assert len(rep["points"]) == 3
+
+    def test_verify_asymptotics_heights_scale_with_length(self, write_doc, capsys):
+        doc = dict(bessel_doc(), R=0.5, regular_bc={"type": "robin", "alpha": -1.0})
+        code, out, _ = run_cli(capsys, "verify-asymptotics", write_doc(doc))
+        assert code == EXIT_OK
+        rep = json.loads(out)["report"]
+        assert [p["x"] for p in rep["points"]] == [40.0, 80.0, 160.0]
+        assert rep["strictly_decreasing"] is True
 
     def test_verify_contour(self, write_doc, capsys):
         code, out, _ = run_cli(

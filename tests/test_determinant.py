@@ -481,6 +481,17 @@ class TestNegativeSpectrum:
         with pytest.raises(RootInsideContourError):
             zeta_eval(spec, 2.0)
 
+    @pytest.mark.parametrize("r", [1.0, 3.0, 10.0, 30.0, 45.0])
+    def test_zeta_ray_through_a_negative_eigenvalue(self, r):
+        # F(ix) of this log channel vanishes near x = 1.1 at every R, beyond the
+        # certified disk: up to R = 30 the sign of F(ix) flips between two nodes
+        # of the ray's first round; at R = 45 the ray ends at x = 40 / R, below
+        # the zero x = e^gamma~ of the model that takes over there
+        spec = scalar_spec(0.0, Robin(0.5), tip="singular", r=r)
+        match = "model of F" if r == 45.0 else "changes sign"
+        with pytest.raises(RootInsideContourError, match=match):
+            zeta_eval(spec, 1.7)
+
     def test_cli_exit_code(self, tmp_path, capsys):
         path = _write_scalar_doc(tmp_path, 0.367, -0.9)  # NEGATIVE_SPECS["nu 0.367"]
         assert main(["det", str(path)]) == EXIT_NUMERICAL
@@ -654,19 +665,42 @@ class TestZeta:
         err = abs(rep.contour - want)
         assert err <= rep.contour_error <= 10.0 * err
 
-    @pytest.mark.parametrize("n", [10, 30, 100])
-    @pytest.mark.parametrize("nu", [0.0, 0.3, 0.7])
-    def test_direct_error_covers_rayleigh_sums(self, nu, n):
+    @pytest.mark.parametrize(
+        "spec, mu_max, n, want",
+        [
+            pytest.param(
+                scalar_spec(nu, Dirichlet()),
+                (n + nu / 2.0 + 0.25) * math.pi,
+                n,
+                1.0 / (16.0 * (nu + 1.0) ** 2 * (nu + 2.0)),
+                id=f"{nu}-{n}",
+            )
+            for nu in (0.0, 0.3, 0.7)
+            for n in (10, 30, 100)
+        ]
+        + [
+            pytest.param(
+                scalar_spec(0.5, Robin(-10.0), r=0.1),
+                400.0,
+                12,
+                0.1**4 / (16.0 * 2.5**2 * 3.5),
+                id="kernel R=0.1",
+            )
+        ],
+    )
+    def test_direct_error_covers_rayleigh_sums(self, spec, mu_max, n, want):
         # Dirichlet: the spectrum is j_{nu,k}, whose zeta at s = 2 is the
         # Rayleigh sum 1/(16 (nu+1)^2 (nu+2)); mu_max falls between the n-th
-        # and the (n+1)-th zero.  The fit's bias from the O(1/mu) term of the
-        # roots dominates the error; the estimate must cover it, not by more
-        # than a small factor
-        spec = scalar_spec(nu, Dirichlet())
-        sp = find_spectrum(spec, (n + nu / 2.0 + 0.25) * math.pi)
+        # and the (n+1)-th zero.  The kernel operator (alpha R = -nu - 1/2)
+        # has the nonzero spectrum j_{nu+1,k} / R and the Rayleigh sum
+        # R^4 / (16 (nu+2)^2 (nu+3)); the estimate from its 12 roots misses it
+        # by 3.9e-13.  The fit's bias from the O(1/mu) term of the roots
+        # dominates the error; the estimate must cover it, not by more than a
+        # small factor
+        sp = find_spectrum(spec, mu_max)
         assert len(sp.positive) == n
         direct, direct_error = _zeta_direct(2.0, sp)
-        err = abs(direct - 1.0 / (16.0 * (nu + 1.0) ** 2 * (nu + 2.0)))
+        err = abs(direct - want)
         assert err <= direct_error <= 10.0 * err + 1e-15
 
     def test_direct_error_covers_the_contour_gap(self):

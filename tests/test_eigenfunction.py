@@ -357,6 +357,9 @@ def _channel_roots(nu: float, bc, tip: str, r: float, mu_max: float, axis: str) 
 ORACLE_CHANNELS = {  # channels (nu, tip), end condition, R, mu_max
     "q1": ([(0.3, "regular")], Robin(0.5), 1.0, 40.0),
     "q2 negative": ([(0.5, "regular"), (0.2, "singular")], Robin(-2.0), 1.0, 30.0),
+    # two negative eigenvalues 0.049 apart: the first halving of the imaginary
+    # grid changes its brackets, the second confirms them
+    "q2 negative pair": ([(0.3, "regular"), (0.6, "singular")], Robin(-3.0), 1.0, 30.0),
     "q4 dirichlet": (
         [(0.0, "regular"), (0.4, "regular"), (0.4, "singular"), (0.7, "regular")],
         Dirichlet(),
@@ -387,8 +390,39 @@ def test_spectrum_matches_per_channel_oracle(name, monkeypatch):
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-12 * w
-    if name == "q2 negative":
+    if name.startswith("q2 negative"):
         assert len(sp.negative) == 2
+
+
+DILATION_SPECS = {  # the operator on (0, R], its Robin alpha scaled by 1/R
+    "positive": lambda r: scalar_spec(0.3, Robin(0.5 / r), r=r),
+    "kernel": lambda r: scalar_spec(0.5, Robin(-1.0 / r), r=r),
+    "singular dirichlet": lambda r: scalar_spec(0.4, Dirichlet(), tip="singular", r=r),
+    "one negative": lambda r: scalar_spec(0.5, Robin(-3.0 / r), r=r),
+    "negative pair": lambda r: diagonal_spec(
+        [scalar_spec(0.3, Robin(-3.0 / r), r=r),
+         scalar_spec(0.6, Robin(-3.0 / r), tip="singular", r=r)]
+    ),
+    "q2 mixed": lambda r: diagonal_spec(
+        [scalar_spec(0.0, Robin(0.5 / r), r=r), scalar_spec(0.6, Robin(0.5 / r), r=r)]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DILATION_SPECS))
+def test_spectrum_dilation_law(name):
+    # the zeros of F on (0, R] are those on (0, 1] over R: every length of the
+    # search (grid spacings and starts, bound heights, root tolerance) is a
+    # multiple of 1/R, so the searches agree to rounding
+    make = DILATION_SPECS[name]
+    unit = find_spectrum(make(1.0), 30.0)
+    for r in (0.005, 0.01, 0.1, 0.5, 2.0, 10.0, 100.0, 1e3, 1e4):
+        sp = find_spectrum(make(r), 30.0 / r)
+        assert sp.certified
+        for got, want in ((sp.positive, unit.positive), (sp.negative, unit.negative)):
+            assert len(got) == len(want), r
+            if want:
+                assert np.max(np.abs(r * np.array(got) / want - 1.0)) <= 1e-14, r
 
 
 class _Stub:
@@ -509,6 +543,14 @@ class TestSpectrum:
         oracle = bisect_root(lambda x: x / math.tanh(x) - 3.0, 1.0, 5.0)
         assert len(sp.negative) == 1
         assert abs(sp.negative[0] - oracle) < 1e-9
+
+    @pytest.mark.parametrize("r", [30.0, 1000.0])
+    def test_log_channel_negative_eigenvalue_does_not_scale(self, r):
+        # a nu = 0 singular-tip channel carries the log of x itself, not of x / R:
+        # as R grows its F(ix) vanishes at x -> 2 e^(-gamma), the zero of its
+        # model, whatever R is, far beyond the heights x R = 12 to 201
+        sp = find_spectrum(scalar_spec(0.0, Dirichlet(), tip="singular", r=r), 30.0 / r)
+        assert sp.negative == (pytest.approx(2.0 * math.exp(-np.euler_gamma), rel=1e-14),)
 
     def test_interval_length_scales_roots(self):
         # Dirichlet ends on (0, 2] push the sine roots to k pi / R
@@ -674,6 +716,11 @@ class TestAsymptoticModel:
     def test_domain_guard(self, dirichlet_half):
         with pytest.raises(ValueError):
             asymptotic_log_F_imag(dirichlet_half, 5.0)
+        # the model is asymptotic in x R
+        spec = scalar_spec(0.5, Dirichlet(), r=0.1)
+        with pytest.raises(ValueError, match="x R >= 10"):
+            asymptotic_log_F_imag(spec, 50.0)
+        assert math.isfinite(asymptotic_log_F_imag(spec, 100.0).real)
 
 
 class TestContourDecay:
@@ -691,6 +738,17 @@ class TestContourDecay:
         )
         arcs = [row[1] for row in rows]
         assert arcs[1] < arcs[0]
+
+    @pytest.mark.parametrize("r", [0.01, 0.1, 10.0, 100.0])
+    def test_dilation_law(self, r):
+        # z = w / R turns z^(-2) dlog F dz on (0, R] into R^2 w^(-2) dlog F dw on
+        # (0, 1]: the abscissae, their validated range and the shifts off the
+        # zeros of F all scale with 1/R
+        a_unit = [8.2, 8.2 + 2.0 * math.pi, 30.0]
+        want = verify_contour_decay(scalar_spec(0.5, Robin(0.7)), 1.0, a_unit)
+        spec = scalar_spec(0.5, Robin(0.7 / r), r=r)
+        got = verify_contour_decay(spec, 1.0, [a / r for a in a_unit])
+        assert np.max(np.abs(np.array(got) / (r * r * np.array(want)) - 1.0)) <= 1e-14
 
     def test_rejects_bad_parameters(self, kernel_fixture_bessel):
         with pytest.raises(ValueError):
