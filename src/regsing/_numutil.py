@@ -44,7 +44,7 @@ _GL_RTOL = 1e-13
 # met so far takes about 1.2e5.
 _GL_MAX_NODES = 1 << 18
 # The error estimate adds this share of the integral of |f| for the rounding of
-# the integrand values, unseen by the panel differences (about 9 eps on the zeta arc)
+# the integrand values, unseen by the panel differences
 _GL_ROUNDING = 32.0 * sys.float_info.epsilon
 
 

@@ -36,7 +36,7 @@ import warnings
 from dataclasses import dataclass
 
 from ._numutil import NumericalError
-from .determinant import scalar_closed_form_value
+from .determinant import det_wronskian_scalar
 from .operators import Dirichlet, Robin
 from .special import gamma_fn
 
@@ -258,7 +258,7 @@ def component_report(cone: ConeSpec, k: int) -> list[ComponentFactor]:
             harmonic = abs(nu - nu_h) <= 1e-12 and cone.harmonic_dim(k) == mult
             src = "harmonic-k" if harmonic else "coclosed"
             out.append(
-                ComponentFactor(src, nu, mult, scalar_closed_form_value(nu, Dirichlet()))
+                ComponentFactor(src, nu, mult, det_wronskian_scalar(nu, Dirichlet()))
             )
     elif half < k < half + 2.0:
         d = cone.harmonic_dim(k - 1)
@@ -267,7 +267,7 @@ def component_report(cone: ConeSpec, k: int) -> list[ComponentFactor]:
         for nu, mult in contrib.a_tilde_km2:
             out.append(
                 ComponentFactor(
-                    "exact", nu, mult, scalar_closed_form_value(nu, Robin(half + 1.0 - k))
+                    "exact", nu, mult, det_wronskian_scalar(nu, Robin(half + 1.0 - k))
                 )
             )
     for nu, mult in contrib.b_set:

@@ -16,10 +16,10 @@ Three independent routes to det_zeta:
   F~(mu) = F(mu)/mu^(2 k0), det = F~(0) / ((-1)^k0 C), F~(0) from the
   Taylor circle of the kernel order.
 
-`log mu` and `mu^(-2s)` on gamma_t use the principal branch, which is
-continuous on the right-half-plane arc; that choice is forced by exact
-t-independence of Q (a branch jumping by 2 pi i across the positive
-real axis would add a t-dependent defect).
+`log mu` on gamma_t uses the principal branch, continuous on the arc, as
+exact t-independence of Q forces (a branch jumping by 2 pi i across the
+positive real axis would add a t-dependent defect).  The zeta contour's
+arc is a series in the Taylor circle's power sums instead (`zeta_eval`).
 
 `det_wronskian_scalar` is the independent scalar oracle
 sqrt(2 pi) W / (2^nu Gamma(1+nu)) with W = alpha + nu + 1/2 (Robin,
@@ -88,12 +88,14 @@ def _as_positive_real(value: complex, what: str) -> float:
     return v
 
 
-def scalar_closed_form_value(nu: float, regular_bc: RegularBC) -> float:
-    """Determinant of the scalar regular-branch extension on (0, 1], any nu >= 0.
+def det_wronskian_scalar(nu: float, regular_bc: RegularBC) -> float:
+    """Scalar oracle sqrt(2 pi) W / (2^nu Gamma(1+nu)) on (0, 1], any nu >= 0.
 
-    Robin: sqrt(2 pi) (alpha + nu + 1/2) / (Gamma(1+nu) 2^nu), requires
-    alpha != -nu - 1/2 (kernel otherwise).  Dirichlet: the same with the
-    Wronskian factor equal to 1.
+    W is the Wronskian of the tip-normalized solution phi(x) = x^(nu+1/2)
+    against the end-normalized solution psi: W = alpha + nu + 1/2 for the
+    Robin condition (psi(1) = 1, psi'(1) = -alpha), which has a kernel
+    (:class:`KernelPresentError`) where W = 0, and W = 1 under the
+    Dirichlet normalization convention.
     """
     if nu < 0.0:
         raise ValueError("nu must be >= 0")
@@ -104,21 +106,6 @@ def scalar_closed_form_value(nu: float, regular_bc: RegularBC) -> float:
     if w == 0.0:
         raise KernelPresentError("alpha = -nu - 1/2 has a kernel; no closed-form value")
     return base * w
-
-
-def det_wronskian_scalar(
-    nu: float, regular_bc: RegularBC, r: float = 1.0
-) -> float:
-    """Scalar oracle sqrt(2 pi) W / (2^nu Gamma(1+nu)).
-
-    W is the Wronskian of the tip-normalized solution phi(x) = x^(nu+1/2)
-    against the end-normalized solution psi: W = alpha + nu + 1/2 for the
-    Robin condition (psi(1) = 1, psi'(1) = -alpha), W = 1 under the
-    Dirichlet normalization convention.  Unit interval only.
-    """
-    if r != 1.0:
-        raise ValueError("the Wronskian normalization is quoted for R = 1")
-    return scalar_closed_form_value(nu, regular_bc)
 
 
 def det_zeta_closed_form(spec: OperatorSpec) -> DeterminantReport:
@@ -186,25 +173,6 @@ def _certify(ev: SecularEvaluator, t: float) -> None:
         )
 
 
-def _gamma_t_integral(ev: SecularEvaluator, t: float, weight, k0: int = 0, first=None):
-    """Integral over the semicircle from it to -it (through +t) of weight(mu) * dlog F~
-    and its error estimate; ``first`` is dlog F at t e^(i _ARC_NODES) when the caller
-    has it."""
-
-    def integrand(phi: np.ndarray, dl=None) -> np.ndarray:
-        mu = t * np.exp(1j * phi)
-        dl = ev.dlog(mu) if dl is None else off_zeros(dl)
-        if k0:
-            dl = dl - 2.0 * k0 / mu
-        return weight(mu) * dl * 1j * mu
-
-    if first is not None:
-        first = integrand(_ARC_NODES, first)
-    # orientation: phi runs pi/2 -> -pi/2
-    val, err = gauss_legendre(integrand, _ARC, first=first, counts=ev.counts)
-    return -val, err
-
-
 def det_zeta_finite_t(spec: OperatorSpec, t_abs: float) -> DeterminantReport:
     """Finite-t cross-check of the determinant (kernel-free operators).
 
@@ -241,8 +209,14 @@ def _finite_t(ev: SecularEvaluator, t_abs: float) -> DeterminantReport:
             raise RootInsideContourError("F(it) vanished on the contour")
     else:
         ratio = _as_positive_real(ratio, "F(it) / (C (-1)^(q0-j0))")
-    arc, _ = _gamma_t_integral(ev, t_abs, np.log, first=dlog[1:])
-    arc_term = _real(arc / (1j * math.pi), "gamma_t integral")
+
+    def integrand(phi: np.ndarray, dl=None) -> np.ndarray:  # phi runs pi/2 -> -pi/2
+        mu = t_abs * np.exp(1j * phi)
+        return np.log(mu) * (ev.dlog(mu) if dl is None else off_zeros(dl)) * 1j * mu
+
+    first = integrand(_ARC_NODES, dlog[1:])
+    arc, _ = gauss_legendre(integrand, _ARC, first=first, counts=ev.counts)
+    arc_term = _real(-arc / (1j * math.pi), "gamma_t integral")
     log_ratio = math.log(ratio) + log_scale
     q_val = -log_ratio + (cv.j0 - spec.q0) * (EULER_GAMMA + math.log(2.0)) - arc_term
     value = math.exp(-q_val)
@@ -307,16 +281,19 @@ def det_zeta_auto(spec: OperatorSpec) -> DeterminantReport:
     its relative gap ``finite_t_gap`` to the closed form, or the reason
     the route failed in ``finite_t_error``, and the certificate of the
     disk below the radius, ``zero_free_margin`` (above 1 certifies).
+    ``zeta_1`` is zeta(1) = p_1 / rho of :attr:`SecularEvaluator.power_sums`.
     The probes of the kernel order are one kernel pass, all a kernel
     request makes; F(it) and the arc's first Gauss-Legendre round are a
     second.  ``passes`` and ``nodes`` count the kernel passes and
     quadrature nodes of the request.
     """
     ev = SecularEvaluator(spec)
-    if ev.k0:
-        return _counted(ev, _regularized(ev))
-    report = _closed_form(ev)
+    report = _regularized(ev) if ev.k0 else _closed_form(ev)
     diag = report.diagnostics  # a fresh dict, owned by this report
+    c = ev._taylor[0]
+    diag["zeta_1"] = -(c[ev.k0 + 1] / c[ev.k0]).real / ev.circle_radius**2  # one division
+    if ev.k0:
+        return _counted(ev, report)
     t = _CONTOUR_TR / ev.r
     diag["finite_t_radius"] = t
     diag["zero_free_margin"] = ev.zero_free_margin(t)
@@ -343,9 +320,9 @@ def det_zeta_auto(spec: OperatorSpec) -> DeterminantReport:
 
 @dataclass(frozen=True)
 class ZetaReport:
-    """The two zeta estimates at s; `t` is the radius of the contour's arc,
-    and `passes` and `nodes` count the kernel passes and quadrature nodes of
-    the contour estimate."""
+    """The two zeta estimates at s; `t` is the radius of the contour's arc (0.1 / R,
+    or a half or a quarter of it at a non-integer s), and `passes` and `nodes`
+    count the kernel passes and quadrature nodes of the contour estimate."""
 
     s: float
     direct: float | None
@@ -405,58 +382,66 @@ def _zeta_direct(s: float, spectrum: Spectrum) -> tuple[float, float]:
     return head + tail, err
 
 
-def _zeta_contour(ev: SecularEvaluator, s: float, t: float) -> tuple[float, float]:
-    k0, cv, model = ev.k0, ev.cv, ev.model
-    x_cut = _RAY_CUT_XR / ev.r  # the ray is integrated up to here, the model beyond
+def _zeta_contour(ev: SecularEvaluator, s: float, t: float) -> tuple[float, float, float]:
+    """The contour of :func:`zeta_eval` at s: zeta(s), its error and the arc's radius."""
     _certify(ev, t)
+    p, dp = ev.power_sums
+    m = round(s)
+    if s == m:  # the arc alone, zeta(m) = p_m / rho^m
+        if m > p.size:
+            raise NumericalError(f"zeta({m}) needs p_{m}, past the circle's {p.size} power sums")
+        scale = ev.circle_radius ** (-2 * m)
+        return p[m - 1] * scale, dp[m - 1] * scale + 1e-12 * abs(p[m - 1] * scale), t
+    while not ev.zero_free(4.0 * t):  # at most twice: the disk below t is certified
+        t *= 0.5
+    k0, model, log_pow = ev.k0, ev.model, ev.cv.j0 - ev.spec.q0
+    x_cut = _RAY_CUT_XR / ev.r  # the ray is integrated up to here, the model beyond
+    if log_pow and math.log(x_cut) <= model.gamma_tilde:  # the tail's exp1 needs x > e^gamma~
+        raise RootInsideContourError(f"the model of F(ix) vanishes beyond the ray end {x_cut}")
 
     def ray_integrand(x: np.ndarray, dl=None) -> np.ndarray:
         # x^(-2s) d/dx log F~(ix), with d/dx log F(ix) = Re(i dlog F(ix))
-        g = (1j * (ev.dlog(1j * x) if dl is None else off_zeros(dl))).real
-        if k0:
-            g = g - 2.0 * k0 / x
+        g = (1j * (ev.dlog(1j * x) if dl is None else off_zeros(dl))).real - 2.0 * k0 / x
         return x ** (-2.0 * s) * g
 
-    sin_fac = math.sin(math.pi * s) / math.pi
-    log_pow = cv.j0 - ev.spec.q0
-    ray = ray_err = tail = 0.0
-    if abs(sin_fac) > 1e-15:
-        if log_pow and math.log(x_cut) <= model.gamma_tilde:  # the tail's exp1 needs x > e^gamma~
-            raise RootInsideContourError(f"the model of F(ix) vanishes beyond the ray end {x_cut}")
-        # the integrand varies on the scale x: geometric panels, about one per doubling
-        panels = max(1, math.ceil(math.log2(x_cut / t)))
-        edges = np.geomspace(t, x_cut, panels + 1)
-        # F(it) and the first round in one pass; a sign change of F(ix) is a negative eigenvalue
-        x = np.concatenate(([t], first_nodes(edges)))
-        mants, _, dlog = ev._scaled_dlog(1j * x)
-        order = np.argsort(x)
-        flips = np.flatnonzero(mants.real[order][:-1] * mants.real[order][1:] <= 0.0)
-        if flips.size:
-            raise RootInsideContourError(f"F(ix) changes sign below x = {x[order][flips[0] + 1]}")
-        first = ray_integrand(x[1:], dlog[1:])
-        ray, ray_err = gauss_legendre(ray_integrand, edges, first=first, counts=ev.counts)
+    # the integrand varies on the scale x: geometric panels, about one per doubling
+    panels = max(1, math.ceil(math.log2(x_cut / t)))
+    edges = np.geomspace(t, x_cut, panels + 1)
+    # F(it) and the first round in one pass; a sign change of F(ix) is a negative eigenvalue
+    x = np.concatenate(([t], first_nodes(edges)))
+    mants, _, dlog = ev._scaled_dlog(1j * x)
+    order = np.argsort(x)
+    flips = np.flatnonzero(mants.real[order][:-1] * mants.real[order][1:] <= 0.0)
+    if flips.size:
+        raise RootInsideContourError(f"F(ix) changes sign below x = {x[order][flips[0] + 1]}")
+    first = ray_integrand(x[1:], dlog[1:])
+    ray, ray_err = gauss_legendre(ray_integrand, edges, first=first, counts=ev.counts)
 
-        exponent = model.exponent - 2.0 * k0
-        tail = model.growth_rate * x_cut ** (1.0 - 2.0 * s) / (2.0 * s - 1.0)
-        tail += exponent * x_cut ** (-2.0 * s) / (2.0 * s)
-        if log_pow:
-            tail += log_pow * (
-                -math.exp(-2.0 * s * model.gamma_tilde)
-                * float(sc.exp1(2.0 * s * (math.log(x_cut) - model.gamma_tilde)))
-            )
+    exponent = model.exponent - 2.0 * k0
+    tail = model.growth_rate * x_cut ** (1.0 - 2.0 * s) / (2.0 * s - 1.0)
+    tail += exponent * x_cut ** (-2.0 * s) / (2.0 * s)
+    if log_pow:
+        tail += log_pow * (
+            -math.exp(-2.0 * s * model.gamma_tilde)
+            * float(sc.exp1(2.0 * s * (math.log(x_cut) - model.gamma_tilde)))
+        )
 
-    arc, arc_err = _gamma_t_integral(ev, t, lambda mu: np.exp(-2.0 * s * np.log(mu)), k0=k0)
-    value = sin_fac * (ray + tail) + _real(arc / (2.0j * math.pi), "arc term of the zeta contour")
+    # sin(pi s) / pi from s - m, exact, so that s near an integer keeps its digits; the arc,
+    # sum zeta(n) t^(2(n-s)) sin(pi(n-s)) / (pi(n-s)), is sin_fac sum p_n w_n
+    sin_fac = (-1.0) ** m * math.sin(math.pi * (s - m)) / math.pi
+    n = np.arange(1, p.size + 1)
+    z, t2s = (t / ev.circle_radius) ** 2, t ** (-2.0 * s)
+    w = (-1.0) ** (n + 1) * z**n * t2s / (n - s)
+    value = sin_fac * (ray + tail + p @ w)
     # the model remainder decays like 1/x (1/log x when q0 != j0)
     rem_scale = 1.0 / _RAY_CUT_XR if log_pow == 0 else 1.0 / math.log(_RAY_CUT_XR)
-    err = abs(sin_fac) * (ray_err + abs(tail) * rem_scale) + arc_err / (2.0 * math.pi)
-    err += 1e-12 * (1.0 + abs(value))
-    if k0:
-        # rounding: each kernel column of N cancels O(1) terms to O((mu R)^2), an error
-        # that dlog F ~ 2 k0 / mu keeps while dlog F~ drops to O(mu): k0 eps t^(-2s)
-        # (t R)^-2 = 100 k0 eps t^(-2s) over the arc, and at most as much again over the ray
-        err += 200.0 * k0 * sys.float_info.epsilon * t ** (-2.0 * s)
-    return value, err
+    err = abs(sin_fac) * (ray_err + abs(tail) * rem_scale + dp @ abs(w))
+    # each term n > p.size is below |p_2| z^2 16^(2-n) t^(-2s): no zero below 4 t
+    err += (abs(p[1]) + dp[1]) * z**2 * 16.0 ** (2 - p.size) / 15.0 * t2s + 1e-12 * abs(value)
+    # a kernel column of N cancels O(1) terms to O((mu R)^2), a rounding error that
+    # dlog F ~ 2 k0 / mu keeps and dlog F~ does not: k0 eps t^(-2s) (t R)^-2 over the ray
+    err += k0 * sys.float_info.epsilon * t2s / (t * ev.r) ** 2
+    return value, err, t
 
 
 def check_zeta_s(s: float) -> None:
@@ -471,16 +456,17 @@ def zeta_eval(spec: OperatorSpec, s: float, spectrum: Spectrum | None = None) ->
     The direct estimator (eigenvalue sum plus a fitted Hurwitz tail)
     runs first and only on a given Spectrum, so a spectrum with negative
     eigenvalues raises :class:`NegativeSpectrumError` before the contour
-    sees them.  The contour estimator is always computed: the arc of
-    radius t = 0.1 / R (``ZetaReport.t``), the imaginary ray up to x R = 40
-    and the asymptotic model beyond.  Unless the Taylor circle certifies
-    the disk below t free of zeros of F~ (:meth:`SecularEvaluator.zero_free`),
-    :class:`RootInsideContourError` is raised before the contour is
-    sampled.  The arc and the ray (absent at integer s) take one pass per
-    Gauss-Legendre round; F(it) rides along in the ray's first, and where
-    F(ix) changes sign between its neighbouring nodes (a negative
-    eigenvalue on the ray), or the ray ends where the model of a log
-    channel vanishes, :class:`RootInsideContourError` is raised too.
+    sees them.  The contour estimator is always computed; it raises
+    :class:`RootInsideContourError` unless the Taylor circle certifies the
+    disk below t = 0.1 / R free of zeros of F~ (:meth:`SecularEvaluator.zero_free`).
+    Its arc is sum_n zeta(n) t^(2(n-s)) sin(pi(n-s)) / (pi(n-s)) over the
+    circle's :attr:`SecularEvaluator.power_sums`: zeta(s) itself at an
+    integer s <= 15 - k0.  At other s, t is halved, at most twice, until the
+    circle certifies the disk below 4 t (``ZetaReport.t``), and the ray from
+    t to x R = 40, one pass per Gauss-Legendre round, and the model beyond
+    are added.  A sign change of F(ix) between the ray's nodes (a negative
+    eigenvalue), or a ray end where a log channel's model vanishes, raises
+    :class:`RootInsideContourError` too.
     Operators with nonzero kernel are handled through F/mu^(2 k0), the
     zeta function of the nonzero spectrum.
     A spectrum found for this same ``spec`` object lends its prepared
@@ -495,8 +481,7 @@ def zeta_eval(spec: OperatorSpec, s: float, spectrum: Spectrum | None = None) ->
     if ev is None or ev.spec is not spec:
         ev = SecularEvaluator(spec)
     before = Counter(ev.counts)
-    t = _CONTOUR_TR / ev.r
-    contour, contour_err = _zeta_contour(ev, s, t)
+    contour, contour_err, t = _zeta_contour(ev, s, _CONTOUR_TR / ev.r)
     used = ev.counts - before
     return ZetaReport(
         s=float(s),

@@ -146,8 +146,8 @@ class SecularEvaluator:
     are worked out on first use and kept, so every route of one request
     reads the same decision.  The probes of `k0` are F(0), kept as `f0`,
     and the circle mu_j = `circle_radius` e^(i pi j/16), whose FFT gives
-    `k0`, `f_tilde0` = F~(0), the decision's `floor_margin` and the
-    certificate :meth:`zero_free` of the contour disks.
+    `k0`, `f_tilde0` = F~(0), the decision's `floor_margin`, the certificate
+    :meth:`zero_free` of the contour disks and the zeta `power_sums`.
     :meth:`scaled`, :meth:`value` and :meth:`dlog` are computed
     over an ndarray mu and keep its shape; a scalar mu is evaluated as a
     one-element array and comes back as Python scalars.  :meth:`sample`
@@ -297,6 +297,21 @@ class SecularEvaluator:
         """Whether the Taylor circle certifies F~ free of zeros on |mu| < t,
         without a further sample of F (:meth:`zero_free_margin` above 1)."""
         return self.zero_free_margin(t) > 1.0
+
+    @cached_property
+    def power_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """p_n = sum_k (rho / lambda_k)^n over the zeros lambda_k of F~ in lambda = mu^2 (rho =
+        circle_radius^2, zeta(n) = p_n / rho^n), n <= 15 - k0, and their rounding bounds, from
+        Newton's identities n b_n + sum_{i=1}^{n} b_{n-i} p_i = 0 on b_j = c_{k0+j} / c_k0."""
+        c, floor = self._taylor
+        b = (c[self.k0 :] / c[self.k0]).real.tolist()
+        db = [floor / abs(c[self.k0]) * (1.0 + abs(v)) for v in b]
+        p, dp = [0.0], [0.0]
+        for n in range(1, len(b)):
+            p.append(-n * b[n] - sum(b[n - i] * p[i] for i in range(1, n)))
+            terms = (db[n - i] * abs(p[i]) + abs(b[n - i]) * dp[i] for i in range(1, n))
+            dp.append(n * db[n] + sum(terms))
+        return np.array(p[1:]), np.array(dp[1:])
 
     # -- row entries --------------------------------------------------------
 
