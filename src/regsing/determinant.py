@@ -115,8 +115,7 @@ def det_zeta_closed_form(spec: OperatorSpec) -> DeterminantReport:
 
 
 def _counted(ev: SecularEvaluator, report: DeterminantReport) -> DeterminantReport:
-    """The report, its diagnostics given the kernel passes and quadrature nodes
-    spent on ``ev``."""
+    """The report, its diagnostics given the kernel passes and nodes spent on ``ev``."""
     report.diagnostics.update(passes=ev.counts["passes"], nodes=ev.counts["nodes"])
     return report
 
@@ -130,8 +129,7 @@ def _closed_form(ev: SecularEvaluator) -> DeterminantReport:
     f0 = ev.f0
     raw = f0 * (-2.0 * math.exp(EULER_GAMMA)) ** (spec.q0 - cv.j0) / ev.model.c
     log_singular = cv.j0 != spec.q0
-    diagnostics = {"f_zero": f0.real, "alpha0": cv.alpha0, "j0": cv.j0}
-    diagnostics["floor_margin"] = ev.floor_margin
+    diagnostics = dict(f_zero=f0.real, alpha0=cv.alpha0, j0=cv.j0, floor_margin=ev.floor_margin)
     if log_singular:
         # the defect-subtracted object carries the sign (-2 e^gamma)^(q0-j0);
         # the reported value is its modulus, the signed number goes to the
@@ -252,9 +250,7 @@ def _regularized(ev: SecularEvaluator) -> DeterminantReport:
     if k0 == 0:
         raise NumericalError("kernel is trivial; use det_zeta_closed_form")
     if ev.cv.j0 != ev.spec.q0:
-        raise NumericalError(
-            "nonzero kernel with j0 != q0 is outside the supported regime"
-        )
+        raise NumericalError("nonzero kernel with j0 != q0 is outside the supported regime")
     f_tilde_0 = _real(ev.f_tilde0, "F~(0)")
     c_tilde = (-1.0) ** k0 * ev.model.c
     value = _as_positive_real(f_tilde_0 / c_tilde, "regularized determinant F~(0)/C~")
@@ -281,7 +277,7 @@ def det_zeta_auto(spec: OperatorSpec) -> DeterminantReport:
     its relative gap ``finite_t_gap`` to the closed form, or the reason
     the route failed in ``finite_t_error``, and the certificate of the
     disk below the radius, ``zero_free_margin`` (above 1 certifies).
-    ``zeta_1`` is zeta(1) = p_1 / rho of :attr:`SecularEvaluator.power_sums`.
+    ``zeta_1`` is zeta(1) from the circle, :attr:`SecularEvaluator.zeta_1`.
     The probes of the kernel order are one kernel pass, all a kernel
     request makes; F(it) and the arc's first Gauss-Legendre round are a
     second.  ``passes`` and ``nodes`` count the kernel passes and
@@ -290,8 +286,7 @@ def det_zeta_auto(spec: OperatorSpec) -> DeterminantReport:
     ev = SecularEvaluator(spec)
     report = _regularized(ev) if ev.k0 else _closed_form(ev)
     diag = report.diagnostics  # a fresh dict, owned by this report
-    c = ev._taylor[0]
-    diag["zeta_1"] = -(c[ev.k0 + 1] / c[ev.k0]).real / ev.circle_radius**2  # one division
+    diag["zeta_1"] = ev.zeta_1
     if ev.k0:
         return _counted(ev, report)
     t = _CONTOUR_TR / ev.r
@@ -304,12 +299,8 @@ def det_zeta_auto(spec: OperatorSpec) -> DeterminantReport:
     else:
         diag["finite_t_value"] = finite_t
         diag["finite_t_gap"] = abs(finite_t - report.value) / report.value
-    if (
-        spec.q == 1
-        and spec.r == 1.0
-        and spec.boundary.b_mat[0, 0] != 0
-        and spec.boundary.a_mat[0, 0] == 0
-    ):
+    tip = spec.boundary
+    if spec.q == 1 and spec.r == 1.0 and tip.b_mat[0, 0] != 0 and tip.a_mat[0, 0] == 0:
         diag["wronskian_value"] = det_wronskian_scalar(spec.nus[0], spec.regular_bc)
     return _counted(ev, report)
 
@@ -320,9 +311,8 @@ def det_zeta_auto(spec: OperatorSpec) -> DeterminantReport:
 
 @dataclass(frozen=True)
 class ZetaReport:
-    """The two zeta estimates at s; `t` is the radius of the contour's arc (0.1 / R,
-    or a half or a quarter of it at a non-integer s), and `passes` and `nodes`
-    count the kernel passes and quadrature nodes of the contour estimate."""
+    """The two zeta estimates at s; `t` is the arc's radius (0.1 / R, halved at most twice
+    at a non-integer s), `passes` and `nodes` the contour's kernel passes and quadrature nodes."""
 
     s: float
     direct: float | None
@@ -390,8 +380,11 @@ def _zeta_contour(ev: SecularEvaluator, s: float, t: float) -> tuple[float, floa
     if s == m:  # the arc alone, zeta(m) = p_m / rho^m
         if m > p.size:
             raise NumericalError(f"zeta({m}) needs p_{m}, past the circle's {p.size} power sums")
-        scale = ev.circle_radius ** (-2 * m)
-        return p[m - 1] * scale, dp[m - 1] * scale + 1e-12 * abs(p[m - 1] * scale), t
+        scale = math.prod([1.0 / ev.circle_radius] * (2 * m))  # inf, not OverflowError, at large R
+        value = p[m - 1] * scale
+        if not math.isfinite(value):
+            raise NumericalError(f"zeta({m}) = {value} is beyond the float range")
+        return value, dp[m - 1] * scale + 1e-12 * abs(value), t
     while not ev.zero_free(4.0 * t):  # at most twice: the disk below t is certified
         t *= 0.5
     k0, model, log_pow = ev.k0, ev.model, ev.cv.j0 - ev.spec.q0
@@ -445,9 +438,9 @@ def _zeta_contour(ev: SecularEvaluator, s: float, t: float) -> tuple[float, floa
 
 
 def check_zeta_s(s: float) -> None:
-    """Raise ValueError unless s > 1/2, where the zeta sum and its contour converge."""
-    if s <= 0.5:
-        raise ValueError("zeta_eval needs s > 1/2")
+    """Raise ValueError unless 1/2 < s < inf, where the zeta sum and its contour converge."""
+    if not 0.5 < s < math.inf:  # NaN too
+        raise ValueError("zeta_eval needs s > 1/2" if s <= 0.5 else "zeta_eval needs a finite s")
 
 
 def zeta_eval(spec: OperatorSpec, s: float, spectrum: Spectrum | None = None) -> ZetaReport:

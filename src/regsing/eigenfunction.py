@@ -301,17 +301,24 @@ class SecularEvaluator:
     @cached_property
     def power_sums(self) -> tuple[np.ndarray, np.ndarray]:
         """p_n = sum_k (rho / lambda_k)^n over the zeros lambda_k of F~ in lambda = mu^2 (rho =
-        circle_radius^2, zeta(n) = p_n / rho^n), n <= 15 - k0, and their rounding bounds, from
-        Newton's identities n b_n + sum_{i=1}^{n} b_{n-i} p_i = 0 on b_j = c_{k0+j} / c_k0."""
-        c, floor = self._taylor
-        b = (c[self.k0 :] / c[self.k0]).real.tolist()
-        db = [floor / abs(c[self.k0]) * (1.0 + abs(v)) for v in b]
+        circle_radius^2, zeta(n) = p_n / rho^n), n <= 15 - k0, and their rounding bounds, by
+        Newton's identities n b_n + sum_{i=1}^{n} b_{n-i} p_i = 0 on b_j = c_{k0+j} / c_k0.  The
+        top three c_n of the entire F are rounding: m times the largest bounds every c_n's."""
+        c = self._taylor[0] / self._taylor[0][self.k0]
+        noise, b = _CIRCLE_POINTS * float(np.max(np.abs(c[-3:]))), c[self.k0 :].real.tolist()
+        db = [noise * (1.0 + abs(v)) for v in b]
         p, dp = [0.0], [0.0]
         for n in range(1, len(b)):
             p.append(-n * b[n] - sum(b[n - i] * p[i] for i in range(1, n)))
             terms = (db[n - i] * abs(p[i]) + abs(b[n - i]) * dp[i] for i in range(1, n))
             dp.append(n * db[n] + sum(terms))
         return np.array(p[1:]), np.array(dp[1:])
+
+    @property
+    def zeta_1(self) -> float:
+        """zeta(1) = p_1 / rho = -b_1 / rho, the first of :attr:`power_sums` alone: one division."""
+        scale = self.r / math.sqrt(_CIRCLE_RHO)  # 1 / rho = scale^2
+        return -(self._taylor[0][self.k0 + 1] / self._taylor[0][self.k0]).real * scale * scale
 
     # -- row entries --------------------------------------------------------
 

@@ -273,6 +273,12 @@ class TestValidateAndSchema:
         assert err == "regsing: numerical failure: zeta_eval needs s > 1/2\n"
         assert scans == []
 
+    def test_infinite_s_exits_3(self, write_doc, capsys):
+        code, out, err = run_cli(capsys, "zeta", write_doc(bessel_doc()), "--s", "inf")
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert err == "regsing: numerical failure: zeta_eval needs a finite s\n"
+
     @pytest.mark.parametrize("argv", OPERATOR_COMMANDS, ids=lambda argv: argv[0])
     def test_rank_deficient_operator_exits_2(self, write_doc, capsys, argv):
         # the evaluator's validation is the only one, and it is an input error

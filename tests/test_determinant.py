@@ -705,18 +705,6 @@ class TestZeta:
             assert abs(rep.contour - want) <= rep.contour_error, r
             assert abs(rep.contour - want) <= (1e-10 if s == 3.0 else 1e-12) * want, r
 
-    @pytest.mark.parametrize("s", [1.0, 2.0, 3.0])
-    @pytest.mark.parametrize("r", [0.1, 1.0, 10.0])
-    @pytest.mark.parametrize("nu", [0.0, 0.3, 0.7])
-    def test_dirichlet_contour_is_the_rayleigh_sum(self, nu, r, s):
-        # the spectrum is j_{nu,k} / R; at an integer s the contour is a power
-        # sum of the Taylor circle, with no pass and no quadrature node beyond
-        # the probes
-        rep = zeta_eval(scalar_spec(nu, Dirichlet(), r=r), s)
-        want = _rayleigh(nu, s) * r ** (2.0 * s)
-        assert abs(rep.contour - want) <= min(rep.contour_error, 1e-12 * want)
-        assert (rep.passes, rep.nodes) == (1, 0)
-
     @pytest.mark.parametrize("s", [1.5, 2.5])
     @pytest.mark.parametrize("w", [0.02, 0.01, 0.006, 0.0052, 0.00505])
     @pytest.mark.parametrize("nu", [0.0, 0.3])
@@ -747,15 +735,19 @@ class TestZeta:
 
     @pytest.mark.parametrize("nu", [0.0, 0.3, 0.7])
     def test_contour_error_covers_integer_s(self, nu):
-        # Dirichlet at s = 3: the contour is the power sum p_3 of the Taylor
-        # circle, which misses the Rayleigh sum 1/(32 (nu+1)^3 (nu+2) (nu+3))
-        # by at most 4e-13; its error, the circle's floor of 64 eps per
-        # coefficient through Newton's identities, is up to 1.7e-10
-        rep = zeta_eval(scalar_spec(nu, Dirichlet()), 3.0)
-        want = 1.0 / (32.0 * (nu + 1.0) ** 3 * (nu + 2.0) * (nu + 3.0))
-        err = abs(rep.contour - want)
-        assert err <= 1e-12 * want
-        assert err <= rep.contour_error <= 2e-10 * want
+        # Dirichlet: the spectrum is j_{nu,k} / R.  At an integer s the contour
+        # is the power sum p_s of the Taylor circle, with no pass and no
+        # quadrature node beyond the probes; it misses the Rayleigh sum by at
+        # most 4e-13, and its error, the rounding of the circle's top
+        # coefficients through Newton's identities, stays below 3e-11
+        for r in [0.1, 1.0, 10.0]:
+            for s in [1.0, 2.0, 3.0]:
+                rep = zeta_eval(scalar_spec(nu, Dirichlet(), r=r), s)
+                want = _rayleigh(nu, s) * r ** (2.0 * s)
+                miss = abs(rep.contour - want)
+                assert miss <= 1e-12 * want, (r, s)
+                assert miss <= rep.contour_error <= 1e-10 * want, (r, s)
+                assert (rep.passes, rep.nodes) == (1, 0), (r, s)
 
     @pytest.mark.parametrize(
         "spec, mu_max, n, want",
@@ -841,6 +833,12 @@ class TestZeta:
     def test_s_domain(self, dirichlet_half):
         with pytest.raises(ValueError):
             zeta_eval(dirichlet_half, 0.5)
+        for s in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                zeta_eval(dirichlet_half, s)
+        # zeta(2) = 0.016 R^4 is past the float range: a typed error, not OverflowError
+        with pytest.raises(NumericalError, match="float range"):
+            zeta_eval(scalar_spec(0.3, Dirichlet(), r=1e150), 2.0)
         # the circle's power sums reach n = 15 - k0
         assert zeta_eval(dirichlet_half, 15.0).contour > 0.0
         with pytest.raises(NumericalError, match="needs p_16"):
