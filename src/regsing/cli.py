@@ -45,6 +45,7 @@ from .determinant import check_zeta_s, det_zeta_auto, zeta_eval
 from .eigenfunction import (
     InvalidOperatorError,
     SecularEvaluator,
+    _unscaled,
     eval_F_at_zero,
     find_spectrum,
     verify_contour_decay,
@@ -252,9 +253,8 @@ def _cmd_eval_f(args: argparse.Namespace, doc: dict):
     if args.mu is None:
         raise SchemaError("eval-f needs --mu")
     spec = parse_operator_document(doc)
-    ev = SecularEvaluator(spec)
-    value = ev.value(args.mu)
-    mant, logs = ev.scaled(args.mu)
+    mant, logs = SecularEvaluator(spec).scaled(args.mu)
+    value = complex(_unscaled(mant, logs))  # one kernel pass
     payload = {
         "mu": {"re": args.mu.real, "im": args.mu.imag},
         "value": {"re": value.real, "im": value.imag},

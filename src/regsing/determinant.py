@@ -372,6 +372,13 @@ def _zeta_direct(s: float, spectrum: Spectrum) -> tuple[float, float]:
     return head + tail, err
 
 
+def _with_digit(value: float, err: float, t: float) -> tuple[float, float, float]:
+    """(value, err, t); raises NumericalError where err leaves value without a digit."""
+    if not err < abs(value):  # NaN too
+        raise NumericalError(f"the zeta contour {value:.3g} +- {err:.3g} carries no digit")
+    return value, err, t
+
+
 def _zeta_contour(ev: SecularEvaluator, s: float, t: float) -> tuple[float, float, float]:
     """The contour of :func:`zeta_eval` at s: zeta(s), its error and the arc's radius."""
     _certify(ev, t)
@@ -384,7 +391,7 @@ def _zeta_contour(ev: SecularEvaluator, s: float, t: float) -> tuple[float, floa
         value = p[m - 1] * scale
         if not math.isfinite(value):
             raise NumericalError(f"zeta({m}) = {value} is beyond the float range")
-        return value, dp[m - 1] * scale + 1e-12 * abs(value), t
+        return _with_digit(value, dp[m - 1] * scale + 1e-12 * abs(value), t)
     while not ev.zero_free(4.0 * t):  # at most twice: the disk below t is certified
         t *= 0.5
     k0, model, log_pow = ev.k0, ev.model, ev.cv.j0 - ev.spec.q0
@@ -434,7 +441,7 @@ def _zeta_contour(ev: SecularEvaluator, s: float, t: float) -> tuple[float, floa
     # a kernel column of N cancels O(1) terms to O((mu R)^2), a rounding error that
     # dlog F ~ 2 k0 / mu keeps and dlog F~ does not: k0 eps t^(-2s) (t R)^-2 over the ray
     err += k0 * sys.float_info.epsilon * t2s / (t * ev.r) ** 2
-    return value, err, t
+    return _with_digit(value, err, t)
 
 
 def check_zeta_s(s: float) -> None:
@@ -459,7 +466,8 @@ def zeta_eval(spec: OperatorSpec, s: float, spectrum: Spectrum | None = None) ->
     t to x R = 40, one pass per Gauss-Legendre round, and the model beyond
     are added.  A sign change of F(ix) between the ray's nodes (a negative
     eigenvalue), or a ray end where a log channel's model vanishes, raises
-    :class:`RootInsideContourError` too.
+    :class:`RootInsideContourError` too, and an error as large as the value
+    raises :class:`NumericalError`.
     Operators with nonzero kernel are handled through F/mu^(2 k0), the
     zeta function of the nonzero spectrum.
     A spectrum found for this same ``spec`` object lends its prepared

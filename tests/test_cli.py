@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import regsing
 from regsing import cli
 from regsing.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA, main
+from regsing.eigenfunction import SecularEvaluator
 
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
@@ -279,6 +280,12 @@ class TestValidateAndSchema:
         assert out == ""
         assert err == "regsing: numerical failure: zeta_eval needs a finite s\n"
 
+    def test_contour_without_a_digit_exits_3(self, write_doc, capsys):
+        doc = dict(kernel_doc(), regular_bc={"type": "dirichlet"})  # F = -sin(mu) / mu
+        code, out, err = run_cli(capsys, "zeta", write_doc(doc), "--s", "6.5")
+        assert code == EXIT_NUMERICAL
+        assert out == "" and "carries no digit" in err
+
     @pytest.mark.parametrize("argv", OPERATOR_COMMANDS, ids=lambda argv: argv[0])
     def test_rank_deficient_operator_exits_2(self, write_doc, capsys, argv):
         # the evaluator's validation is the only one, and it is an input error
@@ -417,6 +424,19 @@ class TestOtherCommands:
         code, out, err = run_cli(capsys, "eval-f", path, "--mu", "352j")
         assert code == EXIT_NUMERICAL
         assert out == "" and "exceeds the float range" in err
+
+    def test_eval_f_takes_one_kernel_pass(self, capsys, monkeypatch):
+        # the value and the mantissa come from the same scaled result
+        passes = []
+        traces = SecularEvaluator._traces
+        monkeypatch.setattr(
+            SecularEvaluator, "_traces", lambda self, *a, **k: passes.append(a) or traces(self, *a, **k)
+        )
+        path = str(FIXTURES / "readme_two_channel.json")
+        for mu, want in (("348j", EXIT_OK), ("352j", EXIT_NUMERICAL)):
+            passes.clear()
+            assert run_cli(capsys, "eval-f", path, "--mu", mu)[0] == want
+            assert len(passes) == 1
 
     def test_eval_f_complex_argument(self, write_doc, capsys):
         # F(ix) = x sinh(x) for the nu=1/2 singular-branch fixture

@@ -191,7 +191,6 @@ class TestKernelDecision:
         ev._probes = np.zeros(1 + eigenfunction._CIRCLE_POINTS, dtype=complex)
         with pytest.raises(KernelOrderError, match="rounding floor"):
             ev.k0
-        assert not ev.f0_is_sample
 
     def test_order_above_q(self):
         # F = lambda^2 on the circle of a q = 1 operator
@@ -839,10 +838,28 @@ class TestZeta:
         # zeta(2) = 0.016 R^4 is past the float range: a typed error, not OverflowError
         with pytest.raises(NumericalError, match="float range"):
             zeta_eval(scalar_spec(0.3, Dirichlet(), r=1e150), 2.0)
-        # the circle's power sums reach n = 15 - k0
-        assert zeta_eval(dirichlet_half, 15.0).contour > 0.0
+        # the circle's power sums reach n = 15 - k0; from n = 13 on this
+        # operator's carry no digit (zeta(15) = 1.2e-15, p_15 gives 8.5e-15 +- 5e-13)
+        assert zeta_eval(dirichlet_half, 12.0).contour > 0.0
+        with pytest.raises(NumericalError, match="carries no digit"):
+            zeta_eval(dirichlet_half, 15.0)
         with pytest.raises(NumericalError, match="needs p_16"):
             zeta_eval(dirichlet_half, 16.0)
+
+    @pytest.mark.parametrize(
+        "spec, s",
+        [
+            (scalar_spec(0.5, Dirichlet()), 6.5),
+            (scalar_spec(0.5, Dirichlet()), 15.5),
+            (scalar_spec(0.5, Robin(-1.0)), 5.5),  # the kernel operator
+        ],
+        ids=["dirichlet 6.5", "dirichlet 15.5", "kernel 5.5"],
+    )
+    def test_contour_without_a_digit_is_refused(self, spec, s):
+        # zeta(s) ~ mu_1^(-2s) falls faster with s than the ray's rounding and
+        # model remainder: where the error reaches the value, a typed error
+        with pytest.raises(NumericalError, match="carries no digit"):
+            zeta_eval(spec, s)
 
     def test_noninteger_s_against_series(self, dirichlet_half):
         s = 1.25
