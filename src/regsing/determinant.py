@@ -394,28 +394,23 @@ def _zeta_contour(ev: SecularEvaluator, s: float, t: float) -> tuple[float, floa
         return _with_digit(value, dp[m - 1] * scale + 1e-12 * abs(value), t)
     while not ev.zero_free(4.0 * t):  # at most twice: the disk below t is certified
         t *= 0.5
+    zeros = ev.imag_zeros_beyond(t)
+    if zeros:
+        raise RootInsideContourError(
+            f"F(ix) has zeros beyond x = {t:.6g} ({zeros} by the count): negative eigenvalues"
+        )
     k0, model, log_pow = ev.k0, ev.model, ev.cv.j0 - ev.spec.q0
     x_cut = _RAY_CUT_XR / ev.r  # the ray is integrated up to here, the model beyond
     if log_pow and math.log(x_cut) <= model.gamma_tilde:  # the tail's exp1 needs x > e^gamma~
         raise RootInsideContourError(f"the model of F(ix) vanishes beyond the ray end {x_cut}")
 
-    def ray_integrand(x: np.ndarray, dl=None) -> np.ndarray:
+    def ray_integrand(x: np.ndarray) -> np.ndarray:
         # x^(-2s) d/dx log F~(ix), with d/dx log F(ix) = Re(i dlog F(ix))
-        g = (1j * (ev.dlog(1j * x) if dl is None else off_zeros(dl))).real - 2.0 * k0 / x
-        return x ** (-2.0 * s) * g
+        return x ** (-2.0 * s) * ((1j * ev.dlog(1j * x)).real - 2.0 * k0 / x)
 
     # the integrand varies on the scale x: geometric panels, about one per doubling
-    panels = max(1, math.ceil(math.log2(x_cut / t)))
-    edges = np.geomspace(t, x_cut, panels + 1)
-    # F(it) and the first round in one pass; a sign change of F(ix) is a negative eigenvalue
-    x = np.concatenate(([t], first_nodes(edges)))
-    mants, _, dlog = ev._scaled_dlog(1j * x)
-    order = np.argsort(x)
-    flips = np.flatnonzero(mants.real[order][:-1] * mants.real[order][1:] <= 0.0)
-    if flips.size:
-        raise RootInsideContourError(f"F(ix) changes sign below x = {x[order][flips[0] + 1]}")
-    first = ray_integrand(x[1:], dlog[1:])
-    ray, ray_err = gauss_legendre(ray_integrand, edges, first=first, counts=ev.counts)
+    edges = np.geomspace(t, x_cut, max(1, math.ceil(math.log2(x_cut / t))) + 1)
+    ray, ray_err = gauss_legendre(ray_integrand, edges, counts=ev.counts)
 
     exponent = model.exponent - 2.0 * k0
     tail = model.growth_rate * x_cut ** (1.0 - 2.0 * s) / (2.0 * s - 1.0)
@@ -464,10 +459,11 @@ def zeta_eval(spec: OperatorSpec, s: float, spectrum: Spectrum | None = None) ->
     integer s <= 15 - k0.  At other s, t is halved, at most twice, until the
     circle certifies the disk below 4 t (``ZetaReport.t``), and the ray from
     t to x R = 40, one pass per Gauss-Legendre round, and the model beyond
-    are added.  A sign change of F(ix) between the ray's nodes (a negative
-    eigenvalue), or a ray end where a log channel's model vanishes, raises
-    :class:`RootInsideContourError` too, and an error as large as the value
-    raises :class:`NumericalError`.
+    are added.  A zero of F(ix) beyond t (a negative eigenvalue), which
+    :meth:`SecularEvaluator.imag_zeros_beyond` counts out to x = inf before
+    the ray is sampled, or a ray end where a log channel's model vanishes,
+    raises :class:`RootInsideContourError` too, and an error as large as
+    the value raises :class:`NumericalError`.
     Operators with nonzero kernel are handled through F/mu^(2 k0), the
     zeta function of the nonzero spectrum.
     A spectrum found for this same ``spec`` object lends its prepared

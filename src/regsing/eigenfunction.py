@@ -67,6 +67,7 @@ _CIRCLE_RHO = 0.8  # rho R^2: every point lies inside the series disk |mu R| <= 
 _CIRCLE_FLOOR = 64.0 * sys.float_info.epsilon  # c_n below this share of max |F_j| is rounding
 _CIRCLE = np.exp(1j * math.pi * np.arange(_CIRCLE_POINTS) / _CIRCLE_POINTS)  # mu_j over |mu_j|
 _LOG_MAX = math.log(sys.float_info.max)
+_IMAG_GRID_XR = 12.0  # x R where the imaginary grid that cuts (0, inf] ends
 _ANGLE_SLACK = 1e-9  # an angle this close to 0 may lie on either side of it by rounding
 _ROOT_XTOL, _ROOT_RTOL = 1e-13, 4.0 * sys.float_info.epsilon
 _MAX_ROUNDS = 100  # accepted Newton steps halve every two rounds: about 80 suffice
@@ -90,9 +91,11 @@ class ContourError(NumericalError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Zeros of F: `positive` on the real axis (eigenvalues mu^2),
-    `negative` on the imaginary axis as x with F(ix)=0 (eigenvalues -x^2),
-    each in ascending order and listed as often as its multiplicity.
+    """Zeros of F: `positive` on the real axis up to `mu_max` (eigenvalues
+    mu^2), `negative` on the whole imaginary axis as x with F(ix)=0
+    (eigenvalues -x^2), each in ascending order and listed as often as its
+    multiplicity.  Both rest on the zero count of every cell, the imaginary
+    axis's out to x = inf, which is what `certified` states.
 
     `evaluator` is the prepared operator that found them, kept so that a
     zeta request on the same spec does not prepare it again; `passes`
@@ -153,7 +156,8 @@ class SecularEvaluator:
     one-element array and comes back as Python scalars.  :meth:`sample`
     is the pass of the spectrum scans, which gives the angles of the zero
     count beside F and takes the probes of `k0` along while they are not
-    yet known.  `counts` holds the kernel passes made
+    yet known; :meth:`imag_zeros_beyond` counts the zeros of F(ix) past
+    an x from one such pass.  `counts` holds the kernel passes made
     (``"passes"``) and the quadrature nodes spent (``"nodes"``) on this
     operator.
     """
@@ -227,10 +231,22 @@ class SecularEvaluator:
         n = 0 if "_probe_scaled" in self.__dict__ else self._probe_mu.size
         mu, _ = _right_half(np.concatenate((self._probe_mu[:n], mu)))
         jp, jm = self._traces(mu)
+        bad = ~(np.isfinite(jp).all(0) & np.isfinite(jm).all(0))
+        if bad.any():
+            at = float(np.min(np.abs(mu[bad])))
+            raise SpectrumCertificationError(
+                f"F is not finite at |mu| = {at:.6g}, past the kernel's range"
+            )
         mant, logs = self._mantissa(mu, jp, jm, self._system(jp, jm))
         if n:
             self._probe_scaled = mant[:n], logs[:n]
         return mant[n:], logs[n:], *self._angles(jp[:, n:], jm[:, n:])
+
+    def imag_zeros_beyond(self, x: float) -> int:
+        """The zeros of F(ix') on x' > x: :func:`_zero_count` of the cell (x, inf] from
+        the angles of one pass at x and their limit :attr:`_limit_turn`."""
+        _, _, gam, theta = self.sample(np.array([1j * x]))
+        return int(_zero_count(1.0, gam, 0.0, _turns(theta, 1.0), self._limit_turn)[0])
 
     @cached_property
     def f0(self) -> complex:
@@ -360,6 +376,14 @@ class SecularEvaluator:
         s = np.where(np.arange(self.q) < self.q0, -1.0, 1.0)
         x, y = self._bt.conj(), -s[:, None] * self._at.conj()  # _at, _bt are A^T, B^T
         return s, ((x + 1j * y) @ np.linalg.inv(x - 1j * y)).conj().T
+
+    @cached_property
+    def _limit_turn(self) -> float:
+        """:func:`_turns` at x = inf on the imaginary axis, where every gamma_l is 0 and U is
+        W_tip*: its eigen-angles, approached from below, so one within 1e-9 of 0 reads 2 pi."""
+        turn = 2.0 * math.pi
+        theta = np.mod(np.angle(np.linalg.eigvals(self._tip_turn[1])), turn)
+        return float(np.where(np.minimum(theta, turn - theta) > _ANGLE_SLACK, theta, turn).sum())
 
     def _angles(self, jp, jm) -> tuple[np.ndarray, np.ndarray]:
         """From traces shaped (q, n): the channel angles gamma_l = arg z_l,
@@ -567,152 +591,134 @@ def _grid(lo: float, hi: float, res: float) -> np.ndarray:
     return np.linspace(lo, hi, max(2, int(math.ceil((hi - lo) / res)) + 1))
 
 
-def _on_axis(x: np.ndarray, axis: str) -> np.ndarray:
-    return 1j * x if axis == "imag" else x.astype(complex)
+def _turns(theta: np.ndarray, sigma) -> np.ndarray:
+    """sum_k mod(sigma theta_k, 2 pi) over the last axis of the eigen-angles theta."""
+    return np.mod(sigma * theta, 2.0 * math.pi).sum(-1)
 
 
-def _axis_samples(mants: np.ndarray, logs: np.ndarray, axis: str) -> tuple[np.ndarray, np.ndarray]:
-    """Real parts of the mantissas of F on an axis, and their log-scales;
-    raises NumericalError where the mantissas are not real."""
+def _zero_count(sigma, gam_a, gam_b, turn_a, turn_b) -> np.ndarray:
+    """The zeros of F in cells (a, b] from the channel angles gamma_l at their ends,
+    shaped (n, q), and the :func:`_turns` of the eigen-angles there (Atkinson, 1964).
+
+    As mu^2 grows, the gamma_l and the eigen-angles theta_k of U all turn
+    down, F = 0 exactly where a theta_k crosses 0, and sum_k theta_k is
+    2 sum_l gamma_l up to a constant.  With sigma = -1 on the real axis
+    and +1 on the imaginary one, where mu^2 = -x^2 falls as x grows, the
+    count is
+
+        n = [2 sum_l mod(sigma Delta gamma_l, 2 pi) - Delta sum_k mod(sigma theta_k, 2 pi)] / 2 pi.
+
+    It assumes that each z_l turns less than a full turn per cell.  A
+    channel increment is taken in (-1e-9, 2 pi - 1e-9], since a channel
+    that stands still can step back by rounding.
+    """
+    step = np.mod(sigma * (gam_b - gam_a) + _ANGLE_SLACK, 2.0 * math.pi) - _ANGLE_SLACK
+    return np.rint((2.0 * step.sum(-1) - turn_b + turn_a) / (2.0 * math.pi))
+
+
+def _points(x, sigma, mants, logs, gam, theta) -> list[np.ndarray]:
+    """Rows of the point table of :func:`_scan` from the samples at x on the axis of
+    sigma: x, sigma, the real F mantissa (0 where some theta_k lies within 1e-9 of 0:
+    its sign is rounding), the log-scale, the gamma_l and the :func:`_turns`.
+    Raises NumericalError where the mantissas are not real."""
     mags = np.abs(mants)
     live = mags > 0.0
     worst = float(np.max(np.abs(mants.imag[live]) / mags[live], initial=0.0))
     if worst > _REAL_RESIDUE_TOL:
         raise NumericalError(
-            f"secular values on the {axis} axis are not real "
-            f"(residue {worst:.2e}); complex tip matrices are not supported here"
+            f"secular values on the axes are not real (residue {worst:.2e}); "
+            "complex tip matrices are not supported here"
         )
-    return mants.real, logs
+    f = np.where(np.min(np.abs(theta), axis=1) > _ANGLE_SLACK, mants.real, 0.0)
+    return [x, sigma, f, logs, gam, _turns(theta, sigma[:, None])]
 
 
-def _joint(ev: SecularEvaluator, *tasks) -> list:
-    """Run coroutines side by side, one kernel pass per step.
+def _cut(a: float, b: float, res: float, r: float) -> np.ndarray:
+    """The points that cut the cell (a, b]: its midpoint where b is finite; on the
+    imaginary axis, the grid of spacing res over [res/2, 12 / R] for (0, inf], and
+    2a for (a, inf] (a SpectrumCertificationError where 2a leaves the float range)."""
+    if b < math.inf:
+        return np.array([0.5 * (a + b)])
+    if a == 0.0:
+        return _grid(0.5 * res, _IMAG_GRID_XR / r, res)
+    if not 2.0 * a < math.inf:
+        raise SpectrumCertificationError(f"the imaginary axis counts zeros beyond x = {a}")
+    return np.array([2.0 * a])
 
-    Each task yields the 1-d array of mu it needs next and is sent the
-    samples of :meth:`~SecularEvaluator.sample` there (mantissas,
-    log-scales, channel angles, eigen-angles).  One call per step serves
-    every task still running, the probes of :attr:`~SecularEvaluator.k0`
-    riding along in the first.  Returns the tasks' return values.
+
+def _scan(ev: SecularEvaluator, mu_max: float) -> tuple[list, list]:
+    """The brackets (sigma, a, b, fa, fb) and the multiple roots (sigma, x) of both axes.
+
+    One table holds the samples of both axes: the real grid from mu = 0,
+    then mu = 0 read on the imaginary axis and the limit x = inf there.
+    The first pass samples the grid, taking the probes of
+    :attr:`SecularEvaluator.k0` along, so the imaginary axis starts as the
+    single cell (0, inf].  At mu = 0 the k0 eigen-angles nearest 0, the
+    kernel, are set to 0.  At x = inf every gamma_l is 0 and U is W_tip*
+    (:attr:`SecularEvaluator._limit_turn`).  :func:`_zero_count` counts
+    the zeros in every cell.  On the real axis the spacing pi / (4 q R),
+    a quarter of a channel's asymptotic zero spacing pi / R, keeps each
+    z_l below a full turn per cell; on the imaginary axis no cell needs
+    a bound, since z_l crosses the real axis only where jp_l(ix) = 0, a
+    negative eigenvalue of the channel's Friedrichs problem, which has at
+    most one.  A finite cell that counts 1 and whose ends differ in sign is
+    a bracket: a positive multiple of F, finite near the scale of a, is fa
+    at a and fb at b.  Every other cell that counts is cut by :func:`_cut`,
+    all in one pass, until its parts count at most 1.  A finite part that
+    still counts m at the root tolerance of :func:`_refine` is a root of
+    multiplicity m, listed m times.
     """
-    wants = [next(task) for task in tasks]
-    out = [None] * len(tasks)
-    live = list(range(len(tasks)))
-    while live:
-        got = ev.sample(np.concatenate([wants[i] for i in live]))
-        at = 0
-        for i in list(live):
-            n = wants[i].size
-            try:
-                wants[i] = tasks[i].send(tuple(v[at : at + n] for v in got))
-            except StopIteration as stop:
-                out[i] = stop.value
-                live.remove(i)
-            at += n
-    return out
-
-
-def _sampled(grid: np.ndarray):
-    """A real-axis grid and its samples (a coroutine of :func:`_joint`)."""
-    return (grid, *(yield grid.astype(complex)))
-
-
-def _imag_scan_bound(ev: SecularEvaluator, res: float):
-    """Height beyond which the model provably dominates and F(ix) has no zeros,
-    and the samples of the imaginary-axis grid up to it (a coroutine of :func:`_joint`).
-
-    The remainder of the model decays like 1/log x, far too slowly for a
-    literal fixed-ratio criterion, so the certificate is model dominance:
-    at three increasing heights 0.8, 0.9 and 1 times x_hi the measured
-    log F(ix) stays within log 2 of the model and |F| grows.  x_hi R
-    starts at 12 and grows by 1.6 for at most seven steps; a log
-    channel's model vanishes at x = e^gamma~ whatever R is, so there x_hi
-    starts at 2 e^gamma~ or above.  Each step is one pass, which samples
-    x = 0 and the grid of spacing <= res over [res/2, x_hi] (its last point
-    is the third height) beside the other two, so the step that certifies
-    x_hi returns the samples of its grid too.
-    """
-    x_hi = max(12.0 / ev.r, 2.0 * math.exp(ev.model.gamma_tilde) if ev.model.log_power else 0.0)
-    for _ in range(7):
-        grid = np.concatenate(([0.0], _grid(0.5 * res, x_hi, res)))  # its last point is x_hi
-        out = yield 1j * np.concatenate((np.array([0.8, 0.9]) * x_hi, grid))
-        mants, logs = out[:2]
-        with np.errstate(divide="ignore"):  # a zero of F reads -inf and fails the test
-            measured = np.log(np.abs(mants[[0, 1, -1]])) + logs[[0, 1, -1]]
-        models = [ev.model.log_value(x).real for x in (0.8 * x_hi, 0.9 * x_hi, x_hi)]
-        close = all(abs(lv - mv) < math.log(2.0) for lv, mv in zip(measured, models))
-        growing = measured[0] < measured[1] < measured[2]
-        if close and growing:
-            return (grid, *(v[2:] for v in out))
-        x_hi *= 1.6
-    raise SpectrumCertificationError(
-        f"could not certify an upper bound for imaginary-axis zeros below x = {x_hi / 1.6}"
-    )
-
-
-def _axis(ev: SecularEvaluator, first, axis: str):
-    """The brackets and the multiple roots of one axis (a coroutine of :func:`_joint`),
-    from the grid, mu = 0 first, that the coroutine ``first`` returns with its samples.
-
-    The zeros of F in a cell (a, b] are counted from the angles of
-    :meth:`~SecularEvaluator.sample` at its ends (Atkinson, 1964).  As mu^2
-    grows, the channel angles gamma_l and the eigen-angles theta_k of U all
-    turn down, F = 0 exactly where a theta_k crosses 0, and sum_k theta_k is
-    2 sum_l gamma_l up to a constant.  With sigma = -1 (+1 on the imaginary
-    axis, where mu^2 = -x^2 falls as x grows) the count is
-
-        n = [2 sum_l mod(sigma Delta gamma_l, 2 pi) - Delta sum_k mod(sigma theta_k, 2 pi)] / 2 pi.
-
-    It assumes that each z_l turns less than a full turn per cell: the real
-    spacing pi / (4 q R) is at most a quarter of a channel's asymptotic zero
-    spacing pi / R.  A channel increment is taken in (-1e-9, 2 pi - 1e-9],
-    since a channel that stands still can step back by rounding; at mu = 0
-    the k0 eigen-angles nearest 0, the kernel, are set to 0.  Where some
-    theta_k lies within 1e-9 of 0, F is read as 0: its sign is rounding.
-    A cell that counts 1 and whose ends differ in sign is a bracket (a, b, fa, fb): a
-    positive multiple of F, finite near the scale of a, is fa at a and fb at b.
-    Every other cell that counts is cut in two, all in one pass, until its
-    parts count at most 1.  A part that still counts m at the root tolerance
-    of :func:`_refine` is a root of multiplicity m, returned m times.
-    """
-    sigma = -1.0 if axis == "real" else 1.0
-
-    def rows(x, mants, logs, gam, theta):  # x, Re F mantissa, log-scale, gamma, sum of mods
-        f, logs = _axis_samples(mants, logs, axis)
-        f = np.where(np.min(np.abs(theta), axis=1) > _ANGLE_SLACK, f, 0.0)
-        return [x, f, logs, gam, np.mod(sigma * theta, 2.0 * math.pi).sum(1)]
-
-    x, mants, logs, gam, theta = yield from first
+    res = math.pi / (4.0 * ev.q * ev.r)
+    first = 0.5 * min(res, 0.05 / ev.r, mu_max)  # at a tiny R, 0.025 / R may pass mu_max
+    x = np.concatenate(([0.0], _grid(first, mu_max, res)))
+    mants, logs, gam, theta = ev.sample(x.astype(complex))
     theta[0, np.argsort(np.abs(theta[0]))[: ev.k0]] = 0.0
-    data, brackets, roots = rows(x, mants, logs, gam, theta), [], []
-    lo, hi = np.arange(x.size - 1), np.arange(1, x.size)
+    rows = (
+        _points(x, np.full(x.size, -1.0), mants, logs, gam, theta),
+        _points(x[:1], np.ones(1), mants[:1], logs[:1], gam[:1], theta[:1]),
+        [np.array([math.inf]), np.ones(1), np.full(1, math.nan), np.full(1, math.nan),
+         np.zeros((1, ev.q)), np.array([ev._limit_turn])],
+    )
+    data = [np.concatenate(v) for v in zip(*rows)]
+    lo, hi = np.append(np.arange(x.size - 1), x.size), np.append(np.arange(1, x.size), x.size + 1)
+    imag_res = min(res, 0.1 / ev.r)
+    brackets, roots = [], []
     while lo.size:
-        x, f, logs, gam, turn = data
-        step = np.mod(sigma * (gam[hi] - gam[lo]) + _ANGLE_SLACK, 2.0 * math.pi) - _ANGLE_SLACK
-        n = np.rint((2.0 * step.sum(1) - turn[hi] + turn[lo]) / (2.0 * math.pi))
+        x, sigma, f, logs, gam, turn = data
+        n = _zero_count(sigma[lo, None], gam[lo], gam[hi], turn[lo], turn[hi])
         if not np.all(n >= 0.0):
-            raise SpectrumCertificationError(f"{axis}-axis zero count is negative or not finite")
+            raise SpectrumCertificationError("zero count is negative or not finite")
         one = (n == 1.0) & (f[lo] * f[hi] < 0.0)
         a, b = lo[one], hi[one]
-        fb = f[b] * np.exp(logs[b] - logs[a])
-        brackets += zip(*(v.tolist() for v in (x[a], x[b], f[a], fb)))
+        # b's scale over a's, capped inside the float range: false position starts at a there
+        fb = f[b] * np.exp(np.minimum(logs[b] - logs[a], 0.5 * _LOG_MAX))
+        brackets += zip(*(v.tolist() for v in (sigma[a], x[a], x[b], f[a], fb)))
         cut = (n > 0.0) & ~one
-        fine = cut & (x[hi] - x[lo] <= _ROOT_XTOL / ev.r + _ROOT_RTOL * x[hi])
-        for at, m in zip((0.5 * (x[lo] + x[hi]))[fine].tolist(), n[fine].astype(int)):
-            roots += [at] * m
+        width = x[hi] - x[lo]
+        fine = cut & (width <= _ROOT_XTOL / ev.r + _ROOT_RTOL * x[hi]) & (width < math.inf)
+        centre = 0.5 * (x[lo] + x[hi])
+        for s, at, m in zip(sigma[lo][fine].tolist(), centre[fine].tolist(), n[fine].astype(int)):
+            roots += [(s, at)] * m
         lo, hi = lo[cut & ~fine], hi[cut & ~fine]
         if lo.size:
-            mid = 0.5 * (x[lo] + x[hi])
-            new = rows(mid, *(yield _on_axis(mid, axis)))
+            parts = [_cut(a, b, imag_res, ev.r) for a, b in zip(x[lo].tolist(), x[hi].tolist())]
+            pts = np.concatenate(parts)
+            axis = np.repeat(sigma[lo], [p.size for p in parts])
+            new = _points(pts, axis, *ev.sample(np.where(axis > 0.0, 1j * pts, pts)))
             data = [np.concatenate(v) for v in zip(data, new)]
-            k = np.arange(x.size, x.size + mid.size)
-            lo, hi = np.concatenate((lo, k)), np.concatenate((k, hi))
+            cells, k = [], x.size
+            for i, j, p in zip(lo.tolist(), hi.tolist(), parts):  # (i, j] into (i, k], ..., (k + m - 1, j]
+                ks = list(range(k, k + p.size))
+                cells += zip([i] + ks, ks + [j])
+                k += p.size
+            lo, hi = (np.array(v) for v in zip(*cells))
     return brackets, roots
 
 
 def _refine(
     ev: SecularEvaluator, real: list[tuple], imag: list[tuple]
 ) -> tuple[list[float], list[float]]:
-    """The roots in the real- and imaginary-axis brackets of :func:`_axis`,
+    """The roots in the real- and imaginary-axis brackets of :func:`_scan`,
     all refined together.
 
     Safeguarded Newton (``rtsafe``) over the array of roots still
@@ -728,7 +734,7 @@ def _refine(
     rounds before, or that is not finite becomes a bisection.  A root
     stops when its step or its bracket width is at most
     1e-13 / R + 4 eps |x|, or when F is exactly 0 there.  No residual is
-    checked: the count of :func:`_axis` puts exactly one zero in each bracket.
+    checked: the count of :func:`_scan` puts exactly one zero in each bracket.
     """
     brackets = real + imag
     if not brackets:
@@ -776,31 +782,28 @@ def find_spectrum(spec: OperatorSpec, mu_max: float) -> Spectrum:
     Every length of the search is a multiple of 1/R, so the zeros for
     (0, R] are those for (0, 1] over R.  The real-axis grid has the
     spacing pi / (4 q R) and its first point past mu = 0 is half the
-    smallest of that, 0.05 / R and mu_max; the imaginary-axis grid has the
-    smaller of that spacing and 0.1 / R, from 0 up to the height of
-    :func:`_imag_scan_bound`.  :func:`_axis` counts the zeros in every
-    cell of each grid from the samples' angles and cuts the cells that
-    count more than one, or that count one without a sign change.  The
-    axes are scanned side by side (:func:`_joint`), one kernel pass per
-    stage, the first taking the probes of :attr:`SecularEvaluator.k0`
-    along.  The brackets of both axes are then refined together by
-    :func:`_refine`; a root of multiplicity m is listed m times.
-    The returned :class:`Spectrum` carries the evaluator, which
-    :func:`~regsing.determinant.zeta_eval` reuses for the same spec, and
-    the number of kernel passes made.
+    smallest of that, 0.05 / R and mu_max.  The imaginary axis is one cell
+    (0, inf] that the count certifies as it stands where it holds no zero;
+    else it is cut at the grid of the smaller of that spacing and 0.1 / R
+    up to x R = 12, and the cells beyond at their doubled lower ends.
+    :func:`_scan` counts the zeros in every cell of both axes from the
+    samples' angles and cuts the cells that count more than one, or that
+    count one without a sign change, one kernel pass for all, the first
+    taking the probes of :attr:`SecularEvaluator.k0` along.  The brackets
+    of both axes are then refined together by :func:`_refine`; a root of
+    multiplicity m is listed m times.  The returned :class:`Spectrum`
+    carries the evaluator, which :func:`~regsing.determinant.zeta_eval`
+    reuses for the same spec, and the number of kernel passes made.
     """
     if mu_max <= 0.0:
         raise ValueError("mu_max must be positive")
     ev = SecularEvaluator(spec)
-    res = math.pi / (4.0 * spec.q * spec.r)
-    first = 0.5 * min(res, 0.05 / ev.r, mu_max)  # at a tiny R, 0.025 / R may pass mu_max
-    real = _sampled(np.concatenate(([0.0], _grid(first, mu_max, res))))
-    imag = _imag_scan_bound(ev, min(res, 0.1 / ev.r))
-    (real, real_m), (imag, imag_m) = _joint(ev, _axis(ev, real, "real"), _axis(ev, imag, "imag"))
+    brackets, roots = _scan(ev, mu_max)
+    real, imag = ([v[1:] for v in brackets if v[0] == sigma] for sigma in (-1.0, 1.0))
     positive, negative = _refine(ev, real, imag)
     return Spectrum(
-        positive=tuple(sorted(positive + real_m)),
-        negative=tuple(sorted(negative + imag_m)),
+        positive=tuple(sorted(positive + [x for sigma, x in roots if sigma < 0.0])),
+        negative=tuple(sorted(negative + [x for sigma, x in roots if sigma > 0.0])),
         mu_max=float(mu_max),
         certified=True,
         evaluator=ev,

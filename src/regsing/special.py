@@ -31,7 +31,7 @@ Evaluation strategy (argument ``w``; the orders of a row are ``s`` and
   the negative orders follow from ``H1_{-nu} = e^(i nu pi) H1_nu`` and
   the recurrence, so no ``J_{-nu}`` is evaluated by reflection.
 * The imaginary axis ``w = +-ix, 1 < x <= 20``, where the
-  negative-eigenvalue scans, the model-dominance bound and the zeta ray
+  negative-eigenvalue scans, the zero count and the zeta ray
   sample: the same power series with 40 terms.  There every term
   is of one sign (DLMF 10.25.2), so nothing cancels and one matrix
   product gives every value and derivative row.  The companion's

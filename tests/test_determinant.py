@@ -500,12 +500,18 @@ class TestNegativeSpectrum:
     @pytest.mark.parametrize("r", [1.0, 3.0, 10.0, 30.0, 45.0])
     def test_zeta_ray_through_a_negative_eigenvalue(self, r):
         # F(ix) of this log channel vanishes near x = 1.1 at every R, beyond the
-        # certified disk: up to R = 30 the sign of F(ix) flips between two nodes
-        # of the ray's first round; at R = 45 the ray ends at x = 40 / R, below
-        # the zero x = e^gamma~ of the model that takes over there
+        # certified disk: the count of (t, inf] finds it, below the ray's end
+        # up to R = 30 and beyond it at R = 45, before the ray is integrated
         spec = scalar_spec(0.0, Robin(0.5), tip="singular", r=r)
-        match = "model of F" if r == 45.0 else "changes sign"
-        with pytest.raises(RootInsideContourError, match=match):
+        with pytest.raises(RootInsideContourError, match="has zeros beyond"):
+            zeta_eval(spec, 1.7)
+
+    def test_zeta_ray_counts_zeros_beyond_its_end(self):
+        # a log channel whose F(ix) vanishes at x R = 4749, far beyond the ray's
+        # end at x R = 40, where the asymptotic model takes over
+        tip = BoundaryMatrices([[-1.0]], [[8.1662]])
+        spec = OperatorSpec(r=1.2016, lambdas=(-0.25,), q0=1, boundary=tip, regular_bc=Dirichlet())
+        with pytest.raises(RootInsideContourError, match="has zeros beyond"):
             zeta_eval(spec, 1.7)
 
     def test_cli_exit_code(self, tmp_path, capsys):
@@ -527,13 +533,15 @@ class TestPreparedOperator:
 
     @pytest.mark.parametrize("kernel", [False, True])
     def test_one_build_per_spectrum_and_zeta(self, monkeypatch, kernel, kernel_fixture_third):
-        # zeta_eval reuses the evaluator that found the spectrum of the same spec
+        # zeta_eval reuses the evaluator that found the spectrum of the same spec;
+        # neither the zero count nor the contour at an integer s reads the
+        # characteristic values, so they are never worked out
         calls = _count_preparation(monkeypatch)
         spec = kernel_fixture_third if kernel else robin_regular(0.3, 0.0)
         sp = find_spectrum(spec, 40.0)
         rep = zeta_eval(spec, 2.0, spectrum=sp)
         assert abs(rep.direct - rep.contour) <= 1e-4 * abs(rep.contour)
-        assert calls == {"builds": 1, "validate": 1, "charvals": 1, "fits": 1}
+        assert calls == {"builds": 1, "validate": 1, "fits": 1}
         # a spectrum of another spec object lends nothing
         zeta_eval(robin_regular(0.3, 0.0), 2.0, spectrum=sp)
         assert calls["builds"] == 2

@@ -279,10 +279,15 @@ def _mp_secular(spec, mu):
         for j in range(q):
             m[i, j] = complex(spec.boundary.a_mat[i, j])
             m[i, q + j] = complex(spec.boundary.b_mat[i, j])
+    scale = 1
     for l, nu in enumerate(spec.nus):
-        m[q + l, l] = branch(mp.mpf(nu))
-        m[q + l, q + l] = companion() if l < spec.q0 else branch(-mp.mpf(nu))
-    return mp.det(m)
+        jp, jm = branch(mp.mpf(nu)), companion() if l < spec.q0 else branch(-mp.mpf(nu))
+        # each row over its largest entry: mp.det reads a pivot far below the
+        # largest entry of the matrix as singular
+        big = max(abs(jp), abs(jm))
+        m[q + l, l], m[q + l, q + l] = jp / big, jm / big
+        scale *= big
+    return mp.det(m) * scale
 
 
 @pytest.mark.parametrize("name", sorted(ARRAY_SPECS))
@@ -410,8 +415,9 @@ DILATION_SPECS = {  # the operator on (0, R], its Robin alpha scaled by 1/R
 @pytest.mark.parametrize("name", sorted(DILATION_SPECS))
 def test_spectrum_dilation_law(name):
     # the zeros of F on (0, R] are those on (0, 1] over R: every length of the
-    # search (grid spacings and starts, bound heights, root tolerance) is a
-    # multiple of 1/R, so the searches agree to rounding
+    # search (grid spacings and starts, the imaginary grid's end and the cuts
+    # beyond it, root tolerance) is a multiple of 1/R, so the searches agree to
+    # rounding
     make = DILATION_SPECS[name]
     unit = find_spectrum(make(1.0), 30.0)
     for r in (0.005, 0.01, 0.1, 0.5, 2.0, 10.0, 100.0, 1e3, 1e4):
@@ -495,10 +501,9 @@ def _box_count(ev: SecularEvaluator, lo: complex, hi: complex) -> complex:
 
 def test_coupled_counts_match_the_argument_principle():
     # self-adjoint tips (a', b) = (H, I) or (I, H), a' = a diag(s) with s = -1 on
-    # the log channels, H random symmetric: wherever the search certifies, the
-    # roots it finds in a box about each axis are as many as F has zeros there
+    # the log channels, H random symmetric: the search certifies every one, and
+    # the roots it finds in a box about each axis are as many as F has zeros there
     rng = np.random.default_rng(18)
-    certified = 0
     for k in range(20):
         q, q0 = (2, 0) if k < 10 else (3, 1) if k < 15 else (2, 1)
         nus = np.sort(rng.uniform(0.1, 0.9, q))
@@ -512,11 +517,8 @@ def test_coupled_counts_match_the_argument_principle():
         spec = OperatorSpec(
             r=r, lambdas=tuple(nus**2 - 0.25), q0=q0, boundary=BoundaryMatrices(a_prime * s, b), regular_bc=bc
         )
-        try:
-            sp = find_spectrum(spec, 20.0 / (q * r))
-        except eigenfunction.SpectrumCertificationError:
-            continue  # the height bound of the imaginary axis is not a count
-        certified += 1
+        sp = find_spectrum(spec, 20.0 / (q * r))
+        assert sp.certified
         ev, low, top = sp.evaluator, 0.01 / r, 30.0 / r
         for roots, box in (
             (sp.positive, (complex(low, -1.0 / r), complex(sp.mu_max, 1.0 / r))),
@@ -525,7 +527,132 @@ def test_coupled_counts_match_the_argument_principle():
             count = _box_count(ev, *box)
             assert abs(count - round(count.real)) < 1e-6, (k, count)
             assert round(count.real) == sum(low < x <= top for x in roots), k
-    assert certified >= 15
+
+
+# one negative eigenvalue each, far above x R = 12: the spec and mpmath's start
+FAR_NEGATIVE = {
+    "A": (
+        OperatorSpec(
+            r=2.1168,
+            lambdas=(0.3513**2 - 0.25,),
+            q0=0,
+            boundary=BoundaryMatrices([[1.0]], [[5.3661]]),
+            regular_bc=Robin(0.1315),
+        ),
+        11.6,
+    ),
+    "B": (
+        OperatorSpec(
+            r=1.2016,
+            lambdas=(-0.25,),
+            q0=1,
+            boundary=BoundaryMatrices([[-1.0]], [[8.1662]]),
+            regular_bc=Dirichlet(),
+        ),
+        3950.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAR_NEGATIVE))
+def test_far_negative_eigenvalue_matches_mpmath(name):
+    # the count of (0, inf] sees the zero of F(ix) at x R = 24.6 (A) and 4749 (B);
+    # the mpmath zero of F(ix) e^(-x R) (q = 1) starts from the nearby guess
+    spec, guess = FAR_NEGATIVE[name]
+    sp = find_spectrum(spec, 10.0)
+    with mp.workdps(40):
+        f = lambda x: mp.re(_mp_secular(spec, mp.mpc(0, x))) * mp.exp(-x * spec.r)  # noqa: E731
+        want = float(mp.findroot(f, guess))
+    assert sp.certified and len(sp.negative) == 1
+    assert abs(sp.negative[0] - want) <= 1e-12 * want
+
+
+COUPLED_TIPS = {  # spec, mu_max and the negative roots to 1e-3
+    "q3 root at x R = 25": (
+        OperatorSpec(
+            r=1.667,
+            lambdas=tuple(np.array([0.1159, 0.3119, 0.331]) ** 2 - 0.25),
+            q0=0,
+            boundary=BoundaryMatrices(
+                np.eye(3), [[-1.33, 0.763, 0.42], [0.763, 0.79, 3.553], [0.42, 3.553, 2.533]]
+            ),
+            regular_bc=Robin(0.4733),
+        ),
+        4.0,
+        [15.088],
+    ),
+    # F(ix) decays towards its limit for a long way and never vanishes
+    "q2 no root": (
+        OperatorSpec(
+            r=2.0,
+            lambdas=(0.3**2 - 0.25, 0.6**2 - 0.25),
+            q0=0,
+            boundary=BoundaryMatrices([[-0.5, 0.2], [0.2, -0.1]], np.eye(2)),
+            regular_bc=Robin(1.0),
+        ),
+        15.0 * math.pi,
+        [],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUPLED_TIPS))
+def test_coupled_tip_negative_roots_match_the_argument_principle(name):
+    # the search certifies the imaginary axis by its count out to x = inf; the
+    # argument principle over a box about it up to x R = 100 finds as many zeros
+    spec, mu_max, want = COUPLED_TIPS[name]
+    sp = find_spectrum(spec, mu_max)
+    assert sp.certified and len(sp.negative) == len(want)
+    assert np.all(np.abs(np.array(sp.negative) - want) < 1e-3)
+    count = _box_count(sp.evaluator, complex(-1.0, 0.01) / spec.r, complex(1.0, 100.0) / spec.r)
+    assert abs(count - len(want)) < 1e-6
+
+
+def _random_tip(rng) -> tuple[OperatorSpec, float]:
+    """A self-adjoint tip that couples q = 1 to 3 channels, a log channel (nu = 0)
+    first half the time, (a', b) = (H, I) or (I, H) with H random symmetric and
+    a' = a diag(s), s = -1 on the log channel; Dirichlet or Robin ends, R in
+    [0.3, 3]; and mu_max = 10 / (q R)."""
+    q, q0 = int(rng.integers(1, 4)), int(rng.integers(0, 2))
+    nus = np.sort(rng.uniform(0.1, 0.9, q))
+    nus[:q0] = 0.0
+    h = rng.normal(size=(q, q))
+    h = h + h.T
+    a_prime, b = (h, np.eye(q)) if rng.integers(2) else (np.eye(q), h)
+    s = np.where(np.arange(q) < q0, -1.0, 1.0)
+    r = float(rng.uniform(0.3, 3.0))
+    bc = Dirichlet() if rng.integers(2) else Robin(float(rng.uniform(-2.0, 1.0)) / r)
+    tip = BoundaryMatrices(a_prime * s, b)
+    return OperatorSpec(r=r, lambdas=tuple(nus**2 - 0.25), q0=q0, boundary=tip, regular_bc=bc), 10.0 / (q * r)
+
+
+def test_random_coupled_tips_match_dense_sign_changes():
+    # each negative eigenvalue lies in its own cell of a dense grid on the imaginary
+    # axis, spacing 0.002 / R up to x R = 20 and then ratio 1.0054 up to x R = 1e6,
+    # across which F(ix) changes sign, and every such cell holds one
+    rng = np.random.default_rng(5)
+    grid = np.concatenate((np.arange(1, 10000) * 0.002, 20.0 * np.geomspace(1.0, 5e4, 2000)))
+    for k in range(60):
+        spec, mu_max = _random_tip(rng)
+        sp = find_spectrum(spec, mu_max)
+        x = grid / spec.r
+        f = sp.evaluator.scaled(1j * x)[0].real
+        flips = np.flatnonzero(f[:-1] * f[1:] < 0.0)
+        got = np.array(sp.negative)
+        assert got.size == flips.size, (k, got, x[flips])
+        assert np.all((x[flips] <= got) & (got <= x[flips + 1])), k
+
+
+def test_zero_past_the_kernel_range_is_refused():
+    # a log channel with a' = -0.01: F(ix) vanishes where log x is about 100, far
+    # past the x the Bessel kernel reaches; the count of (x, inf] stays 1 as x
+    # doubles, until the kernel gives no finite F
+    tip = BoundaryMatrices([[-0.01]], [[1.0]])
+    spec = OperatorSpec(r=1.0, lambdas=(-0.25,), q0=1, boundary=tip, regular_bc=Dirichlet())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(eigenfunction.SpectrumCertificationError, match="kernel's range"):
+            find_spectrum(spec, 10.0)
 
 
 class _Stub:
@@ -651,7 +778,8 @@ class TestSpectrum:
     def test_log_channel_negative_eigenvalue_does_not_scale(self, r):
         # a nu = 0 singular-tip channel carries the log of x itself, not of x / R:
         # as R grows its F(ix) vanishes at x -> 2 e^(-gamma), the zero of its
-        # model, whatever R is, far beyond the heights x R = 12 to 201
+        # model, whatever R is, far beyond the imaginary grid's end x R = 12; the
+        # count of (0, inf] sees it, and the cuts at doubled x R reach it
         sp = find_spectrum(scalar_spec(0.0, Dirichlet(), tip="singular", r=r), 30.0 / r)
         assert sp.negative == (pytest.approx(2.0 * math.exp(-np.euler_gamma), rel=1e-14),)
 
@@ -710,10 +838,11 @@ class TestSpectrum:
         assert found[1] >= 3 * found[0] > 10
 
     def test_each_axis_samples_its_points_once(self, monkeypatch, diagonal_pair, kernel_fixture_third):
-        # the axes are scanned side by side: the first pass samples both, each
-        # from mu = 0, and every later pass only the midpoints of cells the count
-        # cuts (the doubled operator's three double roots); no point of an axis
-        # is sampled twice, the two lower bound checks on the imaginary axis aside
+        # the first pass samples the real grid from mu = 0, whose angles start the
+        # imaginary axis too: without negative eigenvalues no imaginary point but
+        # mu = 0 is sampled.  Every later pass samples only the points that cut
+        # the cells that count (the doubled operator's three double roots; the
+        # imaginary grid for the one negative eigenvalue), none of them twice
         passes = []
         sample = SecularEvaluator.sample
 
@@ -726,20 +855,15 @@ class TestSpectrum:
         doubled = diagonal_spec([robin, robin])
         for spec in (diagonal_pair, scalar_spec(0.5, Robin(-3.0)), kernel_fixture_third, doubled):
             passes.clear()
-            find_spectrum(spec, 10.0)
-            assert (len(passes) > 1) == (spec is doubled)
-            first = passes[0]
-            assert np.any(first.real > 0.0) and np.any(first.imag > 0.0)
+            sp = find_spectrum(spec, 10.0)
+            assert (len(passes) > 1) == (spec is doubled or bool(sp.negative))
+            assert np.all(passes[0].imag == 0.0) and np.any(passes[0].real > 0.0)
             mu = np.concatenate(passes)
-            assert np.count_nonzero(mu == 0.0) == 2  # mu = 0 once on each axis
-            x_hi = 12.0
-            checks = (np.array([0.8, 0.9]) * x_hi).tolist()
-            for axis, pts in (("real", mu.real[mu.imag == 0.0]), ("imag", mu.imag[mu.real == 0.0])):
-                pts = pts[pts > 0.0]
-                if axis == "imag":
-                    pts = pts[~np.isin(pts, checks)]
-                    assert pts.max() == x_hi
-                assert np.unique(pts).size == pts.size, axis
+            assert np.count_nonzero(mu == 0.0) == 1
+            real, imag = mu.real[mu.imag == 0.0], mu.imag[mu.real == 0.0]
+            assert np.any(imag > 0.0) == bool(sp.negative)
+            for pts in (real[real > 0.0], imag[imag > 0.0]):
+                assert np.unique(pts).size == pts.size
 
     def test_one_kernel_pass_per_refinement_round(self, monkeypatch):
         # both axes are refined together; every Newton round takes F and dlog F
