@@ -8,8 +8,14 @@ blocks commute, so its determinant is the q x q determinant
     F(mu) = det N(mu),    N = a_mat diag(jm) - b_mat diag(jp),
 
 and a kernel vector c of N gives the coefficient vector (diag(jm) c,
--diag(jp) c).  The traces jp_l, jm_l are boundary values at x = R of
-the two normalized scalar solutions of -f'' + (lambda/x^2 - mu^2) f = 0:
+-diag(jp) c).  Where the tip rows (A, B) are diagonal, as on every
+diagonal_spec and every cone degree, the operator separates into q
+scalar channels and F = prod_l N_ll, N_ll = a_ll jm_l - b_ll jp_l
+(Kirsten, Loya & Park, Manuscripta Math. 125, 2008): each channel is a
+factor of F, read off the diagonal with no matrix routine, and the
+spectrum search counts, brackets and refines each factor on its own.
+A coupled tip is the one factor det N.  The traces jp_l, jm_l are
+boundary values at x = R of the two normalized scalar solutions of -f'' + (lambda/x^2 - mu^2) f = 0:
 
 * nu > 0 branch pair:  sqrt(x) * Gamma(1 +- nu) x^(+-nu) phi_{+-nu}(mu x)
 * nu = 0 pair:         sqrt(x) * J_0(mu x) and the logarithmic companion
@@ -26,18 +32,20 @@ stay finite on contours where F grows like exp(q |Im mu| R); `scaled`
 returns a mantissa and a real log-scale with F = mantissa *
 exp(log_scale), the log-scale adding q |Im mu R| back.  `scaled` and
 `dlog` are evaluated over ndarrays of mu (a scalar mu is a one-element
-array); `dlog` gives F'/F by Jacobi's formula tr(N^-1 N') from the
-analytic mu-derivatives of the traces.
+array); `dlog` gives F'/F as the sum of the factors' log-derivatives,
+N'_ll / N_ll on a diagonal tip and Jacobi's formula tr(N^-1 N') on a
+coupled one, from the analytic mu-derivatives of the traces.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -71,6 +79,7 @@ _IMAG_GRID_XR = 12.0  # x R where the imaginary grid that cuts (0, inf] ends
 _ANGLE_SLACK = 1e-9  # an angle this close to 0 may lie on either side of it by rounding
 _ROOT_XTOL, _ROOT_RTOL = 1e-13, 4.0 * sys.float_info.epsilon
 _MAX_ROUNDS = 100  # accepted Newton steps halve every two rounds: about 80 suffice
+_SLOPE_FLOOR = 64.0 * sys.float_info.epsilon  # a Newton slope's rounding, per unit of growth
 
 
 class InvalidOperatorError(NumericalError):
@@ -126,6 +135,20 @@ def _unscaled(mant: np.ndarray, logs: np.ndarray) -> np.ndarray:
     return mant * np.exp(logs)
 
 
+def _scales(jp, jm) -> np.ndarray:
+    """The column scales max(|jp_l|, |jm_l|) of N from traces shaped (q,) + mu.shape,
+    shaped mu.shape reversed + (q,); 1 for a vanishing column, whose factor is exactly 0."""
+    scale = np.maximum(abs(jp.T), abs(jm.T))
+    scale[scale == 0.0] = 1.0
+    return scale
+
+
+def _product(mant: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F's mantissa and log-scale from its factors' along the leading axis: their
+    product and their sum (a one-factor F is its factor, with no arithmetic)."""
+    return reduce(operator.mul, mant), reduce(operator.add, logs)
+
+
 def off_zeros(dlog: np.ndarray) -> np.ndarray:
     """dlog F values, which must be finite: raises ContourError at a zero of F."""
     if not np.all(np.isfinite(dlog)):
@@ -153,11 +176,14 @@ class SecularEvaluator:
     :meth:`zero_free` of the contour disks and the zeta `power_sums`.
     :meth:`scaled`, :meth:`value` and :meth:`dlog` are computed
     over an ndarray mu and keep its shape; a scalar mu is evaluated as a
-    one-element array and comes back as Python scalars.  :meth:`sample`
-    is the pass of the spectrum scans, which gives the angles of the zero
-    count beside F and takes the probes of `k0` along while they are not
-    yet known; :meth:`imag_zeros_beyond` counts the zeros of F(ix) past
-    an x from one such pass.  `counts` holds the kernel passes made
+    one-element array and comes back as Python scalars.  `diagonal` says
+    whether the tip rows are diagonal, so that each channel is a factor
+    of F, and `width` is the number of channels of a factor (1 there, q on
+    a coupled tip).  :meth:`sample` is the pass of the spectrum scans,
+    which gives each factor and the angles of the zero count and takes
+    the probes of `k0` along while they are not yet known;
+    :meth:`imag_zeros_beyond` counts the zeros of F(ix) past an x from
+    one such pass.  `counts` holds the kernel passes made
     (``"passes"``) and the quadrature nodes spent (``"nodes"``) on this
     operator.
     """
@@ -200,9 +226,17 @@ class SecularEvaluator:
         # the tip rows [A | B], each over its largest entry (validation makes it nonzero)
         top = np.hstack([spec.boundary.a_mat, spec.boundary.b_mat]).tolist()
         tops = [max(map(abs, row)) for row in top]
-        top = np.array([[v / t for v in row] for row, t in zip(top, tops)])
+        rows = [[v / t for v in row] for row, t in zip(top, tops)]
+        top = np.array(rows)
         self._at, self._bt = top[:, : self.q].T, top[:, self.q :].T
-        self._log_top = sum(map(math.log, tops))
+        # diagonal rows make q scalar channels, F = prod_l N_ll: each channel is
+        # a factor of F; a coupled tip is the one factor det N of `width` q
+        off = (v for l, row in enumerate(rows) for j, v in enumerate(row) if j % self.q != l)
+        self.diagonal = not any(off)
+        self.width = 1 if self.diagonal else self.q
+        self._ad, self._bd = (np.array([row[l + j] for l, row in enumerate(rows)]) for j in (0, self.q))
+        log_top = list(map(math.log, tops))
+        self._log_top = np.array(log_top if self.diagonal else [sum(log_top)])  # per factor
         # the probes: F(0), then F on the Taylor circle
         self.circle_radius = math.sqrt(_CIRCLE_RHO) / spec.r
         self._probe_mu = np.concatenate(([0.0], self.circle_radius * _CIRCLE))
@@ -226,7 +260,7 @@ class SecularEvaluator:
         return _unscaled(*self._probe_scaled)
 
     def sample(self, mu: np.ndarray) -> tuple[np.ndarray, ...]:
-        """:meth:`scaled` and :meth:`_angles` over a 1-d mu in one kernel pass, which
+        """:meth:`_factors` and :meth:`_angles` over a 1-d mu in one kernel pass, which
         also takes F at the probes of :attr:`k0` while they are not yet known."""
         n = 0 if "_probe_scaled" in self.__dict__ else self._probe_mu.size
         mu, _ = _right_half(np.concatenate((self._probe_mu[:n], mu)))
@@ -237,16 +271,17 @@ class SecularEvaluator:
             raise SpectrumCertificationError(
                 f"F is not finite at |mu| = {at:.6g}, past the kernel's range"
             )
-        mant, logs = self._mantissa(mu, jp, jm, self._system(jp, jm))
+        mant, logs = self._factors(mu, self._system(jp, jm), _scales(jp, jm))
         if n:
-            self._probe_scaled = mant[:n], logs[:n]
-        return mant[n:], logs[n:], *self._angles(jp[:, n:], jm[:, n:])
+            self._probe_scaled = _product(mant[:, :n], logs[:, :n])
+        return mant[:, n:], logs[:, n:], *self._angles(jp[:, n:], jm[:, n:])
 
     def imag_zeros_beyond(self, x: float) -> int:
-        """The zeros of F(ix') on x' > x: :func:`_zero_count` of the cell (x, inf] from
-        the angles of one pass at x and their limit :attr:`_limit_turn`."""
+        """The zeros of F(ix') on x' > x: :func:`_zero_count` of each factor's cell
+        (x, inf] from the angles of one pass at x and their limit :attr:`_limit_turn`."""
         _, _, gam, theta = self.sample(np.array([1j * x]))
-        return int(_zero_count(1.0, gam, 0.0, _turns(theta, 1.0), self._limit_turn)[0])
+        gam, theta = (v.reshape(-1, self.width) for v in (gam, theta))
+        return int(_zero_count(1.0, gam, 0.0, _turns(theta, 1.0), self._limit_turn).sum())
 
     @cached_property
     def f0(self) -> complex:
@@ -372,37 +407,50 @@ class SecularEvaluator:
     @cached_property
     def _tip_turn(self) -> tuple[np.ndarray, np.ndarray]:
         """s_l (-1 on the log channels, +1 elsewhere) and W_tip* of the tip plane's
-        Souriau unitary W_tip = (X + iY)(X - iY)^-1 on its frame X = B*, Y = -(A diag(s))*."""
+        Souriau unitary W_tip = (X + iY)(X - iY)^-1 on its frame X = B*, Y = -(A diag(s))*;
+        on a diagonal tip, the diagonal of W_tip*."""
         s = np.where(np.arange(self.q) < self.q0, -1.0, 1.0)
+        if self.diagonal:
+            x, y = self._bd.conj(), -s * self._ad.conj()
+            return s, ((x + 1j * y) / (x - 1j * y)).conj()
         x, y = self._bt.conj(), -s[:, None] * self._at.conj()  # _at, _bt are A^T, B^T
         return s, ((x + 1j * y) @ np.linalg.inv(x - 1j * y)).conj().T
 
     @cached_property
-    def _limit_turn(self) -> float:
-        """:func:`_turns` at x = inf on the imaginary axis, where every gamma_l is 0 and U is
-        W_tip*: its eigen-angles, approached from below, so one within 1e-9 of 0 reads 2 pi."""
-        turn = 2.0 * math.pi
-        theta = np.mod(np.angle(np.linalg.eigvals(self._tip_turn[1])), turn)
-        return float(np.where(np.minimum(theta, turn - theta) > _ANGLE_SLACK, theta, turn).sum())
+    def _limit_turn(self) -> np.ndarray:
+        """Each factor's :func:`_turns` at x = inf on the imaginary axis, where every gamma_l
+        is 0 and U is W_tip*: its eigen-angles, approached from below, so one within 1e-9
+        of 0 reads 2 pi."""
+        turn, w = 2.0 * math.pi, self._tip_turn[1]
+        theta = np.mod(np.angle(w if self.diagonal else np.linalg.eigvals(w)), turn)
+        theta = np.where(np.minimum(theta, turn - theta) > _ANGLE_SLACK, theta, turn)
+        return theta.reshape(-1, self.width).sum(-1)
 
     def _angles(self, jp, jm) -> tuple[np.ndarray, np.ndarray]:
         """From traces shaped (q, n): the channel angles gamma_l = arg z_l,
         z_l = s_l jm_l - i jp_l, and the eigen-angles theta_k of U = diag(z / conj z) W_tip*,
-        each shaped (n, q).  F = 0 exactly where some theta_k is 0."""
+        each shaped (n, q), a factor's after those of the factors before it.  F = 0 exactly
+        where some theta_k is 0.  On a diagonal tip U is diagonal: theta_l is its entry's."""
         s, w = self._tip_turn
         z = s * jm.real.T - 1j * jp.real.T
+        if self.diagonal:
+            return np.angle(z), np.angle(z / z.conj() * w)
         return np.angle(z), np.angle(np.linalg.eigvals((z / z.conj())[..., None] * w))
 
     def _system(self, jp, jm) -> np.ndarray:
         """N^T, N = A diag(jm) - B diag(jp) with the normalized tip rows A, B, from traces
-        shaped (q,) + mu.shape: a stack in np.linalg's layout over mu.shape reversed."""
+        shaped (q,) + mu.shape: a stack in np.linalg's layout over mu.shape reversed.  On a
+        diagonal tip, only the diagonal N_ll, shaped mu.shape reversed + (q,)."""
+        if self.diagonal:
+            return jm.T * self._ad - jp.T * self._bd
         return jm.T[..., None] * self._at - jp.T[..., None] * self._bt
 
     def matrix(self, mu: complex) -> np.ndarray:
         """The q x q system N at mu (normalized tip rows, traces times exp(-|Im mu R|)),
         whose kernel vectors c give the coefficient vectors (diag(jm) c, -diag(jp) c)."""
         mu, _ = _right_half(np.array([mu]))  # F is even; keep arguments in the right half-plane
-        return self._system(*self._traces(mu))[0].T
+        n = self._system(*self._traces(mu))[0]
+        return np.diag(n) if self.diagonal else n.T
 
     def value(self, mu):
         """F(mu); raises NumericalError where |F| leaves the float range."""
@@ -420,25 +468,25 @@ class SecularEvaluator:
             return complex(mant[0]), float(logs[0])
         mu, _ = _right_half(mu)
         jp, jm = self._traces(mu)
-        return self._mantissa(mu, jp, jm, self._system(jp, jm))
+        return _product(*self._factors(mu, self._system(jp, jm), _scales(jp, jm)))
 
-    def _mantissa(self, mu: np.ndarray, jp, jm, nt) -> tuple[np.ndarray, np.ndarray]:
-        """The mantissa det(N / column scales) and the log-scale of F at mu (Re mu >= 0)
-        from the traces and :meth:`_system` there; column l is scaled by max(|jp_l|, |jm_l|)."""
-        growth = self.q * self.r * abs(mu.imag)  # each column of N carries exp(-|Im mu R|)
-        scale = np.maximum(abs(jp.T), abs(jm.T))
-        scale[scale == 0.0] = 1.0  # a vanishing column: det N is exactly 0
-        nt = nt / scale[..., None]  # row l of N^T is column l of N
-        if self.q == 1:
-            mant, logs = nt[..., 0, 0], np.log(scale[..., 0])
-        else:
-            mant, logs = np.linalg.det(nt), np.log(scale).sum(axis=-1)
-        return mant.T, logs.T + self._log_top + growth
+    def _factors(self, mu: np.ndarray, n, scale) -> tuple[np.ndarray, np.ndarray]:
+        """The mantissas and log-scales of F's factors at mu (Re mu >= 0), shaped
+        (f,) + mu.shape, from :meth:`_system` and :func:`_scales` there: N_ll over its
+        scale on a diagonal tip, else det(N / column scales)."""
+        growth = self.width * self.r * abs(mu.imag)  # each column of N carries exp(-|Im mu R|)
+        if self.diagonal:
+            mant, logs = n / scale, np.log(scale)
+        else:  # row l of N^T is column l of N
+            mant = np.linalg.det(n / scale[..., None])[..., None]
+            logs = np.log(scale).sum(axis=-1, keepdims=True)
+        return mant.T, (logs + self._log_top).T + growth
 
     # -- log-derivative -----------------------------------------------------
 
     def dlog(self, mu):
-        """(d/dmu) log F by Jacobi's formula dlog F = tr(N^-1 N').
+        """(d/dmu) log F, the sum of its factors' log-derivatives: N'_ll / N_ll on a
+        diagonal tip, else Jacobi's formula dlog det N = tr(N^-1 N').
 
         N' is N with the traces replaced by their mu-derivatives, which
         carry the same exp(-|Im mu R|) factor, so it cancels.  A scalar
@@ -453,32 +501,41 @@ class SecularEvaluator:
         """:meth:`dlog` over an ndarray mu, left non-finite at the zeros of F."""
         mu, flip = _right_half(mu)
         jp, jm, djp, djm = self._traces(mu, deriv=True)
-        return self._jacobi(flip, self._system(jp, jm), self._system(djp, djm))
+        dlogs = self._jacobi(flip, jp, jm, self._system(jp, jm), self._system(djp, djm))
+        return reduce(operator.add, dlogs)
 
     def _scaled_dlog(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`scaled` and :meth:`_dlog` over an ndarray mu from one kernel pass."""
+        mant, logs, dlog = self._factor_dlog(mu)
+        return (*_product(mant, logs), reduce(operator.add, dlog))
+
+    def _factor_dlog(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`_factors` and :meth:`_jacobi` over an ndarray mu from one kernel pass."""
         mu, flip = _right_half(mu)
         jp, jm, djp, djm = self._traces(mu, deriv=True)
-        nt = self._system(jp, jm)
-        return (*self._mantissa(mu, jp, jm, nt), self._jacobi(flip, nt, self._system(djp, djm)))
+        n = self._system(jp, jm)
+        dlogs = self._jacobi(flip, jp, jm, n, self._system(djp, djm))
+        return (*self._factors(mu, n, _scales(jp, jm)), dlogs)
 
-    def _jacobi(self, flip, nt, dnt) -> np.ndarray:
-        """dlog F = tr(N^-1 N') from :meth:`_system` of the traces and of their
-        mu-derivatives, negated where mu was reflected."""
+    def _jacobi(self, flip, jp, jm, n, dn) -> np.ndarray:
+        """The log-derivatives of F's factors, shaped (f,) + mu.shape, from the traces and
+        :meth:`_system` of them and of their mu-derivatives: N'_ll / N_ll on a diagonal
+        tip, else tr(N^-1 N'); negated where mu was reflected."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            if self.q == 1:
-                out = dnt[..., 0, 0] / nt[..., 0, 0]
-            else:  # tr(N^-T N'^T) = tr(N^-1 N'), both over the column maxima of N
-                scale = np.max(abs(nt), axis=-1, keepdims=True)
-                nt, dnt = nt / scale, dnt / scale
+            if self.diagonal:
+                out = dn / n
+            else:  # tr(N^-T N'^T) = tr(N^-1 N'), both over the column scales of :meth:`_factors`,
+                # so that N is singular here exactly where its mantissa there is 0
+                scale = _scales(jp, jm)[..., None]
+                n, dn = n / scale, dn / scale
                 try:
-                    sol = np.linalg.solve(nt, dnt)
+                    sol = np.linalg.solve(n, dn)
                 except np.linalg.LinAlgError:  # mu on a zero of F: only that matrix is singular
-                    singular = np.linalg.det(nt) == 0.0
-                    nt[singular] = np.eye(self.q)
-                    sol = np.linalg.solve(nt, dnt)
+                    singular = np.linalg.det(n) == 0.0
+                    n[singular] = np.eye(self.q)
+                    sol = np.linalg.solve(n, dn)
                     sol[singular] = np.nan
-                out = np.trace(sol, axis1=-2, axis2=-1)
+                out = np.trace(sol, axis1=-2, axis2=-1)[..., None]
         return np.where(flip, -out.T, out.T)  # F is even, dlog F odd
 
     def quoted_model(self, x: float) -> complex:
@@ -597,29 +654,31 @@ def _turns(theta: np.ndarray, sigma) -> np.ndarray:
 
 
 def _zero_count(sigma, gam_a, gam_b, turn_a, turn_b) -> np.ndarray:
-    """The zeros of F in cells (a, b] from the channel angles gamma_l at their ends,
-    shaped (n, q), and the :func:`_turns` of the eigen-angles there (Atkinson, 1964).
+    """The zeros of a factor of F in cells (a, b] from its channel angles gamma_l at
+    their ends, shaped (n, q_f), and the :func:`_turns` of its eigen-angles there
+    (Atkinson, 1964).
 
     As mu^2 grows, the gamma_l and the eigen-angles theta_k of U all turn
-    down, F = 0 exactly where a theta_k crosses 0, and sum_k theta_k is
-    2 sum_l gamma_l up to a constant.  With sigma = -1 on the real axis
-    and +1 on the imaginary one, where mu^2 = -x^2 falls as x grows, the
-    count is
+    down, the factor is 0 exactly where one of its theta_k crosses 0, and
+    its sum_k theta_k is 2 sum_l gamma_l up to a constant.  With sigma = -1
+    on the real axis and +1 on the imaginary one, where mu^2 = -x^2 falls
+    as x grows, the count is
 
         n = [2 sum_l mod(sigma Delta gamma_l, 2 pi) - Delta sum_k mod(sigma theta_k, 2 pi)] / 2 pi.
 
-    It assumes that each z_l turns less than a full turn per cell.  A
-    channel increment is taken in (-1e-9, 2 pi - 1e-9], since a channel
-    that stands still can step back by rounding.
+    It assumes that no theta_k turns a full turn per cell.  A channel
+    increment is taken in (-1e-9, 2 pi - 1e-9], since a channel that
+    stands still can step back by rounding.
     """
     step = np.mod(sigma * (gam_b - gam_a) + _ANGLE_SLACK, 2.0 * math.pi) - _ANGLE_SLACK
     return np.rint((2.0 * step.sum(-1) - turn_b + turn_a) / (2.0 * math.pi))
 
 
 def _points(x, sigma, mants, logs, gam, theta) -> list[np.ndarray]:
-    """Rows of the point table of :func:`_scan` from the samples at x on the axis of
-    sigma: x, sigma, the real F mantissa (0 where some theta_k lies within 1e-9 of 0:
-    its sign is rounding), the log-scale, the gamma_l and the :func:`_turns`.
+    """Rows of the slot table of :func:`_scan` from the samples at x on the axis of
+    sigma, one slot per point and factor of F (slot = point * factors + factor): x,
+    sigma, the factor's real mantissa (0 where one of its theta_k lies within 1e-9 of
+    0: its sign is rounding), its log-scale, its gamma_l and its :func:`_turns`.
     Raises NumericalError where the mantissas are not real."""
     mags = np.abs(mants)
     live = mags > 0.0
@@ -629,8 +688,11 @@ def _points(x, sigma, mants, logs, gam, theta) -> list[np.ndarray]:
             f"secular values on the axes are not real (residue {worst:.2e}); "
             "complex tip matrices are not supported here"
         )
-    f = np.where(np.min(np.abs(theta), axis=1) > _ANGLE_SLACK, mants.real, 0.0)
-    return [x, sigma, f, logs, gam, _turns(theta, sigma[:, None])]
+    factors = mants.shape[0]
+    sigma = np.repeat(sigma, factors)
+    gam, theta = (v.reshape(sigma.size, -1) for v in (gam, theta))
+    f = np.where(np.min(np.abs(theta), axis=1) > _ANGLE_SLACK, mants.real.T.ravel(), 0.0)
+    return [np.repeat(x, factors), sigma, f, logs.T.ravel(), gam, _turns(theta, sigma[:, None])]
 
 
 def _cut(a: float, b: float, res: float, r: float) -> np.ndarray:
@@ -638,7 +700,7 @@ def _cut(a: float, b: float, res: float, r: float) -> np.ndarray:
     imaginary axis, the grid of spacing res over [res/2, 12 / R] for (0, inf], and
     2a for (a, inf] (a SpectrumCertificationError where 2a leaves the float range)."""
     if b < math.inf:
-        return np.array([0.5 * (a + b)])
+        return np.array([0.5 * a + 0.5 * b])
     if a == 0.0:
         return _grid(0.5 * res, _IMAG_GRID_XR / r, res)
     if not 2.0 * a < math.inf:
@@ -647,40 +709,49 @@ def _cut(a: float, b: float, res: float, r: float) -> np.ndarray:
 
 
 def _scan(ev: SecularEvaluator, mu_max: float) -> tuple[list, list]:
-    """The brackets (sigma, a, b, fa, fb) and the multiple roots (sigma, x) of both axes.
+    """The brackets (sigma, k, a, b, fa, fb) and the multiple roots (sigma, x) of both
+    axes, k the factor of F whose zero the bracket holds.
 
-    One table holds the samples of both axes: the real grid from mu = 0,
-    then mu = 0 read on the imaginary axis and the limit x = inf there.
-    The first pass samples the grid, taking the probes of
-    :attr:`SecularEvaluator.k0` along, so the imaginary axis starts as the
-    single cell (0, inf].  At mu = 0 the k0 eigen-angles nearest 0, the
-    kernel, are set to 0.  At x = inf every gamma_l is 0 and U is W_tip*
-    (:attr:`SecularEvaluator._limit_turn`).  :func:`_zero_count` counts
-    the zeros in every cell.  On the real axis the spacing pi / (4 q R),
-    a quarter of a channel's asymptotic zero spacing pi / R, keeps each
-    z_l below a full turn per cell; on the imaginary axis no cell needs
-    a bound, since z_l crosses the real axis only where jp_l(ix) = 0, a
-    negative eigenvalue of the channel's Friedrichs problem, which has at
-    most one.  A finite cell that counts 1 and whose ends differ in sign is
-    a bracket: a positive multiple of F, finite near the scale of a, is fa
-    at a and fb at b.  Every other cell that counts is cut by :func:`_cut`,
-    all in one pass, until its parts count at most 1.  A finite part that
-    still counts m at the root tolerance of :func:`_refine` is a root of
-    multiplicity m, listed m times.
+    F is a product of factors: each channel's N_ll on a diagonal tip
+    (:attr:`SecularEvaluator.diagonal`), else the one factor det N; a
+    factor has q_f channels, 1 or q (:attr:`SecularEvaluator.width`).  One
+    table holds the samples of both axes, one slot per point and factor
+    (:func:`_points`): the real grid from mu = 0, then mu = 0 read on the
+    imaginary axis and the limit x = inf there.  Each factor has its own
+    cells, all sampled by the same passes.  The first pass samples the
+    grid, taking the probes of :attr:`SecularEvaluator.k0` along, so each
+    factor's imaginary axis starts as the single cell (0, inf].  At mu = 0
+    the k0 eigen-angles nearest 0, the kernel, are set to 0.  At x = inf
+    every gamma_l is 0 and U is W_tip* (:attr:`SecularEvaluator._limit_turn`).  :func:`_zero_count` counts
+    the zeros of each factor in each of its cells.  On the real axis the
+    spacing pi / (4 q_f R) keeps 2 sum_l Delta gamma_l over a factor's
+    channels, each turning about pi / (4 q_f) a cell, below a full turn,
+    so no eigen-angle of the factor makes one; on the imaginary axis no
+    cell needs a bound, since z_l crosses the real axis only where
+    jp_l(ix) = 0, a negative eigenvalue of the channel's Friedrichs
+    problem, which has at most one.  A finite cell that counts 1 and whose
+    ends differ in sign is a bracket: a positive multiple of the factor,
+    finite near the scale of a, is fa at a and fb at b.  Every other cell
+    that counts is cut by :func:`_cut`, all in one pass (cells of several
+    factors over the same span share their cut points), until its parts
+    count at most 1.  A finite part that still counts m at the root
+    tolerance of :func:`_refine` is a root of multiplicity m, listed m
+    times.
     """
-    res = math.pi / (4.0 * ev.q * ev.r)
+    res = math.pi / (4.0 * ev.width * ev.r)
     first = 0.5 * min(res, 0.05 / ev.r, mu_max)  # at a tiny R, 0.025 / R may pass mu_max
     x = np.concatenate(([0.0], _grid(first, mu_max, res)))
     mants, logs, gam, theta = ev.sample(x.astype(complex))
     theta[0, np.argsort(np.abs(theta[0]))[: ev.k0]] = 0.0
-    rows = (
-        _points(x, np.full(x.size, -1.0), mants, logs, gam, theta),
-        _points(x[:1], np.ones(1), mants[:1], logs[:1], gam[:1], theta[:1]),
-        [np.array([math.inf]), np.ones(1), np.full(1, math.nan), np.full(1, math.nan),
-         np.zeros((1, ev.q)), np.array([ev._limit_turn])],
-    )
-    data = [np.concatenate(v) for v in zip(*rows)]
-    lo, hi = np.append(np.arange(x.size - 1), x.size), np.append(np.arange(1, x.size), x.size + 1)
+    nf = mants.shape[0]
+    real = _points(x, np.full(x.size, -1.0), mants, logs, gam, theta)
+    at_zero = _points(x[:1], np.ones(1), mants[:, :1], logs[:, :1], gam[:1], theta[:1])
+    limit = [np.full(nf, math.inf), np.ones(nf), np.full(nf, math.nan), np.full(nf, math.nan),
+             np.zeros((nf, ev.width)), ev._limit_turn]
+    data = [np.concatenate(v) for v in zip(real, at_zero, limit)]
+    # the cells (lo, lo + nf] of slots: each factor's real grid, then its (0, inf]
+    lo = np.concatenate((np.arange((x.size - 1) * nf), np.arange(x.size * nf, (x.size + 1) * nf)))
+    hi = lo + nf
     imag_res = min(res, 0.1 / ev.r)
     brackets, roots = [], []
     while lo.size:
@@ -692,25 +763,28 @@ def _scan(ev: SecularEvaluator, mu_max: float) -> tuple[list, list]:
         a, b = lo[one], hi[one]
         # b's scale over a's, capped inside the float range: false position starts at a there
         fb = f[b] * np.exp(np.minimum(logs[b] - logs[a], 0.5 * _LOG_MAX))
-        brackets += zip(*(v.tolist() for v in (sigma[a], x[a], x[b], f[a], fb)))
+        brackets += zip(*(v.tolist() for v in (sigma[a], a % nf, x[a], x[b], f[a], fb)))
         cut = (n > 0.0) & ~one
         width = x[hi] - x[lo]
         fine = cut & (width <= _ROOT_XTOL / ev.r + _ROOT_RTOL * x[hi]) & (width < math.inf)
-        centre = 0.5 * (x[lo] + x[hi])
+        centre = 0.5 * x[lo] + 0.5 * x[hi]  # halves first: no overflow near the float range
         for s, at, m in zip(sigma[lo][fine].tolist(), centre[fine].tolist(), n[fine].astype(int)):
             roots += [(s, at)] * m
         lo, hi = lo[cut & ~fine], hi[cut & ~fine]
-        if lo.size:
-            parts = [_cut(a, b, imag_res, ev.r) for a, b in zip(x[lo].tolist(), x[hi].tolist())]
+        if lo.size:  # cells of several factors over one span of points share its cut
+            spans = list(dict.fromkeys(zip((lo // nf).tolist(), (hi // nf).tolist())))
+            parts = [_cut(float(x[i * nf]), float(x[j * nf]), imag_res, ev.r) for i, j in spans]
             pts = np.concatenate(parts)
-            axis = np.repeat(sigma[lo], [p.size for p in parts])
+            axis = np.repeat(sigma[[i * nf for i, _ in spans]], [p.size for p in parts])
             new = _points(pts, axis, *ev.sample(np.where(axis > 0.0, 1j * pts, pts)))
+            inner, m = {}, x.size // nf  # each span's new points, in order
+            for span, p in zip(spans, parts):
+                inner[span], m = range(m, m + p.size), m + p.size
             data = [np.concatenate(v) for v in zip(data, new)]
-            cells, k = [], x.size
-            for i, j, p in zip(lo.tolist(), hi.tolist(), parts):  # (i, j] into (i, k], ..., (k + m - 1, j]
-                ks = list(range(k, k + p.size))
+            cells = []
+            for i, j in zip(lo.tolist(), hi.tolist()):  # (i, j] into (i, p0], ..., (pm, j]
+                ks = [p * nf + i % nf for p in inner[i // nf, j // nf]]
                 cells += zip([i] + ks, ks + [j])
-                k += p.size
             lo, hi = (np.array(v) for v in zip(*cells))
     return brackets, roots
 
@@ -718,29 +792,38 @@ def _scan(ev: SecularEvaluator, mu_max: float) -> tuple[list, list]:
 def _refine(
     ev: SecularEvaluator, real: list[tuple], imag: list[tuple]
 ) -> tuple[list[float], list[float]]:
-    """The roots in the real- and imaginary-axis brackets of :func:`_scan`,
-    all refined together.
+    """The roots in the real- and imaginary-axis brackets (k, a, b, fa, fb) of
+    :func:`_scan`, all refined together, each on its factor k of F.
 
     Safeguarded Newton (``rtsafe``) over the array of roots still
     active, on both axes at once: each round is one kernel pass
-    (:meth:`~SecularEvaluator._scaled_dlog`) giving F, whose mantissa
-    signs shrink every bracket, and dlog F, for the Newton steps of the
-    real function Re F(unit x), unit = 1 on the real axis and i on the
-    imaginary one.  With m the mantissa, the step is
-    Re m / Re(unit m dlog F).  That is 1/Re(unit dlog F) where F is
-    real, and it stays accurate next to a root, where the rounding
-    residue Im m outweighs Re m and dlog F is mostly imaginary.  A step
-    that leaves its bracket, that is not at most half the step two
-    rounds before, or that is not finite becomes a bisection.  A root
-    stops when its step or its bracket width is at most
-    1e-13 / R + 4 eps |x|, or when F is exactly 0 there.  No residual is
-    checked: the count of :func:`_scan` puts exactly one zero in each bracket.
+    (:meth:`~SecularEvaluator._factor_dlog`) giving each root's factor
+    f_k, whose mantissa signs shrink its bracket, and dlog f_k (on a
+    diagonal tip N'_ll / N_ll), for the Newton steps of the real function
+    Re f_k(unit x) e^(-c x), unit = 1 and c = 0 on the real axis, unit = i
+    and c = q_f R, the growth of f_k's log-scale, on the imaginary one.
+    With m the mantissa, the step is Re m / (Re(unit m dlog f_k) - c Re m).
+    That is 1/(Re(unit dlog f_k) - c) where f_k is real, and it stays
+    accurate next to a root, where the rounding residue Im m outweighs
+    Re m and dlog f_k is mostly imaginary.  Far up the imaginary axis,
+    where unit dlog f_k is c to rounding, the step of f_k itself would be
+    1/c, below the root tolerance past x R of about 1e14; without the
+    growth the slope is below its rounding, 64 eps c, and the root is
+    bisected.  A step that leaves its bracket, that is not at most half
+    the step two rounds before, or that is not finite becomes a
+    bisection.  A root stops when its step or its bracket width is at
+    most 1e-13 / R + 4 eps |x|, when f_k is exactly 0 there, or when its
+    Newton target lies outside the bracket by at most that tolerance: the
+    root is then the bracket's end.  No residual is checked: the count of
+    :func:`_scan` puts exactly one zero of f_k in each bracket.
     """
     brackets = real + imag
     if not brackets:
         return [], []
     unit = np.array([1.0] * len(real) + [1j] * len(imag))
-    lo, hi, fa, fb = (np.array(v) for v in zip(*brackets))
+    growth = ev.width * ev.r * unit.imag  # c, the x-derivative of the log-scale's q_f R |Im mu|
+    shift, floor = 1j * growth, _SLOPE_FLOOR * growth  # unit (dlog + i c) = unit dlog - c
+    k, lo, hi, fa, fb = (np.array(v) for v in zip(*brackets))
     sign_lo = np.sign(fa)
     x = lo - fa * (hi - lo) / (fb - fa)  # false position: inside the bracket
     step = hi - lo  # |step| of the last round and of the round before
@@ -751,24 +834,31 @@ def _refine(
         if act.size == 0:
             break
         xa = x[act]
-        mant, _, dlog = ev._scaled_dlog(unit[act] * xa)
+        mant, _, dlog = ev._factor_dlog(unit[act] * xa)
+        if len(mant) > 1:  # each root's own factor
+            mant, dlog = (v[k[act], np.arange(act.size)] for v in (mant, dlog))
+        else:
+            mant, dlog = mant[0], dlog[0]
         f = mant.real
         above = f * sign_lo[act] > 0.0  # the sign of the lower end: the root lies above
         lo[act[above]] = xa[above]
         hi[act[~above]] = xa[~above]
         live = f != 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            slope = (unit[act] * mant * dlog).real
-            newton = np.where(live & np.isfinite(slope), f / slope, np.nan)
+            slope = (unit[act] * mant * (dlog + shift[act])).real
+            # below 64 eps c the slope is the rounding left where the growth is taken out
+            newton = np.where(live & (np.abs(slope) > floor[act]), f / slope, np.nan)
         lo_a, hi_a = lo[act], hi[act]
         x_new = xa - newton
-        ok = (lo_a <= x_new) & (x_new <= hi_a) & (2.0 * np.abs(newton) <= before[act])
-        x_next = np.where(ok, x_new, 0.5 * (lo_a + hi_a))
-        dx = np.where(ok, np.abs(newton), 0.5 * (hi_a - lo_a))
+        x_end = np.minimum(np.maximum(x_new, lo_a), hi_a)  # x_new, or the bracket end past it
+        tol = _ROOT_XTOL / ev.r + _ROOT_RTOL * np.abs(xa)
+        ok = (x_end == x_new) & (2.0 * np.abs(newton) <= before[act])
+        ended = (x_end != x_new) & (np.abs(x_end - x_new) <= tol)  # the root is the bracket's end
+        x_next = np.where(ok | ended, x_end, 0.5 * lo_a + 0.5 * hi_a)
+        dx = np.where(ok, np.abs(newton), 0.5 * hi_a - 0.5 * lo_a)
         before[act], step[act] = step[act], dx
-        tol = _ROOT_XTOL / ev.r + _ROOT_RTOL * np.abs(x_next)
         x[act] = np.where(live, x_next, xa)
-        active[act] = live & (dx > tol) & (hi_a - lo_a > tol)
+        active[act] = live & ~ended & (dx > tol) & (hi_a - lo_a > tol)
     if active.any():
         raise SpectrumCertificationError(
             f"root refinement did not converge in {_MAX_ROUNDS} rounds"
@@ -779,21 +869,30 @@ def _refine(
 def find_spectrum(spec: OperatorSpec, mu_max: float) -> Spectrum:
     """All zeros of F on (0, mu_max] and on the positive imaginary axis.
 
-    Every length of the search is a multiple of 1/R, so the zeros for
-    (0, R] are those for (0, 1] over R.  The real-axis grid has the
-    spacing pi / (4 q R) and its first point past mu = 0 is half the
-    smallest of that, 0.05 / R and mu_max.  The imaginary axis is one cell
-    (0, inf] that the count certifies as it stands where it holds no zero;
-    else it is cut at the grid of the smaller of that spacing and 0.1 / R
-    up to x R = 12, and the cells beyond at their doubled lower ends.
-    :func:`_scan` counts the zeros in every cell of both axes from the
-    samples' angles and cuts the cells that count more than one, or that
-    count one without a sign change, one kernel pass for all, the first
-    taking the probes of :attr:`SecularEvaluator.k0` along.  The brackets
-    of both axes are then refined together by :func:`_refine`; a root of
-    multiplicity m is listed m times.  The returned :class:`Spectrum`
-    carries the evaluator, which :func:`~regsing.determinant.zeta_eval`
-    reuses for the same spec, and the number of kernel passes made.
+    F is searched factor by factor: on a diagonal tip (every
+    :func:`~regsing.operators.diagonal_spec`, every cone degree) F is the
+    product of the q scalar channels' N_ll (Kirsten, Loya & Park, 2008),
+    and each channel is counted, bracketed and refined on its own; a
+    coupled tip is the one factor det N of q channels.  Every length of
+    the search is a multiple of 1/R, so the zeros for (0, R] are those
+    for (0, 1] over R.  The real-axis grid has the spacing
+    pi / (4 q_f R), q_f the channels of a factor (1 on a diagonal tip,
+    q on a coupled one), and its first point past mu = 0 is half the
+    smallest of that, 0.05 / R and mu_max.  Each factor's imaginary axis
+    is one cell (0, inf] that the count certifies as it stands where it
+    holds no zero; else it is cut at the grid of the smaller of that
+    spacing and 0.1 / R up to x R = 12, and the cells beyond at their
+    doubled lower ends.  :func:`_scan` counts each factor's zeros in
+    every one of its cells of both axes from the samples' angles and
+    cuts the cells that count more than one, or that count one without a
+    sign change, one kernel pass for all factors, the first taking the
+    probes of :attr:`SecularEvaluator.k0` along.  The brackets of both
+    axes are then refined together by :func:`_refine`, each by the
+    Newton step of its own factor; a root of multiplicity m is listed m
+    times (a root that m channels share is m brackets).  The returned
+    :class:`Spectrum` carries the evaluator, which
+    :func:`~regsing.determinant.zeta_eval` reuses for the same spec, and
+    the number of kernel passes made.
     """
     if mu_max <= 0.0:
         raise ValueError("mu_max must be positive")

@@ -96,6 +96,13 @@ _SERIES_TERMS = 14
 _AXIS_SERIES_RADIUS = 20.0
 _AXIS_SERIES_TERMS = 40
 
+# Beyond this x the imaginary zone takes e^(-x) I_nu(x) from its large-argument
+# form (DLMF 10.40.1), four terms: scipy's ive returns NaN past x of about
+# 1.07e9, and for the base orders nu < 2 the first omitted term, a_4(nu) / x^4,
+# is below 1e-32 of the sum here.
+_LARGE_X = 1e8
+_LARGE_TERMS = 4
+
 
 class SpecialFunctionDomainError(ValueError):
     """Argument outside the supported domain (cut, pole, sign)."""
@@ -340,6 +347,18 @@ def _imag_series_zone(k: KernelTable, w: np.ndarray):
     return value[:m], (1j * sign * half) * deriv[:m], y
 
 
+def _large_ive(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """e^(-x) I_nu(x) at x >= _LARGE_X, shaped (len(nu), x.size), from the sum
+    (2 pi x)^(-1/2) sum_k (-1)^k a_k(nu) / x^k over k < 4,
+    a_k(nu) = (4 nu^2 - 1)(4 nu^2 - 9) ... (4 nu^2 - (2k - 1)^2) / (k! 8^k) (DLMF 10.40.1)."""
+    term = np.ones((nu.size, x.size))
+    total = term.copy()
+    for n in range(1, _LARGE_TERMS):
+        term = term * ((4.0 * nu * nu - (2 * n - 1) ** 2) / (-8.0 * n)) / x
+        total += term
+    return total / (math.sqrt(2.0 * math.pi) * np.sqrt(x))
+
+
 def _imag_zone(k: KernelTable, w: np.ndarray):
     # w = +-ix with x > 20:
     # phi_s(+-ix) = (x/2)^(-s) I_s(x), phi_s'(+-ix) = -+i (x/2)^(-s) I_{s+1}(x),
@@ -348,7 +367,9 @@ def _imag_zone(k: KernelTable, w: np.ndarray):
     # all scaled by e^(-x).  I comes from the real-argument iv (Temme's
     # method, about 2e-15 relative), not from ive, whose Miller recurrence
     # loses up to 7e-14 below x = 22; ive serves only past x = 708, where
-    # e^(-x) leaves the normal floats and iv soon overflows.
+    # e^(-x) leaves the normal floats and iv soon overflows, and _large_ive
+    # past x = 1e8, where ive fails.  There e^(-x) K_nu = e^x K_nu e^(-2x) is
+    # 0, below the smallest float (kve, which fails too, is not called).
     m = len(k.orders)
     sign = np.sign(w.imag)
     x = sign * w.imag
@@ -356,11 +377,15 @@ def _imag_zone(k: KernelTable, w: np.ndarray):
     far = scale < sys.float_info.min
     if np.count_nonzero(far):
         i = np.empty((len(k.pair), x.size))
-        i[:, ~far] = sc.iv(k.pair, x[~far]) * scale[~far]
-        i[:, far] = sc.ive(k.pair, x[far])
+        kx = np.zeros((len(k.pair), x.size))
+        near, large = ~far, x >= _LARGE_X
+        i[:, near] = sc.iv(k.pair, x[near]) * scale[near]
+        kx[:, near] = sc.kve(k.pair, x[near]) * scale[near] ** 2
+        i[:, far & ~large] = sc.ive(k.pair, x[far & ~large])
+        i[:, large] = _large_ive(k.pair, x[large])
     else:
         i = sc.iv(k.pair, x) * scale
-    kx = sc.kve(k.pair, x) * scale**2
+        kx = sc.kve(k.pair, x) * scale**2
     ir = i[k.rows] + k.sine * kx[k.rows]  # I_s, then I_{s+1} before the shift term
     ir[m:] -= k.shift / x * ir[:m]
     rows = (0.5 * x) ** k.exponent * ir.reshape(2, m, -1)

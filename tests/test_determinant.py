@@ -948,6 +948,29 @@ PASS_SPECS = {  # one spec per q, kernel-free and with a kernel (k0 = 1)
 }
 
 
+# the four-channel operators of the benchmark's seed-1 spectrum pool: R, the Robin
+# end's alpha R (None for Dirichlet) and the channels (nu, tip); mu_max = 30 pi / (4 R)
+POOL_Q4 = [
+    (0.5800646930800815, 0.625,
+     [(0.017857142857142856, "singular"), (0.8392857142857143, "regular"),
+      (0.6607142857142857, "regular"), (0.48214285714285715, "singular")]),
+    (1.0, None, [(0.0, "regular"), (0.9821428571428571, "regular"), (0.8035714285714286, "singular"), (0.625, "regular")]),
+    (1.0, 2.017857142857143,
+     [(0.7321428571428571, "singular"), (0.5535714285714286, "regular"), (0.0, "regular"),
+      (0.19642857142857142, "singular")]),
+    (0.7807091821557101, 2.267857142857143,
+     [(0.5892857142857143, "regular"), (0.4107142857142857, "singular"),
+      (0.23214285714285715, "regular"), (0.05357142857142857, "regular")]),
+    (1.7696126940446328, 1.5892857142857144,
+     [(0.875, "singular"), (0.6964285714285714, "regular"), (0.5178571428571429, "regular"),
+      (0.3392857142857143, "singular")]),
+    (1.0, None, [(0.30357142857142855, "regular"), (0.125, "regular"), (0.0, "regular"), (0.7678571428571429, "regular")]),
+    (3.447891284987911, 0.6964285714285714,
+     [(0.44642857142857145, "regular"), (0.26785714285714285, "singular"),
+      (0.08928571428571429, "regular"), (0.9107142857142857, "regular")]),
+]
+
+
 class TestPassBudgets:
     """Kernel passes per stage, read from the evaluator's counter."""
 
@@ -980,6 +1003,30 @@ class TestPassBudgets:
         got = det_zeta_auto(PASS_SPECS[name])
         want = (1, 0) if "kernel" in name else (2, 48)
         assert (got.diagnostics["passes"], got.diagnostics["nodes"]) == want
+
+    @pytest.mark.parametrize("case", range(len(POOL_Q4)))
+    def test_four_channel_spectrum_samples_and_rounds(self, case, monkeypatch):
+        # a diagonal tip's channels are counted on the grid of spacing pi / (4 R)
+        # that one channel needs, not pi / (16 R), so the first pass samples mu = 0
+        # and about 4 mu_max R / pi grid points, and nothing more on the real axis;
+        # each root is refined by its own channel's Newton step, in a few rounds
+        r, beta, channels = POOL_Q4[case]
+        bc = Dirichlet() if beta is None else Robin(beta / r)
+        spec = diagonal_spec([scalar_spec(nu, bc, tip=tip, r=r) for nu, tip in channels])
+        mu_max = 30.0 * math.pi / (4.0 * r)
+        passes, rounds = [], []
+        sample, factor_dlog = eigenfunction.SecularEvaluator.sample, eigenfunction.SecularEvaluator._factor_dlog
+        monkeypatch.setattr(
+            eigenfunction.SecularEvaluator, "sample", lambda ev, mu: passes.append(mu) or sample(ev, mu)
+        )
+        monkeypatch.setattr(
+            eigenfunction.SecularEvaluator, "_factor_dlog", lambda ev, mu: rounds.append(mu) or factor_dlog(ev, mu)
+        )
+        sp = find_spectrum(spec, mu_max)
+        assert len(sp.positive) >= 28 and sp.negative == ()
+        mu = np.concatenate(passes)
+        assert np.count_nonzero(mu.imag == 0.0) <= math.ceil(4.0 * mu_max * r / math.pi) + 3
+        assert len(rounds) <= 6
 
     @pytest.mark.parametrize(
         "spec",

@@ -325,9 +325,9 @@ def test_dlog_is_odd_and_takes_scalars(diagonal_pair):
 
 def _count_calls(monkeypatch) -> Counter:
     """Count F calls (key "scaled") and dlog F calls (key "_dlog") of
-    SecularEvaluator from now on; one fused _scaled_dlog call is one of each."""
+    SecularEvaluator from now on; one fused _factor_dlog call is one of each."""
     calls = Counter()
-    counts = {"scaled": ("scaled",), "_dlog": ("_dlog",), "_scaled_dlog": ("scaled", "_dlog")}
+    counts = {"scaled": ("scaled",), "_dlog": ("_dlog",), "_factor_dlog": ("scaled", "_dlog")}
     for name, keys in counts.items():
         method = getattr(SecularEvaluator, name)
 
@@ -429,6 +429,17 @@ def test_spectrum_dilation_law(name):
                 assert np.max(np.abs(r * np.array(got) / want - 1.0)) <= 1e-14, r
 
 
+def _rotated(spec: OperatorSpec, i: int, j: int, angle: float = 0.6) -> OperatorSpec:
+    """The spec on the tip (A Q, B Q), Q the rotation by `angle` in the plane of its
+    channels i and j: where the two repeat, Q commutes with diag(jp) and diag(jm), so
+    F is the same, but the tip couples them."""
+    rot = np.eye(spec.q)
+    c, s = math.cos(angle), math.sin(angle)
+    rot[[i, i, j, j], [i, j, i, j]] = c, -s, s, c
+    tip = BoundaryMatrices(spec.boundary.a_mat @ rot, spec.boundary.b_mat @ rot)
+    return OperatorSpec(r=spec.r, lambdas=spec.lambdas, q0=spec.q0, boundary=tip, regular_bc=spec.regular_bc)
+
+
 _CHANNEL = st.tuples(
     st.just(0.0) | st.floats(min_value=0.05, max_value=0.9), st.sampled_from(["regular", "singular"])
 )
@@ -454,6 +465,7 @@ def _repeated_channels(draw):
 @example(  # a triple root at mu_max and its shifted copy 1.6e-9 below it
     channels=[(0.5, "singular")] * 3 + [(0.500000001, "singular")], alpha_r=None, r=1.0
 )
+@example(channels=[(0.3, "regular"), (0.3, "regular")], alpha_r=-2.0, r=1.5)  # a double negative root
 @given(
     channels=_repeated_channels(),
     alpha_r=st.none() | st.floats(min_value=-2.5, max_value=2.0, exclude_max=True),
@@ -461,8 +473,10 @@ def _repeated_channels(draw):
 )
 def test_spectrum_of_repeated_channels(channels, alpha_r, r):
     # a repeated channel is a double zero of F, a near-repeated one a close
-    # pair; the count lists each with its multiplicity.  nu > 0 channels are
-    # held against scipy, nu = 0 ones against the scalar operator's search
+    # pair; each channel of the diagonal tip is searched on its own, and the
+    # rotated copy of an exactly repeated pair, a coupled tip with the same F,
+    # lists each double zero twice by the count.  nu > 0 channels are held
+    # against scipy, nu = 0 ones against the scalar operator's search
     bc = Dirichlet() if alpha_r is None else Robin(alpha_r / r)
     for nu, tip in channels:  # F(0) of a channel near, not at, 0 puts a root below the oracle's grid
         f0 = 0.0 if alpha_r is None or nu == 0.0 else 0.5 + (nu if tip == "regular" else -nu) + alpha_r
@@ -478,14 +492,22 @@ def test_spectrum_of_repeated_channels(channels, alpha_r, r):
         nu = math.sqrt(nu * nu - 0.25 + 0.25)  # the order the operator stores
         want["real"] += _channel_roots(nu, bc, tip, r, mu_max, "real")
         want["imag"] += _channel_roots(nu, bc, tip, r, 30.0 / r, "imag")
-    sp = find_spectrum(diagonal_spec([scalar_spec(nu, bc, tip=tip, r=r) for nu, tip in channels]), mu_max)
-    assert sp.certified
+    spec = diagonal_spec([scalar_spec(nu, bc, tip=tip, r=r) for nu, tip in channels])
+    specs = [spec]
+    channel = list(zip(spec.lambdas, np.diag(spec.boundary.a_mat), np.diag(spec.boundary.b_mat)))
+    pairs = [(i, j) for i in range(spec.q) for j in range(i + 1, spec.q) if channel[i] == channel[j]]
+    if pairs:  # the first exactly repeated pair, rotated
+        specs.append(_rotated(spec, *pairs[0]))
+        assert not SecularEvaluator(specs[-1]).diagonal
     # a root at mu_max itself (nu = 1/2 puts one there) is in or out by rounding
     inside = lambda roots: [x for x in roots if abs(x - mu_max) > 1e-12 * mu_max]  # noqa: E731
-    for got, axis in ((inside(sp.positive), "real"), (sp.negative, "imag")):
-        want_axis = np.sort(inside(want[axis]))
-        assert len(got) == len(want_axis), axis
-        assert np.all(np.abs(np.array(got) - want_axis) <= 1e-12 * want_axis + 1e-13 / r), axis
+    for spec in specs:
+        sp = find_spectrum(spec, mu_max)
+        assert sp.certified
+        for got, axis in ((inside(sp.positive), "real"), (sp.negative, "imag")):
+            want_axis = np.sort(inside(want[axis]))
+            assert len(got) == len(want_axis), axis
+            assert np.all(np.abs(np.array(got) - want_axis) <= 1e-12 * want_axis + 1e-13 / r), axis
 
 
 def _box_count(ev: SecularEvaluator, lo: complex, hi: complex) -> complex:
@@ -643,16 +665,37 @@ def test_random_coupled_tips_match_dense_sign_changes():
         assert np.all((x[flips] <= got) & (got <= x[flips + 1])), k
 
 
-def test_zero_past_the_kernel_range_is_refused():
-    # a log channel with a' = -0.01: F(ix) vanishes where log x is about 100, far
-    # past the x the Bessel kernel reaches; the count of (x, inf] stays 1 as x
-    # doubles, until the kernel gives no finite F
-    tip = BoundaryMatrices([[-0.01]], [[1.0]])
-    spec = OperatorSpec(r=1.0, lambdas=(-0.25,), q0=1, boundary=tip, regular_bc=Dirichlet())
+def _log_channel(a: float) -> OperatorSpec:
+    """A log channel (nu = 0, q0 = 1) with tip row (a, 1) and a Dirichlet end at R = 1."""
+    tip = BoundaryMatrices([[a]], [[1.0]])
+    return OperatorSpec(r=1.0, lambdas=(-0.25,), q0=1, boundary=tip, regular_bc=Dirichlet())
+
+
+def test_zero_past_the_scipy_kernel_range_matches_mpmath():
+    # a' = -0.01: F(ix) vanishes where log x is about 100, x = 3.0e43, far past the
+    # x = 1.07e9 where scipy's ive and kve give NaN; the large-argument form of I reaches
+    # it, the count of (x, inf] stays 1 as x doubles until it brackets the zero,
+    # and the refinement bisects it, since there dlog F is its growth to rounding.
+    # The zero moves log x by 1e-14 per ulp of the mantissa (slope 0.01), so it is
+    # held at 2e-14 against mpmath's zero of F(ix) e^(-x) at 40 digits
+    spec = _log_channel(-0.01)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(eigenfunction.SpectrumCertificationError, match="kernel's range"):
-            find_spectrum(spec, 10.0)
+        sp = find_spectrum(spec, 10.0)
+    with mp.workdps(40):
+        f = lambda t: mp.re(_mp_secular(spec, mp.mpc(0, mp.exp(t))) * mp.exp(-mp.exp(t)))  # noqa: E731
+        want = float(mp.exp(mp.findroot(f, mp.mpf(100.0))))
+    assert sp.certified and len(sp.negative) == 1
+    assert abs(sp.negative[0] - want) <= 2e-14 * want
+
+
+def test_zero_past_the_float_range_is_refused():
+    # a' = -0.001: F(ix) vanishes where log x is about 1000, past the float range;
+    # the count of (x, inf] stays 1 as x doubles, until 2x leaves the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(eigenfunction.SpectrumCertificationError, match="counts zeros beyond"):
+            find_spectrum(_log_channel(-0.001), 10.0)
 
 
 class _Stub:
@@ -660,6 +703,7 @@ class _Stub:
     refinement round (each F and dlog F call)."""
 
     r = 1.0  # the length R, which scales the root tolerance
+    width = 1  # the channels of its one factor
 
     def __init__(self, f, df, bad_dlog_at=None):
         self.f, self.df, self.bad_dlog_at = f, df, bad_dlog_at
@@ -668,13 +712,13 @@ class _Stub:
     def scaled(self, mu):
         return self.f(mu.real).astype(complex), np.zeros(mu.shape)
 
-    def _scaled_dlog(self, mu):
+    def _factor_dlog(self, mu):  # F is its one factor
         x = mu.real
         self.rounds.append(x.tolist())
         with np.errstate(divide="ignore", invalid="ignore"):
             out = self.df(x) / self.f(x)
         dlog = np.where(x == self.bad_dlog_at, np.nan, out).astype(complex)
-        return (*self.scaled(mu), dlog)
+        return tuple(v[None] for v in (*self.scaled(mu), dlog))
 
 
 def _cubic(x):
@@ -686,7 +730,7 @@ def _cubic_d(x):
 
 
 def _bracket(f, a, b):
-    return (a, b, float(f(a)), float(f(b)))
+    return (0, a, b, float(f(a)), float(f(b)))
 
 
 def test_refine_iterate_exactly_on_a_zero():
@@ -694,7 +738,7 @@ def test_refine_iterate_exactly_on_a_zero():
     # (and dlog F is not finite); that root stops after its first round, the
     # other one goes on
     ev = _Stub(_cubic, _cubic_d)
-    roots, _ = eigenfunction._refine(ev, [(1.0, 2.0, -1.0, 1.0), _bracket(_cubic, 3.0, 5.0)], [])
+    roots, _ = eigenfunction._refine(ev, [(0, 1.0, 2.0, -1.0, 1.0), _bracket(_cubic, 3.0, 5.0)], [])
     assert roots[0] == 1.5
     assert abs(roots[1] - 4.0) <= 1e-13
     assert 1.5 in ev.rounds[0]
@@ -726,6 +770,52 @@ def test_refine_bisects_steps_that_do_not_halve():
     (root,), _ = eigenfunction._refine(ev, [_bracket(f, 3.0, 5.5)], [])
     assert abs(root - 4.0) <= 1e-13
     assert len(ev.rounds) <= 8
+
+
+class _Rounded(_Stub):
+    """A stub whose dlog F is NaN where |F| is at its rounding."""
+
+    def _factor_dlog(self, mu):
+        mant, logs, dlog = super()._factor_dlog(mu)
+        return mant, logs, np.where(np.abs(mant) < 1e-15, np.nan, dlog)
+
+
+def _square(x):
+    return x * x - 2.0
+
+
+def test_refine_ends_a_root_whose_newton_target_passes_its_bracket_end():
+    # the fifth round lands on sqrt(2) to rounding, F = 4.4e-16 there and dlog F is
+    # NaN, so it is bisected; sqrt(2) is then the bracket's upper end, and every
+    # Newton target from below lands just past it.  Once the overshoot is within
+    # the root tolerance the root ends at that end (23 rounds), 25 rounds before
+    # the bracket's width would
+    ev = _Rounded(_square, lambda x: 2.0 * x)
+    (root,), _ = eigenfunction._refine(ev, [_bracket(_square, 1.0, 2.0)], [])
+    assert root == math.sqrt(2.0)
+    assert ev.rounds[4] == [math.sqrt(2.0)] and 10 <= len(ev.rounds) <= 25
+
+
+def test_coupled_root_on_a_bracket_end_takes_few_passes():
+    # Newton reaches the root 21.8779732 in round 4, where F's mantissa is 6.8e-18;
+    # N over the column maxima was singular in floating point there, so dlog F was
+    # NaN, and the search bisected past the root for 45 more rounds (50 passes).
+    # dlog F now takes N over the mantissa's own column scales.  Roots held against
+    # mpmath's zeros of F at 30 digits
+    spec = OperatorSpec(
+        r=1.0,
+        lambdas=(0.2**2 - 0.25, 0.7**2 - 0.25),
+        q0=0,
+        boundary=BoundaryMatrices([[-0.5, 0.2], [0.2, -0.1]], np.eye(2)),
+        regular_bc=Robin(1.0),
+    )
+    sp = find_spectrum(spec, 15.0 * math.pi)
+    assert sp.passes <= 8 and len(sp.positive) == 31 and sp.negative == ()
+    assert abs(sp.positive[14] - 21.8779732) < 1e-7
+    with mp.workdps(30):
+        for x in (sp.positive[0], sp.positive[13], sp.positive[14], sp.positive[15]):
+            want = float(mp.findroot(lambda m: mp.re(_mp_secular(spec, m)), mp.mpf(x)))
+            assert abs(x - want) <= 1e-13 * want
 
 
 class TestSpectrum:
@@ -841,8 +931,9 @@ class TestSpectrum:
         # the first pass samples the real grid from mu = 0, whose angles start the
         # imaginary axis too: without negative eigenvalues no imaginary point but
         # mu = 0 is sampled.  Every later pass samples only the points that cut
-        # the cells that count (the doubled operator's three double roots; the
-        # imaginary grid for the one negative eigenvalue), none of them twice
+        # the cells that count (the rotated doubled operator's three double roots;
+        # the imaginary grid for the one negative eigenvalue), none of them twice.
+        # The diagonal doubled operator brackets each channel's roots on its own
         passes = []
         sample = SecularEvaluator.sample
 
@@ -853,10 +944,11 @@ class TestSpectrum:
         monkeypatch.setattr(SecularEvaluator, "sample", recorded)
         robin = scalar_spec(0.3, Robin(0.5))
         doubled = diagonal_spec([robin, robin])
-        for spec in (diagonal_pair, scalar_spec(0.5, Robin(-3.0)), kernel_fixture_third, doubled):
+        rotated = _rotated(doubled, 0, 1)
+        for spec in (diagonal_pair, scalar_spec(0.5, Robin(-3.0)), kernel_fixture_third, doubled, rotated):
             passes.clear()
             sp = find_spectrum(spec, 10.0)
-            assert (len(passes) > 1) == (spec is doubled or bool(sp.negative))
+            assert (len(passes) > 1) == (spec is rotated or bool(sp.negative))
             assert np.all(passes[0].imag == 0.0) and np.any(passes[0].real > 0.0)
             mu = np.concatenate(passes)
             assert np.count_nonzero(mu == 0.0) == 1
@@ -869,11 +961,11 @@ class TestSpectrum:
         # both axes are refined together; every Newton round takes F and dlog F
         # from one pass, and the residuals are read from those rounds
         seen = []
-        scaled_dlog, refine = SecularEvaluator._scaled_dlog, eigenfunction._refine
+        factor_dlog, refine = SecularEvaluator._factor_dlog, eigenfunction._refine
 
-        def counted_scaled_dlog(self, mu):
+        def counted_factor_dlog(self, mu):
             seen[-1]["rounds"] += 1
-            return scaled_dlog(self, mu)
+            return factor_dlog(self, mu)
 
         def counted_refine(ev, real, imag):
             seen.append({"rounds": 0})
@@ -882,7 +974,7 @@ class TestSpectrum:
             seen[-1].update(roots=roots, passes=ev.counts["passes"] - before)
             return roots
 
-        monkeypatch.setattr(SecularEvaluator, "_scaled_dlog", counted_scaled_dlog)
+        monkeypatch.setattr(SecularEvaluator, "_factor_dlog", counted_factor_dlog)
         monkeypatch.setattr(eigenfunction, "_refine", counted_refine)
         channels, bc, r, mu_max = ORACLE_CHANNELS["q2 negative"]
         find_spectrum(diagonal_spec([scalar_spec(nu, bc, tip=t, r=r) for nu, t in channels]), mu_max)

@@ -331,6 +331,36 @@ def test_axis_rows_match_mpmath(axis):
         assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (got, want)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_imaginary_rows_past_the_scipy_range_match_mpmath(sign):
+    # past x = 1e8 the imaginary zone takes e^(-x) I_nu from its large-argument
+    # form (scipy's ive and kve are NaN past about 1.07e9), and e^(-x) K_nu, which
+    # is below the smallest float there, as 0: the rows
+    # phi_s(+-ix) = (x/2)^(-s) I_s(x), phi_s'(+-ix) = -+i (x/2)^(-s) I_{s+1}(x)
+    # and the companion's Y_0 = +-i I_0 - (2/pi) K_0, Y_1 = -I_1 +- (2i/pi) K_1,
+    # all times e^(-x), quietly, from x = 1e8 up to 1e20
+    orders = (0.3, -0.3, 0.0, 0.7, -0.7)
+    x = np.array([1e8, 1e9, 1e12, 1e20])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val, der, y = phi_rows(KernelTable(orders), sign * 1j * x)
+    for j, xj in enumerate(x.tolist()):
+        with mpmath.workdps(30):
+            xm = mpmath.mpf(xj)
+            scale, i_ = mpmath.exp(-xm), 1j * sign
+            want = [
+                (y[0, j], scale * (i_ * mpmath.besseli(0, xm) - 2 / mpmath.pi * mpmath.besselk(0, xm))),
+                (y[1, j], scale * (-mpmath.besseli(1, xm) + 2 * i_ / mpmath.pi * mpmath.besselk(1, xm))),
+            ]
+            for k, s in enumerate(orders):
+                power = scale * (xm / 2) ** (-s)
+                want.append((val[k, j], power * mpmath.besseli(s, xm)))
+                want.append((der[k, j], -i_ * power * mpmath.besseli(s + 1, xm)))
+        for got, ref in want:
+            ref = complex(ref)
+            assert abs(got - ref) <= 1e-15 * abs(ref), (xj, got, ref)
+
+
 @pytest.mark.parametrize("axis", ["+imag", "-imag"])
 def test_imaginary_series_segment_matches_mpmath(axis):
     # the 40-term series on 1 < |w| <= 20, where its terms are of one sign,
