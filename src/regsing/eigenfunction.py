@@ -380,13 +380,14 @@ class SecularEvaluator:
         trace T, T_x and the mu-derivatives T_mu, T_xmu; for
         phi_s(w) = (w/2)^(-s) J_s(w) with w phi'' + (2s + 1) phi' + w phi = 0,
         T = g R^s phi_s(w) gives T_mu = g R^(s+1) phi_s'(w) and
-        T_xmu = -g R^s (s phi_s'(w) + w phi_s(w)).  The companion C has
-        C_xmu = -mu R C + J_1(w), and J_1(w) = -phi_0'(w).
+        T_xmu = -g R^s (s phi_s'(w) + w phi_s(w)).  The companion
+        C = log(R) phi_0(w) - psi(w) comes from the psi rows of the same
+        pass, and C_xmu = -mu R C + J_1(w), with J_1(w) = -phi_0'(w).
         """
         self.counts["passes"] += 1
         r, q = self.r, self.q
         w = mu * r
-        val, der, y = phi_rows(self._kernel, w)
+        val, der, psi = phi_rows(self._kernel, w)
         phi, dphi = val[self._branch_rows], der[self._branch_rows]
         lift = (slice(None),) + (None,) * mu.ndim  # branch constants broadcast over mu
         s, g = self._branch_s[lift], self._branch_g[lift]
@@ -396,7 +397,7 @@ class SecularEvaluator:
             drows = self._row(g * r * dphi, -g * (s * dphi + w * phi))
             djp, djm = drows[:q], drows[q:]
         if self.q0:  # the companion rows come first in jm (and djm)
-            c, c_x, c_mu = bessel_jm0_rows(mu, r, val[0], der[0], y)
+            c, c_x, c_mu = bessel_jm0_rows(mu, r, val[0], der[0], psi)
             n = (self.q0,) + mu.shape
             jm = np.concatenate([np.broadcast_to(self._row(c, c_x), n), jm])
             if deriv:

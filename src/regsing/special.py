@@ -19,25 +19,22 @@ functions are scalar.  The engine needs
 Evaluation strategy (argument ``w``; the orders of a row are ``s`` and
 ``s + 1`` with ``s = 0``, ``nu`` or ``-nu``, ``0 < nu < 1``):
 
-* ``|w| <= 1``: a short float64 power series for the entire forms
-  ``(w/2)^(-nu) J_nu(w)`` and the log-free part of the companion.  There
-  the prefactor meets ``0 * inf`` at ``w = 0`` and the ``log`` terms of
-  the companion cancel; the terms fall fast enough that the series is
-  accurate to a few units in the last place.
+* The series zone: float64 power series in ``(w/2)^2`` for the entire
+  forms ``(w/2)^(-nu) J_nu(w)`` and, for the companion,
+  ``psi(w) = sum_{k>=1} H_k (-w^2/4)^k / (k!)^2``, from one 40-term
+  table per operator.  Inside ``|w| <= 1`` its 14 lowest-order terms
+  are summed; there the prefactor meets ``0 * inf`` at ``w = 0`` and the
+  ``log`` terms of the companion cancel.  On the imaginary segment
+  ``w = +-ix, 1 < x <= 20``, where the negative-eigenvalue scans, the
+  zero count and the zeta ray sample, all 40 are: every term is of one
+  sign there (DLMF 10.25.2), so nothing cancels.  No scipy routine is
+  called.
 * The real axis ``w = x > 1``, where the spectrum scans and root
   refinement sample: one ``hankel1e`` call at the base orders ``nu`` and
   ``nu + 1`` (Amos's routines, D. E. Amos, ACM TOMS 12, 1986, Algorithm
   644).  ``J`` and ``Y`` are the real and imaginary parts of ``H1``, and
   the negative orders follow from ``H1_{-nu} = e^(i nu pi) H1_nu`` and
   the recurrence, so no ``J_{-nu}`` is evaluated by reflection.
-* The imaginary axis ``w = +-ix, 1 < x <= 20``, where the
-  negative-eigenvalue scans, the zero count and the zeta ray
-  sample: the same power series with 40 terms.  There every term
-  is of one sign (DLMF 10.25.2), so nothing cancels and one matrix
-  product gives every value and derivative row.  The companion's
-  ``Y_0``, ``Y_1`` rows come from the series of ``psi(ix)``, also of one
-  sign, through ``K_0`` and ``K_1`` (DLMF 10.31.2); no scipy routine is
-  called.
 * The imaginary axis ``w = +-ix, x > 20``: real-argument ``iv`` and
   ``kve`` at the base orders, through the connection formulas of
   DLMF 10.27 (``I_{-nu} = I_nu + (2/pi) sin(nu pi) K_nu``).  ``iv``
@@ -45,7 +42,10 @@ Evaluation strategy (argument ``w``; the orders of a row are ``s`` and
   is good to only 7e-14 below ``x = 22``; ``ive`` takes over where
   ``e^(-x)`` leaves the normal floats.
 * Every other ``w``: ``jve`` at every order and order plus one, and
-  ``yve`` for the companion.
+  ``yve`` at orders 0 and 1 for the companion.
+
+These three Amos zones turn their ``Y_0``, ``Y_1`` rows into ``psi``
+rows through ``psi = (log(w/2) + gamma) J_0 - (pi/2) Y_0`` (DLMF 10.8.2).
 
 The axis zones agree with mpmath to about 2e-15 relative for
 ``|w| <= 1000``, the imaginary series segment to about 1.2e-15; the
@@ -75,7 +75,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from functools import cached_property
 
 import numpy as np
 
@@ -204,53 +203,35 @@ def bessel_y_deriv(nu: float, x: float) -> float:
 #
 # phi_nu(w)  := (w/2)^(-nu) J_nu(w)               (entire, even)
 # psi(w)     := sum_{k>=1} H_k (-w^2/4)^k/(k!)^2  (entire, even)
+#             = (log(w/2) + gamma) J_0(w) - (pi/2) Y_0(w)  (DLMF 10.8.2)
 #
-# Inside the unit disk both are summed as polynomials in u = (w/2)^2.
+# Inside the unit disk and on the imaginary segment both are summed as
+# polynomials in u = (w/2)^2.
 # ---------------------------------------------------------------------------
-
-def _phi_coeffs(order: float) -> tuple[float, ...]:
-    # c_k = (-1)^k / (k! Gamma(order + k + 1)), by the ratio recurrence
-    c = [1.0 / gamma_fn(order + 1.0)]
-    for k in range(1, _SERIES_TERMS):
-        c.append(-c[-1] / (k * (order + k)))
-    return tuple(c)
-
-
-def _deriv_coeffs(c: tuple[float, ...]) -> tuple[float, ...]:
-    # d/dw sum c_k (w/2)^{2k} = (w/2) * sum_{k>=1} k c_k u^{k-1}
-    return tuple(k * ck for k, ck in enumerate(c))[1:]
-
-
-def _power_table(rows: list[tuple[float, ...]]) -> np.ndarray:
-    """Series coefficients as table rows, highest power first (the column
-    order of ``np.vander``), zero-padded to _SERIES_TERMS."""
-    return np.array([(0.0,) * (_SERIES_TERMS - len(c)) + c[::-1] for c in rows])
-
 
 class KernelTable:
     """The per-order constants of :func:`phi_rows` for the m orders s,
     worked out once per operator.
 
-    ``series`` is the (2m, 14) series table: the series of each phi_s,
-    then those of each phi_s'(w) / (w/2).  Off the series disk every row
-    is reached from its base order nu = |s| and from nu + 1: ``pair``
-    lists each base order once and then each base order plus one, and
-    ``rows`` picks from it the nu entry of every row, then the nu + 1
-    entry of every row.  A row s = -nu < 0 takes ``rotation``
-    e^(i nu pi), ``sine`` (2/pi) sin(nu pi) and ``shift`` -2 nu; a row
-    s >= 0 takes 1, 0 and 0.  ``rotation`` and ``sine`` are negated on
-    the nu + 1 half, where the zones form -H1_{s+1} and I_{s+1}.
-    ``companion`` says whether 0 is one of the orders, which asks for the
-    Y_0, Y_1 rows of the nu = 0 companion (``y_rows`` picks them from
-    ``pair``, ``zero`` is the row of order 0).  ``axis_series`` holds
-    the longer series of the imaginary segment, built on first use.
+    ``series`` is the 40-term series table, highest power first: the
+    series of each phi_s and, where 0 is one of the orders
+    (``companion``), of psi; then those of their derivatives over w/2, in
+    the same order.  ``disk`` is a contiguous copy of its 14 lowest-order
+    terms.  Off the series zone every row is reached from its base order
+    nu = |s| and from nu + 1: ``pair`` lists each base order once and then
+    each base order plus one, and ``rows`` picks from it the nu entry of
+    every row, then the nu + 1 entry of every row.  A row s = -nu < 0
+    takes ``rotation`` e^(i nu pi), ``sine`` (2/pi) sin(nu pi) and
+    ``shift`` -2 nu; a row s >= 0 takes 1, 0 and 0.  ``rotation`` and
+    ``sine`` are negated on the nu + 1 half, where the zones form
+    -H1_{s+1} and I_{s+1}.  With the companion, ``y_rows`` picks the
+    orders 0 and 1 from ``pair`` and ``zero`` is the row of order 0.
     """
 
     def __init__(self, orders):
         s = [float(v) for v in orders]
-        vals = [_phi_coeffs(v) for v in s]
+        m = len(s)
         self.orders = np.array(s)
-        self.series = _power_table(vals + [_deriv_coeffs(c) for c in vals])
         base = list(dict.fromkeys(abs(v) for v in s))
         n = len(base)
         self.pair = np.array(base + [nu + 1.0 for nu in base])[:, None]
@@ -267,50 +248,44 @@ class KernelTable:
         self.rotation = np.array(rotation + [-v for v in rotation])[:, None]
         self.sine = np.array(sine + [-v for v in sine])[:, None]
         self.shift = np.array([-2.0 * nu for nu in reflected])[:, None]
-
-    @cached_property
-    def axis_series(self) -> np.ndarray:
-        """The 40-term table of the imaginary segment, highest power first:
-        the series of each phi_s and, with the companion, of psi; then
-        those of their derivatives over w/2, in the same order."""
         k = np.arange(1.0, _AXIS_SERIES_TERMS)
-        m = len(self.orders)
         rows = m + self.companion
-        c = np.empty((2 * rows, _AXIS_SERIES_TERMS))  # lowest power first
-        c[:m, 0] = self.series[:m, -1]  # 1 / Gamma(s + 1)
+        c = np.zeros((2 * rows, _AXIS_SERIES_TERMS))  # lowest power first
+        c[:m, 0] = [1.0 / gamma_fn(v + 1.0) for v in s]
         c[:m, 1:] = -1.0 / (k * (self.column + k))  # c_k / c_{k-1}
         np.cumprod(c[:m], axis=1, out=c[:m])
         if self.companion:  # psi: (-1)^k H_k / (k!)^2
-            c[m, 0] = 0.0
             c[m, 1:] = np.cumsum(1.0 / k) * np.cumprod(-1.0 / (k * k))
         c[rows:, :-1] = k * c[:rows, 1:]  # d/dw sum c_k (w/2)^(2k) = (w/2) sum k c_k u^(k-1)
-        c[rows:, -1] = 0.0
-        return c[:, ::-1].copy()
+        self.series = c[:, ::-1].copy()
+        self.disk = self.series[:, -_SERIES_TERMS:].copy()
 
 
-def _power_sums(table: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Every series of the table at every entry of a 1-d u: one
-    ``np.vander`` and one matrix product.  The smallest terms are summed
-    first, as in Horner's scheme."""
-    return table @ np.vander(u, table.shape[1]).T
+# The zones of phi_rows.  Each takes the KernelTable and a 1-d w (the
+# series zone also the table to sum), and returns the scaled phi_s(w) and
+# phi_s'(w) rows, shaped (m, n), and the scaled psi(w), psi'(w) rows,
+# shaped (2, n), where 0 is one of the orders (else None).
+
+def _series_zone(k: KernelTable, w: np.ndarray, table: np.ndarray):
+    # the disk |w| <= 1 with k.disk, the imaginary segment 1 < |w| <= 20
+    # with k.series: every series of the table at u = (w/2)^2 from one
+    # np.vander and one matrix product, which sums the smallest terms first,
+    # as in Horner's scheme; phi_s'(w) and psi'(w) are w/2 times their
+    # derivative rows
+    m, rows = len(k.orders), len(table) // 2
+    half = 0.5 * w
+    sums = table @ np.vander(half * half, table.shape[1]).T * np.exp(-np.abs(w.imag))
+    sums[rows:] *= half
+    return sums[:m], sums[rows : rows + m], sums[m::rows] if k.companion else None
 
 
-def _series(table: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """exp(-|Im w|) times every series of the table at u = (w/2)^2, for
-    every entry of a 1-d w."""
-    return _power_sums(table, (0.5 * w) ** 2) * np.exp(-np.abs(w.imag))
-
-
-# The zones of phi_rows.  Each takes the KernelTable and a 1-d w, and
-# returns the scaled phi_s(w) and phi_s'(w) rows, shaped (m, n), and the
-# scaled Y_0(w), Y_1(w) rows, shaped (2, n), where 0 is one of the orders
-# (else None).
-
-def _series_zone(k: KernelTable, w: np.ndarray):
-    sums = _series(k.series, w)
-    m = len(k.orders)
-    y = np.full((2, w.size), np.nan) if k.companion else None  # the companion sums its own series
-    return sums[:m], 0.5 * w * sums[m:], y
+def _psi_rows(w: np.ndarray, j, y) -> np.ndarray:
+    """psi(w) and psi'(w) from the rows (J_0, J_1) and (Y_0, Y_1) at w:
+    psi = (log(w/2) + gamma) J_0 - (pi/2) Y_0 and
+    psi' = J_0 / w - (log(w/2) + gamma) J_1 + (pi/2) Y_1."""
+    log_term = np.log(0.5 * w) + EULER_GAMMA
+    psi = log_term * j[0] - 0.5 * math.pi * y[0]
+    return np.array([psi, j[0] / w - log_term * j[1] + 0.5 * math.pi * y[1]])
 
 
 def _real_zone(k: KernelTable, w: np.ndarray):
@@ -322,29 +297,8 @@ def _real_zone(k: KernelTable, w: np.ndarray):
     hr = k.rotation * h[k.rows]  # H1_s, then -H1_{s+1} before the shift term
     hr[m:] -= k.shift / x * hr[:m]
     rows = (0.5 * x) ** k.exponent * hr.real.reshape(2, m, -1)
-    return rows[0], rows[1], h[k.y_rows].imag if k.companion else None
-
-
-def _imag_series_zone(k: KernelTable, w: np.ndarray):
-    # w = +-ix with 1 < x <= 20: the series of axis_series at u = -(x/2)^2,
-    # scaled by e^(-x); phi_s'(+-ix) = +-i (x/2) times the derivative row.
-    # The companion takes I_0 = phi_0(ix) and P = psi(ix), their x-derivatives
-    # I_1 and P' as -(x/2) times their derivative rows, and (DLMF 10.31.2)
-    # K_0 = P - (ln(x/2) + gamma) I_0, K_1 = I_0 / x + (ln(x/2) + gamma) I_1 - P'
-    m = len(k.orders)
-    sign = np.sign(w.imag)
-    x = sign * w.imag
-    half = 0.5 * x
-    value, deriv = (_power_sums(k.axis_series, -half * half) * np.exp(-x)).reshape(2, -1, x.size)
-    y = None
-    if k.companion:  # Y_0(+-ix) = +-i I_0 - (2/pi) K_0, Y_1(+-ix) = -I_1 +- (2i/pi) K_1
-        i0, i1 = value[k.zero], -half * deriv[k.zero]
-        p, dp = value[m], -half * deriv[m]
-        log_term = np.log(half) + EULER_GAMMA
-        k_0 = p - log_term * i0
-        k_1 = i0 / x + log_term * i1 - dp
-        y = np.array([1j * sign * i0 - (2.0 / math.pi) * k_0, (2j / math.pi) * sign * k_1 - i1])
-    return value[:m], (1j * sign * half) * deriv[:m], y
+    psi = _psi_rows(x, h[k.y_rows].real, h[k.y_rows].imag) if k.companion else None
+    return rows[0], rows[1], psi
 
 
 def _large_ive(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -389,18 +343,21 @@ def _imag_zone(k: KernelTable, w: np.ndarray):
     ir = i[k.rows] + k.sine * kx[k.rows]  # I_s, then I_{s+1} before the shift term
     ir[m:] -= k.shift / x * ir[:m]
     rows = (0.5 * x) ** k.exponent * ir.reshape(2, m, -1)
-    y = None
-    if k.companion:  # Y_0(+-ix) = +-i I_0 - (2/pi) K_0, Y_1(+-ix) = -I_1 +- (2i/pi) K_1
+    psi = None
+    if k.companion:
+        # J_0(+-ix) = I_0, J_1 = +-i I_1, Y_0 = +-i I_0 - (2/pi) K_0, Y_1 = -I_1 +- (2i/pi) K_1
         (i0, i1), (k0, k1) = i[k.y_rows], kx[k.y_rows]
-        y = np.array([1j * sign * i0 - (2.0 / math.pi) * k0, (2j / math.pi) * sign * k1 - i1])
-    return rows[0], (-1j * sign) * rows[1], y
+        y = (1j * sign * i0 - (2.0 / math.pi) * k0, (2j / math.pi) * sign * k1 - i1)
+        psi = _psi_rows(w, (i0, 1j * sign * i1), y)
+    return rows[0], (-1j * sign) * rows[1], psi
 
 
 def _general_zone(k: KernelTable, w: np.ndarray):
     power = (0.5 * w) ** k.exponent
     val = power * sc.jve(k.column, w)
     der = -power * sc.jve(k.column + 1.0, w)
-    return val, der, sc.yve(_Y_ORDERS, w) if k.companion else None
+    psi = _psi_rows(w, (val[k.zero], -der[k.zero]), sc.yve(_Y_ORDERS, w)) if k.companion else None
+    return val, der, psi
 
 
 _Y_ORDERS = np.array([[0.0], [1.0]])
@@ -410,29 +367,24 @@ def phi_rows(k: KernelTable, w: np.ndarray):
     """exp(-|Im w|) phi_s(w), phi_s(w) = (w/2)^(-s) J_s(w), and its
     w-derivative, for every order s of ``k`` at every entry of an
     ndarray w, shaped (m,) + w.shape; and, where 0 is one of the orders,
-    exp(-|Im w|) Y_0(w) and Y_1(w), shaped (2,) + w.shape and NaN inside
-    the series disk |w| <= 1, for :func:`bessel_jm0_rows` (else None).
+    exp(-|Im w|) psi(w) and psi'(w), shaped (2,) + w.shape, for
+    :func:`bessel_jm0_rows` (else None).
 
     phi_s is entire in w, even, with real coefficients, and
-    phi_s'(w) = -(w/2)^(-s) J_{s+1}(w).  Each entry is evaluated by its
-    zone (callers keep Re w >= 0), so its value does not depend on the
-    other entries:
-
-    * |w| <= 1: one matrix product sums every series;
-    * the real axis: one ``hankel1e`` call over the base orders nu = |s|
-      and nu + 1 gives J and Y as the real and imaginary parts of H1;
-    * the imaginary axis up to |w| = 20: one matrix product sums the
-      40-term series of ``KernelTable.axis_series``, whose terms are of
-      one sign there, and the Y rows follow from the psi series;
-    * the imaginary axis beyond: one ``iv`` and one ``kve`` call over the
-      base orders, through the connection formulas (DLMF 10.27);
-    * elsewhere: one ``jve`` call per order shift, and one ``yve`` call.
+    phi_s'(w) = -(w/2)^(-s) J_{s+1}(w); so is psi.  Each entry is
+    evaluated by its zone (callers keep Re w >= 0), so its value does not
+    depend on the other entries: the series zone (|w| <= 1 with the
+    14-term ``KernelTable.disk``, the imaginary axis up to |w| = 20 with
+    the 40-term ``KernelTable.series``) sums every row, psi among them,
+    in one matrix product; the real axis (``hankel1e``), the imaginary
+    axis beyond (``iv`` and ``kve``) and every other w (``jve`` and
+    ``yve``) take psi from their Y_0, Y_1 rows (DLMF 10.8.2).
     """
     flat = w.ravel()
     m, n = len(k.orders), flat.size
     radius = np.abs(flat)
     outside = radius > _SERIES_RADIUS
-    zones = [(~outside, _series_zone)]
+    zones = [(~outside, _series_zone, k.disk)]
     if np.count_nonzero(outside):
         re, im = flat.real, flat.imag
         real = outside & (im == 0.0) & (re > 0.0)
@@ -440,41 +392,29 @@ def phi_rows(k: KernelTable, w: np.ndarray):
         near = imag & (radius <= _AXIS_SERIES_RADIUS)
         zones += [
             (real, _real_zone),
-            (near, _imag_series_zone),
+            (near, _series_zone, k.series),
             (imag & ~near, _imag_zone),
             (outside & ~(real | imag), _general_zone),
         ]
-        zones = [(mask, zone) for mask, zone in zones if np.count_nonzero(mask)]
+        zones = [zone for zone in zones if np.count_nonzero(zone[0])]
     if len(zones) == 1:  # every entry in one zone: no gather or scatter
-        val, der, y = zones[0][1](k, flat)
+        _, zone, *table = zones[0]
+        val, der, psi = zone(k, flat, *table)
     else:
         val = np.empty((m, n), dtype=complex)
         der = np.empty((m, n), dtype=complex)
-        y = np.empty((2, n), dtype=complex) if k.companion else None
-        for mask, zone in zones:
-            val[:, mask], der[:, mask], y_zone = zone(k, flat[mask])
+        psi = np.empty((2, n), dtype=complex) if k.companion else None
+        for mask, zone, *table in zones:
+            val[:, mask], der[:, mask], psi_zone = zone(k, flat[mask], *table)
             if k.companion:
-                y[:, mask] = y_zone
+                psi[:, mask] = psi_zone
     if k.companion:
-        y = y.astype(complex, copy=False).reshape((2,) + w.shape)
+        psi = psi.astype(complex, copy=False).reshape((2,) + w.shape)
     val = val.astype(complex, copy=False).reshape((m,) + w.shape)
     der = der.astype(complex, copy=False).reshape((m,) + w.shape)
-    return val, der, y
+    return val, der, psi
 
 
-def _psi_coeffs() -> tuple[float, ...]:
-    c = [0.0]
-    harmonic = 0.0
-    fact = 1.0
-    for k in range(1, _SERIES_TERMS):
-        harmonic += 1.0 / k
-        fact *= k
-        c.append((-1.0) ** k * harmonic / (fact * fact))
-    return tuple(c)
-
-
-_PSI = _psi_coeffs()
-_PSI_TABLE = _power_table([_PSI, _deriv_coeffs(_PSI)])  # psi and psi'/(w/2) for _series
 _PHI0_TABLE = KernelTable([0.0])
 
 
@@ -499,8 +439,8 @@ def _companion(mu: complex, x: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """:func:`bessel_jm0_rows` at one mu, as one-element arrays."""
     mu = complex(mu)
     mu = np.array([-mu if mu.real < 0.0 else mu])  # even in mu; keep Amos's cut off arg w = pi
-    val, der, y = phi_rows(_PHI0_TABLE, mu * x)
-    return bessel_jm0_rows(mu, x, val[0], der[0], y)
+    val, der, psi = phi_rows(_PHI0_TABLE, mu * x)
+    return bessel_jm0_rows(mu, x, val[0], der[0], psi)
 
 
 def bessel_jm0_series(mu: complex, x: float) -> complex:
@@ -519,42 +459,22 @@ def bessel_jm0_series_dx(mu: complex, x: float) -> complex:
 
 
 def bessel_jm0_rows(
-    mu: np.ndarray, x: float, phi0: np.ndarray, dphi0: np.ndarray, y: np.ndarray
+    mu: np.ndarray, x: float, phi0: np.ndarray, dphi0: np.ndarray, psi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`bessel_jm0_series`, :func:`bessel_jm0_series_dx` and the
     mu-derivative of the former, at every entry of an ndarray mu with
     Re mu >= 0.
 
-    phi0, dphi0 and y are the order-0 rows of :func:`phi_rows` at
-    w = mu x: the scaled J_0(w) and -J_1(w), and the scaled Y_0(w),
-    Y_1(w), so no Bessel function is evaluated here.  All three results
-    carry the factor
-    exp(-|Im mu x|).  Outside the series disk the mu-derivative is
-    (x C_x - J0(mu x)) / mu; inside, where that difference cancels to
-    O((mu x)^2), it is x (log(x) phi_0'(w) - psi'(w)).
+    phi0, dphi0 and psi are the order-0 rows of :func:`phi_rows` at
+    w = mu x: the scaled J_0(w) and -J_1(w), and the scaled psi(w),
+    psi'(w), so no Bessel function is evaluated here.  At every mu,
+    C = log(x) phi_0(w) - psi(w), C_x = phi_0(w) / x + mu e and
+    C_mu = x e, with e = log(x) phi_0'(w) - psi'(w) the w-derivative of C.
+    All three results carry the factor exp(-|Im mu x|).
     """
     x = float(x)
     if not (x > 0.0):
         raise SpecialFunctionDomainError("bessel_jm0_rows: need x > 0")
-    w = mu * x
-    c = np.empty(w.shape, dtype=complex)
-    c_x = np.empty(w.shape, dtype=complex)
-    c_mu = np.empty(w.shape, dtype=complex)
-    inside = np.abs(w) <= _SERIES_RADIUS
-    if inside.any():
-        mi, wi, j0 = mu[inside], w[inside], phi0[inside]
-        psi, psi_d = _series(_PSI_TABLE, wi)
-        log_x = math.log(x)
-        # e: the w-derivative of log(x) phi_0(w) - psi(w); then C_x = phi_0 / x + mu e and C_mu = x e
-        e = log_x * dphi0[inside] - 0.5 * wi * psi_d
-        c[inside] = log_x * j0 - psi
-        c_x[inside] = j0 / x + mi * e
-        c_mu[inside] = x * e
-    if not inside.all():
-        outside = ~inside
-        mo, j0 = mu[outside], phi0[outside]
-        shift = np.log(mo) - math.log(2.0) + EULER_GAMMA
-        c[outside] = 0.5 * math.pi * y[0][outside] - shift * j0
-        c_x[outside] = -mo * (0.5 * math.pi * y[1][outside] + shift * dphi0[outside])
-        c_mu[outside] = (x * c_x[outside] - j0) / mo
-    return c, c_x, c_mu
+    log_x = math.log(x)
+    e = log_x * dphi0 - psi[1]
+    return log_x * phi0 - psi[0], phi0 / x + mu * e, x * e

@@ -293,8 +293,10 @@ def _mp_secular(spec, mu):
 @pytest.mark.parametrize("name", sorted(ARRAY_SPECS))
 def test_dlog_matches_mpmath(name):
     spec = ARRAY_SPECS[name]
-    # |w| < 1, the imaginary axis below and above |w| = 1, |w| > 1, and two arcs
+    # |w| < 1, the imaginary axis below and above |w| = 1, |w| > 1, and two arcs;
+    # then the real axis past |w| = 1 and the imaginary axis past |w| = 20
     mus = [0.3 + 0.2j, 0.05j, 3.0j, 5.0 + 2.0j, 0.1 * cmath.exp(-1.2j), 12.0 * cmath.exp(0.9j)]
+    mus += [4.0, 17.0, 30.0j, 150.0j]
     got = SecularEvaluator(spec).dlog(np.array(mus))
     with mp.workdps(40):
         for g, mu in zip(got, mus):

@@ -242,16 +242,21 @@ def test_large_arguments_match_mpmath(radius, imag):
             assert abs(bessel_jm0_series(mu, x) - ref) <= 1e-13 * envelope * scale
 
 
-@pytest.mark.parametrize("order", [0.3, -0.3, 0.9, -0.9])
+@pytest.mark.parametrize("order", [0.0, 0.3, -0.3, 0.9, -0.9])
 def test_normalized_bessel_continuous_across_series_seam(order):
+    # at order 0 also the companion: the psi rows, and C, C_x, C_mu built on them
     s = np.array([order])
     for angle in (0.0, 0.4, 1.1, 0.5 * math.pi):
         unit = complex(math.cos(angle), math.sin(angle))
         inside, outside = (1.0 - 1e-15) * unit, (1.0 + 1e-15) * unit
         assert abs(inside) <= 1.0 < abs(outside)
-        val, der, _ = phi_rows(KernelTable(s), np.array([inside, outside]))
-        assert abs(val[0, 0] - val[0, 1]) <= 1e-14
-        assert abs(der[0, 0] - der[0, 1]) <= 1e-14
+        w = np.array([inside, outside])
+        val, der, psi = phi_rows(KernelTable(s), w)
+        rows = [val[0], der[0]]
+        if order == 0.0:
+            rows += [*psi, *bessel_jm0_rows(w / 1.7, 1.7, val[0], der[0], psi)]
+        for row in rows:
+            assert abs(row[0] - row[1]) <= 1e-14
 
 
 @pytest.mark.parametrize("order", [0.3, -0.3, 0.9, -0.9])
@@ -308,14 +313,22 @@ AXES = {"real": 1.0 + 0.0j, "+imag": 1.0j, "-imag": -1.0j}
 
 def _axis_rows_against_mpmath(w):
     """(got, want) for every row of phi_rows over AXIS_ORDERS at every entry
-    of w: values, derivatives and the companion's Y_0, Y_1, at 30 digits."""
-    val, der, y = phi_rows(KernelTable(AXIS_ORDERS), w)
+    of w: values, derivatives and the companion's psi, psi', at 30 digits,
+    with psi = (log(w/2) + gamma) J_0 - (pi/2) Y_0 and
+    psi' = J_0 / w - (log(w/2) + gamma) J_1 + (pi/2) Y_1."""
+    val, der, psi = phi_rows(KernelTable(AXIS_ORDERS), w)
     pairs = []
     for j, z in enumerate(w.tolist()):
         with mpmath.workdps(30):
             zm = mpmath.mpc(z)
             scale = mpmath.exp(-abs(zm.imag))
-            want = [(y[n, j], scale * mpmath.bessely(n, zm)) for n in (0, 1)]
+            log_term = mpmath.log(zm / 2) + mpmath.euler
+            j0, j1 = mpmath.besselj(0, zm), mpmath.besselj(1, zm)
+            y0, y1 = mpmath.bessely(0, zm), mpmath.bessely(1, zm)
+            want = [
+                (psi[0, j], scale * (log_term * j0 - mpmath.pi / 2 * y0)),
+                (psi[1, j], scale * (j0 / zm - log_term * j1 + mpmath.pi / 2 * y1)),
+            ]
             for k, s in enumerate(AXIS_ORDERS):
                 power = scale * (zm / 2) ** (-s)
                 want.append((val[k, j], power * mpmath.besselj(s, zm)))
@@ -337,20 +350,24 @@ def test_imaginary_rows_past_the_scipy_range_match_mpmath(sign):
     # form (scipy's ive and kve are NaN past about 1.07e9), and e^(-x) K_nu, which
     # is below the smallest float there, as 0: the rows
     # phi_s(+-ix) = (x/2)^(-s) I_s(x), phi_s'(+-ix) = -+i (x/2)^(-s) I_{s+1}(x)
-    # and the companion's Y_0 = +-i I_0 - (2/pi) K_0, Y_1 = -I_1 +- (2i/pi) K_1,
+    # and the companion's psi(+-ix) = (log(x/2) + gamma) I_0 + K_0,
+    # psi'(+-ix) = -+i (I_0 / x + (log(x/2) + gamma) I_1 - K_1),
     # all times e^(-x), quietly, from x = 1e8 up to 1e20
     orders = (0.3, -0.3, 0.0, 0.7, -0.7)
     x = np.array([1e8, 1e9, 1e12, 1e20])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        val, der, y = phi_rows(KernelTable(orders), sign * 1j * x)
+        val, der, psi = phi_rows(KernelTable(orders), sign * 1j * x)
     for j, xj in enumerate(x.tolist()):
         with mpmath.workdps(30):
             xm = mpmath.mpf(xj)
             scale, i_ = mpmath.exp(-xm), 1j * sign
+            log_term = mpmath.log(xm / 2) + mpmath.euler
+            i0, i1 = mpmath.besseli(0, xm), mpmath.besseli(1, xm)
+            k0, k1 = mpmath.besselk(0, xm), mpmath.besselk(1, xm)
             want = [
-                (y[0, j], scale * (i_ * mpmath.besseli(0, xm) - 2 / mpmath.pi * mpmath.besselk(0, xm))),
-                (y[1, j], scale * (-mpmath.besseli(1, xm) + 2 * i_ / mpmath.pi * mpmath.besselk(1, xm))),
+                (psi[0, j], scale * (log_term * i0 + k0)),
+                (psi[1, j], -i_ * scale * (i0 / xm + log_term * i1 - k1)),
             ]
             for k, s in enumerate(orders):
                 power = scale * (xm / 2) ** (-s)
@@ -364,7 +381,7 @@ def test_imaginary_rows_past_the_scipy_range_match_mpmath(sign):
 @pytest.mark.parametrize("axis", ["+imag", "-imag"])
 def test_imaginary_series_segment_matches_mpmath(axis):
     # the 40-term series on 1 < |w| <= 20, where its terms are of one sign,
-    # and the Y rows from the psi series: within 3e-15 relative on a dense
+    # and the psi rows from the same series: within 3e-15 relative on a dense
     # grid (iv/kve reached 2.2e-15 there)
     pairs = _axis_rows_against_mpmath(AXES[axis] * np.geomspace(1.0 + 1e-12, 20.0, 120))
     assert max(abs(got - want) / abs(want) for got, want in pairs) <= 3e-15
@@ -376,23 +393,23 @@ def test_imaginary_series_segment_matches_mpmath(axis):
 def test_axis_rows_continuous_with_general_path(axis, turn):
     # w0 on the axis, w1 = w0 e^(i turn) just off it in the right half-plane:
     # the jve/yve rows at w1 against the axis rows at w0 carried to w1 to first
-    # order, with phi_s'' = -((2s + 1) phi_s' / w + phi_s), Y_0' = -Y_1 and
-    # Y_1' = Y_0 - Y_1 / w (the second-order term is below 1e-18 here).  The
-    # bound leaves room for the jve of negative order, which is accurate to
-    # about 7e-14 near |w| = 20 and 1000.
+    # order, with phi_s'' = -((2s + 1) phi_s' / w + phi_s) and
+    # psi'' = -psi' / w - psi + 2 phi_0' / w (the second-order term is below
+    # 1e-18 here).  The bound leaves room for the jve of negative order, which
+    # is accurate to about 7e-14 near |w| = 20 and 1000.
     k = KernelTable(AXIS_ORDERS)
     w0 = AXES[axis] * np.array(AXIS_RADII)
     w1 = w0 * np.exp(1j * turn)
     assert np.all(np.abs(w1) > 1.0) and np.all(w1.real > 0.0) and np.all(w1.imag != 0.0)
-    (v0, d0, y0), (v1, d1, y1) = phi_rows(k, w0), phi_rows(k, w1)
+    (v0, d0, p0), (v1, d1, p1) = phi_rows(k, w0), phi_rows(k, w1)
     dw = w1 - w0
     ratio = np.exp(np.abs(w0.imag) - np.abs(w1.imag))  # the change of exp(-|Im w|)
     s = np.array(AXIS_ORDERS)[:, None]
     want = [
         (v1, ratio * (v0 + d0 * dw)),
         (d1, ratio * (d0 - ((2.0 * s + 1.0) / w0 * d0 + v0) * dw)),
-        (y1[0], ratio * (y0[0] - y0[1] * dw)),
-        (y1[1], ratio * (y0[1] + (y0[0] - y0[1] / w0) * dw)),
+        (p1[0], ratio * (p0[0] + p0[1] * dw)),
+        (p1[1], ratio * (p0[1] + (2.0 * d0[0] / w0 - p0[1] / w0 - p0[0]) * dw)),
     ]
     for got, near in want:
         assert np.all(np.abs(got - near) <= 1e-13 * np.maximum(1.0, np.abs(near)))
