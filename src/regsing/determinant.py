@@ -11,7 +11,7 @@ Three independent routes to det_zeta:
   det = exp(-Q), with gamma_t the right-half-plane semicircle of radius
   t from it to -it.  The value is t-independent for t below the first
   zero of F, which the Taylor circle of the kernel order certifies
-  before the contour is sampled; used as a cross-check.
+  before a value of the contour is read; used as a cross-check.
 * `det_zeta_regularized`: nonzero kernel of order k0, via
   F~(mu) = F(mu)/mu^(2 k0), det = F~(0) / ((-1)^k0 C), F~(0) from the
   Taylor circle of the kernel order.
@@ -179,22 +179,35 @@ def det_zeta_finite_t(spec: OperatorSpec, t_abs: float) -> DeterminantReport:
     the value matches the closed form to about 1e-13 relative.  Raises
     :class:`RootInsideContourError` unless the Taylor circle certifies
     the disk |mu| < t_abs free of zeros (:meth:`SecularEvaluator.zero_free`),
-    which it can only for t_abs below its radius sqrt(0.8) / R.
+    which it can only for t_abs below its radius sqrt(0.8) / R.  The
+    probes of the kernel order ride in the pass of the arc's first round
+    (:func:`_arc_pass`).
     """
     ev = SecularEvaluator(spec)
-    return _counted(ev, _finite_t(ev, t_abs))
+    return _counted(ev, _finite_t(ev, t_abs, _arc_pass(ev, t_abs)))
 
 
-def _finite_t(ev: SecularEvaluator, t_abs: float) -> DeterminantReport:
-    """The finite-t route at radius t_abs: the certificate of the disk, then one
-    kernel pass for F(it) and the first Gauss-Legendre round of the arc."""
+def _arc_pass(ev: SecularEvaluator, t_abs: float) -> tuple[np.ndarray, ...] | None:
+    """:meth:`SecularEvaluator._scaled_dlog` at F(it) and the first Gauss-Legendre
+    round of the arc of radius t_abs: one kernel pass, which takes the probes of
+    the kernel order along while they are not yet known.  None from no pass
+    where t_abs is not inside the Taylor circle, whose certificate then cannot
+    hold, so that no value of the arc would be read."""
     if t_abs <= 0.0:
         raise ValueError("t_abs must be positive")
+    if not t_abs < ev.circle_radius:
+        return None
+    return ev._scaled_dlog(np.concatenate(([1j * t_abs], t_abs * np.exp(1j * _ARC_NODES))))
+
+
+def _finite_t(ev: SecularEvaluator, t_abs: float, first: tuple | None) -> DeterminantReport:
+    """The finite-t route at radius t_abs from ``first``, the :func:`_arc_pass` there.
+    No value of it is read before the kernel order is checked and the certificate
+    of the disk holds; later arc rounds take one kernel pass each."""
     if ev.k0 != 0:
         raise KernelPresentError("finite-t route needs a trivial kernel")
     _certify(ev, t_abs)
-    mu = np.concatenate(([1j * t_abs], t_abs * np.exp(1j * _ARC_NODES)))
-    mants, logs, dlog = ev._scaled_dlog(mu)
+    mants, logs, dlog = first
     # F(it) / (C sgn) = ratio * exp(log_scale), kept apart so that large t R cannot overflow
     mant, log_scale = complex(mants[0]), float(logs[0])
     spec, cv = ev.spec, ev.cv
@@ -278,22 +291,26 @@ def det_zeta_auto(spec: OperatorSpec) -> DeterminantReport:
     the route failed in ``finite_t_error``, and the certificate of the
     disk below the radius, ``zero_free_margin`` (above 1 certifies).
     ``zeta_1`` is zeta(1) from the circle, :attr:`SecularEvaluator.zeta_1`.
-    The probes of the kernel order are one kernel pass, all a kernel
-    request makes; F(it) and the arc's first Gauss-Legendre round are a
-    second.  ``passes`` and ``nodes`` count the kernel passes and
-    quadrature nodes of the request.
+    The request's first kernel pass (:func:`_arc_pass`) takes the probes
+    of the kernel order, F(it) and the arc's first Gauss-Legendre round;
+    the arc's values are read only once the kernel order is 0 and the
+    circle certifies the disk, so a kernel request makes that one pass
+    and reads none of them.  Later arc rounds take one pass each.
+    ``passes`` and ``nodes`` count the kernel passes and quadrature nodes
+    of the request.
     """
     ev = SecularEvaluator(spec)
+    t = _CONTOUR_TR / ev.r
+    first = _arc_pass(ev, t)
     report = _regularized(ev) if ev.k0 else _closed_form(ev)
     diag = report.diagnostics  # a fresh dict, owned by this report
     diag["zeta_1"] = ev.zeta_1
     if ev.k0:
         return _counted(ev, report)
-    t = _CONTOUR_TR / ev.r
     diag["finite_t_radius"] = t
     diag["zero_free_margin"] = ev.zero_free_margin(t)
     try:
-        finite_t = _finite_t(ev, t).value
+        finite_t = _finite_t(ev, t, first).value
     except NumericalError as exc:
         diag["finite_t_error"] = str(exc)
     else:

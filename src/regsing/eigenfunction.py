@@ -179,11 +179,14 @@ class SecularEvaluator:
     one-element array and comes back as Python scalars.  `diagonal` says
     whether the tip rows are diagonal, so that each channel is a factor
     of F, and `width` is the number of channels of a factor (1 there, q on
-    a coupled tip).  :meth:`sample` is the pass of the spectrum scans,
-    which gives each factor and the angles of the zero count and takes
-    the probes of `k0` along while they are not yet known;
-    :meth:`imag_zeros_beyond` counts the zeros of F(ix) past an x from
-    one such pass.  `counts` holds the kernel passes made
+    a coupled tip).  The first kernel pass on the operator takes the
+    probes of `k0` along, whichever route makes it (:meth:`_probed`):
+    :meth:`sample`, the pass of the spectrum scans, which gives each
+    factor and the angles of the zero count, or :meth:`_scaled_dlog`,
+    the pass of F(it) and the finite-t arc's first round; a route that
+    needs `k0` before any other pass takes the probes in a pass of their
+    own.  :meth:`imag_zeros_beyond` counts the zeros of F(ix) past an x
+    from one :meth:`sample` pass.  `counts` holds the kernel passes made
     (``"passes"``) and the quadrature nodes spent (``"nodes"``) on this
     operator.
     """
@@ -251,7 +254,7 @@ class SecularEvaluator:
 
     @cached_property
     def _probe_scaled(self) -> tuple[np.ndarray, np.ndarray]:
-        """The scaled F at ``_probe_mu``: one array call, unless :meth:`sample` took them first."""
+        """The scaled F at ``_probe_mu``: one array call, unless a pass took them first (:meth:`_probed`)."""
         return self.scaled(self._probe_mu)
 
     @cached_property
@@ -259,22 +262,34 @@ class SecularEvaluator:
         """F at 0, then on the Taylor circle |mu| = :attr:`circle_radius`."""
         return _unscaled(*self._probe_scaled)
 
+    def _probed(self, kernel_pass, mu: np.ndarray) -> list[np.ndarray]:
+        """``kernel_pass`` over a 1-d mu, with the probes of :attr:`k0` in front while
+        they are not yet known.  The pass's first two outputs are its factors'
+        mantissas and log-scales: their product at the probes is kept as F there,
+        and every output comes back over mu alone (the points on its last axis)."""
+        n = 0 if "_probe_scaled" in self.__dict__ else self._probe_mu.size
+        out = kernel_pass(np.concatenate((self._probe_mu[:n], mu)))
+        if n:
+            self._probe_scaled = _product(out[0][:, :n], out[1][:, :n])
+        return [v[..., n:] for v in out]
+
     def sample(self, mu: np.ndarray) -> tuple[np.ndarray, ...]:
         """:meth:`_factors` and :meth:`_angles` over a 1-d mu in one kernel pass, which
-        also takes F at the probes of :attr:`k0` while they are not yet known."""
-        n = 0 if "_probe_scaled" in self.__dict__ else self._probe_mu.size
-        mu, _ = _right_half(np.concatenate((self._probe_mu[:n], mu)))
-        jp, jm = self._traces(mu)
-        bad = ~(np.isfinite(jp).all(0) & np.isfinite(jm).all(0))
-        if bad.any():
-            at = float(np.min(np.abs(mu[bad])))
-            raise SpectrumCertificationError(
-                f"F is not finite at |mu| = {at:.6g}, past the kernel's range"
-            )
-        mant, logs = self._factors(mu, self._system(jp, jm), _scales(jp, jm))
-        if n:
-            self._probe_scaled = _product(mant[:, :n], logs[:, :n])
-        return mant[:, n:], logs[:, n:], *self._angles(jp[:, n:], jm[:, n:])
+        takes the probes of :attr:`k0` along (:meth:`_probed`)."""
+
+        def kernel_pass(mu):
+            mu, _ = _right_half(mu)
+            jp, jm = self._traces(mu)
+            bad = ~(np.isfinite(jp).all(0) & np.isfinite(jm).all(0))
+            if bad.any():
+                at = float(np.min(np.abs(mu[bad])))
+                raise SpectrumCertificationError(
+                    f"F is not finite at |mu| = {at:.6g}, past the kernel's range"
+                )
+            return (*self._factors(mu, self._system(jp, jm), _scales(jp, jm)), jp, jm)
+
+        mant, logs, jp, jm = self._probed(kernel_pass, mu)
+        return mant, logs, *self._angles(jp, jm)
 
     def imag_zeros_beyond(self, x: float) -> int:
         """The zeros of F(ix') on x' > x: :func:`_zero_count` of each factor's cell
@@ -330,7 +345,7 @@ class SecularEvaluator:
         plus sum_{n > k0} |c_n| z^(n - k0), z = (t / circle_radius)^2, or 0 where
         z >= 1.  Above 1 the term of c_k0 outweighs all others together on
         |mu| = t, so F has no zero inside but its k0 at the origin."""
-        z = (t / self.circle_radius) ** 2
+        z = min(t / self.circle_radius, 1.0) ** 2  # no OverflowError at a huge t
         if not z < 1.0:
             return 0.0
         c, floor = self._taylor
@@ -506,8 +521,9 @@ class SecularEvaluator:
         return reduce(operator.add, dlogs)
 
     def _scaled_dlog(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`scaled` and :meth:`_dlog` over an ndarray mu from one kernel pass."""
-        mant, logs, dlog = self._factor_dlog(mu)
+        """:meth:`scaled` and :meth:`_dlog` over a 1-d mu from one kernel pass, which takes
+        the probes of :attr:`k0` along (:meth:`_probed`)."""
+        mant, logs, dlog = self._probed(self._factor_dlog, mu)
         return (*_product(mant, logs), reduce(operator.add, dlog))
 
     def _factor_dlog(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -813,9 +829,12 @@ def _refine(
     bisected.  A step that leaves its bracket, that is not at most half
     the step two rounds before, or that is not finite becomes a
     bisection.  A root stops when its step or its bracket width is at
-    most 1e-13 / R + 4 eps |x|, when f_k is exactly 0 there, or when its
-    Newton target lies outside the bracket by at most that tolerance: the
-    root is then the bracket's end.  No residual is checked: the count of
+    most 1e-13 / R + 4 eps |x|, when f_k is exactly 0 there, when its
+    Newton target lies outside the bracket by at most that tolerance (the
+    root is then the bracket's end), or after a Newton step dx that
+    follows a Newton step dx' where the next step of a quadratic
+    convergence, dx^3 / dx'^2, is at most 4 eps |x|: that root takes no
+    round only to confirm it.  No residual is checked: the count of
     :func:`_scan` puts exactly one zero of f_k in each bracket.
     """
     brackets = real + imag
@@ -829,6 +848,7 @@ def _refine(
     x = lo - fa * (hi - lo) / (fb - fa)  # false position: inside the bracket
     step = hi - lo  # |step| of the last round and of the round before
     before = step.copy()
+    last = np.full(len(x), np.nan)  # the last round's Newton step, NaN after a bisection
     active = np.ones(len(x), dtype=bool)
     for _ in range(_MAX_ROUNDS):
         act = np.flatnonzero(active)
@@ -857,9 +877,12 @@ def _refine(
         ended = (x_end != x_new) & (np.abs(x_end - x_new) <= tol)  # the root is the bracket's end
         x_next = np.where(ok | ended, x_end, 0.5 * lo_a + 0.5 * hi_a)
         dx = np.where(ok, np.abs(newton), 0.5 * hi_a - 0.5 * lo_a)
-        before[act], step[act] = step[act], dx
+        with np.errstate(over="ignore"):  # an overflow reads inf: no stop
+            # the next step of a quadratic convergence, dx^3 / dx_last^2, is below the rounding
+            settled = ok & (dx * (dx / last[act]) ** 2 <= _ROOT_RTOL * np.abs(xa))
+        before[act], step[act], last[act] = step[act], dx, np.where(ok, dx, np.nan)
         x[act] = np.where(live, x_next, xa)
-        active[act] = live & ~ended & (dx > tol) & (hi_a - lo_a > tol)
+        active[act] = live & ~ended & ~settled & (dx > tol) & (hi_a - lo_a > tol)
     if active.any():
         raise SpectrumCertificationError(
             f"root refinement did not converge in {_MAX_ROUNDS} rounds"

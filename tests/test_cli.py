@@ -136,10 +136,12 @@ class TestDet:
 
     def test_payloads_count_passes_and_nodes(self, write_doc, capsys):
         # det (kernel and kernel-free), spectrum and zeta report the kernel
-        # passes and quadrature nodes they spent; zeta at an integer s is the
-        # spectrum search alone, its contour a power sum of the Taylor circle
+        # passes and quadrature nodes they spent; a det request is one pass, the
+        # probes riding with the finite-t arc's first round, which only the
+        # kernel-free request reads; zeta at an integer s is the spectrum search
+        # alone, its contour a power sum of the Taylor circle
         path = write_doc(large_r_doc())
-        for doc, want in ((kernel_doc(), (1, 0)), (large_r_doc(), (2, 48))):
+        for doc, want in ((kernel_doc(), (1, 0)), (large_r_doc(), (1, 48))):
             _, out, _ = run_cli(capsys, "det", write_doc(doc))
             diag = json.loads(out)["report"]["diagnostics"]
             assert (diag["passes"], diag["nodes"]) == want

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import jv
 
-from regsing import _numutil, cli, eigenfunction
+from regsing import _numutil, cli, determinant, eigenfunction
 from regsing._numutil import NumericalError, QuadratureError, first_nodes, gauss_legendre
 from regsing.cli import EXIT_NUMERICAL, EXIT_OK, main
 from regsing.determinant import (
@@ -232,6 +232,36 @@ class TestFiniteT:
         near = abs(det_zeta_finite_t(spec, 0.05).value - closed)
         far = abs(det_zeta_finite_t(spec, 0.4).value - closed)
         assert near < far + 1e-8
+
+    def test_one_pass_then_one_per_further_arc_round(self, monkeypatch):
+        # the probes of the kernel order ride with F(it) and the arc's first
+        # Gauss-Legendre round, so the route makes one pass per arc round.  The
+        # certificate can hold only inside the Taylor circle, t R < sqrt(0.8),
+        # where the arc stays in the series disk |mu R| <= 1.  At t R = 1.5 the
+        # arc would leave the disk and mix kernel zones, but no value of it could
+        # be read: no arc point is sampled, the one pass takes the probes for the
+        # kernel order's check alone, and the route is refused with margin 0, as
+        # it is at a t so large that its square leaves the float range
+        spec = robin_regular(0.3, 1.0)
+        closed = det_zeta_closed_form(spec).value
+        round_nodes = _numutil._round_nodes
+        rounds = []
+
+        def counted(*args):
+            rounds.append(1)
+            return round_nodes(*args)
+
+        monkeypatch.setattr(_numutil, "_round_nodes", counted)
+        for t, want in ((0.1, 1), (0.5, 2), (0.85, 2)):
+            rounds.clear()
+            got = det_zeta_finite_t(spec, t)
+            assert abs(got.value - closed) <= 1e-12 * closed
+            assert got.diagnostics["passes"] == len(rounds) == want
+        for t in (1.5, 1e300):
+            ev = eigenfunction.SecularEvaluator(spec)
+            with pytest.raises(RootInsideContourError, match=r"certifies no such disk \(margin 0\)"):
+                determinant._finite_t(ev, t, determinant._arc_pass(ev, t))
+            assert ev.counts == {"passes": 1}
 
     def test_matches_closed_form_at_r_10(self):
         # at the default radius 0.1 / R; t = 0.1 reaches past the Taylor
@@ -593,10 +623,12 @@ class TestPreparedOperator:
         assert calls == {"scaled": 1}
 
     def test_regularized_reads_the_kernel_probes(self, monkeypatch):
-        # a kernel request is one kernel pass, F(0) and the 16 points of the
-        # kernel-order circle, whose Taylor coefficient gives F~(0); no contour
-        # point is sampled for a cross-check the route does not make
-        points = []
+        # a kernel request is one kernel pass: F(0) and the 16 points of the
+        # kernel-order circle, whose Taylor coefficient gives F~(0), with F(it)
+        # and the arc's 48 first-round nodes riding along, since the pass comes
+        # before the kernel order is known; the kernel then keeps the finite-t
+        # route from reading any of them, and no node is counted
+        points, reads = [], []
         cls = eigenfunction.SecularEvaluator
         traces = cls._traces
 
@@ -605,10 +637,12 @@ class TestPreparedOperator:
             return traces(self, mu, deriv)
 
         monkeypatch.setattr(cls, "_traces", counted_traces)
+        monkeypatch.setattr(determinant, "_finite_t", lambda *args: reads.append(args))
         got = det_zeta_auto(scalar_spec(0.3, Robin(-0.8)))
         assert got.method == "regularized"
-        assert points == [1 + eigenfunction._CIRCLE_POINTS] == [17]
+        assert points == [1 + eigenfunction._CIRCLE_POINTS + 1 + first_nodes(determinant._ARC).size] == [66]
         assert (got.diagnostics["passes"], got.diagnostics["nodes"]) == (1, 0)
+        assert reads == [] and not any(k.startswith("finite_t") for k in got.diagnostics)
 
     @pytest.mark.parametrize(
         "spec",
@@ -948,6 +982,25 @@ PASS_SPECS = {  # one spec per q, kernel-free and with a kernel (k0 = 1)
 }
 
 
+PROBE_SPECS = {  # PASS_SPECS, a log channel (nu = 0, j0 != q0) and a coupled tip
+    **PASS_SPECS,
+    "log channel": OperatorSpec(
+        r=1.0,
+        lambdas=(-0.25,),
+        q0=1,
+        boundary=BoundaryMatrices([[-0.01]], [[1.0]]),
+        regular_bc=Dirichlet(),
+    ),
+    "coupled": OperatorSpec(
+        r=1.0,
+        lambdas=(0.2**2 - 0.25, 0.7**2 - 0.25),
+        q0=0,
+        boundary=BoundaryMatrices([[-0.5, 0.2], [0.2, -0.1]], np.eye(2)),
+        regular_bc=Robin(1.0),
+    ),
+}
+
+
 # the four-channel operators of the benchmark's seed-1 spectrum pool: R, the Robin
 # end's alpha R (None for Dirichlet) and the channels (nu, tip); mu_max = 30 pi / (4 R)
 POOL_Q4 = [
@@ -976,10 +1029,11 @@ class TestPassBudgets:
 
     @pytest.mark.parametrize("name", sorted(PASS_SPECS))
     def test_spectrum_and_zeta(self, name, monkeypatch):
-        # the scans take two passes (probes, both coarse grids and the first
-        # bound check; both axes' midpoints) and a few more real halvings or
-        # Newton rounds; the zeta contour at s = 2 is the power sum p_2 of the
-        # Taylor circle the scans sampled, no pass and no quadrature round
+        # the scan's first pass takes the probes and the real grid from mu = 0,
+        # whose angles with their limit at x = inf count both axes; cut rounds,
+        # if any, and the Newton rounds add a few; the zeta contour at s = 2 is
+        # the power sum p_2 of the Taylor circle the scan sampled, no pass and
+        # no quadrature round
         spec = PASS_SPECS[name]
         sp = find_spectrum(spec, 30.0 * math.pi / (spec.q * spec.r))
         assert len(sp.positive) >= 28 and sp.negative == ()
@@ -998,11 +1052,33 @@ class TestPassBudgets:
 
     @pytest.mark.parametrize("name", sorted(PASS_SPECS))
     def test_det(self, name):
-        # a kernel request is the probe pass; a kernel-free one adds the pass of
-        # the finite-t cross-check, whose arc converges in its first round
+        # every request is one pass: the probes of the kernel order ride with F(it)
+        # and the arc's first round, and a kernel-free request's arc converges
+        # in that round; a kernel request reads no arc value and counts no node
         got = det_zeta_auto(PASS_SPECS[name])
-        want = (1, 0) if "kernel" in name else (2, 48)
+        want = (1, 0) if "kernel" in name else (1, 48)
         assert (got.diagnostics["passes"], got.diagnostics["nodes"]) == want
+
+    @pytest.mark.parametrize("name", sorted(PROBE_SPECS))
+    def test_det_value_is_that_of_the_probe_pass(self, name):
+        # the probes that ride with the arc in the one pass of det_zeta_auto give
+        # the value, to the bit, that the closed form or the regularized route
+        # gives from a pass of the probes alone
+        spec = PROBE_SPECS[name]
+        got = det_zeta_auto(spec)
+        alone = (det_zeta_regularized if got.kernel_dim_proxy else det_zeta_closed_form)(spec)
+        assert got.method == alone.method and got.value == alone.value
+        assert (alone.diagnostics["passes"], alone.diagnostics["nodes"]) == (1, 0)
+
+    def test_uncertified_det_reads_no_arc_value(self):
+        # F(0) = -1e-4 and a zero near mu = 0.016: the circle certifies no disk below
+        # t = 0.1 (margin 0.026), so the finite-t route is refused from the one pass,
+        # with no arc round and no node
+        got = det_zeta_auto(scalar_spec(0.3, Robin(-0.7999)))
+        diag = got.diagnostics
+        assert got.method == "closed_form" and "finite_t_value" not in diag
+        assert diag["finite_t_error"].endswith("certifies no such disk (margin 0.026)")
+        assert (diag["passes"], diag["nodes"]) == (1, 0)
 
     @pytest.mark.parametrize("case", range(len(POOL_Q4)))
     def test_four_channel_spectrum_samples_and_rounds(self, case, monkeypatch):

@@ -774,28 +774,33 @@ def test_refine_bisects_steps_that_do_not_halve():
     assert len(ev.rounds) <= 8
 
 
-class _Rounded(_Stub):
-    """A stub whose dlog F is NaN where |F| is at its rounding."""
-
-    def _factor_dlog(self, mu):
-        mant, logs, dlog = super()._factor_dlog(mu)
-        return mant, logs, np.where(np.abs(mant) < 1e-15, np.nan, dlog)
-
-
 def _square(x):
     return x * x - 2.0
 
 
-def test_refine_ends_a_root_whose_newton_target_passes_its_bracket_end():
-    # the fifth round lands on sqrt(2) to rounding, F = 4.4e-16 there and dlog F is
-    # NaN, so it is bisected; sqrt(2) is then the bracket's upper end, and every
-    # Newton target from below lands just past it.  Once the overshoot is within
-    # the root tolerance the root ends at that end (23 rounds), 25 rounds before
-    # the bracket's width would
-    ev = _Rounded(_square, lambda x: 2.0 * x)
+def test_refine_ends_a_quadratic_root_without_a_confirming_round():
+    # Newton on x^2 - 2 from false position's 4/3 moves 0.083, 2.5e-3, 2.1e-6 and
+    # 1.6e-12: each step is about the square of the one before over 2 sqrt(2).  The
+    # last one is above the root tolerance, 1e-13 + 4 eps sqrt(2), so the step rule
+    # alone would take a fifth round at the root to confirm it; the next step it
+    # predicts, dx^3 / dx_last^2 = 9e-25, is below 4 eps |x|, so the root ends there
+    ev = _Stub(_square, lambda x: 2.0 * x)
     (root,), _ = eigenfunction._refine(ev, [_bracket(_square, 1.0, 2.0)], [])
     assert root == math.sqrt(2.0)
-    assert ev.rounds[4] == [math.sqrt(2.0)] and 10 <= len(ev.rounds) <= 25
+    assert len(ev.rounds) == 4 and abs(ev.rounds[-1][0] - root) > 1e-13
+
+
+def test_refine_ends_a_root_whose_newton_target_passes_its_bracket_end():
+    # the bracket's upper end is sqrt(2) to rounding, and x^2 - 2 is convex, so every
+    # Newton target from below lands past it: each round is bisected, and no Newton
+    # step is accepted for the quadratic stop to read.  Once the overshoot,
+    # about e^2 / (2 sqrt(2)) from a distance e below, is within the root tolerance
+    # the root ends at that end (20 rounds), about 20 rounds before the bracket's
+    # width would
+    ev = _Stub(_square, lambda x: 2.0 * x)
+    (root,), _ = eigenfunction._refine(ev, [(0, 1.0, math.sqrt(2.0), -1.0, 1.0)], [])
+    assert root == math.sqrt(2.0)
+    assert all(xs[0] < root for xs in ev.rounds) and 18 <= len(ev.rounds) <= 22
 
 
 def test_coupled_root_on_a_bracket_end_takes_few_passes():
