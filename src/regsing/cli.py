@@ -37,7 +37,6 @@ from ._numutil import NumericalError
 from .cone import (
     ConeSpec,
     ConeSpecError,
-    component_report,
     cone_determinant,
     contribution_sets,
 )
@@ -339,7 +338,6 @@ def _cmd_cone(args: argparse.Namespace, doc: dict):
             warnings.simplefilter("ignore")
             contrib = contribution_sets(cone, k)
             value = cone_determinant(cone, k)
-            factors = component_report(cone, k)
         out[str(k)] = {
             "value": value,
             "window_active": contrib.window_active,
@@ -351,7 +349,7 @@ def _cmd_cone(args: argparse.Namespace, doc: dict):
                     "multiplicity": f.multiplicity,
                     "value": f.value,
                 }
-                for f in factors
+                for f in contrib.factors
             ],
             "warnings": list(contrib.warnings),
         }
@@ -434,8 +432,8 @@ def _parse_a_list(text: str) -> tuple[float, ...]:
 
 def _positive(text: str) -> float:
     value = float(text)
-    if not (value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
     return value
 
 

@@ -109,6 +109,16 @@ class ConeSpec:
 
 
 @dataclass(frozen=True)
+class ComponentFactor:
+    """One itemized factor with its origin."""
+
+    source: str  # harmonic-k | harmonic-km1 | coclosed | exact | paired
+    nu: float | None
+    multiplicity: int
+    value: float
+
+
+@dataclass(frozen=True)
 class DegreeContribution:
     k: int
     window_active: bool
@@ -117,6 +127,7 @@ class DegreeContribution:
     b_set: tuple[tuple[float, int], ...]
     p_factor: float
     warnings: tuple[str, ...] = ()
+    factors: tuple[ComponentFactor, ...] = ()  # of the determinant, see component_report
 
 
 def _require_complete(cone: ConeSpec, j: int, bound: float, k: int) -> None:
@@ -172,7 +183,8 @@ def _p_factor(cone: ConeSpec, k: int) -> float:
 
 
 def contribution_sets(cone: ConeSpec, k: int) -> DegreeContribution:
-    """The nu-multisets A_k, A~_{k-2}, B_k and the harmonic factor P_k.
+    """The nu-multisets A_k, A~_{k-2}, B_k, the harmonic factor P_k and the
+    factors of the degree-k determinant that they give (:func:`component_report`).
 
     Degrees outside 0..m carry no forms and come back inactive, like any
     degree with |k - m/2| >= 2.
@@ -212,6 +224,7 @@ def contribution_sets(cone: ConeSpec, k: int) -> DegreeContribution:
         b_set=b_set,
         p_factor=_p_factor(cone, k),
         warnings=tuple(notes),
+        factors=_factors(cone, k, a_set, a_tilde, b_set),
     )
 
 
@@ -228,16 +241,6 @@ def cone_determinant(cone: ConeSpec, k: int) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class ComponentFactor:
-    """One itemized factor with its origin."""
-
-    source: str  # harmonic-k | harmonic-km1 | coclosed | exact | paired
-    nu: float | None
-    multiplicity: int
-    value: float
-
-
 def component_report(cone: ConeSpec, k: int) -> list[ComponentFactor]:
     """The factors of the degree-k determinant, each to the power of its multiplicity.
 
@@ -245,16 +248,18 @@ def component_report(cone: ConeSpec, k: int) -> list[ComponentFactor]:
     S(nu) (nu + m/2 + 1 - k) after the harmonic factor P_k, and B_k the
     paired factors P5(nu, k); k = m/2 (m even) has B_k only.
     """
-    contrib = contribution_sets(cone, k)
-    if not contrib.window_active:
-        return []
+    return list(contribution_sets(cone, k).factors)
+
+
+def _factors(cone: ConeSpec, k: int, a_set, a_tilde, b_set) -> tuple[ComponentFactor, ...]:
+    """The factors of :func:`component_report` from the sets of an active degree k."""
     m = cone.m
     half = m / 2.0
     out: list[ComponentFactor] = []
     if half - 2.0 < k < half:
         # A_k splits into the harmonic part (lambda = 0) and coclosed eigenvalues
         nu_h = abs(k + 1.0 - half)
-        for nu, mult in contrib.a_set:
+        for nu, mult in a_set:
             harmonic = abs(nu - nu_h) <= 1e-12 and cone.harmonic_dim(k) == mult
             src = "harmonic-k" if harmonic else "coclosed"
             out.append(
@@ -264,12 +269,12 @@ def component_report(cone: ConeSpec, k: int) -> list[ComponentFactor]:
         d = cone.harmonic_dim(k - 1)
         if d > 0:
             out.append(ComponentFactor("harmonic-km1", None, d, _p_base(cone, k)))
-        for nu, mult in contrib.a_tilde_km2:
+        for nu, mult in a_tilde:
             out.append(
                 ComponentFactor(
                     "exact", nu, mult, det_wronskian_scalar(nu, Robin(half + 1.0 - k))
                 )
             )
-    for nu, mult in contrib.b_set:
+    for nu, mult in b_set:
         out.append(ComponentFactor("paired", nu, mult, _paired_factor(nu, k, m)))
-    return out
+    return tuple(out)

@@ -45,7 +45,7 @@ import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
@@ -179,8 +179,11 @@ class SecularEvaluator:
     one-element array and comes back as Python scalars.  `diagonal` says
     whether the tip rows are diagonal, so that each channel is a factor
     of F, and `width` is the number of channels of a factor (1 there, q on
-    a coupled tip).  The first kernel pass on the operator takes the
-    probes of `k0` along, whichever route makes it (:meth:`_probed`):
+    a coupled tip).  Every evaluation is one :meth:`_pass`, the kernel
+    pass that gives each factor's mantissa and log-scale, with ``deriv``
+    their log-derivatives, and the traces they come from.  The first
+    kernel pass on the operator takes the probes of `k0` along, whichever
+    route makes it (:meth:`_probed`):
     :meth:`sample`, the pass of the spectrum scans, which gives each
     factor and the angles of the zero count, or :meth:`_scaled_dlog`,
     the pass of F(it) and the finite-t arc's first round; a route that
@@ -274,21 +277,16 @@ class SecularEvaluator:
         return [v[..., n:] for v in out]
 
     def sample(self, mu: np.ndarray) -> tuple[np.ndarray, ...]:
-        """:meth:`_factors` and :meth:`_angles` over a 1-d mu in one kernel pass, which
-        takes the probes of :attr:`k0` along (:meth:`_probed`)."""
-
-        def kernel_pass(mu):
-            mu, _ = _right_half(mu)
-            jp, jm = self._traces(mu)
-            bad = ~(np.isfinite(jp).all(0) & np.isfinite(jm).all(0))
-            if bad.any():
-                at = float(np.min(np.abs(mu[bad])))
-                raise SpectrumCertificationError(
-                    f"F is not finite at |mu| = {at:.6g}, past the kernel's range"
-                )
-            return (*self._factors(mu, self._system(jp, jm), _scales(jp, jm)), jp, jm)
-
-        mant, logs, jp, jm = self._probed(kernel_pass, mu)
+        """:meth:`_pass` and :meth:`_angles` over a 1-d mu in one kernel pass, which
+        takes the probes of :attr:`k0` along (:meth:`_probed`); raises
+        SpectrumCertificationError where a trace is not finite."""
+        mant, logs, jp, jm = self._probed(self._pass, mu)
+        bad = ~(np.isfinite(jp).all(0) & np.isfinite(jm).all(0))
+        if bad.any():
+            at = float(np.min(np.abs(mu[bad])))
+            raise SpectrumCertificationError(
+                f"F is not finite at |mu| = {at:.6g}, past the kernel's range"
+            )
         return mant, logs, *self._angles(jp, jm)
 
     def imag_zeros_beyond(self, x: float) -> int:
@@ -482,21 +480,28 @@ class SecularEvaluator:
         if not isinstance(mu, np.ndarray):
             mant, logs = self.scaled(np.array([mu]))
             return complex(mant[0]), float(logs[0])
-        mu, _ = _right_half(mu)
-        jp, jm = self._traces(mu)
-        return _product(*self._factors(mu, self._system(jp, jm), _scales(jp, jm)))
+        return _product(*self._pass(mu)[:2])
 
-    def _factors(self, mu: np.ndarray, n, scale) -> tuple[np.ndarray, np.ndarray]:
-        """The mantissas and log-scales of F's factors at mu (Re mu >= 0), shaped
-        (f,) + mu.shape, from :meth:`_system` and :func:`_scales` there: N_ll over its
-        scale on a diagonal tip, else det(N / column scales)."""
+    def _pass(self, mu: np.ndarray, deriv: bool = False) -> tuple[np.ndarray, ...]:
+        """One kernel pass over an ndarray mu: the mantissas and log-scales of F's
+        factors, shaped (f,) + mu.shape, with ``deriv`` their log-derivatives
+        (:meth:`_jacobi`), then the traces jp, jm at mu reflected into Re mu >= 0.
+        A factor is N_ll over its scale on a diagonal tip, else det(N / column
+        scales), the scales being :func:`_scales` of the traces."""
+        mu, flip = _right_half(mu)
+        jp, jm, *djs = self._traces(mu, deriv)
+        n, scale = self._system(jp, jm), _scales(jp, jm)
         growth = self.width * self.r * abs(mu.imag)  # each column of N carries exp(-|Im mu R|)
         if self.diagonal:
             mant, logs = n / scale, np.log(scale)
-        else:  # row l of N^T is column l of N
-            mant = np.linalg.det(n / scale[..., None])[..., None]
+        else:  # row l of N^T is column l of N; a trace that is not finite reads NaN
+            with np.errstate(invalid="ignore"):
+                mant = np.linalg.det(n / scale[..., None])[..., None]
             logs = np.log(scale).sum(axis=-1, keepdims=True)
-        return mant.T, (logs + self._log_top).T + growth
+        out = (mant.T, (logs + self._log_top).T + growth)
+        if deriv:
+            out += (self._jacobi(flip, n, self._system(*djs), scale),)
+        return (*out, jp, jm)
 
     # -- log-derivative -----------------------------------------------------
 
@@ -515,36 +520,24 @@ class SecularEvaluator:
 
     def _dlog(self, mu: np.ndarray) -> np.ndarray:
         """:meth:`dlog` over an ndarray mu, left non-finite at the zeros of F."""
-        mu, flip = _right_half(mu)
-        jp, jm, djp, djm = self._traces(mu, deriv=True)
-        dlogs = self._jacobi(flip, jp, jm, self._system(jp, jm), self._system(djp, djm))
-        return reduce(operator.add, dlogs)
+        return reduce(operator.add, self._pass(mu, deriv=True)[2])
 
     def _scaled_dlog(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`scaled` and :meth:`_dlog` over a 1-d mu from one kernel pass, which takes
         the probes of :attr:`k0` along (:meth:`_probed`)."""
-        mant, logs, dlog = self._probed(self._factor_dlog, mu)
+        mant, logs, dlog, _, _ = self._probed(partial(self._pass, deriv=True), mu)
         return (*_product(mant, logs), reduce(operator.add, dlog))
 
-    def _factor_dlog(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`_factors` and :meth:`_jacobi` over an ndarray mu from one kernel pass."""
-        mu, flip = _right_half(mu)
-        jp, jm, djp, djm = self._traces(mu, deriv=True)
-        n = self._system(jp, jm)
-        dlogs = self._jacobi(flip, jp, jm, n, self._system(djp, djm))
-        return (*self._factors(mu, n, _scales(jp, jm)), dlogs)
-
-    def _jacobi(self, flip, jp, jm, n, dn) -> np.ndarray:
-        """The log-derivatives of F's factors, shaped (f,) + mu.shape, from the traces and
-        :meth:`_system` of them and of their mu-derivatives: N'_ll / N_ll on a diagonal
-        tip, else tr(N^-1 N'); negated where mu was reflected."""
+    def _jacobi(self, flip, n, dn, scale) -> np.ndarray:
+        """The log-derivatives of F's factors, shaped (f,) + mu.shape, from :meth:`_system`
+        of the traces and of their mu-derivatives and the column scales of :meth:`_pass`:
+        N'_ll / N_ll on a diagonal tip, else tr(N^-1 N'); negated where mu was reflected."""
         with np.errstate(divide="ignore", invalid="ignore"):
             if self.diagonal:
                 out = dn / n
-            else:  # tr(N^-T N'^T) = tr(N^-1 N'), both over the column scales of :meth:`_factors`,
-                # so that N is singular here exactly where its mantissa there is 0
-                scale = _scales(jp, jm)[..., None]
-                n, dn = n / scale, dn / scale
+            else:  # tr(N^-T N'^T) = tr(N^-1 N'), both over the column scales of the
+                # mantissa, so that N is singular here exactly where that is 0
+                n, dn = n / scale[..., None], dn / scale[..., None]
                 try:
                     sol = np.linalg.solve(n, dn)
                 except np.linalg.LinAlgError:  # mu on a zero of F: only that matrix is singular
@@ -615,11 +608,7 @@ class AsymptoticModel:
     growth_rate: float
 
     @classmethod
-    def from_spec(
-        cls, spec: OperatorSpec, cv: CharacteristicValues | None = None
-    ) -> "AsymptoticModel":
-        if cv is None:
-            cv = characteristic_values(spec)
+    def from_spec(cls, spec: OperatorSpec, cv: CharacteristicValues) -> "AsymptoticModel":
         nus = spec.nus[spec.q0 :]
         rho = 1.0
         for nu in nus:
@@ -672,7 +661,7 @@ def _turns(theta: np.ndarray, sigma) -> np.ndarray:
 
 def _zero_count(sigma, gam_a, gam_b, turn_a, turn_b) -> np.ndarray:
     """The zeros of a factor of F in cells (a, b] from its channel angles gamma_l at
-    their ends, shaped (n, q_f), and the :func:`_turns` of its eigen-angles there
+    their ends, shaped (..., q_f), and the :func:`_turns` of its eigen-angles there
     (Atkinson, 1964).
 
     As mu^2 grows, the gamma_l and the eigen-angles theta_k of U all turn
@@ -692,11 +681,11 @@ def _zero_count(sigma, gam_a, gam_b, turn_a, turn_b) -> np.ndarray:
 
 
 def _points(x, sigma, mants, logs, gam, theta) -> list[np.ndarray]:
-    """Rows of the slot table of :func:`_scan` from the samples at x on the axis of
-    sigma, one slot per point and factor of F (slot = point * factors + factor): x,
-    sigma, the factor's real mantissa (0 where one of its theta_k lies within 1e-9 of
-    0: its sign is rounding), its log-scale, its gamma_l and its :func:`_turns`.
-    Raises NumericalError where the mantissas are not real."""
+    """Rows of the table of :func:`_scan` from the samples at the points x on the axes
+    of sigma, both shaped (P,): x, sigma, and per point and factor of F, shaped (P, f),
+    the factor's real mantissa (0 where one of its theta_k lies within 1e-9 of 0: its
+    sign is rounding), its log-scale, its gamma_l (shaped (P, f, q_f)) and its
+    :func:`_turns`.  Raises NumericalError where the mantissas are not real."""
     mags = np.abs(mants)
     live = mags > 0.0
     worst = float(np.max(np.abs(mants.imag[live]) / mags[live], initial=0.0))
@@ -705,11 +694,9 @@ def _points(x, sigma, mants, logs, gam, theta) -> list[np.ndarray]:
             f"secular values on the axes are not real (residue {worst:.2e}); "
             "complex tip matrices are not supported here"
         )
-    factors = mants.shape[0]
-    sigma = np.repeat(sigma, factors)
-    gam, theta = (v.reshape(sigma.size, -1) for v in (gam, theta))
-    f = np.where(np.min(np.abs(theta), axis=1) > _ANGLE_SLACK, mants.real.T.ravel(), 0.0)
-    return [np.repeat(x, factors), sigma, f, logs.T.ravel(), gam, _turns(theta, sigma[:, None])]
+    gam, theta = (v.reshape(x.size, mants.shape[0], -1) for v in (gam, theta))
+    f = np.where(np.min(np.abs(theta), axis=-1) > _ANGLE_SLACK, mants.real.T, 0.0)
+    return [x, sigma, f, logs.T, gam, _turns(theta, sigma[:, None, None])]
 
 
 def _cut(a: float, b: float, res: float, r: float) -> np.ndarray:
@@ -732,28 +719,30 @@ def _scan(ev: SecularEvaluator, mu_max: float) -> tuple[list, list]:
     F is a product of factors: each channel's N_ll on a diagonal tip
     (:attr:`SecularEvaluator.diagonal`), else the one factor det N; a
     factor has q_f channels, 1 or q (:attr:`SecularEvaluator.width`).  One
-    table holds the samples of both axes, one slot per point and factor
-    (:func:`_points`): the real grid from mu = 0, then mu = 0 read on the
-    imaginary axis and the limit x = inf there.  Each factor has its own
-    cells, all sampled by the same passes.  The first pass samples the
-    grid, taking the probes of :attr:`SecularEvaluator.k0` along, so each
-    factor's imaginary axis starts as the single cell (0, inf].  At mu = 0
-    the k0 eigen-angles nearest 0, the kernel, are set to 0.  At x = inf
-    every gamma_l is 0 and U is W_tip* (:attr:`SecularEvaluator._limit_turn`).  :func:`_zero_count` counts
-    the zeros of each factor in each of its cells.  On the real axis the
+    table holds the samples of both axes, a row per point with a column
+    per factor (:func:`_points`): the real grid from mu = 0, then mu = 0
+    read on the imaginary axis and the limit x = inf there.  A cell is a
+    span (lo, hi] of rows on one axis, with a mask of the factors that
+    still count in it; every pass samples all factors, so they share the
+    spans.  The first pass samples the grid, taking the probes of
+    :attr:`SecularEvaluator.k0` along, so the imaginary axis starts as
+    the single span (0, inf].  At mu = 0 the k0 eigen-angles nearest 0,
+    the kernel, are set to 0.  At x = inf every gamma_l is 0 and U is
+    W_tip* (:attr:`SecularEvaluator._limit_turn`).  :func:`_zero_count`
+    counts the zeros of each factor in each span.  On the real axis the
     spacing pi / (4 q_f R) keeps 2 sum_l Delta gamma_l over a factor's
     channels, each turning about pi / (4 q_f) a cell, below a full turn,
     so no eigen-angle of the factor makes one; on the imaginary axis no
     cell needs a bound, since z_l crosses the real axis only where
     jp_l(ix) = 0, a negative eigenvalue of the channel's Friedrichs
-    problem, which has at most one.  A finite cell that counts 1 and whose
-    ends differ in sign is a bracket: a positive multiple of the factor,
-    finite near the scale of a, is fa at a and fb at b.  Every other cell
-    that counts is cut by :func:`_cut`, all in one pass (cells of several
-    factors over the same span share their cut points), until its parts
-    count at most 1.  A finite part that still counts m at the root
-    tolerance of :func:`_refine` is a root of multiplicity m, listed m
-    times.
+    problem, which has at most one.  A factor that counts 1 in a finite
+    span whose ends differ in sign has a bracket there: a positive
+    multiple of the factor, finite near the scale of a, is fa at a and fb
+    at b.  A span where some factor counts otherwise is cut by
+    :func:`_cut`, all such spans in one pass, and each part keeps only
+    those factors, until each counts at most 1 in each part.  A finite
+    span where a factor still counts m at the root tolerance of
+    :func:`_refine` holds a root of multiplicity m, listed m times.
     """
     res = math.pi / (4.0 * ev.width * ev.r)
     first = 0.5 * min(res, 0.05 / ev.r, mu_max)  # at a tiny R, 0.025 / R may pass mu_max
@@ -763,58 +752,59 @@ def _scan(ev: SecularEvaluator, mu_max: float) -> tuple[list, list]:
     nf = mants.shape[0]
     real = _points(x, np.full(x.size, -1.0), mants, logs, gam, theta)
     at_zero = _points(x[:1], np.ones(1), mants[:, :1], logs[:, :1], gam[:1], theta[:1])
-    limit = [np.full(nf, math.inf), np.ones(nf), np.full(nf, math.nan), np.full(nf, math.nan),
-             np.zeros((nf, ev.width)), ev._limit_turn]
+    nan = np.full((1, nf), math.nan)
+    limit = [np.array([math.inf]), np.ones(1), nan, nan, np.zeros((1, nf, ev.width)), ev._limit_turn[None]]
     data = [np.concatenate(v) for v in zip(real, at_zero, limit)]
-    # the cells (lo, lo + nf] of slots: each factor's real grid, then its (0, inf]
-    lo = np.concatenate((np.arange((x.size - 1) * nf), np.arange(x.size * nf, (x.size + 1) * nf)))
-    hi = lo + nf
+    # the spans (lo, lo + 1]: the real grid's cells, then (0, inf], each for every factor
+    lo = np.append(np.arange(x.size - 1), x.size)
+    hi = lo + 1
+    active = np.ones((lo.size, nf), dtype=bool)
     imag_res = min(res, 0.1 / ev.r)
     brackets, roots = [], []
     while lo.size:
         x, sigma, f, logs, gam, turn = data
-        n = _zero_count(sigma[lo, None], gam[lo], gam[hi], turn[lo], turn[hi])
+        n = _zero_count(sigma[lo, None, None], gam[lo], gam[hi], turn[lo], turn[hi])
+        n = np.where(active, n, 0.0)  # a factor done in the parent span (bracketed or 0) stays done
         if not np.all(n >= 0.0):
             raise SpectrumCertificationError("zero count is negative or not finite")
         one = (n == 1.0) & (f[lo] * f[hi] < 0.0)
-        a, b = lo[one], hi[one]
+        c, k = np.nonzero(one)
+        a, b = lo[c], hi[c]
         # b's scale over a's, capped inside the float range: false position starts at a there
-        fb = f[b] * np.exp(np.minimum(logs[b] - logs[a], 0.5 * _LOG_MAX))
-        brackets += zip(*(v.tolist() for v in (sigma[a], a % nf, x[a], x[b], f[a], fb)))
+        fb = f[b, k] * np.exp(np.minimum(logs[b, k] - logs[a, k], 0.5 * _LOG_MAX))
+        brackets += zip(*(v.tolist() for v in (sigma[a], k, x[a], x[b], f[a, k], fb)))
         cut = (n > 0.0) & ~one
         width = x[hi] - x[lo]
-        fine = cut & (width <= _ROOT_XTOL / ev.r + _ROOT_RTOL * x[hi]) & (width < math.inf)
+        fine = ((width <= _ROOT_XTOL / ev.r + _ROOT_RTOL * x[hi]) & (width < math.inf))[:, None]
         centre = 0.5 * x[lo] + 0.5 * x[hi]  # halves first: no overflow near the float range
-        for s, at, m in zip(sigma[lo][fine].tolist(), centre[fine].tolist(), n[fine].astype(int)):
+        c, k = np.nonzero(cut & fine)
+        for s, at, m in zip(sigma[lo[c]].tolist(), centre[c].tolist(), n[c, k].astype(int)):
             roots += [(s, at)] * m
-        lo, hi = lo[cut & ~fine], hi[cut & ~fine]
-        if lo.size:  # cells of several factors over one span of points share its cut
-            spans = list(dict.fromkeys(zip((lo // nf).tolist(), (hi // nf).tolist())))
-            parts = [_cut(float(x[i * nf]), float(x[j * nf]), imag_res, ev.r) for i, j in spans]
+        active = cut & ~fine
+        keep = active.any(axis=1)
+        lo, hi, active = lo[keep], hi[keep], active[keep]
+        if lo.size:
+            parts = [_cut(u, v, imag_res, ev.r) for u, v in zip(x[lo].tolist(), x[hi].tolist())]
             pts = np.concatenate(parts)
-            axis = np.repeat(sigma[[i * nf for i, _ in spans]], [p.size for p in parts])
+            sizes = np.array([p.size for p in parts])
+            axis = np.repeat(sigma[lo], sizes)
             new = _points(pts, axis, *ev.sample(np.where(axis > 0.0, 1j * pts, pts)))
-            inner, m = {}, x.size // nf  # each span's new points, in order
-            for span, p in zip(spans, parts):
-                inner[span], m = range(m, m + p.size), m + p.size
+            # each span (lo, hi] with new rows p_0 < ... < p_m becomes (lo, p_0], ..., (p_m, hi]
+            rows, start = np.arange(x.size, x.size + pts.size), np.cumsum(sizes) - sizes
+            lo, hi = np.insert(rows, start, lo), np.insert(rows, start + sizes, hi)
+            active = np.repeat(active, sizes + 1, axis=0)
             data = [np.concatenate(v) for v in zip(data, new)]
-            cells = []
-            for i, j in zip(lo.tolist(), hi.tolist()):  # (i, j] into (i, p0], ..., (pm, j]
-                ks = [p * nf + i % nf for p in inner[i // nf, j // nf]]
-                cells += zip([i] + ks, ks + [j])
-            lo, hi = (np.array(v) for v in zip(*cells))
     return brackets, roots
 
 
-def _refine(
-    ev: SecularEvaluator, real: list[tuple], imag: list[tuple]
-) -> tuple[list[float], list[float]]:
-    """The roots in the real- and imaginary-axis brackets (k, a, b, fa, fb) of
-    :func:`_scan`, all refined together, each on its factor k of F.
+def _refine(ev: SecularEvaluator, brackets: list[tuple]) -> list[float]:
+    """The roots in the brackets (sigma, k, a, b, fa, fb) of :func:`_scan`, on the real
+    axis (sigma = -1) and the imaginary one (sigma = 1), all refined together, each on
+    its factor k of F, in the order of the brackets.
 
     Safeguarded Newton (``rtsafe``) over the array of roots still
     active, on both axes at once: each round is one kernel pass
-    (:meth:`~SecularEvaluator._factor_dlog`) giving each root's factor
+    (:meth:`~SecularEvaluator._pass` with ``deriv``) giving each root's factor
     f_k, whose mantissa signs shrink its bracket, and dlog f_k (on a
     diagonal tip N'_ll / N_ll), for the Newton steps of the real function
     Re f_k(unit x) e^(-c x), unit = 1 and c = 0 on the real axis, unit = i
@@ -837,13 +827,12 @@ def _refine(
     round only to confirm it.  No residual is checked: the count of
     :func:`_scan` puts exactly one zero of f_k in each bracket.
     """
-    brackets = real + imag
     if not brackets:
-        return [], []
-    unit = np.array([1.0] * len(real) + [1j] * len(imag))
+        return []
+    sigma, k, lo, hi, fa, fb = (np.array(v) for v in zip(*brackets))
+    unit = np.where(sigma > 0.0, 1j, 1.0)
     growth = ev.width * ev.r * unit.imag  # c, the x-derivative of the log-scale's q_f R |Im mu|
     shift, floor = 1j * growth, _SLOPE_FLOOR * growth  # unit (dlog + i c) = unit dlog - c
-    k, lo, hi, fa, fb = (np.array(v) for v in zip(*brackets))
     sign_lo = np.sign(fa)
     x = lo - fa * (hi - lo) / (fb - fa)  # false position: inside the bracket
     step = hi - lo  # |step| of the last round and of the round before
@@ -855,7 +844,7 @@ def _refine(
         if act.size == 0:
             break
         xa = x[act]
-        mant, _, dlog = ev._factor_dlog(unit[act] * xa)
+        mant, _, dlog, _, _ = ev._pass(unit[act] * xa, deriv=True)
         if len(mant) > 1:  # each root's own factor
             mant, dlog = (v[k[act], np.arange(act.size)] for v in (mant, dlog))
         else:
@@ -887,7 +876,7 @@ def _refine(
         raise SpectrumCertificationError(
             f"root refinement did not converge in {_MAX_ROUNDS} rounds"
         )
-    return x[: len(real)].tolist(), x[len(real) :].tolist()
+    return x.tolist()
 
 
 def find_spectrum(spec: OperatorSpec, mu_max: float) -> Spectrum:
@@ -902,31 +891,32 @@ def find_spectrum(spec: OperatorSpec, mu_max: float) -> Spectrum:
     for (0, 1] over R.  The real-axis grid has the spacing
     pi / (4 q_f R), q_f the channels of a factor (1 on a diagonal tip,
     q on a coupled one), and its first point past mu = 0 is half the
-    smallest of that, 0.05 / R and mu_max.  Each factor's imaginary axis
-    is one cell (0, inf] that the count certifies as it stands where it
-    holds no zero; else it is cut at the grid of the smaller of that
-    spacing and 0.1 / R up to x R = 12, and the cells beyond at their
+    smallest of that, 0.05 / R and mu_max.  The imaginary axis is one
+    span (0, inf] that the count certifies as it stands where no factor
+    has a zero there; else it is cut at the grid of the smaller of that
+    spacing and 0.1 / R up to x R = 12, and the spans beyond at their
     doubled lower ends.  :func:`_scan` counts each factor's zeros in
-    every one of its cells of both axes from the samples' angles and
-    cuts the cells that count more than one, or that count one without a
-    sign change, one kernel pass for all factors, the first taking the
-    probes of :attr:`SecularEvaluator.k0` along.  The brackets of both
-    axes are then refined together by :func:`_refine`, each by the
-    Newton step of its own factor; a root of multiplicity m is listed m
-    times (a root that m channels share is m brackets).  The returned
-    :class:`Spectrum` carries the evaluator, which
-    :func:`~regsing.determinant.zeta_eval` reuses for the same spec, and
-    the number of kernel passes made.
+    every span of both axes from the samples' angles and cuts the spans
+    where a factor counts more than one, or one without a sign change,
+    one kernel pass for all spans, the first taking the probes of
+    :attr:`SecularEvaluator.k0` along.  One call of :func:`_refine` then
+    refines the brackets of both axes together, each by the Newton step
+    of its own factor, and the roots are split by axis once; a root of
+    multiplicity m is listed m times (a root that m channels share is m
+    brackets).  The returned :class:`Spectrum` carries the evaluator,
+    which :func:`~regsing.determinant.zeta_eval` reuses for the same
+    spec, and the number of kernel passes made.  Raises ValueError
+    unless 0 < mu_max < inf.
     """
-    if mu_max <= 0.0:
-        raise ValueError("mu_max must be positive")
+    if not 0.0 < mu_max < math.inf:
+        raise ValueError(f"mu_max must be positive and finite, got {mu_max}")
     ev = SecularEvaluator(spec)
     brackets, roots = _scan(ev, mu_max)
-    real, imag = ([v[1:] for v in brackets if v[0] == sigma] for sigma in (-1.0, 1.0))
-    positive, negative = _refine(ev, real, imag)
+    roots += zip([v[0] for v in brackets], _refine(ev, brackets))
+    positive, negative = (sorted(x for s, x in roots if s == sigma) for sigma in (-1.0, 1.0))
     return Spectrum(
-        positive=tuple(sorted(positive + [x for sigma, x in roots if sigma < 0.0])),
-        negative=tuple(sorted(negative + [x for sigma, x in roots if sigma > 0.0])),
+        positive=tuple(positive),
+        negative=tuple(negative),
         mu_max=float(mu_max),
         certified=True,
         evaluator=ev,
@@ -943,8 +933,7 @@ def verify_contour_decay(
     s: float,
     a_list: list[float],
     theta: float = math.pi / 4.0,
-    parts: bool = False,
-) -> list[float] | list[tuple[float, float, float]]:
+) -> list[float]:
     """|closed contour integral of z^(-2s) dlog F| over gamma(a) per abscissa.
 
     gamma(a) is the vertical segment Re z = a clipped to |arg z| <= theta
@@ -953,10 +942,6 @@ def verify_contour_decay(
     which is continuous on the whole contour.  Abscissae straddling a
     zero of F are nudged by multiples of 0.1 / R before giving up.
     The abscissae must have a R <= 200, the validated range.
-
-    With ``parts=True`` each entry is (total, arc_magnitude,
-    segment_magnitude); the arc piece alone must also decay for
-    s > 1/2.
     """
     if not (0.0 < theta < 0.5 * math.pi):
         raise ValueError("theta must lie in (0, pi/2)")
@@ -967,11 +952,7 @@ def verify_contour_decay(
     if max(a_list) * spec.r > 200.0:
         raise ValueError("abscissae above a R = 200 exceed the validated evaluation range")
     ev = SecularEvaluator(spec)
-    out = []
-    for a in a_list:
-        total, arc_mag, seg_mag = _contour_integral(ev, s, float(a), theta)
-        out.append((total, arc_mag, seg_mag) if parts else total)
-    return out
+    return [_contour_integral(ev, s, float(a), theta)[0] for a in a_list]
 
 
 def _f_nonzero_on_segment(ev: SecularEvaluator, a: float, theta: float) -> bool:
@@ -980,7 +961,10 @@ def _f_nonzero_on_segment(ev: SecularEvaluator, a: float, theta: float) -> bool:
     return bool(np.all(np.abs(mants) >= 1e-8))
 
 
-def _contour_integral(ev: SecularEvaluator, s: float, a: float, theta: float) -> float:
+def _contour_integral(
+    ev: SecularEvaluator, s: float, a: float, theta: float
+) -> tuple[float, float]:
+    """|the integral over gamma(a)| of :func:`verify_contour_decay`, and |its two arcs' part|."""
     shift = 0.0
     for _ in range(8):
         if _f_nonzero_on_segment(ev, a + shift, theta):
@@ -1006,5 +990,4 @@ def _contour_integral(ev: SecularEvaluator, s: float, a: float, theta: float) ->
     lower, _ = gauss_legendre(arc, (-0.5 * math.pi, -theta))
     middle, _ = gauss_legendre(seg, (-a * tan_t, a * tan_t))
     upper, _ = gauss_legendre(arc, (theta, 0.5 * math.pi))
-    total = lower + middle + upper
-    return abs(total), abs(lower + upper), abs(middle)
+    return abs(lower + middle + upper), abs(lower + upper)

@@ -127,10 +127,6 @@ class OperatorSpec:
         return len(self.lambdas)
 
     @property
-    def q1(self) -> int:
-        return self.q - self.q0
-
-    @property
     def nus(self) -> tuple[float, ...]:
         return tuple(math.sqrt(l + 0.25) for l in self.lambdas)
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import regsing
 from regsing import cli
+from regsing import cone as cone_mod
 from regsing.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA, main
 from regsing.eigenfunction import SecularEvaluator
 
@@ -298,7 +299,9 @@ class TestValidateAndSchema:
         assert out == ""
         assert err == "regsing: input error: operator failed validation: rank\n"
 
-    @pytest.mark.parametrize("flags", [("--mu-max", "0"), ("--mu-max", "nan"), ("--mu", "1+")])
+    @pytest.mark.parametrize(
+        "flags", [("--mu-max", "0"), ("--mu-max", "nan"), ("--mu", "1+"), ("--mu-max", "inf")]
+    )
     def test_bad_flag_value_exits_2(self, write_doc, flags):
         with pytest.raises(SystemExit) as exc:
             main(["eval-f", write_doc(bessel_doc()), "--mu", "1"] + list(flags))
@@ -396,6 +399,40 @@ class TestCone:
         assert [str(w.message) for w in seen] == []
         notes = [n for d in json.loads(out)["report"]["degrees"].values() for n in d["warnings"]]
         assert len(notes) == (3 if fixture == "circle_cone.json" else 0)
+
+    def test_windows_are_worked_out_once_per_degree_and_route(self, capsys, monkeypatch):
+        # the payload reads P_k, the factors and the window notes from one
+        # contribution_sets call per degree, and cone_determinant makes the
+        # other: 8 for the four degrees of the sphere cone, with the payload the
+        # public functions give degree by degree, to the byte
+        path = str(FIXTURES / "sphere_cone.json")
+        cone = cli.parse_cone_document(json.loads(Path(path).read_text(encoding="utf-8")))
+        want = {}
+        for k in range(cone.m + 1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                contrib = cone_mod.contribution_sets(cone, k)
+                factors = cone_mod.component_report(cone, k)
+                value = cone_mod.cone_determinant(cone, k)
+            want[str(k)] = {
+                "value": value,
+                "window_active": contrib.window_active,
+                "p_factor": contrib.p_factor,
+                "factors": [
+                    {"source": f.source, "nu": f.nu, "multiplicity": f.multiplicity, "value": f.value}
+                    for f in factors
+                ],
+                "warnings": list(contrib.warnings),
+            }
+        calls = []
+        sets = cone_mod.contribution_sets
+        counted = lambda cone, k: calls.append(k) or sets(cone, k)  # noqa: E731
+        monkeypatch.setattr(cone_mod, "contribution_sets", counted)
+        monkeypatch.setattr(cli, "contribution_sets", counted)
+        code, out, _ = run_cli(capsys, "cone", path)
+        assert code == EXIT_OK
+        assert len(calls) <= 8
+        assert cli.serialize(json.loads(out)["report"]) == cli.serialize({"degrees": want})
 
     def test_incomplete_spectrum_is_numerical(self, write_doc, capsys):
         doc = circle_doc()

@@ -1091,12 +1091,14 @@ class TestPassBudgets:
         spec = diagonal_spec([scalar_spec(nu, bc, tip=tip, r=r) for nu, tip in channels])
         mu_max = 30.0 * math.pi / (4.0 * r)
         passes, rounds = [], []
-        sample, factor_dlog = eigenfunction.SecularEvaluator.sample, eigenfunction.SecularEvaluator._factor_dlog
+        sample, kernel_pass = eigenfunction.SecularEvaluator.sample, eigenfunction.SecularEvaluator._pass
         monkeypatch.setattr(
             eigenfunction.SecularEvaluator, "sample", lambda ev, mu: passes.append(mu) or sample(ev, mu)
         )
-        monkeypatch.setattr(
-            eigenfunction.SecularEvaluator, "_factor_dlog", lambda ev, mu: rounds.append(mu) or factor_dlog(ev, mu)
+        monkeypatch.setattr(  # a pass with the log-derivatives is a Newton round
+            eigenfunction.SecularEvaluator,
+            "_pass",
+            lambda ev, mu, deriv=False: (deriv and rounds.append(mu)) or kernel_pass(ev, mu, deriv),
         )
         sp = find_spectrum(spec, mu_max)
         assert len(sp.positive) >= 28 and sp.negative == ()

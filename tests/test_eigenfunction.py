@@ -20,7 +20,6 @@ from regsing import eigenfunction
 from regsing._numutil import NumericalError, gauss_legendre
 from regsing.cli import parse_operator_document
 from regsing.eigenfunction import (
-    AsymptoticModel,
     SecularEvaluator,
     asymptotic_log_F_imag,
     eval_F,
@@ -161,7 +160,7 @@ class TestRealityAndFactorization:
         parts = [scalar_spec(0.3, Robin(0.5), r=200.0), scalar_spec(0.6, Robin(0.5), r=200.0)]
         spec = parts[0] if q == 1 else diagonal_spec(parts)
         ev = SecularEvaluator(spec)
-        model = AsymptoticModel.from_spec(spec)
+        model = ev.model
         for x in [4.0, 12.0, 50.0]:
             mant, logs = ev.scaled(1j * x)
             assert math.isfinite(logs) and 0.0 < abs(mant) < 1e4
@@ -326,18 +325,16 @@ def test_dlog_is_odd_and_takes_scalars(diagonal_pair):
 
 
 def _count_calls(monkeypatch) -> Counter:
-    """Count F calls (key "scaled") and dlog F calls (key "_dlog") of
-    SecularEvaluator from now on; one fused _factor_dlog call is one of each."""
+    """Count the kernel passes of SecularEvaluator from now on: each gives F (key
+    "scaled"), and one with ``deriv`` gives dlog F as well (key "_dlog")."""
     calls = Counter()
-    counts = {"scaled": ("scaled",), "_dlog": ("_dlog",), "_factor_dlog": ("scaled", "_dlog")}
-    for name, keys in counts.items():
-        method = getattr(SecularEvaluator, name)
+    kernel_pass = SecularEvaluator._pass
 
-        def counted(self, *args, _method=method, _keys=keys, **kwargs):
-            calls.update(_keys)
-            return _method(self, *args, **kwargs)
+    def counted(self, mu, deriv=False):
+        calls.update(("scaled", "_dlog") if deriv else ("scaled",))
+        return kernel_pass(self, mu, deriv)
 
-        monkeypatch.setattr(SecularEvaluator, name, counted)
+    monkeypatch.setattr(SecularEvaluator, "_pass", counted)
     return calls
 
 
@@ -702,7 +699,7 @@ def test_zero_past_the_float_range_is_refused():
 
 class _Stub:
     """Stand-in evaluator for a real function f on the real axis; records each
-    refinement round (each F and dlog F call)."""
+    refinement round (each kernel pass)."""
 
     r = 1.0  # the length R, which scales the root tolerance
     width = 1  # the channels of its one factor
@@ -711,16 +708,13 @@ class _Stub:
         self.f, self.df, self.bad_dlog_at = f, df, bad_dlog_at
         self.rounds = []  # the points of each round
 
-    def scaled(self, mu):
-        return self.f(mu.real).astype(complex), np.zeros(mu.shape)
-
-    def _factor_dlog(self, mu):  # F is its one factor
+    def _pass(self, mu, deriv):  # F is its one factor; no traces
         x = mu.real
         self.rounds.append(x.tolist())
         with np.errstate(divide="ignore", invalid="ignore"):
             out = self.df(x) / self.f(x)
         dlog = np.where(x == self.bad_dlog_at, np.nan, out).astype(complex)
-        return tuple(v[None] for v in (*self.scaled(mu), dlog))
+        return self.f(x).astype(complex)[None], np.zeros((1,) + x.shape), dlog[None], None, None
 
 
 def _cubic(x):
@@ -732,7 +726,7 @@ def _cubic_d(x):
 
 
 def _bracket(f, a, b):
-    return (0, a, b, float(f(a)), float(f(b)))
+    return (-1.0, 0, a, b, float(f(a)), float(f(b)))
 
 
 def test_refine_iterate_exactly_on_a_zero():
@@ -740,7 +734,7 @@ def test_refine_iterate_exactly_on_a_zero():
     # (and dlog F is not finite); that root stops after its first round, the
     # other one goes on
     ev = _Stub(_cubic, _cubic_d)
-    roots, _ = eigenfunction._refine(ev, [(0, 1.0, 2.0, -1.0, 1.0), _bracket(_cubic, 3.0, 5.0)], [])
+    roots = eigenfunction._refine(ev, [(-1.0, 0, 1.0, 2.0, -1.0, 1.0), _bracket(_cubic, 3.0, 5.0)])
     assert roots[0] == 1.5
     assert abs(roots[1] - 4.0) <= 1e-13
     assert 1.5 in ev.rounds[0]
@@ -750,7 +744,7 @@ def test_refine_iterate_exactly_on_a_zero():
 def test_refine_bisects_where_dlog_is_not_finite():
     first = 3.0 - _cubic(3.0) * 2.0 / (_cubic(5.0) - _cubic(3.0))  # the false-position start
     ev = _Stub(_cubic, _cubic_d, bad_dlog_at=first)
-    (root,), _ = eigenfunction._refine(ev, [_bracket(_cubic, 3.0, 5.0)], [])
+    (root,) = eigenfunction._refine(ev, [_bracket(_cubic, 3.0, 5.0)])
     assert abs(root - 4.0) <= 1e-13
     assert ev.rounds[0] == [first] and ev.rounds[1][0] in (0.5 * (3.0 + first), 0.5 * (first + 5.0))
 
@@ -759,7 +753,7 @@ def test_refine_bisects_steps_that_leave_the_bracket():
     # a dlog F of the wrong sign sends every step away from the root and out of
     # the bracket: the refinement is plain bisection and still converges
     ev = _Stub(_cubic, lambda x: -_cubic_d(x))
-    (root,), _ = eigenfunction._refine(ev, [_bracket(_cubic, 3.0, 5.0)], [])
+    (root,) = eigenfunction._refine(ev, [_bracket(_cubic, 3.0, 5.0)])
     assert abs(root - 4.0) <= 1e-13
     assert 40 <= len(ev.rounds) <= 50
 
@@ -769,7 +763,7 @@ def test_refine_bisects_steps_that_do_not_halve():
     # (13 rounds here); bisecting a step that does not halve in two takes 7
     f = lambda x: (x - 4.0) ** 5 + 1e-4 * (x - 4.0)  # noqa: E731
     ev = _Stub(f, lambda x: 5.0 * (x - 4.0) ** 4 + 1e-4)
-    (root,), _ = eigenfunction._refine(ev, [_bracket(f, 3.0, 5.5)], [])
+    (root,) = eigenfunction._refine(ev, [_bracket(f, 3.0, 5.5)])
     assert abs(root - 4.0) <= 1e-13
     assert len(ev.rounds) <= 8
 
@@ -785,7 +779,7 @@ def test_refine_ends_a_quadratic_root_without_a_confirming_round():
     # alone would take a fifth round at the root to confirm it; the next step it
     # predicts, dx^3 / dx_last^2 = 9e-25, is below 4 eps |x|, so the root ends there
     ev = _Stub(_square, lambda x: 2.0 * x)
-    (root,), _ = eigenfunction._refine(ev, [_bracket(_square, 1.0, 2.0)], [])
+    (root,) = eigenfunction._refine(ev, [_bracket(_square, 1.0, 2.0)])
     assert root == math.sqrt(2.0)
     assert len(ev.rounds) == 4 and abs(ev.rounds[-1][0] - root) > 1e-13
 
@@ -798,7 +792,7 @@ def test_refine_ends_a_root_whose_newton_target_passes_its_bracket_end():
     # the root ends at that end (20 rounds), about 20 rounds before the bracket's
     # width would
     ev = _Stub(_square, lambda x: 2.0 * x)
-    (root,), _ = eigenfunction._refine(ev, [(0, 1.0, math.sqrt(2.0), -1.0, 1.0)], [])
+    (root,) = eigenfunction._refine(ev, [(-1.0, 0, 1.0, math.sqrt(2.0), -1.0, 1.0)])
     assert root == math.sqrt(2.0)
     assert all(xs[0] < root for xs in ev.rounds) and 18 <= len(ev.rounds) <= 22
 
@@ -940,7 +934,9 @@ class TestSpectrum:
         # mu = 0 is sampled.  Every later pass samples only the points that cut
         # the cells that count (the rotated doubled operator's three double roots;
         # the imaginary grid for the one negative eigenvalue), none of them twice.
-        # The diagonal doubled operator brackets each channel's roots on its own
+        # The diagonal doubled operator brackets each channel's roots on its own;
+        # on the negative pair both channels cut the one span (0, inf], which is
+        # sampled once for the two
         passes = []
         sample = SecularEvaluator.sample
 
@@ -952,7 +948,10 @@ class TestSpectrum:
         robin = scalar_spec(0.3, Robin(0.5))
         doubled = diagonal_spec([robin, robin])
         rotated = _rotated(doubled, 0, 1)
-        for spec in (diagonal_pair, scalar_spec(0.5, Robin(-3.0)), kernel_fixture_third, doubled, rotated):
+        channels, bc, r, _ = ORACLE_CHANNELS["q2 negative pair"]
+        pair = diagonal_spec([scalar_spec(nu, bc, tip=tip, r=r) for nu, tip in channels])
+        specs = (diagonal_pair, scalar_spec(0.5, Robin(-3.0)), kernel_fixture_third, doubled, rotated, pair)
+        for spec in specs:
             passes.clear()
             sp = find_spectrum(spec, 10.0)
             assert (len(passes) > 1) == (spec is rotated or bool(sp.negative))
@@ -964,29 +963,36 @@ class TestSpectrum:
             for pts in (real[real > 0.0], imag[imag > 0.0]):
                 assert np.unique(pts).size == pts.size
 
+    @pytest.mark.parametrize("mu_max", [0.0, -1.0, math.inf, math.nan])
+    def test_mu_max_must_be_positive_and_finite(self, diagonal_pair, mu_max):
+        # an infinite end has no grid, and NaN none either
+        with pytest.raises(ValueError, match="positive and finite"):
+            find_spectrum(diagonal_pair, mu_max)
+
     def test_one_kernel_pass_per_refinement_round(self, monkeypatch):
         # both axes are refined together; every Newton round takes F and dlog F
         # from one pass, and the residuals are read from those rounds
         seen = []
-        factor_dlog, refine = SecularEvaluator._factor_dlog, eigenfunction._refine
+        kernel_pass, refine = SecularEvaluator._pass, eigenfunction._refine
 
-        def counted_factor_dlog(self, mu):
-            seen[-1]["rounds"] += 1
-            return factor_dlog(self, mu)
+        def counted_pass(self, mu, deriv=False):
+            if seen:
+                seen[-1]["rounds"] += 1
+            return kernel_pass(self, mu, deriv)
 
-        def counted_refine(ev, real, imag):
+        def counted_refine(ev, brackets):
             seen.append({"rounds": 0})
             before = ev.counts["passes"]
-            roots = refine(ev, real, imag)
-            seen[-1].update(roots=roots, passes=ev.counts["passes"] - before)
+            roots = refine(ev, brackets)
+            seen[-1].update(axes={b[0] for b in brackets}, passes=ev.counts["passes"] - before)
             return roots
 
-        monkeypatch.setattr(SecularEvaluator, "_factor_dlog", counted_factor_dlog)
+        monkeypatch.setattr(SecularEvaluator, "_pass", counted_pass)
         monkeypatch.setattr(eigenfunction, "_refine", counted_refine)
         channels, bc, r, mu_max = ORACLE_CHANNELS["q2 negative"]
         find_spectrum(diagonal_spec([scalar_spec(nu, bc, tip=t, r=r) for nu, t in channels]), mu_max)
         (call,) = seen
-        assert all(call["roots"])  # roots on both axes
+        assert call["axes"] == {-1.0, 1.0}  # roots on both axes
         assert 1 <= call["rounds"] == call["passes"]
 
     def test_roots_annihilate_boundary_system(self, diagonal_pair):
@@ -1000,26 +1006,20 @@ class TestSpectrum:
 
 class TestAsymptoticModel:
     def test_exponent_arithmetic(self, kernel_fixture_two):
-        from regsing.eigenfunction import AsymptoticModel
-
-        m = AsymptoticModel.from_spec(kernel_fixture_two)
+        m = SecularEvaluator(kernel_fixture_two).model
         # singular-branch rows: alpha0 = 0, exponent = 1/2 + 1/2
         assert m.exponent == pytest.approx(1.0)
         assert m.log_power == 0
         assert m.c == pytest.approx(0.5)
 
     def test_dirichlet_exponent_arithmetic(self, dirichlet_half):
-        from regsing.eigenfunction import AsymptoticModel
-
-        m = AsymptoticModel.from_spec(dirichlet_half)
+        m = SecularEvaluator(dirichlet_half).model
         # trace rows lose a power of x each: 1/2 - 1/2 - 2*(1/2)
         assert m.exponent == pytest.approx(-1.0)
         assert m.c == pytest.approx(-0.5)
 
     def test_log_power_vanishes_when_j0_equals_q0(self, kernel_fixture_bessel):
-        from regsing.eigenfunction import AsymptoticModel
-
-        assert AsymptoticModel.from_spec(kernel_fixture_bessel).log_power == 0
+        assert SecularEvaluator(kernel_fixture_bessel).model.log_power == 0
 
     def test_model_error_shrinks(self):
         for spec in [robin_regular(0.3, 0.0), robin_regular(0.0, 1.0)]:
@@ -1051,10 +1051,8 @@ class TestContourDecay:
         assert mags[1] < mags[0]
 
     def test_arc_piece_decays_alone(self, kernel_fixture_bessel):
-        rows = verify_contour_decay(
-            kernel_fixture_bessel, s=1.0, a_list=[8.2, 8.2 + 2 * math.pi], parts=True
-        )
-        arcs = [row[1] for row in rows]
+        ev, theta = SecularEvaluator(kernel_fixture_bessel), math.pi / 4.0
+        arcs = [eigenfunction._contour_integral(ev, 1.0, a, theta)[1] for a in (8.2, 8.2 + 2 * math.pi)]
         assert arcs[1] < arcs[0]
 
     @pytest.mark.parametrize("r", [0.01, 0.1, 10.0, 100.0])
