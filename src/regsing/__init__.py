@@ -17,7 +17,6 @@ from .eigenfunction import (
     eval_F,
     eval_F_at_zero,
     find_spectrum,
-    kernel_order,
     verify_contour_decay,
 )
 from .operators import (
@@ -26,7 +25,6 @@ from .operators import (
     OperatorSpec,
     Robin,
     characteristic_values,
-    classify_scalar,
     diagonal_spec,
     scalar_spec,
     validate,
@@ -45,7 +43,6 @@ __all__ = [
     "SecularEvaluator",
     "Spectrum",
     "characteristic_values",
-    "classify_scalar",
     "component_report",
     "cone_determinant",
     "contribution_sets",
@@ -58,7 +55,6 @@ __all__ = [
     "eval_F",
     "eval_F_at_zero",
     "find_spectrum",
-    "kernel_order",
     "scalar_spec",
     "validate",
     "verify_contour_decay",

@@ -384,11 +384,11 @@ def _cmd_verify_contour(args: argparse.Namespace, doc: dict):
     spec = parse_operator_document(doc)
     if not args.a_list:
         raise SchemaError("verify-contour needs --a-list")
-    mags = verify_contour_decay(spec, args.s, list(args.a_list), theta=args.theta)
+    mags = verify_contour_decay(spec, args.s, list(args.a_list))
     decreasing = all(a > b for a, b in zip(mags, mags[1:]))
     payload = {
         "s": args.s,
-        "theta": args.theta,
+        "theta": math.pi / 4.0,  # verify_contour_decay's default
         "a_list": list(args.a_list),
         "magnitudes": mags,
         "strictly_decreasing": decreasing,
@@ -441,13 +441,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="regsing",
         description="Spectra and zeta determinants of regular-singular operators",
-        allow_abbrev=False,  # a prefix such as --t is refused, not read as --theta
+        allow_abbrev=False,  # a prefix such as --deg is refused, not read as --degree
     )
     parser.add_argument("command", choices=_HANDLERS)
     parser.add_argument("input", help="path to the JSON description")
     parser.add_argument("--mu-max", type=_positive, default=100.0, dest="mu_max")
     parser.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
-    parser.add_argument("--theta", type=float, default=math.pi / 4.0)
     parser.add_argument("--a-list", type=_parse_a_list, default=(), dest="a_list")
     parser.add_argument("--mu", type=_parse_mu, default=None)
     parser.add_argument("--s", type=float, default=1.0)

@@ -178,22 +178,22 @@ def _p_base(cone: ConeSpec, k: int) -> float:
     return 1.0
 
 
-def _p_factor(cone: ConeSpec, k: int) -> float:
-    return _p_base(cone, k) ** cone.harmonic_dim(k - 1)
-
-
 def contribution_sets(cone: ConeSpec, k: int) -> DegreeContribution:
     """The nu-multisets A_k, A~_{k-2}, B_k, the harmonic factor P_k and the
-    factors of the degree-k determinant that they give (:func:`component_report`).
+    factors of the degree-k determinant that they give (:func:`component_report`),
+    each window's set and its factors in one pass.
 
-    Degrees outside 0..m carry no forms and come back inactive, like any
-    degree with |k - m/2| >= 2.
+    A_k gives Dirichlet factors S(nu), its harmonic part (lambda = 0) marked
+    apart from the coclosed eigenvalues; A~_{k-2} gives Robin factors
+    S(nu) (nu + m/2 + 1 - k) after the harmonic factor P_k, and B_k the
+    paired factors P5(nu, k).  Degrees outside 0..m carry no forms and come
+    back inactive, like any degree with |k - m/2| >= 2.
     """
-    half = cone.m / 2.0
-    active = abs(k - half) < 2.0 and 0 <= k <= cone.m
-    if not active:
+    m, half = cone.m, cone.m / 2.0
+    if not (abs(k - half) < 2.0 and 0 <= k <= m):
         return DegreeContribution(k, False, (), (), (), 1.0)
     notes: list[str] = []
+    factors: list[ComponentFactor] = []
 
     a_set: tuple[tuple[float, int], ...] = ()
     if half - 2.0 < k < half:
@@ -201,18 +201,31 @@ def contribution_sets(cone: ConeSpec, k: int) -> DegreeContribution:
         bound = 1.0 - shift
         _require_complete(cone, k, bound, k)
         a_set = _filter_window(cone.degree_entries(k), shift, bound, True, notes)
+        nu_h = abs(k + 1.0 - half)  # the harmonic forms' nu, lambda = 0
+        for nu, mult in a_set:
+            harmonic = abs(nu - nu_h) <= 1e-12 and cone.harmonic_dim(k) == mult
+            src = "harmonic-k" if harmonic else "coclosed"
+            factors.append(ComponentFactor(src, nu, mult, det_wronskian_scalar(nu, Dirichlet())))
 
     a_tilde: tuple[tuple[float, int], ...] = ()
+    d = cone.harmonic_dim(k - 1)
     if half < k < half + 2.0:
         shift = (k - 1.0 - half) ** 2
         bound = 1.0 - shift
         _require_complete(cone, k - 2, bound, k)
         a_tilde = _filter_window(cone.degree_entries(k - 2), shift, bound, False, notes)
+        if d > 0:
+            factors.append(ComponentFactor("harmonic-km1", None, d, _p_base(cone, k)))
+        for nu, mult in a_tilde:
+            value = det_wronskian_scalar(nu, Robin(half + 1.0 - k))
+            factors.append(ComponentFactor("exact", nu, mult, value))
 
     shift_b = (k - half) ** 2
     bound_b = 4.0 - shift_b
     _require_complete(cone, k - 1, bound_b, k)
     b_set = _filter_window(cone.degree_entries(k - 1), shift_b, bound_b, False, notes)
+    for nu, mult in b_set:
+        factors.append(ComponentFactor("paired", nu, mult, _paired_factor(nu, k, m)))
 
     for msg in notes:
         warnings.warn(msg, stacklevel=2)
@@ -222,9 +235,9 @@ def contribution_sets(cone: ConeSpec, k: int) -> DegreeContribution:
         a_set=a_set,
         a_tilde_km2=a_tilde,
         b_set=b_set,
-        p_factor=_p_factor(cone, k),
+        p_factor=_p_base(cone, k) ** d,
         warnings=tuple(notes),
-        factors=_factors(cone, k, a_set, a_tilde, b_set),
+        factors=tuple(factors),
     )
 
 
@@ -242,39 +255,6 @@ def cone_determinant(cone: ConeSpec, k: int) -> float:
 
 
 def component_report(cone: ConeSpec, k: int) -> list[ComponentFactor]:
-    """The factors of the degree-k determinant, each to the power of its multiplicity.
-
-    A_k gives Dirichlet factors S(nu), A~_{k-2} Robin factors
-    S(nu) (nu + m/2 + 1 - k) after the harmonic factor P_k, and B_k the
-    paired factors P5(nu, k); k = m/2 (m even) has B_k only.
-    """
+    """The factors of the degree-k determinant, each to the power of its multiplicity
+    (:func:`contribution_sets`); k = m/2 (m even) has B_k only."""
     return list(contribution_sets(cone, k).factors)
-
-
-def _factors(cone: ConeSpec, k: int, a_set, a_tilde, b_set) -> tuple[ComponentFactor, ...]:
-    """The factors of :func:`component_report` from the sets of an active degree k."""
-    m = cone.m
-    half = m / 2.0
-    out: list[ComponentFactor] = []
-    if half - 2.0 < k < half:
-        # A_k splits into the harmonic part (lambda = 0) and coclosed eigenvalues
-        nu_h = abs(k + 1.0 - half)
-        for nu, mult in a_set:
-            harmonic = abs(nu - nu_h) <= 1e-12 and cone.harmonic_dim(k) == mult
-            src = "harmonic-k" if harmonic else "coclosed"
-            out.append(
-                ComponentFactor(src, nu, mult, det_wronskian_scalar(nu, Dirichlet()))
-            )
-    elif half < k < half + 2.0:
-        d = cone.harmonic_dim(k - 1)
-        if d > 0:
-            out.append(ComponentFactor("harmonic-km1", None, d, _p_base(cone, k)))
-        for nu, mult in a_tilde:
-            out.append(
-                ComponentFactor(
-                    "exact", nu, mult, det_wronskian_scalar(nu, Robin(half + 1.0 - k))
-                )
-            )
-    for nu, mult in b_set:
-        out.append(ComponentFactor("paired", nu, mult, _paired_factor(nu, k, m)))
-    return tuple(out)

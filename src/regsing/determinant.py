@@ -1,10 +1,14 @@
 """Zeta-regularized determinants and zeta-function estimators.
 
-Three independent routes to det_zeta:
+Two independent routes to det_zeta:
 
-* `det_zeta_closed_form`: kernel-free operators, from F(0), the
-  boundary-polynomial triple (alpha0, j0, a0) and the normalization
-  constants.
+* `det_zeta_closed_form` and `det_zeta_regularized`: one body,
+  det = F~(0) (-2 e^gamma)^(q0-j0) / ((-1)^k0 C) of
+  F~(mu) = F(mu)/mu^(2 k0), k0 the kernel order.  At k0 = 0 it is the
+  closed form, F(0) with the boundary-polynomial triple (alpha0, j0, a0)
+  and the normalization constants; above, F~(0) comes from the Taylor
+  circle of the kernel order.  Each entry point refuses the other's
+  kernel case.
 * `det_zeta_finite_t`: the finite-t identity
       Q = -log(F(it) / (C (-1)^(q0-j0))) + (j0-q0)(gamma + log 2)
           - (1/ pi i) * int_{gamma_t} log(mu) F'/F dmu,
@@ -12,9 +16,8 @@ Three independent routes to det_zeta:
   t from it to -it.  The value is t-independent for t below the first
   zero of F, which the Taylor circle of the kernel order certifies
   before a value of the contour is read; used as a cross-check.
-* `det_zeta_regularized`: nonzero kernel of order k0, via
-  F~(mu) = F(mu)/mu^(2 k0), det = F~(0) / ((-1)^k0 C), F~(0) from the
-  Taylor circle of the kernel order.
+
+q0 - j0 is read from `AsymptoticModel.log_power` throughout.
 
 `log mu` on gamma_t uses the principal branch, continuous on the arc, as
 exact t-independence of Q forces (a branch jumping by 2 pi i across the
@@ -39,6 +42,7 @@ import numpy as np
 from ._numutil import NumericalError, first_nodes, gauss_legendre
 from .eigenfunction import (
     _REAL_RESIDUE_TOL,
+    GAMMA_TILDE,
     SecularEvaluator,
     Spectrum,
     off_zeros,
@@ -109,9 +113,14 @@ def det_wronskian_scalar(nu: float, regular_bc: RegularBC) -> float:
 
 
 def det_zeta_closed_form(spec: OperatorSpec) -> DeterminantReport:
-    """det_zeta from F(0) and the boundary-polynomial data (kernel-free)."""
+    """det_zeta from F(0) and the boundary-polynomial data (kernel-free):
+    :func:`_from_circle` at k0 = 0, with :class:`KernelPresentError` where k0 > 0."""
     ev = SecularEvaluator(spec)
-    return _counted(ev, _closed_form(ev))
+    if ev.k0 != 0:
+        raise KernelPresentError(
+            f"kernel order {ev.k0} > 0; use det_zeta_regularized for this operator"
+        )
+    return _counted(ev, _from_circle(ev))
 
 
 def _counted(ev: SecularEvaluator, report: DeterminantReport) -> DeterminantReport:
@@ -120,32 +129,42 @@ def _counted(ev: SecularEvaluator, report: DeterminantReport) -> DeterminantRepo
     return report
 
 
-def _closed_form(ev: SecularEvaluator) -> DeterminantReport:
-    spec, cv = ev.spec, ev.cv
-    if ev.k0 != 0:
-        raise KernelPresentError(
-            f"kernel order {ev.k0} > 0; use det_zeta_regularized for this operator"
-        )
-    f0 = ev.f0
-    raw = f0 * (-2.0 * math.exp(EULER_GAMMA)) ** (spec.q0 - cv.j0) / ev.model.c
-    log_singular = cv.j0 != spec.q0
-    diagnostics = dict(f_zero=f0.real, alpha0=cv.alpha0, j0=cv.j0, floor_margin=ev.floor_margin)
-    if log_singular:
-        # the defect-subtracted object carries the sign (-2 e^gamma)^(q0-j0);
-        # the reported value is its modulus, the signed number goes to the
-        # diagnostics
+def _from_circle(ev: SecularEvaluator) -> DeterminantReport:
+    """det = F~(0) (-2 e^gamma)^(q0-j0) / ((-1)^k0 C) of F~ = F / mu^(2 k0), at every
+    kernel order k0.  F~(0) is :attr:`SecularEvaluator.f0` at k0 = 0, the closed form,
+    and the circle's :attr:`SecularEvaluator.f_tilde0` above, the regularized
+    determinant, which only j0 = q0 reaches.  Where j0 != q0 (log-singular) the
+    value is the modulus and the signed number goes to the diagnostics."""
+    k0, model = ev.k0, ev.model
+    if k0 == 0:
+        f, c, cv = ev.f0, model.c, ev.cv
+        diagnostics = dict(f_zero=f.real, alpha0=cv.alpha0, j0=cv.j0, floor_margin=ev.floor_margin)
+        method, what = "closed_form", "closed-form determinant F(0)/C"
+    elif model.log_power:
+        raise NumericalError("nonzero kernel with j0 != q0 is outside the supported regime")
+    else:
+        f, c = _real(ev.f_tilde0, "F~(0)"), (-1.0) ** k0 * model.c
+        diagnostics = {
+            "f_tilde_zero": f,
+            "c_tilde": c.real,
+            "circle_radius": ev.circle_radius,
+            "floor_margin": ev.floor_margin,
+        }
+        method, what = "regularized", "regularized determinant F~(0)/C~"
+    raw = f * (-2.0 * math.exp(EULER_GAMMA)) ** model.log_power / c
+    if model.log_power:
         signed = _real(raw, "closed-form determinant")
         diagnostics["defect_subtracted_signed"] = signed
         value = abs(signed)
         if not (value > 0.0 and math.isfinite(value)):
             raise NumericalError(f"closed-form determinant is degenerate: {raw!r}")
     else:
-        value = _as_positive_real(raw, "closed-form determinant F(0)/C")
+        value = _as_positive_real(raw, what)
     return DeterminantReport(
         value=value,
-        method="closed_form",
-        kernel_dim_proxy=0,
-        log_singular=log_singular,
+        method=method,
+        kernel_dim_proxy=k0,
+        log_singular=bool(model.log_power),
         diagnostics=diagnostics,
     )
 
@@ -179,7 +198,8 @@ def det_zeta_finite_t(spec: OperatorSpec, t_abs: float) -> DeterminantReport:
     the value matches the closed form to about 1e-13 relative.  Raises
     :class:`RootInsideContourError` unless the Taylor circle certifies
     the disk |mu| < t_abs free of zeros (:meth:`SecularEvaluator.zero_free`),
-    which it can only for t_abs below its radius sqrt(0.8) / R.  The
+    which it can only for t_abs below its radius sqrt(0.8) / R, and
+    ValueError before any kernel pass unless 0 < t_abs < inf.  The
     probes of the kernel order ride in the pass of the arc's first round
     (:func:`_arc_pass`).
     """
@@ -193,8 +213,8 @@ def _arc_pass(ev: SecularEvaluator, t_abs: float) -> tuple[np.ndarray, ...] | No
     the kernel order along while they are not yet known.  None from no pass
     where t_abs is not inside the Taylor circle, whose certificate then cannot
     hold, so that no value of the arc would be read."""
-    if t_abs <= 0.0:
-        raise ValueError("t_abs must be positive")
+    if not 0.0 < t_abs < math.inf:  # NaN too
+        raise ValueError("t_abs must be positive and finite")
     if not t_abs < ev.circle_radius:
         return None
     return ev._scaled_dlog(np.concatenate(([1j * t_abs], t_abs * np.exp(1j * _ARC_NODES))))
@@ -208,12 +228,11 @@ def _finite_t(ev: SecularEvaluator, t_abs: float, first: tuple | None) -> Determ
         raise KernelPresentError("finite-t route needs a trivial kernel")
     _certify(ev, t_abs)
     mants, logs, dlog = first
-    # F(it) / (C sgn) = ratio * exp(log_scale), kept apart so that large t R cannot overflow
+    # F(it) / (C (-1)^(q0-j0)) = ratio * exp(log_scale), apart so that large t R cannot overflow
     mant, log_scale = complex(mants[0]), float(logs[0])
-    spec, cv = ev.spec, ev.cv
-    sgn = (-1.0) ** (spec.q0 - cv.j0)
-    ratio = mant / (ev.model.c * sgn)
-    if cv.j0 != spec.q0:
+    log_pow = ev.model.log_power  # q0 - j0
+    ratio = mant / (ev.model.c * (-1.0) ** log_pow)
+    if log_pow:
         # log-singular case: track the modulus, as in the closed form
         ratio = abs(_real(ratio, "F(it)/C ratio"))
         if ratio == 0.0:
@@ -229,7 +248,7 @@ def _finite_t(ev: SecularEvaluator, t_abs: float, first: tuple | None) -> Determ
     arc, _ = gauss_legendre(integrand, _ARC, first=first, counts=ev.counts)
     arc_term = _real(-arc / (1j * math.pi), "gamma_t integral")
     log_ratio = math.log(ratio) + log_scale
-    q_val = -log_ratio + (cv.j0 - spec.q0) * (EULER_GAMMA + math.log(2.0)) - arc_term
+    q_val = -log_ratio - log_pow * (EULER_GAMMA + math.log(2.0)) - arc_term
     value = math.exp(-q_val)
     try:
         f_it = mant.real * math.exp(log_scale)
@@ -239,7 +258,7 @@ def _finite_t(ev: SecularEvaluator, t_abs: float, first: tuple | None) -> Determ
         value=value,
         method="finite_t",
         kernel_dim_proxy=0,
-        log_singular=(cv.j0 != spec.q0),
+        log_singular=bool(log_pow),
         diagnostics={"t_abs": t_abs, "arc_term": arc_term, "f_it": f_it},
     )
 
@@ -249,40 +268,21 @@ def det_zeta_regularized(spec: OperatorSpec) -> DeterminantReport:
 
     F~(0) of F~(mu) = F(mu)/mu^(2 k0) is the Taylor coefficient of
     (mu^2)^k0 on the circle of the kernel order (`SecularEvaluator.f_tilde0`);
-    with C~ = (-1)^k0 C, det = F~(0)/C~, and a negative one (an odd number
-    of negative eigenvalues) raises :class:`NegativeSpectrumError`.  Only
-    the j0 = q0 case is supported (no s log s defect interacting with the
-    kernel).  The report gives the circle's |mu| and floor margin.
+    with C~ = (-1)^k0 C, det = F~(0)/C~ (:func:`_from_circle`), and a negative
+    one (an odd number of negative eigenvalues) raises
+    :class:`NegativeSpectrumError`.  Only the j0 = q0 case is supported (no
+    s log s defect interacting with the kernel).  The report gives the
+    circle's |mu| and floor margin.
     """
     ev = SecularEvaluator(spec)
-    return _counted(ev, _regularized(ev))
-
-
-def _regularized(ev: SecularEvaluator) -> DeterminantReport:
-    k0 = ev.k0
-    if k0 == 0:
+    if ev.k0 == 0:
         raise NumericalError("kernel is trivial; use det_zeta_closed_form")
-    if ev.cv.j0 != ev.spec.q0:
-        raise NumericalError("nonzero kernel with j0 != q0 is outside the supported regime")
-    f_tilde_0 = _real(ev.f_tilde0, "F~(0)")
-    c_tilde = (-1.0) ** k0 * ev.model.c
-    value = _as_positive_real(f_tilde_0 / c_tilde, "regularized determinant F~(0)/C~")
-    return DeterminantReport(
-        value=value,
-        method="regularized",
-        kernel_dim_proxy=k0,
-        log_singular=False,
-        diagnostics={
-            "f_tilde_zero": f_tilde_0,
-            "c_tilde": c_tilde.real,
-            "circle_radius": ev.circle_radius,
-            "floor_margin": ev.floor_margin,
-        },
-    )
+    return _counted(ev, _from_circle(ev))
 
 
 def det_zeta_auto(spec: OperatorSpec) -> DeterminantReport:
-    """Closed form when the kernel is trivial, regularized otherwise.
+    """det_zeta at every kernel order (:func:`_from_circle`): the closed form when
+    the kernel is trivial, the regularized determinant otherwise.
 
     Cheap cross-checks (finite-t value at radius ``finite_t_radius`` =
     0.1 / R, and the scalar Wronskian oracle, normalized for R = 1 and
@@ -302,7 +302,7 @@ def det_zeta_auto(spec: OperatorSpec) -> DeterminantReport:
     ev = SecularEvaluator(spec)
     t = _CONTOUR_TR / ev.r
     first = _arc_pass(ev, t)
-    report = _regularized(ev) if ev.k0 else _closed_form(ev)
+    report = _from_circle(ev)
     diag = report.diagnostics  # a fresh dict, owned by this report
     diag["zeta_1"] = ev.zeta_1
     if ev.k0:
@@ -416,9 +416,9 @@ def _zeta_contour(ev: SecularEvaluator, s: float, t: float) -> tuple[float, floa
         raise RootInsideContourError(
             f"F(ix) has zeros beyond x = {t:.6g} ({zeros} by the count): negative eigenvalues"
         )
-    k0, model, log_pow = ev.k0, ev.model, ev.cv.j0 - ev.spec.q0
+    k0, model = ev.k0, ev.model
     x_cut = _RAY_CUT_XR / ev.r  # the ray is integrated up to here, the model beyond
-    if log_pow and math.log(x_cut) <= model.gamma_tilde:  # the tail's exp1 needs x > e^gamma~
+    if model.log_power and math.log(x_cut) <= GAMMA_TILDE:  # the tail's exp1 needs x > e^gamma~
         raise RootInsideContourError(f"the model of F(ix) vanishes beyond the ray end {x_cut}")
 
     def ray_integrand(x: np.ndarray) -> np.ndarray:
@@ -432,10 +432,10 @@ def _zeta_contour(ev: SecularEvaluator, s: float, t: float) -> tuple[float, floa
     exponent = model.exponent - 2.0 * k0
     tail = model.growth_rate * x_cut ** (1.0 - 2.0 * s) / (2.0 * s - 1.0)
     tail += exponent * x_cut ** (-2.0 * s) / (2.0 * s)
-    if log_pow:
-        tail += log_pow * (
-            -math.exp(-2.0 * s * model.gamma_tilde)
-            * float(sc.exp1(2.0 * s * (math.log(x_cut) - model.gamma_tilde)))
+    if model.log_power:
+        tail += model.log_power * (
+            math.exp(-2.0 * s * GAMMA_TILDE)
+            * float(sc.exp1(2.0 * s * (math.log(x_cut) - GAMMA_TILDE)))
         )
 
     # sin(pi s) / pi from s - m, exact, so that s near an integer keeps its digits; the arc,
@@ -446,7 +446,7 @@ def _zeta_contour(ev: SecularEvaluator, s: float, t: float) -> tuple[float, floa
     w = (-1.0) ** (n + 1) * z**n * t2s / (n - s)
     value = sin_fac * (ray + tail + p @ w)
     # the model remainder decays like 1/x (1/log x when q0 != j0)
-    rem_scale = 1.0 / _RAY_CUT_XR if log_pow == 0 else 1.0 / math.log(_RAY_CUT_XR)
+    rem_scale = 1.0 / math.log(_RAY_CUT_XR) if model.log_power else 1.0 / _RAY_CUT_XR
     err = abs(sin_fac) * (ray_err + abs(tail) * rem_scale + dp @ abs(w))
     # each term n > p.size is below |p_2| z^2 16^(2-n) t^(-2s): no zero below 4 t
     err += (abs(p[1]) + dp[1]) * z**2 * 16.0 ** (2 - p.size) / 15.0 * t2s + 1e-12 * abs(value)

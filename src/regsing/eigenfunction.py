@@ -45,7 +45,7 @@ import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, partial, reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -265,13 +265,13 @@ class SecularEvaluator:
         """F at 0, then on the Taylor circle |mu| = :attr:`circle_radius`."""
         return _unscaled(*self._probe_scaled)
 
-    def _probed(self, kernel_pass, mu: np.ndarray) -> list[np.ndarray]:
-        """``kernel_pass`` over a 1-d mu, with the probes of :attr:`k0` in front while
-        they are not yet known.  The pass's first two outputs are its factors'
-        mantissas and log-scales: their product at the probes is kept as F there,
-        and every output comes back over mu alone (the points on its last axis)."""
+    def _probed(self, mu: np.ndarray, deriv: bool = False) -> list[np.ndarray]:
+        """:meth:`_pass` over a 1-d mu, with the probes of :attr:`k0` in front while
+        they are not yet known.  The product of the factors' mantissas and
+        log-scales at the probes is kept as F there, and every output comes back
+        over mu alone (the points on its last axis)."""
         n = 0 if "_probe_scaled" in self.__dict__ else self._probe_mu.size
-        out = kernel_pass(np.concatenate((self._probe_mu[:n], mu)))
+        out = self._pass(np.concatenate((self._probe_mu[:n], mu)), deriv)
         if n:
             self._probe_scaled = _product(out[0][:, :n], out[1][:, :n])
         return [v[..., n:] for v in out]
@@ -280,7 +280,7 @@ class SecularEvaluator:
         """:meth:`_pass` and :meth:`_angles` over a 1-d mu in one kernel pass, which
         takes the probes of :attr:`k0` along (:meth:`_probed`); raises
         SpectrumCertificationError where a trace is not finite."""
-        mant, logs, jp, jm = self._probed(self._pass, mu)
+        mant, logs, jp, jm = self._probed(mu)
         bad = ~(np.isfinite(jp).all(0) & np.isfinite(jm).all(0))
         if bad.any():
             at = float(np.min(np.abs(mu[bad])))
@@ -459,13 +459,6 @@ class SecularEvaluator:
             return jm.T * self._ad - jp.T * self._bd
         return jm.T[..., None] * self._at - jp.T[..., None] * self._bt
 
-    def matrix(self, mu: complex) -> np.ndarray:
-        """The q x q system N at mu (normalized tip rows, traces times exp(-|Im mu R|)),
-        whose kernel vectors c give the coefficient vectors (diag(jm) c, -diag(jp) c)."""
-        mu, _ = _right_half(np.array([mu]))  # F is even; keep arguments in the right half-plane
-        n = self._system(*self._traces(mu))[0]
-        return np.diag(n) if self.diagonal else n.T
-
     def value(self, mu):
         """F(mu); raises NumericalError where |F| leaves the float range."""
         if not isinstance(mu, np.ndarray):
@@ -525,7 +518,7 @@ class SecularEvaluator:
     def _scaled_dlog(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`scaled` and :meth:`_dlog` over a 1-d mu from one kernel pass, which takes
         the probes of :attr:`k0` along (:meth:`_probed`)."""
-        mant, logs, dlog, _, _ = self._probed(partial(self._pass, deriv=True), mu)
+        mant, logs, dlog, _, _ = self._probed(mu, deriv=True)
         return (*_product(mant, logs), reduce(operator.add, dlog))
 
     def _jacobi(self, flip, n, dn, scale) -> np.ndarray:
@@ -580,28 +573,20 @@ def eval_F_at_zero(spec: OperatorSpec) -> float | complex:
 
 
 # ---------------------------------------------------------------------------
-# Kernel order at mu = 0
-# ---------------------------------------------------------------------------
-
-def kernel_order(spec: OperatorSpec) -> int:
-    """Order k0 of the zero of F at mu=0 in the variable mu^2 (see SecularEvaluator.k0)."""
-    return SecularEvaluator(spec).k0
-
-
-# ---------------------------------------------------------------------------
 # Asymptotic model of F on the imaginary axis
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class AsymptoticModel:
-    """Leading model log F(ix) ~ log c + exponent log x + growth x + log_power log(gamma_tilde - log x).
+    """Leading model log F(ix) ~ log c + exponent log x + growth x + log_power log(GAMMA_TILDE - log x).
 
     `exponent` is |nu| + q/2 - 2 alpha0 for Robin rows and
     |nu| - q/2 - 2 alpha0 for Dirichlet rows (trace rows lose one power
-    of x each against the Robin derivative term).
+    of x each against the Robin derivative term).  `log_power` is
+    q0 - j0, nonzero on a log-singular operator: the one place it is
+    worked out, which every route reads.
     """
 
-    gamma_tilde: float
     c: complex
     exponent: float
     log_power: int
@@ -621,7 +606,6 @@ class AsymptoticModel:
         else:
             exponent = abs_nu + half_q - 2.0 * cv.alpha0
         return cls(
-            gamma_tilde=GAMMA_TILDE,
             c=complex(c),
             exponent=float(exponent),
             log_power=spec.q0 - cv.j0,
@@ -631,7 +615,7 @@ class AsymptoticModel:
     def log_value(self, x: float) -> complex:
         out = cmath.log(self.c) + self.exponent * math.log(x) + self.growth_rate * x
         if self.log_power:
-            out += self.log_power * cmath.log(complex(self.gamma_tilde - math.log(x)))
+            out += self.log_power * cmath.log(complex(GAMMA_TILDE - math.log(x)))
         return out
 
 
@@ -941,14 +925,15 @@ def verify_contour_decay(
     axis, oriented counterclockwise.  z^(-2s) uses the principal branch,
     which is continuous on the whole contour.  Abscissae straddling a
     zero of F are nudged by multiples of 0.1 / R before giving up.
-    The abscissae must have a R <= 200, the validated range.
+    Raises ValueError before any kernel pass unless 1/2 < s < inf and
+    0 < a < inf with a R <= 200, the validated range, for every abscissa.
     """
     if not (0.0 < theta < 0.5 * math.pi):
         raise ValueError("theta must lie in (0, pi/2)")
-    if s <= 0.5:
-        raise ValueError("need s > 1/2 for the boundary integrals to converge")
-    if any(a <= 0 for a in a_list):
-        raise ValueError("abscissae must be positive")
+    if not 0.5 < s < math.inf:  # NaN too
+        raise ValueError("need a finite s > 1/2 for the boundary integrals to converge")
+    if not all(0.0 < a < math.inf for a in a_list):
+        raise ValueError("abscissae must be positive and finite")
     if max(a_list) * spec.r > 200.0:
         raise ValueError("abscissae above a R = 200 exceed the validated evaluation range")
     ev = SecularEvaluator(spec)

@@ -2,7 +2,7 @@
 
 An operator instance is ``-d^2/dx^2 + A/x^2`` on ``(0, R]`` with a
 symmetric tangential matrix ``A`` whose spectrum lies in ``[-1/4, 3/4)``
-(the limit-circle window at the tip, see :func:`classify_scalar`).  The
+(the limit-circle window at the tip, nu = sqrt(lambda + 1/4) < 1).  The
 tip condition is a pair of q x q matrices ``(a_mat, b_mat)`` acting on
 the 2q leading asymptotic coefficients; the regular end ``x = R``
 carries either a Dirichlet or a Robin condition ``f'(R) + alpha f(R) = 0``.
@@ -176,24 +176,6 @@ def validate(spec: OperatorSpec) -> list[Violation]:
             )
         )
     return out
-
-
-@dataclass(frozen=True)
-class ScalarClassification:
-    regime: str  # "lpc" or "lcc"
-    p: float
-    nu: float
-
-
-def classify_scalar(lam: float) -> ScalarClassification:
-    """Limit point / limit circle classification of -d2/dx2 + lam/x^2 at x=0."""
-    lam = float(lam)
-    if lam < LAMBDA_MIN:
-        raise OperatorSpecError(f"lambda must be >= -1/4, got {lam}")
-    nu = math.sqrt(lam + 0.25)
-    p = nu - 0.5
-    regime = "lcc" if lam < LAMBDA_SUP else "lpc"
-    return ScalarClassification(regime=regime, p=p, nu=nu)
 
 
 @dataclass(frozen=True)

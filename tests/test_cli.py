@@ -153,12 +153,18 @@ class TestDet:
         assert 2 <= spectrum == rep["passes"] and rep["nodes"] == 0
 
     def test_contour_radius_flag_is_gone(self, write_doc):
-        # the radius is 0.1 / R, certified by the Taylor circle; flags are
-        # matched whole, so --t is refused rather than read as --theta
+        # the radius is 0.1 / R, certified by the Taylor circle
         for command in ("det", "zeta"):
             with pytest.raises(SystemExit) as exc:
                 main([command, write_doc(large_r_doc()), "--t", "0.05"])
             assert exc.value.code == EXIT_SCHEMA
+
+    def test_theta_flag_is_gone(self, write_doc):
+        # verify-contour's contour angle is pi / 4, the one value ever passed
+        argv = ["verify-contour", write_doc(bessel_doc()), "--s", "2", "--a-list", "8.2"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--theta", "0.5"])
+        assert exc.value.code == EXIT_SCHEMA
 
     def test_reports_carry_the_contour_certificate(self, write_doc, capsys):
         path = write_doc(large_r_doc())
@@ -282,6 +288,22 @@ class TestValidateAndSchema:
         assert code == EXIT_NUMERICAL
         assert out == ""
         assert err == "regsing: numerical failure: zeta_eval needs a finite s\n"
+
+    @pytest.mark.parametrize(
+        "flags", [("--s", "2", "--a-list", "nan"), ("--s", "inf", "--a-list", "8.2"),
+                  ("--s", "nan", "--a-list", "8.2")]
+    )
+    def test_non_finite_contour_input_exits_3_before_any_pass(
+        self, write_doc, capsys, monkeypatch, flags
+    ):
+        # verify-contour needs 1/2 < s < inf and 0 < a < inf: a quiet refusal,
+        # one line of stderr, before any kernel pass
+        monkeypatch.setattr(SecularEvaluator, "_pass", lambda *a, **k: pytest.fail("kernel pass"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "verify-contour", write_doc(bessel_doc()), *flags)
+        assert code == EXIT_NUMERICAL and out == ""
+        assert err.startswith("regsing: numerical failure: ") and err.count("\n") == 1
 
     def test_contour_without_a_digit_exits_3(self, write_doc, capsys):
         doc = dict(kernel_doc(), regular_bc={"type": "dirichlet"})  # F = -sin(mu) / mu
@@ -530,7 +552,7 @@ class TestOtherCommands:
         )
         assert code == EXIT_OK
         rep = json.loads(out)["report"]
-        assert rep["strictly_decreasing"] is True
+        assert rep["strictly_decreasing"] is True and rep["theta"] == math.pi / 4.0
 
     def test_17_digit_serialization(self, write_doc, capsys):
         _, out, _ = run_cli(capsys, "f-at-zero", write_doc(kernel_doc()))

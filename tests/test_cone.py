@@ -146,6 +146,21 @@ class TestWindows:
             contrib = contribution_sets(cone, 1)
         assert contrib.b_set == ()
 
+    def test_exact_factor_of_a_tilde(self):
+        # degree k = m/2 + 1 reads A~_{k-2} from degree 0: the harmonic factor
+        # P_k = sqrt(pi/2) first, then the Robin factor of lambda = 1/2,
+        # S(nu) (nu + m/2 + 1 - k) at nu = sqrt(1/2)
+        cone = ConeSpec(
+            m=2,
+            ccl_spectra={0: ((0.0, 1), (0.5, 1), (4.0, 1)), 1: ((0.0, 1), (4.5, 1))},
+            harmonic_dims={0: 1, 1: 1},
+        )
+        harmonic, exact = contribution_sets(cone, 2).factors[:2]
+        assert (harmonic.source, harmonic.nu) == ("harmonic-km1", None)
+        assert harmonic.value == math.sqrt(math.pi / 2.0)
+        assert (exact.source, exact.nu, exact.multiplicity) == ("exact", math.sqrt(0.5), 1)
+        assert exact.value == pytest.approx(2.036721618933504, rel=1e-15, abs=0.0)
+
     def test_incomplete_spectrum_raises(self):
         cone = ConeSpec(
             m=2,

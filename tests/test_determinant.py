@@ -220,6 +220,14 @@ class TestFiniteT:
         v2 = det_zeta_finite_t(spec, 0.3).value
         assert abs(v1 - v2) <= 1e-6 * closed
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0])
+    def test_rejects_t_outside_the_open_half_line_before_any_pass(self, monkeypatch, t):
+        spec = robin_regular(0.0, 0.0)
+        no_pass = lambda *args, **kwargs: pytest.fail("kernel pass")  # noqa: E731
+        monkeypatch.setattr(eigenfunction.SecularEvaluator, "_pass", no_pass)
+        with pytest.raises(ValueError, match="t_abs must be positive and finite"):
+            det_zeta_finite_t(spec, t)
+
     def test_t_independence_spread(self):
         spec = robin_regular(0.3, 1.0)
         closed = det_zeta_closed_form(spec).value
@@ -745,6 +753,27 @@ class TestZeta:
             want = _rayleigh(nu + 1.0, s) * r ** (2.0 * s)
             assert abs(rep.contour - want) <= rep.contour_error, r
             assert abs(rep.contour - want) <= (1e-10 if s == 3.0 else 1e-12) * want, r
+
+    @pytest.mark.parametrize("s", [1.5, 2.5])
+    @pytest.mark.parametrize("bc", [Robin(2.0), Dirichlet()], ids=["robin", "dirichlet"])
+    def test_log_channel_tail_matches_the_direct_sum(self, bc, s):
+        # a log channel (q0 - j0 = 1) at R = 0.3: beyond the ray end x R = 40 the
+        # model's log(gamma~ - log x) factor gives the tail its exp1 term
+        spec = scalar_spec(0.0, bc, tip="singular", r=0.3)
+        assert eigenfunction.SecularEvaluator(spec).model.log_power == 1
+        rep = zeta_eval(spec, s, spectrum=find_spectrum(spec, 400.0 / 0.3))
+        assert abs(rep.direct - rep.contour) <= rep.direct_error + rep.contour_error
+
+    def test_log_channel_ray_end_short_of_the_model_is_refused(self):
+        # at R = 40 the ray ends at x = 1, short of x = e^gamma~ = 1.12 where the
+        # model's factor gamma~ - log x vanishes, so no exp1 tail can follow; an
+        # integer s needs no ray
+        tip = BoundaryMatrices([[0.1]], [[1.0]])
+        spec = OperatorSpec(r=40.0, lambdas=(-0.25,), q0=1, boundary=tip, regular_bc=Dirichlet())
+        with pytest.raises(RootInsideContourError, match="vanishes beyond the ray end"):
+            zeta_eval(spec, 1.5)
+        rep = zeta_eval(spec, 2.0)
+        assert math.isfinite(rep.contour) and rep.contour_error < abs(rep.contour)
 
     @pytest.mark.parametrize("s", [1.5, 2.5])
     @pytest.mark.parametrize("w", [0.02, 0.01, 0.006, 0.0052, 0.00505])

@@ -25,7 +25,6 @@ from regsing.eigenfunction import (
     eval_F,
     eval_F_at_zero,
     find_spectrum,
-    kernel_order,
     log_F_imag,
     verify_contour_decay,
 )
@@ -106,14 +105,14 @@ class TestValueAtZero:
 
 class TestKernelOrder:
     def test_known_orders(self, kernel_fixture_third, kernel_fixture_two, kernel_fixture_bessel):
-        assert kernel_order(kernel_fixture_third) == 1
-        assert kernel_order(kernel_fixture_two) == 1
-        assert kernel_order(kernel_fixture_bessel) == 1
+        assert SecularEvaluator(kernel_fixture_third).k0 == 1
+        assert SecularEvaluator(kernel_fixture_two).k0 == 1
+        assert SecularEvaluator(kernel_fixture_bessel).k0 == 1
 
     def test_invertible_family(self):
         for nu in [0.0, 0.3, 0.9]:
             for alpha in [0.0, 1.0, -0.2]:
-                assert kernel_order(robin_regular(nu, alpha)) == 0
+                assert SecularEvaluator(robin_regular(nu, alpha)).k0 == 0
 
     def test_q2_product_kernel(self):
         spec = diagonal_spec(
@@ -121,7 +120,7 @@ class TestKernelOrder:
              scalar_spec(0.5, Robin(-1.0), tip="singular")]
         )
         # second block: singular rows with alpha=-1 -> F2(0) = 1/2 - ... != 0
-        k = kernel_order(spec)
+        k = SecularEvaluator(spec).k0
         assert k == 1
 
 
@@ -797,6 +796,23 @@ def test_refine_ends_a_root_whose_newton_target_passes_its_bracket_end():
     assert all(xs[0] < root for xs in ev.rounds) and 18 <= len(ev.rounds) <= 22
 
 
+def test_jacobi_marks_only_the_singular_matrix_of_a_stack():
+    # np.linalg.solve refuses a stack that holds one exactly singular N (mu on a
+    # zero of F): that point reads NaN, every other one tr(N^-1 N')
+    ev = SecularEvaluator(_rotated(diagonal_spec([scalar_spec(0.3, Robin(0.5))] * 2), 0, 1))
+    assert not ev.diagonal
+    rng = np.random.default_rng(7)
+    n = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    n[1] = [[1.0, 2.0], [2.0, 4.0]]
+    dn = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(n, dn)
+    got = ev._jacobi(np.zeros(3, dtype=bool), n, dn, np.ones((3, 2)))
+    assert got.shape == (1, 3) and np.isnan(got[0, 1])
+    for i in (0, 2):
+        assert got[0, i] == pytest.approx(np.trace(np.linalg.solve(n[i], dn[i])), rel=1e-14)
+
+
 def test_coupled_root_on_a_bracket_end_takes_few_passes():
     # Newton reaches the root 21.8779732 in round 4, where F's mantissa is 6.8e-18;
     # N over the column maxima was singular in floating point there, so dlog F was
@@ -996,12 +1012,13 @@ class TestSpectrum:
         assert 1 <= call["rounds"] == call["passes"]
 
     def test_roots_annihilate_boundary_system(self, diagonal_pair):
+        # on the diagonal tip each factor is N_ll over its column scale: at a root
+        # the factor whose root it is vanishes to rounding
         ev = SecularEvaluator(diagonal_pair)
         sp = find_spectrum(diagonal_pair, 9.0)
         for root in sp.positive[:4]:
-            m = ev.matrix(root)
-            sv = np.linalg.svd(m, compute_uv=False)
-            assert sv[-1] / sv[0] < 1e-8
+            mant = ev._pass(np.array([root]))[0][:, 0]
+            assert np.min(np.abs(mant)) < 1e-8
 
 
 class TestAsymptoticModel:
@@ -1071,6 +1088,14 @@ class TestContourDecay:
             verify_contour_decay(kernel_fixture_bessel, s=0.4, a_list=[8.0])
         with pytest.raises(ValueError):
             verify_contour_decay(kernel_fixture_bessel, s=1.0, a_list=[8.0], theta=2.0)
+
+    @pytest.mark.parametrize(
+        "s, a_list", [(math.nan, [8.0]), (math.inf, [8.0]), (2.0, [math.nan]), (2.0, [8.0, math.nan])]
+    )
+    def test_rejects_non_finite_input_before_any_pass(self, kernel_fixture_bessel, monkeypatch, s, a_list):
+        monkeypatch.setattr(SecularEvaluator, "_pass", lambda *a, **k: pytest.fail("kernel pass"))
+        with pytest.raises(ValueError):
+            verify_contour_decay(kernel_fixture_bessel, s, a_list)
 
 
 @settings(max_examples=20, deadline=None)

@@ -12,7 +12,6 @@ from regsing.operators import (
     OperatorSpecError,
     Robin,
     characteristic_values,
-    classify_scalar,
     diagonal_spec,
     scalar_spec,
     tau_factor,
@@ -48,30 +47,6 @@ class TestValidate:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(OperatorSpecError):
             _spec([[0.0]], [[1.0]], [-0.25, 0.0], 1)
-
-
-class TestClassifyScalar:
-    def test_bottom_of_window(self):
-        c = classify_scalar(-0.25)
-        assert (c.regime, c.p, c.nu) == ("lcc", -0.5, 0.0)
-
-    def test_top_of_window_is_limit_point(self):
-        c = classify_scalar(0.75)
-        assert (c.regime, c.p, c.nu) == ("lpc", 0.5, 1.0)
-
-    def test_zero(self):
-        c = classify_scalar(0.0)
-        assert c.regime == "lcc" and c.p == 0.0 and c.nu == 0.5
-
-    def test_below_domain(self):
-        with pytest.raises(OperatorSpecError):
-            classify_scalar(-0.3)
-
-    @settings(max_examples=100, deadline=None)
-    @given(lam=st.floats(min_value=-0.25, max_value=10.0))
-    def test_nu_roundtrip(self, lam):
-        c = classify_scalar(lam)
-        assert abs(c.nu * c.nu - 0.25 - lam) <= 1e-14 * max(1.0, abs(lam))
 
 
 class TestCharacteristicValues:
