@@ -24,6 +24,7 @@ validation, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import json
 import math
@@ -417,17 +418,22 @@ _HANDLERS = {
 
 
 def _parse_mu(text: str) -> complex:
-    try:
-        return complex(text.replace(" ", ""))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse --mu value {text!r}") from None
+    return _finite("--mu", text, complex, text.replace(" ", ""))[0]
 
 
 def _parse_a_list(text: str) -> tuple[float, ...]:
+    return _finite("--a-list", text, float, *(part for part in text.split(",") if part.strip()))
+
+
+def _finite(flag: str, text: str, kind, *parts: str) -> tuple:
+    """The parts as numbers of ``kind``, refused unless each parses and is finite."""
     try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
+        values = tuple(kind(part) for part in parts)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse --a-list value {text!r}") from None
+        raise argparse.ArgumentTypeError(f"cannot parse {flag} value {text!r}") from None
+    if not all(map(cmath.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return values
 
 
 def _positive(text: str) -> float:

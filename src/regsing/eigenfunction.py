@@ -278,15 +278,8 @@ class SecularEvaluator:
 
     def sample(self, mu: np.ndarray) -> tuple[np.ndarray, ...]:
         """:meth:`_pass` and :meth:`_angles` over a 1-d mu in one kernel pass, which
-        takes the probes of :attr:`k0` along (:meth:`_probed`); raises
-        SpectrumCertificationError where a trace is not finite."""
+        takes the probes of :attr:`k0` along (:meth:`_probed`)."""
         mant, logs, jp, jm = self._probed(mu)
-        bad = ~(np.isfinite(jp).all(0) & np.isfinite(jm).all(0))
-        if bad.any():
-            at = float(np.min(np.abs(mu[bad])))
-            raise SpectrumCertificationError(
-                f"F is not finite at |mu| = {at:.6g}, past the kernel's range"
-            )
         return mant, logs, *self._angles(jp, jm)
 
     def imag_zeros_beyond(self, x: float) -> int:
@@ -480,16 +473,20 @@ class SecularEvaluator:
         factors, shaped (f,) + mu.shape, with ``deriv`` their log-derivatives
         (:meth:`_jacobi`), then the traces jp, jm at mu reflected into Re mu >= 0.
         A factor is N_ll over its scale on a diagonal tip, else det(N / column
-        scales), the scales being :func:`_scales` of the traces."""
+        scales), the scales being :func:`_scales` of the traces.  A trace that is
+        not finite (past the float range or the kernel's) is a quiet NumericalError."""
         mu, flip = _right_half(mu)
-        jp, jm, *djs = self._traces(mu, deriv)
-        n, scale = self._system(jp, jm), _scales(jp, jm)
+        with np.errstate(over="ignore", invalid="ignore"):
+            jp, jm, *djs = self._traces(mu, deriv)
+            n, scale = self._system(jp, jm), _scales(jp, jm)
+        if not np.isfinite(scale).all():  # the largest trace of a column, or NaN
+            at = np.min(np.abs(mu.T[~np.isfinite(scale).all(-1)]))
+            raise NumericalError(f"F is not finite at |mu| = {at:.6g}, past the kernel's range")
         growth = self.width * self.r * abs(mu.imag)  # each column of N carries exp(-|Im mu R|)
         if self.diagonal:
             mant, logs = n / scale, np.log(scale)
-        else:  # row l of N^T is column l of N; a trace that is not finite reads NaN
-            with np.errstate(invalid="ignore"):
-                mant = np.linalg.det(n / scale[..., None])[..., None]
+        else:  # row l of N^T is column l of N
+            mant = np.linalg.det(n / scale[..., None])[..., None]
             logs = np.log(scale).sum(axis=-1, keepdims=True)
         out = (mant.T, (logs + self._log_top).T + growth)
         if deriv:

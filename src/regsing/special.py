@@ -35,29 +35,29 @@ Evaluation strategy (argument ``w``; the orders of a row are ``s`` and
   644).  ``J`` and ``Y`` are the real and imaginary parts of ``H1``, and
   the negative orders follow from ``H1_{-nu} = e^(i nu pi) H1_nu`` and
   the recurrence, so no ``J_{-nu}`` is evaluated by reflection.
-* The imaginary axis ``w = +-ix, x > 20``: real-argument ``iv`` and
-  ``kve`` at the base orders, through the connection formulas of
-  DLMF 10.27 (``I_{-nu} = I_nu + (2/pi) sin(nu pi) K_nu``).  ``iv``
-  (Temme's method) is used rather than ``ive``, whose Miller recurrence
-  is good to only 7e-14 below ``x = 22``; ``ive`` takes over where
-  ``e^(-x)`` leaves the normal floats.
-* Every other ``w``: ``jve`` at every order and order plus one, and
-  ``yve`` at orders 0 and 1 for the companion.
+* Every other ``|w| > 20``, the imaginary axis among them: Hankel's
+  expansion of ``H1`` and ``H2`` (DLMF 10.17.3-4), a 40-term table in
+  ``1/w`` summed like the series zone's, with ``J = (H1 + H2)/2``,
+  ``Y = (H1 - H2)/(2i)`` and ``H2_{-nu} = e^(-i nu pi) H2_nu``.  No
+  scipy routine is called, out to the float range.
+* The annulus ``1 < |w| <= 20`` off both axes: ``jve`` at every order
+  and order plus one, and ``yve`` at orders 0 and 1 for the companion.
 
-These three Amos zones turn their ``Y_0``, ``Y_1`` rows into ``psi``
+These three zones turn their ``Y_0``, ``Y_1`` rows into ``psi``
 rows through ``psi = (log(w/2) + gamma) J_0 - (pi/2) Y_0`` (DLMF 10.8.2).
 
-The axis zones agree with mpmath to about 2e-15 relative for
-``|w| <= 1000``, the imaginary series segment to about 1.2e-15; the
-``jve`` zone is accurate to about 7e-14 for the negative orders (scipy
-reflects through ``J_nu`` and ``Y_nu``).
+Against mpmath, relative to the envelope ``(2/(pi |w|))^(1/2)``, the
+Hankel zone is good to about 5e-16 (``psi`` to 3e-16 of ``|log(w/2)|``
+times it), the real axis to 2e-15 for ``|w| <= 1000``, the imaginary
+series segment to 1.2e-15, and the ``jve`` annulus to only 5e-14 for
+the negative orders (scipy reflects through ``J_nu`` and ``Y_nu``).
 
 The row building blocks (:func:`phi_rows`, :func:`bessel_jm0_rows` and
-their scalar forms :func:`bessel_jm0_series`, :func:`bessel_jm0_series_dx`)
-are exponentially scaled: they return their value times ``exp(-|Im w|)``,
-so the ``exp(|Im w|)`` growth on the imaginary axis never overflows.
-For real arguments the factor is 1.  ``bessel_j``, ``bessel_y`` and
-their derivatives are unscaled.
+the scalar form :func:`bessel_jm0_series`) are exponentially scaled:
+they return their value times ``exp(-|Im w|)``, so the ``exp(|Im w|)``
+growth on the imaginary axis never overflows.  For real arguments the
+factor is 1.  ``bessel_j``, ``bessel_y`` and their derivatives are
+unscaled.
 
 All complex powers and logarithms use the principal branch; callers keep
 ``Re w >= 0``, where the branch cuts of ``(w/2)^(-nu)`` and ``J_nu``
@@ -65,16 +65,16 @@ cancel.
 
 The scipy routines are read through one lazy handle, ``sc``: importing
 this module loads numpy only, and ``scipy.special`` is imported the
-first time a zone off the series disk and the imaginary segment
-``|w| <= 20``, a scalar Bessel function or (through ``determinant.py``)
-``exp1`` or the Hurwitz zeta is evaluated.
+first time the real-axis zone or the ``jve`` annulus, a scalar Bessel
+function or (through ``determinant.py``) ``exp1`` or the Hurwitz zeta
+is evaluated.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import sys
+from functools import cached_property
 
 import numpy as np
 
@@ -91,16 +91,10 @@ _SERIES_TERMS = 14
 # with more terms: there u = (w/2)^2 = -(x/2)^2 and every term of phi_s
 # and of psi is of one sign (DLMF 10.25.2), so nothing cancels.  At
 # |w| = 20 (u = -100) the first omitted term, k = 40, is below 1e-20 of
-# the sum for every order in (-1, 1), for the derivative rows too.
+# the sum for every order in (-1, 1), for the derivative rows too.  Beyond,
+# Hankel's expansion omits a_40(nu) / w^40, below 6e-19 for every nu < 2.
 _AXIS_SERIES_RADIUS = 20.0
 _AXIS_SERIES_TERMS = 40
-
-# Beyond this x the imaginary zone takes e^(-x) I_nu(x) from its large-argument
-# form (DLMF 10.40.1), four terms: scipy's ive returns NaN past x of about
-# 1.07e9, and for the base orders nu < 2 the first omitted term, a_4(nu) / x^4,
-# is below 1e-32 of the sum here.
-_LARGE_X = 1e8
-_LARGE_TERMS = 4
 
 
 class SpecialFunctionDomainError(ValueError):
@@ -221,11 +215,11 @@ class KernelTable:
     nu = |s| and from nu + 1: ``pair`` lists each base order once and then
     each base order plus one, and ``rows`` picks from it the nu entry of
     every row, then the nu + 1 entry of every row.  A row s = -nu < 0
-    takes ``rotation`` e^(i nu pi), ``sine`` (2/pi) sin(nu pi) and
-    ``shift`` -2 nu; a row s >= 0 takes 1, 0 and 0.  ``rotation`` and
-    ``sine`` are negated on the nu + 1 half, where the zones form
-    -H1_{s+1} and I_{s+1}.  With the companion, ``y_rows`` picks the
+    takes ``rotation`` e^(i nu pi) and ``shift`` -2 nu; a row s >= 0
+    takes 1 and 0.  ``rotation`` is negated on the nu + 1 half, where the
+    zones form -H1_{s+1}.  With the companion, ``y_rows`` picks the
     orders 0 and 1 from ``pair`` and ``zero`` is the row of order 0.
+    ``hankel`` is the table of Hankel's expansion of every row.
     """
 
     def __init__(self, orders):
@@ -244,9 +238,7 @@ class KernelTable:
         self.exponent = -self.column
         reflected = [max(-v, 0.0) for v in s]  # nu on the rows s = -nu, else 0
         rotation = [cmath.exp(1j * math.pi * nu) for nu in reflected]
-        sine = [2.0 / math.pi * math.sin(math.pi * nu) for nu in reflected]
         self.rotation = np.array(rotation + [-v for v in rotation])[:, None]
-        self.sine = np.array(sine + [-v for v in sine])[:, None]
         self.shift = np.array([-2.0 * nu for nu in reflected])[:, None]
         k = np.arange(1.0, _AXIS_SERIES_TERMS)
         rows = m + self.companion
@@ -259,6 +251,19 @@ class KernelTable:
         c[rows:, :-1] = k * c[:rows, 1:]  # d/dw sum c_k (w/2)^(2k) = (w/2) sum k c_k u^(k-1)
         self.series = c[:, ::-1].copy()
         self.disk = self.series[:, -_SERIES_TERMS:].copy()
+
+    @cached_property
+    def hankel(self) -> np.ndarray:
+        """Built on first use, highest power of 1/w first: rotation_r c_nu i^k a_k(nu)
+        for every row r at its order nu of ``pair``, c_nu = e^(-i(nu pi/2 + pi/4)) and
+        a_k(nu) = (4 nu^2 - 1)(4 nu^2 - 9) ... (4 nu^2 - (2k - 1)^2) / (k! 8^k)
+        (DLMF 10.17.1); then their complex conjugates, the coefficients of H2."""
+        nu, k = self.pair[self.rows], np.arange(1.0, _AXIS_SERIES_TERMS)
+        a = np.ones((len(nu), _AXIS_SERIES_TERMS), dtype=complex)  # lowest power first
+        a[:, 1:] = 1j * (4.0 * nu * nu - (2.0 * k - 1.0) ** 2) / (8.0 * k)  # i a_k / a_{k-1}
+        np.cumprod(a, axis=1, out=a)
+        a *= self.rotation * np.exp(-1j * math.pi * (0.5 * nu + 0.25))
+        return np.concatenate([a, a.conj()])[:, ::-1].copy()
 
 
 # The zones of phi_rows.  Each takes the KernelTable and a 1-d w (the
@@ -301,55 +306,37 @@ def _real_zone(k: KernelTable, w: np.ndarray):
     return rows[0], rows[1], psi
 
 
-def _large_ive(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """e^(-x) I_nu(x) at x >= _LARGE_X, shaped (len(nu), x.size), from the sum
-    (2 pi x)^(-1/2) sum_k (-1)^k a_k(nu) / x^k over k < 4,
-    a_k(nu) = (4 nu^2 - 1)(4 nu^2 - 9) ... (4 nu^2 - (2k - 1)^2) / (k! 8^k) (DLMF 10.40.1)."""
-    term = np.ones((nu.size, x.size))
-    total = term.copy()
-    for n in range(1, _LARGE_TERMS):
-        term = term * ((4.0 * nu * nu - (2 * n - 1) ** 2) / (-8.0 * n)) / x
-        total += term
-    return total / (math.sqrt(2.0 * math.pi) * np.sqrt(x))
-
-
-def _imag_zone(k: KernelTable, w: np.ndarray):
-    # w = +-ix with x > 20:
-    # phi_s(+-ix) = (x/2)^(-s) I_s(x), phi_s'(+-ix) = -+i (x/2)^(-s) I_{s+1}(x),
-    # with I_{-nu} = I_nu + (2/pi) sin(nu pi) K_nu and
-    # I_{1-nu} = I_{nu+1} - (2/pi) sin(nu pi) K_{nu+1} + (2 nu / x) I_{-nu},
-    # all scaled by e^(-x).  I comes from the real-argument iv (Temme's
-    # method, about 2e-15 relative), not from ive, whose Miller recurrence
-    # loses up to 7e-14 below x = 22; ive serves only past x = 708, where
-    # e^(-x) leaves the normal floats and iv soon overflows, and _large_ive
-    # past x = 1e8, where ive fails.  There e^(-x) K_nu = e^x K_nu e^(-2x) is
-    # 0, below the smallest float (kve, which fails too, is not called).
+def _hankel_zone(k: KernelTable, w: np.ndarray):
+    # |w| > 20 off the real axis: (2/(pi w))^(-1/2) H1_nu(w) = e^(iw) c_nu sum_k
+    # i^k a_k(nu) / w^k and H2 with -i (DLMF 10.17.3-4), the recurrence as in
+    # _real_zone, the constants in the table.  e^(+-iw) e^(-|Im w|) is e^(+-i Re w)
+    # times a real scale, so that no phase carries eps |w|, and (w/2)^(-s)
+    # (2/(pi w))^(1/2) is split into modulus and phase, so that no power carries
+    # eps log|w|.
     m = len(k.orders)
-    sign = np.sign(w.imag)
-    x = sign * w.imag
-    scale = np.exp(-x)
-    far = scale < sys.float_info.min
-    if np.count_nonzero(far):
-        i = np.empty((len(k.pair), x.size))
-        kx = np.zeros((len(k.pair), x.size))
-        near, large = ~far, x >= _LARGE_X
-        i[:, near] = sc.iv(k.pair, x[near]) * scale[near]
-        kx[:, near] = sc.kve(k.pair, x[near]) * scale[near] ** 2
-        i[:, far & ~large] = sc.ive(k.pair, x[far & ~large])
-        i[:, large] = _large_ive(k.pair, x[large])
-    else:
-        i = sc.iv(k.pair, x) * scale
-        kx = sc.kve(k.pair, x) * scale**2
-    ir = i[k.rows] + k.sine * kx[k.rows]  # I_s, then I_{s+1} before the shift term
-    ir[m:] -= k.shift / x * ir[:m]
-    rows = (0.5 * x) ** k.exponent * ir.reshape(2, m, -1)
+    h = (k.hankel @ np.vander(1.0 / w, _AXIS_SERIES_TERMS).T).reshape(2, 2 * m, -1)
+    up = w.imag > 0.0
+    scale = np.exp(-np.abs(w.imag))
+    scale *= scale  # e^(-2 |Im w|), quietly 0 far off the real axis
+    turn = np.exp(1j * w.real)
+    h[0] *= turn * np.where(up, scale, 1.0)  # H1 over its prefactor, scaled
+    h[1] *= turn.conj() * np.where(up, 1.0, scale)  # and H2
+    jr = h[0] + h[1]  # 2 J_s, then -2 J_{s+1} before the shift term
+    jr[m:] -= k.shift / w * jr[:m]
+    radius, angle = np.abs(w), np.angle(w)
+    half = 1.0 / (math.sqrt(2.0 * math.pi) * np.sqrt(radius))  # |(2/(pi w))^(1/2)| / 2
+    power = (0.5 * radius) ** k.exponent * np.exp(1j * (k.exponent - 0.5) * angle) * half
+    rows = jr.reshape(2, m, -1) * power
     psi = None
-    if k.companion:
-        # J_0(+-ix) = I_0, J_1 = +-i I_1, Y_0 = +-i I_0 - (2/pi) K_0, Y_1 = -I_1 +- (2i/pi) K_1
-        (i0, i1), (k0, k1) = i[k.y_rows], kx[k.y_rows]
-        y = (1j * sign * i0 - (2.0 / math.pi) * k0, (2j / math.pi) * sign * k1 - i1)
-        psi = _psi_rows(w, (i0, 1j * sign * i1), y)
-    return rows[0], (-1j * sign) * rows[1], psi
+    if k.companion:  # Y_0, Y_1 from H1_0 - H2_0 and -(H1_1 - H2_1)
+        y = (h[0] - h[1])[[k.zero, m + k.zero]] * (1j * np.exp(-0.5j * angle) * half)
+        psi = _psi_rows(w, (rows[0][k.zero], -rows[1][k.zero]), (-y[0], y[1]))
+    # on the imaginary axis values are real and derivatives imaginary: no residue
+    axis = w.real == 0.0
+    for value, deriv in [rows] if psi is None else [rows, psi]:
+        value.imag[..., axis] = 0.0
+        deriv.real[..., axis] = 0.0
+    return rows[0], rows[1], psi
 
 
 def _general_zone(k: KernelTable, w: np.ndarray):
@@ -376,9 +363,10 @@ def phi_rows(k: KernelTable, w: np.ndarray):
     depend on the other entries: the series zone (|w| <= 1 with the
     14-term ``KernelTable.disk``, the imaginary axis up to |w| = 20 with
     the 40-term ``KernelTable.series``) sums every row, psi among them,
-    in one matrix product; the real axis (``hankel1e``), the imaginary
-    axis beyond (``iv`` and ``kve``) and every other w (``jve`` and
-    ``yve``) take psi from their Y_0, Y_1 rows (DLMF 10.8.2).
+    in one matrix product; the real axis (``hankel1e``), every other
+    |w| > 20 (``KernelTable.hankel``) and the annulus 1 < |w| <= 20 off
+    both axes (``jve`` and ``yve``) take psi from their Y_0, Y_1 rows
+    (DLMF 10.8.2).
     """
     flat = w.ravel()
     m, n = len(k.orders), flat.size
@@ -389,12 +377,12 @@ def phi_rows(k: KernelTable, w: np.ndarray):
         re, im = flat.real, flat.imag
         real = outside & (im == 0.0) & (re > 0.0)
         imag = outside & (re == 0.0)
-        near = imag & (radius <= _AXIS_SERIES_RADIUS)
+        far = outside & ~real & (radius > _AXIS_SERIES_RADIUS)
         zones += [
             (real, _real_zone),
-            (near, _series_zone, k.series),
-            (imag & ~near, _imag_zone),
-            (outside & ~(real | imag), _general_zone),
+            (imag & ~far, _series_zone, k.series),
+            (far, _hankel_zone),
+            (outside & ~(real | imag | far), _general_zone),
         ]
         zones = [zone for zone in zones if np.count_nonzero(zone[0])]
     if len(zones) == 1:  # every entry in one zone: no gather or scatter
@@ -435,14 +423,6 @@ def bessel_jm0(mu: float, x: float) -> float:
     )
 
 
-def _companion(mu: complex, x: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`bessel_jm0_rows` at one mu, as one-element arrays."""
-    mu = complex(mu)
-    mu = np.array([-mu if mu.real < 0.0 else mu])  # even in mu; keep Amos's cut off arg w = pi
-    val, der, psi = phi_rows(_PHI0_TABLE, mu * x)
-    return bessel_jm0_rows(mu, x, val[0], der[0], psi)
-
-
 def bessel_jm0_series(mu: complex, x: float) -> complex:
     """exp(-|Im mu x|) times the entire form log(x) J0(mu x) - psi(mu x).
 
@@ -450,20 +430,17 @@ def bessel_jm0_series(mu: complex, x: float) -> complex:
     factor is 1) and extends to complex mu as an even function of mu
     (the log mu dependence of the unscaled form cancels identically).
     """
-    return complex(_companion(mu, x)[0][0])
-
-
-def bessel_jm0_series_dx(mu: complex, x: float) -> complex:
-    """d/dx of the entire form of :func:`bessel_jm0_series`, scaled by exp(-|Im mu x|)."""
-    return complex(_companion(mu, x)[1][0])
+    mu = complex(mu)
+    mu = np.array([-mu if mu.real < 0.0 else mu])  # even in mu; keep Amos's cut off arg w = pi
+    val, der, psi = phi_rows(_PHI0_TABLE, mu * x)
+    return complex(bessel_jm0_rows(mu, x, val[0], der[0], psi)[0][0])
 
 
 def bessel_jm0_rows(
     mu: np.ndarray, x: float, phi0: np.ndarray, dphi0: np.ndarray, psi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`bessel_jm0_series`, :func:`bessel_jm0_series_dx` and the
-    mu-derivative of the former, at every entry of an ndarray mu with
-    Re mu >= 0.
+    """:func:`bessel_jm0_series` and its x- and mu-derivatives, at every
+    entry of an ndarray mu with Re mu >= 0.
 
     phi0, dphi0 and psi are the order-0 rows of :func:`phi_rows` at
     w = mu x: the scaled J_0(w) and -J_1(w), and the scaled psi(w),

@@ -290,7 +290,7 @@ class TestValidateAndSchema:
         assert err == "regsing: numerical failure: zeta_eval needs a finite s\n"
 
     @pytest.mark.parametrize(
-        "flags", [("--s", "2", "--a-list", "nan"), ("--s", "inf", "--a-list", "8.2"),
+        "flags", [("--s=-inf", "--a-list", "8.2"), ("--s", "inf", "--a-list", "8.2"),
                   ("--s", "nan", "--a-list", "8.2")]
     )
     def test_non_finite_contour_input_exits_3_before_any_pass(
@@ -328,6 +328,43 @@ class TestValidateAndSchema:
         with pytest.raises(SystemExit) as exc:
             main(["eval-f", write_doc(bessel_doc()), "--mu", "1"] + list(flags))
         assert exc.value.code == EXIT_SCHEMA
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval-f", "--mu", "nan"),
+            ("eval-f", "--mu", "inf"),
+            ("eval-f", "--mu", "1+nanj"),
+            ("verify-asymptotics", "--a-list", "nan"),
+            ("verify-asymptotics", "--a-list", "inf"),
+            ("verify-contour", "--s", "2", "--a-list", "8.2,nan"),
+        ],
+        ids=lambda argv: f"{argv[0]} {argv[-1]}",
+    )
+    def test_non_finite_mu_or_abscissa_exits_2(self, write_doc, argv):
+        # a usage error, as for --mu-max inf
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], write_doc(bessel_doc()), *argv[1:]])
+        assert exc.value.code == EXIT_SCHEMA
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval-f", "--mu", "1e300"),
+            ("eval-f", "--mu", "1e300j"),
+            ("verify-asymptotics", "--a-list", "1e300"),
+        ],
+        ids=lambda argv: f"{argv[0]} {argv[-1]}",
+    )
+    def test_traces_past_the_float_range_exit_3_quietly(self, capsys, argv):
+        # finite, but the traces of F there leave the float range: a typed error in
+        # one line of stderr, with every warning an error
+        path = str(FIXTURES / "readme_two_channel.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+        assert code == EXIT_NUMERICAL and out == ""
+        assert err.startswith("regsing: numerical failure: ") and err.count("\n") == 1
 
 
 _TIP_ENTRY = st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0])

@@ -671,7 +671,7 @@ def _log_channel(a: float) -> OperatorSpec:
 
 def test_zero_past_the_scipy_kernel_range_matches_mpmath():
     # a' = -0.01: F(ix) vanishes where log x is about 100, x = 3.0e43, far past the
-    # x = 1.07e9 where scipy's ive and kve give NaN; the large-argument form of I reaches
+    # x = 1.07e9 where scipy's ive and kve give NaN; Hankel's expansion reaches
     # it, the count of (x, inf] stays 1 as x doubles until it brackets the zero,
     # and the refinement bisects it, since there dlog F is its growth to rounding.
     # The zero moves log x by 1e-14 per ulp of the mantissa (slope 0.01), so it is

@@ -4,8 +4,9 @@ Reference values were computed with mpmath at 30 significant digits and
 frozen here; the other oracles call mpmath directly.  The scaled row
 kernel is checked across its series seam at |w| = 1, on both axes
 against mpmath (densely on the imaginary series segment up to |w| = 20),
-across each axis against its jve zone, and for the scipy routines each
-zone calls.
+off the real axis beyond |w| = 20 against mpmath, across each axis
+against the zone just off it, and for the scipy routines each zone
+calls.
 """
 
 import collections
@@ -29,7 +30,6 @@ from regsing.special import (
     bessel_jm0,
     bessel_jm0_rows,
     bessel_jm0_series,
-    bessel_jm0_series_dx,
     bessel_y,
     bessel_y_deriv,
     gamma_fn,
@@ -163,12 +163,6 @@ def test_jm0_series_even_in_mu():
         assert a == b
 
 
-def test_jm0_series_dx_matches_difference_quotient():
-    mu, x, h = 1.7, 0.9, 1e-6
-    num = (bessel_jm0_series(mu, x + h) - bessel_jm0_series(mu, x - h)) / (2.0 * h)
-    assert abs(bessel_jm0_series_dx(mu, x) - num) < 1e-8
-
-
 def test_jm0_domain_errors():
     with pytest.raises(SpecialFunctionDomainError):
         bessel_jm0(-1.0, 1.0)
@@ -293,11 +287,10 @@ def test_stacked_rows_match_scalar_kernels(where):
             assert abs(val[k][i] - want_val) <= 1e-14 * max(1.0, abs(want_val))
             assert abs(der[k][i] - want_der) <= 1e-14 * max(1.0, abs(want_der))
     x = 1.7
-    c, c_x, _ = bessel_jm0_rows(w / x, x, val[0], der[0], y)
+    c = bessel_jm0_rows(w / x, x, val[0], der[0], y)[0]
     for i in np.ndindex(w.shape):
-        mu = complex(w[i]) / x
-        for got, want in ((c[i], bessel_jm0_series(mu, x)), (c_x[i], bessel_jm0_series_dx(mu, x))):
-            assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+        want = bessel_jm0_series(complex(w[i]) / x, x)
+        assert abs(c[i] - want) <= 1e-14 * max(1.0, abs(want))
 
 
 # the axis zones of phi_rows: orders of every row kind (0, +-nu with nu near
@@ -339,25 +332,26 @@ def _axis_rows_against_mpmath(w):
 
 @pytest.mark.parametrize("axis", AXES)
 def test_axis_rows_match_mpmath(axis):
-    # the hankel1e (real axis) and series and iv/kve (imaginary axis) zones
+    # the hankel1e (real axis) and series and Hankel-expansion (imaginary axis) zones
     for got, want in _axis_rows_against_mpmath(AXES[axis] * np.array(AXIS_RADII)):
         assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (got, want)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_imaginary_rows_past_the_scipy_range_match_mpmath(sign):
-    # past x = 1e8 the imaginary zone takes e^(-x) I_nu from its large-argument
-    # form (scipy's ive and kve are NaN past about 1.07e9), and e^(-x) K_nu, which
-    # is below the smallest float there, as 0: the rows
+    # far past x = 1.07e9, where scipy's ive and kve give NaN, Hankel's expansion
+    # serves the imaginary axis as everywhere beyond |w| = 20: the rows
     # phi_s(+-ix) = (x/2)^(-s) I_s(x), phi_s'(+-ix) = -+i (x/2)^(-s) I_{s+1}(x)
     # and the companion's psi(+-ix) = (log(x/2) + gamma) I_0 + K_0,
     # psi'(+-ix) = -+i (I_0 / x + (log(x/2) + gamma) I_1 - K_1),
-    # all times e^(-x), quietly, from x = 1e8 up to 1e20
+    # all times e^(-x), quietly, from x = 1e8 up to 1e20; each value exactly
+    # real and each derivative exactly imaginary, as their series are
     orders = (0.3, -0.3, 0.0, 0.7, -0.7)
     x = np.array([1e8, 1e9, 1e12, 1e20])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         val, der, psi = phi_rows(KernelTable(orders), sign * 1j * x)
+    assert not (val.imag.any() or der.real.any() or psi[0].imag.any() or psi[1].real.any())
     for j, xj in enumerate(x.tolist()):
         with mpmath.workdps(30):
             xm = mpmath.mpf(xj)
@@ -382,9 +376,19 @@ def test_imaginary_rows_past_the_scipy_range_match_mpmath(sign):
 def test_imaginary_series_segment_matches_mpmath(axis):
     # the 40-term series on 1 < |w| <= 20, where its terms are of one sign,
     # and the psi rows from the same series: within 3e-15 relative on a dense
-    # grid (iv/kve reached 2.2e-15 there)
+    # grid (scipy's iv and kve reached 2.2e-15 there)
     pairs = _axis_rows_against_mpmath(AXES[axis] * np.geomspace(1.0 + 1e-12, 20.0, 120))
     assert max(abs(got - want) / abs(want) for got, want in pairs) <= 3e-15
+
+
+@pytest.mark.parametrize("angle", [1e-12, -1e-12, 0.4, -0.4, 1.2])
+def test_rows_off_the_real_axis_beyond_radius_20_match_mpmath(angle):
+    # Hankel's expansion, from just outside |w| = 20 to 1e5, close to the real
+    # axis and away from it; jve of negative order missed by about 3e-12 of
+    # the envelope at |w| = 1e5
+    w = np.array([20.0 * (1.0 + 1e-15), 40.0, 123.4, 1e3, 1e5]) * np.exp(1j * angle)
+    for got, want in _axis_rows_against_mpmath(w):
+        assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (got, want)
 
 
 @pytest.mark.parametrize(
@@ -392,11 +396,13 @@ def test_imaginary_series_segment_matches_mpmath(axis):
 )
 def test_axis_rows_continuous_with_general_path(axis, turn):
     # w0 on the axis, w1 = w0 e^(i turn) just off it in the right half-plane:
-    # the jve/yve rows at w1 against the axis rows at w0 carried to w1 to first
+    # the off-axis rows at w1 against the axis rows at w0 carried to w1 to first
     # order, with phi_s'' = -((2s + 1) phi_s' / w + phi_s) and
     # psi'' = -psi' / w - psi + 2 phi_0' / w (the second-order term is below
-    # 1e-18 here).  The bound leaves room for the jve of negative order, which
-    # is accurate to about 7e-14 near |w| = 20 and 1000.
+    # 1e-18 here).  Up to |w| = 20 the bound leaves room for the jve of negative
+    # order, which is accurate to about 5e-14 near |w| = 20; beyond, both sides
+    # of the imaginary axis are Hankel's expansion, and just off the real axis
+    # it meets hankel1e within 9e-16.
     k = KernelTable(AXIS_ORDERS)
     w0 = AXES[axis] * np.array(AXIS_RADII)
     w1 = w0 * np.exp(1j * turn)
@@ -411,8 +417,9 @@ def test_axis_rows_continuous_with_general_path(axis, turn):
         (p1[0], ratio * (p0[0] + p0[1] * dw)),
         (p1[1], ratio * (p0[1] + (2.0 * d0[0] / w0 - p0[1] / w0 - p0[0]) * dw)),
     ]
+    bound = np.where(np.abs(w0) > 20.0, 2e-15, 1e-13)
     for got, near in want:
-        assert np.all(np.abs(got - near) <= 1e-13 * np.maximum(1.0, np.abs(near)))
+        assert np.all(np.abs(got - near) <= bound * np.maximum(1.0, np.abs(near)))
 
 
 class _CountingScipy:
@@ -433,28 +440,21 @@ class _CountingScipy:
 
 @pytest.mark.parametrize("axis", ["real", "+imag", "-imag", "off"])
 def test_axis_rows_make_no_jve_call(monkeypatch, axis):
-    # an axis array, on both sides of the series seam, takes one call of each
-    # scipy routine its zone uses and none of jve or yve; the companion rows
-    # built on it take none at all.  An array off the axes takes the jve path.
-    # On the imaginary axis an array inside 1 < |w| <= 20 takes no call.
+    # an array on the real axis, on both sides of the series seam, takes one
+    # hankel1e call and none of jve or yve; an imaginary one takes no scipy
+    # call at any radius, and the companion rows built on either take none at
+    # all.  An array off the axes takes jve and yve for its part in the
+    # annulus 1 < |w| <= 20 and none beyond.
     calls = collections.Counter()
     monkeypatch.setattr(special, "sc", _CountingScipy(calls))
     unit = AXES.get(axis, np.exp(0.4j))
     table = KernelTable((0.0, 0.3, -0.3, 0.7, -0.7))
-    if axis.endswith("imag"):
-        w = unit * np.linspace(1.0 + 1e-15, 20.0, 64)
-        val, der, y = phi_rows(table, w)
-        bessel_jm0_rows(w / 2.0, 2.0, val[0], der[0], y)
-        assert not calls
     w = unit * np.linspace(0.5, 300.0, 64)
     val, der, y = phi_rows(table, w)
-    if axis == "off":
-        assert calls == {"jve": 2, "yve": 1}
-        return
-    assert calls["jve"] == calls["yve"] == 0
-    assert calls and max(calls.values()) == 1
-    if axis.endswith("imag"):
-        assert calls == {"iv": 1, "kve": 1}
+    want = {"real": {"hankel1e": 1}, "off": {"jve": 2, "yve": 1}}.get(axis, {})
+    assert calls == want
     calls.clear()
     bessel_jm0_rows(w / 2.0, 2.0, val[0], der[0], y)
+    if axis != "real":
+        phi_rows(table, unit * np.array([20.0 * (1.0 + 1e-15), 1e5, 1e300]))
     assert not calls
