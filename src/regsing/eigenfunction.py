@@ -129,7 +129,7 @@ def _unscaled(mant: np.ndarray, logs: np.ndarray) -> np.ndarray:
     """F = mant * exp(logs); raises NumericalError where |F| leaves the float range."""
     if np.max(logs) > _LOG_MAX:
         raise NumericalError(
-            f"|F(mu)| exceeds the float range (log-scale {np.max(logs):.1f}); "
+            f"|F(mu)| exceeds the float range (log-scale {np.max(logs):.4g}); "
             "use the scaled form"
         )
     return mant * np.exp(logs)
@@ -185,7 +185,8 @@ class SecularEvaluator:
     kernel pass on the operator takes the probes of `k0` along, whichever
     route makes it (:meth:`_probed`):
     :meth:`sample`, the pass of the spectrum scans, which gives each
-    factor and the angles of the zero count, or :meth:`_scaled_dlog`,
+    factor, its log-derivative for the refinement's starts and the angles
+    of the zero count, or :meth:`_scaled_dlog`,
     the pass of F(it) and the finite-t arc's first round; a route that
     needs `k0` before any other pass takes the probes in a pass of their
     own.  :meth:`imag_zeros_beyond` counts the zeros of F(ix) past an x
@@ -277,15 +278,16 @@ class SecularEvaluator:
         return [v[..., n:] for v in out]
 
     def sample(self, mu: np.ndarray) -> tuple[np.ndarray, ...]:
-        """:meth:`_pass` and :meth:`_angles` over a 1-d mu in one kernel pass, which
-        takes the probes of :attr:`k0` along (:meth:`_probed`)."""
-        mant, logs, jp, jm = self._probed(mu)
-        return mant, logs, *self._angles(jp, jm)
+        """:meth:`_pass` with the log-derivatives and :meth:`_angles` over a 1-d mu in
+        one kernel pass, which takes the probes of :attr:`k0` along (:meth:`_probed`):
+        each factor's mantissa, log-scale and log-derivative, then the angles."""
+        mant, logs, dlog, jp, jm = self._probed(mu, deriv=True)
+        return mant, logs, dlog, *self._angles(jp, jm)
 
     def imag_zeros_beyond(self, x: float) -> int:
         """The zeros of F(ix') on x' > x: :func:`_zero_count` of each factor's cell
         (x, inf] from the angles of one pass at x and their limit :attr:`_limit_turn`."""
-        _, _, gam, theta = self.sample(np.array([1j * x]))
+        *_, gam, theta = self.sample(np.array([1j * x]))
         gam, theta = (v.reshape(-1, self.width) for v in (gam, theta))
         return int(_zero_count(1.0, gam, 0.0, _turns(theta, 1.0), self._limit_turn).sum())
 
@@ -479,10 +481,10 @@ class SecularEvaluator:
         with np.errstate(over="ignore", invalid="ignore"):
             jp, jm, *djs = self._traces(mu, deriv)
             n, scale = self._system(jp, jm), _scales(jp, jm)
+            growth = self.width * self.r * abs(mu.imag)  # each column of N carries exp(-|Im mu R|)
         if not np.isfinite(scale).all():  # the largest trace of a column, or NaN
             at = np.min(np.abs(mu.T[~np.isfinite(scale).all(-1)]))
             raise NumericalError(f"F is not finite at |mu| = {at:.6g}, past the kernel's range")
-        growth = self.width * self.r * abs(mu.imag)  # each column of N carries exp(-|Im mu R|)
         if self.diagonal:
             mant, logs = n / scale, np.log(scale)
         else:  # row l of N^T is column l of N
@@ -661,12 +663,14 @@ def _zero_count(sigma, gam_a, gam_b, turn_a, turn_b) -> np.ndarray:
     return np.rint((2.0 * step.sum(-1) - turn_b + turn_a) / (2.0 * math.pi))
 
 
-def _points(x, sigma, mants, logs, gam, theta) -> list[np.ndarray]:
+def _points(x, sigma, mants, logs, dlogs, gam, theta) -> list[np.ndarray]:
     """Rows of the table of :func:`_scan` from the samples at the points x on the axes
     of sigma, both shaped (P,): x, sigma, and per point and factor of F, shaped (P, f),
     the factor's real mantissa (0 where one of its theta_k lies within 1e-9 of 0: its
-    sign is rounding), its log-scale, its gamma_l (shaped (P, f, q_f)) and its
-    :func:`_turns`.  Raises NumericalError where the mantissas are not real."""
+    sign is rounding), its x-derivative in the mantissa's scale, Re(unit mant dlog)
+    with unit = 1 on the real axis and i on the imaginary one, its log-scale, its
+    gamma_l (shaped (P, f, q_f)) and its :func:`_turns`.  Raises NumericalError
+    where the mantissas are not real."""
     mags = np.abs(mants)
     live = mags > 0.0
     worst = float(np.max(np.abs(mants.imag[live]) / mags[live], initial=0.0))
@@ -677,7 +681,9 @@ def _points(x, sigma, mants, logs, gam, theta) -> list[np.ndarray]:
         )
     gam, theta = (v.reshape(x.size, mants.shape[0], -1) for v in (gam, theta))
     f = np.where(np.min(np.abs(theta), axis=-1) > _ANGLE_SLACK, mants.real.T, 0.0)
-    return [x, sigma, f, logs.T, gam, _turns(theta, sigma[:, None, None])]
+    with np.errstate(over="ignore", invalid="ignore"):  # dlog is not finite at a zero
+        df = (np.where(sigma > 0.0, 1j, 1.0) * mants * dlogs).real.T
+    return [x, sigma, f, df, logs.T, gam, _turns(theta, sigma[:, None, None])]
 
 
 def _cut(a: float, b: float, res: float, r: float) -> np.ndarray:
@@ -694,8 +700,9 @@ def _cut(a: float, b: float, res: float, r: float) -> np.ndarray:
 
 
 def _scan(ev: SecularEvaluator, mu_max: float) -> tuple[list, list]:
-    """The brackets (sigma, k, a, b, fa, fb) and the multiple roots (sigma, x) of both
-    axes, k the factor of F whose zero the bracket holds.
+    """The brackets (sigma, k, a, b, fa, x0) and the multiple roots (sigma, x) of both
+    axes, k the factor of F whose zero the bracket holds, fa that factor at a and x0
+    the first iterate of :func:`_refine` in [a, b].
 
     F is a product of factors: each channel's N_ll on a diagonal tip
     (:attr:`SecularEvaluator.diagonal`), else the one factor det N; a
@@ -717,9 +724,11 @@ def _scan(ev: SecularEvaluator, mu_max: float) -> tuple[list, list]:
     cell needs a bound, since z_l crosses the real axis only where
     jp_l(ix) = 0, a negative eigenvalue of the channel's Friedrichs
     problem, which has at most one.  A factor that counts 1 in a finite
-    span whose ends differ in sign has a bracket there: a positive
-    multiple of the factor, finite near the scale of a, is fa at a and fb
-    at b.  A span where some factor counts otherwise is cut by
+    span whose ends differ in sign has a bracket there.  Once the spans
+    are done, every bracket's start x0 is worked out at once by
+    :func:`_start` from a positive multiple of the factor, finite near
+    the scale of a, and its x-derivative, both at the two ends, read from
+    the table.  A span where some factor counts otherwise is cut by
     :func:`_cut`, all such spans in one pass, and each part keeps only
     those factors, until each counts at most 1 in each part.  A finite
     span where a factor still counts m at the root tolerance of
@@ -728,32 +737,30 @@ def _scan(ev: SecularEvaluator, mu_max: float) -> tuple[list, list]:
     res = math.pi / (4.0 * ev.width * ev.r)
     first = 0.5 * min(res, 0.05 / ev.r, mu_max)  # at a tiny R, 0.025 / R may pass mu_max
     x = np.concatenate(([0.0], _grid(first, mu_max, res)))
-    mants, logs, gam, theta = ev.sample(x.astype(complex))
+    mants, logs, dlogs, gam, theta = ev.sample(x.astype(complex))
     theta[0, np.argsort(np.abs(theta[0]))[: ev.k0]] = 0.0
     nf = mants.shape[0]
-    real = _points(x, np.full(x.size, -1.0), mants, logs, gam, theta)
-    at_zero = _points(x[:1], np.ones(1), mants[:, :1], logs[:, :1], gam[:1], theta[:1])
-    nan = np.full((1, nf), math.nan)
-    limit = [np.array([math.inf]), np.ones(1), nan, nan, np.zeros((1, nf, ev.width)), ev._limit_turn[None]]
+    real = _points(x, np.full(x.size, -1.0), mants, logs, dlogs, gam, theta)
+    at_zero = _points(x[:1], np.ones(1), *(v[:, :1] for v in (mants, logs, dlogs)), gam[:1], theta[:1])
+    nan = np.full((1, nf), math.nan)  # f, df and the log-scale
+    angles = [np.zeros((1, nf, ev.width)), ev._limit_turn[None]]
+    limit = [np.array([math.inf]), np.ones(1), nan, nan, nan, *angles]
     data = [np.concatenate(v) for v in zip(real, at_zero, limit)]
     # the spans (lo, lo + 1]: the real grid's cells, then (0, inf], each for every factor
     lo = np.append(np.arange(x.size - 1), x.size)
     hi = lo + 1
     active = np.ones((lo.size, nf), dtype=bool)
     imag_res = min(res, 0.1 / ev.r)
-    brackets, roots = [], []
+    found, roots = [], []  # the rows and factor of each bracket; the multiple roots
     while lo.size:
-        x, sigma, f, logs, gam, turn = data
+        x, sigma, f, _, _, gam, turn = data
         n = _zero_count(sigma[lo, None, None], gam[lo], gam[hi], turn[lo], turn[hi])
         n = np.where(active, n, 0.0)  # a factor done in the parent span (bracketed or 0) stays done
         if not np.all(n >= 0.0):
             raise SpectrumCertificationError("zero count is negative or not finite")
         one = (n == 1.0) & (f[lo] * f[hi] < 0.0)
         c, k = np.nonzero(one)
-        a, b = lo[c], hi[c]
-        # b's scale over a's, capped inside the float range: false position starts at a there
-        fb = f[b, k] * np.exp(np.minimum(logs[b, k] - logs[a, k], 0.5 * _LOG_MAX))
-        brackets += zip(*(v.tolist() for v in (sigma[a], k, x[a], x[b], f[a, k], fb)))
+        found.append((lo[c], hi[c], k))
         cut = (n > 0.0) & ~one
         width = x[hi] - x[lo]
         fine = ((width <= _ROOT_XTOL / ev.r + _ROOT_RTOL * x[hi]) & (width < math.inf))[:, None]
@@ -775,13 +782,40 @@ def _scan(ev: SecularEvaluator, mu_max: float) -> tuple[list, list]:
             lo, hi = np.insert(rows, start, lo), np.insert(rows, start + sizes, hi)
             active = np.repeat(active, sizes + 1, axis=0)
             data = [np.concatenate(v) for v in zip(data, new)]
-    return brackets, roots
+    x, sigma, f, df, logs = data[:5]
+    a, b, k = (np.concatenate(v) for v in zip(*found))
+    # b's scale over a's, capped inside the float range: false position starts at a there
+    scale = np.exp(np.minimum(logs[b, k] - logs[a, k], 0.5 * _LOG_MAX))
+    start = _start(x[a], x[b], f[a, k], f[b, k] * scale, df[a, k], df[b, k] * scale)
+    return list(zip(*(v.tolist() for v in (sigma[a], k, x[a], x[b], f[a, k], start)))), roots
+
+
+def _start(a, b, fa, fb, da, db) -> np.ndarray:
+    """The first iterate in each bracket [a, b] from a factor's values fa, fb and
+    x-derivatives da, db at its ends, all in one scale: the root of their cubic
+    Hermite interpolant, by two Newton steps on it from the false-position point,
+    or that point where the result is not finite or not strictly inside (a, b).
+
+    In t = (x - a) / h, h = b - a, the cubic is fa + t (h da + t (c2 + t c3)),
+    c2 = 3 (fb - fa) - h (2 da + db) and c3 = 2 (fa - fb) + h (da + db).
+    """
+    h = b - a
+    false_position = a - fa * h / (fb - fa)
+    c1 = h * da
+    c2 = 3.0 * (fb - fa) - h * (2.0 * da + db)
+    c3 = 2.0 * (fa - fb) + h * (da + db)
+    t = fa / (fa - fb)
+    with np.errstate(all="ignore"):  # a slope that is not finite reads NaN: false position
+        for _ in range(2):
+            t = t - (fa + t * (c1 + t * (c2 + t * c3))) / (c1 + t * (2.0 * c2 + t * (3.0 * c3)))
+        x = a + h * t
+    return np.where((x > a) & (x < b), x, false_position)
 
 
 def _refine(ev: SecularEvaluator, brackets: list[tuple]) -> list[float]:
-    """The roots in the brackets (sigma, k, a, b, fa, fb) of :func:`_scan`, on the real
+    """The roots in the brackets (sigma, k, a, b, fa, x0) of :func:`_scan`, on the real
     axis (sigma = -1) and the imaginary one (sigma = 1), all refined together, each on
-    its factor k of F, in the order of the brackets.
+    its factor k of F from its first iterate x0, in the order of the brackets.
 
     Safeguarded Newton (``rtsafe``) over the array of roots still
     active, on both axes at once: each round is one kernel pass
@@ -810,12 +844,11 @@ def _refine(ev: SecularEvaluator, brackets: list[tuple]) -> list[float]:
     """
     if not brackets:
         return []
-    sigma, k, lo, hi, fa, fb = (np.array(v) for v in zip(*brackets))
+    sigma, k, lo, hi, fa, x = (np.array(v) for v in zip(*brackets))
     unit = np.where(sigma > 0.0, 1j, 1.0)
     growth = ev.width * ev.r * unit.imag  # c, the x-derivative of the log-scale's q_f R |Im mu|
     shift, floor = 1j * growth, _SLOPE_FLOOR * growth  # unit (dlog + i c) = unit dlog - c
     sign_lo = np.sign(fa)
-    x = lo - fa * (hi - lo) / (fb - fa)  # false position: inside the bracket
     step = hi - lo  # |step| of the last round and of the round before
     before = step.copy()
     last = np.full(len(x), np.nan)  # the last round's Newton step, NaN after a bisection
@@ -880,9 +913,12 @@ def find_spectrum(spec: OperatorSpec, mu_max: float) -> Spectrum:
     every span of both axes from the samples' angles and cuts the spans
     where a factor counts more than one, or one without a sign change,
     one kernel pass for all spans, the first taking the probes of
-    :attr:`SecularEvaluator.k0` along.  One call of :func:`_refine` then
-    refines the brackets of both axes together, each by the Newton step
-    of its own factor, and the roots are split by axis once; a root of
+    :attr:`SecularEvaluator.k0` along; each pass gives the factors'
+    log-derivatives too, from which each bracket starts at the root of
+    the cubic Hermite interpolant of its factor (:func:`_start`).  One
+    call of :func:`_refine` then refines the brackets of both axes
+    together, each by the Newton step of its own factor, and the roots
+    are split by axis once; a root of
     multiplicity m is listed m times (a root that m channels share is m
     brackets).  The returned :class:`Spectrum` carries the evaluator,
     which :func:`~regsing.determinant.zeta_eval` reuses for the same

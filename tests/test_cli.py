@@ -366,6 +366,33 @@ class TestValidateAndSchema:
         assert code == EXIT_NUMERICAL and out == ""
         assert err.startswith("regsing: numerical failure: ") and err.count("\n") == 1
 
+    def test_log_scale_past_the_float_range_is_a_short_line(self, capsys):
+        # at mu = 1e200 i the traces are finite but F's log-scale, 2e200, is not:
+        # the line quotes it in four digits, not in its 201 of fixed point
+        path = str(FIXTURES / "readme_two_channel.json")
+        code, out, err = run_cli(capsys, "eval-f", path, "--mu", "1e200j")
+        assert code == EXIT_NUMERICAL and out == ""
+        assert "(log-scale 2e+200)" in err and err.count("\n") == 1 and len(err) < 120
+
+    def test_spectrum_past_the_kernel_range_exits_3_quietly(self, write_doc, capsys):
+        # a coupled q = 3 tip with a nu = 0.001 channel: the imaginary axis is cut
+        # out to |mu| = 4.3e307, where the traces leave the float range; the
+        # growth of the log-scale there overflows too, which must stay quiet
+        a = [[0.0256, -0.03, 0.0184], [-0.03, 0.0018, 0.0069], [0.0184, 0.0069, -0.0096]]
+        doc = {
+            "R": 6.25,
+            "lambdas": [-0.249999, 0.154, 0.154],
+            "q0": 0,
+            "A": [[_entry(v) for v in row] for row in a],
+            "B": [[_entry(float(i == j)) for j in range(3)] for i in range(3)],
+            "regular_bc": {"type": "dirichlet"},
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "spectrum", write_doc(doc), "--mu-max", "5")
+        assert code == EXIT_NUMERICAL and out == "" and err.count("\n") == 1
+        assert "F is not finite at |mu| = 4.31" in err
+
 
 _TIP_ENTRY = st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0])
 

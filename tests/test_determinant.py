@@ -1060,13 +1060,14 @@ class TestPassBudgets:
     def test_spectrum_and_zeta(self, name, monkeypatch):
         # the scan's first pass takes the probes and the real grid from mu = 0,
         # whose angles with their limit at x = inf count both axes; cut rounds,
-        # if any, and the Newton rounds add a few; the zeta contour at s = 2 is
+        # if any, and the Newton rounds from the Hermite starts add a few (two
+        # Newton rounds, three on the q4 kernel); the zeta contour at s = 2 is
         # the power sum p_2 of the Taylor circle the scan sampled, no pass and
         # no quadrature round
         spec = PASS_SPECS[name]
         sp = find_spectrum(spec, 30.0 * math.pi / (spec.q * spec.r))
         assert len(sp.positive) >= 28 and sp.negative == ()
-        assert sp.passes <= 8
+        assert sp.passes <= 4
         rounds = []
         round_nodes = _numutil._round_nodes
 
@@ -1114,26 +1115,30 @@ class TestPassBudgets:
         # a diagonal tip's channels are counted on the grid of spacing pi / (4 R)
         # that one channel needs, not pi / (16 R), so the first pass samples mu = 0
         # and about 4 mu_max R / pi grid points, and nothing more on the real axis;
-        # each root is refined by its own channel's Newton step, in a few rounds
+        # each root is refined by its own channel's Newton step from its Hermite
+        # start, in two or three rounds
         r, beta, channels = POOL_Q4[case]
         bc = Dirichlet() if beta is None else Robin(beta / r)
         spec = diagonal_spec([scalar_spec(nu, bc, tip=tip, r=r) for nu, tip in channels])
         mu_max = 30.0 * math.pi / (4.0 * r)
         passes, rounds = [], []
-        sample, kernel_pass = eigenfunction.SecularEvaluator.sample, eigenfunction.SecularEvaluator._pass
+        sample, refine = eigenfunction.SecularEvaluator.sample, eigenfunction._refine
         monkeypatch.setattr(
             eigenfunction.SecularEvaluator, "sample", lambda ev, mu: passes.append(mu) or sample(ev, mu)
         )
-        monkeypatch.setattr(  # a pass with the log-derivatives is a Newton round
-            eigenfunction.SecularEvaluator,
-            "_pass",
-            lambda ev, mu, deriv=False: (deriv and rounds.append(mu)) or kernel_pass(ev, mu, deriv),
-        )
+
+        def counted(ev, brackets):
+            before = ev.counts["passes"]
+            roots = refine(ev, brackets)
+            rounds.append(ev.counts["passes"] - before)  # one kernel pass a Newton round
+            return roots
+
+        monkeypatch.setattr(eigenfunction, "_refine", counted)
         sp = find_spectrum(spec, mu_max)
         assert len(sp.positive) >= 28 and sp.negative == ()
         mu = np.concatenate(passes)
         assert np.count_nonzero(mu.imag == 0.0) <= math.ceil(4.0 * mu_max * r / math.pi) + 3
-        assert len(rounds) <= 6
+        assert sum(rounds) <= 3
 
     @pytest.mark.parametrize(
         "spec",
@@ -1147,7 +1152,7 @@ class TestPassBudgets:
         # the imaginary-axis roots join the real ones in the same Newton rounds
         sp = find_spectrum(spec, 30.0)
         assert sp.negative and sp.positive
-        assert sp.passes <= 7
+        assert sp.passes <= 5
 
 
 def test_report_is_frozen_dataclass():

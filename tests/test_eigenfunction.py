@@ -724,8 +724,14 @@ def _cubic_d(x):
     return (x - 4.0) * (x + 0.7) + (x - 1.5) * (x + 0.7) + (x - 1.5) * (x - 4.0)
 
 
+def _false_position(a, b, fa, fb):
+    return a - fa * (b - a) / (fb - fa)
+
+
 def _bracket(f, a, b):
-    return (-1.0, 0, a, b, float(f(a)), float(f(b)))
+    """A bracket of f on the real axis that starts at false position."""
+    fa, fb = float(f(a)), float(f(b))
+    return (-1.0, 0, a, b, fa, _false_position(a, b, fa, fb))
 
 
 def test_refine_iterate_exactly_on_a_zero():
@@ -733,7 +739,8 @@ def test_refine_iterate_exactly_on_a_zero():
     # (and dlog F is not finite); that root stops after its first round, the
     # other one goes on
     ev = _Stub(_cubic, _cubic_d)
-    roots = eigenfunction._refine(ev, [(-1.0, 0, 1.0, 2.0, -1.0, 1.0), _bracket(_cubic, 3.0, 5.0)])
+    start = _false_position(1.0, 2.0, -1.0, 1.0)
+    roots = eigenfunction._refine(ev, [(-1.0, 0, 1.0, 2.0, -1.0, start), _bracket(_cubic, 3.0, 5.0)])
     assert roots[0] == 1.5
     assert abs(roots[1] - 4.0) <= 1e-13
     assert 1.5 in ev.rounds[0]
@@ -741,7 +748,7 @@ def test_refine_iterate_exactly_on_a_zero():
 
 
 def test_refine_bisects_where_dlog_is_not_finite():
-    first = 3.0 - _cubic(3.0) * 2.0 / (_cubic(5.0) - _cubic(3.0))  # the false-position start
+    first = _bracket(_cubic, 3.0, 5.0)[-1]  # the false-position start
     ev = _Stub(_cubic, _cubic_d, bad_dlog_at=first)
     (root,) = eigenfunction._refine(ev, [_bracket(_cubic, 3.0, 5.0)])
     assert abs(root - 4.0) <= 1e-13
@@ -791,9 +798,56 @@ def test_refine_ends_a_root_whose_newton_target_passes_its_bracket_end():
     # the root ends at that end (20 rounds), about 20 rounds before the bracket's
     # width would
     ev = _Stub(_square, lambda x: 2.0 * x)
-    (root,) = eigenfunction._refine(ev, [(-1.0, 0, 1.0, math.sqrt(2.0), -1.0, 1.0)])
+    start = _false_position(1.0, math.sqrt(2.0), -1.0, 1.0)
+    (root,) = eigenfunction._refine(ev, [(-1.0, 0, 1.0, math.sqrt(2.0), -1.0, start)])
     assert root == math.sqrt(2.0)
     assert all(xs[0] < root for xs in ev.rounds) and 18 <= len(ev.rounds) <= 22
+
+
+def _hermite_start(f, df, a, b):
+    ends = [np.array([v]) for v in (a, b)]
+    return eigenfunction._start(*ends, *(g(v) for g in (f, df) for v in ends))[0]
+
+
+@pytest.mark.parametrize("a, b", [(1.4, 1.6), (1.3, 1.65), (3.98, 4.03), (3.99, 4.0001)])
+def test_start_recovers_the_root_of_a_cubic(a, b):
+    # the Hermite interpolant of a cubic's values and slopes at two points is the
+    # cubic, so two Newton steps on it from false position, here 2e-3 from the
+    # root or nearer, reach that root to rounding
+    root = next(r for r in (1.5, 4.0) if a < r < b)
+    got = _hermite_start(_cubic, _cubic_d, a, b)
+    assert abs(got - root) <= 8.0 * EPS * root
+    fp = _bracket(_cubic, a, b)[-1]
+    assert abs(got - root) < 1e-3 * abs(fp - root)
+
+
+def test_start_lies_strictly_inside_its_bracket():
+    # values and slopes that do not come from one function, slopes of the wrong
+    # sign and of every size among them: a Newton step that leaves the bracket,
+    # or lands on an end, gives way to false position, which lies inside
+    rng = np.random.default_rng(3)
+    n = 4000
+    a = rng.uniform(-5.0, 5.0, n)
+    b = a + 10.0 ** rng.uniform(-8.0, 1.0, n)
+    sign = rng.choice([-1.0, 1.0], n)
+    fa, fb = sign * [[1.0], [-1.0]] * 10.0 ** rng.uniform(-3.0, 3.0, (2, n))
+    da, db = rng.choice([-1.0, 1.0], (2, n)) * 10.0 ** rng.uniform(-6.0, 9.0, (2, n))
+    got = eigenfunction._start(a, b, fa, fb, da, db)
+    assert np.all((a < got) & (got < b))
+    fp = _false_position(a, b, fa, fb)
+    assert 0 < np.count_nonzero(got == fp) < n  # both branches are taken
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_start_falls_back_to_false_position_on_a_slope_that_is_not_finite(bad):
+    # dlog F is not finite at a zero of F, e.g. mu = 0 on a kernel
+    a, b = np.array([3.0, 3.0]), np.array([5.0, 5.0])
+    fa, fb, da, db = _cubic(a), _cubic(b), _cubic_d(a), _cubic_d(b)
+    da[0], db[1] = bad, bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = eigenfunction._start(a, b, fa, fb, da, db)
+    assert got.tolist() == [_bracket(_cubic, 3.0, 5.0)[-1]] * 2
 
 
 def test_jacobi_marks_only_the_singular_matrix_of_a_stack():
