@@ -48,7 +48,7 @@ from .eigenfunction import (
     off_zeros,
 )
 from .operators import Dirichlet, OperatorSpec, RegularBC
-from .special import EULER_GAMMA, gamma_fn, sc
+from .special import EULER_GAMMA, exp1, gamma_fn, hurwitz_zeta
 
 
 class KernelPresentError(NumericalError):
@@ -358,13 +358,15 @@ def _zeta_direct(s: float, spectrum: Spectrum) -> tuple[float, float]:
     m = max(10, int(0.2 * n))
     idx = np.arange(n - m + 1, n + 1, dtype=float)
     mus = roots[-m:]
-    dens, intercept = np.polyfit(mus, idx, 1)
+    centred = mus - mus.mean()  # the least-squares line, in closed form
+    dens = float(centred @ idx) / float(centred @ centred)
+    intercept = float(idx.mean()) - dens * float(mus.mean())
     if dens <= 0.0:
         raise NumericalError("root density fit failed")
     a0 = n + 1 - intercept
     if a0 <= 0.0:
         raise NumericalError("tail start index is not positive")
-    tail = dens ** (2.0 * s) * float(sc.zeta(2.0 * s, a0))  # sc.zeta(x, a): Hurwitz
+    tail = dens ** (2.0 * s) * hurwitz_zeta(2.0 * s, a0)
     resid = idx - (dens * mus + intercept)
     sigma = float(np.sqrt(np.mean(resid**2))) / dens  # rms mu-deviation
     # The line leaves out the O(1/mu) term of the counting function
@@ -379,10 +381,10 @@ def _zeta_direct(s: float, spectrum: Spectrum) -> tuple[float, float]:
     bias = tail
     if d > 0.0 and a > 0.0:
         bias -= d ** (2.0 * s) * (
-            float(sc.zeta(2.0 * s, a)) + 2.0 * s * c * d * float(sc.zeta(2.0 * s + 2.0, a))
+            hurwitz_zeta(2.0 * s, a) + 2.0 * s * c * d * hurwitz_zeta(2.0 * s + 2.0, a)
         )
     err = (
-        2.0 * s * sigma * dens ** (2.0 * s + 1.0) * float(sc.zeta(2.0 * s + 1.0, a0))
+        2.0 * s * sigma * dens ** (2.0 * s + 1.0) * hurwitz_zeta(2.0 * s + 1.0, a0)
         + 2.0 * abs(bias)
         + 1e-14 * abs(head)
     )
@@ -435,7 +437,7 @@ def _zeta_contour(ev: SecularEvaluator, s: float, t: float) -> tuple[float, floa
     if model.log_power:
         tail += model.log_power * (
             math.exp(-2.0 * s * GAMMA_TILDE)
-            * float(sc.exp1(2.0 * s * (math.log(x_cut) - GAMMA_TILDE)))
+            * exp1(2.0 * s * (math.log(x_cut) - GAMMA_TILDE))
         )
 
     # sin(pi s) / pi from s - m, exact, so that s near an integer keeps its digits; the arc,

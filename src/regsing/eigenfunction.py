@@ -354,16 +354,22 @@ class SecularEvaluator:
     def power_sums(self) -> tuple[np.ndarray, np.ndarray]:
         """p_n = sum_k (rho / lambda_k)^n over the zeros lambda_k of F~ in lambda = mu^2 (rho =
         circle_radius^2, zeta(n) = p_n / rho^n), n <= 15 - k0, and their rounding bounds, by
-        Newton's identities n b_n + sum_{i=1}^{n} b_{n-i} p_i = 0 on b_j = c_{k0+j} / c_k0.  The
-        top three c_n of the entire F are rounding: m times the largest bounds every c_n's."""
+        Newton's identities n b_n + sum_{i=1}^{n} b_{n-i} p_i = 0 on b_j = c_{k0+j} / c_k0,
+        b_0 = 1: forward substitution in the lower-triangular Toeplitz system.  The top three
+        c_n of the entire F are rounding: m times the largest bounds every c_n's, db_j, and
+        dp_n = n db_n + sum_{i<n} (db_{n-i} |p_i| + |b_{n-i}| dp_i).  At 15 unknowns plain
+        floats are faster than a numpy solve, whose call overhead is the larger."""
         c = self._taylor[0] / self._taylor[0][self.k0]
         noise, b = _CIRCLE_POINTS * float(np.max(np.abs(c[-3:]))), c[self.k0 :].real.tolist()
-        db = [noise * (1.0 + abs(v)) for v in b]
-        p, dp = [0.0], [0.0]
+        db, ab = [noise * (1.0 + abs(v)) for v in b], [abs(v) for v in b]
+        p, dp, ap = [0.0] * len(b), [0.0] * len(b), [0.0] * len(b)
         for n in range(1, len(b)):
-            p.append(-n * b[n] - sum(b[n - i] * p[i] for i in range(1, n)))
-            terms = (db[n - i] * abs(p[i]) + abs(b[n - i]) * dp[i] for i in range(1, n))
-            dp.append(n * db[n] + sum(terms))
+            value = bound = 0.0
+            for i in range(1, n):
+                value += b[n - i] * p[i]
+                bound += db[n - i] * ap[i] + ab[n - i] * dp[i]
+            p[n] = -n * b[n] - value
+            ap[n], dp[n] = abs(p[n]), n * db[n] + bound
         return np.array(p[1:]), np.array(dp[1:])
 
     @property

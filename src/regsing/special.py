@@ -26,15 +26,19 @@ Evaluation strategy (argument ``w``; the orders of a row are ``s`` and
   are summed; there the prefactor meets ``0 * inf`` at ``w = 0`` and the
   ``log`` terms of the companion cancel.  On the imaginary segment
   ``w = +-ix, 1 < x <= 20``, where the negative-eigenvalue scans, the
-  zero count and the zeta ray sample, all 40 are: every term is of one
-  sign there (DLMF 10.25.2), so nothing cancels.  No scipy routine is
-  called.
+  zero count and the zeta ray sample, all 40 are, in real arithmetic:
+  ``(w/2)^2`` is real there and every term is of one sign (DLMF
+  10.25.2), so nothing cancels.  No scipy routine is called.
 * The real axis ``w = x > 1``, where the spectrum scans and root
-  refinement sample: one ``hankel1e`` call at the base orders ``nu`` and
-  ``nu + 1`` (Amos's routines, D. E. Amos, ACM TOMS 12, 1986, Algorithm
-  644).  ``J`` and ``Y`` are the real and imaginary parts of ``H1``, and
-  the negative orders follow from ``H1_{-nu} = e^(i nu pi) H1_nu`` and
-  the recurrence, so no ``J_{-nu}`` is evaluated by reflection.
+  refinement sample: ``H1`` at the base orders ``nu`` and ``nu + 1``,
+  for ``x <= 20`` from the trapezoidal rule on Hankel's integral along
+  its steepest-descent path (DLMF 10.9.18; Trefethen & Weideman, SIAM
+  Review 56, 2014), 109 nodes whose x factors and order factors are
+  separate tables, and beyond from Hankel's expansion of ``H1`` alone.
+  ``J`` and ``Y`` are the real and imaginary parts of ``H1``, and the
+  negative orders follow from ``H1_{-nu} = e^(i nu pi) H1_nu`` and the
+  recurrence, so no ``J_{-nu}`` is evaluated by reflection.  No scipy
+  routine is called.
 * Every other ``|w| > 20``, the imaginary axis among them: Hankel's
   expansion of ``H1`` and ``H2`` (DLMF 10.17.3-4), a 40-term table in
   ``1/w`` summed like the series zone's, with ``J = (H1 + H2)/2``,
@@ -48,9 +52,11 @@ rows through ``psi = (log(w/2) + gamma) J_0 - (pi/2) Y_0`` (DLMF 10.8.2).
 
 Against mpmath, relative to the envelope ``(2/(pi |w|))^(1/2)``, the
 Hankel zone is good to about 5e-16 (``psi`` to 3e-16 of ``|log(w/2)|``
-times it), the real axis to 2e-15 for ``|w| <= 1000``, the imaginary
-series segment to 1.2e-15, and the ``jve`` annulus to only 5e-14 for
-the negative orders (scipy reflects through ``J_nu`` and ``Y_nu``).
+times it), the real axis to 1.5e-15 up to ``x = 20`` (the trapezoid's
+rounding; Amos's ``hankel1e`` reached 2e-15) and to 5e-16 beyond, out
+to ``x = 1e5``, the imaginary series segment to 1.2e-15, and the ``jve``
+annulus to only 5e-14 for the negative orders (scipy reflects through
+``J_nu`` and ``Y_nu``).
 
 The row building blocks (:func:`phi_rows`, :func:`bessel_jm0_rows` and
 the scalar form :func:`bessel_jm0_series`) are exponentially scaled:
@@ -63,17 +69,21 @@ All complex powers and logarithms use the principal branch; callers keep
 ``Re w >= 0``, where the branch cuts of ``(w/2)^(-nu)`` and ``J_nu``
 cancel.
 
+The scalar functions :func:`hurwitz_zeta` and :func:`exp1` serve the
+zeta estimators of ``determinant.py``; both are written out here.
+
 The scipy routines are read through one lazy handle, ``sc``: importing
 this module loads numpy only, and ``scipy.special`` is imported the
-first time the real-axis zone or the ``jve`` annulus, a scalar Bessel
-function or (through ``determinant.py``) ``exp1`` or the Hurwitz zeta
-is evaluated.
+first time the ``jve`` annulus or a scalar Bessel function
+(:func:`bessel_j`, :func:`bessel_y`, their derivatives, :func:`bessel_jm0`)
+is evaluated.  No spectrum, zeta or determinant route reaches either.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from functools import cached_property
 
 import numpy as np
@@ -95,6 +105,31 @@ _SERIES_TERMS = 14
 # Hankel's expansion omits a_40(nu) / w^40, below 6e-19 for every nu < 2.
 _AXIS_SERIES_RADIUS = 20.0
 _AXIS_SERIES_TERMS = 40
+_HANKEL_POWERS = np.arange(1.0 - _AXIS_SERIES_TERMS, 1.0)  # -k, highest power first
+_HANKEL_ODD_SQUARES = (2.0 * np.arange(1.0, _AXIS_SERIES_TERMS) - 1.0) ** 2  # (2k - 1)^2
+_HANKEL_STEP = 1j / (8.0 * np.arange(1.0, _AXIS_SERIES_TERMS))  # i / (8k)
+
+# Hankel's integral H1_nu(x) = (1/(pi i)) int e^(x sinh w - nu w) dw from
+# -inf to inf + pi i (DLMF 10.9.18), on the steepest-descent path
+# w(t) = t + i(pi/2 + gd t) of x > 0, gd the Gudermannian, where
+# sinh w = i - sinh t tanh t:
+#   H1_nu(x) e^(-ix) = (1/(pi i)) int e^(-x sinh t tanh t) e^(-nu w(t)) w'(t) dt,
+# w'(t) = 1 + i sech t.  The integrand is analytic in a strip about the real
+# t-axis and falls doubly exponentially, so the trapezoidal rule converges
+# exponentially (Trefethen & Weideman, SIAM Review 56, 2014).  With the step
+# h = 0.085 on t in [-4.8, 4.38], 109 nodes, it meets mpmath within 1.5e-15
+# of the envelope (2/(pi x))^(1/2) for 1 < x <= 20 and orders 0 <= nu < 2:
+# rounding, not the rule, sets that bar.  The first factor depends on x
+# alone, the second on the order alone (KernelTable.real_axis).
+_TRAPEZOID_STEP = 0.085
+_t = -4.8 + _TRAPEZOID_STEP * np.arange(109)
+_TRAPEZOID_EXPONENT = -np.sinh(_t) * np.tanh(_t)  # the x factor's exponent over x
+# w(t_j) and log(w'(t_j) h / (pi i)) as columns, so that the order factors of
+# the orders nu, a row, are one complex exp of a (nodes, orders) array
+_t = _t[:, None]
+_TRAPEZOID_PATH = _t + 1j * (0.5 * math.pi + 2.0 * np.arctan(np.tanh(0.5 * _t)))
+_TRAPEZOID_LOG_WEIGHT = np.log((1.0 + 1j / np.cosh(_t)) * (_TRAPEZOID_STEP / (math.pi * 1j)))
+del _t
 
 
 class SpecialFunctionDomainError(ValueError):
@@ -117,7 +152,7 @@ class _ScipySpecial:
         return value
 
 
-# The one handle on scipy.special, for this module and determinant.py.
+# The one handle on scipy.special.
 sc = _ScipySpecial()
 
 
@@ -129,6 +164,82 @@ def gamma_fn(x: float) -> float:
     if x <= 0.0 and x == math.floor(x):
         raise SpecialFunctionDomainError(f"gamma_fn: pole at non-positive integer {x}")
     return math.gamma(x)
+
+
+# B_2j / (2j)!, j = 1 .. 12, the Euler-Maclaurin coefficients of hurwitz_zeta
+_EULER_MACLAURIN = (
+    0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
+    -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
+    1.3382536530684679e-11, -3.3896802963225827e-13, 8.586062056277845e-15,
+    -2.174868698558062e-16, 5.5090028283602295e-18, -1.3954464685812522e-19,
+)
+
+
+def _shifted(a: float, k: int) -> tuple[float, float]:
+    """b = a + k as rounded, and drop with a + k = b (1 + drop) (Knuth's two-sum)."""
+    b = a + k
+    v = b - a
+    return b, ((a - (b - v)) + (k - v)) / b
+
+
+def hurwitz_zeta(s: float, a: float) -> float:
+    """zeta(s, a) = sum_{k>=0} (a + k)^(-s) for real s > 1 and a > 0.
+
+    The terms below b = a + n >= s + 10 are summed as they are, and the rest
+    by Euler-Maclaurin (DLMF 25.11.5 at b): b^(1-s)/(s-1) + b^(-s)/2 +
+    sum_j B_2j/(2j)! (s)_(2j-1) b^(1-s-2j), whose terms then fall by at least
+    ((s + 2j)/(2 pi b))^2 each, so at most 12 of them reach the last bit.
+    a + k rounds, and s times its relative error would show in (a + k)^(-s):
+    each power is corrected by the part the sum drops (Knuth's two-sum).
+    Within 6e-16 relative of mpmath; inf where a term leaves the float range.
+    """
+    eps = sys.float_info.epsilon
+    head, n = 0.0, max(0, math.ceil(s + 10.0 - a))
+    try:
+        for k in range(n):
+            b, drop = _shifted(a, k)
+            term = b**-s * (1.0 - s * drop)
+            head += term
+            if term <= eps * head:  # the rest adds below one ulp
+                return head
+        b, drop = _shifted(a, n)
+        lead = b**-s
+    except OverflowError:
+        return math.inf
+    term, series = s * lead / b, 0.0  # (s)_(2j-1) b^(1-s-2j) at j = 1
+    for j, coeff in enumerate(_EULER_MACLAURIN):
+        added = coeff * term
+        series += added
+        if abs(added) <= 0.25 * eps * lead:
+            break
+        term *= (s + 2 * j + 1) * (s + 2 * j + 2) / (b * b)
+    tail = b * lead / (s - 1.0) + (0.5 * lead + series)
+    return head + tail * (1.0 - (s - 1.0) * drop)  # the tail goes as b^(1-s)
+
+
+def exp1(x: float) -> float:
+    """The exponential integral E1(x) = int_x^inf e^(-t) / t dt for real x > 0.
+
+    Up to x = 1 the series E1(x) = -gamma - log x - sum_{k>=1} (-x)^k / (k k!)
+    (DLMF 6.6.2), summed exactly rounded; above, the continued fraction
+    E1(x) = e^(-x) / (x + 1 - 1/(x + 3 - 4/(x + 5 - ...))) (DLMF 6.9.1 in its
+    even form), 6 + 100/x levels deep from the bottom.  Within 4e-16
+    relative of mpmath.
+    """
+    if not x > 0.0:
+        raise SpecialFunctionDomainError(f"exp1: need real x > 0, got {x!r}")
+    if x <= 1.0:
+        terms, term, k = [-EULER_GAMMA, -math.log(x)], 1.0, 0
+        while abs(term) > 1e-3 * sys.float_info.epsilon * k:  # term = (-x)^k / k!
+            k += 1
+            term *= -x / k
+            terms.append(-term / k)
+        return math.fsum(terms)
+    n = int(6.0 + 100.0 / x)
+    f = x + (2 * n + 1)
+    for k in range(n, 0, -1):
+        f = x + (2 * k - 1) - k * k / f
+    return math.exp(-x) / f
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +330,8 @@ class KernelTable:
     takes 1 and 0.  ``rotation`` is negated on the nu + 1 half, where the
     zones form -H1_{s+1}.  With the companion, ``y_rows`` picks the
     orders 0 and 1 from ``pair`` and ``zero`` is the row of order 0.
-    ``hankel`` is the table of Hankel's expansion of every row.
+    ``hankel`` is the table of Hankel's expansion of every row,
+    ``real_axis`` those of H1 at the orders of ``pair``.
     """
 
     def __init__(self, orders):
@@ -253,17 +365,35 @@ class KernelTable:
         self.disk = self.series[:, -_SERIES_TERMS:].copy()
 
     @cached_property
-    def hankel(self) -> np.ndarray:
-        """Built on first use, highest power of 1/w first: rotation_r c_nu i^k a_k(nu)
-        for every row r at its order nu of ``pair``, c_nu = e^(-i(nu pi/2 + pi/4)) and
+    def hankel_pair(self) -> np.ndarray:
+        """Built on first use, lowest power of 1/w first: c_nu i^k a_k(nu) at every
+        order nu of ``pair``, c_nu = e^(-i(nu pi/2 + pi/4)) and
         a_k(nu) = (4 nu^2 - 1)(4 nu^2 - 9) ... (4 nu^2 - (2k - 1)^2) / (k! 8^k)
-        (DLMF 10.17.1); then their complex conjugates, the coefficients of H2."""
-        nu, k = self.pair[self.rows], np.arange(1.0, _AXIS_SERIES_TERMS)
-        a = np.ones((len(nu), _AXIS_SERIES_TERMS), dtype=complex)  # lowest power first
-        a[:, 1:] = 1j * (4.0 * nu * nu - (2.0 * k - 1.0) ** 2) / (8.0 * k)  # i a_k / a_{k-1}
-        np.cumprod(a, axis=1, out=a)
-        a *= self.rotation * np.exp(-1j * math.pi * (0.5 * nu + 0.25))
+        (DLMF 10.17.1): (2/(pi w))^(-1/2) e^(-iw) H1_nu(w) = sum_k c_nu i^k a_k(nu) / w^k."""
+        nu = self.pair
+        a = np.empty((len(nu), _AXIS_SERIES_TERMS), dtype=complex)
+        a[:, :1] = np.exp(-1j * math.pi * (0.5 * nu + 0.25))
+        a[:, 1:] = (4.0 * nu * nu - _HANKEL_ODD_SQUARES) * _HANKEL_STEP  # i a_k / a_{k-1}
+        return np.cumprod(a, axis=1, out=a)
+
+    @cached_property
+    def hankel(self) -> np.ndarray:
+        """Built on first use, highest power of 1/w first: rotation_r times the
+        :attr:`hankel_pair` series of every row r at its order of ``pair``; then their
+        complex conjugates, the coefficients of H2."""
+        a = self.rotation * self.hankel_pair[self.rows]
         return np.concatenate([a, a.conj()])[:, ::-1].copy()
+
+    @cached_property
+    def real_axis(self) -> tuple[np.ndarray, np.ndarray]:
+        """Built on first use, the two tables of H1_nu(x) e^(-ix) at the orders nu of
+        ``pair`` on the real axis, each with the real and imaginary part of every entry
+        side by side (a float view of a complex array): the trapezoid's order factors
+        e^(-nu w(t_j)) w'(t_j) h / (pi i), node by node, and the :attr:`hankel_pair`
+        series, highest power of 1/x first."""
+        trapezoid = np.exp(_TRAPEZOID_LOG_WEIGHT - _TRAPEZOID_PATH * self.pair.T)
+        series = np.multiply(self.hankel_pair.T[::-1], math.sqrt(2.0 / math.pi), order="C")
+        return trapezoid.view(float), series.view(float)
 
 
 # The zones of phi_rows.  Each takes the KernelTable and a 1-d w (the
@@ -271,15 +401,18 @@ class KernelTable:
 # phi_s'(w) rows, shaped (m, n), and the scaled psi(w), psi'(w) rows,
 # shaped (2, n), where 0 is one of the orders (else None).
 
-def _series_zone(k: KernelTable, w: np.ndarray, table: np.ndarray):
+def _series_zone(k: KernelTable, w: np.ndarray, table: np.ndarray, axis: bool = False):
     # the disk |w| <= 1 with k.disk, the imaginary segment 1 < |w| <= 20
-    # with k.series: every series of the table at u = (w/2)^2 from one
-    # np.vander and one matrix product, which sums the smallest terms first,
-    # as in Horner's scheme; phi_s'(w) and psi'(w) are w/2 times their
-    # derivative rows
+    # with k.series and axis: every series of the table at u = (w/2)^2 from
+    # one np.vander and one matrix product, which sums the smallest terms
+    # first, as in Horner's scheme; on the axis u = -(|w|/2)^2 is real, and
+    # so is every sum.  phi_s'(w) and psi'(w) are w/2 times their derivative
+    # rows
     m, rows = len(k.orders), len(table) // 2
     half = 0.5 * w
-    sums = table @ np.vander(half * half, table.shape[1]).T * np.exp(-np.abs(w.imag))
+    u = half * half
+    sums = table @ np.vander(u.real if axis else u, table.shape[1]).T * np.exp(-np.abs(w.imag))
+    sums = sums.astype(complex, copy=False)
     sums[rows:] *= half
     return sums[:m], sums[rows : rows + m], sums[m::rows] if k.companion else None
 
@@ -293,12 +426,49 @@ def _psi_rows(w: np.ndarray, j, y) -> np.ndarray:
     return np.array([psi, j[0] / w - log_term * j[1] + 0.5 * math.pi * y[1]])
 
 
+def _hankel1e(k: KernelTable, x: np.ndarray) -> np.ndarray:
+    """H1_nu(x) e^(-ix) at every order nu of ``k.pair`` and every real x > 1,
+    shaped (len(pair), n): the trapezoid sum of Hankel's integral up to
+    x = 20, Hankel's expansion beyond.  Each entry is one (1, nodes) @ (nodes,
+    columns) product of a stacked np.matmul, so its value does not depend on
+    the other entries (one matrix product sums one row in another order than
+    many)."""
+    trapezoid, series = k.real_axis
+
+    def near_sums(x):
+        # each exponent is kept above -100, where a node adds below 1e-40 to the
+        # sum: an exp that underflows costs up to 50 times one that does not
+        exponent = x[:, None] * _TRAPEZOID_EXPONENT
+        np.maximum(exponent, -100.0, out=exponent)
+        return np.matmul(np.exp(exponent, out=exponent)[:, None], trapezoid)
+
+    def far_sums(x):
+        # x^-k as exp(-k log x), whose rounding k |log x| eps only reaches the
+        # terms k >= 1, below a_1 / x < 0.02 of the sum; (2/pi)^(1/2) is in the table
+        powers = np.exp(np.multiply.outer(np.log(x), _HANKEL_POWERS))
+        return np.matmul(powers[:, None], series) / np.sqrt(x)[:, None, None]
+
+    far = x > _AXIS_SERIES_RADIUS
+    split = x.size - np.count_nonzero(far)
+    if split == x.size:
+        sums = near_sums(x)
+    elif split == 0:
+        sums = far_sums(x)
+    elif not far[:split].any():  # the far entries last, as on an ascending x: no scatter
+        sums = np.concatenate([near_sums(x[:split]), far_sums(x[split:])])
+    else:
+        sums = np.empty((x.size, 1, trapezoid.shape[1]))
+        near = ~far
+        sums[near], sums[far] = near_sums(x[near]), far_sums(x[far])
+    return sums.reshape(x.size, -1).view(complex).T
+
+
 def _real_zone(k: KernelTable, w: np.ndarray):
     # J = Re H1 and Y = Im H1, with H1_{-nu} = e^(i nu pi) H1_nu and
     # H1_{1-nu} = e^(i nu pi) H1_{nu+1} - (2 nu / x) H1_{-nu}
     m = len(k.orders)
     x = w.real
-    h = sc.hankel1e(k.pair, x) * np.exp(1j * x)
+    h = _hankel1e(k, x) * np.exp(1j * x)
     hr = k.rotation * h[k.rows]  # H1_s, then -H1_{s+1} before the shift term
     hr[m:] -= k.shift / x * hr[:m]
     rows = (0.5 * x) ** k.exponent * hr.real.reshape(2, m, -1)
@@ -363,7 +533,8 @@ def phi_rows(k: KernelTable, w: np.ndarray):
     depend on the other entries: the series zone (|w| <= 1 with the
     14-term ``KernelTable.disk``, the imaginary axis up to |w| = 20 with
     the 40-term ``KernelTable.series``) sums every row, psi among them,
-    in one matrix product; the real axis (``hankel1e``), every other
+    in one matrix product; the real axis (``KernelTable.real_axis``: the
+    trapezoid up to x = 20, Hankel's expansion beyond), every other
     |w| > 20 (``KernelTable.hankel``) and the annulus 1 < |w| <= 20 off
     both axes (``jve`` and ``yve``) take psi from their Y_0, Y_1 rows
     (DLMF 10.8.2).
@@ -380,7 +551,7 @@ def phi_rows(k: KernelTable, w: np.ndarray):
         far = outside & ~real & (radius > _AXIS_SERIES_RADIUS)
         zones += [
             (real, _real_zone),
-            (imag & ~far, _series_zone, k.series),
+            (imag & ~far, _series_zone, k.series, True),
             (far, _hankel_zone),
             (outside & ~(real | imag | far), _general_zone),
         ]

@@ -645,9 +645,10 @@ def _scipy_after_command(*argv: str) -> set[str]:
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy.special (about 0.37 s of import) loads on the first Bessel or zeta
-    # evaluation, and the Gauss-Legendre table is written out, so scipy.linalg
-    # never loads
+    # scipy.special (about 0.2 s of import) loads only on the first Bessel
+    # evaluation off both axes in the annulus 1 < |w| <= 20 or a scalar Bessel
+    # call, and the Gauss-Legendre table is written out, so scipy.linalg never
+    # loads
     assert _scipy_after("import regsing.cli") == set()
 
 
@@ -680,7 +681,16 @@ def test_commands_without_bessel_functions_load_no_scipy(argv):
     assert _scipy_after_command(*argv) == set()
 
 
-def test_spectrum_loads_scipy_special_but_not_linalg():
-    loaded = _scipy_after_command("spectrum", str(FIXTURES / "readme_two_channel.json"))
-    assert "scipy.special" in loaded
-    assert "scipy.linalg" not in loaded
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", str(FIXTURES / "readme_two_channel.json")),
+        ("zeta", str(FIXTURES / "readme_two_channel.json"), "--s", "2", "--mu-max", "300"),
+    ],
+    ids=["spectrum", "zeta"],
+)
+def test_spectrum_and_zeta_load_no_scipy(argv):
+    # the real axis is a trapezoid sum of Hankel's integral up to |mu R| = 20
+    # and Hankel's expansion beyond, and the direct zeta estimator's Hurwitz
+    # zeta is written out: neither command loads any scipy module
+    assert _scipy_after_command(*argv) == set()

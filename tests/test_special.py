@@ -381,6 +381,101 @@ def test_imaginary_series_segment_matches_mpmath(axis):
     assert max(abs(got - want) / abs(want) for got, want in pairs) <= 3e-15
 
 
+# the real zone's seams: the series disk below x = 1, the trapezoid sum of
+# Hankel's integral up to x = 20, Hankel's expansion beyond
+REAL_ORDERS = (0.0, 1e-3, -1e-3, 0.5, -0.5, 0.999, -0.999)
+REAL_RADII = (
+    1.0 - 1e-16, 1.0 + 2e-16, 1.0001, 1.3, 2.0, 4.7, 9.9, 15.0,
+    20.0 * (1.0 - 1e-15), 20.0, 20.0 * (1.0 + 1e-15), 20.001, 31.0, 123.4, 1e3, 1e4, 1e5,
+)
+
+
+def test_real_zone_matches_mpmath_across_its_seams():
+    # every row and its companion psi rows, on both sides of x = 1 and x = 20
+    # and out to 1e5, within 2e-15 of the envelope (2/(pi x))^(1/2) times the
+    # row's power (x/2)^(-s) (psi: times 1 + |log(x/2) + gamma|, its Y_0 weight)
+    x = np.array(REAL_RADII)
+    val, der, psi = phi_rows(KernelTable(REAL_ORDERS), x + 0j)
+    worst = 0.0
+    for j, xj in enumerate(x.tolist()):
+        with mpmath.workdps(30):
+            xm = mpmath.mpf(xj)
+            envelope = mpmath.sqrt(2 / (mpmath.pi * xm))
+            log_term = mpmath.log(xm / 2) + mpmath.euler
+            j0, j1 = mpmath.besselj(0, xm), mpmath.besselj(1, xm)
+            y0, y1 = mpmath.bessely(0, xm), mpmath.bessely(1, xm)
+            scale = envelope * (1 + abs(log_term))
+            want = [
+                (psi[0, j], log_term * j0 - mpmath.pi / 2 * y0, scale),
+                (psi[1, j], j0 / xm - log_term * j1 + mpmath.pi / 2 * y1, scale),
+            ]
+            for k, s in enumerate(REAL_ORDERS):
+                power = (xm / 2) ** (-s)
+                want.append((val[k, j], power * mpmath.besselj(s, xm), power * envelope))
+                want.append((der[k, j], -power * mpmath.besselj(s + 1, xm), power * envelope))
+        for got, ref, bar in want:
+            assert got.imag == 0.0
+            worst = max(worst, abs(got.real - float(ref)) / float(bar))
+    assert worst <= 2e-15, worst
+
+
+def test_real_axis_array_is_bit_identical_to_its_one_point_calls():
+    # each entry of a real-axis array past x = 1, on both sides of x = 20, is
+    # one (1, nodes) @ (nodes, columns) product of a stacked matmul: no
+    # entry's value depends on the others, to the last bit.  The disk entries
+    # of the same array are one plain matrix product, good to an ulp or two
+    table = KernelTable((0.0, 0.3, -0.3, 0.999, -0.999))
+    w = np.concatenate([np.linspace(0.5, 60.0, 61), [1.0, 1.0 + 2e-16, 20.0, 20.0 * (1.0 + 1e-15)]])
+    rows = phi_rows(table, w + 0j)
+    for j, wj in enumerate(w.tolist()):
+        one = phi_rows(table, np.array([wj + 0j]))
+        for many, single in zip(rows, one):
+            if wj > 1.0:
+                assert np.array_equal(many[:, j], single[:, 0]), wj
+            else:
+                assert np.all(np.abs(many[:, j] - single[:, 0]) <= 4e-16 * np.abs(single[:, 0]) + 1e-300)
+
+
+def _mp_hurwitz_zeta(s: float, a: float):
+    """zeta(s, a) at 50 digits: 60 terms, then Euler-Maclaurin with 30
+    Bernoulli terms.  mpmath.zeta(s, a) itself loses digits at large a and s
+    (2.3e-12 relative at s = 30, a = 131.2, even at 60 digits)."""
+    with mpmath.workdps(50):
+        s, a = mpmath.mpf(s), mpmath.mpf(a)
+        b = a + 60
+        tail = b ** (1 - s) / (s - 1) + b ** (-s) / 2
+        for j in range(1, 31):
+            coeff = mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j)
+            tail += coeff * mpmath.rf(s, 2 * j - 1) * b ** (1 - s - 2 * j)
+        return mpmath.fsum((a + k) ** (-s) for k in range(60)) + tail
+
+
+@pytest.mark.parametrize("s", [1.001, 1.5, 2.0, 3.0, 4.0, 5.0, 7.3, 10.0, 30.0])
+def test_hurwitz_zeta_matches_mpmath(s):
+    # the direct zeta estimator's tail, at its arguments 2s, 2s + 1 and 2s + 2,
+    # for tail starts a below and above the Euler-Maclaurin start s + 10 and
+    # for a non-integer a, whose a + k round: within 1e-15 relative
+    for a in (0.3, 1.0, 2.7, 9.99, 10.0, 11.3, 31.7, 131.2, 1000.5, 1e4):
+        want = _mp_hurwitz_zeta(s, a)
+        assert abs(special.hurwitz_zeta(s, a) - want) <= 1e-15 * want, (s, a)
+
+
+def test_exp1_matches_mpmath():
+    # the series up to x = 1, the continued fraction above, where the log
+    # channel's ray tail takes E1 at 2 s (log x_cut - gamma~) > 0: within 1e-15
+    # relative, and quietly
+    x = np.concatenate([np.geomspace(1e-300, 1.0, 80), [1.0 + 2e-16], np.geomspace(1.0, 700.0, 120)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [special.exp1(v) for v in x.tolist()]
+    for v, g in zip(x.tolist(), got):
+        want = mpmath.e1(v)
+        assert abs(g - want) <= 1e-15 * want, v
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(SpecialFunctionDomainError):
+            special.exp1(bad)
+
+
 @pytest.mark.parametrize("angle", [1e-12, -1e-12, 0.4, -0.4, 1.2])
 def test_rows_off_the_real_axis_beyond_radius_20_match_mpmath(angle):
     # Hankel's expansion, from just outside |w| = 20 to 1e5, close to the real
@@ -440,21 +535,19 @@ class _CountingScipy:
 
 @pytest.mark.parametrize("axis", ["real", "+imag", "-imag", "off"])
 def test_axis_rows_make_no_jve_call(monkeypatch, axis):
-    # an array on the real axis, on both sides of the series seam, takes one
-    # hankel1e call and none of jve or yve; an imaginary one takes no scipy
-    # call at any radius, and the companion rows built on either take none at
-    # all.  An array off the axes takes jve and yve for its part in the
-    # annulus 1 < |w| <= 20 and none beyond.
+    # an array on either axis takes no scipy call at any radius, and the
+    # companion rows built on it take none at all.  An array off the axes
+    # takes jve and yve for its part in the annulus 1 < |w| <= 20 and none
+    # beyond.
     calls = collections.Counter()
     monkeypatch.setattr(special, "sc", _CountingScipy(calls))
     unit = AXES.get(axis, np.exp(0.4j))
     table = KernelTable((0.0, 0.3, -0.3, 0.7, -0.7))
     w = unit * np.linspace(0.5, 300.0, 64)
     val, der, y = phi_rows(table, w)
-    want = {"real": {"hankel1e": 1}, "off": {"jve": 2, "yve": 1}}.get(axis, {})
+    want = {"off": {"jve": 2, "yve": 1}}.get(axis, {})
     assert calls == want
     calls.clear()
     bessel_jm0_rows(w / 2.0, 2.0, val[0], der[0], y)
-    if axis != "real":
-        phi_rows(table, unit * np.array([20.0 * (1.0 + 1e-15), 1e5, 1e300]))
+    phi_rows(table, unit * np.array([20.0 * (1.0 + 1e-15), 1e5, 1e300]))
     assert not calls
