@@ -268,6 +268,8 @@ def _cmd_eval_f(args: argparse.Namespace, doc: dict):
 def _cmd_f_at_zero(args: argparse.Namespace, doc: dict):
     val = eval_F_at_zero(parse_operator_document(doc))
     rows = [["field", "value"], ["f_zero", _fmt_float(val.real)]]
+    if isinstance(val, complex):  # complex tip matrices
+        rows.append(["f_zero_im", _fmt_float(val.imag)])
     return {"f_zero": val}, rows, EXIT_OK
 
 

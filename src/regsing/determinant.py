@@ -406,11 +406,10 @@ def _zeta_contour(ev: SecularEvaluator, s: float, t: float) -> tuple[float, floa
     if s == m:  # the arc alone, zeta(m) = p_m / rho^m
         if m > p.size:
             raise NumericalError(f"zeta({m}) needs p_{m}, past the circle's {p.size} power sums")
-        scale = math.prod([1.0 / ev.circle_radius] * (2 * m))  # inf, not OverflowError, at large R
-        value = p[m - 1] * scale
+        value = ev.over_rho(float(p[m - 1]), m)
         if not math.isfinite(value):
             raise NumericalError(f"zeta({m}) = {value} is beyond the float range")
-        return _with_digit(value, dp[m - 1] * scale + 1e-12 * abs(value), t)
+        return _with_digit(value, ev.over_rho(float(dp[m - 1]), m) + 1e-12 * abs(value), t)
     while not ev.zero_free(4.0 * t):  # at most twice: the disk below t is certified
         t *= 0.5
     zeros = ev.imag_zeros_beyond(t)

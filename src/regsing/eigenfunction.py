@@ -24,9 +24,11 @@ written through the entire even functions phi_nu(w) = (w/2)^(-nu) J_nu(w),
 so every trace is an even entire function of mu and F is analytic
 in mu^2 (the log mu pieces of the companion solution cancel identically).
 
-Robin rows evaluate kappa * T(R) + sqrt(R) * dT/dx(R) with
-kappa = 1/(2 sqrt(R)) + alpha sqrt(R); Dirichlet rows evaluate the
-solution trace sqrt(R) * T(R).  The traces carry the factor
+A row is wt T(R) + wx dT/dx(R): (kappa, sqrt(R)) at a Robin end
+f' + alpha f = 0, kappa = 1/(2 sqrt(R)) + alpha sqrt(R), and (sqrt(R), 0)
+at a Dirichlet one.  Every row and its mu-derivative is a fixed linear
+combination of the kernel rows (:func:`_boundary_map`), so the end
+condition enters only as weights.  The traces carry the factor
 exp(-|Im mu R|) of the exponentially scaled Bessel kernel, so entries
 stay finite on contours where F grows like exp(q |Im mu| R); `scaled`
 returns a mantissa and a real log-scale with F = mantissa *
@@ -60,7 +62,6 @@ from .operators import (
 from .special import (
     EULER_GAMMA,
     KernelTable,
-    bessel_jm0_rows,
     gamma_fn,
     phi_rows,
 )
@@ -74,6 +75,7 @@ _CIRCLE_POINTS = 16  # m
 _CIRCLE_RHO = 0.8  # rho R^2: every point lies inside the series disk |mu R| <= 1
 _CIRCLE_FLOOR = 64.0 * sys.float_info.epsilon  # c_n below this share of max |F_j| is rounding
 _CIRCLE = np.exp(1j * math.pi * np.arange(_CIRCLE_POINTS) / _CIRCLE_POINTS)  # mu_j over |mu_j|
+_PROBES = np.concatenate(([0.0], _CIRCLE))  # the probes of k0 over circle_radius
 _LOG_MAX = math.log(sys.float_info.max)
 _IMAG_GRID_XR = 12.0  # x R where the imaginary grid that cuts (0, inf] ends
 _ANGLE_SLACK = 1e-9  # an angle this close to 0 may lie on either side of it by rounding
@@ -119,10 +121,51 @@ class Spectrum:
     passes: int = field(default=0, compare=False)
 
 
-def _trace(s, g, phi, dphi, mu, r: float):
-    """T and T_x at x = r of the branch T = g x^s phi_s(mu x), g = Gamma(1 + s) R^s,
-    from the scaled phi_s(w) and phi_s'(w) (broadcasting arrays)."""
-    return g * phi, g * (s / r * phi + mu * dphi)
+def _boundary_map(spec: OperatorSpec) -> tuple[list[float], np.ndarray]:
+    """The kernel orders and the map (a, b, c, e), shaped (4, 2q, m'), from the kernel
+    rows V (:func:`phi_rows`, psi last on a log channel) and their w-derivatives D to
+    the rows (jp, jm) = a V + w b D and their mu-derivatives c D + w e V, w = mu R.
+
+    A row is wt T(R) + wx T_x(R), (wt, wx) = (kappa, sqrt(R)) at a Robin end and
+    (sqrt(R), 0) at a Dirichlet one.  A branch T = g x^s phi_s(mu x), g = Gamma(1 + s) R^s,
+    has T_x = g (s phi_s / R + mu phi_s'), T_mu = g R phi_s' and, as w phi_s'' +
+    (2s + 1) phi_s' + w phi_s = 0, T_xmu = -g (s phi_s' + w phi_s); the companion
+    C = log(R) phi_0 - psi has C_x = phi_0 / R + mu E, C_mu = R E with
+    E = log(R) phi_0' - psi', and C_xmu = -w C - phi_0'.  In w, not in mu, no entry
+    carries a spare power of R (in mu the Robin -sqrt(R) g R of mu phi_s underflowed at
+    R = 5.3e-280), and each takes the weights' powers of R before g.  Where R^s, T or
+    T_x at unit kernel values and mu = 1, their row or 1/R overflow, F overflows at
+    every mu: a NumericalError."""
+    r, q, q0, nus = spec.r, spec.q, spec.q0, spec.nus
+    sqrt_r = math.sqrt(r)
+    wt, wx = (sqrt_r, 0.0) if isinstance(spec.regular_bc, Dirichlet) else (spec.kappa, sqrt_r)
+    # the +nu branch of each channel (s = 0 on a log channel): the rows of jp; the -nu
+    # branch of each other channel: the rows of jm after the q0 companions
+    branch_s = list(nus) + [-nu for nu in nus[q0:]]
+    orders = list(dict.fromkeys(branch_s))
+    try:
+        g = [gamma_fn(1.0 + s) * r**s for s in branch_s]
+    except OverflowError:
+        g = [math.inf]
+    t_x = [gs * (s / r + 1.0) for s, gs in zip(branch_s, g)]
+    unit = [1.0 / r, *g, *t_x, *(wt * gs + wx * t for gs, t in zip(g, t_x))]
+    if not all(map(math.isfinite, unit)):
+        raise NumericalError(f"the boundary rows leave the float range at R = {r:.6g}")
+    # (row, kernel row, a, b, c, e) of each nonzero entry
+    entries = [
+        (row, orders.index(s), wt * gs + wx * s / r * gs, wx / r * gs,
+         wt * (r * gs) - wx * (s * gs), -wx * gs)
+        for row, s, gs in zip([*range(q), *range(q + q0, 2 * q)], branch_s, g)
+    ]
+    if q0:  # the companions, on phi_0 (the first kernel row) and psi (the last)
+        log_r = math.log(r)
+        phi0 = (0, wt * log_r + wx / r, wx * log_r / r, wt * r * log_r - wx, -wx * log_r)
+        psi = (-1, -wt, -wx / r, -wt * r, wx)
+        entries += [(row, *v) for row in range(q, q + q0) for v in (phi0, psi)]
+    row, column, *coeffs = zip(*entries)
+    maps = np.zeros((4, 2 * q, len(orders) + (q0 > 0)))
+    maps[:, row, column] = coeffs
+    return orders, maps
 
 
 def _unscaled(mant: np.ndarray, logs: np.ndarray) -> np.ndarray:
@@ -167,7 +210,8 @@ class SecularEvaluator:
     """The prepared operator: per-operator tables, F and dlog F.
 
     Construction validates the tip condition and raises
-    :class:`InvalidOperatorError` where it fails.  The characteristic
+    :class:`InvalidOperatorError` where it fails, and builds the map from
+    kernel rows to boundary rows (:func:`_boundary_map`).  The characteristic
     values `cv`, the asymptotic model `model` and the kernel order `k0`
     are worked out on first use and kept, so every route of one request
     reads the same decision.  The probes of `k0` are F(0), kept as `f0`,
@@ -203,35 +247,13 @@ class SecularEvaluator:
             )
         self.spec = spec
         self.r = spec.r
-        self.sqrt_r = math.sqrt(spec.r)
         self.q = spec.q
         self.q0 = spec.q0
-        self.dirichlet = isinstance(spec.regular_bc, Dirichlet)
-        self.kappa = None if self.dirichlet else spec.kappa
         self.counts = Counter()
-        # every branch but the companions: the +nu branch of each channel
-        # (s = 0 on the nu = 0 channels), then the -nu branch of each other
-        # channel; each distinct order has one kernel, 0 first when q0 > 0
-        branch_s = list(spec.nus) + [-nu for nu in spec.nus[spec.q0 :]]
-        orders = list(dict.fromkeys(branch_s))
+        orders, self._map = _boundary_map(spec)
         self._kernel = KernelTable(orders)
-        # per branch: its kernel row, s and Gamma(1 + s) R^s
-        self._branch_rows = np.array([orders.index(s) for s in branch_s], dtype=int)
-        self._branch_s = np.array(branch_s)
-        # at an R so small or large that R^s, the trace, its x-derivative or
-        # the row of a unit kernel value (phi = phi' = mu = 1), or the 1/R of
-        # the companion rows, overflow, F overflows at every mu
-        try:
-            g = [gamma_fn(1.0 + s) * spec.r**s for s in branch_s]
-        except OverflowError:
-            g = [math.inf]
-        traces = [_trace(s, gs, 1.0, 1.0, 1.0, spec.r) for s, gs in zip(branch_s, g)]
-        unit = [1.0 / spec.r] + [v for t in traces for v in (*t, self._row(*t))]
-        if not all(map(math.isfinite, unit)):
-            raise NumericalError(f"the boundary rows leave the float range at R = {spec.r:.6g}")
-        self._branch_g = np.array(g)
         # the tip rows [A | B], each over its largest entry (validation makes it nonzero)
-        top = np.hstack([spec.boundary.a_mat, spec.boundary.b_mat]).tolist()
+        top = np.concatenate([spec.boundary.a_mat, spec.boundary.b_mat], axis=1).tolist()
         tops = [max(map(abs, row)) for row in top]
         rows = [[v / t for v in row] for row, t in zip(top, tops)]
         top = np.array(rows)
@@ -241,12 +263,12 @@ class SecularEvaluator:
         off = (v for l, row in enumerate(rows) for j, v in enumerate(row) if j % self.q != l)
         self.diagonal = not any(off)
         self.width = 1 if self.diagonal else self.q
-        self._ad, self._bd = (np.array([row[l + j] for l, row in enumerate(rows)]) for j in (0, self.q))
+        self._ad, self._bd = self._at.diagonal(), self._bt.diagonal()
         log_top = list(map(math.log, tops))
         self._log_top = np.array(log_top if self.diagonal else [sum(log_top)])  # per factor
         # the probes: F(0), then F on the Taylor circle
         self.circle_radius = math.sqrt(_CIRCLE_RHO) / spec.r
-        self._probe_mu = np.concatenate(([0.0], self.circle_radius * _CIRCLE))
+        self._probe_mu = self.circle_radius * _PROBES
 
     @cached_property
     def cv(self) -> CharacteristicValues:
@@ -319,13 +341,19 @@ class SecularEvaluator:
             raise KernelOrderError(f"zero of order {above[0]} at mu = 0 exceeds q = {self.q}")
         return int(above[0])
 
+    def over_rho(self, value, n: int):
+        """A Python float or complex value over rho^n, rho = circle_radius^2, one factor
+        R / sqrt(rho R^2) at a time: R^2 alone leaves the float range at extreme R, and
+        a product that does is inf, not an OverflowError or a numpy warning."""
+        scale = self.r / math.sqrt(_CIRCLE_RHO)
+        for _ in range(2 * n):
+            value *= scale
+        return value
+
     @property
     def f_tilde0(self) -> complex:
-        """F~(0) of F~ = F / mu^(2 k0), the Taylor coefficient of lambda^k0."""
-        # c_k0 over rho^k0, one factor R / sqrt(rho R^2) at a time: R^2 alone
-        # leaves the float range at extreme R
-        scale = self.r / math.sqrt(_CIRCLE_RHO)
-        return complex(self._taylor[0][self.k0]) * math.prod([scale] * (2 * self.k0))
+        """F~(0) of F~ = F / mu^(2 k0), the Taylor coefficient of lambda^k0: c_k0 / rho^k0."""
+        return self.over_rho(complex(self._taylor[0][self.k0]), self.k0)
 
     @property
     def floor_margin(self) -> float:
@@ -375,49 +403,25 @@ class SecularEvaluator:
     @property
     def zeta_1(self) -> float:
         """zeta(1) = p_1 / rho = -b_1 / rho, the first of :attr:`power_sums` alone: one division."""
-        scale = self.r / math.sqrt(_CIRCLE_RHO)  # 1 / rho = scale^2
-        return -(self._taylor[0][self.k0 + 1] / self._taylor[0][self.k0]).real * scale * scale
+        c = self._taylor[0]
+        return self.over_rho(-float((c[self.k0 + 1] / c[self.k0]).real), 1)
 
     # -- row entries --------------------------------------------------------
 
-    def _row(self, t, t_x):
-        """Boundary row at x = R from a solution trace t and its x-derivative t_x."""
-        if self.dirichlet:
-            return self.sqrt_r * t
-        return self.kappa * t + self.sqrt_r * t_x
-
     def _traces(self, mu: np.ndarray, deriv: bool = False) -> tuple[np.ndarray, ...]:
-        """Diagonal entries (jp, jm) of the lower blocks, Re mu >= 0, shaped (q,) + mu.shape.
-
-        Every branch comes from one :func:`phi_rows` pass.  With ``deriv``
-        their mu-derivatives (djp, djm) follow.  Each branch carries its
-        trace T, T_x and the mu-derivatives T_mu, T_xmu; for
-        phi_s(w) = (w/2)^(-s) J_s(w) with w phi'' + (2s + 1) phi' + w phi = 0,
-        T = g R^s phi_s(w) gives T_mu = g R^(s+1) phi_s'(w) and
-        T_xmu = -g R^s (s phi_s'(w) + w phi_s(w)).  The companion
-        C = log(R) phi_0(w) - psi(w) comes from the psi rows of the same
-        pass, and C_xmu = -mu R C + J_1(w), with J_1(w) = -phi_0'(w).
-        """
+        """Diagonal entries (jp, jm) of the lower blocks, Re mu >= 0, shaped (q,) + mu.shape,
+        with ``deriv`` their mu-derivatives (djp, djm): one :func:`phi_rows` pass at w = mu R
+        and the map of :func:`_boundary_map`, no branch on the end condition or on q0."""
         self.counts["passes"] += 1
-        r, q = self.r, self.q
-        w = mu * r
-        val, der, psi = phi_rows(self._kernel, w)
-        phi, dphi = val[self._branch_rows], der[self._branch_rows]
-        lift = (slice(None),) + (None,) * mu.ndim  # branch constants broadcast over mu
-        s, g = self._branch_s[lift], self._branch_g[lift]
-        rows = self._row(*_trace(s, g, phi, dphi, mu, r))
-        jp, jm = rows[:q], rows[q:]
+        w = mu.ravel() * self.r
+        # the real and imaginary part of every entry side by side: a real matrix
+        # product, whose columns do not depend on how many points it takes
+        val, der = (v.view(float) for v in phi_rows(self._kernel, w))
+        a, b, c, e = self._map
+        rows = [(a @ val).view(complex) + w * (b @ der).view(complex)]
         if deriv:
-            drows = self._row(g * r * dphi, -g * (s * dphi + w * phi))
-            djp, djm = drows[:q], drows[q:]
-        if self.q0:  # the companion rows come first in jm (and djm)
-            c, c_x, c_mu = bessel_jm0_rows(mu, r, val[0], der[0], psi)
-            n = (self.q0,) + mu.shape
-            jm = np.concatenate([np.broadcast_to(self._row(c, c_x), n), jm])
-            if deriv:
-                lead = self._row(c_mu, -mu * r * c - der[0])
-                djm = np.concatenate([np.broadcast_to(lead, n), djm])
-        return (jp, jm, djp, djm) if deriv else (jp, jm)
+            rows.append((c @ der).view(complex) + w * (e @ val).view(complex))
+        return tuple(v for r in rows for v in r.reshape((2, self.q) + mu.shape))
 
     @cached_property
     def _tip_turn(self) -> tuple[np.ndarray, np.ndarray]:
@@ -487,6 +491,7 @@ class SecularEvaluator:
         with np.errstate(over="ignore", invalid="ignore"):
             jp, jm, *djs = self._traces(mu, deriv)
             n, scale = self._system(jp, jm), _scales(jp, jm)
+            dn = self._system(*djs) if deriv else None  # N', not finite past the float range
             growth = self.width * self.r * abs(mu.imag)  # each column of N carries exp(-|Im mu R|)
         if not np.isfinite(scale).all():  # the largest trace of a column, or NaN
             at = np.min(np.abs(mu.T[~np.isfinite(scale).all(-1)]))
@@ -498,7 +503,7 @@ class SecularEvaluator:
             logs = np.log(scale).sum(axis=-1, keepdims=True)
         out = (mant.T, (logs + self._log_top).T + growth)
         if deriv:
-            out += (self._jacobi(flip, n, self._system(*djs), scale),)
+            out += (self._jacobi(flip, n, dn, scale),)
         return (*out, jp, jm)
 
     # -- log-derivative -----------------------------------------------------
@@ -530,7 +535,7 @@ class SecularEvaluator:
         """The log-derivatives of F's factors, shaped (f,) + mu.shape, from :meth:`_system`
         of the traces and of their mu-derivatives and the column scales of :meth:`_pass`:
         N'_ll / N_ll on a diagonal tip, else tr(N^-1 N'); negated where mu was reflected."""
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             if self.diagonal:
                 out = dn / n
             else:  # tr(N^-T N'^T) = tr(N^-1 N'), both over the column scales of the

@@ -1,11 +1,14 @@
 """Special-function kernel: Bessel functions and Gamma.
 
-Everything here is pure and reentrant.  The row building blocks are
-stacked ndarray entry points (:func:`phi_rows`, :func:`bessel_jm0_rows`)
-that evaluate every order of an operator over a whole array of
-arguments in one pass; the per-order constants they need are worked out
-once per operator in a :class:`KernelTable`.  The other public
-functions are scalar.  The engine needs
+Everything here is pure and reentrant.  The row building block is
+one stacked ndarray entry point, :func:`phi_rows`, that evaluates the
+kernel rows of an operator over a whole array of arguments in one
+pass: ``phi_s`` at every order ``s`` and, where ``0`` is one of them,
+``psi``, the part of the logarithmic companion that is not a multiple
+of ``J_0``; the per-order constants it needs are worked out once per
+operator in a :class:`KernelTable`.  The boundary rows are a fixed
+linear map of these rows (``eigenfunction._boundary_map``).  The other
+public functions are scalar.  The engine needs
 
 * ``J_nu(z)`` for real order ``nu`` and complex argument ``z`` (secular
   determinants are evaluated on contours in the right half-plane and on
@@ -49,6 +52,8 @@ Evaluation strategy (argument ``w``; the orders of a row are ``s`` and
 
 These three zones turn their ``Y_0``, ``Y_1`` rows into ``psi``
 rows through ``psi = (log(w/2) + gamma) J_0 - (pi/2) Y_0`` (DLMF 10.8.2).
+Every table is summed entry by entry (a stacked matrix product), so an
+entry of an array is bit-identical to its one-point call.
 
 Against mpmath, relative to the envelope ``(2/(pi |w|))^(1/2)``, the
 Hankel zone is good to about 5e-16 (``psi`` to 3e-16 of ``|log(w/2)|``
@@ -58,8 +63,8 @@ to ``x = 1e5``, the imaginary series segment to 1.2e-15, and the ``jve``
 annulus to only 5e-14 for the negative orders (scipy reflects through
 ``J_nu`` and ``Y_nu``).
 
-The row building blocks (:func:`phi_rows`, :func:`bessel_jm0_rows` and
-the scalar form :func:`bessel_jm0_series`) are exponentially scaled:
+The row building blocks (:func:`phi_rows` and the scalar companion
+:func:`bessel_jm0_series`) are exponentially scaled:
 they return their value times ``exp(-|Im w|)``, so the ``exp(|Im w|)``
 growth on the imaginary axis never overflows.  For real arguments the
 factor is 1.  ``bessel_j``, ``bessel_y`` and their derivatives are
@@ -105,9 +110,11 @@ _SERIES_TERMS = 14
 # Hankel's expansion omits a_40(nu) / w^40, below 6e-19 for every nu < 2.
 _AXIS_SERIES_RADIUS = 20.0
 _AXIS_SERIES_TERMS = 40
+_K = np.arange(1.0, _AXIS_SERIES_TERMS)  # k = 1, 2, ...
+_PSI_SERIES = np.cumsum(1.0 / _K) * np.cumprod(-1.0 / (_K * _K))  # (-1)^k H_k / (k!)^2
 _HANKEL_POWERS = np.arange(1.0 - _AXIS_SERIES_TERMS, 1.0)  # -k, highest power first
-_HANKEL_ODD_SQUARES = (2.0 * np.arange(1.0, _AXIS_SERIES_TERMS) - 1.0) ** 2  # (2k - 1)^2
-_HANKEL_STEP = 1j / (8.0 * np.arange(1.0, _AXIS_SERIES_TERMS))  # i / (8k)
+_HANKEL_ODD_SQUARES = (2.0 * _K - 1.0) ** 2  # (2k - 1)^2
+_HANKEL_STEP = 1j / (8.0 * _K)  # i / (8k)
 
 # Hankel's integral H1_nu(x) = (1/(pi i)) int e^(x sinh w - nu w) dw from
 # -inf to inf + pi i (DLMF 10.9.18), on the steepest-descent path
@@ -352,15 +359,14 @@ class KernelTable:
         rotation = [cmath.exp(1j * math.pi * nu) for nu in reflected]
         self.rotation = np.array(rotation + [-v for v in rotation])[:, None]
         self.shift = np.array([-2.0 * nu for nu in reflected])[:, None]
-        k = np.arange(1.0, _AXIS_SERIES_TERMS)
         rows = m + self.companion
         c = np.zeros((2 * rows, _AXIS_SERIES_TERMS))  # lowest power first
         c[:m, 0] = [1.0 / gamma_fn(v + 1.0) for v in s]
-        c[:m, 1:] = -1.0 / (k * (self.column + k))  # c_k / c_{k-1}
+        c[:m, 1:] = -1.0 / (_K * (self.column + _K))  # c_k / c_{k-1}
         np.cumprod(c[:m], axis=1, out=c[:m])
-        if self.companion:  # psi: (-1)^k H_k / (k!)^2
-            c[m, 1:] = np.cumsum(1.0 / k) * np.cumprod(-1.0 / (k * k))
-        c[rows:, :-1] = k * c[:rows, 1:]  # d/dw sum c_k (w/2)^(2k) = (w/2) sum k c_k u^(k-1)
+        if self.companion:  # psi
+            c[m, 1:] = _PSI_SERIES
+        c[rows:, :-1] = _K * c[:rows, 1:]  # d/dw sum c_k (w/2)^(2k) = (w/2) sum k c_k u^(k-1)
         self.series = c[:, ::-1].copy()
         self.disk = self.series[:, -_SERIES_TERMS:].copy()
 
@@ -397,33 +403,35 @@ class KernelTable:
 
 
 # The zones of phi_rows.  Each takes the KernelTable and a 1-d w (the
-# series zone also the table to sum), and returns the scaled phi_s(w) and
-# phi_s'(w) rows, shaped (m, n), and the scaled psi(w), psi'(w) rows,
-# shaped (2, n), where 0 is one of the orders (else None).
+# series zone also the table to sum), and returns the scaled values and
+# w-derivatives of its rows, each shaped (m', n): phi_s(w) at the m orders,
+# then psi(w) where 0 is one of them (m' = m + 1).
 
 def _series_zone(k: KernelTable, w: np.ndarray, table: np.ndarray, axis: bool = False):
     # the disk |w| <= 1 with k.disk, the imaginary segment 1 < |w| <= 20
     # with k.series and axis: every series of the table at u = (w/2)^2 from
-    # one np.vander and one matrix product, which sums the smallest terms
-    # first, as in Horner's scheme; on the axis u = -(|w|/2)^2 is real, and
-    # so is every sum.  phi_s'(w) and psi'(w) are w/2 times their derivative
-    # rows
-    m, rows = len(k.orders), len(table) // 2
+    # one np.vander and a stacked matrix product, one (1, terms) @ (terms,
+    # rows) product per entry, which sums the smallest terms first, as in
+    # Horner's scheme; on the axis u = -(|w|/2)^2 is real, and so is every
+    # sum.  The derivative rows are w/2 times their sums
+    rows = len(table) // 2
     half = 0.5 * w
     u = half * half
-    sums = table @ np.vander(u.real if axis else u, table.shape[1]).T * np.exp(-np.abs(w.imag))
+    powers = np.vander(u.real if axis else u, table.shape[1])[:, None]
+    sums = np.matmul(powers, table.T)[:, 0].T * np.exp(-np.abs(w.imag))
     sums = sums.astype(complex, copy=False)
     sums[rows:] *= half
-    return sums[:m], sums[rows : rows + m], sums[m::rows] if k.companion else None
+    return sums[:rows], sums[rows:]
 
 
-def _psi_rows(w: np.ndarray, j, y) -> np.ndarray:
-    """psi(w) and psi'(w) from the rows (J_0, J_1) and (Y_0, Y_1) at w:
-    psi = (log(w/2) + gamma) J_0 - (pi/2) Y_0 and
-    psi' = J_0 / w - (log(w/2) + gamma) J_1 + (pi/2) Y_1."""
+def _with_psi(w: np.ndarray, rows: np.ndarray, j, y) -> np.ndarray:
+    """The phi_s and phi_s' rows, shaped (2, m, n), with psi and psi' after them
+    from the rows (J_0, J_1) and (Y_0, Y_1) at w: psi = (log(w/2) + gamma) J_0 -
+    (pi/2) Y_0 and psi' = J_0 / w - (log(w/2) + gamma) J_1 + (pi/2) Y_1."""
     log_term = np.log(0.5 * w) + EULER_GAMMA
     psi = log_term * j[0] - 0.5 * math.pi * y[0]
-    return np.array([psi, j[0] / w - log_term * j[1] + 0.5 * math.pi * y[1]])
+    dpsi = j[0] / w - log_term * j[1] + 0.5 * math.pi * y[1]
+    return np.concatenate([rows, np.array([psi, dpsi])[:, None]], axis=1)
 
 
 def _hankel1e(k: KernelTable, x: np.ndarray) -> np.ndarray:
@@ -472,8 +480,9 @@ def _real_zone(k: KernelTable, w: np.ndarray):
     hr = k.rotation * h[k.rows]  # H1_s, then -H1_{s+1} before the shift term
     hr[m:] -= k.shift / x * hr[:m]
     rows = (0.5 * x) ** k.exponent * hr.real.reshape(2, m, -1)
-    psi = _psi_rows(x, h[k.y_rows].real, h[k.y_rows].imag) if k.companion else None
-    return rows[0], rows[1], psi
+    if k.companion:
+        rows = _with_psi(x, rows, h[k.y_rows].real, h[k.y_rows].imag)
+    return rows[0], rows[1]
 
 
 def _hankel_zone(k: KernelTable, w: np.ndarray):
@@ -482,9 +491,10 @@ def _hankel_zone(k: KernelTable, w: np.ndarray):
     # _real_zone, the constants in the table.  e^(+-iw) e^(-|Im w|) is e^(+-i Re w)
     # times a real scale, so that no phase carries eps |w|, and (w/2)^(-s)
     # (2/(pi w))^(1/2) is split into modulus and phase, so that no power carries
-    # eps log|w|.
+    # eps log|w|.  Each entry is one row of a stacked matrix product.
     m = len(k.orders)
-    h = (k.hankel @ np.vander(1.0 / w, _AXIS_SERIES_TERMS).T).reshape(2, 2 * m, -1)
+    powers = np.vander(1.0 / w, _AXIS_SERIES_TERMS)[:, None]
+    h = np.matmul(powers, k.hankel.T)[:, 0].T.reshape(2, 2 * m, -1)
     up = w.imag > 0.0
     scale = np.exp(-np.abs(w.imag))
     scale *= scale  # e^(-2 |Im w|), quietly 0 far off the real axis
@@ -497,50 +507,49 @@ def _hankel_zone(k: KernelTable, w: np.ndarray):
     half = 1.0 / (math.sqrt(2.0 * math.pi) * np.sqrt(radius))  # |(2/(pi w))^(1/2)| / 2
     power = (0.5 * radius) ** k.exponent * np.exp(1j * (k.exponent - 0.5) * angle) * half
     rows = jr.reshape(2, m, -1) * power
-    psi = None
     if k.companion:  # Y_0, Y_1 from H1_0 - H2_0 and -(H1_1 - H2_1)
         y = (h[0] - h[1])[[k.zero, m + k.zero]] * (1j * np.exp(-0.5j * angle) * half)
-        psi = _psi_rows(w, (rows[0][k.zero], -rows[1][k.zero]), (-y[0], y[1]))
+        rows = _with_psi(w, rows, (rows[0][k.zero], -rows[1][k.zero]), (-y[0], y[1]))
     # on the imaginary axis values are real and derivatives imaginary: no residue
     axis = w.real == 0.0
-    for value, deriv in [rows] if psi is None else [rows, psi]:
-        value.imag[..., axis] = 0.0
-        deriv.real[..., axis] = 0.0
-    return rows[0], rows[1], psi
+    rows[0].imag[..., axis] = 0.0
+    rows[1].real[..., axis] = 0.0
+    return rows[0], rows[1]
 
 
 def _general_zone(k: KernelTable, w: np.ndarray):
     power = (0.5 * w) ** k.exponent
-    val = power * sc.jve(k.column, w)
-    der = -power * sc.jve(k.column + 1.0, w)
-    psi = _psi_rows(w, (val[k.zero], -der[k.zero]), sc.yve(_Y_ORDERS, w)) if k.companion else None
-    return val, der, psi
+    rows = np.array([power * sc.jve(k.column, w), -power * sc.jve(k.column + 1.0, w)])
+    if k.companion:
+        rows = _with_psi(w, rows, (rows[0][k.zero], -rows[1][k.zero]), sc.yve(_Y_ORDERS, w))
+    return rows[0], rows[1]
 
 
 _Y_ORDERS = np.array([[0.0], [1.0]])
 
 
-def phi_rows(k: KernelTable, w: np.ndarray):
-    """exp(-|Im w|) phi_s(w), phi_s(w) = (w/2)^(-s) J_s(w), and its
-    w-derivative, for every order s of ``k`` at every entry of an
-    ndarray w, shaped (m,) + w.shape; and, where 0 is one of the orders,
-    exp(-|Im w|) psi(w) and psi'(w), shaped (2,) + w.shape, for
-    :func:`bessel_jm0_rows` (else None).
+def phi_rows(k: KernelTable, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-|Im w|) times the kernel rows and their w-derivatives at every
+    entry of an ndarray w, each shaped (m',) + w.shape: phi_s(w) =
+    (w/2)^(-s) J_s(w) for every order s of ``k``, then, where 0 is one of
+    the orders, psi(w) (m' = m + 1).
 
     phi_s is entire in w, even, with real coefficients, and
     phi_s'(w) = -(w/2)^(-s) J_{s+1}(w); so is psi.  Each entry is
-    evaluated by its zone (callers keep Re w >= 0), so its value does not
-    depend on the other entries: the series zone (|w| <= 1 with the
-    14-term ``KernelTable.disk``, the imaginary axis up to |w| = 20 with
-    the 40-term ``KernelTable.series``) sums every row, psi among them,
-    in one matrix product; the real axis (``KernelTable.real_axis``: the
-    trapezoid up to x = 20, Hankel's expansion beyond), every other
-    |w| > 20 (``KernelTable.hankel``) and the annulus 1 < |w| <= 20 off
-    both axes (``jve`` and ``yve``) take psi from their Y_0, Y_1 rows
-    (DLMF 10.8.2).
+    evaluated by its zone (callers keep Re w >= 0): the series zone
+    (|w| <= 1 with the 14-term ``KernelTable.disk``, the imaginary axis
+    up to |w| = 20 with the 40-term ``KernelTable.series``) sums every
+    row, psi among them, from one table; the real axis
+    (``KernelTable.real_axis``: the trapezoid up to x = 20, Hankel's
+    expansion beyond), every other |w| > 20 (``KernelTable.hankel``) and
+    the annulus 1 < |w| <= 20 off both axes (``jve`` and ``yve``) take
+    psi from their Y_0, Y_1 rows (DLMF 10.8.2).  The tables are summed
+    by stacked matrix products, one product per entry, so every entry
+    is bit-identical to its one-point call: a plain matrix product would
+    sum one point (BLAS gemv) in another order than many (gemm).
     """
     flat = w.ravel()
-    m, n = len(k.orders), flat.size
+    rows, n = len(k.orders) + k.companion, flat.size
     radius = np.abs(flat)
     outside = radius > _SERIES_RADIUS
     zones = [(~outside, _series_zone, k.disk)]
@@ -558,20 +567,15 @@ def phi_rows(k: KernelTable, w: np.ndarray):
         zones = [zone for zone in zones if np.count_nonzero(zone[0])]
     if len(zones) == 1:  # every entry in one zone: no gather or scatter
         _, zone, *table = zones[0]
-        val, der, psi = zone(k, flat, *table)
+        val, der = zone(k, flat, *table)
     else:
-        val = np.empty((m, n), dtype=complex)
-        der = np.empty((m, n), dtype=complex)
-        psi = np.empty((2, n), dtype=complex) if k.companion else None
+        val = np.empty((rows, n), dtype=complex)
+        der = np.empty((rows, n), dtype=complex)
         for mask, zone, *table in zones:
-            val[:, mask], der[:, mask], psi_zone = zone(k, flat[mask], *table)
-            if k.companion:
-                psi[:, mask] = psi_zone
-    if k.companion:
-        psi = psi.astype(complex, copy=False).reshape((2,) + w.shape)
-    val = val.astype(complex, copy=False).reshape((m,) + w.shape)
-    der = der.astype(complex, copy=False).reshape((m,) + w.shape)
-    return val, der, psi
+            val[:, mask], der[:, mask] = zone(k, flat[mask], *table)
+    val = np.ascontiguousarray(val, dtype=complex).reshape((rows,) + w.shape)
+    der = np.ascontiguousarray(der, dtype=complex).reshape((rows,) + w.shape)
+    return val, der
 
 
 _PHI0_TABLE = KernelTable([0.0])
@@ -600,29 +604,13 @@ def bessel_jm0_series(mu: complex, x: float) -> complex:
     Agrees with :func:`bessel_jm0` for real mu > 0 (where the scale
     factor is 1) and extends to complex mu as an even function of mu
     (the log mu dependence of the unscaled form cancels identically).
-    """
-    mu = complex(mu)
-    mu = np.array([-mu if mu.real < 0.0 else mu])  # even in mu; keep Amos's cut off arg w = pi
-    val, der, psi = phi_rows(_PHI0_TABLE, mu * x)
-    return complex(bessel_jm0_rows(mu, x, val[0], der[0], psi)[0][0])
-
-
-def bessel_jm0_rows(
-    mu: np.ndarray, x: float, phi0: np.ndarray, dphi0: np.ndarray, psi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`bessel_jm0_series` and its x- and mu-derivatives, at every
-    entry of an ndarray mu with Re mu >= 0.
-
-    phi0, dphi0 and psi are the order-0 rows of :func:`phi_rows` at
-    w = mu x: the scaled J_0(w) and -J_1(w), and the scaled psi(w),
-    psi'(w), so no Bessel function is evaluated here.  At every mu,
-    C = log(x) phi_0(w) - psi(w), C_x = phi_0(w) / x + mu e and
-    C_mu = x e, with e = log(x) phi_0'(w) - psi'(w) the w-derivative of C.
-    All three results carry the factor exp(-|Im mu x|).
+    Both rows come from one :func:`phi_rows` call: phi_0 = J_0 first,
+    psi last.
     """
     x = float(x)
-    if not (x > 0.0):
-        raise SpecialFunctionDomainError("bessel_jm0_rows: need x > 0")
-    log_x = math.log(x)
-    e = log_x * dphi0 - psi[1]
-    return log_x * phi0 - psi[0], phi0 / x + mu * e, x * e
+    if not x > 0.0:
+        raise SpecialFunctionDomainError("bessel_jm0_series: need x > 0")
+    mu = complex(mu)
+    w = (-mu if mu.real < 0.0 else mu) * x  # even in mu; keep the cut off arg w = pi
+    val, _ = phi_rows(_PHI0_TABLE, np.array([w]))
+    return complex(math.log(x) * val[0, 0] - val[1, 0])

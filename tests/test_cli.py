@@ -540,6 +540,20 @@ class TestOtherCommands:
         assert code == EXIT_OK
         assert abs(json.loads(out)["report"]["f_zero"]) < 1e-12
 
+    def test_f_at_zero_csv_keeps_the_imaginary_part(self, write_doc, capsys):
+        # complex tip rows A = B = [[i]] give F(0) = -i: the csv rows carry both
+        # parts, as the json does; a real F(0) keeps its one row
+        doc = dict(kernel_doc(), lambdas=[0.0], A=[[_entry(0.0, 1.0)]], B=[[_entry(0.0, 1.0)]])
+        doc["regular_bc"] = {"type": "robin", "alpha": 0.5}
+        path = write_doc(doc)
+        code, out, _ = run_cli(capsys, "f-at-zero", path)
+        assert code == EXIT_OK and json.loads(out)["report"]["f_zero"] == {"re": 0, "im": -1}
+        code, out, _ = run_cli(capsys, "f-at-zero", path, "--format", "csv")
+        assert code == EXIT_OK
+        assert out.splitlines()[1:] == ["field,value", "f_zero,0", "f_zero_im,-1"]
+        _, out, _ = run_cli(capsys, "f-at-zero", write_doc(kernel_doc()), "--format", "csv")
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["field", "f_zero"]
+
     def test_eval_f_prints_every_finite_value(self, capsys):
         # F(348i) is finite although its log-scale passes 700; F(352i) is not.
         # mpmath at 40 digits gives 4.1731650189928669e302: the pinned value, the

@@ -427,6 +427,16 @@ class TestAuto:
             got = det_zeta_auto(spec).diagnostics["zeta_1"]
             assert abs(got - k * want) <= 1e-14 * k * want
 
+    @pytest.mark.parametrize("nu", [0.0, 0.3, 0.9])
+    def test_dilation_law_where_zeta_1_leaves_the_float_range(self, nu):
+        # det_R = R^(nu + 1/2) det_1 for the zeros j_{nu,k} / R; at R = 1e200
+        # zeta(1) = R^2 / (4 (nu + 1)) is past the float range: inf in the
+        # diagnostics, with no numpy warning, and the determinant keeps the law
+        unit = det_zeta_auto(scalar_spec(nu, Dirichlet())).value
+        got = det_zeta_auto(scalar_spec(nu, Dirichlet(), r=1e200))
+        assert got.diagnostics["zeta_1"] == math.inf
+        assert got.value == pytest.approx(unit * 1e200 ** (nu + 0.5), rel=1e-12, abs=0.0)
+
     def test_wronskian_oracle_only_at_unit_length(self):
         # the oracle is normalized on (0, 1]; at R = 2 it would quote another operator
         got = det_zeta_auto(scalar_spec(0.3, Robin(0.5), r=2.0))

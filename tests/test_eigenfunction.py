@@ -225,6 +225,18 @@ ARRAY_SPECS = {
         boundary=BoundaryMatrices(np.diag([-1.0, 1.0]), [[1.0, 0.7], [0.7, -0.5]]),
         regular_bc=Dirichlet(),
     ),
+    # two log channels, whose companion rows share one kernel row: separate,
+    # one of them on a singular tip, and coupled
+    "q2 two nu0": diagonal_spec(
+        [scalar_spec(0.0, Robin(0.4), r=1.3), scalar_spec(0.0, Robin(0.4), tip="singular", r=1.3)]
+    ),
+    "q2 coupled two nu0": OperatorSpec(
+        r=0.9,
+        lambdas=(-0.25, -0.25),
+        q0=2,
+        boundary=BoundaryMatrices(np.eye(2), [[1.0, 0.5], [0.5, 2.0]]),
+        regular_bc=Robin(0.3),
+    ),
 }
 
 

@@ -28,7 +28,6 @@ from regsing.special import (
     bessel_j,
     bessel_j_deriv,
     bessel_jm0,
-    bessel_jm0_rows,
     bessel_jm0_series,
     bessel_y,
     bessel_y_deriv,
@@ -238,17 +237,17 @@ def test_large_arguments_match_mpmath(radius, imag):
 
 @pytest.mark.parametrize("order", [0.0, 0.3, -0.3, 0.9, -0.9])
 def test_normalized_bessel_continuous_across_series_seam(order):
-    # at order 0 also the companion: the psi rows, and C, C_x, C_mu built on them
+    # at order 0 also the companion: the psi rows, last, and C = log(x) phi_0 - psi
     s = np.array([order])
     for angle in (0.0, 0.4, 1.1, 0.5 * math.pi):
         unit = complex(math.cos(angle), math.sin(angle))
         inside, outside = (1.0 - 1e-15) * unit, (1.0 + 1e-15) * unit
         assert abs(inside) <= 1.0 < abs(outside)
         w = np.array([inside, outside])
-        val, der, psi = phi_rows(KernelTable(s), w)
-        rows = [val[0], der[0]]
+        val, der = phi_rows(KernelTable(s), w)
+        rows = [*val, *der]
         if order == 0.0:
-            rows += [*psi, *bessel_jm0_rows(w / 1.7, 1.7, val[0], der[0], psi)]
+            rows.append(math.log(1.7) * val[0] - val[1])
         for row in rows:
             assert abs(row[0] - row[1]) <= 1e-14
 
@@ -256,7 +255,7 @@ def test_normalized_bessel_continuous_across_series_seam(order):
 @pytest.mark.parametrize("order", [0.3, -0.3, 0.9, -0.9])
 def test_normalized_bessel_at_zero(order):
     s = np.array([order])
-    val, der, _ = phi_rows(KernelTable(s), np.zeros(1))
+    val, der = phi_rows(KernelTable(s), np.zeros(1))
     assert val[0, 0] == 1.0 / gamma_fn(1.0 + order)
     assert der[0, 0] == 0.0
 
@@ -271,11 +270,11 @@ def test_stacked_rows_match_scalar_kernels(where):
     w = w.reshape(2, 4)
     orders = np.array((0.0, 0.3, -0.3, 0.9, -0.9))
     table = KernelTable(orders)
-    val, der, y = phi_rows(table, w)
-    assert val.shape == der.shape == (5, 2, 4)
+    val, der = phi_rows(table, w)
+    assert val.shape == der.shape == (6, 2, 4)  # psi last
     for i in np.ndindex(w.shape):
         z = complex(w[i])
-        one_val, one_der, _ = phi_rows(table, np.array([z]))
+        one_val, one_der = phi_rows(table, np.array([z]))
         for k, s in enumerate(orders.tolist()):
             assert abs(val[k][i] - one_val[k, 0]) <= 1e-15 * max(1.0, abs(one_val[k, 0]))
             assert abs(der[k][i] - one_der[k, 0]) <= 1e-15 * max(1.0, abs(one_der[k, 0]))
@@ -287,7 +286,7 @@ def test_stacked_rows_match_scalar_kernels(where):
             assert abs(val[k][i] - want_val) <= 1e-14 * max(1.0, abs(want_val))
             assert abs(der[k][i] - want_der) <= 1e-14 * max(1.0, abs(want_der))
     x = 1.7
-    c = bessel_jm0_rows(w / x, x, val[0], der[0], y)[0]
+    c = math.log(x) * val[0] - val[-1]
     for i in np.ndindex(w.shape):
         want = bessel_jm0_series(complex(w[i]) / x, x)
         assert abs(c[i] - want) <= 1e-14 * max(1.0, abs(want))
@@ -309,7 +308,8 @@ def _axis_rows_against_mpmath(w):
     of w: values, derivatives and the companion's psi, psi', at 30 digits,
     with psi = (log(w/2) + gamma) J_0 - (pi/2) Y_0 and
     psi' = J_0 / w - (log(w/2) + gamma) J_1 + (pi/2) Y_1."""
-    val, der, psi = phi_rows(KernelTable(AXIS_ORDERS), w)
+    val, der = phi_rows(KernelTable(AXIS_ORDERS), w)
+    psi = np.array([val[-1], der[-1]])  # the companion's, last
     pairs = []
     for j, z in enumerate(w.tolist()):
         with mpmath.workdps(30):
@@ -350,7 +350,8 @@ def test_imaginary_rows_past_the_scipy_range_match_mpmath(sign):
     x = np.array([1e8, 1e9, 1e12, 1e20])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        val, der, psi = phi_rows(KernelTable(orders), sign * 1j * x)
+        val, der = phi_rows(KernelTable(orders), sign * 1j * x)
+        psi = np.array([val[-1], der[-1]])  # the companion's, last
     assert not (val.imag.any() or der.real.any() or psi[0].imag.any() or psi[1].real.any())
     for j, xj in enumerate(x.tolist()):
         with mpmath.workdps(30):
@@ -395,7 +396,8 @@ def test_real_zone_matches_mpmath_across_its_seams():
     # and out to 1e5, within 2e-15 of the envelope (2/(pi x))^(1/2) times the
     # row's power (x/2)^(-s) (psi: times 1 + |log(x/2) + gamma|, its Y_0 weight)
     x = np.array(REAL_RADII)
-    val, der, psi = phi_rows(KernelTable(REAL_ORDERS), x + 0j)
+    val, der = phi_rows(KernelTable(REAL_ORDERS), x + 0j)
+    psi = np.array([val[-1], der[-1]])  # the companion's, last
     worst = 0.0
     for j, xj in enumerate(x.tolist()):
         with mpmath.workdps(30):
@@ -421,19 +423,16 @@ def test_real_zone_matches_mpmath_across_its_seams():
 
 def test_real_axis_array_is_bit_identical_to_its_one_point_calls():
     # each entry of a real-axis array past x = 1, on both sides of x = 20, is
-    # one (1, nodes) @ (nodes, columns) product of a stacked matmul: no
-    # entry's value depends on the others, to the last bit.  The disk entries
-    # of the same array are one plain matrix product, good to an ulp or two
+    # one (1, nodes) @ (nodes, columns) product of a stacked matmul, and each
+    # disk entry one (1, terms) @ (terms, rows) product: no entry's value
+    # depends on the others, to the last bit
     table = KernelTable((0.0, 0.3, -0.3, 0.999, -0.999))
     w = np.concatenate([np.linspace(0.5, 60.0, 61), [1.0, 1.0 + 2e-16, 20.0, 20.0 * (1.0 + 1e-15)]])
     rows = phi_rows(table, w + 0j)
     for j, wj in enumerate(w.tolist()):
         one = phi_rows(table, np.array([wj + 0j]))
         for many, single in zip(rows, one):
-            if wj > 1.0:
-                assert np.array_equal(many[:, j], single[:, 0]), wj
-            else:
-                assert np.all(np.abs(many[:, j] - single[:, 0]) <= 4e-16 * np.abs(single[:, 0]) + 1e-300)
+            assert np.array_equal(many[:, j], single[:, 0]), wj
 
 
 def _mp_hurwitz_zeta(s: float, a: float):
@@ -502,7 +501,9 @@ def test_axis_rows_continuous_with_general_path(axis, turn):
     w0 = AXES[axis] * np.array(AXIS_RADII)
     w1 = w0 * np.exp(1j * turn)
     assert np.all(np.abs(w1) > 1.0) and np.all(w1.real > 0.0) and np.all(w1.imag != 0.0)
-    (v0, d0, p0), (v1, d1, p1) = phi_rows(k, w0), phi_rows(k, w1)
+    (v0, d0), (v1, d1) = phi_rows(k, w0), phi_rows(k, w1)
+    p0, p1 = np.array([v0[-1], d0[-1]]), np.array([v1[-1], d1[-1]])  # psi, last
+    v0, d0, v1, d1 = v0[:-1], d0[:-1], v1[:-1], d1[:-1]
     dw = w1 - w0
     ratio = np.exp(np.abs(w0.imag) - np.abs(w1.imag))  # the change of exp(-|Im w|)
     s = np.array(AXIS_ORDERS)[:, None]
@@ -535,8 +536,8 @@ class _CountingScipy:
 
 @pytest.mark.parametrize("axis", ["real", "+imag", "-imag", "off"])
 def test_axis_rows_make_no_jve_call(monkeypatch, axis):
-    # an array on either axis takes no scipy call at any radius, and the
-    # companion rows built on it take none at all.  An array off the axes
+    # an array on either axis takes no scipy call at any radius, its psi
+    # rows among them.  An array off the axes
     # takes jve and yve for its part in the annulus 1 < |w| <= 20 and none
     # beyond.
     calls = collections.Counter()
@@ -544,10 +545,9 @@ def test_axis_rows_make_no_jve_call(monkeypatch, axis):
     unit = AXES.get(axis, np.exp(0.4j))
     table = KernelTable((0.0, 0.3, -0.3, 0.7, -0.7))
     w = unit * np.linspace(0.5, 300.0, 64)
-    val, der, y = phi_rows(table, w)
+    phi_rows(table, w)
     want = {"off": {"jve": 2, "yve": 1}}.get(axis, {})
     assert calls == want
     calls.clear()
-    bessel_jm0_rows(w / 2.0, 2.0, val[0], der[0], y)
     phi_rows(table, unit * np.array([20.0 * (1.0 + 1e-15), 1e5, 1e300]))
     assert not calls
