@@ -291,6 +291,12 @@ def _cmd_spectrum(args: argparse.Namespace, doc: dict):
     return payload, rows, EXIT_OK
 
 
+def _finite_or_null(value):
+    """A diagnostic as it is, or None (JSON null) where it is a float past the float
+    range: a diagnostic such as zeta(1) = R^2 / 5.2 at R = 1e200 must not sink a value."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _cmd_det(args: argparse.Namespace, doc: dict):
     report = det_zeta_auto(parse_operator_document(doc))
     payload = {
@@ -298,7 +304,7 @@ def _cmd_det(args: argparse.Namespace, doc: dict):
         "method": report.method,
         "k0": report.kernel_dim_proxy,
         "log_singular": report.log_singular,
-        "diagnostics": dict(report.diagnostics),
+        "diagnostics": {k: _finite_or_null(v) for k, v in report.diagnostics.items()},
     }
     rows = [
         ["field", "value"],

@@ -180,13 +180,14 @@ _CONTOUR_TR = 0.1
 _RAY_CUT_XR = 40.0
 
 
-def _certify(ev: SecularEvaluator, t: float) -> None:
-    """Raise RootInsideContourError unless the Taylor circle certifies F~ free of
-    zeros on |mu| < t (:meth:`SecularEvaluator.zero_free`)."""
-    if not ev.zero_free(t):
+def _certify(t: float, margin: float) -> None:
+    """Raise RootInsideContourError unless ``margin``, the Taylor circle's
+    :meth:`SecularEvaluator.zero_free_margin` at t, certifies F~ free of zeros on
+    |mu| < t (above 1, as :meth:`SecularEvaluator.zero_free`)."""
+    if not margin > 1.0:
         raise RootInsideContourError(
             f"F may have a zero below |mu| = {t}: the Taylor circle certifies no such "
-            f"disk (margin {ev.zero_free_margin(t):.3g})"
+            f"disk (margin {margin:.3g})"
         )
 
 
@@ -204,7 +205,21 @@ def det_zeta_finite_t(spec: OperatorSpec, t_abs: float) -> DeterminantReport:
     (:func:`_arc_pass`).
     """
     ev = SecularEvaluator(spec)
-    return _counted(ev, _finite_t(ev, t_abs, _arc_pass(ev, t_abs)))
+    first = _arc_pass(ev, t_abs)
+    value, arc_term = _finite_t(ev, t_abs, first, ev.zero_free_margin(t_abs))
+    mant, log_scale = float(first[0][0].real), float(first[1][0])
+    try:
+        f_it = mant * math.exp(log_scale)
+    except OverflowError:  # F(it) is beyond the float range; the determinant is not
+        f_it = math.copysign(math.inf, mant)
+    report = DeterminantReport(
+        value=value,
+        method="finite_t",
+        kernel_dim_proxy=0,
+        log_singular=bool(ev.model.log_power),
+        diagnostics={"t_abs": t_abs, "arc_term": arc_term, "f_it": f_it},
+    )
+    return _counted(ev, report)
 
 
 def _arc_pass(ev: SecularEvaluator, t_abs: float) -> tuple[np.ndarray, ...] | None:
@@ -220,13 +235,17 @@ def _arc_pass(ev: SecularEvaluator, t_abs: float) -> tuple[np.ndarray, ...] | No
     return ev._scaled_dlog(np.concatenate(([1j * t_abs], t_abs * np.exp(1j * _ARC_NODES))))
 
 
-def _finite_t(ev: SecularEvaluator, t_abs: float, first: tuple | None) -> DeterminantReport:
-    """The finite-t route at radius t_abs from ``first``, the :func:`_arc_pass` there.
-    No value of it is read before the kernel order is checked and the certificate
-    of the disk holds; later arc rounds take one kernel pass each."""
+def _finite_t(
+    ev: SecularEvaluator, t_abs: float, first: tuple | None, margin: float
+) -> tuple[float, float]:
+    """The finite-t determinant at radius t_abs and its arc term, from ``first``, the
+    :func:`_arc_pass` there, and ``margin``, the caller's
+    :meth:`SecularEvaluator.zero_free_margin` at t_abs.  No value of the pass is read
+    before the kernel order is checked and the margin certifies the disk
+    (:func:`_certify`); later arc rounds take one kernel pass each."""
     if ev.k0 != 0:
         raise KernelPresentError("finite-t route needs a trivial kernel")
-    _certify(ev, t_abs)
+    _certify(t_abs, margin)
     mants, logs, dlog = first
     # F(it) / (C (-1)^(q0-j0)) = ratio * exp(log_scale), apart so that large t R cannot overflow
     mant, log_scale = complex(mants[0]), float(logs[0])
@@ -242,25 +261,14 @@ def _finite_t(ev: SecularEvaluator, t_abs: float, first: tuple | None) -> Determ
 
     def integrand(phi: np.ndarray, dl=None) -> np.ndarray:  # phi runs pi/2 -> -pi/2
         mu = t_abs * np.exp(1j * phi)
-        return np.log(mu) * (ev.dlog(mu) if dl is None else off_zeros(dl)) * 1j * mu
+        return np.log(mu) * (ev.dlog(mu) if dl is None else dl) * 1j * mu
 
-    first = integrand(_ARC_NODES, dlog[1:])
+    first = integrand(_ARC_NODES, off_zeros(dlog[1:], mants[1:]))
     arc, _ = gauss_legendre(integrand, _ARC, first=first, counts=ev.counts)
     arc_term = _real(-arc / (1j * math.pi), "gamma_t integral")
     log_ratio = math.log(ratio) + log_scale
     q_val = -log_ratio - log_pow * (EULER_GAMMA + math.log(2.0)) - arc_term
-    value = math.exp(-q_val)
-    try:
-        f_it = mant.real * math.exp(log_scale)
-    except OverflowError:  # F(it) is beyond the float range; the determinant above is not
-        f_it = math.copysign(math.inf, mant.real)
-    return DeterminantReport(
-        value=value,
-        method="finite_t",
-        kernel_dim_proxy=0,
-        log_singular=bool(log_pow),
-        diagnostics={"t_abs": t_abs, "arc_term": arc_term, "f_it": f_it},
-    )
+    return math.exp(-q_val), arc_term
 
 
 def det_zeta_regularized(spec: OperatorSpec) -> DeterminantReport:
@@ -308,9 +316,9 @@ def det_zeta_auto(spec: OperatorSpec) -> DeterminantReport:
     if ev.k0:
         return _counted(ev, report)
     diag["finite_t_radius"] = t
-    diag["zero_free_margin"] = ev.zero_free_margin(t)
+    diag["zero_free_margin"] = margin = ev.zero_free_margin(t)
     try:
-        finite_t = _finite_t(ev, t, first).value
+        finite_t = _finite_t(ev, t, first, margin)[0]
     except NumericalError as exc:
         diag["finite_t_error"] = str(exc)
     else:
@@ -400,7 +408,7 @@ def _with_digit(value: float, err: float, t: float) -> tuple[float, float, float
 
 def _zeta_contour(ev: SecularEvaluator, s: float, t: float) -> tuple[float, float, float]:
     """The contour of :func:`zeta_eval` at s: zeta(s), its error and the arc's radius."""
-    _certify(ev, t)
+    _certify(t, ev.zero_free_margin(t))
     p, dp = ev.power_sums
     m = round(s)
     if s == m:  # the arc alone, zeta(m) = p_m / rho^m

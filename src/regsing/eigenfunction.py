@@ -75,6 +75,16 @@ _CIRCLE_POINTS = 16  # m
 _CIRCLE_RHO = 0.8  # rho R^2: every point lies inside the series disk |mu R| <= 1
 _CIRCLE_FLOOR = 64.0 * sys.float_info.epsilon  # c_n below this share of max |F_j| is rounding
 _CIRCLE = np.exp(1j * math.pi * np.arange(_CIRCLE_POINTS) / _CIRCLE_POINTS)  # mu_j over |mu_j|
+# The trapezoidal rule as one matrix product, c_n = sum_j F_j e^(-2 pi i jn/m) / m: the
+# roots of unity from the cosines of a quarter turn, exactly 0 at its end, and turns by
+# -i, which are exact, so that the sums are as accurate as an FFT's (with the rounded
+# e^(-2 pi i k/m), zeta(1) of a four-channel edge operator lost 1.8e-14 of itself)
+_c = np.cos(2.0 * math.pi / _CIRCLE_POINTS * np.arange(_CIRCLE_POINTS // 4 + 1))
+_c[-1] = 0.0
+_ROOTS = np.concatenate([(_c[:-1] - 1j * _c[:0:-1]) * (-1j) ** t for t in range(4)])
+_n = np.arange(_CIRCLE_POINTS)
+_DFT = _ROOTS[np.outer(_n, _n) % _CIRCLE_POINTS] / _CIRCLE_POINTS
+del _c, _n
 _PROBES = np.concatenate(([0.0], _CIRCLE))  # the probes of k0 over circle_radius
 _LOG_MAX = math.log(sys.float_info.max)
 _IMAG_GRID_XR = 12.0  # x R where the imaginary grid that cuts (0, inf] ends
@@ -192,10 +202,17 @@ def _product(mant: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return reduce(operator.mul, mant), reduce(operator.add, logs)
 
 
-def off_zeros(dlog: np.ndarray) -> np.ndarray:
-    """dlog F values, which must be finite: raises ContourError at a zero of F."""
-    if not np.all(np.isfinite(dlog)):
-        raise ContourError("log-derivative requested at a zero of F")
+def off_zeros(dlog: np.ndarray, mant: np.ndarray) -> np.ndarray:
+    """dlog F values, which must be finite, and F's mantissas there: raises ContourError
+    at a zero of F (a mantissa of 0), and NumericalError where dlog F leaves the float
+    range although F is not 0 (its mu-derivative overflows)."""
+    bad = ~np.isfinite(dlog)
+    if bad.any():
+        if np.any(mant[bad] == 0.0):
+            raise ContourError("log-derivative requested at a zero of F")
+        raise NumericalError(
+            "the log-derivative of F overflows where F is not 0: F' leaves the float range"
+        )
     return dlog
 
 
@@ -215,7 +232,7 @@ class SecularEvaluator:
     values `cv`, the asymptotic model `model` and the kernel order `k0`
     are worked out on first use and kept, so every route of one request
     reads the same decision.  The probes of `k0` are F(0), kept as `f0`,
-    and the circle mu_j = `circle_radius` e^(i pi j/16), whose FFT gives
+    and the circle mu_j = `circle_radius` e^(i pi j/16), whose DFT gives
     `k0`, `f_tilde0` = F~(0), the decision's `floor_margin`, the certificate
     :meth:`zero_free` of the contour disks and the zeta `power_sums`.
     :meth:`scaled`, :meth:`value` and :meth:`dlog` are computed
@@ -252,19 +269,20 @@ class SecularEvaluator:
         self.counts = Counter()
         orders, self._map = _boundary_map(spec)
         self._kernel = KernelTable(orders)
-        # the tip rows [A | B], each over its largest entry (validation makes it nonzero)
-        top = np.concatenate([spec.boundary.a_mat, spec.boundary.b_mat], axis=1).tolist()
-        tops = [max(map(abs, row)) for row in top]
-        rows = [[v / t for v in row] for row, t in zip(top, tops)]
-        top = np.array(rows)
+        # the tip rows [A | B], each over its largest entry (validation makes it
+        # nonzero): its modulus by hypot and each part over it, as Python's complex
+        # abs and division by a float would give them
+        top = np.concatenate((spec.boundary.a_mat, spec.boundary.b_mat), axis=1)
+        tops = np.hypot(top.real, top.imag).max(axis=1)
+        top = (top.view(float) / tops[:, None]).view(complex)
         self._at, self._bt = top[:, : self.q].T, top[:, self.q :].T
+        self._ad, self._bd = self._at.diagonal(), self._bt.diagonal()
         # diagonal rows make q scalar channels, F = prod_l N_ll: each channel is
         # a factor of F; a coupled tip is the one factor det N of `width` q
-        off = (v for l, row in enumerate(rows) for j, v in enumerate(row) if j % self.q != l)
-        self.diagonal = not any(off)
+        on_diagonal = np.count_nonzero(self._ad) + np.count_nonzero(self._bd)
+        self.diagonal = np.count_nonzero(top) == on_diagonal
         self.width = 1 if self.diagonal else self.q
-        self._ad, self._bd = self._at.diagonal(), self._bt.diagonal()
-        log_top = list(map(math.log, tops))
+        log_top = [math.log(t) for t in tops.tolist()]
         self._log_top = np.array(log_top if self.diagonal else [sum(log_top)])  # per factor
         # the probes: F(0), then F on the Taylor circle
         self.circle_radius = math.sqrt(_CIRCLE_RHO) / spec.r
@@ -320,10 +338,13 @@ class SecularEvaluator:
 
     @cached_property
     def _taylor(self) -> tuple[np.ndarray, float]:
-        """The Taylor coefficients c_n = a_n rho^n of F = sum a_n lambda^n from F_j
-        on the circle, and their rounding floor ``_CIRCLE_FLOOR`` max |F_j|."""
+        """The Taylor coefficients c_n = a_n rho^n of F = sum a_n lambda^n over the
+        largest |F_j| on the circle, and that largest |F_j|: one product of the DFT
+        matrix with the F_j over it, so that no sum leaves the float range.  Their
+        rounding floor is ``_CIRCLE_FLOOR``."""
         f = self._probes[1:]
-        return np.fft.fft(f) / f.size, _CIRCLE_FLOOR * float(np.max(np.abs(f)))
+        big = float(np.max(np.abs(f))) or 1.0  # F = 0 on the whole circle: every c_n is 0
+        return _DFT @ (f / big), big
 
     @cached_property
     def k0(self) -> int:
@@ -333,8 +354,7 @@ class SecularEvaluator:
         rounding floor of the circle; raises :class:`KernelOrderError`
         where none is, or where the order exceeds q.
         """
-        c, floor = self._taylor
-        above = np.flatnonzero(np.abs(c) > floor)
+        above = np.flatnonzero(np.abs(self._taylor[0]) > _CIRCLE_FLOOR)
         if above.size == 0:
             raise KernelOrderError("F is at its rounding floor on the whole Taylor circle")
         if above[0] > self.q:
@@ -353,13 +373,13 @@ class SecularEvaluator:
     @property
     def f_tilde0(self) -> complex:
         """F~(0) of F~ = F / mu^(2 k0), the Taylor coefficient of lambda^k0: c_k0 / rho^k0."""
-        return self.over_rho(complex(self._taylor[0][self.k0]), self.k0)
+        c, big = self._taylor
+        return self.over_rho(complex(c[self.k0]) * big, self.k0)
 
     @property
     def floor_margin(self) -> float:
         """|c_k0| over the rounding floor: how far the kernel decision is from the floor."""
-        c, floor = self._taylor
-        return float(abs(c[self.k0]) / floor)
+        return float(abs(self._taylor[0][self.k0]) / _CIRCLE_FLOOR)
 
     def zero_free_margin(self, t: float) -> float:
         """Rouche's margin for F~ = F / mu^(2 k0) on |mu| < t: |c_k0| over the floor
@@ -369,9 +389,9 @@ class SecularEvaluator:
         z = min(t / self.circle_radius, 1.0) ** 2  # no OverflowError at a huge t
         if not z < 1.0:
             return 0.0
-        c, floor = self._taylor
+        c = self._taylor[0]
         rest = np.abs(c[self.k0 + 1 :]) @ z ** np.arange(1, c.size - self.k0)
-        return float(abs(c[self.k0]) / (floor + rest))
+        return float(abs(c[self.k0]) / (_CIRCLE_FLOOR + rest))
 
     def zero_free(self, t: float) -> bool:
         """Whether the Taylor circle certifies F~ free of zeros on |mu| < t,
@@ -515,19 +535,18 @@ class SecularEvaluator:
         N' is N with the traces replaced by their mu-derivatives, which
         carry the same exp(-|Im mu R|) factor, so it cancels.  A scalar
         mu is evaluated as a one-element array; mu at a zero of F raises
-        ContourError.
+        ContourError, and mu where dlog F leaves the float range although F
+        is not 0 (N' overflows) NumericalError (:func:`off_zeros`).
         """
         if not isinstance(mu, np.ndarray):
             return complex(self.dlog(np.array([mu]))[0])
-        return off_zeros(self._dlog(mu))
-
-    def _dlog(self, mu: np.ndarray) -> np.ndarray:
-        """:meth:`dlog` over an ndarray mu, left non-finite at the zeros of F."""
-        return reduce(operator.add, self._pass(mu, deriv=True)[2])
+        mant, _, dlog, _, _ = self._pass(mu, deriv=True)
+        return off_zeros(reduce(operator.add, dlog), reduce(operator.mul, mant))
 
     def _scaled_dlog(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`scaled` and :meth:`_dlog` over a 1-d mu from one kernel pass, which takes
-        the probes of :attr:`k0` along (:meth:`_probed`)."""
+        """:meth:`scaled` and dlog F over a 1-d mu from one kernel pass, which takes the
+        probes of :attr:`k0` along (:meth:`_probed`); dlog F is left non-finite at the
+        zeros of F (:func:`off_zeros`)."""
         mant, logs, dlog, _, _ = self._probed(mu, deriv=True)
         return (*_product(mant, logs), reduce(operator.add, dlog))
 

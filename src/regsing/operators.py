@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -151,23 +152,22 @@ def validate(spec: OperatorSpec) -> list[Violation]:
     columns negated) against the max-entry deviation from Hermiticity.
     """
     a, b = spec.boundary.a_mat, spec.boundary.b_mat
-    q = spec.q
     out: list[Violation] = []
-    block = np.hstack([a, b])
-    sv = np.linalg.svd(block, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= _RANK_RTOL * sv[0]:
+    top, low = np.linalg.svd(np.concatenate((a, b), axis=1), compute_uv=False)[[0, -1]].tolist()
+    if top == 0.0 or low <= _RANK_RTOL * top:
         out.append(
             Violation(
                 "rank",
-                f"(a|b) block has numerical rank < q={q} "
-                f"(smallest/largest singular value = {sv[-1]:.3e}/{sv[0]:.3e})",
+                f"(a|b) block has numerical rank < q={spec.q} "
+                f"(smallest/largest singular value = {low:.3e}/{top:.3e})",
             )
         )
-    a_prime = a.copy()
-    a_prime[:, : spec.q0] *= -1.0
-    m = a_prime @ b.conj().T
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-    dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    if spec.q0:  # a' = a with the first q0 columns negated
+        a = a.copy()
+        a[:, : spec.q0] *= -1.0
+    m = a @ b.conj().T
+    scale = max(1.0, np.abs(m).max())
+    dev = np.abs(m - m.conj().T).max()
     if dev > _HERM_TOL * scale:
         out.append(
             Violation(
@@ -198,63 +198,70 @@ def tau_factor(nu: float) -> float:
     return gamma_fn(1.0 + nu) / gamma_fn(1.0 - nu) * 2.0 ** (2.0 * nu)
 
 
+@cache
+def _subsets(q: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]]:
+    """The 2^q subsets S of the q columns, by size and then lexicographically: a
+    (2^q, q) mask of the columns in S, (-1)^|S|, and, for n = 0 .. q, how many of
+    the first n columns each S holds.  Read-only: every call with q shares them."""
+    subsets = [sub for size in range(q + 1) for sub in combinations(range(q), size)]
+    picks = np.array([[l in sub for l in range(q)] for sub in subsets])
+    counts = np.zeros((q + 1, len(subsets)), dtype=int)
+    np.cumsum(picks.T, axis=0, out=counts[1:])
+    sign = (-1.0) ** counts[-1]
+    picks.setflags(write=False)
+    sign.setflags(write=False)
+    return picks, sign, tuple(map(tuple, counts.tolist()))
+
+
 def characteristic_values(spec: OperatorSpec) -> CharacteristicValues:
     """Expand p(x, y) = det(a - b D(x, y)) into monomials x^j y^(2 alpha).
 
     Column-multilinear expansion over the 2^q subsets S of columns that
     take the -b D contribution; a subset contributes the monomial
     x^(#(S <= q0)) * prod_{l in S, l > q0} tau_l y^(2 nu_l) weighted by
-    the determinant of the mixed column matrix.  Exponents alpha within
-    1e-9 of each other are merged (subset sums of irrational nu_l can
-    collide).
+    the determinant of the mixed column matrix.  One stacked determinant
+    gives every weight, and the exponents and tau products of all subsets
+    are array sums and products over the columns, taken in column order.
+    Cells (j, alpha) whose exponents lie within 1e-9 of each other are
+    merged (subset sums of irrational nu_l can collide): one sort by
+    (j, alpha) puts the subsets of a cell side by side, and a cell keeps
+    the alpha of its first.
     """
     a, b = spec.boundary.a_mat, spec.boundary.b_mat
-    q, q0 = spec.q, spec.q0
-    nus = spec.nus
-    taus = [tau_factor(nus[l]) if l >= q0 else None for l in range(q)]
-
-    subsets = [sub for size in range(q + 1) for sub in combinations(range(q), size)]
+    q0, nus = spec.q0, spec.nus
+    picks, sign, counts = _subsets(spec.q)
     # one stacked determinant over the 2^q column choices: column l from b when l is in S
-    picks = np.array([[l in sub for l in range(q)] for sub in subsets], dtype=bool)
-    dets = np.linalg.det(np.where(picks.reshape(len(subsets), 1, q), b, a)).tolist()
+    coeff = np.linalg.det(np.where(picks[:, None, :], b, a)) * sign
+    for l in range(q0, spec.q):  # times tau_l where l is in S
+        np.multiply(coeff, tau_factor(nus[l]), out=coeff, where=picks[:, l])
+    alpha = np.cumsum(picks * np.array(nus), axis=1)[:, -1].tolist()  # nu_l = 0 for l < q0
+    j = counts[q0]
 
-    monomials: list[tuple[int, float, complex]] = []
-    for subset, det in zip(subsets, dets):
-        coeff = complex(det) * (-1.0) ** len(subset)
-        j = 0
-        alpha = 0.0
-        for l in subset:
-            if l < q0:
-                j += 1
-            else:
-                alpha += nus[l]
-                coeff *= taus[l]
-        monomials.append((j, alpha, coeff))
-
-    # merge equal (j, alpha) cells
-    merged: list[tuple[int, float, complex]] = []
-    for j, alpha, coeff in monomials:
-        for idx, (jj, aa, cc) in enumerate(merged):
-            if jj == j and abs(aa - alpha) <= _EXPONENT_MERGE_TOL:
-                merged[idx] = (jj, aa, cc + coeff)
-                break
+    # each subset's cell, named by its smallest alpha, from runs of the sorted (j, alpha)
+    cell, start = [None] * len(j), None
+    for j_, a_, i in sorted(zip(j, alpha, range(len(j)))):
+        if start is None or j_ != start[0] or a_ - start[1] > _EXPONENT_MERGE_TOL:
+            start = (j_, a_)
+        cell[i] = start
+    merged: dict[tuple, list] = {}  # in subset order: a cell keeps the alpha of its first
+    for c, j_, a_, v in zip(cell, j, alpha, coeff.tolist()):
+        if c in merged:
+            merged[c][2] += v
         else:
-            merged.append((j, alpha, coeff))
+            merged[c] = [j_, a_, v]
 
-    scale = max((abs(c) for _, _, c in merged), default=0.0)
-    kept = [(j, a_, c) for j, a_, c in merged if abs(c) > _COEFF_DROP_TOL * max(scale, 1.0)]
+    scale = max(abs(c) for _, _, c in merged.values())
+    cut = _COEFF_DROP_TOL * max(scale, 1.0)
+    kept = [(j_, a_, c) for j_, a_, c in merged.values() if abs(c) > cut]
     if not kept:
         raise OperatorSpecError(
             "boundary polynomial vanishes identically (degenerate tip condition)"
         )
     kept.sort(key=lambda item: (item[1], item[0]))
     alpha0 = kept[0][1]
-    at_alpha0 = [item for item in kept if abs(item[1] - alpha0) <= _EXPONENT_MERGE_TOL]
-    j0 = min(item[0] for item in at_alpha0)
-    a0 = next(c for j, a_, c in at_alpha0 if j == j0)
-    return CharacteristicValues(
-        coefficients=tuple(kept), alpha0=float(alpha0), j0=int(j0), a0=complex(a0)
-    )
+    j0, _, a0 = min((item for item in kept if item[1] - alpha0 <= _EXPONENT_MERGE_TOL),
+                    key=lambda item: item[0])
+    return CharacteristicValues(coefficients=tuple(kept), alpha0=alpha0, j0=j0, a0=a0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ kernel rows of an operator over a whole array of arguments in one
 pass: ``phi_s`` at every order ``s`` and, where ``0`` is one of them,
 ``psi``, the part of the logarithmic companion that is not a multiple
 of ``J_0``; the per-order constants it needs are worked out once per
-operator in a :class:`KernelTable`.  The boundary rows are a fixed
+operator in a :class:`KernelTable`, each zone's when a point first falls
+in that zone.  The boundary rows are a fixed
 linear map of these rows (``eigenfunction._boundary_map``).  The other
 public functions are scalar.  The engine needs
 
@@ -25,9 +26,9 @@ Evaluation strategy (argument ``w``; the orders of a row are ``s`` and
 * The series zone: float64 power series in ``(w/2)^2`` for the entire
   forms ``(w/2)^(-nu) J_nu(w)`` and, for the companion,
   ``psi(w) = sum_{k>=1} H_k (-w^2/4)^k / (k!)^2``, from one 40-term
-  table per operator.  Inside ``|w| <= 1`` its 14 lowest-order terms
-  are summed; there the prefactor meets ``0 * inf`` at ``w = 0`` and the
-  ``log`` terms of the companion cancel.  On the imaginary segment
+  table per operator.  Inside ``|w| <= 1`` its 14 lowest-order terms,
+  a table of their own, are summed; there the prefactor meets
+  ``0 * inf`` at ``w = 0`` and the ``log`` terms of the companion cancel.  On the imaginary segment
   ``w = +-ix, 1 < x <= 20``, where the negative-eigenvalue scans, the
   zero count and the zeta ray sample, all 40 are, in real arithmetic:
   ``(w/2)^2`` is real there and every term is of one sign (DLMF
@@ -86,7 +87,6 @@ is evaluated.  No spectrum, zeta or determinant route reaches either.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from functools import cached_property
@@ -321,54 +321,96 @@ def bessel_y_deriv(nu: float, x: float) -> float:
 # polynomials in u = (w/2)^2.
 # ---------------------------------------------------------------------------
 
+def _series_table(orders: np.ndarray, companion: bool, terms: int) -> np.ndarray:
+    """The first ``terms`` coefficients, lowest power of u = (w/2)^2 first, of the
+    series of phi_s at every order s and, with the companion, of psi; then those
+    of their derivatives over w/2, in the same order, the last one left 0."""
+    m, k = orders.size, _K[: terms - 1]
+    rows = m + companion
+    c = np.zeros((2 * rows, terms))
+    c[:m, 0] = [1.0 / gamma_fn(s + 1.0) for s in orders.tolist()]
+    c[:m, 1:] = -1.0 / (k * (orders[:, None] + k))  # c_k / c_{k-1}
+    np.cumprod(c[:m], axis=1, out=c[:m])
+    if companion:  # psi
+        c[m, 1:] = _PSI_SERIES[: terms - 1]
+    c[rows:, :-1] = k * c[:rows, 1:]  # d/dw sum c_k (w/2)^(2k) = (w/2) sum k c_k u^(k-1)
+    return c
+
+
 class KernelTable:
     """The per-order constants of :func:`phi_rows` for the m orders s,
-    worked out once per operator.
+    worked out once per operator, each table when a zone first reads it.
 
-    ``series`` is the 40-term series table, highest power first: the
-    series of each phi_s and, where 0 is one of the orders
-    (``companion``), of psi; then those of their derivatives over w/2, in
-    the same order.  ``disk`` is a contiguous copy of its 14 lowest-order
-    terms.  Off the series zone every row is reached from its base order
-    nu = |s| and from nu + 1: ``pair`` lists each base order once and then
-    each base order plus one, and ``rows`` picks from it the nu entry of
-    every row, then the nu + 1 entry of every row.  A row s = -nu < 0
-    takes ``rotation`` e^(i nu pi) and ``shift`` -2 nu; a row s >= 0
-    takes 1 and 0.  ``rotation`` is negated on the nu + 1 half, where the
-    zones form -H1_{s+1}.  With the companion, ``y_rows`` picks the
-    orders 0 and 1 from ``pair`` and ``zero`` is the row of order 0.
+    Construction builds ``orders``, ``companion`` (whether 0 is one of
+    them, so that psi is a row) and ``disk``, the 14 lowest-order terms
+    of the series table, highest power first: the series of each phi_s
+    and, with the companion, of psi; then those of their derivatives over
+    w/2, in the same order.  Every row inside |w| <= 1 reads only
+    ``disk``, so a request that stays there, as a determinant request
+    does, builds nothing else.  The rest is built on first use.
+    ``series`` is the same table with all 40 terms, which the imaginary
+    segment 1 < |w| <= 20 sums.  Off the series zone every row is reached
+    from its base order nu = |s| and from nu + 1: ``pair`` lists each base
+    order once and then each base order plus one, and ``rows`` picks from
+    it the nu entry of every row, then the nu + 1 entry of every row.  A
+    row s = -nu < 0 takes ``rotation`` e^(i nu pi) and ``shift`` -2 nu; a
+    row s >= 0 takes 1 and 0.  ``rotation`` is negated on the nu + 1 half,
+    where the zones form -H1_{s+1}.  With the companion, ``zero`` is the
+    row of order 0 and ``y_rows`` picks the orders 0 and 1 from ``pair``.
     ``hankel`` is the table of Hankel's expansion of every row,
     ``real_axis`` those of H1 at the orders of ``pair``.
     """
 
     def __init__(self, orders):
         s = [float(v) for v in orders]
-        m = len(s)
         self.orders = np.array(s)
-        base = list(dict.fromkeys(abs(v) for v in s))
-        n = len(base)
-        self.pair = np.array(base + [nu + 1.0 for nu in base])[:, None]
-        value_rows = [base.index(abs(v)) for v in s]
-        self.rows = np.array(value_rows + [b + n for b in value_rows])
-        self.companion = 0.0 in base
-        self.y_rows = np.array([base.index(0.0), base.index(0.0) + n]) if self.companion else None
-        self.zero = s.index(0.0) if self.companion else None
-        self.column = self.orders[:, None]
-        self.exponent = -self.column
-        reflected = [max(-v, 0.0) for v in s]  # nu on the rows s = -nu, else 0
-        rotation = [cmath.exp(1j * math.pi * nu) for nu in reflected]
-        self.rotation = np.array(rotation + [-v for v in rotation])[:, None]
-        self.shift = np.array([-2.0 * nu for nu in reflected])[:, None]
-        rows = m + self.companion
-        c = np.zeros((2 * rows, _AXIS_SERIES_TERMS))  # lowest power first
-        c[:m, 0] = [1.0 / gamma_fn(v + 1.0) for v in s]
-        c[:m, 1:] = -1.0 / (_K * (self.column + _K))  # c_k / c_{k-1}
-        np.cumprod(c[:m], axis=1, out=c[:m])
-        if self.companion:  # psi
-            c[m, 1:] = _PSI_SERIES
-        c[rows:, :-1] = _K * c[:rows, 1:]  # d/dw sum c_k (w/2)^(2k) = (w/2) sum k c_k u^(k-1)
-        self.series = c[:, ::-1].copy()
-        self.disk = self.series[:, -_SERIES_TERMS:].copy()
+        self.companion = 0.0 in s
+        # 15 terms, whose last gives the 14th term of the derivative rows
+        table = _series_table(self.orders, self.companion, _SERIES_TERMS + 1)
+        self.disk = table[:, _SERIES_TERMS - 1 :: -1].copy()
+
+    @cached_property
+    def series(self) -> np.ndarray:
+        return _series_table(self.orders, self.companion, _AXIS_SERIES_TERMS)[:, ::-1].copy()
+
+    @cached_property
+    def exponent(self) -> np.ndarray:
+        """-s as a column: (w/2)^(-s) is the prefactor of every row."""
+        return -self.orders[:, None]
+
+    @cached_property
+    def pair(self) -> np.ndarray:
+        nu = np.abs(self.orders)
+        base = nu[np.sort(np.unique(nu, return_index=True)[1])]  # in order of first appearance
+        return np.concatenate([base, base + 1.0])[:, None]
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        n = len(self.pair) // 2
+        at = np.argmax(np.abs(self.orders)[:, None] == self.pair[:n].T, axis=1)
+        return np.concatenate([at, at + n])
+
+    @cached_property
+    def _reflected(self) -> np.ndarray:
+        """nu on the rows s = -nu < 0, else 0, as a column."""
+        return np.maximum(self.exponent, 0.0)
+
+    @cached_property
+    def rotation(self) -> np.ndarray:
+        rotation = np.exp(1j * math.pi * self._reflected)
+        return np.concatenate([rotation, -rotation])
+
+    @cached_property
+    def shift(self) -> np.ndarray:
+        return -2.0 * self._reflected
+
+    @cached_property
+    def zero(self) -> int:
+        return int(np.flatnonzero(self.orders == 0.0)[0])
+
+    @cached_property
+    def y_rows(self) -> np.ndarray:
+        return self.rows[[self.zero, len(self.orders) + self.zero]]
 
     @cached_property
     def hankel_pair(self) -> np.ndarray:
@@ -518,8 +560,8 @@ def _hankel_zone(k: KernelTable, w: np.ndarray):
 
 
 def _general_zone(k: KernelTable, w: np.ndarray):
-    power = (0.5 * w) ** k.exponent
-    rows = np.array([power * sc.jve(k.column, w), -power * sc.jve(k.column + 1.0, w)])
+    power, s = (0.5 * w) ** k.exponent, -k.exponent
+    rows = np.array([power * sc.jve(s, w), -power * sc.jve(s + 1.0, w)])
     if k.companion:
         rows = _with_psi(w, rows, (rows[0][k.zero], -rows[1][k.zero]), sc.yve(_Y_ORDERS, w))
     return rows[0], rows[1]

@@ -185,6 +185,22 @@ class TestDet:
         _, out2, _ = run_cli(capsys, "det", path)
         assert out1 == out2
 
+    @pytest.mark.parametrize("r, lam, nu", [(1e200, -0.16, 0.3), (1e220, 0.56, 0.9)])
+    def test_diagnostic_past_the_float_range_is_null(self, write_doc, capsys, r, lam, nu):
+        # zeta(1) = R^2 / (4 (nu + 1)) leaves the float range, the determinant
+        # R^(nu + 1/2) det_1 does not: the value is reported, the diagnostic is
+        # null, quietly with every warning an error
+        doc = dict(large_r_doc(), R=r, lambdas=[lam], regular_bc={"type": "dirichlet"})
+        unit = dict(doc, R=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "det", write_doc(doc))
+            _, unit_out, _ = run_cli(capsys, "det", write_doc(unit, "unit.json"))
+        assert code == EXIT_OK and err == ""
+        report, unit_value = json.loads(out)["report"], json.loads(unit_out)["report"]["value"]
+        assert report["diagnostics"]["zeta_1"] is None
+        assert report["value"] == pytest.approx(unit_value * r ** (nu + 0.5), rel=1e-12, abs=0.0)
+
 
 class TestSpectrum:
     def test_csv_first_root(self, write_doc, capsys, j1_zeros_oracle):

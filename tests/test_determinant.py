@@ -186,6 +186,25 @@ class TestKernelDecision:
             # first order in e, plus the rounding of F(0) ~ e
             assert abs(got.value / mu1**2 / limit - 1.0) <= 0.25 * e + 4.0 * EPS / e
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            robin_regular(0.3, 0.0),
+            scalar_spec(0.3, Robin(-0.8)),
+            scalar_spec(0.0, Dirichlet(), r=1e-3),
+            diagonal_spec([scalar_spec(nu, Robin(0.2), r=3.0) for nu in (0.0, 0.4, 0.4, 0.7)]),
+        ],
+        ids=["q1", "kernel", "log channel", "q4"],
+    )
+    def test_circle_coefficients_match_an_fft(self, spec):
+        # the DFT matrix times the circle's values over their largest is the FFT
+        # of the values to a few rounding units of the largest
+        ev = eigenfunction.SecularEvaluator(spec)
+        c, big = ev._taylor
+        f = ev._probes[1:]
+        assert big == np.max(np.abs(f))
+        assert np.max(np.abs(c * big - np.fft.fft(f) / f.size)) <= 4.0 * EPS * big
+
     def test_no_coefficient_above_the_floor(self):
         ev = eigenfunction.SecularEvaluator(robin_regular(0.3, 0.0))
         ev._probes = np.zeros(1 + eigenfunction._CIRCLE_POINTS, dtype=complex)
@@ -268,7 +287,7 @@ class TestFiniteT:
         for t in (1.5, 1e300):
             ev = eigenfunction.SecularEvaluator(spec)
             with pytest.raises(RootInsideContourError, match=r"certifies no such disk \(margin 0\)"):
-                determinant._finite_t(ev, t, determinant._arc_pass(ev, t))
+                determinant._finite_t(ev, t, determinant._arc_pass(ev, t), ev.zero_free_margin(t))
             assert ev.counts == {"passes": 1}
 
     def test_matches_closed_form_at_r_10(self):
@@ -427,15 +446,51 @@ class TestAuto:
             got = det_zeta_auto(spec).diagnostics["zeta_1"]
             assert abs(got - k * want) <= 1e-14 * k * want
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            scalar_spec(0.3, Robin(0.5)),
+            scalar_spec(0.0, Dirichlet(), r=8.0),
+            scalar_spec(0.3, Robin(-0.8)),
+            diagonal_spec(
+                [
+                    scalar_spec(nu, Robin(0.4), tip=tip, r=2.5)
+                    for nu, tip in (
+                        (0.0, "regular"), (0.2, "singular"), (0.55, "regular"), (0.9, "regular")
+                    )
+                ]
+            ),
+        ],
+        ids=["q1", "log channel", "kernel", "q4"],
+    )
+    def test_a_request_builds_only_the_disk_table(self, spec, monkeypatch):
+        # the probes, F(it) and the arc all lie in the series disk |mu R| <= 1:
+        # of the kernel table, a determinant request builds the 14-term disk alone
+        tables = []
+
+        class Recorded(eigenfunction.KernelTable):
+            def __init__(self, orders):
+                super().__init__(orders)
+                tables.append(self)
+
+        monkeypatch.setattr(eigenfunction, "KernelTable", Recorded)
+        det_zeta_auto(spec)
+        assert [sorted(vars(table)) for table in tables] == [["companion", "disk", "orders"]]
+        assert tables[0].disk.shape[1] == 14
+
     @pytest.mark.parametrize("nu", [0.0, 0.3, 0.9])
     def test_dilation_law_where_zeta_1_leaves_the_float_range(self, nu):
         # det_R = R^(nu + 1/2) det_1 for the zeros j_{nu,k} / R; at R = 1e200
         # zeta(1) = R^2 / (4 (nu + 1)) is past the float range: inf in the
-        # diagnostics, with no numpy warning, and the determinant keeps the law
+        # diagnostics, with no numpy warning, and the determinant keeps the law.
+        # At R = 1e220 and nu = 0.9 F is near the float range on the whole Taylor
+        # circle, whose coefficients must not overflow
         unit = det_zeta_auto(scalar_spec(nu, Dirichlet())).value
-        got = det_zeta_auto(scalar_spec(nu, Dirichlet(), r=1e200))
-        assert got.diagnostics["zeta_1"] == math.inf
-        assert got.value == pytest.approx(unit * 1e200 ** (nu + 0.5), rel=1e-12, abs=0.0)
+        for r in (1e200, 1e220):
+            got = det_zeta_auto(scalar_spec(nu, Dirichlet(), r=r))
+            assert got.diagnostics["zeta_1"] == math.inf
+            assert math.isfinite(got.diagnostics["floor_margin"])
+            assert got.value == pytest.approx(unit * r ** (nu + 0.5), rel=1e-12, abs=0.0)
 
     def test_wronskian_oracle_only_at_unit_length(self):
         # the oracle is normalized on (0, 1]; at R = 2 it would quote another operator

@@ -335,6 +335,21 @@ def test_dlog_is_odd_and_takes_scalars(diagonal_pair):
     assert ev.dlog(complex(mu[0])) == ev.dlog(mu)[0]
 
 
+def test_dlog_tells_an_overflow_from_a_zero_of_f():
+    # at nu = 0.9, R = 1e140 and mu = 0.5 / R, N is finite and nonzero but N'
+    # leaves the float range: an overflow, not a zero of F.  A kernel operator
+    # (nu = 1/2, Robin(-1)) at mu = 0 is a true zero
+    far = SecularEvaluator(scalar_spec(0.9, Dirichlet(), r=1e140))
+    assert far.scaled(0.5e-140)[0] != 0.0
+    with pytest.raises(NumericalError, match="overflows where F is not 0") as exc:
+        far.dlog(0.5e-140)
+    assert not isinstance(exc.value, eigenfunction.ContourError)
+    kernel = SecularEvaluator(scalar_spec(0.5, Robin(-1.0)))
+    assert kernel.scaled(0.0)[0] == 0.0
+    with pytest.raises(eigenfunction.ContourError, match="at a zero of F"):
+        kernel.dlog(np.array([0.0, 0.5]))
+
+
 def _count_calls(monkeypatch) -> Counter:
     """Count the kernel passes of SecularEvaluator from now on: each gives F (key
     "scaled"), and one with ``deriv`` gives dlog F as well (key "_dlog")."""

@@ -29,6 +29,41 @@ def _spec(a, b, lambdas, q0, bc=Robin(0.0), r=1.0):
     )
 
 
+def _subset_loop(spec):
+    """characteristic_values as a loop over the subsets S of columns, each monomial
+    merged into the first earlier cell of its j within 1e-9 in alpha: the reference."""
+    from itertools import combinations
+
+    from regsing.operators import CharacteristicValues
+
+    q, q0, nus = spec.q, spec.q0, spec.nus
+    cells = []
+    for size in range(q + 1):
+        for subset in combinations(range(q), size):
+            mixed = np.where(np.isin(np.arange(q), subset), spec.boundary.b_mat, spec.boundary.a_mat)
+            coeff = complex(np.linalg.det(mixed)) * (-1.0) ** size
+            j, alpha = 0, 0.0
+            for l in subset:
+                if l < q0:
+                    j += 1
+                else:
+                    alpha += nus[l]
+                    coeff *= tau_factor(nus[l])
+            for cell in cells:
+                if cell[0] == j and abs(cell[1] - alpha) <= 1e-9:
+                    cell[2] += coeff
+                    break
+            else:
+                cells.append([j, alpha, coeff])
+    scale = max(abs(c) for _, _, c in cells)
+    kept = sorted(
+        ((j, a, c) for j, a, c in cells if abs(c) > 1e-13 * max(scale, 1.0)),
+        key=lambda cell: (cell[1], cell[0]),
+    )
+    j0, _, a0 = min((cell for cell in kept if cell[1] - kept[0][1] <= 1e-9), key=lambda c: c[0])
+    return CharacteristicValues(coefficients=tuple(kept), alpha0=kept[0][1], j0=j0, a0=a0)
+
+
 class TestValidate:
     def test_scalar_regular_rows_ok(self):
         assert validate(_spec([[0.0]], [[1.0]], [0.0], 0)) == []
@@ -115,6 +150,61 @@ class TestCharacteristicValues:
             want = np.linalg.det(a - b @ d)
             got = sum(c * x**j * y ** (2.0 * alpha) for j, alpha, c in cv.coefficients)
             assert abs(got - want) <= 1e-12 * abs(want)
+
+    # (q, q0, nus of the other channels): repeated nu and subset sums within
+    # rounding of another nu (0.1 + 0.2 against 0.3) make cells of several subsets
+    SEEDED_TIPS = [
+        (1, 0, (0.3,)),
+        (1, 1, ()),
+        (2, 0, (0.3, 0.3)),
+        (2, 1, (0.45,)),
+        (3, 0, (0.1, 0.2, 0.3)),
+        (3, 1, (0.25, 0.25)),
+        (4, 0, (0.1, 0.2, 0.3, 0.3)),
+        (4, 2, (0.35, 0.7)),
+    ]
+
+    @pytest.mark.parametrize("kind", ["diagonal", "coupled"])
+    @pytest.mark.parametrize("q, q0, nus", SEEDED_TIPS)
+    def test_monomials_reproduce_the_polynomial_on_seeded_tips(self, q, q0, nus, kind):
+        # the cells sum to p(x, y) = det(a - b D) at random (x, y), so none is
+        # lost, and no two of them share j with exponents within 1e-9, so none is
+        # split; log channels (q0 > 0) take the powers of x
+        rng = np.random.default_rng(1000 * q + 10 * q0 + (kind == "coupled"))
+        if kind == "diagonal":
+            a, b = np.diag(rng.normal(size=q)), np.diag(rng.normal(size=q))
+        else:
+            a = rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
+            b = rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
+        all_nus = (0.0,) * q0 + nus
+        cv = characteristic_values(_spec(a, b, [nu * nu - 0.25 for nu in all_nus], q0))
+        for (j1, a1, _), (j2, a2, _) in zip(cv.coefficients, cv.coefficients[1:]):
+            assert (a1, j1) < (a2, j2)  # ascending in (alpha, j)
+        cells = [(j, alpha) for j, alpha, _ in cv.coefficients]
+        for i, (j1, a1) in enumerate(cells):
+            assert all(j1 != j2 or abs(a1 - a2) > 1e-9 for j2, a2 in cells[i + 1 :])
+        taus = [tau_factor(nu) for nu in nus]
+        for x, y in rng.uniform(0.3, 2.5, size=(5, 2)):
+            d = np.diag([x] * q0 + [t * y ** (2.0 * nu) for t, nu in zip(taus, nus)])
+            want = np.linalg.det(a - b @ d)
+            got = sum(c * x**j * y ** (2.0 * alpha) for j, alpha, c in cv.coefficients)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("kind", ["diagonal", "coupled"])
+    @pytest.mark.parametrize("q, q0, nus", SEEDED_TIPS)
+    def test_same_cells_as_the_subset_loop(self, q, q0, nus, kind):
+        # the array expansion and the one-sort merge against a loop over the
+        # subsets with a pairwise merge: the same cells, to the last bit and the
+        # sign of every zero
+        rng = np.random.default_rng(2000 * q + 10 * q0 + (kind == "coupled"))
+        if kind == "diagonal":
+            pick = rng.integers(0, 2, size=q)
+            a, b = np.diag(1.0 - pick), np.diag(pick * 1.0)
+        else:
+            a = rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
+            b = rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
+        spec = _spec(a, b, [nu * nu - 0.25 for nu in (0.0,) * q0 + nus], q0)
+        assert repr(characteristic_values(spec)) == repr(_subset_loop(spec))
 
     def test_mixed_q0_block(self):
         spec = diagonal_spec(
