@@ -58,11 +58,17 @@ def _round_nodes(lo: np.ndarray, hi: np.ndarray, first: bool) -> tuple[np.ndarra
     return half, half * _GL_NODES + 0.5 * (a + b)[:, None]
 
 
-def first_nodes(edges) -> np.ndarray:
-    """The nodes of the first round of :func:`gauss_legendre` over ``edges``,
-    flat and in the order in which it takes their values."""
-    edges = np.asarray(edges, dtype=float)
-    return _round_nodes(edges[:-1], edges[1:], True)[1].ravel()
+class FirstRound:
+    """The first round of :func:`gauss_legendre` over fixed ``edges``, worked out
+    once where the same edges serve many integrals: ``lo`` and ``hi``, the panels'
+    ends, ``half``, the half-widths of the round's sub-panels as a column, and
+    ``nodes``, its nodes, flat and in the order in which it takes their values."""
+
+    def __init__(self, edges):
+        edges = np.asarray(edges, dtype=float)
+        self.lo, self.hi = edges[:-1], edges[1:]
+        self.half, nodes = _round_nodes(self.lo, self.hi, True)
+        self.nodes = nodes.ravel()
 
 
 def gauss_legendre(
@@ -72,28 +78,30 @@ def gauss_legendre(
 
     ``f`` maps a 1-d array of nodes to the real or complex integrand
     values there.  The panels start as the intervals between consecutive
-    ``edges``.  Each round takes the values on the nodes of both halves
-    of every unconverged panel (and, in the first round, of the panels
-    themselves) from one call of ``f``; a caller that has the first
-    round's values already, at :func:`first_nodes`, passes them as
-    ``first`` and ``f`` is called from the second round on.  A panel
-    whose estimate agrees with the sum of its halves to ``_GL_RTOL``
-    times the integral of |f| is accepted with the halves' sum, the
-    others are replaced by their halves.  Every round's nodes, the first
-    round's included, are added to ``counts["nodes"]`` when ``counts``
-    is given.  Returns the integral and its error estimate, the summed
-    |panel - halves| differences of the accepted panels plus
-    ``_GL_ROUNDING`` times the integral of |f|; raises :class:`QuadratureError`
-    when the integrand is not finite or when converging would take more
-    than ``_GL_MAX_NODES`` nodes.
+    ``edges``, which may be given as their :class:`FirstRound`, built
+    once, so that the first round's nodes are not worked out again.  Each
+    round takes the values on the nodes of both halves of every
+    unconverged panel (and, in the first round, of the panels themselves)
+    from one call of ``f``; a caller that has the first round's values
+    already, at :attr:`FirstRound.nodes`, passes them as ``first`` and
+    ``f`` is called from the second round on.  A panel whose estimate
+    agrees with the sum of its halves to ``_GL_RTOL`` times the integral
+    of |f| is accepted with the halves' sum, the others are replaced by
+    their halves.  A round in which every panel converges, as the first
+    round often does, adds them all with no mask and returns.  Every
+    round's nodes, the first round's included, are added to
+    ``counts["nodes"]`` when ``counts`` is given.  Returns the integral
+    and its error estimate, the summed |panel - halves| differences of the
+    accepted panels plus ``_GL_ROUNDING`` times the integral of |f|;
+    raises :class:`QuadratureError` when the integrand is not finite or
+    when converging would take more than ``_GL_MAX_NODES`` nodes.
     """
-    edges = np.asarray(edges, dtype=float)
-    lo, hi = edges[:-1], edges[1:]
+    rule = edges if isinstance(edges, FirstRound) else FirstRound(edges)
+    lo, hi, half, nodes = rule.lo, rule.hi, rule.half, rule.nodes
     whole = None
     total, error, abs_done = 0.0, 0.0, 0.0
     used = 0
     while True:
-        half, nodes = _round_nodes(lo, hi, whole is None)
         used += nodes.size
         if used > _GL_MAX_NODES:
             raise QuadratureError(
@@ -101,14 +109,13 @@ def gauss_legendre(
             )
         if counts is not None:
             counts["nodes"] += nodes.size
-        if whole is None and first is not None:
-            vals = np.asarray(first).reshape(nodes.shape)
-        else:
-            vals = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
+        vals = first if whole is None and first is not None else f(nodes)
+        vals = np.asarray(vals).reshape(half.size, -1)
         if not np.all(np.isfinite(vals)):
             raise QuadratureError("integrand is not finite on the integration path")
-        est = (half * vals) @ _GL_WEIGHTS
-        mags = np.abs(half * vals) @ _GL_WEIGHTS
+        scaled = half * vals
+        est = scaled @ _GL_WEIGHTS
+        mags = np.abs(scaled) @ _GL_WEIGHTS
         p = len(lo)
         left, right = est[:p], est[p : 2 * p]
         if whole is None:
@@ -116,13 +123,16 @@ def gauss_legendre(
         finer = left + right
         diff = np.abs(whole - finer)
         ok = diff <= _GL_RTOL * (abs_done + mags[: 2 * p].sum())
-        total += finer[ok].sum()
-        error += diff[ok].sum()
-        abs_done += mags[:p][ok].sum() + mags[p : 2 * p][ok].sum()
-        if ok.all():
+        done = ok.all()
+        pick = slice(None) if done else ok  # every panel, with no mask, once all converge
+        total += finer[pick].sum()
+        error += diff[pick].sum()
+        abs_done += mags[:p][pick].sum() + mags[p : 2 * p][pick].sum()
+        if done:
             return total.item(), float(error + _GL_ROUNDING * abs_done)
         keep = ~ok
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate([lo[keep], mid[keep]]), np.concatenate([mid[keep], hi[keep]])
         whole = np.concatenate([left[keep], right[keep]])
-
+        half, nodes = _round_nodes(lo, hi, False)
+        nodes = nodes.ravel()

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numutil import NumericalError, first_nodes, gauss_legendre
+from ._numutil import FirstRound, NumericalError, gauss_legendre
 from .eigenfunction import (
     _REAL_RESIDUE_TOL,
     GAMMA_TILDE,
@@ -170,7 +170,9 @@ def _from_circle(ev: SecularEvaluator) -> DeterminantReport:
 
 
 _ARC = (-0.5 * math.pi, 0.5 * math.pi)  # gamma_t by its angle phi, mu = t e^(i phi)
-_ARC_NODES = first_nodes(_ARC)
+# the arc's first Gauss-Legendre round, a fixed rule, and its 48 points mu / t = e^(i phi)
+_ARC_ROUND = FirstRound(_ARC)
+_ARC_UNIT = np.exp(1j * _ARC_ROUND.nodes)
 # t R of the default contours: fixed, so that neither the Taylor circle's
 # certificate nor the arc's cancellation depends on R
 _CONTOUR_TR = 0.1
@@ -232,7 +234,7 @@ def _arc_pass(ev: SecularEvaluator, t_abs: float) -> tuple[np.ndarray, ...] | No
         raise ValueError("t_abs must be positive and finite")
     if not t_abs < ev.circle_radius:
         return None
-    return ev._scaled_dlog(np.concatenate(([1j * t_abs], t_abs * np.exp(1j * _ARC_NODES))))
+    return ev._scaled_dlog(np.concatenate(([1j * t_abs], t_abs * _ARC_UNIT)))
 
 
 def _finite_t(
@@ -259,12 +261,15 @@ def _finite_t(
     else:
         ratio = _as_positive_real(ratio, "F(it) / (C (-1)^(q0-j0))")
 
-    def integrand(phi: np.ndarray, dl=None) -> np.ndarray:  # phi runs pi/2 -> -pi/2
-        mu = t_abs * np.exp(1j * phi)
-        return np.log(mu) * (ev.dlog(mu) if dl is None else dl) * 1j * mu
+    def values(mu: np.ndarray, dl: np.ndarray) -> np.ndarray:
+        return np.log(mu) * dl * 1j * mu
 
-    first = integrand(_ARC_NODES, off_zeros(dlog[1:], mants[1:]))
-    arc, _ = gauss_legendre(integrand, _ARC, first=first, counts=ev.counts)
+    def integrand(phi: np.ndarray) -> np.ndarray:  # phi runs pi/2 -> -pi/2
+        mu = t_abs * np.exp(1j * phi)
+        return values(mu, ev.dlog(mu))
+
+    first = values(t_abs * _ARC_UNIT, off_zeros(dlog[1:], mants[1:]))
+    arc, _ = gauss_legendre(integrand, _ARC_ROUND, first=first, counts=ev.counts)
     arc_term = _real(-arc / (1j * math.pi), "gamma_t integral")
     log_ratio = math.log(ratio) + log_scale
     q_val = -log_ratio - log_pow * (EULER_GAMMA + math.log(2.0)) - arc_term

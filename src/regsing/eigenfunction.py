@@ -26,8 +26,8 @@ in mu^2 (the log mu pieces of the companion solution cancel identically).
 
 A row is wt T(R) + wx dT/dx(R): (kappa, sqrt(R)) at a Robin end
 f' + alpha f = 0, kappa = 1/(2 sqrt(R)) + alpha sqrt(R), and (sqrt(R), 0)
-at a Dirichlet one.  Every row and its mu-derivative is a fixed linear
-combination of the kernel rows (:func:`_boundary_map`), so the end
+at a Dirichlet one.  Every row and its w-derivative, w = mu R, is a fixed
+linear combination of the kernel rows (:func:`_boundary_map`), so the end
 condition enters only as weights.  The traces carry the factor
 exp(-|Im mu R|) of the exponentially scaled Bessel kernel, so entries
 stay finite on contours where F grows like exp(q |Im mu| R); `scaled`
@@ -36,7 +36,7 @@ exp(log_scale), the log-scale adding q |Im mu R| back.  `scaled` and
 `dlog` are evaluated over ndarrays of mu (a scalar mu is a one-element
 array); `dlog` gives F'/F as the sum of the factors' log-derivatives,
 N'_ll / N_ll on a diagonal tip and Jacobi's formula tr(N^-1 N') on a
-coupled one, from the analytic mu-derivatives of the traces.
+coupled one, from the analytic w-derivatives of the traces, times R.
 """
 
 from __future__ import annotations
@@ -53,18 +53,16 @@ import numpy as np
 
 from ._numutil import NumericalError, gauss_legendre
 from .operators import (
+    Channels,
     CharacteristicValues,
     Dirichlet,
     OperatorSpec,
+    channels,
     characteristic_values,
+    diagonal_tip,
     validate,
 )
-from .special import (
-    EULER_GAMMA,
-    KernelTable,
-    gamma_fn,
-    phi_rows,
-)
+from .special import EULER_GAMMA, KernelTable, phi_rows
 
 GAMMA_TILDE = math.log(2.0) - EULER_GAMMA
 
@@ -131,10 +129,11 @@ class Spectrum:
     passes: int = field(default=0, compare=False)
 
 
-def _boundary_map(spec: OperatorSpec) -> tuple[list[float], np.ndarray]:
-    """The kernel orders and the map (a, b, c, e), shaped (4, 2q, m'), from the kernel
-    rows V (:func:`phi_rows`, psi last on a log channel) and their w-derivatives D to
-    the rows (jp, jm) = a V + w b D and their mu-derivatives c D + w e V, w = mu R.
+def _boundary_map(spec: OperatorSpec, ch: Channels) -> np.ndarray:
+    """The map (a, b, c, e), shaped (4, 2q, m'), from the kernel rows V (:func:`phi_rows`
+    at the kernel orders of ``ch``, the keys of its Gamma table; psi last on a log
+    channel) and their w-derivatives D to the rows (jp, jm) = a V + w b D and their
+    w-derivatives c D + w e V, w = mu R (d/dmu = R d/dw).
 
     A row is wt T(R) + wx T_x(R), (wt, wx) = (kappa, sqrt(R)) at a Robin end and
     (sqrt(R), 0) at a Dirichlet one.  A branch T = g x^s phi_s(mu x), g = Gamma(1 + s) R^s,
@@ -143,18 +142,19 @@ def _boundary_map(spec: OperatorSpec) -> tuple[list[float], np.ndarray]:
     C = log(R) phi_0 - psi has C_x = phi_0 / R + mu E, C_mu = R E with
     E = log(R) phi_0' - psi', and C_xmu = -w C - phi_0'.  In w, not in mu, no entry
     carries a spare power of R (in mu the Robin -sqrt(R) g R of mu phi_s underflowed at
-    R = 5.3e-280), and each takes the weights' powers of R before g.  Where R^s, T or
-    T_x at unit kernel values and mu = 1, their row or 1/R overflow, F overflows at
-    every mu: a NumericalError."""
-    r, q, q0, nus = spec.r, spec.q, spec.q0, spec.nus
+    R = 5.3e-280, and the derivative rows, R times those in w, took F' past the float
+    range where F' / F is not, from R = 1e140), and each takes the weights' powers of R
+    before g.  Where R^s, T or T_x at unit kernel values and mu = 1, their row or 1/R
+    overflow, F overflows at every mu: a NumericalError."""
+    r, q, q0, nus = spec.r, spec.q, spec.q0, ch.nus
     sqrt_r = math.sqrt(r)
     wt, wx = (sqrt_r, 0.0) if isinstance(spec.regular_bc, Dirichlet) else (spec.kappa, sqrt_r)
     # the +nu branch of each channel (s = 0 on a log channel): the rows of jp; the -nu
     # branch of each other channel: the rows of jm after the q0 companions
     branch_s = list(nus) + [-nu for nu in nus[q0:]]
-    orders = list(dict.fromkeys(branch_s))
+    orders = list(ch.gamma)
     try:
-        g = [gamma_fn(1.0 + s) * r**s for s in branch_s]
+        g = [ch.gamma[s] * r**s for s in branch_s]
     except OverflowError:
         g = [math.inf]
     t_x = [gs * (s / r + 1.0) for s, gs in zip(branch_s, g)]
@@ -164,18 +164,18 @@ def _boundary_map(spec: OperatorSpec) -> tuple[list[float], np.ndarray]:
     # (row, kernel row, a, b, c, e) of each nonzero entry
     entries = [
         (row, orders.index(s), wt * gs + wx * s / r * gs, wx / r * gs,
-         wt * (r * gs) - wx * (s * gs), -wx * gs)
+         wt * gs - wx * s / r * gs, -wx / r * gs)
         for row, s, gs in zip([*range(q), *range(q + q0, 2 * q)], branch_s, g)
     ]
     if q0:  # the companions, on phi_0 (the first kernel row) and psi (the last)
         log_r = math.log(r)
-        phi0 = (0, wt * log_r + wx / r, wx * log_r / r, wt * r * log_r - wx, -wx * log_r)
-        psi = (-1, -wt, -wx / r, -wt * r, wx)
+        phi0 = (0, wt * log_r + wx / r, wx * log_r / r, wt * log_r - wx / r, -wx * log_r / r)
+        psi = (-1, -wt, -wx / r, -wt, wx / r)
         entries += [(row, *v) for row in range(q, q + q0) for v in (phi0, psi)]
     row, column, *coeffs = zip(*entries)
     maps = np.zeros((4, 2 * q, len(orders) + (q0 > 0)))
     maps[:, row, column] = coeffs
-    return orders, maps
+    return maps
 
 
 def _unscaled(mant: np.ndarray, logs: np.ndarray) -> np.ndarray:
@@ -226,9 +226,16 @@ def _right_half(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class SecularEvaluator:
     """The prepared operator: per-operator tables, F and dlog F.
 
-    Construction validates the tip condition and raises
-    :class:`InvalidOperatorError` where it fails, and builds the map from
-    kernel rows to boundary rows (:func:`_boundary_map`).  The characteristic
+    Construction decides once whether the tip rows are diagonal
+    (:func:`~regsing.operators.diagonal_tip`), as `diagonal`, validates the
+    tip condition on that decision (:func:`~regsing.operators.validate`:
+    row norms in place of an SVD on a diagonal tip) and raises
+    :class:`InvalidOperatorError` where it fails.  It then works out the
+    request's `channels` (:func:`~regsing.operators.channels`): the orders
+    nu_l, the decision and one Gamma(1 + s) per kernel order s, which the
+    map from kernel rows to boundary rows (:func:`_boundary_map`), the
+    kernel table, `cv` and `model` all read, so a diagonal request makes
+    no LAPACK call and evaluates Gamma once per order.  The characteristic
     values `cv`, the asymptotic model `model` and the kernel order `k0`
     are worked out on first use and kept, so every route of one request
     reads the same decision.  The probes of `k0` are F(0), kept as `f0`,
@@ -237,12 +244,12 @@ class SecularEvaluator:
     :meth:`zero_free` of the contour disks and the zeta `power_sums`.
     :meth:`scaled`, :meth:`value` and :meth:`dlog` are computed
     over an ndarray mu and keep its shape; a scalar mu is evaluated as a
-    one-element array and comes back as Python scalars.  `diagonal` says
-    whether the tip rows are diagonal, so that each channel is a factor
-    of F, and `width` is the number of channels of a factor (1 there, q on
-    a coupled tip).  Every evaluation is one :meth:`_pass`, the kernel
-    pass that gives each factor's mantissa and log-scale, with ``deriv``
-    their log-derivatives, and the traces they come from.  The first
+    one-element array and comes back as Python scalars.  On a diagonal
+    tip each channel is a factor of F, and `width` is the number of
+    channels of a factor (1 there, q on a coupled tip).  Every evaluation
+    is one :meth:`_pass`, the kernel pass that gives each factor's
+    mantissa and log-scale, with ``deriv`` their log-derivatives, and the
+    traces they come from.  The first
     kernel pass on the operator takes the probes of `k0` along, whichever
     route makes it (:meth:`_probed`):
     :meth:`sample`, the pass of the spectrum scans, which gives each
@@ -257,7 +264,10 @@ class SecularEvaluator:
     """
 
     def __init__(self, spec: OperatorSpec):
-        bad = validate(spec)
+        # diagonal rows make q scalar channels, F = prod_l N_ll: each channel is
+        # a factor of F; a coupled tip is the one factor det N of `width` q
+        self.diagonal = diagonal_tip(spec.boundary)
+        bad = validate(spec, self.diagonal)
         if bad:
             raise InvalidOperatorError(
                 "operator failed validation: " + "; ".join(v.name for v in bad)
@@ -267,8 +277,9 @@ class SecularEvaluator:
         self.q = spec.q
         self.q0 = spec.q0
         self.counts = Counter()
-        orders, self._map = _boundary_map(spec)
-        self._kernel = KernelTable(orders)
+        self.channels = channels(spec, self.diagonal)
+        self._map = _boundary_map(spec, self.channels)
+        self._kernel = KernelTable(list(self.channels.gamma), self.channels.gamma)
         # the tip rows [A | B], each over its largest entry (validation makes it
         # nonzero): its modulus by hypot and each part over it, as Python's complex
         # abs and division by a float would give them
@@ -277,10 +288,6 @@ class SecularEvaluator:
         top = (top.view(float) / tops[:, None]).view(complex)
         self._at, self._bt = top[:, : self.q].T, top[:, self.q :].T
         self._ad, self._bd = self._at.diagonal(), self._bt.diagonal()
-        # diagonal rows make q scalar channels, F = prod_l N_ll: each channel is
-        # a factor of F; a coupled tip is the one factor det N of `width` q
-        on_diagonal = np.count_nonzero(self._ad) + np.count_nonzero(self._bd)
-        self.diagonal = np.count_nonzero(top) == on_diagonal
         self.width = 1 if self.diagonal else self.q
         log_top = [math.log(t) for t in tops.tolist()]
         self._log_top = np.array(log_top if self.diagonal else [sum(log_top)])  # per factor
@@ -290,11 +297,11 @@ class SecularEvaluator:
 
     @cached_property
     def cv(self) -> CharacteristicValues:
-        return characteristic_values(self.spec)
+        return characteristic_values(self.spec, self.channels)
 
     @cached_property
     def model(self) -> AsymptoticModel:
-        return AsymptoticModel.from_spec(self.spec, self.cv)
+        return AsymptoticModel.from_spec(self.spec, self.cv, self.channels)
 
     @cached_property
     def _probe_scaled(self) -> tuple[np.ndarray, np.ndarray]:
@@ -430,7 +437,7 @@ class SecularEvaluator:
 
     def _traces(self, mu: np.ndarray, deriv: bool = False) -> tuple[np.ndarray, ...]:
         """Diagonal entries (jp, jm) of the lower blocks, Re mu >= 0, shaped (q,) + mu.shape,
-        with ``deriv`` their mu-derivatives (djp, djm): one :func:`phi_rows` pass at w = mu R
+        with ``deriv`` their w-derivatives (djp, djm): one :func:`phi_rows` pass at w = mu R
         and the map of :func:`_boundary_map`, no branch on the end condition or on q0."""
         self.counts["passes"] += 1
         w = mu.ravel() * self.r
@@ -511,7 +518,7 @@ class SecularEvaluator:
         with np.errstate(over="ignore", invalid="ignore"):
             jp, jm, *djs = self._traces(mu, deriv)
             n, scale = self._system(jp, jm), _scales(jp, jm)
-            dn = self._system(*djs) if deriv else None  # N', not finite past the float range
+            dn = self._system(*djs) if deriv else None  # N' in w, not finite past the float range
             growth = self.width * self.r * abs(mu.imag)  # each column of N carries exp(-|Im mu R|)
         if not np.isfinite(scale).all():  # the largest trace of a column, or NaN
             at = np.min(np.abs(mu.T[~np.isfinite(scale).all(-1)]))
@@ -532,8 +539,9 @@ class SecularEvaluator:
         """(d/dmu) log F, the sum of its factors' log-derivatives: N'_ll / N_ll on a
         diagonal tip, else Jacobi's formula dlog det N = tr(N^-1 N').
 
-        N' is N with the traces replaced by their mu-derivatives, which
-        carry the same exp(-|Im mu R|) factor, so it cancels.  A scalar
+        N' is N with the traces replaced by their w-derivatives, which
+        carry the same exp(-|Im mu R|) factor, so it cancels, and the
+        ratio times R is the mu-derivative.  A scalar
         mu is evaluated as a one-element array; mu at a zero of F raises
         ContourError, and mu where dlog F leaves the float range although F
         is not 0 (N' overflows) NumericalError (:func:`off_zeros`).
@@ -552,8 +560,9 @@ class SecularEvaluator:
 
     def _jacobi(self, flip, n, dn, scale) -> np.ndarray:
         """The log-derivatives of F's factors, shaped (f,) + mu.shape, from :meth:`_system`
-        of the traces and of their mu-derivatives and the column scales of :meth:`_pass`:
-        N'_ll / N_ll on a diagonal tip, else tr(N^-1 N'); negated where mu was reflected."""
+        of the traces and of their w-derivatives and the column scales of :meth:`_pass`:
+        R N'_ll / N_ll on a diagonal tip, else R tr(N^-1 N'), w = mu R, so that N' leaves
+        the float range only where F' / F does; negated where mu was reflected."""
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             if self.diagonal:
                 out = dn / n
@@ -568,6 +577,7 @@ class SecularEvaluator:
                     sol = np.linalg.solve(n, dn)
                     sol[singular] = np.nan
                 out = np.trace(sol, axis1=-2, axis2=-1)[..., None]
+            out = out * self.r  # d/dmu = R d/dw
         return np.where(flip, -out.T, out.T)  # F is even, dlog F odd
 
     def quoted_model(self, x: float) -> complex:
@@ -622,11 +632,13 @@ class AsymptoticModel:
     growth_rate: float
 
     @classmethod
-    def from_spec(cls, spec: OperatorSpec, cv: CharacteristicValues) -> "AsymptoticModel":
-        nus = spec.nus[spec.q0 :]
+    def from_spec(
+        cls, spec: OperatorSpec, cv: CharacteristicValues, ch: Channels
+    ) -> "AsymptoticModel":
+        nus = ch.nus[spec.q0 :]
         rho = 1.0
         for nu in nus:
-            rho *= 2.0 ** (-nu) * gamma_fn(1.0 - nu)
+            rho *= 2.0 ** (-nu) * ch.gamma[-nu]
         abs_nu = sum(nus)
         c = cv.a0 * rho * (2.0 * math.pi) ** (-spec.q / 2.0)
         half_q = spec.q / 2.0

@@ -144,17 +144,37 @@ class Violation:
     detail: str
 
 
-def validate(spec: OperatorSpec) -> list[Violation]:
+def diagonal_tip(boundary: BoundaryMatrices) -> bool:
+    """Whether the tip rows (a|b) are diagonal: every entry off the diagonals of a and
+    b is 0, so the operator is q scalar channels."""
+    a, b = boundary.a_mat, boundary.b_mat
+    on_diagonal = np.count_nonzero(a.diagonal()) + np.count_nonzero(b.diagonal())
+    return np.count_nonzero(a) + np.count_nonzero(b) == on_diagonal
+
+
+def validate(spec: OperatorSpec, diagonal: bool | None = None) -> list[Violation]:
     """Check the tip-condition invariants; empty list means ok.
 
     Rank of the q x 2q block (a|b) is tested against a singular-value
     threshold, self-adjointness of a' b* (a' = a with the first q0
     columns negated) against the max-entry deviation from Hermiticity.
+    ``diagonal`` is :func:`diagonal_tip` of the spec, worked out here when
+    not given.  On a diagonal tip the rows of (a|b) are orthogonal, so its
+    singular values are the row norms hypot(|a_ll|, |b_ll|), and a' b* is
+    the diagonal a'_ll conj(b_ll): no LAPACK call.  A coupled tip takes
+    the singular values from an SVD.
     """
+    if diagonal is None:
+        diagonal = diagonal_tip(spec.boundary)
     a, b = spec.boundary.a_mat, spec.boundary.b_mat
     out: list[Violation] = []
-    top, low = np.linalg.svd(np.concatenate((a, b), axis=1), compute_uv=False)[[0, -1]].tolist()
-    if top == 0.0 or low <= _RANK_RTOL * top:
+    if diagonal:
+        a, b = a.diagonal(), b.diagonal()
+        norms = np.hypot(np.abs(a), np.abs(b))
+        top, low = float(norms.max()), float(norms.min())
+    else:
+        top, low = np.linalg.svd(np.concatenate((a, b), axis=1), compute_uv=False)[[0, -1]].tolist()
+    if not low > _RANK_RTOL * top:  # a zero block, and NaN row norms, fail too
         out.append(
             Violation(
                 "rank",
@@ -164,8 +184,8 @@ def validate(spec: OperatorSpec) -> list[Violation]:
         )
     if spec.q0:  # a' = a with the first q0 columns negated
         a = a.copy()
-        a[:, : spec.q0] *= -1.0
-    m = a @ b.conj().T
+        a[..., : spec.q0] *= -1.0
+    m = a * b.conj() if diagonal else a @ b.conj().T
     scale = max(1.0, np.abs(m).max())
     dev = np.abs(m - m.conj().T).max()
     if dev > _HERM_TOL * scale:
@@ -198,6 +218,26 @@ def tau_factor(nu: float) -> float:
     return gamma_fn(1.0 + nu) / gamma_fn(1.0 - nu) * 2.0 ** (2.0 * nu)
 
 
+@dataclass(frozen=True)
+class Channels:
+    """What every step that prepares one request reads of its operator's channels,
+    worked out once by :func:`channels`: the orders ``nus``, whether the tip is
+    :func:`diagonal_tip`, and ``gamma``, Gamma(1 + s) at each kernel order s, one
+    evaluation per distinct order: nu_l for every channel, then -nu_l for l >= q0,
+    keyed and listed in that order."""
+
+    nus: tuple[float, ...]
+    diagonal: bool
+    gamma: dict[float, float]
+
+
+def channels(spec: OperatorSpec, diagonal: bool) -> Channels:
+    """The :class:`Channels` of spec, whose tip is diagonal or not as ``diagonal`` says."""
+    nus = spec.nus
+    orders = dict.fromkeys([*nus, *(-nu for nu in nus[spec.q0 :])])
+    return Channels(nus, diagonal, {s: gamma_fn(1.0 + s) for s in orders})
+
+
 @cache
 def _subsets(q: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]]:
     """The 2^q subsets S of the q columns, by size and then lexicographically: a
@@ -213,27 +253,39 @@ def _subsets(q: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, ...], ...
     return picks, sign, tuple(map(tuple, counts.tolist()))
 
 
-def characteristic_values(spec: OperatorSpec) -> CharacteristicValues:
+def characteristic_values(spec: OperatorSpec, ch: Channels | None = None) -> CharacteristicValues:
     """Expand p(x, y) = det(a - b D(x, y)) into monomials x^j y^(2 alpha).
 
     Column-multilinear expansion over the 2^q subsets S of columns that
     take the -b D contribution; a subset contributes the monomial
     x^(#(S <= q0)) * prod_{l in S, l > q0} tau_l y^(2 nu_l) weighted by
-    the determinant of the mixed column matrix.  One stacked determinant
-    gives every weight, and the exponents and tau products of all subsets
-    are array sums and products over the columns, taken in column order.
+    the determinant of the mixed column matrix.  On a diagonal tip that
+    determinant is the product of the chosen diagonal entries, b_ll for l
+    in S and a_ll elsewhere, with no LAPACK call; on a coupled tip one
+    stacked determinant gives every weight.  ``ch`` is the request's
+    :class:`Channels` (worked out here when not given), whose Gamma table
+    gives each tau_l.  The weights take their tau_l in column order, one
+    masked product per column, and the exponents of all subsets are array
+    sums over the columns.
     Cells (j, alpha) whose exponents lie within 1e-9 of each other are
     merged (subset sums of irrational nu_l can collide): one sort by
     (j, alpha) puts the subsets of a cell side by side, and a cell keeps
     the alpha of its first.
     """
+    if ch is None:
+        ch = channels(spec, diagonal_tip(spec.boundary))
     a, b = spec.boundary.a_mat, spec.boundary.b_mat
-    q0, nus = spec.q0, spec.nus
+    q0, nus, gamma = spec.q0, ch.nus, ch.gamma
     picks, sign, counts = _subsets(spec.q)
-    # one stacked determinant over the 2^q column choices: column l from b when l is in S
-    coeff = np.linalg.det(np.where(picks[:, None, :], b, a)) * sign
+    # column l from b when l is in S: the weight of S is the determinant of that matrix
+    if ch.diagonal:
+        weight = np.where(picks, b.diagonal(), a.diagonal()).prod(axis=1)
+    else:
+        weight = np.linalg.det(np.where(picks[:, None, :], b, a))
+    coeff = weight * sign
     for l in range(q0, spec.q):  # times tau_l where l is in S
-        np.multiply(coeff, tau_factor(nus[l]), out=coeff, where=picks[:, l])
+        tau = gamma[nus[l]] / gamma[-nus[l]] * 2.0 ** (2.0 * nus[l])
+        np.multiply(coeff, tau, out=coeff, where=picks[:, l])
     alpha = np.cumsum(picks * np.array(nus), axis=1)[:, -1].tolist()  # nu_l = 0 for l < q0
     j = counts[q0]
 

@@ -321,14 +321,17 @@ def bessel_y_deriv(nu: float, x: float) -> float:
 # polynomials in u = (w/2)^2.
 # ---------------------------------------------------------------------------
 
-def _series_table(orders: np.ndarray, companion: bool, terms: int) -> np.ndarray:
+def _series_table(
+    orders: np.ndarray, rgamma: np.ndarray | list[float], companion: bool, terms: int
+) -> np.ndarray:
     """The first ``terms`` coefficients, lowest power of u = (w/2)^2 first, of the
-    series of phi_s at every order s and, with the companion, of psi; then those
-    of their derivatives over w/2, in the same order, the last one left 0."""
+    series of phi_s at every order s, whose first is ``rgamma``'s 1 / Gamma(1 + s),
+    and, with the companion, of psi; then those of their derivatives over w/2, in
+    the same order, the last one left 0."""
     m, k = orders.size, _K[: terms - 1]
     rows = m + companion
     c = np.zeros((2 * rows, terms))
-    c[:m, 0] = [1.0 / gamma_fn(s + 1.0) for s in orders.tolist()]
+    c[:m, 0] = rgamma
     c[:m, 1:] = -1.0 / (k * (orders[:, None] + k))  # c_k / c_{k-1}
     np.cumprod(c[:m], axis=1, out=c[:m])
     if companion:  # psi
@@ -341,6 +344,9 @@ class KernelTable:
     """The per-order constants of :func:`phi_rows` for the m orders s,
     worked out once per operator, each table when a zone first reads it.
 
+    ``gamma``, where given, maps each order s to Gamma(1 + s), so that a
+    caller that has the values already (a request's
+    :class:`~regsing.operators.Channels`) spares evaluating them again.
     Construction builds ``orders``, ``companion`` (whether 0 is one of
     them, so that psi is a row) and ``disk``, the 14 lowest-order terms
     of the series table, highest power first: the series of each phi_s
@@ -349,10 +355,11 @@ class KernelTable:
     ``disk``, so a request that stays there, as a determinant request
     does, builds nothing else.  The rest is built on first use.
     ``series`` is the same table with all 40 terms, which the imaginary
-    segment 1 < |w| <= 20 sums.  Off the series zone every row is reached
-    from its base order nu = |s| and from nu + 1: ``pair`` lists each base
-    order once and then each base order plus one, and ``rows`` picks from
-    it the nu entry of every row, then the nu + 1 entry of every row.  A
+    segment 1 < |w| <= 20 sums; it takes its 1 / Gamma(1 + s) from
+    ``disk``.  Off the series zone every row is reached from its base
+    order nu = |s| and from nu + 1: ``pair`` lists each base order once
+    and then each base order plus one, and ``rows`` picks from it the nu
+    entry of every row, then the nu + 1 entry of every row.  A
     row s = -nu < 0 takes ``rotation`` e^(i nu pi) and ``shift`` -2 nu; a
     row s >= 0 takes 1 and 0.  ``rotation`` is negated on the nu + 1 half,
     where the zones form -H1_{s+1}.  With the companion, ``zero`` is the
@@ -361,17 +368,20 @@ class KernelTable:
     ``real_axis`` those of H1 at the orders of ``pair``.
     """
 
-    def __init__(self, orders):
+    def __init__(self, orders, gamma=None):
         s = [float(v) for v in orders]
         self.orders = np.array(s)
         self.companion = 0.0 in s
+        rgamma = [1.0 / (gamma_fn(1.0 + v) if gamma is None else gamma[v]) for v in s]
         # 15 terms, whose last gives the 14th term of the derivative rows
-        table = _series_table(self.orders, self.companion, _SERIES_TERMS + 1)
+        table = _series_table(self.orders, rgamma, self.companion, _SERIES_TERMS + 1)
         self.disk = table[:, _SERIES_TERMS - 1 :: -1].copy()
 
     @cached_property
     def series(self) -> np.ndarray:
-        return _series_table(self.orders, self.companion, _AXIS_SERIES_TERMS)[:, ::-1].copy()
+        rgamma = self.disk[: self.orders.size, -1]  # the disk's 1 / Gamma(1 + s)
+        table = _series_table(self.orders, rgamma, self.companion, _AXIS_SERIES_TERMS)
+        return table[:, ::-1].copy()
 
     @cached_property
     def exponent(self) -> np.ndarray:

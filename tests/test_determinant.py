@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import jv
 
-from regsing import _numutil, cli, determinant, eigenfunction
-from regsing._numutil import NumericalError, QuadratureError, first_nodes, gauss_legendre
+from regsing import _numutil, cli, determinant, eigenfunction, operators, special
+from regsing._numutil import FirstRound, NumericalError, QuadratureError, gauss_legendre
 from regsing.cli import EXIT_NUMERICAL, EXIT_OK, main
 from regsing.determinant import (
     DeterminantReport,
@@ -268,7 +269,9 @@ class TestFiniteT:
         # arc would leave the disk and mix kernel zones, but no value of it could
         # be read: no arc point is sampled, the one pass takes the probes for the
         # kernel order's check alone, and the route is refused with margin 0, as
-        # it is at a t so large that its square leaves the float range
+        # it is at a t so large that its square leaves the float range.  The first
+        # round is the fixed rule determinant._ARC_ROUND; each further round lays
+        # out its nodes once
         spec = robin_regular(0.3, 1.0)
         closed = det_zeta_closed_form(spec).value
         round_nodes = _numutil._round_nodes
@@ -283,7 +286,7 @@ class TestFiniteT:
             rounds.clear()
             got = det_zeta_finite_t(spec, t)
             assert abs(got.value - closed) <= 1e-12 * closed
-            assert got.diagnostics["passes"] == len(rounds) == want
+            assert got.diagnostics["passes"] == 1 + len(rounds) == want
         for t in (1.5, 1e300):
             ev = eigenfunction.SecularEvaluator(spec)
             with pytest.raises(RootInsideContourError, match=r"certifies no such disk \(margin 0\)"):
@@ -469,8 +472,8 @@ class TestAuto:
         tables = []
 
         class Recorded(eigenfunction.KernelTable):
-            def __init__(self, orders):
-                super().__init__(orders)
+            def __init__(self, *args):
+                super().__init__(*args)
                 tables.append(self)
 
         monkeypatch.setattr(eigenfunction, "KernelTable", Recorded)
@@ -491,6 +494,17 @@ class TestAuto:
             assert got.diagnostics["zeta_1"] == math.inf
             assert math.isfinite(got.diagnostics["floor_margin"])
             assert got.value == pytest.approx(unit * r ** (nu + 0.5), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("nu, r", [(0.9, 1e140), (0.3, 1e180), (0.0, 1e220)])
+    def test_finite_t_cross_check_at_huge_length(self, nu, r):
+        # a mu-derivative map carries a spare factor R, which took F' past the
+        # float range from these R on and lost the cross-check; the map is in
+        # w = mu R, and dlog F takes its R after the ratio.  Quietly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = det_zeta_auto(scalar_spec(nu, Dirichlet(), r=r)).diagnostics
+        assert "finite_t_error" not in got
+        assert got["finite_t_gap"] < 1e-12
 
     def test_wronskian_oracle_only_at_unit_length(self):
         # the oracle is normalized on (0, 1]; at R = 2 it would quote another operator
@@ -532,13 +546,13 @@ def _count_preparation(monkeypatch) -> Counter:
         calls["fits"] += 1
         return fit(self)
 
-    def counted_charvals(spec):
+    def counted_charvals(spec, *args):
         calls["charvals"] += 1
-        return charvals(spec)
+        return charvals(spec, *args)
 
-    def counted_validate(spec):
+    def counted_validate(spec, *args):
         calls["validate"] += 1
-        return validate(spec)
+        return validate(spec, *args)
 
     k0 = functools.cached_property(counted_fit)
     k0.__set_name__(cls, "k0")
@@ -621,6 +635,68 @@ class TestNegativeSpectrum:
         path = _write_scalar_doc(tmp_path, 0.367, -0.9)  # NEGATIVE_SPECS["nu 0.367"]
         assert main(["det", str(path)]) == EXIT_NUMERICAL
         assert "odd number of negative eigenvalues" in capsys.readouterr().err
+
+
+# diagonal tips of q = 1, 2 and 4 channels, and a coupled q = 2 tip
+PREPARED_TIPS = {
+    "q1": scalar_spec(0.3, Robin(0.5)),
+    "q2": diagonal_spec(
+        [scalar_spec(0.0, Dirichlet(), r=2.0), scalar_spec(0.45, Dirichlet(), tip="singular", r=2.0)]
+    ),
+    "q4": diagonal_spec(
+        [
+            scalar_spec(nu, Robin(0.4), tip=tip, r=2.5)
+            for nu, tip in ((0.0, "regular"), (0.2, "singular"), (0.55, "regular"), (0.9, "regular"))
+        ]
+    ),
+    "coupled": OperatorSpec(
+        r=1.0,
+        lambdas=(0.2**2 - 0.25, 0.7**2 - 0.25),
+        q0=0,
+        boundary=BoundaryMatrices(np.array([[-0.5, 0.2], [0.2, -0.1]]), np.eye(2)),
+        regular_bc=Robin(1.0),
+    ),
+}
+
+
+class TestDiagonalPreparation:
+    @pytest.mark.parametrize("name", list(PREPARED_TIPS))
+    def test_a_diagonal_request_makes_no_lapack_call(self, name, monkeypatch):
+        # a diagonal tip is q scalar channels: its rank test reads the row norms
+        # and its subset weights are products of diagonal entries, so the whole
+        # request calls no np.linalg routine; a coupled tip keeps the SVD and
+        # the stacked determinant
+        calls = Counter()
+        for routine in ("svd", "det", "slogdet", "solve", "inv", "eig", "eigvals", "lstsq"):
+            def counted(*args, _routine=routine, _real=getattr(np.linalg, routine), **kwargs):
+                calls[_routine] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, routine, counted)
+        got = det_zeta_auto(PREPARED_TIPS[name])
+        assert got.method == "closed_form" and "finite_t_value" in got.diagnostics
+        if name == "coupled":
+            assert calls["svd"] == 1 and calls["det"] >= 1
+        else:
+            assert calls == {}
+
+    def test_gamma_once_per_kernel_order(self, monkeypatch):
+        # every step that prepares a request reads one table of Gamma(1 + s) at
+        # the kernel orders s = nu_l and -nu_l (l >= q0): the boundary map, the
+        # kernel table, the tau_l of the boundary polynomial and the model's rho
+        spec = PREPARED_TIPS["q4"]
+        args = []
+        for module in (operators, special, eigenfunction, determinant):
+            if hasattr(module, "gamma_fn"):
+                def counted(x, _real=module.gamma_fn):
+                    args.append(x)
+                    return _real(x)
+
+                monkeypatch.setattr(module, "gamma_fn", counted)
+        det_zeta_auto(spec)
+        orders = {*spec.nus, *(-nu for nu in spec.nus[spec.q0 :])}
+        assert len(orders) == 7
+        assert sorted(args) == sorted(1.0 + s for s in orders)
 
 
 class TestPreparedOperator:
@@ -713,7 +789,7 @@ class TestPreparedOperator:
         monkeypatch.setattr(determinant, "_finite_t", lambda *args: reads.append(args))
         got = det_zeta_auto(scalar_spec(0.3, Robin(-0.8)))
         assert got.method == "regularized"
-        assert points == [1 + eigenfunction._CIRCLE_POINTS + 1 + first_nodes(determinant._ARC).size] == [66]
+        assert points == [1 + eigenfunction._CIRCLE_POINTS + 1 + determinant._ARC_ROUND.nodes.size] == [66]
         assert (got.diagnostics["passes"], got.diagnostics["nodes"]) == (1, 0)
         assert reads == [] and not any(k.startswith("finite_t") for k in got.diagnostics)
 
@@ -1023,14 +1099,14 @@ class TestQuadratureBudget:
         def f(x):
             return noise.standard_normal(x.size)
 
-        for first in (None, f(first_nodes((0.0, 1.0)))):
+        for first in (None, f(FirstRound((0.0, 1.0)).nodes)):
             counts = Counter()
             with pytest.raises(QuadratureError):
                 gauss_legendre(f, (0.0, 1.0), first=first, counts=counts)
             assert counts["nodes"] <= _numutil._GL_MAX_NODES < 2 * counts["nodes"]
 
     def test_first_round_from_the_caller(self):
-        # first-round values at first_nodes stand in for that round's call,
+        # first-round values at FirstRound.nodes stand in for that round's call,
         # bit for bit, and count as its nodes
         calls = []
 
@@ -1041,7 +1117,7 @@ class TestQuadratureBudget:
         edges = (0.0, 0.5, 2.0)
         alone = gauss_legendre(f, edges)
         rounds = calls[:]
-        first = f(first_nodes(edges))
+        first = f(FirstRound(edges).nodes)
         calls.clear()
         counts = Counter()
         assert gauss_legendre(f, edges, first=first, counts=counts) == alone

@@ -336,13 +336,16 @@ def test_dlog_is_odd_and_takes_scalars(diagonal_pair):
 
 
 def test_dlog_tells_an_overflow_from_a_zero_of_f():
-    # at nu = 0.9, R = 1e140 and mu = 0.5 / R, N is finite and nonzero but N'
-    # leaves the float range: an overflow, not a zero of F.  A kernel operator
-    # (nu = 1/2, Robin(-1)) at mu = 0 is a true zero
-    far = SecularEvaluator(scalar_spec(0.9, Dirichlet(), r=1e140))
-    assert far.scaled(0.5e-140)[0] != 0.0
+    # at nu = 0, R = 1e300, F'/F = 1/(mu - mu_1) + O(R) next to the first zero
+    # mu_1 = j_{0,1} / R = 2.4048255576957727e-300 leaves the float range within
+    # 2e-9 of mu_1: 1e-12 of it away, F is finite and nonzero, and dlog F is an
+    # overflow, not a zero of F.  A kernel operator (nu = 1/2, Robin(-1)) at
+    # mu = 0 is a true zero
+    far = SecularEvaluator(scalar_spec(0.0, Dirichlet(), r=1e300))
+    mu = 2.4048255576957727e-300 * (1.0 + 1e-12)
+    assert far.scaled(mu)[0] != 0.0
     with pytest.raises(NumericalError, match="overflows where F is not 0") as exc:
-        far.dlog(0.5e-140)
+        far.dlog(mu)
     assert not isinstance(exc.value, eigenfunction.ContourError)
     kernel = SecularEvaluator(scalar_spec(0.5, Robin(-1.0)))
     assert kernel.scaled(0.0)[0] == 0.0

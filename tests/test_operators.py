@@ -13,6 +13,7 @@ from regsing.operators import (
     Robin,
     characteristic_values,
     diagonal_spec,
+    diagonal_tip,
     scalar_spec,
     tau_factor,
     validate,
@@ -78,6 +79,30 @@ class TestValidate:
             _spec([[1.0, 0.0], [0.0, 1.0]], [[1j, 0.0], [0.0, 0.0]], [-0.25, 0.0], 1)
         )
         assert "self-adjointness" in [v.name for v in out]
+
+    @pytest.mark.parametrize("ratio, names", [(1e-11, ["rank"]), (1e-9, [])])
+    def test_diagonal_rank_test_agrees_with_the_svd(self, ratio, names):
+        # the rows of a diagonal (a|b) are orthogonal, so its singular values are
+        # the row norms hypot(|a_ll|, |b_ll|), here 1, 2 and 2 ratio, read with no
+        # SVD; the same tip rotated into a coupled one, (a Q, b Q), has the same
+        # singular values and the same a' b*, and takes the SVD
+        a = np.diag([1.0, 0.0, 1.2 * ratio])
+        b = np.diag([0.0, 2.0, 1.6 * ratio])
+        c, s = np.cos(0.7), np.sin(0.7)
+        rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ np.array(
+            [[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]
+        )
+        lambdas = [0.0, 0.1, 0.2]
+        diagonal, coupled = _spec(a, b, lambdas, 0), _spec(a @ rot, b @ rot, lambdas, 0)
+        assert diagonal_tip(diagonal.boundary) and not diagonal_tip(coupled.boundary)
+        for spec in (diagonal, coupled):
+            assert [v.name for v in validate(spec)] == names
+
+    def test_diagonal_rank_test_fails_a_nan_entry(self):
+        # the SVD of a coupled tip refuses a NaN entry (LinAlgError); the row
+        # norms of a diagonal one are NaN, which fails the rank test
+        out = validate(_spec([[np.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]], [0.0, 0.1], 0))
+        assert [v.name for v in out] == ["rank"]
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(OperatorSpecError):
