@@ -15,8 +15,10 @@ one takes an SVD and a stacked determinant).  The layers are the tip
 validation, the request's channels (Gamma at each kernel order), the map from
 kernel rows to boundary rows, the kernel table, the characteristic values of
 the boundary polynomial, the evaluator build (all of these together), the
-finite-t arc from the values of its first round, which the request's one
-kernel pass gives, and the whole ``det_zeta_auto`` request.  ``extra_info``
+Taylor circle from the request's probe values through its power sums (the
+DFT, the kernel order and Newton's identities), the finite-t arc from the
+values of its first round, which the request's one kernel pass gives, and
+the whole ``det_zeta_auto`` request.  ``extra_info``
 records the kernel passes and quadrature nodes the call spent, since wall
 time alone hides algorithmic waste.
 """
@@ -25,6 +27,7 @@ import numpy as np
 import pytest
 
 from regsing import determinant, eigenfunction, operators, special
+from regsing.circle import TaylorCircle
 from regsing.operators import (
     BoundaryMatrices,
     Dirichlet,
@@ -66,6 +69,11 @@ OPERATORS = {
 }
 
 
+def _circle_sums(values, r, q):
+    """A Taylor circle built from F at its points, and its power sums."""
+    return TaylorCircle(values, r, q).power_sums
+
+
 def _calls(spec):
     """Each layer's callable and its arguments."""
     diagonal = operators.diagonal_tip(spec.boundary)
@@ -80,7 +88,8 @@ def _calls(spec):
         "kernel_table": (special.KernelTable, list(ch.gamma), ch.gamma),
         "characteristic_values": (operators.characteristic_values, spec, ch),
         "evaluator": (eigenfunction.SecularEvaluator, spec),
-        "finite_t_arc": (determinant._finite_t, ev, t, first, ev.zero_free_margin(t)),
+        "taylor_circle": (_circle_sums, ev.circle.values, spec.r, spec.q),
+        "finite_t_arc": (determinant._finite_t, ev, t, first, ev.circle.zero_free_margin(t)),
         "det_zeta_auto": (determinant.det_zeta_auto, spec),
     }
 

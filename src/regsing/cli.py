@@ -43,6 +43,7 @@ from .cone import (
 )
 from .determinant import check_zeta_s, det_zeta_auto, zeta_eval
 from .eigenfunction import (
+    VERIFY_CONTOUR_THETA,
     InvalidOperatorError,
     SecularEvaluator,
     _unscaled,
@@ -397,7 +398,7 @@ def _cmd_verify_contour(args: argparse.Namespace, doc: dict):
     decreasing = all(a > b for a, b in zip(mags, mags[1:]))
     payload = {
         "s": args.s,
-        "theta": math.pi / 4.0,  # verify_contour_decay's default
+        "theta": VERIFY_CONTOUR_THETA,
         "a_list": list(args.a_list),
         "magnitudes": mags,
         "strictly_decreasing": decreasing,

@@ -32,11 +32,7 @@ condition enters only as weights.  The traces carry the factor
 exp(-|Im mu R|) of the exponentially scaled Bessel kernel, so entries
 stay finite on contours where F grows like exp(q |Im mu| R); `scaled`
 returns a mantissa and a real log-scale with F = mantissa *
-exp(log_scale), the log-scale adding q |Im mu R| back.  `scaled` and
-`dlog` are evaluated over ndarrays of mu (a scalar mu is a one-element
-array); `dlog` gives F'/F as the sum of the factors' log-derivatives,
-N'_ll / N_ll on a diagonal tip and Jacobi's formula tr(N^-1 N') on a
-coupled one, from the analytic w-derivatives of the traces, times R.
+exp(log_scale), the log-scale adding q |Im mu R| back.
 """
 
 from __future__ import annotations
@@ -52,6 +48,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from ._numutil import NumericalError, gauss_legendre
+from .circle import TaylorCircle, probes
 from .operators import (
     Channels,
     CharacteristicValues,
@@ -67,23 +64,7 @@ from .special import EULER_GAMMA, KernelTable, phi_rows
 GAMMA_TILDE = math.log(2.0) - EULER_GAMMA
 
 _REAL_RESIDUE_TOL = 1e-8  # |Im z| above this share of |z| (or of 1 + |z|) is not rounding
-# The Taylor circle of F at mu = 0: the trapezoidal rule at lambda_j = rho e^(2 pi i j/m),
-# lambda = mu^2, gives the Taylor coefficients of F times rho^n (Trefethen & Weideman, 2014)
-_CIRCLE_POINTS = 16  # m
-_CIRCLE_RHO = 0.8  # rho R^2: every point lies inside the series disk |mu R| <= 1
-_CIRCLE_FLOOR = 64.0 * sys.float_info.epsilon  # c_n below this share of max |F_j| is rounding
-_CIRCLE = np.exp(1j * math.pi * np.arange(_CIRCLE_POINTS) / _CIRCLE_POINTS)  # mu_j over |mu_j|
-# The trapezoidal rule as one matrix product, c_n = sum_j F_j e^(-2 pi i jn/m) / m: the
-# roots of unity from the cosines of a quarter turn, exactly 0 at its end, and turns by
-# -i, which are exact, so that the sums are as accurate as an FFT's (with the rounded
-# e^(-2 pi i k/m), zeta(1) of a four-channel edge operator lost 1.8e-14 of itself)
-_c = np.cos(2.0 * math.pi / _CIRCLE_POINTS * np.arange(_CIRCLE_POINTS // 4 + 1))
-_c[-1] = 0.0
-_ROOTS = np.concatenate([(_c[:-1] - 1j * _c[:0:-1]) * (-1j) ** t for t in range(4)])
-_n = np.arange(_CIRCLE_POINTS)
-_DFT = _ROOTS[np.outer(_n, _n) % _CIRCLE_POINTS] / _CIRCLE_POINTS
-del _c, _n
-_PROBES = np.concatenate(([0.0], _CIRCLE))  # the probes of k0 over circle_radius
+VERIFY_CONTOUR_THETA = math.pi / 4.0  # verify_contour_decay: the half-angle of the segment
 _LOG_MAX = math.log(sys.float_info.max)
 _IMAG_GRID_XR = 12.0  # x R where the imaginary grid that cuts (0, inf] ends
 _ANGLE_SLACK = 1e-9  # an angle this close to 0 may lie on either side of it by rounding
@@ -97,10 +78,6 @@ class InvalidOperatorError(NumericalError):
 
 
 class SpectrumCertificationError(NumericalError):
-    pass
-
-
-class KernelOrderError(NumericalError):
     pass
 
 
@@ -227,40 +204,24 @@ class SecularEvaluator:
     """The prepared operator: per-operator tables, F and dlog F.
 
     Construction decides once whether the tip rows are diagonal
-    (:func:`~regsing.operators.diagonal_tip`), as `diagonal`, validates the
-    tip condition on that decision (:func:`~regsing.operators.validate`:
-    row norms in place of an SVD on a diagonal tip) and raises
-    :class:`InvalidOperatorError` where it fails.  It then works out the
-    request's `channels` (:func:`~regsing.operators.channels`): the orders
-    nu_l, the decision and one Gamma(1 + s) per kernel order s, which the
-    map from kernel rows to boundary rows (:func:`_boundary_map`), the
-    kernel table, `cv` and `model` all read, so a diagonal request makes
-    no LAPACK call and evaluates Gamma once per order.  The characteristic
-    values `cv`, the asymptotic model `model` and the kernel order `k0`
-    are worked out on first use and kept, so every route of one request
-    reads the same decision.  The probes of `k0` are F(0), kept as `f0`,
-    and the circle mu_j = `circle_radius` e^(i pi j/16), whose DFT gives
-    `k0`, `f_tilde0` = F~(0), the decision's `floor_margin`, the certificate
-    :meth:`zero_free` of the contour disks and the zeta `power_sums`.
-    :meth:`scaled`, :meth:`value` and :meth:`dlog` are computed
-    over an ndarray mu and keep its shape; a scalar mu is evaluated as a
-    one-element array and comes back as Python scalars.  On a diagonal
-    tip each channel is a factor of F, and `width` is the number of
-    channels of a factor (1 there, q on a coupled tip).  Every evaluation
-    is one :meth:`_pass`, the kernel pass that gives each factor's
-    mantissa and log-scale, with ``deriv`` their log-derivatives, and the
-    traces they come from.  The first
-    kernel pass on the operator takes the probes of `k0` along, whichever
-    route makes it (:meth:`_probed`):
-    :meth:`sample`, the pass of the spectrum scans, which gives each
-    factor, its log-derivative for the refinement's starts and the angles
-    of the zero count, or :meth:`_scaled_dlog`,
-    the pass of F(it) and the finite-t arc's first round; a route that
-    needs `k0` before any other pass takes the probes in a pass of their
-    own.  :meth:`imag_zeros_beyond` counts the zeros of F(ix) past an x
-    from one :meth:`sample` pass.  `counts` holds the kernel passes made
-    (``"passes"``) and the quadrature nodes spent (``"nodes"``) on this
-    operator.
+    (:func:`~regsing.operators.diagonal_tip`), as `diagonal`, validates the tip condition
+    on that decision (:func:`~regsing.operators.validate`: row norms in place of an SVD on
+    a diagonal tip) and raises :class:`InvalidOperatorError` where it fails.  It then works
+    out the request's `channels` (:func:`~regsing.operators.channels`): the orders nu_l,
+    the decision and one Gamma(1 + s) per kernel order s, which the map from kernel rows
+    to boundary rows (:func:`_boundary_map`), the kernel table, `cv` and `model` all read,
+    so a diagonal request makes no LAPACK call and evaluates Gamma once per order.  The
+    characteristic values `cv`, the asymptotic model `model` and the Taylor `circle` with
+    the kernel order are worked out on first use and kept, so every route of one request
+    reads the same decision.  :meth:`scaled`, :meth:`value` and :meth:`dlog` are computed
+    over an ndarray mu and keep its shape; a scalar mu is evaluated as a one-element array
+    and comes back as Python scalars.  On a diagonal tip each channel is a factor of F,
+    and `width` is the number of channels of a factor (1 there, q on a coupled tip).
+    Every evaluation is one :meth:`_pass`, the kernel pass that gives each factor's
+    mantissa and log-scale, with ``deriv`` their log-derivatives, and the traces they come
+    from.  The first pass on the operator takes the probes of the circle along, whichever
+    route makes it (:meth:`_probed`).  `counts` holds the kernel passes made
+    (``"passes"``) and the quadrature nodes spent (``"nodes"``) on this operator.
     """
 
     def __init__(self, spec: OperatorSpec):
@@ -291,9 +252,7 @@ class SecularEvaluator:
         self.width = 1 if self.diagonal else self.q
         log_top = [math.log(t) for t in tops.tolist()]
         self._log_top = np.array(log_top if self.diagonal else [sum(log_top)])  # per factor
-        # the probes: F(0), then F on the Taylor circle
-        self.circle_radius = math.sqrt(_CIRCLE_RHO) / spec.r
-        self._probe_mu = self.circle_radius * _PROBES
+        self._probe_mu = probes(spec.r)  # F(0), then F on the Taylor circle
 
     @cached_property
     def cv(self) -> CharacteristicValues:
@@ -303,31 +262,31 @@ class SecularEvaluator:
     def model(self) -> AsymptoticModel:
         return AsymptoticModel.from_spec(self.spec, self.cv, self.channels)
 
-    @cached_property
-    def _probe_scaled(self) -> tuple[np.ndarray, np.ndarray]:
-        """The scaled F at ``_probe_mu``: one array call, unless a pass took them first (:meth:`_probed`)."""
-        return self.scaled(self._probe_mu)
-
-    @cached_property
-    def _probes(self) -> np.ndarray:
-        """F at 0, then on the Taylor circle |mu| = :attr:`circle_radius`."""
-        return _unscaled(*self._probe_scaled)
-
     def _probed(self, mu: np.ndarray, deriv: bool = False) -> list[np.ndarray]:
-        """:meth:`_pass` over a 1-d mu, with the probes of :attr:`k0` in front while
-        they are not yet known.  The product of the factors' mantissas and
-        log-scales at the probes is kept as F there, and every output comes back
-        over mu alone (the points on its last axis)."""
-        n = 0 if "_probe_scaled" in self.__dict__ else self._probe_mu.size
+        """:meth:`_pass` over a 1-d mu with the probes in front until a pass takes them for
+        :attr:`f0` and :attr:`circle`; every output comes back over mu alone (its last axis)."""
+        n = 0 if "circle" in self.__dict__ else self._probe_mu.size
         out = self._pass(np.concatenate((self._probe_mu[:n], mu)), deriv)
         if n:
-            self._probe_scaled = _product(out[0][:, :n], out[1][:, :n])
+            f = _unscaled(*_product(out[0][:, :n], out[1][:, :n]))
+            self.f0, self.circle = complex(f[0]), TaylorCircle(f[1:], self.r, self.q)
         return [v[..., n:] for v in out]
 
+    @cached_property
+    def circle(self) -> TaylorCircle:
+        """The Taylor circle of F at mu = 0 (:class:`~regsing.circle.TaylorCircle`) of the probes."""
+        self._probed(np.empty(0))
+        return self.circle
+
+    @cached_property
+    def f0(self) -> complex:
+        """F(0), the probe in front of the :attr:`circle`'s."""
+        self._probed(np.empty(0))
+        return self.f0
+
     def sample(self, mu: np.ndarray) -> tuple[np.ndarray, ...]:
-        """:meth:`_pass` with the log-derivatives and :meth:`_angles` over a 1-d mu in
-        one kernel pass, which takes the probes of :attr:`k0` along (:meth:`_probed`):
-        each factor's mantissa, log-scale and log-derivative, then the angles."""
+        """:meth:`_probed` with the log-derivatives and :meth:`_angles` over a 1-d mu: each
+        factor's mantissa, log-scale and log-derivative, then the angles."""
         mant, logs, dlog, jp, jm = self._probed(mu, deriv=True)
         return mant, logs, dlog, *self._angles(jp, jm)
 
@@ -337,101 +296,6 @@ class SecularEvaluator:
         *_, gam, theta = self.sample(np.array([1j * x]))
         gam, theta = (v.reshape(-1, self.width) for v in (gam, theta))
         return int(_zero_count(1.0, gam, 0.0, _turns(theta, 1.0), self._limit_turn).sum())
-
-    @cached_property
-    def f0(self) -> complex:
-        """F(0), the first probe of :attr:`k0`."""
-        return complex(self._probes[0])
-
-    @cached_property
-    def _taylor(self) -> tuple[np.ndarray, float]:
-        """The Taylor coefficients c_n = a_n rho^n of F = sum a_n lambda^n over the
-        largest |F_j| on the circle, and that largest |F_j|: one product of the DFT
-        matrix with the F_j over it, so that no sum leaves the float range.  Their
-        rounding floor is ``_CIRCLE_FLOOR``."""
-        f = self._probes[1:]
-        big = float(np.max(np.abs(f))) or 1.0  # F = 0 on the whole circle: every c_n is 0
-        return _DFT @ (f / big), big
-
-    @cached_property
-    def k0(self) -> int:
-        """Order of the zero of F at mu=0 in the variable mu^2.
-
-        The first Taylor coefficient of F in lambda = mu^2 above the
-        rounding floor of the circle; raises :class:`KernelOrderError`
-        where none is, or where the order exceeds q.
-        """
-        above = np.flatnonzero(np.abs(self._taylor[0]) > _CIRCLE_FLOOR)
-        if above.size == 0:
-            raise KernelOrderError("F is at its rounding floor on the whole Taylor circle")
-        if above[0] > self.q:
-            raise KernelOrderError(f"zero of order {above[0]} at mu = 0 exceeds q = {self.q}")
-        return int(above[0])
-
-    def over_rho(self, value, n: int):
-        """A Python float or complex value over rho^n, rho = circle_radius^2, one factor
-        R / sqrt(rho R^2) at a time: R^2 alone leaves the float range at extreme R, and
-        a product that does is inf, not an OverflowError or a numpy warning."""
-        scale = self.r / math.sqrt(_CIRCLE_RHO)
-        for _ in range(2 * n):
-            value *= scale
-        return value
-
-    @property
-    def f_tilde0(self) -> complex:
-        """F~(0) of F~ = F / mu^(2 k0), the Taylor coefficient of lambda^k0: c_k0 / rho^k0."""
-        c, big = self._taylor
-        return self.over_rho(complex(c[self.k0]) * big, self.k0)
-
-    @property
-    def floor_margin(self) -> float:
-        """|c_k0| over the rounding floor: how far the kernel decision is from the floor."""
-        return float(abs(self._taylor[0][self.k0]) / _CIRCLE_FLOOR)
-
-    def zero_free_margin(self, t: float) -> float:
-        """Rouche's margin for F~ = F / mu^(2 k0) on |mu| < t: |c_k0| over the floor
-        plus sum_{n > k0} |c_n| z^(n - k0), z = (t / circle_radius)^2, or 0 where
-        z >= 1.  Above 1 the term of c_k0 outweighs all others together on
-        |mu| = t, so F has no zero inside but its k0 at the origin."""
-        z = min(t / self.circle_radius, 1.0) ** 2  # no OverflowError at a huge t
-        if not z < 1.0:
-            return 0.0
-        c = self._taylor[0]
-        rest = np.abs(c[self.k0 + 1 :]) @ z ** np.arange(1, c.size - self.k0)
-        return float(abs(c[self.k0]) / (_CIRCLE_FLOOR + rest))
-
-    def zero_free(self, t: float) -> bool:
-        """Whether the Taylor circle certifies F~ free of zeros on |mu| < t,
-        without a further sample of F (:meth:`zero_free_margin` above 1)."""
-        return self.zero_free_margin(t) > 1.0
-
-    @cached_property
-    def power_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """p_n = sum_k (rho / lambda_k)^n over the zeros lambda_k of F~ in lambda = mu^2 (rho =
-        circle_radius^2, zeta(n) = p_n / rho^n), n <= 15 - k0, and their rounding bounds, by
-        Newton's identities n b_n + sum_{i=1}^{n} b_{n-i} p_i = 0 on b_j = c_{k0+j} / c_k0,
-        b_0 = 1: forward substitution in the lower-triangular Toeplitz system.  The top three
-        c_n of the entire F are rounding: m times the largest bounds every c_n's, db_j, and
-        dp_n = n db_n + sum_{i<n} (db_{n-i} |p_i| + |b_{n-i}| dp_i).  At 15 unknowns plain
-        floats are faster than a numpy solve, whose call overhead is the larger."""
-        c = self._taylor[0] / self._taylor[0][self.k0]
-        noise, b = _CIRCLE_POINTS * float(np.max(np.abs(c[-3:]))), c[self.k0 :].real.tolist()
-        db, ab = [noise * (1.0 + abs(v)) for v in b], [abs(v) for v in b]
-        p, dp, ap = [0.0] * len(b), [0.0] * len(b), [0.0] * len(b)
-        for n in range(1, len(b)):
-            value = bound = 0.0
-            for i in range(1, n):
-                value += b[n - i] * p[i]
-                bound += db[n - i] * ap[i] + ab[n - i] * dp[i]
-            p[n] = -n * b[n] - value
-            ap[n], dp[n] = abs(p[n]), n * db[n] + bound
-        return np.array(p[1:]), np.array(dp[1:])
-
-    @property
-    def zeta_1(self) -> float:
-        """zeta(1) = p_1 / rho = -b_1 / rho, the first of :attr:`power_sums` alone: one division."""
-        c = self._taylor[0]
-        return self.over_rho(-float((c[self.k0 + 1] / c[self.k0]).real), 1)
 
     # -- row entries --------------------------------------------------------
 
@@ -552,9 +416,8 @@ class SecularEvaluator:
         return off_zeros(reduce(operator.add, dlog), reduce(operator.mul, mant))
 
     def _scaled_dlog(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`scaled` and dlog F over a 1-d mu from one kernel pass, which takes the
-        probes of :attr:`k0` along (:meth:`_probed`); dlog F is left non-finite at the
-        zeros of F (:func:`off_zeros`)."""
+        """:meth:`scaled` and dlog F over a 1-d mu from one :meth:`_probed` pass; dlog F is
+        left non-finite at the zeros of F (:func:`off_zeros`)."""
         mant, logs, dlog, _, _ = self._probed(mu, deriv=True)
         return (*_product(mant, logs), reduce(operator.add, dlog))
 
@@ -755,7 +618,7 @@ def _scan(ev: SecularEvaluator, mu_max: float) -> tuple[list, list]:
     span (lo, hi] of rows on one axis, with a mask of the factors that
     still count in it; every pass samples all factors, so they share the
     spans.  The first pass samples the grid, taking the probes of
-    :attr:`SecularEvaluator.k0` along, so the imaginary axis starts as
+    :attr:`SecularEvaluator.circle` along, so the imaginary axis starts as
     the single span (0, inf].  At mu = 0 the k0 eigen-angles nearest 0,
     the kernel, are set to 0.  At x = inf every gamma_l is 0 and U is
     W_tip* (:attr:`SecularEvaluator._limit_turn`).  :func:`_zero_count`
@@ -780,7 +643,7 @@ def _scan(ev: SecularEvaluator, mu_max: float) -> tuple[list, list]:
     first = 0.5 * min(res, 0.05 / ev.r, mu_max)  # at a tiny R, 0.025 / R may pass mu_max
     x = np.concatenate(([0.0], _grid(first, mu_max, res)))
     mants, logs, dlogs, gam, theta = ev.sample(x.astype(complex))
-    theta[0, np.argsort(np.abs(theta[0]))[: ev.k0]] = 0.0
+    theta[0, np.argsort(np.abs(theta[0]))[: ev.circle.k0]] = 0.0
     nf = mants.shape[0]
     real = _points(x, np.full(x.size, -1.0), mants, logs, dlogs, gam, theta)
     at_zero = _points(x[:1], np.ones(1), *(v[:, :1] for v in (mants, logs, dlogs)), gam[:1], theta[:1])
@@ -955,7 +818,7 @@ def find_spectrum(spec: OperatorSpec, mu_max: float) -> Spectrum:
     every span of both axes from the samples' angles and cuts the spans
     where a factor counts more than one, or one without a sign change,
     one kernel pass for all spans, the first taking the probes of
-    :attr:`SecularEvaluator.k0` along; each pass gives the factors'
+    :attr:`SecularEvaluator.circle` along; each pass gives the factors'
     log-derivatives too, from which each bracket starts at the root of
     the cubic Hermite interpolant of its factor (:func:`_start`).  One
     call of :func:`_refine` then refines the brackets of both axes
@@ -991,7 +854,7 @@ def verify_contour_decay(
     spec: OperatorSpec,
     s: float,
     a_list: list[float],
-    theta: float = math.pi / 4.0,
+    theta: float = VERIFY_CONTOUR_THETA,
 ) -> list[float]:
     """|closed contour integral of z^(-2s) dlog F| over gamma(a) per abscissa.
 

@@ -20,6 +20,7 @@ sums of the nu_l themselves, so that the secular asymptotics carries
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cache
@@ -155,6 +156,7 @@ def diagonal_tip(boundary: BoundaryMatrices) -> bool:
 def validate(spec: OperatorSpec, diagonal: bool | None = None) -> list[Violation]:
     """Check the tip-condition invariants; empty list means ok.
 
+    A non-finite entry of a or b is the one violation ``finite``, before any arithmetic.
     Rank of the q x 2q block (a|b) is tested against a singular-value
     threshold, self-adjointness of a' b* (a' = a with the first q0
     columns negated) against the max-entry deviation from Hermiticity.
@@ -164,9 +166,11 @@ def validate(spec: OperatorSpec, diagonal: bool | None = None) -> list[Violation
     the diagonal a'_ll conj(b_ll): no LAPACK call.  A coupled tip takes
     the singular values from an SVD.
     """
+    a, b = spec.boundary.a_mat, spec.boundary.b_mat
+    if not all(map(cmath.isfinite, a.ravel().tolist() + b.ravel().tolist())):
+        return [Violation("finite", "(a|b) block has an entry that is not finite")]
     if diagonal is None:
         diagonal = diagonal_tip(spec.boundary)
-    a, b = spec.boundary.a_mat, spec.boundary.b_mat
     out: list[Violation] = []
     if diagonal:
         a, b = a.diagonal(), b.diagonal()
@@ -174,7 +178,7 @@ def validate(spec: OperatorSpec, diagonal: bool | None = None) -> list[Violation
         top, low = float(norms.max()), float(norms.min())
     else:
         top, low = np.linalg.svd(np.concatenate((a, b), axis=1), compute_uv=False)[[0, -1]].tolist()
-    if not low > _RANK_RTOL * top:  # a zero block, and NaN row norms, fail too
+    if not low > _RANK_RTOL * top:  # a zero block fails too
         out.append(
             Violation(
                 "rank",

@@ -17,6 +17,7 @@ from scipy.special import jv
 
 from regsing import _numutil, cli, determinant, eigenfunction, operators, special
 from regsing._numutil import FirstRound, NumericalError, QuadratureError, gauss_legendre
+from regsing.circle import _CIRCLE_POINTS, KernelOrderError, TaylorCircle
 from regsing.cli import EXIT_NUMERICAL, EXIT_OK, main
 from regsing.determinant import (
     DeterminantReport,
@@ -31,7 +32,7 @@ from regsing.determinant import (
     det_zeta_regularized,
     zeta_eval,
 )
-from regsing.eigenfunction import KernelOrderError, find_spectrum
+from regsing.eigenfunction import find_spectrum
 from regsing.operators import (
     BoundaryMatrices,
     Dirichlet,
@@ -200,25 +201,23 @@ class TestKernelDecision:
     def test_circle_coefficients_match_an_fft(self, spec):
         # the DFT matrix times the circle's values over their largest is the FFT
         # of the values to a few rounding units of the largest
-        ev = eigenfunction.SecularEvaluator(spec)
-        c, big = ev._taylor
-        f = ev._probes[1:]
+        taylor = eigenfunction.SecularEvaluator(spec).circle
+        c, big = taylor._taylor
+        f = taylor.values
         assert big == np.max(np.abs(f))
         assert np.max(np.abs(c * big - np.fft.fft(f) / f.size)) <= 4.0 * EPS * big
 
     def test_no_coefficient_above_the_floor(self):
-        ev = eigenfunction.SecularEvaluator(robin_regular(0.3, 0.0))
-        ev._probes = np.zeros(1 + eigenfunction._CIRCLE_POINTS, dtype=complex)
+        circle = TaylorCircle(np.zeros(16, dtype=complex), 1.0, 1)
         with pytest.raises(KernelOrderError, match="rounding floor"):
-            ev.k0
+            circle.k0
 
     def test_order_above_q(self):
         # F = lambda^2 on the circle of a q = 1 operator
         ev = eigenfunction.SecularEvaluator(robin_regular(0.3, 0.0))
-        lam = ev._probe_mu**2
-        ev._probes = lam**2
+        lam = ev._probe_mu[1:] ** 2
         with pytest.raises(KernelOrderError, match="exceeds q = 1"):
-            ev.k0
+            TaylorCircle(lam**2, ev.r, ev.q).k0
 
 
 class TestFiniteT:
@@ -290,7 +289,7 @@ class TestFiniteT:
         for t in (1.5, 1e300):
             ev = eigenfunction.SecularEvaluator(spec)
             with pytest.raises(RootInsideContourError, match=r"certifies no such disk \(margin 0\)"):
-                determinant._finite_t(ev, t, determinant._arc_pass(ev, t), ev.zero_free_margin(t))
+                determinant._finite_t(ev, t, determinant._arc_pass(ev, t), ev.circle.zero_free_margin(t))
             assert ev.counts == {"passes": 1}
 
     def test_matches_closed_form_at_r_10(self):
@@ -534,7 +533,7 @@ def _count_preparation(monkeypatch) -> Counter:
     kernel-order fits from now on."""
     calls = Counter()
     cls = eigenfunction.SecularEvaluator
-    init, fit = cls.__init__, cls.__dict__["k0"].func
+    init, fit = cls.__init__, TaylorCircle.__dict__["k0"].func
     charvals = eigenfunction.characteristic_values
     validate = eigenfunction.validate
 
@@ -555,9 +554,9 @@ def _count_preparation(monkeypatch) -> Counter:
         return validate(spec, *args)
 
     k0 = functools.cached_property(counted_fit)
-    k0.__set_name__(cls, "k0")
+    k0.__set_name__(TaylorCircle, "k0")
     monkeypatch.setattr(cls, "__init__", counted_init)
-    monkeypatch.setattr(cls, "k0", k0)
+    monkeypatch.setattr(TaylorCircle, "k0", k0)
     monkeypatch.setattr(eigenfunction, "characteristic_values", counted_charvals)
     monkeypatch.setattr(eigenfunction, "validate", counted_validate)
     monkeypatch.setattr(cli, "validate", counted_validate)
@@ -756,20 +755,20 @@ class TestPreparedOperator:
 
     @pytest.mark.parametrize("kernel", [False, True])
     def test_kernel_order_fit_is_one_call(self, monkeypatch, kernel, kernel_fixture_third):
-        # the seven probe points of the fit go through one batched scaled call
+        # the probe points of the circle go through one batched kernel pass
         calls = Counter()
         cls = eigenfunction.SecularEvaluator
-        scaled = cls.scaled
+        kernel_pass = cls._pass
 
-        def counted_scaled(self, mu):
-            calls["scaled"] += 1
-            return scaled(self, mu)
+        def counted_pass(self, mu, deriv=False):
+            calls["_pass"] += 1
+            return kernel_pass(self, mu, deriv)
 
-        monkeypatch.setattr(cls, "scaled", counted_scaled)
+        monkeypatch.setattr(cls, "_pass", counted_pass)
         spec = kernel_fixture_third if kernel else robin_regular(0.3, 0.0)
         ev = cls(spec)
-        assert ev.k0 == (1 if kernel else 0)
-        assert calls == {"scaled": 1}
+        assert ev.circle.k0 == (1 if kernel else 0)
+        assert calls == {"_pass": 1}
 
     def test_regularized_reads_the_kernel_probes(self, monkeypatch):
         # a kernel request is one kernel pass: F(0) and the 16 points of the
@@ -789,7 +788,7 @@ class TestPreparedOperator:
         monkeypatch.setattr(determinant, "_finite_t", lambda *args: reads.append(args))
         got = det_zeta_auto(scalar_spec(0.3, Robin(-0.8)))
         assert got.method == "regularized"
-        assert points == [1 + eigenfunction._CIRCLE_POINTS + 1 + determinant._ARC_ROUND.nodes.size] == [66]
+        assert points == [1 + _CIRCLE_POINTS + 1 + determinant._ARC_ROUND.nodes.size] == [66]
         assert (got.diagnostics["passes"], got.diagnostics["nodes"]) == (1, 0)
         assert reads == [] and not any(k.startswith("finite_t") for k in got.diagnostics)
 
@@ -809,8 +808,8 @@ class TestPreparedOperator:
         ev = eigenfunction.SecularEvaluator(spec)
         alone = ev.value(ev._probe_mu)
         ev.sample(np.linspace(0.05, 3.0, 40))
-        assert ev.k0 >= 1
-        assert ev._probes.tolist() == alone.tolist()
+        assert ev.circle.k0 >= 1
+        assert [ev.f0, *ev.circle.values.tolist()] == alone.tolist()
 
 
 def _rayleigh(nu: float, s: float) -> float:

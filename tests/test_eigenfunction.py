@@ -105,14 +105,14 @@ class TestValueAtZero:
 
 class TestKernelOrder:
     def test_known_orders(self, kernel_fixture_third, kernel_fixture_two, kernel_fixture_bessel):
-        assert SecularEvaluator(kernel_fixture_third).k0 == 1
-        assert SecularEvaluator(kernel_fixture_two).k0 == 1
-        assert SecularEvaluator(kernel_fixture_bessel).k0 == 1
+        assert SecularEvaluator(kernel_fixture_third).circle.k0 == 1
+        assert SecularEvaluator(kernel_fixture_two).circle.k0 == 1
+        assert SecularEvaluator(kernel_fixture_bessel).circle.k0 == 1
 
     def test_invertible_family(self):
         for nu in [0.0, 0.3, 0.9]:
             for alpha in [0.0, 1.0, -0.2]:
-                assert SecularEvaluator(robin_regular(nu, alpha)).k0 == 0
+                assert SecularEvaluator(robin_regular(nu, alpha)).circle.k0 == 0
 
     def test_q2_product_kernel(self):
         spec = diagonal_spec(
@@ -120,7 +120,7 @@ class TestKernelOrder:
              scalar_spec(0.5, Robin(-1.0), tip="singular")]
         )
         # second block: singular rows with alpha=-1 -> F2(0) = 1/2 - ... != 0
-        k = SecularEvaluator(spec).k0
+        k = SecularEvaluator(spec).circle.k0
         assert k == 1
 
 

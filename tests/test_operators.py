@@ -99,10 +99,23 @@ class TestValidate:
             assert [v.name for v in validate(spec)] == names
 
     def test_diagonal_rank_test_fails_a_nan_entry(self):
-        # the SVD of a coupled tip refuses a NaN entry (LinAlgError); the row
-        # norms of a diagonal one are NaN, which fails the rank test
+        # a NaN entry is refused before the row norms or the SVD are taken
         out = validate(_spec([[np.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]], [0.0, 0.1], 0))
-        assert [v.name for v in out] == ["rank"]
+        assert [v.name for v in out] == ["finite"]
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+    @pytest.mark.parametrize("matrix", ["a", "b"])
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_non_finite_entry_is_the_one_violation(self, bad, matrix, coupled):
+        # the two-channel README tip (A = 0, B = I, q0 = 1), its A coupled by an
+        # off-diagonal 0.1; any non-finite entry is "finite" alone, with no
+        # arithmetic on it: no RuntimeWarning of inf - inf, no SVD of a NaN
+        a = np.array([[0.0, 0.1 * coupled], [0.1 * coupled, 0.0]], dtype=complex)
+        b = np.eye(2, dtype=complex)
+        (a if matrix == "a" else b)[1, 1] = bad
+        spec = _spec(a, b, [-0.25, 0.11], 1, Robin(0.5))
+        assert diagonal_tip(spec.boundary) is not coupled
+        assert [v.name for v in validate(spec)] == ["finite"]
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(OperatorSpecError):
