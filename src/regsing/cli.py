@@ -283,6 +283,10 @@ def _cmd_spectrum(args: argparse.Namespace, doc: dict):
         "negative": list(sp.negative),
         "eigenvalues": [m * m for m in sp.positive] + [-x * x for x in sp.negative],
         "passes": sp.passes,
+        "scan_passes": sp.scan_passes,
+        "refine_passes": sp.passes - sp.scan_passes,
+        "taylor_roots": sp.taylor_roots,
+        "refined_roots": sp.refined_roots,
     }
     rows = [["index", "axis", "root", "eigenvalue"]]
     for i, m in enumerate(sp.positive, start=1):

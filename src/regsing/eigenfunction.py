@@ -71,6 +71,8 @@ _ANGLE_SLACK = 1e-9  # an angle this close to 0 may lie on either side of it by 
 _ROOT_XTOL, _ROOT_RTOL = 1e-13, 4.0 * sys.float_info.epsilon
 _MAX_ROUNDS = 100  # accepted Newton steps halve every two rounds: about 80 suffice
 _SLOPE_FLOOR = 64.0 * sys.float_info.epsilon  # a Newton slope's rounding, per unit of growth
+_TAYLOR_TERMS = 14  # of a factor's Taylor polynomial; with 12, 6 of 1,343 pool roots miss the bound
+_TAYLOR_STEPS = 4  # Newton steps on it from the Hermite start
 
 
 class InvalidOperatorError(NumericalError):
@@ -95,7 +97,10 @@ class Spectrum:
 
     `evaluator` is the prepared operator that found them, kept so that a
     zeta request on the same spec does not prepare it again; `passes`
-    counts the kernel passes the search made.
+    counts the kernel passes the search made, `scan_passes` those of the
+    scan, the rest being Newton rounds.  `taylor_roots` were read off their
+    factor's Taylor polynomial and `refined_roots` took Newton rounds; any
+    other root is a multiple one that the scan settled.
     """
 
     positive: tuple[float, ...]
@@ -104,6 +109,9 @@ class Spectrum:
     certified: bool
     evaluator: SecularEvaluator | None = field(default=None, compare=False, repr=False)
     passes: int = field(default=0, compare=False)
+    scan_passes: int = field(default=0, compare=False)
+    taylor_roots: int = field(default=0, compare=False)
+    refined_roots: int = field(default=0, compare=False)
 
 
 def _boundary_map(spec: OperatorSpec, ch: Channels) -> np.ndarray:
@@ -286,14 +294,15 @@ class SecularEvaluator:
 
     def sample(self, mu: np.ndarray) -> tuple[np.ndarray, ...]:
         """:meth:`_probed` with the log-derivatives and :meth:`_angles` over a 1-d mu: each
-        factor's mantissa, log-scale and log-derivative, then the angles."""
-        mant, logs, dlog, jp, jm = self._probed(mu, deriv=True)
-        return mant, logs, dlog, *self._angles(jp, jm)
+        factor's mantissa, log-scale and log-derivative, then the angles and the kernel
+        rows V, D."""
+        mant, logs, dlog, jp, jm, val, der = self._probed(mu, deriv=True)
+        return mant, logs, dlog, *self._angles(jp, jm), val, der
 
     def imag_zeros_beyond(self, x: float) -> int:
         """The zeros of F(ix') on x' > x: :func:`_zero_count` of each factor's cell
         (x, inf] from the angles of one pass at x and their limit :attr:`_limit_turn`."""
-        *_, gam, theta = self.sample(np.array([1j * x]))
+        gam, theta = self.sample(np.array([1j * x]))[3:5]
         gam, theta = (v.reshape(-1, self.width) for v in (gam, theta))
         return int(_zero_count(1.0, gam, 0.0, _turns(theta, 1.0), self._limit_turn).sum())
 
@@ -301,18 +310,20 @@ class SecularEvaluator:
 
     def _traces(self, mu: np.ndarray, deriv: bool = False) -> tuple[np.ndarray, ...]:
         """Diagonal entries (jp, jm) of the lower blocks, Re mu >= 0, shaped (q,) + mu.shape,
-        with ``deriv`` their w-derivatives (djp, djm): one :func:`phi_rows` pass at w = mu R
-        and the map of :func:`_boundary_map`, no branch on the end condition or on q0."""
+        with ``deriv`` their w-derivatives (djp, djm), then the kernel rows V and D over
+        mu.ravel(): one :func:`phi_rows` pass at w = mu R and the map of
+        :func:`_boundary_map`, no branch on the end condition or on q0."""
         self.counts["passes"] += 1
         w = mu.ravel() * self.r
+        kernel = phi_rows(self._kernel, w)
         # the real and imaginary part of every entry side by side: a real matrix
         # product, whose columns do not depend on how many points it takes
-        val, der = (v.view(float) for v in phi_rows(self._kernel, w))
+        val, der = (v.view(float) for v in kernel)
         a, b, c, e = self._map
         rows = [(a @ val).view(complex) + w * (b @ der).view(complex)]
         if deriv:
             rows.append((c @ der).view(complex) + w * (e @ val).view(complex))
-        return tuple(v for r in rows for v in r.reshape((2, self.q) + mu.shape))
+        return (*(v for r in rows for v in r.reshape((2, self.q) + mu.shape)), *kernel)
 
     @cached_property
     def _tip_turn(self) -> tuple[np.ndarray, np.ndarray]:
@@ -374,13 +385,14 @@ class SecularEvaluator:
     def _pass(self, mu: np.ndarray, deriv: bool = False) -> tuple[np.ndarray, ...]:
         """One kernel pass over an ndarray mu: the mantissas and log-scales of F's
         factors, shaped (f,) + mu.shape, with ``deriv`` their log-derivatives
-        (:meth:`_jacobi`), then the traces jp, jm at mu reflected into Re mu >= 0.
+        (:meth:`_jacobi`), then the traces jp, jm at mu reflected into Re mu >= 0 and
+        the kernel rows V, D of :meth:`_traces`.
         A factor is N_ll over its scale on a diagonal tip, else det(N / column
         scales), the scales being :func:`_scales` of the traces.  A trace that is
         not finite (past the float range or the kernel's) is a quiet NumericalError."""
         mu, flip = _right_half(mu)
         with np.errstate(over="ignore", invalid="ignore"):
-            jp, jm, *djs = self._traces(mu, deriv)
+            jp, jm, *djs, val, der = self._traces(mu, deriv)
             n, scale = self._system(jp, jm), _scales(jp, jm)
             dn = self._system(*djs) if deriv else None  # N' in w, not finite past the float range
             growth = self.width * self.r * abs(mu.imag)  # each column of N carries exp(-|Im mu R|)
@@ -395,7 +407,7 @@ class SecularEvaluator:
         out = (mant.T, (logs + self._log_top).T + growth)
         if deriv:
             out += (self._jacobi(flip, n, dn, scale),)
-        return (*out, jp, jm)
+        return (*out, jp, jm, val, der)
 
     # -- log-derivative -----------------------------------------------------
 
@@ -412,13 +424,13 @@ class SecularEvaluator:
         """
         if not isinstance(mu, np.ndarray):
             return complex(self.dlog(np.array([mu]))[0])
-        mant, _, dlog, _, _ = self._pass(mu, deriv=True)
+        mant, _, dlog, *_ = self._pass(mu, deriv=True)
         return off_zeros(reduce(operator.add, dlog), reduce(operator.mul, mant))
 
     def _scaled_dlog(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`scaled` and dlog F over a 1-d mu from one :meth:`_probed` pass; dlog F is
         left non-finite at the zeros of F (:func:`off_zeros`)."""
-        mant, logs, dlog, _, _ = self._probed(mu, deriv=True)
+        mant, logs, dlog, *_ = self._probed(mu, deriv=True)
         return (*_product(mant, logs), reduce(operator.add, dlog))
 
     def _jacobi(self, flip, n, dn, scale) -> np.ndarray:
@@ -568,14 +580,14 @@ def _zero_count(sigma, gam_a, gam_b, turn_a, turn_b) -> np.ndarray:
     return np.rint((2.0 * step.sum(-1) - turn_b + turn_a) / (2.0 * math.pi))
 
 
-def _points(x, sigma, mants, logs, dlogs, gam, theta) -> list[np.ndarray]:
+def _points(x, sigma, mants, logs, dlogs, gam, theta, val, der) -> list[np.ndarray]:
     """Rows of the table of :func:`_scan` from the samples at the points x on the axes
     of sigma, both shaped (P,): x, sigma, and per point and factor of F, shaped (P, f),
     the factor's real mantissa (0 where one of its theta_k lies within 1e-9 of 0: its
     sign is rounding), its x-derivative in the mantissa's scale, Re(unit mant dlog)
     with unit = 1 on the real axis and i on the imaginary one, its log-scale, its
-    gamma_l (shaped (P, f, q_f)) and its :func:`_turns`.  Raises NumericalError
-    where the mantissas are not real."""
+    gamma_l (shaped (P, f, q_f)) and its :func:`_turns`; then the kernel rows V, D,
+    shaped (P, m').  Raises NumericalError where the mantissas are not real."""
     mags = np.abs(mants)
     live = mags > 0.0
     worst = float(np.max(np.abs(mants.imag[live]) / mags[live], initial=0.0))
@@ -588,7 +600,7 @@ def _points(x, sigma, mants, logs, dlogs, gam, theta) -> list[np.ndarray]:
     f = np.where(np.min(np.abs(theta), axis=-1) > _ANGLE_SLACK, mants.real.T, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):  # dlog is not finite at a zero
         df = (np.where(sigma > 0.0, 1j, 1.0) * mants * dlogs).real.T
-    return [x, sigma, f, df, logs.T, gam, _turns(theta, sigma[:, None, None])]
+    return [x, sigma, f, df, logs.T, gam, _turns(theta, sigma[:, None, None]), val.T, der.T]
 
 
 def _cut(a: float, b: float, res: float, r: float) -> np.ndarray:
@@ -604,16 +616,18 @@ def _cut(a: float, b: float, res: float, r: float) -> np.ndarray:
     return np.array([2.0 * a])
 
 
-def _scan(ev: SecularEvaluator, mu_max: float) -> tuple[list, list]:
-    """The brackets (sigma, k, a, b, fa, x0) and the multiple roots (sigma, x) of both
-    axes, k the factor of F whose zero the bracket holds, fa that factor at a and x0
-    the first iterate of :func:`_refine` in [a, b].
+def _scan(ev: SecularEvaluator, mu_max: float) -> tuple[list, list, int]:
+    """The brackets (sigma, k, a, b, fa, x0) of both axes left to :func:`_refine`, k
+    the factor of F whose zero the bracket holds, fa that factor at a and x0 the first
+    iterate in [a, b]; the roots (sigma, x) the scan settled, multiple roots and then
+    Taylor roots; and the number of Taylor roots.
 
     F is a product of factors: each channel's N_ll on a diagonal tip
     (:attr:`SecularEvaluator.diagonal`), else the one factor det N; a
     factor has q_f channels, 1 or q (:attr:`SecularEvaluator.width`).  One
     table holds the samples of both axes, a row per point with a column
-    per factor (:func:`_points`): the real grid from mu = 0, then mu = 0
+    per factor and the pass's kernel rows (:func:`_points`): the real grid
+    from mu = 0, then mu = 0
     read on the imaginary axis and the limit x = inf there.  A cell is a
     span (lo, hi] of rows on one axis, with a mask of the factors that
     still count in it; every pass samples all factors, so they share the
@@ -633,7 +647,11 @@ def _scan(ev: SecularEvaluator, mu_max: float) -> tuple[list, list]:
     are done, every bracket's start x0 is worked out at once by
     :func:`_start` from a positive multiple of the factor, finite near
     the scale of a, and its x-derivative, both at the two ends, read from
-    the table.  A span where some factor counts otherwise is cut by
+    the table.  A real bracket of a diagonal tip takes its root from its
+    channel's Taylor polynomial at the end nearer x0 (:func:`_taylor`),
+    built from the kernel rows the table holds there, where that root
+    meets its bound; every other bracket is left to :func:`_refine`.  A
+    span where some factor counts otherwise is cut by
     :func:`_cut`, all such spans in one pass, and each part keeps only
     those factors, until each counts at most 1 in each part.  A finite
     span where a factor still counts m at the root tolerance of
@@ -642,14 +660,16 @@ def _scan(ev: SecularEvaluator, mu_max: float) -> tuple[list, list]:
     res = math.pi / (4.0 * ev.width * ev.r)
     first = 0.5 * min(res, 0.05 / ev.r, mu_max)  # at a tiny R, 0.025 / R may pass mu_max
     x = np.concatenate(([0.0], _grid(first, mu_max, res)))
-    mants, logs, dlogs, gam, theta = ev.sample(x.astype(complex))
+    mants, logs, dlogs, gam, theta, val, der = ev.sample(x.astype(complex))
     theta[0, np.argsort(np.abs(theta[0]))[: ev.circle.k0]] = 0.0
     nf = mants.shape[0]
-    real = _points(x, np.full(x.size, -1.0), mants, logs, dlogs, gam, theta)
-    at_zero = _points(x[:1], np.ones(1), *(v[:, :1] for v in (mants, logs, dlogs)), gam[:1], theta[:1])
+    real = _points(x, np.full(x.size, -1.0), mants, logs, dlogs, gam, theta, val, der)
+    at_zero = _points(x[:1], np.ones(1), *(v[:, :1] for v in (mants, logs, dlogs)), gam[:1],
+                      theta[:1], val[:, :1], der[:, :1])
     nan = np.full((1, nf), math.nan)  # f, df and the log-scale
     angles = [np.zeros((1, nf, ev.width)), ev._limit_turn[None]]
-    limit = [np.array([math.inf]), np.ones(1), nan, nan, nan, *angles]
+    rows = np.full((2, 1, len(val)), math.nan)  # the kernel rows
+    limit = [np.array([math.inf]), np.ones(1), nan, nan, nan, *angles, *rows]
     data = [np.concatenate(v) for v in zip(real, at_zero, limit)]
     # the spans (lo, lo + 1]: the real grid's cells, then (0, inf], each for every factor
     lo = np.append(np.arange(x.size - 1), x.size)
@@ -658,7 +678,7 @@ def _scan(ev: SecularEvaluator, mu_max: float) -> tuple[list, list]:
     imag_res = min(res, 0.1 / ev.r)
     found, roots = [], []  # the rows and factor of each bracket; the multiple roots
     while lo.size:
-        x, sigma, f, _, _, gam, turn = data
+        x, sigma, f, _, _, gam, turn, *_ = data
         n = _zero_count(sigma[lo, None, None], gam[lo], gam[hi], turn[lo], turn[hi])
         n = np.where(active, n, 0.0)  # a factor done in the parent span (bracketed or 0) stays done
         if not np.all(n >= 0.0):
@@ -687,19 +707,28 @@ def _scan(ev: SecularEvaluator, mu_max: float) -> tuple[list, list]:
             lo, hi = np.insert(rows, start, lo), np.insert(rows, start + sizes, hi)
             active = np.repeat(active, sizes + 1, axis=0)
             data = [np.concatenate(v) for v in zip(data, new)]
-    x, sigma, f, df, logs = data[:5]
+    x, sigma, f, df, logs, _, _, val, der = data
     a, b, k = (np.concatenate(v) for v in zip(*found))
-    # b's scale over a's, capped inside the float range: false position starts at a there
+    # b's scale over a's, capped inside the float range: the start is the midpoint there
     scale = np.exp(np.minimum(logs[b, k] - logs[a, k], 0.5 * _LOG_MAX))
     start = _start(x[a], x[b], f[a, k], f[b, k] * scale, df[a, k], df[b, k] * scale)
-    return list(zip(*(v.tolist() for v in (sigma[a], k, x[a], x[b], f[a, k], start)))), roots
+    taylor = (sigma[a] < 0.0) & ev.diagonal
+    if taylor.any():  # the real brackets of a diagonal tip, about the end nearer the start
+        e = np.where(start - x[a] <= x[b] - start, a, b)
+        root, ok = _taylor(ev, start, x[e], val[e].real, der[e].real, k, x[a], x[b])
+        taylor &= ok
+        roots += [(-1.0, v) for v in root[taylor].tolist()]
+    rest = [v[~taylor].tolist() for v in (sigma[a], k, x[a], x[b], f[a, k], start)]
+    return list(zip(*rest)), roots, int(np.count_nonzero(taylor))
 
 
 def _start(a, b, fa, fb, da, db) -> np.ndarray:
     """The first iterate in each bracket [a, b] from a factor's values fa, fb and
     x-derivatives da, db at its ends, all in one scale: the root of their cubic
     Hermite interpolant, by two Newton steps on it from the false-position point,
-    or that point where the result is not finite or not strictly inside (a, b).
+    or that point where the result is not finite or not strictly inside (a, b), or
+    where neither is (a far scale capped inside the float range) the midpoint, the
+    first step of :func:`_refine`'s bisection, so that no round samples an end.
 
     In t = (x - a) / h, h = b - a, the cubic is fa + t (h da + t (c2 + t c3)),
     c2 = 3 (fb - fa) - h (2 da + db) and c3 = 2 (fa - fb) + h (da + db).
@@ -714,13 +743,76 @@ def _start(a, b, fa, fb, da, db) -> np.ndarray:
         for _ in range(2):
             t = t - (fa + t * (c1 + t * (c2 + t * c3))) / (c1 + t * (2.0 * c2 + t * (3.0 * c3)))
         x = a + h * t
-    return np.where((x > a) & (x < b), x, false_position)
+        x = np.where((x > a) & (x < b), x, false_position)
+        return np.where((x > a) & (x < b), x, 0.5 * a + 0.5 * b)
+
+
+def _row_series(table: KernelTable, w0, val, der) -> np.ndarray:
+    """The Taylor coefficients e_0, ..., e_{m+2} (the m = 14 terms of :func:`_taylor`'s
+    polynomial and two beyond) in u = w / w0 - 1 of every kernel row of ``table``
+    (:func:`phi_rows`, psi last) about each w0, from the rows V and their w-derivatives
+    D there, each shaped (nb, m'); shaped (m + 3, m', nb).
+
+    phi_s solves w phi'' + (2s + 1) phi' + w phi = 0 (DLMF 10.2) and psi the s = 0
+    equation with 2 phi_0' on the right, so V and D fix every coefficient: with
+    e_j = c_j w0^j, c_j those in w - w0, e_0 = V, e_1 = w0 D and
+    e_{j+2} = -(j + 2s + 1) e_{j+1} / (j + 2) - w0^2 (e_j + e_{j-1}) / ((j + 1)(j + 2)),
+    psi's plus 2 e_{j+1} / (j + 2) of phi_0.  The recurrence's parasitic solution grows
+    like |u|^j.  Rounding past the float range reads inf or NaN, quietly."""
+    m, nb = _TAYLOR_TERMS, w0.size
+    s = np.append(table.orders, [0.0] * table.companion)[:, None]  # phi_0 first on a log channel
+    j = np.arange(1.0, m + 2.0)[:, None, None]
+    # the factors of each step, shaped (m + 1, m' nb): every row of every w0 side by side
+    grow, fall = np.empty((2, m + 1, s.size, nb))
+    grow[...], fall[...] = -(j + 2.0 * s) / (j + 1.0), -(w0 * w0) / (j * (j + 1.0))
+    e = [np.zeros(s.size * nb), val.T.ravel(), (der.T * w0).ravel()]  # e_{-1} = 0, e_0, e_1
+    with np.errstate(all="ignore"):
+        for i, (g, f) in enumerate(zip(grow.reshape(m + 1, -1), fall.reshape(m + 1, -1))):
+            e.append(g * e[-1] + f * (e[-2] + e[-3]))
+            if table.companion:
+                e[-1][-nb:] += 2.0 / (i + 2.0) * e[-2][:nb]
+    return np.reshape(e[1:], (m + 3, s.size, nb))
+
+
+def _taylor(ev: SecularEvaluator, x0, xe, val, der, k, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """The root of each bracket (lo, hi) of the real axis that the Taylor polynomial
+    of its channel k's factor N_kk gives about the bracket end xe, from the kernel rows
+    V, D that the scan sampled there, by Newton steps from x0; and whether it stands.
+
+    The factor is alpha V + w beta D, (alpha, beta) the channel's rows of
+    :func:`_boundary_map`'s (a, b) under the tip weights, so its coefficients in
+    u = x / xe - 1 are (alpha + j beta) e_j + (j + 1) beta e_{j+1}, e_j those of the
+    rows (:func:`_row_series`); the polynomial keeps 14 of them.  The root stands
+    where |u| <= 1/2, it lies strictly inside the bracket, and the last Newton step
+    plus the first two omitted terms over the slope are at most a quarter of
+    :func:`_refine`'s tolerance."""
+    m, nb = _TAYLOR_TERMS, xe.size
+    e = _row_series(ev._kernel, xe * ev.r, val, der)
+    q, ab = ev.q, ev._map[:2]
+    ab = (ev._ad[:, None] * ab[:, q:] - ev._bd[:, None] * ab[:, :q]).real[:, k]  # (2, nb, m')
+    j = np.arange(m + 2.0)
+    with np.errstate(all="ignore"):  # past the float range a root does not stand
+        fv, fd = np.matmul(e.transpose(2, 0, 1), ab.transpose(1, 2, 0)).T  # (m + 3, nb) each
+        p = (fv[:-1] + j[:, None] * fd[:-1] + (j[:, None] + 1.0) * fd[1:]).T  # (nb, m + 2)
+        terms = np.zeros((nb, 2, m))  # the polynomial and its derivative
+        terms[:, 0], terms[:, 1, :-1] = p[:, :m], p[:, 1:m] * j[1:m]
+        u = x0 / xe - 1.0
+        for _ in range(_TAYLOR_STEPS):
+            value, slope = np.matmul(terms, np.vander(u, m, increasing=True)[:, :, None])[:, :, 0].T
+            step = value / slope
+            u = u - step
+        x, um = xe + xe * u, u**m
+        omitted = np.abs(p[:, m] * um) + np.abs(p[:, m + 1] * um * u)
+        error = xe * (np.abs(step) + omitted / np.abs(slope))
+        tol = _ROOT_XTOL / ev.r + _ROOT_RTOL * np.abs(x)
+        return x, (np.abs(u) <= 0.5) & (x > lo) & (x < hi) & (error <= 0.25 * tol)
 
 
 def _refine(ev: SecularEvaluator, brackets: list[tuple]) -> list[float]:
-    """The roots in the brackets (sigma, k, a, b, fa, x0) of :func:`_scan`, on the real
-    axis (sigma = -1) and the imaginary one (sigma = 1), all refined together, each on
-    its factor k of F from its first iterate x0, in the order of the brackets.
+    """The roots in the brackets (sigma, k, a, b, fa, x0) that :func:`_scan` leaves (those
+    of the imaginary axis and of a coupled tip, and those whose Taylor root does not
+    stand), on the real axis (sigma = -1) and the imaginary one (sigma = 1), all refined
+    together, each on its factor k of F from its first iterate x0, in their order.
 
     Safeguarded Newton (``rtsafe``) over the array of roots still
     active, on both axes at once: each round is one kernel pass
@@ -763,7 +855,7 @@ def _refine(ev: SecularEvaluator, brackets: list[tuple]) -> list[float]:
         if act.size == 0:
             break
         xa = x[act]
-        mant, _, dlog, _, _ = ev._pass(unit[act] * xa, deriv=True)
+        mant, _, dlog, *_ = ev._pass(unit[act] * xa, deriv=True)
         if len(mant) > 1:  # each root's own factor
             mant, dlog = (v[k[act], np.arange(act.size)] for v in (mant, dlog))
         else:
@@ -820,20 +912,26 @@ def find_spectrum(spec: OperatorSpec, mu_max: float) -> Spectrum:
     one kernel pass for all spans, the first taking the probes of
     :attr:`SecularEvaluator.circle` along; each pass gives the factors'
     log-derivatives too, from which each bracket starts at the root of
-    the cubic Hermite interpolant of its factor (:func:`_start`).  One
-    call of :func:`_refine` then refines the brackets of both axes
-    together, each by the Newton step of its own factor, and the roots
-    are split by axis once; a root of
+    the cubic Hermite interpolant of its factor (:func:`_start`), and
+    the kernel rows.  On a diagonal tip each real bracket takes its root
+    from the Taylor polynomial of its channel at the end nearer that
+    start, which the recurrence of the Bessel equation builds from the
+    kernel rows there, with no further pass (:func:`_taylor`), where the
+    root meets its bound.  One call of :func:`_refine` then refines the
+    brackets left, of both axes together, each by the Newton step of its
+    own factor, and the roots are split by axis once; a root of
     multiplicity m is listed m times (a root that m channels share is m
     brackets).  The returned :class:`Spectrum` carries the evaluator,
     which :func:`~regsing.determinant.zeta_eval` reuses for the same
-    spec, and the number of kernel passes made.  Raises ValueError
-    unless 0 < mu_max < inf.
+    spec, the number of kernel passes made, those of the scan among
+    them, and how many roots the Taylor polynomials and the Newton
+    rounds gave.  Raises ValueError unless 0 < mu_max < inf.
     """
     if not 0.0 < mu_max < math.inf:
         raise ValueError(f"mu_max must be positive and finite, got {mu_max}")
     ev = SecularEvaluator(spec)
-    brackets, roots = _scan(ev, mu_max)
+    brackets, roots, taylor = _scan(ev, mu_max)
+    scan_passes = ev.counts["passes"]
     roots += zip([v[0] for v in brackets], _refine(ev, brackets))
     positive, negative = (sorted(x for s, x in roots if s == sigma) for sigma in (-1.0, 1.0))
     return Spectrum(
@@ -843,6 +941,9 @@ def find_spectrum(spec: OperatorSpec, mu_max: float) -> Spectrum:
         certified=True,
         evaluator=ev,
         passes=ev.counts["passes"],
+        scan_passes=scan_passes,
+        taylor_roots=taylor,
+        refined_roots=len(brackets),
     )
 
 

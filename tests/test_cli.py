@@ -140,7 +140,8 @@ class TestDet:
         # passes and quadrature nodes they spent; a det request is one pass, the
         # probes riding with the finite-t arc's first round, which only the
         # kernel-free request reads; zeta at an integer s is the spectrum search
-        # alone, its contour a power sum of the Taylor circle
+        # alone, its contour a power sum of the Taylor circle; the spectrum search
+        # is at least its scan's one pass
         path = write_doc(large_r_doc())
         for doc, want in ((kernel_doc(), (1, 0)), (large_r_doc(), (1, 48))):
             _, out, _ = run_cli(capsys, "det", write_doc(doc))
@@ -150,7 +151,7 @@ class TestDet:
         spectrum = json.loads(out)["report"]["passes"]
         _, out, _ = run_cli(capsys, "zeta", path, "--mu-max", "1", "--s", "2")
         rep = json.loads(out)["report"]
-        assert 2 <= spectrum == rep["passes"] and rep["nodes"] == 0
+        assert 1 <= spectrum == rep["passes"] and rep["nodes"] == 0
 
     def test_contour_radius_flag_is_gone(self, write_doc):
         # the radius is 0.1 / R, certified by the Taylor circle
@@ -220,6 +221,17 @@ class TestSpectrum:
         rep = json.loads(out)["report"]
         assert rep["certified"] is True
         assert abs(rep["positive"][0] - 4.4934094579) < 1e-6
+
+    def test_json_report_says_how_the_roots_were_found(self, capsys):
+        # the README operator (a log channel and nu = 0.6): the scan's one pass, no
+        # Newton round, every root from its channel's Taylor polynomial; the same
+        # stdout from run to run
+        path = str(FIXTURES / "readme_two_channel.json")
+        code, out, _ = run_cli(capsys, "spectrum", path)
+        assert code == EXIT_OK and run_cli(capsys, "spectrum", path)[1] == out
+        rep = json.loads(out)["report"]
+        assert (rep["passes"], rep["scan_passes"], rep["refine_passes"]) == (1, 1, 0)
+        assert (rep["taylor_roots"], rep["refined_roots"]) == (len(rep["positive"]), 0)
 
     def test_large_interval(self, write_doc, capsys):
         code, out, _ = run_cli(capsys, "spectrum", write_doc(large_r_doc()), "--mu-max", "1")

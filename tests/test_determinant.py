@@ -1199,15 +1199,15 @@ class TestPassBudgets:
     @pytest.mark.parametrize("name", sorted(PASS_SPECS))
     def test_spectrum_and_zeta(self, name, monkeypatch):
         # the scan's first pass takes the probes and the real grid from mu = 0,
-        # whose angles with their limit at x = inf count both axes; cut rounds,
-        # if any, and the Newton rounds from the Hermite starts add a few (two
-        # Newton rounds, three on the q4 kernel); the zeta contour at s = 2 is
-        # the power sum p_2 of the Taylor circle the scan sampled, no pass and
-        # no quadrature round
+        # whose angles with their limit at x = inf count both axes, and every
+        # root comes from the Taylor polynomial of its factor at a bracket end,
+        # from the kernel rows of that pass: one pass in all; the zeta contour at
+        # s = 2 is the power sum p_2 of the Taylor circle the scan sampled, no
+        # pass and no quadrature round
         spec = PASS_SPECS[name]
         sp = find_spectrum(spec, 30.0 * math.pi / (spec.q * spec.r))
         assert len(sp.positive) >= 28 and sp.negative == ()
-        assert sp.passes <= 4
+        assert sp.passes == sp.scan_passes == 1 and sp.taylor_roots == len(sp.positive)
         rounds = []
         round_nodes = _numutil._round_nodes
 
@@ -1255,8 +1255,8 @@ class TestPassBudgets:
         # a diagonal tip's channels are counted on the grid of spacing pi / (4 R)
         # that one channel needs, not pi / (16 R), so the first pass samples mu = 0
         # and about 4 mu_max R / pi grid points, and nothing more on the real axis;
-        # each root is refined by its own channel's Newton step from its Hermite
-        # start, in two or three rounds
+        # each root comes from its own channel's Taylor polynomial, with no
+        # Newton round
         r, beta, channels = POOL_Q4[case]
         bc = Dirichlet() if beta is None else Robin(beta / r)
         spec = diagonal_spec([scalar_spec(nu, bc, tip=tip, r=r) for nu, tip in channels])
@@ -1278,7 +1278,7 @@ class TestPassBudgets:
         assert len(sp.positive) >= 28 and sp.negative == ()
         mu = np.concatenate(passes)
         assert np.count_nonzero(mu.imag == 0.0) <= math.ceil(4.0 * mu_max * r / math.pi) + 3
-        assert sum(rounds) <= 3
+        assert sum(rounds) == 0 and sp.taylor_roots == len(sp.positive)
 
     @pytest.mark.parametrize(
         "spec",
@@ -1289,10 +1289,12 @@ class TestPassBudgets:
         ids=["q1", "q2"],
     )
     def test_negative_eigenvalues_refine_with_the_positive_ones(self, spec):
-        # the imaginary-axis roots join the real ones in the same Newton rounds
+        # the real roots come from their channels' Taylor polynomials and the
+        # imaginary-axis roots take the Newton rounds
         sp = find_spectrum(spec, 30.0)
         assert sp.negative and sp.positive
         assert sp.passes <= 5
+        assert (sp.taylor_roots, sp.refined_roots) == (len(sp.positive), len(sp.negative))
 
 
 def test_report_is_frozen_dataclass():

@@ -36,6 +36,7 @@ from regsing.operators import (
     diagonal_spec,
     scalar_spec,
 )
+from regsing.special import KernelTable, phi_rows
 from tests.conftest import bisect_root, robin_regular
 
 EPS = sys.float_info.epsilon
@@ -880,6 +881,162 @@ def test_start_falls_back_to_false_position_on_a_slope_that_is_not_finite(bad):
     assert got.tolist() == [_bracket(_cubic, 3.0, 5.0)[-1]] * 2
 
 
+def _row_series_oracle(orders, w0, terms):
+    """mpmath's Taylor coefficients e_j = c_j w0^j in u = w / w0 - 1 of phi_s at every
+    order and of psi about w0, from their power series sum_n a_n w^(2n):
+    e_j = sum_n a_n C(2n, j) w0^(2n), at 60 digits."""
+    with mp.workdps(60):
+        w = mp.mpf(w0)
+        series = [
+            [(-1) ** n / (mp.factorial(n) * mp.gamma(n + mp.mpf(s) + 1) * 4**n) for n in range(150)]
+            for s in orders
+        ]
+        series.append([mp.harmonic(n) * (-1) ** n / (mp.factorial(n) ** 2 * 4**n) for n in range(150)])
+        coeff = lambda row, j: mp.fsum(a * mp.binomial(2 * n, j) * w ** (2 * n) for n, a in enumerate(row))  # noqa: E731
+        return np.array([[float(coeff(row, j)) for j in range(terms)] for row in series])
+
+
+@pytest.mark.parametrize("w0", [0.6, 3.0, 40.0])
+def test_row_series_matches_mpmath(w0):
+    # the recurrence of the Bessel equations, fed the rows V and D at w0, gives the
+    # Taylor coefficients of phi_s (s = 0, +-0.3, 0.9) and of psi there; they are
+    # held on |u| <= 1/2, where a root of the Taylor step may lie: each e_j / 2^j
+    # within 1e-14 of the sum of the |e_j| / 2^j
+    orders = [0.0, 0.3, -0.3, 0.9]
+    terms = eigenfunction._TAYLOR_TERMS + 3
+    want = _row_series_oracle(orders, w0, terms)
+    got = eigenfunction._row_series(
+        KernelTable(orders), np.array([w0]), want[None, :, 0], want[None, :, 1] / w0
+    )
+    assert got.shape == (terms, len(orders) + 1, 1)
+    half = 0.5 ** np.arange(terms)
+    err = np.abs(got[:, :, 0].T - want) * half
+    assert np.all(err.max(axis=1) <= 1e-14 * (np.abs(want) * half).sum(axis=1))
+
+
+TAYLOR_SPECS = {  # q = 1 operators, mu_max R = 30 pi: the first root's mu R, the roots refined
+    "log channel, Robin, R = 1": (
+        OperatorSpec(
+            r=1.0, lambdas=(-0.25,), q0=1, boundary=BoundaryMatrices([[0.3]], [[1.0]]), regular_bc=Robin(0.5)
+        ),
+        0.93,
+        0,
+    ),
+    "singular tip, Dirichlet, R = 4": (scalar_spec(0.6, Dirichlet(), tip="singular", r=4.0), 1.38, 0),
+    # the first root lies in the cell (0.025, 0.81] of w, 0.45 from its nearer end, past w0 / 2
+    "regular tip, Robin, R = 0.5": (scalar_spec(0.3, Robin(-1.5), r=0.5), 0.36, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAYLOR_SPECS))
+def test_taylor_roots_match_mpmath(name):
+    # every root within the refinement's tolerance of mpmath's root of F at 20
+    # digits, from mu R below 1 up to 94, every one but a first-cell root read
+    # off its channel's Taylor polynomial at a bracket end
+    spec, first, refined = TAYLOR_SPECS[name]
+    sp = find_spectrum(spec, 30.0 * math.pi / spec.r)
+    mu_r = np.array(sp.positive) * spec.r
+    assert len(mu_r) == 30 and mu_r[0] == pytest.approx(first, abs=0.01) and mu_r[-1] > 90.0
+    assert sp.negative == () and (sp.taylor_roots, sp.refined_roots) == (30 - refined, refined)
+    with mp.workdps(20):
+        for x in sp.positive:
+            want = float(mp.findroot(lambda m: mp.re(_mp_secular(spec, m)), mp.mpf(x)))
+            assert abs(x - want) <= eigenfunction._ROOT_XTOL / spec.r + eigenfunction._ROOT_RTOL * x
+
+
+def test_taylor_roots_keep_the_dilation_law_at_a_huge_r():
+    # at R = 2.34e298 the factor's mantissa reads +-1 but within about R^(-2 nu) of
+    # each root, where the Newton rounds had stopped 1.1e-11 relative short of the
+    # second root; the Taylor roots are those for R = 1 over R, within tolerance
+    r, nu = 2.341424833012944e298, 0.019096035315604654
+    sp = find_spectrum(scalar_spec(nu, Dirichlet(), r=r), 20.0 * math.pi / r)
+    unit = find_spectrum(scalar_spec(nu, Dirichlet()), 20.0 * math.pi)
+    assert sp.taylor_roots == len(sp.positive) == len(unit.positive) == 20
+    want = np.array(unit.positive) / r
+    assert np.all(np.abs(np.array(sp.positive) - want) <= eigenfunction._ROOT_XTOL / r + 4.0 * EPS * want)
+
+
+def test_taylor_root_stands_only_within_half_its_end():
+    # the root mu R = 0.3586 from the rows at w0 = mu R / 0.45 and mu R / 0.55, u =
+    # -0.55 and -0.45: the omitted terms are about 1e-16 at both, but only the
+    # nearer end keeps the recurrence's parasitic solution below 2^-j
+    spec = TAYLOR_SPECS["regular tip, Robin, R = 0.5"][0]
+    ev, root = SecularEvaluator(spec), find_spectrum(spec, 1.0).positive[0]
+    xe = root / np.array([0.45, 0.55])
+    val, der = (v.real.T for v in phi_rows(ev._kernel, xe * spec.r))
+    x, ok = eigenfunction._taylor(ev, np.full(2, root), xe, val, der, np.zeros(2, int), np.zeros(2), xe)
+    assert ok.tolist() == [False, True]
+    assert abs(x[1] - root) <= eigenfunction._ROOT_XTOL / spec.r + eigenfunction._ROOT_RTOL * root
+
+
+def test_brackets_that_fail_the_bound_are_refined_as_before(monkeypatch):
+    # with 8 terms only the root nearest its bracket end meets the bound; every
+    # other one is the root that the Newton rounds give from the Hermite start,
+    # bit for bit, as when no Taylor root stands, and within tolerance of the
+    # 14-term Taylor roots
+    spec, mu_max = scalar_spec(0.3, Robin(0.5)), 30.0 * math.pi
+    full = find_spectrum(spec, mu_max)
+    taylor, stood = eigenfunction._taylor, []
+
+    def recorded(*args):
+        x, ok = taylor(*args)
+        stood.extend(x[ok].tolist())
+        return x, ok
+
+    monkeypatch.setattr(eigenfunction, "_taylor", recorded)
+    monkeypatch.setattr(eigenfunction, "_TAYLOR_TERMS", 8)
+    short = find_spectrum(spec, mu_max)
+    monkeypatch.setattr(eigenfunction, "_taylor", lambda *args: (taylor(*args)[0], np.zeros(len(args[1]), bool)))
+    refined = find_spectrum(spec, mu_max)
+    assert (short.taylor_roots, short.refined_roots) == (len(stood), 29) and len(stood) == 1
+    assert (refined.taylor_roots, refined.refined_roots) == (0, 30) and refined.passes == 3
+    i = short.positive.index(stood[0])
+    assert short.positive[:i] + short.positive[i + 1 :] == refined.positive[:i] + refined.positive[i + 1 :]
+    tol = eigenfunction._ROOT_XTOL + eigenfunction._ROOT_RTOL * np.array(full.positive)
+    assert np.all(np.abs(np.array(short.positive) - full.positive) <= tol)
+
+
+def test_far_imaginary_bracket_starts_at_its_midpoint(monkeypatch):
+    # the a' = -0.01 log channel's zero lies in the cell (1.67e43, 3.35e43] of the
+    # doubled cuts, where the far end's scale is capped inside the float range: the
+    # Hermite and false-position starts land on the lower end, which the scan
+    # sampled.  The start is the midpoint, so no Newton round samples a scanned
+    # point: the rounds are those that followed a first round on that end, so the
+    # search takes 187 passes, not 188, to the same zero
+    scanned, rounds = [], []
+    sample, kernel_pass, refine = SecularEvaluator.sample, SecularEvaluator._pass, eigenfunction._refine
+    monkeypatch.setattr(SecularEvaluator, "sample", lambda ev, mu: scanned.append(mu) or sample(ev, mu))
+
+    def recorded_pass(ev, mu, deriv=False):
+        rounds.append(mu)
+        return kernel_pass(ev, mu, deriv)
+
+    def recorded_refine(ev, brackets):
+        with monkeypatch.context() as m:
+            m.setattr(SecularEvaluator, "_pass", recorded_pass)
+            return refine(ev, brackets)
+
+    monkeypatch.setattr(eigenfunction, "_refine", recorded_refine)
+    sp = find_spectrum(_log_channel(-0.01), 10.0)
+    assert sp.passes <= 188 and len(rounds) == sp.passes - sp.scan_passes
+    assert not set(np.concatenate(scanned).tolist()) & set(np.concatenate(rounds).tolist())
+    (x,) = sp.negative
+    assert abs(x - 3.018537724422777e43) <= eigenfunction._ROOT_XTOL + eigenfunction._ROOT_RTOL * x
+
+
+def test_spectrum_reports_its_scan_and_its_rounds():
+    # the scan's passes and the Newton rounds, and the roots read off a Taylor
+    # polynomial and those refined, add up; a multiple root is neither
+    channels, bc, r, mu_max = ORACLE_CHANNELS["q2 negative"]
+    spec = diagonal_spec([scalar_spec(nu, bc, tip=t, r=r) for nu, t in channels])
+    sp = find_spectrum(spec, mu_max)
+    assert sp.scan_passes >= 1 and sp.passes > sp.scan_passes
+    assert (sp.taylor_roots, sp.refined_roots) == (len(sp.positive), len(sp.negative))
+    robin = scalar_spec(0.3, Robin(0.5))
+    doubled = find_spectrum(_rotated(diagonal_spec([robin, robin]), 0, 1), 10.0)
+    assert doubled.taylor_roots == 0 and doubled.refined_roots == 0 and doubled.passes == doubled.scan_passes
+
+
 def test_jacobi_marks_only_the_singular_matrix_of_a_stack():
     # np.linalg.solve refuses a stack that holds one exactly singular N (mu on a
     # zero of F): that point reads NaN, every other one tr(N^-1 N')
@@ -1071,7 +1228,10 @@ class TestSpectrum:
 
     def test_one_kernel_pass_per_refinement_round(self, monkeypatch):
         # both axes are refined together; every Newton round takes F and dlog F
-        # from one pass, and the residuals are read from those rounds
+        # from one pass, and the residuals are read from those rounds.  The real
+        # roots of a coupled tip are refined with its negative one; those of a
+        # diagonal tip come from their Taylor polynomials, so that only its
+        # imaginary axis is refined
         seen = []
         kernel_pass, refine = SecularEvaluator._pass, eigenfunction._refine
 
@@ -1089,11 +1249,16 @@ class TestSpectrum:
 
         monkeypatch.setattr(SecularEvaluator, "_pass", counted_pass)
         monkeypatch.setattr(eigenfunction, "_refine", counted_refine)
+        coupled, coupled_max, _ = COUPLED_TIPS["q3 root at x R = 25"]
         channels, bc, r, mu_max = ORACLE_CHANNELS["q2 negative"]
-        find_spectrum(diagonal_spec([scalar_spec(nu, bc, tip=t, r=r) for nu, t in channels]), mu_max)
-        (call,) = seen
-        assert call["axes"] == {-1.0, 1.0}  # roots on both axes
-        assert 1 <= call["rounds"] == call["passes"]
+        diagonal = diagonal_spec([scalar_spec(nu, bc, tip=t, r=r) for nu, t in channels])
+        for spec, top, axes in ((coupled, coupled_max, {-1.0, 1.0}), (diagonal, mu_max, {1.0})):
+            seen.clear()
+            sp = find_spectrum(spec, top)
+            (call,) = seen
+            assert sp.positive and sp.negative
+            assert call["axes"] == axes
+            assert 1 <= call["rounds"] == call["passes"] == sp.passes - sp.scan_passes
 
     def test_roots_annihilate_boundary_system(self, diagonal_pair):
         # on the diagonal tip each factor is N_ll over its column scale: at a root
